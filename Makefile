@@ -22,8 +22,8 @@ short:
 
 # Certifies the parallel runner race-free (the determinism regression test
 # in internal/core runs the whole suite on an 8-worker pool), the cache
-# fast-path differential tests, the event-engine differential (timer wheel
-# vs reference heap in internal/sim), the memo store, the NFS server
+# fast-path differential tests, the event-engine differential (event
+# queue vs the reference engine in internal/sim), the memo store, the NFS server
 # scale-out model (including the 10^4-client -j1/-j8 byte-identity
 # regression), the fault-injection layer — including the CLI
 # regression that a faulted `faults` report is byte-identical at -j 1

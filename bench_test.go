@@ -135,6 +135,9 @@ func benchScalePoint(b *testing.B, clients int) {
 	b.StopTimer()
 	b.ReportMetric(res.Throughput(), "modelled_opsps")
 	b.ReportMetric(float64(res.Completed), "served_ops")
+	// Host time per server-ingress attempt: the model's per-operation
+	// cost, comparable across client counts.
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(res.Attempts), "ns/attempt")
 }
 
 func BenchmarkScaleServer1kClients(b *testing.B) { benchScalePoint(b, 1_000) }

@@ -799,30 +799,38 @@ func (a *App) trace(cfg core.Config, runner *core.Runner, ids []string,
 	return 0
 }
 
-// traceText renders the per-run trace summaries: one line per run, then
-// its tracks ranked by cumulative virtual time from the run's folded
-// profile. top > 0 keeps only the heaviest tracks; ring-buffer drops are
-// surfaced so a truncated capture is never mistaken for a complete one.
+// traceText renders the per-run trace summaries: one line per run (and
+// one for its per-request exemplar trace, when traced), then its tracks
+// ranked by cumulative virtual time from the run's folded profile.
+// top > 0 keeps only the heaviest tracks; ring-buffer drops are surfaced
+// so a truncated capture is never mistaken for a complete one.
 func (a *App) traceText(suite *core.SuiteObservation, top int) {
+	counts := func(label string, p *obs.Process) {
+		spans := 0
+		for _, e := range p.Events {
+			if e.Kind == obs.EvBegin {
+				spans++
+			}
+		}
+		fmt.Fprintf(a.Stdout, "  %-24s %d tracks, %d events (%d spans)",
+			label, len(p.Tracks), len(p.Events), spans)
+	}
 	for oi, o := range suite.Observations {
 		if oi > 0 {
 			fmt.Fprintln(a.Stdout)
 		}
 		fmt.Fprintf(a.Stdout, "%s — %s:\n", o.ID, o.Title)
 		for _, run := range o.Runs {
-			spans := 0
-			for _, e := range run.Process.Events {
-				if e.Kind == obs.EvBegin {
-					spans++
-				}
-			}
-			fmt.Fprintf(a.Stdout, "  %-24s %d tracks, %d events (%d spans), total %.2f %s",
-				run.Label, len(run.Process.Tracks), len(run.Process.Events),
-				spans, run.Total, run.Unit)
+			counts(run.Label, &run.Process)
+			fmt.Fprintf(a.Stdout, ", total %.2f %s", run.Total, run.Unit)
 			if run.Process.Dropped > 0 {
 				fmt.Fprintf(a.Stdout, "  [%d events ring-dropped]", run.Process.Dropped)
 			}
 			fmt.Fprintln(a.Stdout)
+			if run.Requests != nil {
+				counts(run.Label+" requests", run.Requests)
+				fmt.Fprintln(a.Stdout)
+			}
 			if run.Profile == nil {
 				continue
 			}

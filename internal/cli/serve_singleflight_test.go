@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -55,5 +56,54 @@ func TestServeConcurrentColdRequestsSingleFlight(t *testing.T) {
 	}
 	if got := h.computes.Load(); got != 1 {
 		t.Fatalf("cold endpoint computed %d times under %d concurrent clients, want 1", got, n)
+	}
+}
+
+// Only the profile endpoint reads the query string. Any other endpoint
+// must serve every query from one cached body, and a bad profile format
+// must be refused before the cache, leaving no entry behind.
+func TestServeQueryDoesNotSplitCache(t *testing.T) {
+	h := newServeHandler(core.DefaultConfig(), core.NewRunner(1), cmdOpts{clients: 500},
+		func(path string) ([]byte, error) { return nil, http.ErrMissingFile })
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	status := func(url string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode, resp.Header.Get("ETag")
+	}
+
+	var etag string
+	for i := 0; i < 5; i++ {
+		code, tag := status(fmt.Sprintf("%s/api/metrics/F12?format=x%d", srv.URL, i))
+		if code != http.StatusOK || (etag != "" && tag != etag) {
+			t.Fatalf("metrics?format=x%d: status %d, ETag %q (first %q)", i, code, tag, etag)
+		}
+		etag = tag
+	}
+	if got := h.computes.Load(); got != 1 {
+		t.Fatalf("5 query strings on one metrics endpoint computed %d times, want 1", got)
+	}
+
+	for _, f := range []string{"yaml", "x", "FOLDED"} {
+		if code, _ := status(srv.URL + "/api/profile/F12?format=" + f); code != http.StatusBadRequest {
+			t.Fatalf("profile?format=%s: status %d, want 400", f, code)
+		}
+	}
+	if got := h.table.Stats().Misses; got != 1 {
+		t.Fatalf("cache holds %d entries after bad profile formats, want 1 (the metrics body)", got)
+	}
+
+	_, plain := status(srv.URL + "/api/profile/F12")
+	_, folded := status(srv.URL + "/api/profile/F12?format=folded")
+	if plain == "" || plain != folded {
+		t.Fatalf("default and folded profile ETags differ: %q vs %q", plain, folded)
+	}
+	if got := h.computes.Load(); got != 2 {
+		t.Fatalf("default and folded profile computed %d bodies in total, want 1", got-1)
 	}
 }

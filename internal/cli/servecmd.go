@@ -72,7 +72,7 @@ func newServeHandler(cfg core.Config, runner *core.Runner, opts cmdOpts,
 	h.mux.HandleFunc("/api/metrics/", h.handleID("/api/metrics/", h.metrics))
 	h.mux.HandleFunc("/api/timeseries/", h.handleID("/api/timeseries/", h.timeseries))
 	h.mux.HandleFunc("/api/trace/", h.handleID("/api/trace/", h.trace))
-	h.mux.HandleFunc("/api/profile/", h.handleID("/api/profile/", h.profile))
+	h.mux.HandleFunc("/api/profile/", h.keyed(profileKey, byID("/api/profile/", h.profile)))
 	h.mux.HandleFunc("/api/exemplars/", h.handleID("/api/exemplars/", h.exemplars))
 	h.mux.HandleFunc("/api/audit/", h.handleID("/api/audit/", h.audit))
 	h.mux.HandleFunc("/api/baseline/diff", h.handle(func(r *http.Request) serveEntry {
@@ -86,22 +86,31 @@ func (h *serveHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // handle wraps an endpoint computation with the cache, the ETag, and the
-// 304 path. The cache key is the full path plus the format selector, so
-// distinct responses never share an entry.
+// 304 path, caching under the request path alone: the endpoints it
+// serves ignore the query string, so a query must not split the cache.
 func (h *serveHandler) handle(compute func(*http.Request) serveEntry) http.HandlerFunc {
+	return h.keyed(func(r *http.Request) (string, *serveEntry) { return r.URL.Path, nil }, compute)
+}
+
+// keyed is handle with the cache key chosen per endpoint: keyOf names
+// the response a request asks for, so requests for the same body share
+// one entry, or rejects the request with an error response that is sent
+// without touching the cache.
+func (h *serveHandler) keyed(keyOf func(*http.Request) (string, *serveEntry),
+	compute func(*http.Request) serveEntry) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet && r.Method != http.MethodHead {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
 		}
-		key := r.URL.Path
-		if f := r.URL.Query().Get("format"); f != "" {
-			key += "?format=" + f
+		key, e := keyOf(r)
+		if e == nil {
+			v := h.table.Do(key, func() serveEntry {
+				h.computes.Add(1)
+				return h.stored(key, func() serveEntry { return compute(r) })
+			})
+			e = &v
 		}
-		e := h.table.Do(key, func() serveEntry {
-			h.computes.Add(1)
-			return h.stored(key, func() serveEntry { return compute(r) })
-		})
 		if e.Code == http.StatusOK {
 			w.Header().Set("ETag", e.ETag)
 			if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, e.ETag) {
@@ -180,7 +189,12 @@ func fail(code int, format string, args ...any) serveEntry {
 // handleID adapts an id-parameterized endpoint: the id is the path
 // remainder after the prefix, validated against the observable set.
 func (h *serveHandler) handleID(prefix string, fn func(id string, r *http.Request) serveEntry) http.HandlerFunc {
-	return h.handle(func(r *http.Request) serveEntry {
+	return h.handle(byID(prefix, fn))
+}
+
+// byID is handleID's computation before the cache wraps it.
+func byID(prefix string, fn func(id string, r *http.Request) serveEntry) func(*http.Request) serveEntry {
+	return func(r *http.Request) serveEntry {
 		id := strings.TrimPrefix(r.URL.Path, prefix)
 		if id == "" || strings.Contains(id, "/") {
 			return fail(http.StatusNotFound, "missing experiment id (observable: %v)", core.ObservableIDs())
@@ -189,7 +203,23 @@ func (h *serveHandler) handleID(prefix string, fn func(id string, r *http.Reques
 			return fail(http.StatusNotFound, "unknown experiment %q (observable: %v)", id, core.ObservableIDs())
 		}
 		return fn(id, r)
-	})
+	}
+}
+
+// profileKey keys the profile endpoint, the one endpoint that reads the
+// query: its format is checked before the cache, so an unknown format is
+// a 400 that leaves no entry, and "" and "folded" name the same body, so
+// they share one.
+func profileKey(r *http.Request) (string, *serveEntry) {
+	switch f := r.URL.Query().Get("format"); f {
+	case "", "folded":
+		return r.URL.Path, nil
+	case "pprof":
+		return r.URL.Path + "?format=pprof", nil
+	default:
+		e := fail(http.StatusBadRequest, "unknown profile format %q (want folded or pprof)", f)
+		return "", &e
+	}
 }
 
 // observe runs one probe with the serve options; window attaches the
@@ -355,20 +385,15 @@ func (h *serveHandler) trace(id string, _ *http.Request) serveEntry {
 }
 
 // profile serves one probe's exact virtual-time profile: folded stacks
-// by default, ?format=pprof the go-tool-pprof protobuf.
+// by default, ?format=pprof the go-tool-pprof protobuf (profileKey has
+// already rejected any other format).
 func (h *serveHandler) profile(id string, r *http.Request) serveEntry {
-	format := r.URL.Query().Get("format")
-	switch format {
-	case "", "folded", "pprof":
-	default:
-		return fail(http.StatusBadRequest, "unknown profile format %q (want folded or pprof)", format)
-	}
 	suite, err := h.observe(id, false, h.opts.exemplars)
 	if err != nil {
 		return fail(http.StatusInternalServerError, "observe %s: %v", id, err)
 	}
 	var b bytes.Buffer
-	if format == "pprof" {
+	if r.URL.Query().Get("format") == "pprof" {
 		if err := suite.Profile.WritePprof(&b); err != nil {
 			return fail(http.StatusInternalServerError, "profile %s: %v", id, err)
 		}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -49,52 +51,56 @@ func TestAuditScaleProbesClean(t *testing.T) {
 	}
 }
 
-// Exemplar tracing must not change the probe's result rows or metrics —
-// only add exemplars, per-request tracks, and the latency histogram.
+// Exemplar tracing must not change the probe's result rows, metrics or
+// model trace — only add exemplars, a per-request trace process, and the
+// latency histogram. The nfsd tracks must carry exactly the untraced
+// events: the request tracks may not push them out of the ring.
 func TestObserveExemplarsAdditive(t *testing.T) {
-	cfg := Config{Seed: 1, Profiles: osprofile.Paper()[:1]}
+	cfg := Config{Seed: 1, Profiles: osprofile.Paper()}
 	plain, err := Observe(cfg, "S1", ObserveOpts{Clients: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, err := Observe(cfg, "S1", ObserveOpts{Clients: 1000, ExemplarK: 3})
+	traced, err := Observe(cfg, "S1", ObserveOpts{Clients: 1000, ExemplarK: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, tr := plain.Runs[0], traced.Runs[0]
-	pm, _ := json.Marshal(pr.Metrics)
-	tm, _ := json.Marshal(tr.Metrics)
-	if string(pm) != string(tm) {
-		t.Fatal("exemplar tracing changed the metric snapshot")
-	}
-	if len(pr.Exemplars) != 0 {
-		t.Fatal("exemplars present with ExemplarK=0")
-	}
-	if len(tr.Exemplars) == 0 {
-		t.Fatal("no exemplars with ExemplarK=3")
-	}
-	for _, w := range tr.Exemplars {
-		if len(w.Exemplars) > 3 {
-			t.Fatalf("window %d holds %d exemplars, want <= 3", w.Window, len(w.Exemplars))
+	for i, pr := range plain.Runs {
+		tr := traced.Runs[i]
+		pm, _ := json.Marshal(pr.Metrics)
+		tm, _ := json.Marshal(tr.Metrics)
+		if string(pm) != string(tm) {
+			t.Fatalf("%s: exemplar tracing changed the metric snapshot", pr.Label)
 		}
-	}
-	// Per-request tracks appear in the traced capture only.
-	count := func(p []string) int {
-		n := 0
-		for _, tr := range p {
-			if len(tr) > 4 && tr[:4] == "req " {
-				n++
+		if !reflect.DeepEqual(pr.Process, tr.Process) {
+			t.Fatalf("%s: exemplar tracing changed the model trace: %d tracks, %d events, %d dropped; untraced %d, %d, %d",
+				pr.Label, len(tr.Process.Tracks), len(tr.Process.Events), tr.Process.Dropped,
+				len(pr.Process.Tracks), len(pr.Process.Events), pr.Process.Dropped)
+		}
+		if len(pr.Exemplars) != 0 || pr.Requests != nil {
+			t.Fatalf("%s: exemplars or request tracks present with ExemplarK=0", pr.Label)
+		}
+		if len(tr.Exemplars) == 0 {
+			t.Fatalf("%s: no exemplars with ExemplarK=4", pr.Label)
+		}
+		for _, w := range tr.Exemplars {
+			if len(w.Exemplars) > 4 {
+				t.Fatalf("window %d holds %d exemplars, want <= 4", w.Window, len(w.Exemplars))
 			}
 		}
-		return n
-	}
-	if count(pr.Process.Tracks) != 0 {
-		t.Fatal("per-request tracks present without exemplar tracing")
-	}
-	if count(tr.Process.Tracks) == 0 {
-		t.Fatal("no per-request tracks with exemplar tracing on")
-	}
-	if tr.LatencyHist == nil || tr.LatencyHist.N() == 0 {
-		t.Fatal("latency histogram missing from scale probe")
+		reqs := 0
+		if tr.Requests != nil {
+			for _, name := range tr.Requests.Tracks {
+				if strings.HasPrefix(name, "req ") {
+					reqs++
+				}
+			}
+		}
+		if reqs == 0 {
+			t.Fatalf("%s: no per-request tracks with exemplar tracing on", pr.Label)
+		}
+		if tr.LatencyHist == nil || tr.LatencyHist.N() == 0 {
+			t.Fatal("latency histogram missing from scale probe")
+		}
 	}
 }

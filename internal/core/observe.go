@@ -41,6 +41,12 @@ type ObservedRun struct {
 	Total float64
 	// Process is the captured trace for Chrome export.
 	Process obs.Process
+	// Requests is the per-request exemplar trace (one "req <id>" track
+	// per retained exemplar), present only when ObserveOpts.ExemplarK
+	// enabled exemplar tracing. It is recorded apart from Process and
+	// exported as a Chrome process of its own, so it never pushes model
+	// events out of Process's bounded ring.
+	Requests *obs.Process
 	// Metrics is the run's full metric snapshot.
 	Metrics obs.Snapshot
 	// Profile is the run's span stream folded into weighted call stacks
@@ -98,10 +104,11 @@ type ObserveOpts struct {
 	// ExemplarK, when positive, attaches a deterministic per-window
 	// exemplar reservoir of that capacity to the probes whose models
 	// offer request lifecycles (S1/S2): each run's
-	// ObservedRun.Exemplars carries the tail-biased sample, the trace
-	// gains per-request tracks, and Series (when sampling is also on)
-	// attaches the exemplars to its snapshot. Windows follow
-	// ObserveOpts.Window, defaulting to 100 ms when sampling is off.
+	// ObservedRun.Exemplars carries the tail-biased sample,
+	// ObservedRun.Requests the per-request tracks, and Series (when
+	// sampling is also on) attaches the exemplars to its snapshot.
+	// Windows follow ObserveOpts.Window, defaulting to 100 ms when
+	// sampling is off.
 	// Zero (the default) traces nothing and the probes are
 	// byte-identical to builds without the reservoir.
 	ExemplarK int
@@ -311,10 +318,16 @@ func Observe(cfg Config, id string, opts ObserveOpts) (*Observation, error) {
 			srv.SetExemplars(ex)
 			res := srv.Run()
 			exWins := ex.Snapshot()
-			// Per-request tracks ride in the same trace as the nfsd
-			// slots; appended post-run, so they cost nothing while the
-			// model runs (and nothing at all when tracing is off).
-			obs.ExemplarTracks(rec, exWins)
+			name := fmt.Sprintf("%s %s", id, p)
+			var requests *obs.Process
+			if ex != nil {
+				// Rendered post-run on a recorder of their own: free
+				// while the model runs, and bounded by K per window.
+				xrec := obs.NewRecorder(nil)
+				obs.ExemplarTracks(xrec, exWins)
+				proc := xrec.Capture(name + " requests")
+				requests = &proc
+			}
 			reg := obs.NewRegistry()
 			res.FoldMetrics(reg, "scale.")
 			inj.FoldMetrics(reg, "fault.")
@@ -339,7 +352,8 @@ func Observe(cfg Config, id string, opts ObserveOpts) (*Observation, error) {
 				Unit:          "µs",
 				Rows:          rows(snap, "scale.phase_us.", ""),
 				Total:         led.Sum().Microseconds(),
-				Process:       rec.Capture(fmt.Sprintf("%s %s", id, p)),
+				Process:       rec.Capture(name),
+				Requests:      requests,
 				Metrics:       snap,
 				Series:        series,
 				Exemplars:     exWins,
@@ -398,12 +412,21 @@ func injFor(cfg Config, opts ObserveOpts, id string, p *osprofile.Profile) fault
 	return fault.New(opts.Faults, sim.NewRNG(cfg.Seed).Fork(saltFor(id, p.String(), 0)))
 }
 
-// foldProfiles folds each run's span stream. Called once per probe,
+// processes returns the run's trace processes in export order: the
+// model's capture, then the per-request exemplar trace when present.
+func (r *ObservedRun) processes() []obs.Process {
+	if r.Requests == nil {
+		return []obs.Process{r.Process}
+	}
+	return []obs.Process{r.Process, *r.Requests}
+}
+
+// foldProfiles folds each run's span streams. Called once per probe,
 // after the runs exist; per-run folding keeps the work inside the
 // parallel task.
 func (o *Observation) foldProfiles() {
 	for i := range o.Runs {
-		o.Runs[i].Profile = profile.Fold(o.Runs[i].Process)
+		o.Runs[i].Profile = profile.Fold(o.Runs[i].processes()...)
 	}
 }
 
@@ -500,7 +523,7 @@ func (r *Runner) Observe(cfg Config, ids []string, opts ObserveOpts) (*SuiteObse
 	for _, o := range obsv {
 		for _, run := range o.Runs {
 			parts = append(parts, run.Metrics)
-			suite.Processes = append(suite.Processes, run.Process)
+			suite.Processes = append(suite.Processes, run.processes()...)
 			suite.Profile.Merge(run.Profile)
 		}
 	}

@@ -153,7 +153,7 @@ func MustNew(geom Geometry, rng *sim.RNG) *Disk {
 func (d *Disk) SetFaults(inj *fault.DiskInjector) { d.inj = inj }
 
 // Sample attaches a virtual-time time-series sampler, timestamping each
-// observation off the given clock (the caller's wheel clock — the disk
+// observation off the given clock (the caller's model clock — the disk
 // keeps no time of its own). Per window it records operation count
 // (disk.ops), total mechanical time (disk.busy_ns — busy over window
 // width is utilization), and injected fault time and event count

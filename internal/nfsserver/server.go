@@ -12,7 +12,8 @@
 //     request state lives in flat struct-of-array pools sized by the
 //     server's capacity (queue depth + nfsd slots + retry rings), not by
 //     the client population. Event closures are bound once at
-//     construction and recycled through the timer wheel's slab.
+//     construction, and the event queue holds them by value in a heap
+//     that never exceeds 1 + Nfsd + retryTiers entries.
 //
 //   - O(1) state per client: three uint32 counters (issued, completed,
 //     retransmitted) — 12 bytes — so a 10^6-client sweep costs ~12 MB,
@@ -42,7 +43,7 @@
 //
 // The per-component Ledger sums to the histogram's exact Sum — the same
 // ledger-equals-elapsed bar the repository's other models meet — and the
-// whole run is single-threaded on one timer wheel, so results are
+// whole run is single-threaded on one event queue, so results are
 // byte-identical for a given Config no matter the host or worker count.
 package nfsserver
 
@@ -237,7 +238,7 @@ func (r *Result) FoldMetrics(reg *obs.Registry, prefix string) {
 }
 
 // ring is one backoff tier's FIFO of pending retransmits. Storage is a
-// fixed circular buffer; one wheel event is outstanding per non-empty
+// fixed circular buffer; one queue event is outstanding per non-empty
 // ring, always for the head entry.
 type ring struct {
 	idx     [retryRingCap]int32
@@ -249,7 +250,7 @@ type ring struct {
 // recorder, then Run once.
 type Server struct {
 	cfg Config
-	w   *sim.Wheel
+	evq sim.Queue
 	arr *sim.RNG // arrival stream: gaps, client picks, op classes
 	svc *sim.RNG // service stream: buffer-cache hit draws
 
@@ -359,7 +360,6 @@ func New(cfg Config) *Server {
 	p := cfg.Profile
 	s := &Server{
 		cfg: cfg,
-		w:   sim.NewWheel(),
 		arr: sim.NewRNG(cfg.Seed).Fork(0x6e667361 /* "nfsa" */),
 		svc: sim.NewRNG(cfg.Seed).Fork(0x6e667373 /* "nfss" */),
 	}
@@ -450,7 +450,7 @@ func New(cfg Config) *Server {
 
 // Clock exposes the model's virtual clock, for attaching an
 // obs.Recorder before Run.
-func (s *Server) Clock() *sim.Clock { return s.w.Clock() }
+func (s *Server) Clock() *sim.Clock { return s.evq.Clock() }
 
 // SetRecorder attaches a span recorder (built on this server's Clock);
 // each nfsd slot gets its own track. Nil is fine and costs nothing.
@@ -502,13 +502,13 @@ func (s *Server) SetExemplars(ex *obs.Exemplars) { s.ex = ex }
 // returns the result. Run consumes the Server; call once.
 func (s *Server) Run() *Result {
 	s.scheduleNextArrival()
-	for s.w.Step() {
+	for s.evq.Step() {
 		if s.done {
 			break
 		}
 	}
 	if s.endAt == 0 {
-		s.endAt = int64(s.w.Now())
+		s.endAt = int64(s.evq.Now())
 	}
 	s.res.Attempts = s.attempts
 	s.res.Elapsed = sim.Duration(s.endAt)
@@ -549,7 +549,7 @@ func (s *Server) scheduleNextArrival() {
 	s.nextIssue += s.batGap[i]
 	s.pendClient = s.batClient[i]
 	s.pendClass = s.batClass[i]
-	s.w.ScheduleAt(sim.Time(s.nextIssue+s.wireHdr), s.arrivalFn)
+	s.evq.ScheduleAt(sim.Time(s.nextIssue+s.wireHdr), s.arrivalFn)
 }
 
 // arrive materialises the pending arrival as a pooled request and feeds
@@ -569,8 +569,8 @@ func (s *Server) arrive() {
 	s.res.Arrivals++
 	s.rqID[r] = s.res.Arrivals
 	s.clIssued[s.pendClient]++
-	s.tsArrivals.Inc(s.w.Now())
-	s.tsFlight.Inc(s.w.Now())
+	s.tsArrivals.Inc(s.evq.Now())
+	s.tsFlight.Inc(s.evq.Now())
 	s.ingress(r)
 	s.scheduleNextArrival()
 }
@@ -619,18 +619,18 @@ func (s *Server) ingress(r int32) {
 	if s.cfg.Faults.DropRPC() {
 		s.clRetrans[s.rqClient[r]]++
 		s.res.Retransmits++
-		s.tsRetrans.Inc(s.w.Now())
-		s.tsFaults.Inc(s.w.Now())
+		s.tsRetrans.Inc(s.evq.Now())
+		s.tsFaults.Inc(s.evq.Now())
 		s.requeue(r)
 		return
 	}
 	if s.qLen == len(s.q) {
 		s.res.QueueDrops++
-		s.tsDrops.Inc(s.w.Now())
+		s.tsDrops.Inc(s.evq.Now())
 		s.requeue(r)
 		return
 	}
-	now := int64(s.w.Now())
+	now := int64(s.evq.Now())
 	s.rqEnq[r] = now
 	s.flowTick(now)
 	s.sysN++
@@ -661,7 +661,7 @@ func (s *Server) requeue(r int32) {
 		shedTier = retryTiers - 1
 	}
 	if sends >= maxSendsPerOp {
-		s.shed(r, int64(s.w.Now()), int64(sends), shedTier)
+		s.shed(r, int64(s.evq.Now()), int64(sends), shedTier)
 		return
 	}
 	tier := sends - 1
@@ -679,10 +679,10 @@ func (s *Server) requeue(r int32) {
 	}
 	rg := &s.rings[tier]
 	if rg.n == retryRingCap {
-		s.shed(r, int64(s.w.Now()), int64(sends), shedTier)
+		s.shed(r, int64(s.evq.Now()), int64(sends), shedTier)
 		return
 	}
-	now := int64(s.w.Now())
+	now := int64(s.evq.Now())
 	s.rqDrop[r] = now
 	tail := rg.head + rg.n
 	if tail >= retryRingCap {
@@ -692,7 +692,7 @@ func (s *Server) requeue(r int32) {
 	rg.due[tail] = now + rto + s.wireHdr
 	rg.n++
 	if rg.n == 1 {
-		s.w.ScheduleAt(sim.Time(rg.due[tail]), s.ringFns[tier])
+		s.evq.ScheduleAt(sim.Time(rg.due[tail]), s.ringFns[tier])
 	}
 }
 
@@ -706,13 +706,13 @@ func (s *Server) ringPop(tier int) {
 		rg.head = 0
 	}
 	rg.n--
-	now := int64(s.w.Now())
+	now := int64(s.evq.Now())
 	if rg.n > 0 {
 		due := rg.due[rg.head]
 		if due < now {
 			due = now // defensive: a custom backoff plan may not be monotone
 		}
-		s.w.ScheduleAt(sim.Time(due), s.ringFns[tier])
+		s.evq.ScheduleAt(sim.Time(due), s.ringFns[tier])
 	}
 	// Attribute the actual wait (backoff plus any ring delay) so the
 	// ledger identity holds exactly even if the schedule slipped.
@@ -731,7 +731,7 @@ func (s *Server) ringPop(tier int) {
 // — for cache-missing reads and synchronous writes — a trip through the
 // single shared disk, FIFO behind whatever I/O is already promised.
 func (s *Server) dispatch(slot, r int32) {
-	now := int64(s.w.Now())
+	now := int64(s.evq.Now())
 	s.flowTick(now)
 	s.busyN++
 	class := s.rqClass[r]
@@ -766,7 +766,7 @@ func (s *Server) dispatch(slot, r int32) {
 	if s.rec != nil {
 		s.rec.BeginAt(sim.Time(now), s.slotTrack[slot], classNames[class])
 	}
-	s.w.Schedule(sim.Duration(cpu+dw+dt), s.slotFns[slot])
+	s.evq.Schedule(sim.Duration(cpu+dw+dt), s.slotFns[slot])
 }
 
 // complete finishes the request in service on slot: folds its exact
@@ -775,7 +775,7 @@ func (s *Server) dispatch(slot, r int32) {
 func (s *Server) complete(slot int32) {
 	r := s.slotReq[slot]
 	s.slotReq[slot] = -1
-	now := int64(s.w.Now())
+	now := int64(s.evq.Now())
 	s.flowTick(now)
 	s.sysN--
 	s.busyN--

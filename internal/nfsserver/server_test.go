@@ -2,6 +2,8 @@ package nfsserver
 
 import (
 	"encoding/json"
+	"fmt"
+	"os"
 	"runtime"
 	"testing"
 
@@ -156,22 +158,22 @@ func TestQueueOverloadDropsAndSheds(t *testing.T) {
 	}
 }
 
-// The hot path must not allocate in steady state: after warm-up (wheel
-// slab, idle/free stacks at capacity) the remainder of a run performs
+// The hot path must not allocate in steady state: after warm-up (event
+// heap, idle/free stacks at capacity) the remainder of a run performs
 // a bounded, load-independent number of heap allocations.
 func TestSteadyStateAllocFree(t *testing.T) {
 	s := New(Config{Profile: osprofile.FreeBSD205(), Clients: 10000, Seed: 13,
 		TargetOps: 20000, AttemptBudget: 40000})
 	s.scheduleNextArrival()
 	warm := 0
-	for s.w.Step() && !s.done && warm < 2000 {
+	for s.evq.Step() && !s.done && warm < 2000 {
 		warm++
 	}
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	steps := 0
-	for s.w.Step() && !s.done {
+	for s.evq.Step() && !s.done {
 		steps++
 	}
 	runtime.ReadMemStats(&after)
@@ -180,6 +182,49 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	}
 	if got := after.Mallocs - before.Mallocs; got > 50 {
 		t.Fatalf("steady state allocated %d times over %d events", got, steps)
+	}
+}
+
+// The event queue only ever holds one pending arrival, one completion
+// per busy nfsd slot and one head timer per non-empty retry ring — the
+// traffic a plain binary heap is chosen for. If the model ever gains
+// per-client timers this bound breaks, and the queue's design must be
+// revisited.
+func TestEventQueueBounded(t *testing.T) {
+	data, err := os.ReadFile("../../examples/scale-lossy.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := fault.Load(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range osprofile.Paper() {
+		for _, clients := range []int{10, 1_000, 1_000_000} {
+			for _, lossy := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%d/lossy=%v", p.Name, clients, lossy), func(t *testing.T) {
+					cfg := Config{Profile: p, Clients: clients, Seed: 1}
+					if lossy {
+						cfg.Faults = fault.New(plan, sim.NewRNG(1)).Net
+					}
+					s := New(cfg)
+					bound := 1 + s.cfg.Nfsd + retryTiers
+					s.scheduleNextArrival()
+					peak := s.evq.Len()
+					for s.evq.Step() && !s.done {
+						peak = max(peak, s.evq.Len())
+					}
+					if lossy && s.res.Retransmits == 0 {
+						t.Fatal("the loss plan dropped no RPCs")
+					}
+					if peak > bound {
+						t.Fatalf("event queue peaked at %d events, bound is 1 + %d nfsd + %d retry tiers = %d",
+							peak, s.cfg.Nfsd, retryTiers, bound)
+					}
+					t.Logf("peak %d of %d", peak, bound)
+				})
+			}
+		}
 	}
 }
 

@@ -154,7 +154,7 @@ func TestExemplarsTailBias(t *testing.T) {
 }
 
 func TestExemplarTracksRendersSpans(t *testing.T) {
-	rec := NewRing(sim.NewWheel().Clock(), 1<<10)
+	rec := NewRing(new(sim.Clock), 1<<10)
 	wins := []ExemplarWindow{{Window: 0, Exemplars: []Exemplar{
 		mkEx(5, 100, 10, 20, 30),
 		{ID: 9, Class: "write", Shed: true, Sends: 8, Tier: 5,

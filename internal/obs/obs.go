@@ -87,7 +87,10 @@ type Event struct {
 type Recorder struct {
 	clock  *sim.Clock
 	tracks []string
-	events []Event
+	// trackIDs indexes tracks by name, so registering a track is O(1)
+	// however many exist (exemplar tracing registers thousands).
+	trackIDs map[string]TrackID
+	events   []Event
 	// limit > 0 bounds the buffer as a ring over the most recent events
 	// (head marks the oldest); 0 keeps everything.
 	limit int
@@ -101,7 +104,7 @@ type Recorder struct {
 // A nil clock is allowed when every event supplies an explicit time via
 // the ...At variants.
 func NewRecorder(clock *sim.Clock) *Recorder {
-	return &Recorder{clock: clock, tracks: []string{"main"}}
+	return &Recorder{clock: clock, tracks: []string{"main"}, trackIDs: map[string]TrackID{"main": 0}}
 }
 
 // NewRing returns a recorder that keeps only the most recent limit
@@ -128,13 +131,13 @@ func (r *Recorder) Track(name string) TrackID {
 	if r == nil {
 		return 0
 	}
-	for i, t := range r.tracks {
-		if t == name {
-			return TrackID(i)
-		}
+	if id, ok := r.trackIDs[name]; ok {
+		return id
 	}
+	id := TrackID(len(r.tracks))
 	r.tracks = append(r.tracks, name)
-	return TrackID(len(r.tracks) - 1)
+	r.trackIDs[name] = id
+	return id
 }
 
 // Tracks returns the registered track names in registration order.

@@ -246,15 +246,18 @@ func Fold(procs ...obs.Process) *Profile {
 	return p
 }
 
-// sorted returns the samples in canonical (lexicographic stack) order.
+// sorted returns the samples in canonical (lexicographic stack) order:
+// the order of their map keys, which are the joined stacks.
 func (p *Profile) sorted() []*Sample {
-	out := make([]*Sample, 0, len(p.samples))
-	for _, s := range p.samples {
-		out = append(out, s)
+	keys := make([]string, 0, len(p.samples))
+	for k := range p.samples {
+		keys = append(keys, k)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return strings.Join(out[i].Stack, stackSep) < strings.Join(out[j].Stack, stackSep)
-	})
+	sort.Strings(keys)
+	out := make([]*Sample, len(keys))
+	for i, k := range keys {
+		out[i] = p.samples[k]
+	}
 	return out
 }
 

@@ -5,7 +5,20 @@ import (
 	"fmt"
 )
 
-// Event is a callback scheduled to run at a point in virtual time.
+// Engine is the reference discrete-event engine the production Queue is
+// certified against: a clock plus a container/heap of pointer events,
+// written for obviousness rather than speed. It keeps the full classic
+// API (cancellable event handles, RunUntil) so its own tests pin the
+// firing contract independently of the Queue.
+//
+// The zero value is ready to use.
+type Engine struct {
+	clock Clock
+	queue eventHeap
+	seq   uint64
+}
+
+// Event is a callback scheduled on the reference Engine.
 type Event struct {
 	// When is the virtual time at which the event fires.
 	When Time
@@ -13,32 +26,12 @@ type Event struct {
 	Fire func()
 
 	seq   uint64 // tie-break: events at the same time fire in schedule order
-	index int    // heap index while in an eventHeap
-
-	// where locates the event inside its engine (heap queue, wheel slot,
-	// run queue, overflow heap, or nowhere once fired/cancelled).
-	where loc
-	// next/prev link the event into a wheel slot or run-queue list; next
-	// doubles as the free-list link when recycled.
-	next, prev *Event
-	// level/slot record the wheel position for O(1) Cancel.
-	level, slot uint8
+	index int    // heap index while queued; -1 once fired or cancelled
 }
 
-// loc is an event's current container.
-type loc uint8
-
-const (
-	locNone     loc = iota // fired, cancelled, or never scheduled
-	locHeap                // reference Engine's binary heap
-	locSlot                // a wheel slot list
-	locRunq                // the wheel's same-tick run queue
-	locOverflow            // the wheel's beyond-horizon heap
-)
-
-// Cancelled reports whether the event has been removed from its queue
-// (either by firing or by Cancel).
-func (e *Event) Cancelled() bool { return e.where == locNone }
+// Cancelled reports whether the event has left its queue, by firing or
+// by Cancel.
+func (e *Event) Cancelled() bool { return e.index < 0 }
 
 // eventHeap orders events by (When, seq).
 type eventHeap []*Event
@@ -66,20 +59,8 @@ func (h *eventHeap) Pop() any {
 	e := old[n-1]
 	old[n-1] = nil
 	e.index = -1
-	e.where = locNone
 	*h = old[:n-1]
 	return e
-}
-
-// Engine is a discrete-event simulation engine: a clock plus a queue of
-// pending events. Components schedule callbacks at future virtual times and
-// the engine fires them in time order, advancing the clock as it goes.
-//
-// The zero value is ready to use.
-type Engine struct {
-	clock Clock
-	queue eventHeap
-	seq   uint64
 }
 
 // NewEngine returns a new engine with its clock at T+0.
@@ -88,8 +69,7 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the engine's current virtual time.
 func (e *Engine) Now() Time { return e.clock.Now() }
 
-// Clock exposes the engine's clock for components that advance time directly
-// (single-process models that never need interleaving).
+// Clock exposes the engine's clock.
 func (e *Engine) Clock() *Clock { return &e.clock }
 
 // Schedule enqueues fn to run after delay d. It returns the event so the
@@ -106,7 +86,7 @@ func (e *Engine) ScheduleAt(t Time, fn func()) *Event {
 	if t < e.clock.Now() {
 		panic(fmt.Sprintf("sim: scheduling event in the past: at %v, asked for %v", e.clock.Now(), t))
 	}
-	ev := &Event{When: t, Fire: fn, seq: e.seq, where: locHeap}
+	ev := &Event{When: t, Fire: fn, seq: e.seq}
 	e.seq++
 	heap.Push(&e.queue, ev)
 	return ev
@@ -115,7 +95,7 @@ func (e *Engine) ScheduleAt(t Time, fn func()) *Event {
 // Cancel removes a pending event from the queue. Cancelling an event that
 // has already fired or been cancelled is a no-op.
 func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.where != locHeap {
+	if ev == nil || ev.index < 0 {
 		return
 	}
 	heap.Remove(&e.queue, ev.index)
