@@ -101,6 +101,65 @@ func TestQueueEventSchedulesEvent(t *testing.T) {
 	}
 }
 
+// The production Queue has no event handles and no RunUntil, so the two
+// tests below run the reference engine ("heap") alone.
+
+func TestQueueCancelAndReschedule(t *testing.T) {
+	t.Run("heap", func(t *testing.T) {
+		q := NewEngine()
+		var order []int
+		q.Schedule(10, func() { order = append(order, 1) })
+		ev := q.Schedule(20, func() { order = append(order, 2) })
+		q.Schedule(30, func() { order = append(order, 3) })
+		q.Cancel(ev)
+		if !ev.Cancelled() {
+			t.Fatal("Cancelled() = false after Cancel")
+		}
+		q.Cancel(nil) // no-op
+		if got := q.Run(); got != 2 {
+			t.Fatalf("Run fired %d, want 2", got)
+		}
+		if len(order) != 2 || order[0] != 1 || order[1] != 3 {
+			t.Fatalf("order = %v, want [1 3]", order)
+		}
+	})
+}
+
+func TestQueueRunUntil(t *testing.T) {
+	t.Run("heap", func(t *testing.T) {
+		q := NewEngine()
+		var fired []Time
+		for _, d := range []Duration{5, 15, 25} {
+			q.Schedule(d, func() { fired = append(fired, q.Now()) })
+		}
+		if n := q.RunUntil(20); n != 2 {
+			t.Fatalf("RunUntil fired %d, want 2", n)
+		}
+		if q.Now() != 20 {
+			t.Fatalf("Now() = %v, want 20", q.Now())
+		}
+		if q.Pending() != 1 {
+			t.Fatalf("Pending() = %d, want 1", q.Pending())
+		}
+		// Scheduling between a stopped-short RunUntil and the next
+		// pending event must still fire in time order.
+		q.Schedule(2, func() { fired = append(fired, q.Now()) })
+		q.RunUntil(100)
+		want := []Time{5, 15, 22, 25}
+		if len(fired) != 4 {
+			t.Fatalf("fired = %v, want %v", fired, want)
+		}
+		for i := range want {
+			if fired[i] != want[i] {
+				t.Fatalf("fired = %v, want %v", fired, want)
+			}
+		}
+		if q.Now() != 100 || q.Pending() != 0 {
+			t.Fatalf("Now()=%v Pending()=%d, want 100, 0", q.Now(), q.Pending())
+		}
+	})
+}
+
 func TestQueueSchedulePanics(t *testing.T) {
 	for _, eng := range engines {
 		t.Run(eng.name, func(t *testing.T) {
