@@ -54,7 +54,7 @@ type Lock struct {
 	held  bool
 	owner int
 	// waiters is the sleep-lock FIFO block queue.
-	waiters []*SThread
+	waiters runQueue
 
 	// Acquires counts successful acquisitions; Releases releases.
 	Acquires uint64
@@ -90,7 +90,7 @@ func (m *SMPMachine) Locks() []*Lock { return m.locks }
 // next turn, later in virtual time by the backoff), and a sleep block
 // parks the thread with pc still at the OpLock (release advances it
 // during handoff).
-func (l *Lock) acquire(c int, t *SThread) {
+func (l *Lock) acquire(c int, t *Thread) {
 	m := l.m
 	costs := &m.os.Lock
 	if l.kind == SpinLock {
@@ -101,7 +101,7 @@ func (l *Lock) acquire(c int, t *SThread) {
 				l.Contended++
 				l.WaitHist.Observe(int64(m.now[c].Sub(t.waitStart)))
 				if m.rec != nil {
-					m.rec.EndAt(m.now[c], m.cpuTracks[c], "spin", 0)
+					m.rec.EndAt(m.now[c], t.track, "spin", 0)
 				}
 				t.backoff = 0
 			} else {
@@ -110,7 +110,7 @@ func (l *Lock) acquire(c int, t *SThread) {
 			l.held = true
 			l.owner = t.tid
 			l.Acquires++
-			m.advanceBusy(c, &m.lockT, costs.SpinAcquire)
+			m.advanceBusy(c, PhaseSyscall, costs.SpinAcquire)
 			t.pc++
 			return
 		}
@@ -129,7 +129,7 @@ func (l *Lock) acquire(c int, t *SThread) {
 		if t.backoff == 0 {
 			t.waitStart = m.now[c]
 			if m.rec != nil {
-				m.rec.BeginAt(m.now[c], m.cpuTracks[c], "spin")
+				m.rec.BeginAt(m.now[c], t.track, "spin")
 			}
 			t.backoff = q
 		} else {
@@ -147,21 +147,19 @@ func (l *Lock) acquire(c int, t *SThread) {
 		l.owner = t.tid
 		l.Acquires++
 		l.Uncontended++
-		m.advanceBusy(c, &m.lockT, costs.SleepAcquire)
+		m.advanceBusy(c, PhaseSyscall, costs.SleepAcquire)
 		t.pc++
 		return
 	}
-	m.advanceBusy(c, &m.lockT, costs.SleepBlock)
+	m.advanceBusy(c, PhaseSyscall, costs.SleepBlock)
 	t.waitStart = m.now[c]
-	l.waiters = append(l.waiters, t)
+	l.waiters.push(t)
 	l.Blocks++
-	t.state = sBlocked
-	m.endRun(c)
-	m.running[c] = nil
+	m.block(c, t)
 }
 
 // release executes t's OpUnlock on CPU c.
-func (l *Lock) release(c int, t *SThread) {
+func (l *Lock) release(c int, t *Thread) {
 	m := l.m
 	costs := &m.os.Lock
 	t.pc++
@@ -169,27 +167,26 @@ func (l *Lock) release(c int, t *SThread) {
 	if l.kind == SpinLock {
 		l.held = false
 		l.owner = -1
-		m.advanceBusy(c, &m.lockT, costs.SpinAcquire)
+		m.advanceBusy(c, PhaseSyscall, costs.SpinAcquire)
 		return
 	}
-	if len(l.waiters) == 0 {
+	if l.waiters.len() == 0 {
 		l.held = false
 		l.owner = -1
-		m.advanceBusy(c, &m.lockT, costs.SleepAcquire)
+		m.advanceBusy(c, PhaseSyscall, costs.SleepAcquire)
 		return
 	}
 	// Direct handoff: ownership passes to the FIFO head without the lock
 	// ever becoming free, so late-arriving spinners can't barge.
-	var w *SThread
-	w, l.waiters = l.waiters[0], l.waiters[1:]
-	m.advanceBusy(c, &m.lockT, costs.SleepWake)
+	w := l.waiters.pop()
+	m.advanceBusy(c, PhaseSyscall, costs.SleepWake)
 	l.owner = w.tid
 	l.Wakeups++
 	l.Acquires++
 	l.Contended++
 	w.pc++
 	l.WaitHist.Observe(int64(m.now[c].Sub(w.waitStart)))
-	m.enqueue(w, m.now[c])
+	m.ready(c, w)
 }
 
 // RCU is a read-mostly synchronization domain: readers run short
@@ -213,10 +210,10 @@ func (m *SMPMachine) NewRCU() *RCU {
 }
 
 // read executes a read-side section of length d on CPU c.
-func (r *RCU) read(c int, t *SThread, d sim.Duration) {
+func (r *RCU) read(c int, t *Thread, d sim.Duration) {
 	m := r.m
-	m.advanceBusy(c, &m.lockT, m.os.Lock.RCURead)
-	m.advanceBusy(c, &m.userT, d)
+	m.advanceBusy(c, PhaseSyscall, m.os.Lock.RCURead)
+	m.advanceBusy(c, PhaseUser, d)
 	t.UserTime += d
 	r.Readers++
 	if m.now[c] > r.lastReaderEnd {
@@ -230,12 +227,12 @@ func (r *RCU) read(c int, t *SThread, d sim.Duration) {
 // runs, so lastReaderEnd already covers every reader that could precede
 // the synchronize; the gap is charged to the spin ledger (the writer
 // busy-waits on-CPU).
-func (r *RCU) synchronize(c int, t *SThread) {
+func (r *RCU) synchronize(c int, t *Thread) {
 	m := r.m
 	if gap := r.lastReaderEnd.Sub(m.now[c]); gap > 0 {
 		m.advanceSpin(c, gap)
 	}
-	m.advanceBusy(c, &m.lockT, m.os.Lock.RCUSync)
+	m.advanceBusy(c, PhaseSyscall, m.os.Lock.RCUSync)
 	r.Syncs++
 	t.pc++
 }

@@ -357,7 +357,7 @@ func (m *Machine) Run() {
 		}
 	}
 	if len(blocked) > 0 {
-		panic(&sim.DeadlockError{Now: m.clock.Now(), Blocked: blocked, Dump: m.deadlockDump()})
+		panic(&sim.DeadlockError{Now: m.clock.Now(), Blocked: blocked, Dump: deadlockDump(m.rec)})
 	}
 }
 
@@ -378,22 +378,22 @@ func (m *Machine) RunChecked() (err error) {
 	return nil
 }
 
-// deadlockDump renders the tail of the machine's span buffer: the most
+// deadlockDump renders the tail of a machine's span buffer: the most
 // recent events on each track, so a deadlock report shows what every
 // timeline was last doing. Empty when the run is not observed.
-func (m *Machine) deadlockDump() string {
-	if m.rec == nil {
+func deadlockDump(rec *obs.Recorder) string {
+	if rec == nil {
 		return ""
 	}
-	events := m.rec.Events()
+	events := rec.Events()
 	if len(events) == 0 {
 		return ""
 	}
 	const perTrack = 4
-	tracks := m.rec.Tracks()
+	tracks := rec.Tracks()
 	var b strings.Builder
 	fmt.Fprintf(&b, "last activity per track (%d events buffered, %d dropped):",
-		len(events), m.rec.Dropped())
+		len(events), rec.Dropped())
 	for id, name := range tracks {
 		var tail []obs.Event
 		for _, e := range events {

@@ -8,19 +8,23 @@ package kernel
 // Where the uniprocessor Machine runs benchmark bodies as goroutines
 // under a baton, the SMP machine is a conservative parallel
 // discrete-event simulator: every thread is an explicit state machine
-// over a small op program (compute, syscall, yield, lock/unlock, RCU),
-// and the engine always steps the CPU with the globally minimal local
-// clock (ties to the lowest CPU index). Because a CPU only ever observes
-// shared state — lock words, run queues, RCU reader marks — when its
-// local time is minimal, every observation is causally consistent, the
-// whole simulation is a pure single-goroutine function of its inputs,
-// and the output is bit-identical at any host parallelism.
+// over a small op program (compute, syscall, yield, pipe read/write,
+// fork/exec charges, lock/unlock, RCU), and the engine always steps the
+// CPU with the globally minimal local clock (ties to the lowest CPU
+// index). Because a CPU only ever observes shared state — lock words,
+// pipe buffers, run queues, RCU reader marks — at the start of a step,
+// when its local time is minimal, every observation is causally
+// consistent, the whole simulation is a pure single-goroutine function
+// of its inputs, and the output is bit-identical at any host
+// parallelism.
 //
 // Exactness invariant: every advance of a CPU's local clock goes through
 // one of three funnels (advanceBusy, advanceSpin, advanceIdle), each
 // paired with exactly one ledger add, and finalize pads each CPU's idle
 // ledger to the machine end time — so busy[c] + idle[c] + spin[c] ==
 // elapsed holds exactly, per CPU, always. The audit engine re-checks it.
+// Every busy advance is also tagged with a Phase, so the phase ledger
+// sums to the CPUs' total busy time.
 //
 // At NCPU=1 the engine reduces to the uniprocessor scheduler bit for
 // bit: one FIFO queue (the per-CPU layout degenerates to it), the same
@@ -43,7 +47,8 @@ type OpKind int
 const (
 	// OpThink charges Op.D of user computation.
 	OpThink OpKind = iota
-	// OpSyscall charges the personality's bare system-call cost.
+	// OpSyscall charges the personality's bare system-call cost (the
+	// getpid benchmark's null call).
 	OpSyscall
 	// OpYield surrenders the CPU and re-enters the run queue.
 	OpYield
@@ -55,6 +60,18 @@ const (
 	OpRCURead
 	// OpRCUSync waits out Op.R's grace period (writer-side synchronize).
 	OpRCUSync
+	// OpWrite is one write(2) of Op.N bytes to pipe Op.P. Like a UNIX
+	// pipe write it returns only once every byte is in the pipe,
+	// blocking whenever the buffer is full.
+	OpWrite
+	// OpRead reads exactly Op.N bytes from pipe Op.P the way programs
+	// loop over read(2): each call blocks until data is buffered and
+	// takes what is there, and calls repeat until Op.N bytes arrived.
+	OpRead
+	// OpFork charges the personality's fork cost (process duplication).
+	OpFork
+	// OpExec charges the personality's exec cost (program image load).
+	OpExec
 )
 
 // Op is one instruction of a thread program.
@@ -66,24 +83,27 @@ type Op struct {
 	L *Lock
 	// R is the RCU domain operand (OpRCURead, OpRCUSync).
 	R *RCU
+	// P and N are the pipe and byte-count operands (OpWrite, OpRead).
+	P *SPipe
+	N int
 }
 
-type sThreadState int
+type threadState int
 
 const (
-	sReady sThreadState = iota
+	sNew threadState = iota
+	sReady
 	sRunning
 	sBlocked
 	sDone
 )
 
-// SThread is one thread of an SMP machine: an op program executed Loops
-// times.
-type SThread struct {
+// Thread is one simulated process: an op program executed Loops times.
+type Thread struct {
 	m     *SMPMachine
 	tid   int
 	name  string
-	state sThreadState
+	state threadState
 	// home is the thread's home run queue under the per-CPU layout.
 	home int
 	// cpu is the CPU currently (or last) running the thread.
@@ -100,24 +120,79 @@ type SThread struct {
 	backoff sim.Duration
 	// waitStart stamps when the thread began waiting for a lock.
 	waitStart sim.Time
+	// inCall marks a pipe read(2)/write(2) already entered (its syscall
+	// charged), so a thread woken inside the call resumes it instead of
+	// re-entering; left is the bytes the current pipe op still has to
+	// move.
+	inCall bool
+	left   int
+	// started records that FirstRun is set.
+	started bool
+
+	// track is the thread's timeline in the attached obs recorder
+	// (0 when none is attached).
+	track obs.TrackID
 
 	// UserTime accumulates the thread's OpThink/OpRCURead compute time.
 	UserTime sim.Duration
 	// Iters counts completed program iterations.
 	Iters uint64
+	// FirstRun is when the thread was first dispatched — the moment its
+	// program starts; Retired is when it finished its last iteration.
+	FirstRun, Retired sim.Time
 }
 
 // TID returns the thread identifier (1-based, like PIDs).
-func (t *SThread) TID() int { return t.tid }
+func (t *Thread) TID() int { return t.tid }
+
+// Name returns the name given at spawn.
+func (t *Thread) Name() string { return t.name }
+
+// trackName labels a thread's timeline in trace exports.
+func (t *Thread) trackName() string {
+	return fmt.Sprintf("pid %d %s", t.tid, t.name)
+}
+
+// runQueue is a FIFO of ready threads that reuses its backing array:
+// pops advance a head index, the slice rewinds whenever it drains, and
+// a push into a full array first copies the live tail down — so a
+// steady cycle of enqueues and dispatches never allocates.
+type runQueue struct {
+	q    []*Thread
+	head int
+}
+
+func (r *runQueue) len() int { return len(r.q) - r.head }
+
+func (r *runQueue) peek() *Thread { return r.q[r.head] }
+
+func (r *runQueue) push(t *Thread) {
+	if len(r.q) == cap(r.q) && r.head > 0 {
+		n := copy(r.q, r.q[r.head:])
+		clear(r.q[n:])
+		r.q, r.head = r.q[:n], 0
+	}
+	r.q = append(r.q, t)
+}
+
+func (r *runQueue) pop() *Thread {
+	t := r.q[r.head]
+	r.q[r.head] = nil
+	r.head++
+	if r.head == len(r.q) {
+		r.q, r.head = r.q[:0], 0
+	}
+	return t
+}
 
 // SMPMachine is a simulated multiprocessor running one OS personality.
-// Like Machine it is driven from a single goroutine and is not safe for
-// concurrent use.
+// It is driven from a single goroutine and is not safe for concurrent
+// use.
 type SMPMachine struct {
 	os   *osprofile.Profile
 	ncpu int
 
-	threads []*SThread
+	threads []*Thread
 	nextTID int
 	live    int
 
@@ -126,13 +201,13 @@ type SMPMachine struct {
 	busyT   []sim.Duration
 	idleT   []sim.Duration
 	spinT   []sim.Duration
-	running []*SThread
+	running []*Thread
 	lastRun []int
 
 	// Run queues: globalQ under the shared layout, cpuQ[c] per CPU under
 	// osprofile.KernelCosts.PerCPUQueues.
-	globalQ []*SThread
-	cpuQ    [][]*SThread
+	globalQ runQueue
+	cpuQ    []runQueue
 	// table is the Solaris dispatch-resource model, shared machine-wide
 	// exactly like the uniprocessor scheduler's.
 	table *lruTable
@@ -140,12 +215,9 @@ type SMPMachine struct {
 	switches uint64
 	steals   uint64
 
-	// Machine-wide phase aggregates (the per-CPU ledgers are the exact
-	// decomposition; these attribute the busy side by activity).
-	dispatchT sim.Duration
-	syscallT  sim.Duration
-	userT     sim.Duration
-	lockT     sim.Duration
+	// phases attributes every busy advance to a Phase; the entries sum
+	// to the CPUs' total busy time (the elapsed time at NCPU=1).
+	phases [NumPhases]sim.Duration
 
 	locks []*Lock
 
@@ -153,8 +225,16 @@ type SMPMachine struct {
 	elapsed  sim.Duration
 	finished bool
 
-	rec       *obs.Recorder
-	cpuTracks []obs.TrackID
+	// obs integration (see Observe): kernelTracks[c] carries CPU c's
+	// dispatch and wakeup spans and its narration instants.
+	rec          *obs.Recorder
+	kernelTracks []obs.TrackID
+
+	// Time-series handles, nil unless SetSampler attached them. The
+	// runnable gauge walks the thread table, so it is only sampled when
+	// a sampler is live — the unsampled path pays one nil check.
+	tsSwitch   *obs.SeriesCounter
+	tsRunnable *obs.SeriesGauge
 }
 
 // NewSMPMachine builds an SMP machine with ncpu virtual CPUs running the
@@ -170,21 +250,22 @@ func NewSMPMachine(os *osprofile.Profile, ncpu int) (*SMPMachine, error) {
 		return nil, fmt.Errorf("kernel: %s: unknown scheduler kind %d", os, int(os.Kernel.Scheduler))
 	}
 	m := &SMPMachine{
-		os:      os,
-		ncpu:    ncpu,
-		nextTID: 1,
-		now:     make([]sim.Time, ncpu),
-		busyT:   make([]sim.Duration, ncpu),
-		idleT:   make([]sim.Duration, ncpu),
-		spinT:   make([]sim.Duration, ncpu),
-		running: make([]*SThread, ncpu),
-		lastRun: make([]int, ncpu),
+		os:           os,
+		ncpu:         ncpu,
+		nextTID:      1,
+		now:          make([]sim.Time, ncpu),
+		busyT:        make([]sim.Duration, ncpu),
+		idleT:        make([]sim.Duration, ncpu),
+		spinT:        make([]sim.Duration, ncpu),
+		running:      make([]*Thread, ncpu),
+		lastRun:      make([]int, ncpu),
+		kernelTracks: make([]obs.TrackID, ncpu),
 	}
 	for c := range m.lastRun {
 		m.lastRun[c] = -1
 	}
 	if os.Kernel.PerCPUQueues {
-		m.cpuQ = make([][]*SThread, ncpu)
+		m.cpuQ = make([]runQueue, ncpu)
 	}
 	if os.Kernel.Scheduler == osprofile.SchedPreemptiveMT && os.Kernel.CtxTableSize > 0 {
 		m.table = newLRUTable(os.Kernel.CtxTableSize)
@@ -227,64 +308,84 @@ func (m *SMPMachine) Ledger(c int) (busy, idle, spin sim.Duration) {
 	return m.busyT[c], m.idleT[c], m.spinT[c]
 }
 
-// DispatchTime, SyscallTime, UserTime and LockTime return the
-// machine-wide busy-side activity aggregates.
-func (m *SMPMachine) DispatchTime() sim.Duration { return m.dispatchT }
+// PhaseTime returns the accumulated time attributed to one phase.
+func (m *SMPMachine) PhaseTime(ph Phase) sim.Duration { return m.phases[ph] }
 
-// SyscallTime returns the total system-call entry/exit time.
-func (m *SMPMachine) SyscallTime() sim.Duration { return m.syscallT }
-
-// UserTime returns the total user computation time.
-func (m *SMPMachine) UserTime() sim.Duration { return m.userT }
-
-// LockTime returns the total fixed lock/RCU operation time (spin-wait
-// time is in the per-CPU spin ledgers, not here).
-func (m *SMPMachine) LockTime() sim.Duration { return m.lockT }
+// PhaseBreakdown returns the full attribution ledger, indexed by Phase.
+// The entries sum to the CPUs' total busy time — exactly the elapsed
+// time on a uniprocessor.
+func (m *SMPMachine) PhaseBreakdown() [NumPhases]sim.Duration { return m.phases }
 
 // Threads returns the machine's threads in spawn order.
-func (m *SMPMachine) Threads() []*SThread { return m.threads }
+func (m *SMPMachine) Threads() []*Thread { return m.threads }
 
-// Observe attaches a span recorder: each CPU gets its own track
-// ("cpu 0", "cpu 1", ...) carrying run spans per scheduling period and
-// spin spans per contended spinlock acquisition.
+// Observe attaches a span recorder. Every thread gets a "pid N name"
+// track carrying its run spans (one per scheduling period) and the
+// syscall, copy, fork, exec and spin spans inside them; every CPU gets a
+// kernel track ("kernel" on a uniprocessor, "kernel cpuN" otherwise)
+// carrying its dispatch and wakeup spans and the narration instants —
+// spawn, dispatch, block, wake, exit, pipe-write, pipe-read. Threads
+// spawned before and after the call are covered.
 func (m *SMPMachine) Observe(rec *obs.Recorder) {
 	m.rec = rec
-	m.cpuTracks = make([]obs.TrackID, m.ncpu)
-	for c := range m.cpuTracks {
-		m.cpuTracks[c] = rec.Track(fmt.Sprintf("cpu %d", c))
+	for c := range m.kernelTracks {
+		name := "kernel"
+		if m.ncpu > 1 {
+			name = fmt.Sprintf("kernel cpu%d", c)
+		}
+		m.kernelTracks[c] = rec.Track(name)
+	}
+	for _, t := range m.threads {
+		t.track = rec.Track(t.trackName())
 	}
 }
 
+// Recorder returns the attached obs recorder (nil when detached).
+func (m *SMPMachine) Recorder() *obs.Recorder { return m.rec }
+
+// SetSampler attaches a virtual-time time-series sampler: per window it
+// records context switches (kernel.switches) and samples the count of
+// runnable-or-running threads (kernel.runnable) at every ready/dispatch
+// transition. Nil detaches; per-window kernel.switches sums equal
+// Switches() exactly.
+func (m *SMPMachine) SetSampler(smp *obs.Sampler) {
+	if smp == nil {
+		m.tsSwitch, m.tsRunnable = nil, nil
+		return
+	}
+	m.tsSwitch = smp.Counter("kernel.switches")
+	m.tsRunnable = smp.Gauge("kernel.runnable")
+}
+
 // FoldMetrics adds the machine's counters to a registry under the given
-// prefix ("smp." conventionally): switches, steals, the busy-side
-// activity split, and the per-CPU ledgers.
+// name prefix ("kernel." conventionally): context switches, threads
+// spawned, and the phase ledger.
 func (m *SMPMachine) FoldMetrics(reg *obs.Registry, prefix string) {
 	if reg == nil {
 		return
 	}
 	reg.Counter(prefix + "context_switches").Add(float64(m.switches))
-	reg.Counter(prefix + "steals").Add(float64(m.steals))
-	reg.Counter(prefix + "phase_us.dispatch").Add(m.dispatchT.Microseconds())
-	reg.Counter(prefix + "phase_us.syscall").Add(m.syscallT.Microseconds())
-	reg.Counter(prefix + "phase_us.user").Add(m.userT.Microseconds())
-	reg.Counter(prefix + "phase_us.lock").Add(m.lockT.Microseconds())
-	for c := 0; c < m.ncpu; c++ {
-		reg.Counter(fmt.Sprintf("%scpu%d.busy_us", prefix, c)).Add(m.busyT[c].Microseconds())
-		reg.Counter(fmt.Sprintf("%scpu%d.idle_us", prefix, c)).Add(m.idleT[c].Microseconds())
-		reg.Counter(fmt.Sprintf("%scpu%d.spin_us", prefix, c)).Add(m.spinT[c].Microseconds())
+	reg.Counter(prefix + "processes").Add(float64(len(m.threads)))
+	for ph := Phase(0); ph < NumPhases; ph++ {
+		reg.Counter(prefix + "phase_us." + ph.String()).Add(m.phases[ph].Microseconds())
 	}
 }
 
 // SpawnThread creates a thread that executes ops loops times, runnable
 // at time zero. Threads must be spawned before Run.
-func (m *SMPMachine) SpawnThread(name string, ops []Op, loops int) *SThread {
+func (m *SMPMachine) SpawnThread(name string, ops []Op, loops int) *Thread {
 	if m.finished {
 		panic("kernel: spawning on a finished SMP machine")
 	}
 	if loops < 1 {
 		panic("kernel: SMP thread needs at least one loop")
 	}
-	t := &SThread{
+	for _, op := range ops {
+		if (op.Kind == OpWrite || op.Kind == OpRead) && op.N <= 0 {
+			panic("kernel: pipe op of non-positive length")
+		}
+	}
+	t := &Thread{
 		m:     m,
 		tid:   m.nextTID,
 		name:  name,
@@ -296,29 +397,58 @@ func (m *SMPMachine) SpawnThread(name string, ops []Op, loops int) *SThread {
 	m.nextTID++
 	m.threads = append(m.threads, t)
 	m.live++
-	m.enqueue(t, 0)
+	if m.rec != nil {
+		t.track = m.rec.Track(t.trackName())
+	}
+	m.narrate(t.home, "spawn", t.tid, name)
+	m.ready(t.home, t)
 	return t
 }
 
-// enqueue marks t runnable as of time at and appends it to its queue.
-func (m *SMPMachine) enqueue(t *SThread, at sim.Time) {
-	t.state = sReady
-	t.readyAt = at
-	if m.cpuQ != nil {
-		m.cpuQ[t.home] = append(m.cpuQ[t.home], t)
+// ready marks t runnable as of CPU c's clock and appends it to its run
+// queue. Readying an already-ready thread is a no-op that keeps its
+// queue position: a double wakeup must not let one thread be picked
+// twice.
+func (m *SMPMachine) ready(c int, t *Thread) {
+	switch t.state {
+	case sDone:
+		panic("kernel: readying an exited thread")
+	case sReady:
 		return
 	}
-	m.globalQ = append(m.globalQ, t)
+	t.state = sReady
+	t.readyAt = m.now[c]
+	if m.cpuQ != nil {
+		m.cpuQ[t.home].push(t)
+	} else {
+		m.globalQ.push(t)
+	}
+	m.sampleRunnable(m.now[c])
+}
+
+// sampleRunnable records the current runnable-or-running thread count.
+// The O(threads) walk only happens with a sampler attached.
+func (m *SMPMachine) sampleRunnable(at sim.Time) {
+	if m.tsRunnable == nil {
+		return
+	}
+	n := 0
+	for _, t := range m.threads {
+		if t.state == sReady || t.state == sRunning {
+			n++
+		}
+	}
+	m.tsRunnable.Set(at, int64(n))
 }
 
 // The three clock funnels. Every local-clock advance goes through
 // exactly one of them, each paired with exactly one ledger add — the
 // mechanical basis of the per-CPU exactness invariant.
 
-func (m *SMPMachine) advanceBusy(c int, agg *sim.Duration, d sim.Duration) {
+func (m *SMPMachine) advanceBusy(c int, ph Phase, d sim.Duration) {
 	m.now[c] = m.now[c].Add(d)
 	m.busyT[c] += d
-	*agg += d
+	m.phases[ph] += d
 }
 
 func (m *SMPMachine) advanceSpin(c int, d sim.Duration) {
@@ -331,22 +461,44 @@ func (m *SMPMachine) advanceIdle(c int, d sim.Duration) {
 	m.idleT[c] += d
 }
 
+// chargeSpan is advanceBusy wrapped in an obs span on the given track,
+// so the Chrome trace shows the charge as a named interval. With no
+// recorder attached it costs two nil checks over a plain charge.
+func (m *SMPMachine) chargeSpan(c int, track obs.TrackID, name string, ph Phase, d sim.Duration) {
+	if m.rec != nil {
+		m.rec.BeginAt(m.now[c], track, name)
+	}
+	m.advanceBusy(c, ph, d)
+	if m.rec != nil {
+		m.rec.EndAt(m.now[c], track, name, d.Microseconds())
+	}
+}
+
+// narrate records one kernel event as an instant on CPU c's kernel
+// track. Call sites whose detail needs formatting guard the call with
+// m.rec != nil, so an unobserved run never formats or boxes anything.
+func (m *SMPMachine) narrate(c int, kind string, tid int, detail string) {
+	if m.rec != nil {
+		m.rec.InstantAt(m.now[c], m.kernelTracks[c], kind, tid, detail)
+	}
+}
+
 // queueHead returns the thread CPU c would dispatch next (without
 // removing it): its own queue's head, or — per-CPU layout only — the
 // head of the longest other queue (steal candidate, ties to the lowest
 // victim index).
-func (m *SMPMachine) queueHead(c int) *SThread {
+func (m *SMPMachine) queueHead(c int) *Thread {
 	if m.cpuQ == nil {
-		if len(m.globalQ) == 0 {
+		if m.globalQ.len() == 0 {
 			return nil
 		}
-		return m.globalQ[0]
+		return m.globalQ.peek()
 	}
-	if q := m.cpuQ[c]; len(q) > 0 {
-		return q[0]
+	if m.cpuQ[c].len() > 0 {
+		return m.cpuQ[c].peek()
 	}
 	if v := m.stealVictim(c); v >= 0 {
-		return m.cpuQ[v][0]
+		return m.cpuQ[v].peek()
 	}
 	return nil
 }
@@ -356,10 +508,10 @@ func (m *SMPMachine) queueHead(c int) *SThread {
 func (m *SMPMachine) stealVictim(c int) int {
 	victim := -1
 	for v := range m.cpuQ {
-		if v == c || len(m.cpuQ[v]) == 0 {
+		if v == c || m.cpuQ[v].len() == 0 {
 			continue
 		}
-		if victim < 0 || len(m.cpuQ[v]) > len(m.cpuQ[victim]) {
+		if victim < 0 || m.cpuQ[v].len() > m.cpuQ[victim].len() {
 			victim = v
 		}
 	}
@@ -368,25 +520,46 @@ func (m *SMPMachine) stealVictim(c int) int {
 
 // takeQueued removes and returns CPU c's next thread, reporting whether
 // it was stolen from another CPU's queue.
-func (m *SMPMachine) takeQueued(c int) (t *SThread, stolen bool) {
+func (m *SMPMachine) takeQueued(c int) (t *Thread, stolen bool) {
 	if m.cpuQ == nil {
-		if len(m.globalQ) == 0 {
+		if m.globalQ.len() == 0 {
 			return nil, false
 		}
-		t, m.globalQ = m.globalQ[0], m.globalQ[1:]
-		return t, false
+		return m.globalQ.pop(), false
 	}
-	if q := m.cpuQ[c]; len(q) > 0 {
-		t, m.cpuQ[c] = q[0], q[1:]
-		return t, false
+	if m.cpuQ[c].len() > 0 {
+		return m.cpuQ[c].pop(), false
 	}
 	v := m.stealVictim(c)
 	if v < 0 {
 		return nil, false
 	}
-	q := m.cpuQ[v]
-	t, m.cpuQ[v] = q[0], q[1:]
-	return t, true
+	return m.cpuQ[v].pop(), true
+}
+
+// pickCost prices dispatching t under the personality's §5 scheduler
+// structure: Linux 1.2's goodness loop examines every live task, 4.4BSD's
+// bitmap run queues pick in constant time, and Solaris consults its
+// bounded dispatch resource on every pick (the reload is only paid when
+// the dispatch actually switches).
+func (m *SMPMachine) pickCost(t *Thread) pickCost {
+	switch m.os.Kernel.Scheduler {
+	case osprofile.SchedScanAll:
+		return pickCost{scanned: m.live}
+	case osprofile.SchedPreemptiveMT:
+		return pickCost{tableMiss: m.table != nil && !m.table.touch(t.tid)}
+	}
+	return pickCost{}
+}
+
+// switchCost converts one dispatch's pick mechanics into time.
+func (m *SMPMachine) switchCost(c pickCost) sim.Duration {
+	k := &m.os.Kernel
+	cost := k.CtxBase + sim.Duration(int64(k.CtxPerTask)*int64(c.scanned))
+	if c.tableMiss {
+		cost += k.CtxTableMiss
+	}
+	return cost
 }
 
 // cpuKey returns the virtual time at which CPU c can next make progress:
@@ -427,8 +600,7 @@ func (m *SMPMachine) nextCPU() int {
 
 // dispatch pulls CPU c's next thread, accrues the idle gap up to its
 // ready time, and charges the personality's switch cost when control
-// actually changes hands — the same goodness-scan width, constant-time
-// pick, and dispatch-table LRU rules as the uniprocessor scheduler.
+// actually changes hands.
 func (m *SMPMachine) dispatch(c int) {
 	t, stolen := m.takeQueued(c)
 	if t == nil {
@@ -437,60 +609,63 @@ func (m *SMPMachine) dispatch(c int) {
 	if t.readyAt > m.now[c] {
 		m.advanceIdle(c, t.readyAt.Sub(m.now[c]))
 	}
-	k := &m.os.Kernel
-	scanned := 0
-	miss := false
-	switch k.Scheduler {
-	case osprofile.SchedScanAll:
-		scanned = m.live
-	case osprofile.SchedPreemptiveMT:
-		// The dispatch resource is consulted on every pick, exactly like
-		// the uniprocessor scheduler; the reload penalty is only paid
-		// when the dispatch actually switches.
-		if m.table != nil && !m.table.touch(t.tid) {
-			miss = true
-		}
-	}
+	cost := m.pickCost(t)
 	if stolen {
-		m.advanceBusy(c, &m.dispatchT, k.StealCost)
+		m.advanceBusy(c, PhaseDispatch, m.os.Kernel.StealCost)
 		m.steals++
 	}
 	if t.tid != m.lastRun[c] {
-		d := k.CtxBase + sim.Duration(int64(k.CtxPerTask)*int64(scanned))
-		if miss {
-			d += k.CtxTableMiss
-		}
-		m.advanceBusy(c, &m.dispatchT, d)
+		d := m.switchCost(cost)
+		m.chargeSpan(c, m.kernelTracks[c], "dispatch", PhaseDispatch, d)
 		m.switches++
+		m.tsSwitch.Inc(m.now[c])
+		if m.rec != nil {
+			m.narrate(c, "dispatch", t.tid, fmt.Sprintf("%s (cost %v, scanned %d, miss %v)",
+				t.name, d, cost.scanned, cost.tableMiss))
+		}
 	}
 	m.lastRun[c] = t.tid
 	m.running[c] = t
 	t.state = sRunning
 	t.cpu = c
+	if !t.started {
+		t.started, t.FirstRun = true, m.now[c]
+	}
+	m.sampleRunnable(m.now[c])
 	if m.rec != nil {
-		m.rec.BeginAt(m.now[c], m.cpuTracks[c], "run "+t.name)
+		m.rec.BeginAt(m.now[c], t.track, "run")
 	}
 }
 
 // endRun closes CPU c's current run span (if observing).
 func (m *SMPMachine) endRun(c int) {
 	if m.rec != nil && m.running[c] != nil {
-		m.rec.EndAt(m.now[c], m.cpuTracks[c], "run "+m.running[c].name, 0)
+		m.rec.EndAt(m.now[c], m.running[c].track, "run", 0)
 	}
 }
 
-// finish retires t after its last iteration.
-func (m *SMPMachine) finish(c int, t *SThread) {
-	t.state = sDone
-	m.live--
+// block parks CPU c's running thread until a pipe or lock readies it.
+func (m *SMPMachine) block(c int, t *Thread) {
+	m.narrate(c, "block", t.tid, t.name)
+	t.state = sBlocked
 	m.endRun(c)
 	m.running[c] = nil
 }
 
-// exec advances CPU c's current thread by one op (handling the
+// finish retires t after its last iteration.
+func (m *SMPMachine) finish(c int, t *Thread) {
+	t.state = sDone
+	t.Retired = m.now[c]
+	m.live--
+	m.narrate(c, "exit", t.tid, t.name)
+	m.endRun(c)
+	m.running[c] = nil
+}
+
+// exec advances CPU c's current thread by one op step (handling the
 // iteration wrap first, so a thread re-dispatched after its final yield
 // retires the way a uniprocessor process exits after being picked).
-func (m *SMPMachine) exec(c int, t *SThread) {
+func (m *SMPMachine) exec(c int, t *Thread) {
 	if t.pc == len(t.ops) {
 		t.Iters++
 		t.loops--
@@ -501,19 +676,30 @@ func (m *SMPMachine) exec(c int, t *SThread) {
 		t.pc = 0
 	}
 	op := t.ops[t.pc]
+	k := &m.os.Kernel
 	switch op.Kind {
 	case OpThink:
-		m.advanceBusy(c, &m.userT, op.D)
+		m.advanceBusy(c, PhaseUser, op.D)
 		t.UserTime += op.D
 		t.pc++
 	case OpSyscall:
-		m.advanceBusy(c, &m.syscallT, m.os.Kernel.Syscall)
+		m.chargeSpan(c, t.track, "syscall", PhaseSyscall, k.Syscall)
 		t.pc++
 	case OpYield:
 		t.pc++
 		m.endRun(c)
-		m.enqueue(t, m.now[c])
 		m.running[c] = nil
+		m.ready(c, t)
+	case OpWrite:
+		op.P.write(c, t, op.N)
+	case OpRead:
+		op.P.read(c, t, op.N)
+	case OpFork:
+		m.chargeSpan(c, t.track, "fork", PhaseProcess, k.Fork)
+		t.pc++
+	case OpExec:
+		m.chargeSpan(c, t.track, "exec", PhaseProcess, k.Exec)
+		t.pc++
 	case OpLock:
 		op.L.acquire(c, t)
 	case OpUnlock:
@@ -529,7 +715,10 @@ func (m *SMPMachine) exec(c int, t *SThread) {
 
 // Run executes every thread to completion and returns the machine's
 // elapsed virtual time. It panics with a *sim.DeadlockError if threads
-// remain blocked with nothing runnable.
+// remain blocked with nothing runnable — in a benchmark that is always
+// a bug. The error carries a dump of the recorder's last events per
+// track when the run is observed; the CLI recovers the typed value at
+// its dispatch boundary and prints it instead of a Go stack trace.
 func (m *SMPMachine) Run() sim.Duration {
 	if m.finished {
 		panic("kernel: SMP machine already run")
@@ -551,6 +740,7 @@ func (m *SMPMachine) Run() sim.Duration {
 			end = n
 		}
 	}
+	m.sampleRunnable(end)
 	var blocked []string
 	for _, t := range m.threads {
 		if t.state == sBlocked {
@@ -558,7 +748,7 @@ func (m *SMPMachine) Run() sim.Duration {
 		}
 	}
 	if len(blocked) > 0 {
-		panic(&sim.DeadlockError{Now: end, Blocked: blocked})
+		panic(&sim.DeadlockError{Now: end, Blocked: blocked, Dump: deadlockDump(m.rec)})
 	}
 	// Pad every CPU's idle ledger to the machine end time, closing the
 	// per-CPU exactness identity busy+idle+spin == elapsed.

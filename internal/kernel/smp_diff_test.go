@@ -1,71 +1,245 @@
 package kernel
 
-// The seeded differential test behind the BENCH_baseline safety claim:
-// at NCPU=1 the SMP engine must reproduce the uniprocessor machine's
-// accounting bit for bit — same elapsed time, same switch count, same
-// per-activity time split — for every personality, on the T-series
-// probe shapes (the getpid loop and a yield round-robin). The legacy
-// machine runs process bodies as goroutines under a baton; the SMP
-// machine is an explicit state machine; agreement here means the SMP
-// dispatch cost model (goodness scan width, constant-time pick,
-// dispatch-table LRU) is the same model, not a lookalike.
+// The seeded differential test behind the one-engine move: at NCPU=1 the
+// op-program engine must reproduce the goroutine-baton uniprocessor
+// Machine bit for bit on every shape its callers run — the getpid loop,
+// yield rings, the ctx token ring and LIFO chain, bw_pipe, the IPC pipe,
+// self-pipe, lat_pipe, lat_proc and the pipe wake-policy ping-pong —
+// for every personality. Agreement covers the elapsed time, the switch
+// count, all six phase times, the recorder's track list and full event
+// stream, the sampler snapshot, and each thread's first-run and retire
+// times against the times the process bodies observed.
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/cpu"
+	"repro/internal/obs"
 	"repro/internal/osprofile"
 	"repro/internal/sim"
 )
 
-// diffStats is the comparable accounting of one run.
-type diffStats struct {
+// dOp is one engine-neutral op of a differential shape; pipe indexes
+// the shape's pipes.
+type dOp struct {
+	kind OpKind
+	pipe int
+	n    int
+	d    sim.Duration
+}
+
+type dThread struct {
+	name  string
+	ops   []dOp
+	loops int
+}
+
+type diffShape struct {
+	name    string
+	pipes   int
+	threads []dThread
+}
+
+// diffResult is everything the two engines must agree on.
+type diffResult struct {
 	elapsed  sim.Duration
 	switches uint64
-	dispatch sim.Duration
-	syscall  sim.Duration
-	user     sim.Duration
+	phases   [NumPhases]sim.Duration
+	tracks   []string
+	events   []obs.Event
+	series   obs.TimeSeries
+	// first and retired are per-thread start and end times.
+	first, retired []sim.Time
 }
 
-func legacyStats(m *Machine) diffStats {
-	return diffStats{
-		elapsed:  m.Now().Sub(0),
+// diffWindow is the sampler width: narrow enough that every shape
+// spans many windows.
+const diffWindow = 50 * sim.Microsecond
+
+func runLegacy(p *osprofile.Profile, s diffShape) diffResult {
+	m := MustMachine(cpu.PentiumP54C100(), p, sim.NewRNG(0))
+	rec := obs.NewRecorder(m.Clock())
+	m.Observe(rec)
+	smp := obs.NewSampler(diffWindow)
+	m.SetSampler(smp)
+	pipes := make([]*Pipe, s.pipes)
+	for i := range pipes {
+		pipes[i] = m.NewPipe()
+	}
+	r := diffResult{first: make([]sim.Time, len(s.threads)), retired: make([]sim.Time, len(s.threads))}
+	for i, th := range s.threads {
+		i, th := i, th
+		m.Spawn(th.name, func(pr *Proc) {
+			r.first[i] = m.Now()
+			for l := 0; l < th.loops; l++ {
+				for _, op := range th.ops {
+					switch op.kind {
+					case OpThink:
+						pr.Charge(op.d)
+					case OpSyscall:
+						pr.Syscall()
+					case OpYield:
+						pr.YieldTimeslice()
+					case OpWrite:
+						pr.Write(pipes[op.pipe], op.n)
+					case OpRead:
+						pr.ReadFull(pipes[op.pipe], op.n)
+					case OpFork:
+						pr.ChargeFork()
+					case OpExec:
+						pr.ChargeExec()
+					}
+				}
+			}
+			r.retired[i] = m.Now()
+		})
+	}
+	m.Run()
+	r.elapsed = m.Now().Sub(0)
+	r.switches = m.Switches()
+	r.phases = m.PhaseBreakdown()
+	r.tracks = rec.Tracks()
+	r.events = rec.Events()
+	r.series = smp.Snapshot(m.Now())
+	return r
+}
+
+func runOps(p *osprofile.Profile, s diffShape) diffResult {
+	m := MustSMPMachine(p, 1)
+	rec := obs.NewRecorder(m.Clock())
+	m.Observe(rec)
+	smp := obs.NewSampler(diffWindow)
+	m.SetSampler(smp)
+	pipes := make([]*SPipe, s.pipes)
+	for i := range pipes {
+		pipes[i] = m.NewPipe()
+	}
+	threads := make([]*Thread, len(s.threads))
+	for i, th := range s.threads {
+		ops := make([]Op, len(th.ops))
+		for j, op := range th.ops {
+			ops[j] = Op{Kind: op.kind, D: op.d, N: op.n}
+			if op.kind == OpWrite || op.kind == OpRead {
+				ops[j].P = pipes[op.pipe]
+			}
+		}
+		threads[i] = m.SpawnThread(th.name, ops, th.loops)
+	}
+	elapsed := m.Run()
+	r := diffResult{
+		elapsed:  elapsed,
 		switches: m.Switches(),
-		dispatch: m.PhaseTime(PhaseDispatch),
-		syscall:  m.PhaseTime(PhaseSyscall),
-		user:     m.PhaseTime(PhaseUser),
+		phases:   m.PhaseBreakdown(),
+		tracks:   rec.Tracks(),
+		events:   rec.Events(),
+		series:   smp.Snapshot(sim.Time(elapsed)),
+	}
+	for _, t := range threads {
+		r.first = append(r.first, t.FirstRun)
+		r.retired = append(r.retired, t.Retired)
+	}
+	return r
+}
+
+// compareEngines runs one shape on both engines under p.
+func compareEngines(t *testing.T, p *osprofile.Profile, s diffShape) {
+	t.Helper()
+	leg, ops := runLegacy(p, s), runOps(p, s)
+	if leg.elapsed != ops.elapsed || leg.switches != ops.switches {
+		t.Errorf("%s %s: elapsed/switches legacy %v/%d, ops %v/%d",
+			p, s.name, leg.elapsed, leg.switches, ops.elapsed, ops.switches)
+	}
+	if leg.phases != ops.phases {
+		t.Errorf("%s %s: phases legacy %v, ops %v", p, s.name, leg.phases, ops.phases)
+	}
+	if !slices.Equal(leg.first, ops.first) || !slices.Equal(leg.retired, ops.retired) {
+		t.Errorf("%s %s: first-run/retire legacy %v/%v, ops %v/%v",
+			p, s.name, leg.first, leg.retired, ops.first, ops.retired)
+	}
+	if !slices.Equal(leg.tracks, ops.tracks) {
+		t.Errorf("%s %s: tracks legacy %v, ops %v", p, s.name, leg.tracks, ops.tracks)
+	}
+	if !slices.Equal(leg.events, ops.events) {
+		n := min(len(leg.events), len(ops.events))
+		i := 0
+		for i < n && leg.events[i] == ops.events[i] {
+			i++
+		}
+		var le, oe obs.Event
+		if i < len(leg.events) {
+			le = leg.events[i]
+		}
+		if i < len(ops.events) {
+			oe = ops.events[i]
+		}
+		t.Errorf("%s %s: event streams diverge at %d of %d/%d: legacy %+v, ops %+v",
+			p, s.name, i, len(leg.events), len(ops.events), le, oe)
+	}
+	if !reflect.DeepEqual(leg.series, ops.series) {
+		t.Errorf("%s %s: sampler snapshots differ:\nlegacy %+v\nops    %+v", p, s.name, leg.series, ops.series)
 	}
 }
 
-func smpStats(m *SMPMachine) diffStats {
-	return diffStats{
-		elapsed:  m.Elapsed(),
-		switches: m.Switches(),
-		dispatch: m.DispatchTime(),
-		syscall:  m.SyscallTime(),
-		user:     m.UserTime(),
+func compareAll(t *testing.T, shapes ...diffShape) {
+	t.Helper()
+	for _, p := range osprofile.All() {
+		for _, s := range shapes {
+			compareEngines(t, p, s)
+		}
 	}
+}
+
+func w(pipe, n int) dOp { return dOp{kind: OpWrite, pipe: pipe, n: n} }
+func r(pipe, n int) dOp { return dOp{kind: OpRead, pipe: pipe, n: n} }
+
+// ringShape is bench.Ctx's ring: thread 0 injects the token and absorbs
+// it after the last lap; thread i reads pipe i and writes pipe i+1.
+func ringShape(nproc, laps int) diffShape {
+	s := diffShape{name: "ring", pipes: nproc}
+	for i := 0; i < nproc; i++ {
+		ops := []dOp{r(i, 1), w((i+1)%nproc, 1)}
+		if i == 0 {
+			ops = []dOp{w(1, 1), r(0, 1)}
+		}
+		s.threads = append(s.threads, dThread{"ring", ops, laps})
+	}
+	return s
+}
+
+// lifoShape is bench.Ctx's LIFO chain: up[i] is pipe 2i, down[i] 2i+1.
+func lifoShape(nproc, trips int) diffShape {
+	up := func(i int) int { return 2 * i }
+	down := func(i int) int { return 2*i + 1 }
+	s := diffShape{name: "lifo", pipes: 2 * (nproc - 1)}
+	for i := 0; i < nproc; i++ {
+		var ops []dOp
+		switch {
+		case i == 0:
+			ops = []dOp{w(up(0), 1), r(down(0), 1)}
+		case i == nproc-1:
+			ops = []dOp{r(up(i-1), 1), w(down(i-1), 1)}
+		default:
+			ops = []dOp{r(up(i-1), 1), w(up(i), 1), r(down(i), 1), w(down(i-1), 1)}
+		}
+		s.threads = append(s.threads, dThread{"chain", ops, trips})
+	}
+	return s
+}
+
+// pairShape is a one-pipe writer/reader transfer (bw_pipe, IPC pipe).
+func pairShape(name string, wbytes, wloops, rbytes, rloops int) diffShape {
+	return diffShape{name: name, pipes: 1, threads: []dThread{
+		{name + "-writer", []dOp{w(0, wbytes)}, wloops},
+		{name + "-reader", []dOp{r(0, rbytes)}, rloops},
+	}}
 }
 
 func TestSMPAtOneCPUMatchesUniprocessorGetpid(t *testing.T) {
-	const iters = 10_000
-	for _, p := range osprofile.All() {
-		leg := MustMachine(cpu.PentiumP54C100(), p, sim.NewRNG(0))
-		leg.Spawn("getpid-loop", func(pr *Proc) {
-			for i := 0; i < iters; i++ {
-				pr.Getpid()
-			}
-		})
-		leg.Run()
-
-		smp := MustSMPMachine(p, 1)
-		smp.SpawnThread("getpid-loop", []Op{{Kind: OpSyscall}}, iters)
-		smp.Run()
-
-		if l, s := legacyStats(leg), smpStats(smp); l != s {
-			t.Errorf("%s getpid: legacy %+v != smp %+v", p, l, s)
-		}
-	}
+	compareAll(t, diffShape{name: "getpid", threads: []dThread{
+		{"getpid-loop", []dOp{{kind: OpSyscall}}, 10_000},
+	}})
 }
 
 func TestSMPAtOneCPUMatchesUniprocessorYieldRing(t *testing.T) {
@@ -73,28 +247,11 @@ func TestSMPAtOneCPUMatchesUniprocessorYieldRing(t *testing.T) {
 	// entries, so LRU miss charging is compared too; 5 processes cover
 	// the small-ring shape of Figure 1.
 	for _, shape := range []struct{ nproc, laps int }{{5, 40}, {40, 5}} {
-		for _, p := range osprofile.All() {
-			leg := MustMachine(cpu.PentiumP54C100(), p, sim.NewRNG(0))
-			for i := 0; i < shape.nproc; i++ {
-				leg.Spawn("yielder", func(pr *Proc) {
-					for lap := 0; lap < shape.laps; lap++ {
-						pr.YieldTimeslice()
-					}
-				})
-			}
-			leg.Run()
-
-			smp := MustSMPMachine(p, 1)
-			for i := 0; i < shape.nproc; i++ {
-				smp.SpawnThread("yielder", []Op{{Kind: OpYield}}, shape.laps)
-			}
-			smp.Run()
-
-			if l, s := legacyStats(leg), smpStats(smp); l != s {
-				t.Errorf("%s yield ring %dx%d: legacy %+v != smp %+v",
-					p, shape.nproc, shape.laps, l, s)
-			}
+		s := diffShape{name: "yield ring"}
+		for i := 0; i < shape.nproc; i++ {
+			s.threads = append(s.threads, dThread{"yielder", []dOp{{kind: OpYield}}, shape.laps})
 		}
+		compareAll(t, s)
 	}
 }
 
@@ -103,31 +260,61 @@ func TestSMPAtOneCPUMatchesUniprocessorYieldRing(t *testing.T) {
 // same columns.
 func TestSMPAtOneCPUMatchesUniprocessorMixed(t *testing.T) {
 	const laps, think = 200, 7 * sim.Microsecond
+	s := diffShape{name: "mixed"}
+	for i := 0; i < 3; i++ {
+		s.threads = append(s.threads, dThread{"mixed", []dOp{
+			{kind: OpThink, d: think}, {kind: OpSyscall}, {kind: OpYield},
+		}, laps})
+	}
+	compareAll(t, s)
+}
+
+// TestSMPAtOneCPUMatchesUniprocessorPipes covers the pipe and process
+// shapes of every Machine caller: the ctx ring at 2, 8 and 40 processes
+// and the LIFO chain, bw_pipe's 64 KB writes against one long read, the
+// IPC pipe at 64 B and 64 KB messages, self-pipe, lat_pipe and lat_proc.
+func TestSMPAtOneCPUMatchesUniprocessorPipes(t *testing.T) {
+	compareAll(t,
+		ringShape(2, 50), ringShape(8, 20), ringShape(40, 4),
+		lifoShape(4, 10), lifoShape(40, 2),
+		pairShape("bw_pipe", 64<<10, 16, 16*64<<10, 1),
+		pairShape("ipc", 64, 1024, 64, 1024),
+		pairShape("ipc", 64<<10, 16, 64<<10, 16),
+		diffShape{name: "selfpipe", pipes: 1, threads: []dThread{
+			{"selfpipe", []dOp{w(0, 1), r(0, 1)}, 100},
+		}},
+		diffShape{name: "lat_pipe", pipes: 2, threads: []dThread{
+			{"lat_pipe-parent", []dOp{w(0, 1), r(1, 1)}, 100},
+			{"lat_pipe-child", []dOp{r(0, 1), w(1, 1)}, 100},
+		}},
+		diffShape{name: "lat_proc", threads: []dThread{
+			{"lat_proc", []dOp{{kind: OpFork}}, 10},
+		}},
+		diffShape{name: "lat_proc exec", threads: []dThread{
+			{"lat_proc", []dOp{{kind: OpFork}, {kind: OpExec}}, 10},
+		}},
+	)
+}
+
+// TestSMPAtOneCPUMatchesUniprocessorWakePolicy runs the 2-writer/2-reader
+// ping-pong and the single-writer re-block workload under both pipe wake
+// policies.
+func TestSMPAtOneCPUMatchesUniprocessorWakePolicy(t *testing.T) {
+	pingPong := diffShape{name: "ping-pong", pipes: 1, threads: []dThread{
+		{"reader", []dOp{r(0, 1)}, 25},
+		{"reader", []dOp{r(0, 1)}, 25},
+		{"writer", []dOp{w(0, 1), {kind: OpYield}}, 25},
+		{"writer", []dOp{w(0, 1), {kind: OpYield}}, 25},
+	}}
+	reblock := diffShape{name: "re-block", pipes: 1, threads: []dThread{
+		{"reader", []dOp{r(0, 1)}, 1},
+		{"reader", []dOp{r(0, 1)}, 1},
+		{"writer", []dOp{w(0, 1), {kind: OpYield}, w(0, 1)}, 1},
+	}}
 	for _, p := range osprofile.All() {
-		leg := MustMachine(cpu.PentiumP54C100(), p, sim.NewRNG(0))
-		for i := 0; i < 3; i++ {
-			leg.Spawn("mixed", func(pr *Proc) {
-				for lap := 0; lap < laps; lap++ {
-					pr.Charge(think)
-					pr.Syscall()
-					pr.YieldTimeslice()
-				}
-			})
-		}
-		leg.Run()
-
-		smp := MustSMPMachine(p, 1)
-		for i := 0; i < 3; i++ {
-			smp.SpawnThread("mixed", []Op{
-				{Kind: OpThink, D: think},
-				{Kind: OpSyscall},
-				{Kind: OpYield},
-			}, laps)
-		}
-		smp.Run()
-
-		if l, s := legacyStats(leg), smpStats(smp); l != s {
-			t.Errorf("%s mixed: legacy %+v != smp %+v", p, l, s)
+		for _, prof := range []*osprofile.Profile{p, wakeOne(p)} {
+			compareEngines(t, prof, pingPong)
+			compareEngines(t, prof, reblock)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/obs"
@@ -188,8 +189,11 @@ func TestSMPRCU(t *testing.T) {
 	}
 }
 
-// TestSMPObserveTracks pins the obs contract: one track per CPU, spans
-// only when observing, and observation never perturbs timing.
+// TestSMPObserveTracks pins the obs contract on a multiprocessor: one
+// kernel track per CPU plus one track per thread, spans only when
+// observing, spans that nest properly on every track (so no track holds
+// overlapping spans from two CPUs), and observation never perturbs
+// timing.
 func TestSMPObserveTracks(t *testing.T) {
 	run := func(observe bool) (*SMPMachine, *obs.Recorder) {
 		m := MustSMPMachine(osprofile.Linux128(), 2)
@@ -211,20 +215,32 @@ func TestSMPObserveTracks(t *testing.T) {
 		t.Fatalf("observation perturbed the run: %v/%d vs %v/%d",
 			plain.Elapsed(), plain.Switches(), observed.Elapsed(), observed.Switches())
 	}
-	// The recorder's built-in main track plus one per CPU.
-	if tracks := rec.Tracks(); len(tracks) != 3 {
-		t.Fatalf("tracks = %v, want main plus one per CPU", tracks)
+	want := []string{"main", "kernel cpu0", "kernel cpu1", "pid 1 w", "pid 2 w"}
+	if tracks := rec.Tracks(); !slices.Equal(tracks, want) {
+		t.Fatalf("tracks = %v, want %v", tracks, want)
 	}
 	begins, ends, spins := 0, 0, 0
+	open := map[obs.TrackID][]string{}
+	last := map[obs.TrackID]sim.Time{}
 	for _, e := range rec.Events() {
+		if e.When < last[e.Track] {
+			t.Fatalf("track %s goes back in time at %+v", want[e.Track], e)
+		}
+		last[e.Track] = e.When
 		switch e.Kind {
 		case obs.EvBegin:
 			begins++
 			if e.Name == "spin" {
 				spins++
 			}
+			open[e.Track] = append(open[e.Track], e.Name)
 		case obs.EvEnd:
 			ends++
+			stack := open[e.Track]
+			if len(stack) == 0 || stack[len(stack)-1] != e.Name {
+				t.Fatalf("track %s: %q ends while %v are open — spans overlap", want[e.Track], e.Name, stack)
+			}
+			open[e.Track] = stack[:len(stack)-1]
 		}
 	}
 	if begins == 0 || begins != ends {
@@ -234,8 +250,8 @@ func TestSMPObserveTracks(t *testing.T) {
 		t.Fatal("contended spinlock run recorded no spin spans")
 	}
 	reg := obs.NewRegistry()
-	observed.FoldMetrics(reg, "smp.")
-	if v, ok := reg.Snapshot().Get("smp.context_switches"); !ok || v != float64(observed.Switches()) {
+	observed.FoldMetrics(reg, "kernel.")
+	if v, ok := reg.Snapshot().Get("kernel.context_switches"); !ok || v != float64(observed.Switches()) {
 		t.Errorf("folded switches = %v %v, want %d", v, ok, observed.Switches())
 	}
 }
