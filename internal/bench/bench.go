@@ -42,22 +42,14 @@ const GetpidIterations = 100_000
 // Getpid measures the mean time of one getpid() call over the benchmark's
 // loop, per §4.
 func Getpid(plat Platform, p *osprofile.Profile) sim.Duration {
-	return getpidOn(kernel.MustMachine(plat.CPU, p, sim.NewRNG(0)))
+	return getpidOn(kernel.MustMachine(p, 1))
 }
 
-// getpidOn runs the getpid loop on a prepared machine (possibly observed).
+// getpidOn runs the getpid loop on a prepared machine (possibly
+// observed). The initial dispatch is not part of the loop.
 func getpidOn(m *kernel.Machine) sim.Duration {
-	start := m.Now()
-	var dispatch sim.Duration
-	m.Spawn("getpid-loop", func(pr *kernel.Proc) {
-		dispatch = m.Now().Sub(start) // initial dispatch is not part of the loop
-		for i := 0; i < GetpidIterations; i++ {
-			pr.Getpid()
-		}
-	})
-	m.Run()
-	total := m.Now().Sub(start) - dispatch
-	return total / GetpidIterations
+	t := m.SpawnThread("getpid-loop", []kernel.Op{{Kind: kernel.OpSyscall}}, GetpidIterations)
+	return (m.Run() - t.FirstRun.Sub(0)) / GetpidIterations
 }
 
 // CtxSwitches is the per-run switch count of the ctx benchmark
@@ -83,10 +75,12 @@ func Ctx(plat Platform, p *osprofile.Profile, nproc int, order CtxOrder) sim.Dur
 	if nproc < 2 {
 		panic("bench: ctx needs at least two processes")
 	}
-	return ctxOn(kernel.MustMachine(plat.CPU, p, sim.NewRNG(0)), nproc, order)
+	return ctxOn(kernel.MustMachine(p, 1), nproc, order)
 }
 
 // ctxOn runs the ctx benchmark on a prepared machine (possibly observed).
+// Timing starts when process 0 first runs and injects the token, after
+// every process has been spawned.
 func ctxOn(m *kernel.Machine, nproc int, order CtxOrder) sim.Duration {
 	// Scale work down for big rings so every configuration does a few
 	// thousand hops; the per-switch mean is what matters.
@@ -97,18 +91,29 @@ func ctxOn(m *kernel.Machine, nproc int, order CtxOrder) sim.Duration {
 	if hops < 4*nproc {
 		hops = 4 * nproc
 	}
+	var first *kernel.Thread
+	var switches int
 	switch order {
 	case CtxRing:
-		return ctxRing(m, nproc, hops)
+		first, switches = ctxRing(m, nproc, hops)
 	case CtxLIFO:
-		return ctxLIFO(m, nproc, hops)
+		first, switches = ctxLIFO(m, nproc, hops)
+	default:
+		panic("bench: unknown ctx order")
 	}
-	panic("bench: unknown ctx order")
+	return (m.Run() - first.FirstRun.Sub(0)) / sim.Duration(switches)
 }
 
-// ctxRing builds the ring: process i reads from pipe i and writes to pipe
-// (i+1) mod n. The token makes hops/n laps.
-func ctxRing(m *kernel.Machine, nproc, hops int) sim.Duration {
+// pipeOp is a one-byte token transfer on p.
+func pipeOp(kind kernel.OpKind, p *kernel.Pipe) kernel.Op {
+	return kernel.Op{Kind: kind, P: p, N: 1}
+}
+
+// ctxRing builds the ring: process i reads from pipe i and writes to
+// pipe (i+1) mod n; process 0 injects the token and absorbs it after the
+// last lap. The token makes hops/n laps. It returns process 0 and the
+// number of token passes.
+func ctxRing(m *kernel.Machine, nproc, hops int) (*kernel.Thread, int) {
 	pipes := make([]*kernel.Pipe, nproc)
 	for i := range pipes {
 		pipes[i] = m.NewPipe()
@@ -117,38 +122,23 @@ func ctxRing(m *kernel.Machine, nproc, hops int) sim.Duration {
 	if laps < 1 {
 		laps = 1
 	}
-	var start sim.Time
-	started := false
+	var first *kernel.Thread
 	for i := 0; i < nproc; i++ {
-		i := i
-		m.Spawn("ring", func(pr *kernel.Proc) {
-			for lap := 0; lap < laps; lap++ {
-				if i == 0 && lap == 0 {
-					// Timing starts when the token is first injected,
-					// after all processes have been dispatched once.
-					start = m.Now()
-					started = true
-				} else {
-					pr.ReadFull(pipes[i], 1)
-				}
-				pr.Write(pipes[(i+1)%nproc], 1)
-			}
-			if i == 0 {
-				pr.ReadFull(pipes[0], 1) // absorb the final token
-			}
-		})
+		read := pipeOp(kernel.OpRead, pipes[i])
+		write := pipeOp(kernel.OpWrite, pipes[(i+1)%nproc])
+		if i == 0 {
+			first = m.SpawnThread("ring", []kernel.Op{write, read}, laps)
+			continue
+		}
+		m.SpawnThread("ring", []kernel.Op{read, write}, laps)
 	}
-	m.Run()
-	if !started {
-		panic("bench: ring never started")
-	}
-	total := m.Now().Sub(start)
-	return total / sim.Duration(laps*nproc)
+	return first, laps * nproc
 }
 
 // ctxLIFO builds the chain: the token travels 0→1→…→n-1 and back. One
-// round trip is 2(n-1) hops.
-func ctxLIFO(m *kernel.Machine, nproc, hops int) sim.Duration {
+// round trip is 2(n-1) hops. It returns process 0 and the number of
+// token passes.
+func ctxLIFO(m *kernel.Machine, nproc, hops int) (*kernel.Thread, int) {
 	// up[i] carries the token from i to i+1; down[i] from i+1 to i.
 	up := make([]*kernel.Pipe, nproc-1)
 	down := make([]*kernel.Pipe, nproc-1)
@@ -160,35 +150,24 @@ func ctxLIFO(m *kernel.Machine, nproc, hops int) sim.Duration {
 	if trips < 1 {
 		trips = 1
 	}
-	var start sim.Time
+	var first *kernel.Thread
 	for i := 0; i < nproc; i++ {
-		i := i
-		m.Spawn("chain", func(pr *kernel.Proc) {
-			for trip := 0; trip < trips; trip++ {
-				switch {
-				case i == 0:
-					if trip == 0 {
-						start = m.Now()
-					} else {
-						pr.ReadFull(down[0], 1)
-					}
-					pr.Write(up[0], 1)
-				case i == nproc-1:
-					pr.ReadFull(up[i-1], 1)
-					pr.Write(down[i-1], 1)
-				default:
-					pr.ReadFull(up[i-1], 1)
-					pr.Write(up[i], 1)
-					pr.ReadFull(down[i], 1)
-					pr.Write(down[i-1], 1)
-				}
+		var ops []kernel.Op
+		switch {
+		case i == 0:
+			ops = []kernel.Op{pipeOp(kernel.OpWrite, up[0]), pipeOp(kernel.OpRead, down[0])}
+		case i == nproc-1:
+			ops = []kernel.Op{pipeOp(kernel.OpRead, up[i-1]), pipeOp(kernel.OpWrite, down[i-1])}
+		default:
+			ops = []kernel.Op{
+				pipeOp(kernel.OpRead, up[i-1]), pipeOp(kernel.OpWrite, up[i]),
+				pipeOp(kernel.OpRead, down[i]), pipeOp(kernel.OpWrite, down[i-1]),
 			}
-			if i == 0 {
-				pr.ReadFull(down[0], 1)
-			}
-		})
+		}
+		t := m.SpawnThread("chain", ops, trips)
+		if i == 0 {
+			first = t
+		}
 	}
-	m.Run()
-	total := m.Now().Sub(start)
-	return total / sim.Duration(trips*2*(nproc-1))
+	return first, trips * 2 * (nproc - 1)
 }

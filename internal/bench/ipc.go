@@ -29,21 +29,12 @@ func IPCPipe(plat Platform, p *osprofile.Profile, msg, total int) sim.Duration {
 	if msg <= 0 || total < msg {
 		panic("bench: IPC needs a positive message size no larger than the total")
 	}
-	m := kernel.MustMachine(plat.CPU, p, sim.NewRNG(0))
+	m := kernel.MustMachine(p, 1)
 	pipe := m.NewPipe()
 	count := total / msg
-	m.Spawn("ipc-writer", func(pr *kernel.Proc) {
-		for i := 0; i < count; i++ {
-			pr.Write(pipe, msg)
-		}
-	})
-	m.Spawn("ipc-reader", func(pr *kernel.Proc) {
-		for i := 0; i < count; i++ {
-			pr.ReadFull(pipe, msg)
-		}
-	})
-	m.Run()
-	return m.Now().Sub(0)
+	m.SpawnThread("ipc-writer", []kernel.Op{{Kind: kernel.OpWrite, P: pipe, N: msg}}, count)
+	m.SpawnThread("ipc-reader", []kernel.Op{{Kind: kernel.OpRead, P: pipe, N: msg}}, count)
+	return m.Run()
 }
 
 // IPCSocket returns the elapsed virtual time to move total bytes over a

@@ -19,40 +19,26 @@ import (
 // back to the same process: one write(2) plus one read(2) with no context
 // switch, §5's isolation of pipe overhead from scheduling.
 func SelfPipe(plat Platform, p *osprofile.Profile) sim.Duration {
-	m := kernel.MustMachine(plat.CPU, p, sim.NewRNG(0))
+	m := kernel.MustMachine(p, 1)
 	pipe := m.NewPipe()
 	const iters = 1000
-	var start, end sim.Time
-	m.Spawn("selfpipe", func(pr *kernel.Proc) {
-		start = m.Now()
-		for i := 0; i < iters; i++ {
-			pr.Write(pipe, 1)
-			pr.ReadFull(pipe, 1)
-		}
-		end = m.Now()
-	})
+	t := m.SpawnThread("selfpipe", []kernel.Op{pipeOp(kernel.OpWrite, pipe), pipeOp(kernel.OpRead, pipe)}, iters)
 	m.Run()
-	return end.Sub(start) / iters
+	return t.Retired.Sub(t.FirstRun) / iters
 }
 
 // LatProc measures process creation: the time for fork+exit (when exec is
 // false) or fork+exec+exit (when true), lmbench's lat_proc.
 func LatProc(plat Platform, p *osprofile.Profile, exec bool) sim.Duration {
-	m := kernel.MustMachine(plat.CPU, p, sim.NewRNG(0))
+	m := kernel.MustMachine(p, 1)
 	const iters = 100
-	var start, end sim.Time
-	m.Spawn("lat_proc", func(pr *kernel.Proc) {
-		start = m.Now()
-		for i := 0; i < iters; i++ {
-			pr.ChargeFork()
-			if exec {
-				pr.ChargeExec()
-			}
-		}
-		end = m.Now()
-	})
+	ops := []kernel.Op{{Kind: kernel.OpFork}}
+	if exec {
+		ops = append(ops, kernel.Op{Kind: kernel.OpExec})
+	}
+	t := m.SpawnThread("lat_proc", ops, iters)
 	m.Run()
-	return end.Sub(start) / iters
+	return t.Retired.Sub(t.FirstRun) / iters
 }
 
 // LatFSCreate measures 0-byte file creation+deletion, lmbench's lat_fs
@@ -80,26 +66,13 @@ func LatFSCreate(plat Platform, p *osprofile.Profile, seed uint64) sim.Duration 
 // Ctx it uses exactly two processes and reports the round trip rather
 // than the per-switch time.
 func LatPipe(plat Platform, p *osprofile.Profile) sim.Duration {
-	m := kernel.MustMachine(plat.CPU, p, sim.NewRNG(0))
+	m := kernel.MustMachine(p, 1)
 	ping, pong := m.NewPipe(), m.NewPipe()
 	const iters = 1000
-	var start, end sim.Time
-	m.Spawn("lat_pipe-parent", func(pr *kernel.Proc) {
-		start = m.Now()
-		for i := 0; i < iters; i++ {
-			pr.Write(ping, 1)
-			pr.ReadFull(pong, 1)
-		}
-		end = m.Now()
-	})
-	m.Spawn("lat_pipe-child", func(pr *kernel.Proc) {
-		for i := 0; i < iters; i++ {
-			pr.ReadFull(ping, 1)
-			pr.Write(pong, 1)
-		}
-	})
+	parent := m.SpawnThread("lat_pipe-parent", []kernel.Op{pipeOp(kernel.OpWrite, ping), pipeOp(kernel.OpRead, pong)}, iters)
+	m.SpawnThread("lat_pipe-child", []kernel.Op{pipeOp(kernel.OpRead, ping), pipeOp(kernel.OpWrite, pong)}, iters)
 	m.Run()
-	return end.Sub(start) / iters
+	return parent.Retired.Sub(parent.FirstRun) / iters
 }
 
 // LatencyReport bundles the probe results for one system.

@@ -37,7 +37,7 @@ type LockResult struct {
 	// WaitHist observed the wait time of every contended acquisition.
 	WaitHist *stats.Histogram
 	// Machine and Lock expose the full state for audits and exhibits.
-	Machine *kernel.SMPMachine
+	Machine *kernel.Machine
 	Lock    *kernel.Lock
 }
 
@@ -50,12 +50,12 @@ func (r LockResult) Throughput() float64 {
 	return float64(r.Ops) / s
 }
 
-// LockContention runs the workload on a fresh SMP machine.
+// LockContention runs the workload on a fresh machine.
 func LockContention(p *osprofile.Profile, w LockWorkload) LockResult {
 	if w.NThreads == 0 {
 		w.NThreads = w.NCPU
 	}
-	m := kernel.MustSMPMachine(p, w.NCPU)
+	m := kernel.MustMachine(p, w.NCPU)
 	l := m.NewLock(w.Kind)
 	for i := 0; i < w.NThreads; i++ {
 		// A small prime-stride stagger on each thread's think time keeps

@@ -17,26 +17,17 @@ const (
 // BwPipe measures pipe bandwidth in megabits per second (Table 4) by
 // running the two-process transfer on the simulated kernel.
 func BwPipe(plat Platform, p *osprofile.Profile) float64 {
-	m := kernel.MustMachine(plat.CPU, p, sim.NewRNG(0))
-	return netstack.BandwidthMbps(BwPipeTotal, bwPipeOn(m))
+	return netstack.BandwidthMbps(BwPipeTotal, bwPipeOn(kernel.MustMachine(p, 1)))
 }
 
 // bwPipeOn runs the bw_pipe transfer on a prepared machine (possibly
-// observed) and returns the elapsed transfer time.
+// observed) and returns the elapsed transfer time, from the writer's
+// first run to the end.
 func bwPipeOn(m *kernel.Machine) sim.Duration {
 	pipe := m.NewPipe()
-	var start sim.Time
-	m.Spawn("bw_pipe-writer", func(pr *kernel.Proc) {
-		start = m.Now()
-		for sent := 0; sent < BwPipeTotal; sent += BwPipeChunk {
-			pr.Write(pipe, BwPipeChunk)
-		}
-	})
-	m.Spawn("bw_pipe-reader", func(pr *kernel.Proc) {
-		pr.ReadFull(pipe, BwPipeTotal)
-	})
-	m.Run()
-	return m.Now().Sub(start)
+	writer := m.SpawnThread("bw_pipe-writer", []kernel.Op{{Kind: kernel.OpWrite, P: pipe, N: BwPipeChunk}}, BwPipeTotal/BwPipeChunk)
+	m.SpawnThread("bw_pipe-reader", []kernel.Op{{Kind: kernel.OpRead, P: pipe, N: BwPipeTotal}}, 1)
+	return m.Run() - writer.FirstRun.Sub(0)
 }
 
 // TTCPTotal is the UDP benchmark's per-iteration transfer (§9.2:

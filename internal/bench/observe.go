@@ -45,13 +45,13 @@ func captureMachine(m *kernel.Machine, rec *obs.Recorder, p *osprofile.Profile) 
 	return Observation{
 		Process: rec.Capture(p.String()),
 		Metrics: reg.Snapshot(),
-		Total:   m.Now().Sub(0),
+		Total:   m.Elapsed(),
 	}
 }
 
 // GetpidObserved is Getpid with tracing and metrics.
 func GetpidObserved(plat Platform, p *osprofile.Profile) (sim.Duration, Observation) {
-	m := kernel.MustMachine(plat.CPU, p, sim.NewRNG(0))
+	m := kernel.MustMachine(p, 1)
 	rec := obs.NewRing(m.Clock(), TraceRingCap)
 	m.Observe(rec)
 	d := getpidOn(m)
@@ -72,7 +72,7 @@ func CtxSampled(plat Platform, p *osprofile.Profile, nproc int, order CtxOrder, 
 	if nproc < 2 {
 		panic("bench: ctx needs at least two processes")
 	}
-	m := kernel.MustMachine(plat.CPU, p, sim.NewRNG(0))
+	m := kernel.MustMachine(p, 1)
 	rec := obs.NewRing(m.Clock(), TraceRingCap)
 	m.Observe(rec)
 	m.SetSampler(smp)
@@ -82,7 +82,7 @@ func CtxSampled(plat Platform, p *osprofile.Profile, nproc int, order CtxOrder, 
 
 // BwPipeObserved is BwPipe with tracing and metrics.
 func BwPipeObserved(plat Platform, p *osprofile.Profile) (float64, Observation) {
-	m := kernel.MustMachine(plat.CPU, p, sim.NewRNG(0))
+	m := kernel.MustMachine(p, 1)
 	rec := obs.NewRing(m.Clock(), TraceRingCap)
 	m.Observe(rec)
 	elapsed := bwPipeOn(m)

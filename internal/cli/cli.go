@@ -5,7 +5,6 @@ package cli
 
 import (
 	"bytes"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -861,7 +860,9 @@ func (a *App) traceText(suite *core.SuiteObservation, top int) {
 }
 
 // traceTimeline is the bare `trace` command: one annotated token-ring
-// lap per system, ring size set by -procs (default 3).
+// lap per system, ring size set by -procs (default 3), printed from the
+// kernel's narration instants. A deadlock panics with a
+// *sim.DeadlockError, which App.recovered renders with its dump.
 func (a *App) traceTimeline(cfg core.Config, procs int) int {
 	if procs == 0 {
 		procs = 3
@@ -870,45 +871,35 @@ func (a *App) traceTimeline(cfg core.Config, procs int) int {
 		fmt.Fprintln(a.Stderr, "pentiumbench: trace needs -procs >= 2")
 		return 2
 	}
-	plat := bench.PaperPlatform()
 	for _, p := range cfg.Profiles {
 		fmt.Fprintf(a.Stdout, "%s — one %d-process token-ring lap:\n", p, procs)
-		m, err := kernel.NewMachine(plat.CPU, p, sim.NewRNG(cfg.Seed))
+		m, err := kernel.NewMachine(p, 1)
 		if err != nil {
 			fmt.Fprintln(a.Stderr, "pentiumbench:", err)
 			return 1
 		}
-		m.EnableTrace(64 * procs)
+		rec := obs.NewRecorder(m.Clock())
+		m.Observe(rec)
 		pipes := make([]*kernel.Pipe, procs)
 		for i := range pipes {
 			pipes[i] = m.NewPipe()
 		}
 		for i := 0; i < procs; i++ {
-			i := i
-			m.Spawn(fmt.Sprintf("ring%d", i), func(pr *kernel.Proc) {
-				if i != 0 {
-					pr.ReadFull(pipes[i], 1)
-				}
-				pr.Write(pipes[(i+1)%procs], 1)
-				if i == 0 {
-					pr.ReadFull(pipes[0], 1)
-				}
-			})
-		}
-		if err := m.RunChecked(); err != nil {
-			var d *sim.DeadlockError
-			if errors.As(err, &d) {
-				a.renderDeadlock(d)
-			} else {
-				fmt.Fprintln(a.Stderr, "pentiumbench:", err)
+			read := kernel.Op{Kind: kernel.OpRead, P: pipes[i], N: 1}
+			write := kernel.Op{Kind: kernel.OpWrite, P: pipes[(i+1)%procs], N: 1}
+			ops := []kernel.Op{read, write}
+			if i == 0 {
+				ops = []kernel.Op{write, read}
 			}
-			return 1
+			m.SpawnThread(fmt.Sprintf("ring%d", i), ops, 1)
 		}
-		for _, e := range m.TraceEvents() {
-			fmt.Fprintf(a.Stdout, "  %s\n", e)
+		m.Run()
+		for _, e := range rec.Events() {
+			if e.Kind == obs.EvInstant {
+				fmt.Fprintf(a.Stdout, "  %12s  %-9s pid=%-3d %s\n", e.When.Sub(0).Std(), e.Name, e.PID, e.Detail)
+			}
 		}
-		fmt.Fprintf(a.Stdout, "  total %v across %d switches\n\n",
-			m.Now().Sub(0).Std(), m.Switches())
+		fmt.Fprintf(a.Stdout, "  total %v across %d switches\n\n", m.Elapsed().Std(), m.Switches())
 	}
 	return 0
 }

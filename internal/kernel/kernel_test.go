@@ -5,74 +5,81 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cpu"
 	"repro/internal/obs"
 	"repro/internal/osprofile"
 	"repro/internal/sim"
 )
 
-func newLinux() *Machine {
-	return MustMachine(cpu.PentiumP54C100(), osprofile.Linux128(), sim.NewRNG(1))
+func newLinux() *Machine   { return MustMachine(osprofile.Linux128(), 1) }
+func newFreeBSD() *Machine { return MustMachine(osprofile.FreeBSD205(), 1) }
+func newSolaris() *Machine { return MustMachine(osprofile.Solaris24(), 1) }
+
+func write(p *Pipe, n int) Op { return Op{Kind: OpWrite, P: p, N: n} }
+func read(p *Pipe, n int) Op  { return Op{Kind: OpRead, P: p, N: n} }
+
+// think is a short compute op, for programs that only need to run.
+var think = Op{Kind: OpThink, D: sim.Microsecond}
+
+// instants returns the narration instants of an observed run.
+func instants(rec *obs.Recorder) []obs.Event {
+	var out []obs.Event
+	for _, e := range rec.Events() {
+		if e.Kind == obs.EvInstant {
+			out = append(out, e)
+		}
+	}
+	return out
 }
-func newFreeBSD() *Machine {
-	return MustMachine(cpu.PentiumP54C100(), osprofile.FreeBSD205(), sim.NewRNG(1))
-}
-func newSolaris() *Machine {
-	return MustMachine(cpu.PentiumP54C100(), osprofile.Solaris24(), sim.NewRNG(1))
+
+// firstInstant returns the index of the first instant of the given kind
+// (and pid, when pid > 0), or -1.
+func firstInstant(events []obs.Event, kind string, pid int) int {
+	for i, e := range events {
+		if e.Name == kind && (pid == 0 || e.PID == pid) {
+			return i
+		}
+	}
+	return -1
 }
 
 func TestGetpidChargesSyscall(t *testing.T) {
 	m := newLinux()
-	var pid int
-	m.Spawn("getpid", func(p *Proc) {
-		for i := 0; i < 1000; i++ {
-			pid = p.Getpid()
-		}
-	})
-	m.Run()
-	if pid == 0 {
-		t.Fatal("Getpid returned 0")
+	th := m.SpawnThread("getpid", []Op{{Kind: OpSyscall}}, 1000)
+	elapsed := m.Run()
+	if th.TID() == 0 {
+		t.Fatal("thread has TID 0")
 	}
-	want := sim.Duration(1000 * int64(m.OS().Kernel.Syscall))
-	got := m.Now().Sub(0) - m.switchOverheadForOneProc()
-	if got != want {
-		t.Fatalf("1000 getpids took %v, want %v (plus initial dispatch)", got, want)
-	}
-}
-
-// switchOverheadForOneProc returns the cost of the single initial dispatch
-// a one-process run performs.
-func (m *Machine) switchOverheadForOneProc() sim.Duration {
+	// The single initial dispatch is the only other charge; the goodness
+	// scan examined the one live task.
 	k := &m.OS().Kernel
-	cost := k.CtxBase
-	if k.Scheduler == osprofile.SchedScanAll {
-		// The process has exited by the time we compute this; it was the
-		// only task when dispatched.
-		cost += k.CtxPerTask
+	if want := k.CtxBase + k.CtxPerTask; th.FirstRun.Sub(0) != want {
+		t.Fatalf("first run at %v, want the one dispatch %v", th.FirstRun.Sub(0), want)
 	}
-	return cost
+	want := sim.Duration(1000 * int64(k.Syscall))
+	if got := elapsed - th.FirstRun.Sub(0); got != want {
+		t.Fatalf("1000 getpids took %v, want %v", got, want)
+	}
 }
 
 func TestProcsRunToCompletion(t *testing.T) {
 	m := newLinux()
-	ran := make([]bool, 5)
+	var threads []*Thread
 	for i := 0; i < 5; i++ {
-		i := i
-		m.Spawn("worker", func(p *Proc) { ran[i] = true })
+		threads = append(threads, m.SpawnThread("worker", []Op{think}, 1))
 	}
 	m.Run()
-	for i, r := range ran {
-		if !r {
-			t.Fatalf("process %d never ran", i)
+	for i, th := range threads {
+		if th.Iters != 1 || th.Retired == 0 {
+			t.Fatalf("thread %d never ran to completion (iters %d)", i, th.Iters)
 		}
 	}
 }
 
 func TestPIDsAreUnique(t *testing.T) {
 	m := newLinux()
-	a := m.Spawn("a", func(p *Proc) {})
-	b := m.Spawn("b", func(p *Proc) {})
-	if a.PID() == b.PID() {
+	a := m.SpawnThread("a", []Op{think}, 1)
+	b := m.SpawnThread("b", []Op{think}, 1)
+	if a.TID() == b.TID() {
 		t.Fatal("duplicate PIDs")
 	}
 	if a.Name() != "a" || b.Name() != "b" {
@@ -84,16 +91,11 @@ func TestPIDsAreUnique(t *testing.T) {
 func TestPipeTransfersData(t *testing.T) {
 	m := newLinux()
 	pipe := m.NewPipe()
-	var got int
-	m.Spawn("writer", func(p *Proc) { p.Write(pipe, 10000) })
-	m.Spawn("reader", func(p *Proc) {
-		for got < 10000 {
-			got += p.Read(pipe, 4096)
-		}
-	})
+	m.SpawnThread("writer", []Op{write(pipe, 10000)}, 1)
+	reader := m.SpawnThread("reader", []Op{read(pipe, 10000)}, 1)
 	m.Run()
-	if got != 10000 {
-		t.Fatalf("reader got %d bytes, want 10000", got)
+	if reader.Iters != 1 {
+		t.Fatal("reader did not finish its read")
 	}
 	if pipe.BytesTransferred != 10000 {
 		t.Fatalf("BytesTransferred = %d, want 10000", pipe.BytesTransferred)
@@ -105,35 +107,40 @@ func TestPipeTransfersData(t *testing.T) {
 
 func TestPipeBlocksWriterAtCapacity(t *testing.T) {
 	m := newLinux()
+	rec := obs.NewRecorder(m.Clock())
+	m.Observe(rec)
 	pipe := m.NewPipe()
 	cap := pipe.Capacity()
-	order := []string{}
-	m.Spawn("writer", func(p *Proc) {
-		p.Write(pipe, cap) // fits exactly, no block
-		order = append(order, "wrote-cap")
-		p.Write(pipe, 1) // must block until reader drains
-		order = append(order, "wrote-extra")
-	})
-	m.Spawn("reader", func(p *Proc) {
-		order = append(order, "reading")
-		p.ReadFull(pipe, cap+1)
-		order = append(order, "read-all")
-	})
+	// The first write fits exactly; the second must block until the
+	// reader drains.
+	writer := m.SpawnThread("writer", []Op{write(pipe, cap), write(pipe, 1)}, 1)
+	reader := m.SpawnThread("reader", []Op{read(pipe, cap+1)}, 1)
 	m.Run()
-	if len(order) != 4 || order[0] != "wrote-cap" || order[1] != "reading" {
-		t.Fatalf("order = %v; writer must block at capacity", order)
+	ev := instants(rec)
+	block := firstInstant(ev, "block", writer.TID())
+	if block < 0 || block > firstInstant(ev, "dispatch", reader.TID()) {
+		t.Fatalf("writer did not block at capacity before the reader ran: %v", ev)
+	}
+	if pipe.BytesTransferred != uint64(cap+1) || reader.Retired < writer.Retired {
+		t.Fatalf("transfer incomplete: %d bytes, reader retired %v, writer %v",
+			pipe.BytesTransferred, reader.Retired, writer.Retired)
 	}
 }
 
 func TestPipeReadBlocksUntilData(t *testing.T) {
 	m := newLinux()
+	rec := obs.NewRecorder(m.Clock())
+	m.Observe(rec)
 	pipe := m.NewPipe()
-	var got int
-	m.Spawn("reader", func(p *Proc) { got = p.Read(pipe, 100) })
-	m.Spawn("writer", func(p *Proc) { p.Write(pipe, 42) })
+	reader := m.SpawnThread("reader", []Op{read(pipe, 42)}, 1)
+	writer := m.SpawnThread("writer", []Op{write(pipe, 42)}, 1)
 	m.Run()
-	if got != 42 {
-		t.Fatalf("read returned %d, want the 42 available bytes", got)
+	ev := instants(rec)
+	if block := firstInstant(ev, "block", reader.TID()); block < 0 || block > firstInstant(ev, "pipe-write", writer.TID()) {
+		t.Fatalf("reader did not block on the empty pipe before the write: %v", ev)
+	}
+	if i := firstInstant(ev, "pipe-read", reader.TID()); i < 0 || ev[i].Detail != "42 bytes (buffered 0)" {
+		t.Fatalf("read did not take the 42 available bytes: %v", ev)
 	}
 }
 
@@ -145,31 +152,34 @@ func TestTokenRingPasses(t *testing.T) {
 	for i := range pipes {
 		pipes[i] = m.NewPipe()
 	}
-	counts := make([]int, nproc)
+	var threads []*Thread
 	for i := 0; i < nproc; i++ {
-		i := i
-		m.Spawn("ring", func(p *Proc) {
-			for lap := 0; lap < laps; lap++ {
-				if !(i == 0 && lap == 0) {
-					p.ReadFull(pipes[i], 1)
-				}
-				counts[i]++
-				p.Write(pipes[(i+1)%nproc], 1)
-			}
-			if i == 0 {
-				p.ReadFull(pipes[0], 1) // collect the final token
-			}
-		})
+		ops := []Op{read(pipes[i], 1), write(pipes[(i+1)%nproc], 1)}
+		if i == 0 {
+			ops = []Op{write(pipes[1], 1), read(pipes[0], 1)} // collect the final token
+		}
+		threads = append(threads, m.SpawnThread("ring", ops, laps))
 	}
 	m.Run()
-	for i, c := range counts {
-		if c != laps {
-			t.Fatalf("process %d passed token %d times, want %d", i, c, laps)
+	for i, th := range threads {
+		if th.Iters != laps {
+			t.Fatalf("process %d passed token %d times, want %d", i, th.Iters, laps)
 		}
 	}
 	if m.Switches() == 0 {
 		t.Fatal("ring ran with no context switches")
 	}
+}
+
+// pick is one dispatch decision without its charges: the next queued
+// thread and what picking it costs.
+func pick(m *Machine) (*Thread, pickCost) {
+	th, _ := m.takeQueued(0)
+	if th == nil {
+		return nil, pickCost{}
+	}
+	th.state = sRunning
+	return th, m.pickCost(th)
 }
 
 func TestLinuxSwitchCostGrowsWithProcs(t *testing.T) {
@@ -179,9 +189,9 @@ func TestLinuxSwitchCostGrowsWithProcs(t *testing.T) {
 	costAt := func(n int) sim.Duration {
 		m := newLinux()
 		for i := 0; i < n; i++ {
-			m.Spawn("idle", func(p *Proc) { p.block() }) // park forever
+			m.SpawnThread("idle", []Op{think}, 1)
 		}
-		next, cost := m.sched.pick()
+		next, cost := pick(m)
 		if next == nil {
 			t.Fatal("nothing runnable")
 		}
@@ -208,9 +218,9 @@ func TestFreeBSDSwitchCostFlat(t *testing.T) {
 	costAt := func(n int) sim.Duration {
 		m := newFreeBSD()
 		for i := 0; i < n; i++ {
-			m.Spawn("idle", func(p *Proc) { p.block() })
+			m.SpawnThread("idle", []Op{think}, 1)
 		}
-		_, cost := m.sched.pick()
+		_, cost := pick(m)
 		if cost.scanned != 0 {
 			t.Fatalf("bitmap queues scanned %d tasks; pick must be constant-time", cost.scanned)
 		}
@@ -226,15 +236,15 @@ func TestSchedulerPickOrderFIFO(t *testing.T) {
 	// benchmark interleavings are identical across personalities.
 	for _, mk := range []func() *Machine{newLinux, newFreeBSD, newSolaris} {
 		m := mk()
-		var order []int
+		var threads []*Thread
 		for i := 0; i < 4; i++ {
-			i := i
-			m.Spawn("w", func(p *Proc) { order = append(order, i) })
+			threads = append(threads, m.SpawnThread("w", []Op{think}, 1))
 		}
 		m.Run()
-		for i, v := range order {
-			if v != i {
-				t.Fatalf("%v: run order %v not FIFO", m.OS(), order)
+		for i := 1; i < len(threads); i++ {
+			if threads[i].FirstRun <= threads[i-1].FirstRun {
+				t.Fatalf("%v: thread %d ran at %v, not after thread %d at %v",
+					m.OS(), i, threads[i].FirstRun, i-1, threads[i-1].FirstRun)
 			}
 		}
 	}
@@ -305,133 +315,125 @@ func TestSolarisLIFOChainGradual(t *testing.T) {
 	}
 }
 
-func TestShutdownKillsBlockedProcs(t *testing.T) {
-	m := newLinux()
-	pipe := m.NewPipe()
-	m.Spawn("server", func(p *Proc) {
-		p.Read(pipe, 1) // never satisfied
-		t.Error("server ran past a read that should never complete")
-	})
-	m.RunDrain()
-	if n := m.ActiveProcs(); n != 0 {
-		t.Fatalf("ActiveProcs = %d after RunDrain, want 0", n)
-	}
-}
-
+// TestDeadlockPanics pins the failure mode: a reader on a pipe nobody
+// writes blocks forever, and Run panics with a *sim.DeadlockError that
+// names it, carries the virtual time, and — since the run is observed —
+// a dump of each track's last activity.
 func TestDeadlockPanics(t *testing.T) {
+	m := newLinux()
+	rec := obs.NewRecorder(m.Clock())
+	m.Observe(rec)
+	pipe := m.NewPipe()
+	m.SpawnThread("stuck-reader", []Op{read(pipe, 1)}, 1)
+	m.SpawnThread("worker", []Op{{Kind: OpThink, D: 2 * sim.Millisecond}}, 1)
 	defer func() {
-		if recover() == nil {
+		r := recover()
+		if r == nil {
 			t.Fatal("Run did not panic on deadlock")
 		}
+		err, ok := r.(error)
+		var d *sim.DeadlockError
+		if !ok || !errors.As(err, &d) {
+			t.Fatalf("panic value %v (%T), want *sim.DeadlockError", r, r)
+		}
+		if len(d.Blocked) != 1 || !strings.Contains(d.Blocked[0], "stuck-reader") {
+			t.Errorf("Blocked = %v, want the stuck reader", d.Blocked)
+		}
+		if d.Now == 0 {
+			t.Error("deadlock carries no virtual timestamp")
+		}
+		if !strings.Contains(err.Error(), "deadlock") {
+			t.Errorf("error line %q does not say deadlock", err)
+		}
+		if !strings.Contains(d.Dump, "last activity per track") ||
+			!strings.Contains(d.Dump, "stuck-reader") {
+			t.Errorf("dump missing track activity:\n%s", d.Dump)
+		}
 	}()
-	m := newLinux()
-	pipe := m.NewPipe()
-	m.Spawn("stuck", func(p *Proc) { p.Read(pipe, 1) })
 	m.Run()
 }
 
 func TestChargeAccumulatesUserTime(t *testing.T) {
 	m := newLinux()
-	var p0 *Proc
-	m.Spawn("worker", func(p *Proc) {
-		p0 = p
-		p.Charge(5 * sim.Millisecond)
-		p.Charge(5 * sim.Millisecond)
-	})
+	work := Op{Kind: OpThink, D: 5 * sim.Millisecond}
+	th := m.SpawnThread("worker", []Op{work, work}, 1)
 	m.Run()
-	if p0.UserTime != 10*sim.Millisecond {
-		t.Fatalf("UserTime = %v, want 10ms", p0.UserTime)
+	if th.UserTime != 10*sim.Millisecond || m.PhaseTime(PhaseUser) != 10*sim.Millisecond {
+		t.Fatalf("UserTime = %v (phase %v), want 10ms", th.UserTime, m.PhaseTime(PhaseUser))
 	}
 }
 
 func TestForkExecCosts(t *testing.T) {
 	m := newSolaris()
-	before := m.Now()
-	m.Spawn("parent", func(p *Proc) {
-		p.ChargeFork()
-		p.ChargeExec()
-	})
-	m.Run()
+	m.SpawnThread("parent", []Op{{Kind: OpFork}, {Kind: OpExec}}, 1)
+	elapsed := m.Run()
 	k := m.OS().Kernel
 	want := k.Fork + k.Exec
-	got := m.Now().Sub(before)
-	if got < want {
-		t.Fatalf("fork+exec advanced %v, want at least %v", got, want)
+	if elapsed < want || m.PhaseTime(PhaseProcess) != want {
+		t.Fatalf("fork+exec advanced %v (process phase %v), want at least %v", elapsed, m.PhaseTime(PhaseProcess), want)
 	}
 }
 
 func TestYieldTimeslice(t *testing.T) {
 	m := newFreeBSD()
-	var order []int
-	m.Spawn("a", func(p *Proc) {
-		order = append(order, 1)
-		p.YieldTimeslice()
-		order = append(order, 3)
-	})
-	m.Spawn("b", func(p *Proc) {
-		order = append(order, 2)
-	})
+	a := m.SpawnThread("a", []Op{think, {Kind: OpYield}, think}, 1)
+	b := m.SpawnThread("b", []Op{think}, 1)
 	m.Run()
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("order = %v, want [1 2 3]", order)
+	// a runs first, yields to b, and finishes after b.
+	if !(a.FirstRun < b.FirstRun && b.Retired < a.Retired) {
+		t.Fatalf("a ran %v..%v, b %v..%v; want a, then b, then a",
+			a.FirstRun, a.Retired, b.FirstRun, b.Retired)
 	}
 }
 
 func TestPipePanicsOnBadSizes(t *testing.T) {
 	m := newLinux()
 	pipe := m.NewPipe()
-	m.Spawn("bad", func(p *Proc) {
-		defer func() {
-			if recover() == nil {
-				t.Error("Write(0) did not panic")
-			}
-		}()
-		p.Write(pipe, 0)
-	})
-	m.Run()
+	defer func() {
+		if recover() == nil {
+			t.Error("a zero-length write did not panic")
+		}
+	}()
+	m.SpawnThread("bad", []Op{write(pipe, 0)}, 1)
 }
 
 func TestDeterministicMultiProcessRun(t *testing.T) {
-	run := func() sim.Time {
+	run := func() sim.Duration {
 		m := newSolaris()
 		pipe := m.NewPipe()
-		m.Spawn("w", func(p *Proc) {
-			for i := 0; i < 50; i++ {
-				p.Write(pipe, 3000)
-			}
-		})
-		m.Spawn("r", func(p *Proc) {
-			p.ReadFull(pipe, 150000)
-		})
-		m.Run()
-		return m.Now()
+		m.SpawnThread("w", []Op{write(pipe, 3000)}, 50)
+		m.SpawnThread("r", []Op{read(pipe, 150000)}, 1)
+		return m.Run()
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("multi-process run not deterministic: %v vs %v", a, b)
 	}
 }
 
+// TestTraceRecordsTimeline holds that an observed run narrates every
+// kernel event class as an instant on the kernel track, in time order.
 func TestTraceRecordsTimeline(t *testing.T) {
 	m := newSolaris()
-	m.EnableTrace(0)
+	rec := obs.NewRecorder(m.Clock())
+	m.Observe(rec)
 	pipe := m.NewPipe()
-	m.Spawn("w", func(p *Proc) { p.Write(pipe, 1) })
-	m.Spawn("r", func(p *Proc) { p.ReadFull(pipe, 1) })
+	m.SpawnThread("w", []Op{write(pipe, 1)}, 1)
+	m.SpawnThread("r", []Op{read(pipe, 1)}, 1)
 	m.Run()
-	events := m.TraceEvents()
+	events := instants(rec)
 	if len(events) == 0 {
 		t.Fatal("no events recorded")
 	}
 	kinds := map[string]int{}
 	var last sim.Time
 	for _, e := range events {
-		kinds[e.Kind]++
+		kinds[e.Name]++
 		if e.When < last {
 			t.Fatal("trace out of time order")
 		}
 		last = e.When
-		if e.String() == "" {
-			t.Fatal("empty rendering")
+		if rec.Tracks()[e.Track] != "kernel" {
+			t.Fatalf("instant %+v off the kernel track", e)
 		}
 	}
 	for _, want := range []string{"spawn", "dispatch", "pipe-write", "pipe-read", "exit"} {
@@ -441,111 +443,120 @@ func TestTraceRecordsTimeline(t *testing.T) {
 	}
 }
 
+// ringAllocs counts the allocations of one unobserved nproc-process
+// token-ring run of the given laps.
+func ringAllocs(laps int) float64 {
+	return testing.AllocsPerRun(3, func() {
+		m := newLinux()
+		p0, p1 := m.NewPipe(), m.NewPipe()
+		m.SpawnThread("ring", []Op{write(p1, 1), read(p0, 1)}, laps)
+		m.SpawnThread("ring", []Op{read(p1, 1), write(p0, 1)}, laps)
+		m.Run()
+	})
+}
+
+// TestTraceOffByDefault holds that an unobserved machine narrates
+// nothing: no recorder, and no per-event formatting — a pipe ring
+// allocates the same at 1,000 and 10,000 laps.
 func TestTraceOffByDefault(t *testing.T) {
-	m := newLinux()
-	m.Spawn("w", func(p *Proc) { p.Getpid() })
-	m.Run()
-	if len(m.TraceEvents()) != 0 {
-		t.Fatal("tracing recorded events while disabled")
+	if newLinux().Recorder() != nil {
+		t.Fatal("a fresh machine has a recorder attached")
+	}
+	if a, b := ringAllocs(1_000), ringAllocs(10_000); a != b {
+		t.Fatalf("unobserved ring allocates %v objects at 1,000 laps and %v at 10,000", a, b)
 	}
 }
 
+// TestRunQueueReusesBackingArray holds that dispatching never grows the
+// run queue: a two-thread yield ring allocates the same number of
+// objects at 1,000 and at 10,000 laps.
+func TestRunQueueReusesBackingArray(t *testing.T) {
+	for _, p := range osprofile.Paper() {
+		allocs := func(laps int) float64 {
+			return testing.AllocsPerRun(3, func() {
+				m := MustMachine(p, 1)
+				m.SpawnThread("yielder", []Op{{Kind: OpYield}}, laps)
+				m.SpawnThread("yielder", []Op{{Kind: OpYield}}, laps)
+				m.Run()
+			})
+		}
+		if a, b := allocs(1_000), allocs(10_000); a != b {
+			t.Errorf("%s: yield ring allocates %v objects at 1,000 laps and %v at 10,000", p, a, b)
+		}
+	}
+}
+
+// TestTraceLimitBounds holds that a ring recorder bounds the kernel's
+// narration however long the run.
 func TestTraceLimitBounds(t *testing.T) {
 	m := newLinux()
-	m.EnableTrace(5)
+	rec := obs.NewRing(m.Clock(), 5)
+	m.Observe(rec)
 	for i := 0; i < 20; i++ {
-		m.Spawn("w", func(p *Proc) {})
+		m.SpawnThread("w", nil, 1)
 	}
 	m.Run()
-	if got := len(m.TraceEvents()); got > 5 {
+	if got := rec.Len(); got > 5 {
 		t.Fatalf("trace kept %d events, limit 5", got)
 	}
 }
 
 func TestTraceRingDropsOldest(t *testing.T) {
 	m := newLinux()
-	m.EnableTrace(5)
+	rec := obs.NewRing(m.Clock(), 5)
+	m.Observe(rec)
 	for i := 0; i < 20; i++ {
-		m.Spawn("w", func(p *Proc) {})
+		m.SpawnThread("w", nil, 1)
 	}
 	m.Run()
-	events := m.TraceEvents()
-	if len(events) != 5 {
-		t.Fatalf("ring kept %d events, want exactly 5", len(events))
+	events := rec.Events()
+	if len(events) != 5 || rec.Dropped() == 0 {
+		t.Fatalf("ring kept %d events (%d dropped), want exactly 5 and drops", len(events), rec.Dropped())
 	}
 	// With 20 spawns then 20 dispatch/exit pairs, the survivors must be
-	// the 5 newest events: the last of them an exit, all in time order,
-	// and none of the early spawn events (which happen at T+0 before any
-	// dispatch cost accrues) still present once later events exist.
+	// the newest events: in time order, the last instant an exit, and
+	// none of the early spawn events still present.
 	var last sim.Time
 	for i, e := range events {
 		if e.When < last {
 			t.Fatalf("ring out of time order at %d: %v", i, events)
 		}
 		last = e.When
-	}
-	if events[len(events)-1].Kind != "exit" {
-		t.Errorf("newest surviving event is %q, want exit", events[len(events)-1].Kind)
-	}
-	for _, e := range events {
-		if e.Kind == "spawn" {
+		if e.Name == "spawn" {
 			t.Errorf("oldest events (spawn) not dropped: %v", events)
 		}
 	}
-}
-
-func TestTraceRingDoesNotReallocate(t *testing.T) {
-	m := newLinux()
-	m.EnableTrace(8)
-	pipe := m.NewPipe()
-	m.Spawn("w", func(p *Proc) {
-		for i := 0; i < 200; i++ {
-			p.Write(pipe, 100)
-		}
-	})
-	m.Spawn("r", func(p *Proc) { p.ReadFull(pipe, 20000) })
-	before := cap(m.traceBuf)
-	m.Run()
-	if cap(m.traceBuf) != before {
-		t.Fatalf("ring reallocated: cap %d -> %d", before, cap(m.traceBuf))
-	}
-	if len(m.TraceEvents()) != 8 {
-		t.Fatalf("ring holds %d events, want 8", len(m.TraceEvents()))
+	if in := instants(rec); len(in) == 0 || in[len(in)-1].Name != "exit" {
+		t.Errorf("newest surviving instant is not an exit: %v", events)
 	}
 }
 
 // TestPhaseSumsEqualElapsed holds the attribution identity: every clock
-// advance made through the kernel is tagged with a phase, so the ledger
+// advance a uniprocessor makes is tagged with a phase, so the ledger
 // sums to exactly the elapsed virtual time.
 func TestPhaseSumsEqualElapsed(t *testing.T) {
 	for _, mk := range []func() *Machine{newLinux, newFreeBSD, newSolaris} {
 		m := mk()
 		pipe := m.NewPipe()
-		m.Spawn("w", func(p *Proc) {
-			p.ChargeFork()
-			p.ChargeExec()
-			p.Charge(5 * sim.Microsecond)
-			for i := 0; i < 20; i++ {
-				p.Write(pipe, 3000)
-			}
-		})
-		m.Spawn("r", func(p *Proc) {
-			p.ReadFull(pipe, 60000)
-			p.Getpid()
-		})
-		m.Run()
+		wops := []Op{{Kind: OpFork}, {Kind: OpExec}, {Kind: OpThink, D: 5 * sim.Microsecond}}
+		for i := 0; i < 20; i++ {
+			wops = append(wops, write(pipe, 3000))
+		}
+		m.SpawnThread("w", wops, 1)
+		m.SpawnThread("r", []Op{read(pipe, 60000), {Kind: OpSyscall}}, 1)
+		elapsed := m.Run()
 		var sum sim.Duration
 		for ph := Phase(0); ph < NumPhases; ph++ {
 			sum += m.PhaseTime(ph)
 		}
-		if elapsed := m.Now().Sub(0); sum != elapsed {
+		if sum != elapsed {
 			t.Errorf("%s: phase sum %v != elapsed %v (breakdown %v)",
 				m.OS().Name, sum, elapsed, m.PhaseBreakdown())
 		}
-		if m.PhaseTime(PhaseDispatch) == 0 || m.PhaseTime(PhaseCopy) == 0 ||
-			m.PhaseTime(PhaseSyscall) == 0 || m.PhaseTime(PhaseWakeup) == 0 ||
-			m.PhaseTime(PhaseProcess) == 0 || m.PhaseTime(PhaseUser) == 0 {
-			t.Errorf("%s: expected every phase nonzero: %v", m.OS().Name, m.PhaseBreakdown())
+		for ph := Phase(0); ph < NumPhases; ph++ {
+			if m.PhaseTime(ph) == 0 {
+				t.Errorf("%s: expected every phase nonzero: %v", m.OS().Name, m.PhaseBreakdown())
+			}
 		}
 	}
 }
@@ -556,8 +567,8 @@ func TestObserveRecordsSpans(t *testing.T) {
 	m.Observe(rec)
 	pipe := m.NewPipe()
 	total := pipe.Capacity() * 2 // overfill so the writer blocks and gets woken
-	m.Spawn("w", func(p *Proc) { p.Write(pipe, total) })
-	m.Spawn("r", func(p *Proc) { p.ReadFull(pipe, total) })
+	m.SpawnThread("w", []Op{write(pipe, total)}, 1)
+	m.SpawnThread("r", []Op{read(pipe, total)}, 1)
 	m.Run()
 
 	byName := map[string]int{}
@@ -579,7 +590,7 @@ func TestObserveRecordsSpans(t *testing.T) {
 			t.Errorf("no %q spans recorded: %v", want, byName)
 		}
 	}
-	// each proc has its own track plus main + kernel
+	// each thread has its own track plus main + kernel
 	if tracks := rec.Tracks(); len(tracks) != 4 {
 		t.Errorf("tracks = %v, want main/kernel/pid1/pid2", tracks)
 	}
@@ -593,64 +604,18 @@ func TestObserveRecordsSpans(t *testing.T) {
 // TestObserveDoesNotPerturbTiming holds that attaching observability
 // never changes simulated results.
 func TestObserveDoesNotPerturbTiming(t *testing.T) {
-	run := func(observe bool) sim.Time {
+	run := func(observe bool) sim.Duration {
 		m := newSolaris()
 		if observe {
-			m.Observe(obs.NewRecorder(m.Clock()))
-			m.EnableTrace(16)
+			m.Observe(obs.NewRing(m.Clock(), 16))
+			m.SetSampler(obs.NewSampler(sim.Millisecond))
 		}
 		pipe := m.NewPipe()
-		m.Spawn("w", func(p *Proc) {
-			for i := 0; i < 50; i++ {
-				p.Write(pipe, 3000)
-			}
-		})
-		m.Spawn("r", func(p *Proc) { p.ReadFull(pipe, 150000) })
-		m.Run()
-		return m.Now()
+		m.SpawnThread("w", []Op{write(pipe, 3000)}, 50)
+		m.SpawnThread("r", []Op{read(pipe, 150000)}, 1)
+		return m.Run()
 	}
 	if plain, observed := run(false), run(true); plain != observed {
 		t.Fatalf("observability changed the result: %v vs %v", plain, observed)
-	}
-}
-
-func TestRunCheckedSurfacesDeadlockError(t *testing.T) {
-	m := newLinux()
-	rec := obs.NewRecorder(m.Clock())
-	m.Observe(rec)
-	pipe := m.NewPipe()
-	m.Spawn("stuck-reader", func(p *Proc) { p.Read(pipe, 1) })
-	m.Spawn("worker", func(p *Proc) { p.Charge(2 * sim.Millisecond) })
-
-	err := m.RunChecked()
-	if err == nil {
-		t.Fatal("RunChecked returned nil on a deadlocked machine")
-	}
-	var d *sim.DeadlockError
-	if !errors.As(err, &d) {
-		t.Fatalf("RunChecked returned %T, want *sim.DeadlockError", err)
-	}
-	if len(d.Blocked) != 1 || !strings.Contains(d.Blocked[0], "stuck-reader") {
-		t.Errorf("Blocked = %v, want the stuck reader", d.Blocked)
-	}
-	if d.Now == 0 {
-		t.Error("deadlock carries no virtual timestamp")
-	}
-	if !strings.Contains(err.Error(), "deadlock") {
-		t.Errorf("error line %q does not say deadlock", err)
-	}
-	// The run was observed, so the diagnostic dump shows each track's
-	// last activity instead of leaving the user with a bare one-liner.
-	if !strings.Contains(d.Dump, "last activity per track") ||
-		!strings.Contains(d.Dump, "stuck-reader") {
-		t.Errorf("dump missing track activity:\n%s", d.Dump)
-	}
-}
-
-func TestRunCheckedCleanRunReturnsNil(t *testing.T) {
-	m := newLinux()
-	m.Spawn("worker", func(p *Proc) { p.Charge(sim.Millisecond) })
-	if err := m.RunChecked(); err != nil {
-		t.Fatalf("RunChecked = %v on a clean run", err)
 	}
 }

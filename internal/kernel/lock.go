@@ -1,6 +1,6 @@
 package kernel
 
-// Lock personalities for the SMP machine (DESIGN.md §16): spinlocks with
+// Lock personalities for the machine (DESIGN.md §16): spinlocks with
 // a capped exponential backoff ladder, sleep locks with direct-handoff
 // wake-one through the scheduler, and an RCU-style read-mostly domain
 // whose writers wait out the grace period on-CPU. All costs come from
@@ -47,9 +47,9 @@ func (k LockKind) String() string {
 	return "sleep"
 }
 
-// Lock is a mutual-exclusion lock on an SMP machine.
+// Lock is a mutual-exclusion lock on a machine.
 type Lock struct {
-	m     *SMPMachine
+	m     *Machine
 	kind  LockKind
 	held  bool
 	owner int
@@ -73,7 +73,7 @@ type Lock struct {
 }
 
 // NewLock creates a lock of the given kind on the machine.
-func (m *SMPMachine) NewLock(kind LockKind) *Lock {
+func (m *Machine) NewLock(kind LockKind) *Lock {
 	l := &Lock{m: m, kind: kind, owner: -1}
 	m.locks = append(m.locks, l)
 	return l
@@ -83,7 +83,7 @@ func (m *SMPMachine) NewLock(kind LockKind) *Lock {
 func (l *Lock) Kind() LockKind { return l.kind }
 
 // Locks returns the machine's locks in creation order.
-func (m *SMPMachine) Locks() []*Lock { return m.locks }
+func (m *Machine) Locks() []*Lock { return m.locks }
 
 // acquire executes t's OpLock on CPU c. On success t.pc advances; a
 // failed spin poll leaves pc in place (the op retries at the thread's
@@ -194,7 +194,7 @@ func (l *Lock) release(c int, t *Thread) {
 // period until every reader that started before the synchronize has
 // finished.
 type RCU struct {
-	m *SMPMachine
+	m *Machine
 	// lastReaderEnd is the virtual time the latest read-side section
 	// ends; a synchronize started before it waits for the difference.
 	lastReaderEnd sim.Time
@@ -205,7 +205,7 @@ type RCU struct {
 }
 
 // NewRCU creates an RCU domain on the machine.
-func (m *SMPMachine) NewRCU() *RCU {
+func (m *Machine) NewRCU() *RCU {
 	return &RCU{m: m}
 }
 

@@ -7,8 +7,9 @@ import (
 )
 
 // Pipe is a simulated UNIX pipe: a bounded kernel buffer with blocking
-// reads and writes. Data content is not simulated — only byte counts and
-// their costs — since no benchmark in the paper inspects pipe payloads.
+// reads and writes, driven by OpWrite and OpRead steps. Data content is
+// not simulated — only byte counts and their costs — since no benchmark
+// in the paper inspects pipe payloads.
 //
 // The cost model follows §9.1: each read or write pays the
 // read/write-class system-call cost, moving data pays the personality's
@@ -19,8 +20,8 @@ type Pipe struct {
 	capacity int
 	buffered int
 
-	readers []*Proc
-	writers []*Proc
+	readers []*Thread
+	writers []*Thread
 
 	// BytesTransferred counts all data that has passed through.
 	BytesTransferred uint64
@@ -42,137 +43,9 @@ func (pp *Pipe) copyCost(n int) sim.Duration {
 	return sim.Duration(int64(pp.m.os.Kernel.PipeCopyPerKB) * int64(n) / 1024)
 }
 
-// wake readies waiters on q and returns the remaining queue. Under the
-// personality's wake-all policy (every built-in profile: historical
-// kernels thundering-herd their pipe sleepers) the whole queue is woken
-// for one wake charge. Under wake-one only the FIFO head is woken, one
-// wake charge per wakeup; a reader woken when another consumed the data
-// first simply re-blocks — the re-block costs nothing extra, since
-// switch time is charged at dispatch, not at wakeup.
-func (pp *Pipe) wake(q []*Proc) []*Proc {
-	if len(q) == 0 {
-		return q
-	}
-	if !pp.m.os.Kernel.PipeWakeAll {
-		p := q[0]
-		pp.m.chargeSpan(pp.m.kernelTrack, "wakeup", PhaseWakeup, pp.m.os.Kernel.PipeWake)
-		if pp.m.observing() {
-			pp.m.trace("wake", p.PID(), "%s", p.Name())
-		}
-		pp.m.ready(p)
-		copy(q, q[1:])
-		return q[:len(q)-1]
-	}
-	pp.m.chargeSpan(pp.m.kernelTrack, "wakeup", PhaseWakeup, pp.m.os.Kernel.PipeWake)
-	for _, p := range q {
-		if pp.m.observing() {
-			pp.m.trace("wake", p.PID(), "%s", p.Name())
-		}
-		pp.m.ready(p)
-	}
-	return q[:0]
-}
-
-// Write performs one write(2) of n bytes, blocking until every byte is in
-// the pipe (UNIX pipe writes of any size are atomic with respect to
-// completion: the call does not return until all data is written).
-func (p *Proc) Write(pp *Pipe, n int) {
-	if n <= 0 {
-		panic("kernel: pipe write of non-positive length")
-	}
-	p.rwSyscall()
-	for n > 0 {
-		space := pp.capacity - pp.buffered
-		if space == 0 {
-			pp.writers = append(pp.writers, p)
-			p.block()
-			continue
-		}
-		chunk := n
-		if chunk > space {
-			chunk = space
-		}
-		pp.m.chargeSpan(p.track, "copy", PhaseCopy, pp.copyCost(chunk))
-		pp.buffered += chunk
-		pp.BytesTransferred += uint64(chunk)
-		n -= chunk
-		if pp.m.observing() {
-			pp.m.trace("pipe-write", p.PID(), "%d bytes (buffered %d)", chunk, pp.buffered)
-		}
-		pp.readers = pp.wake(pp.readers)
-	}
-}
-
-// Read performs one read(2) of up to n bytes. Like the real call it
-// blocks only until some data is available, then returns what is there
-// (bounded by n).
-func (p *Proc) Read(pp *Pipe, n int) int {
-	if n <= 0 {
-		panic("kernel: pipe read of non-positive length")
-	}
-	p.rwSyscall()
-	for pp.buffered == 0 {
-		pp.readers = append(pp.readers, p)
-		p.block()
-	}
-	chunk := n
-	if chunk > pp.buffered {
-		chunk = pp.buffered
-	}
-	pp.m.chargeSpan(p.track, "copy", PhaseCopy, pp.copyCost(chunk))
-	pp.buffered -= chunk
-	if pp.m.observing() {
-		pp.m.trace("pipe-read", p.PID(), "%d bytes (buffered %d)", chunk, pp.buffered)
-	}
-	pp.writers = pp.wake(pp.writers)
-	return chunk
-}
-
-// ReadFull reads exactly n bytes, looping over Read as real programs do.
-// It returns the number of read(2) calls issued.
-func (p *Proc) ReadFull(pp *Pipe, n int) int {
-	calls := 0
-	for n > 0 {
-		got := p.Read(pp, n)
-		n -= got
-		calls++
-	}
-	return calls
-}
-
-// SPipe is a Pipe on the op-program machine: the same bounded buffer,
-// cost model and wake policy, driven by OpWrite and OpRead steps.
-type SPipe struct {
-	m        *SMPMachine
-	capacity int
-	buffered int
-
-	readers []*Thread
-	writers []*Thread
-
-	// BytesTransferred counts all data that has passed through.
-	BytesTransferred uint64
-}
-
-// NewPipe creates a pipe with the personality's kernel buffer capacity.
-func (m *SMPMachine) NewPipe() *SPipe {
-	return &SPipe{m: m, capacity: m.os.Kernel.PipeCapacity}
-}
-
-// Capacity returns the kernel buffer size in bytes.
-func (pp *SPipe) Capacity() int { return pp.capacity }
-
-// Buffered returns the bytes currently in the kernel buffer.
-func (pp *SPipe) Buffered() int { return pp.buffered }
-
-// copyCost is the cost of moving n bytes between user and kernel space.
-func (pp *SPipe) copyCost(n int) sim.Duration {
-	return sim.Duration(int64(pp.m.os.Kernel.PipeCopyPerKB) * int64(n) / 1024)
-}
-
 // enter charges the read/write-class system-call cost of entering a
 // pipe call: the bare trap plus argument validation and file-table work.
-func (pp *SPipe) enter(c int, t *Thread) {
+func (pp *Pipe) enter(c int, t *Thread) {
 	k := &pp.m.os.Kernel
 	pp.m.chargeSpan(c, t.track, "syscall", PhaseSyscall, k.Syscall+k.ReadWriteExtra)
 	t.inCall = true
@@ -185,7 +58,7 @@ func (pp *SPipe) enter(c int, t *Thread) {
 // wake charge per wakeup; a reader woken when another consumed the data
 // first simply re-blocks — the re-block costs nothing extra, since
 // switch time is charged at dispatch, not at wakeup.
-func (pp *SPipe) wake(c int, q []*Thread) []*Thread {
+func (pp *Pipe) wake(c int, q []*Thread) []*Thread {
 	if len(q) == 0 {
 		return q
 	}
@@ -205,7 +78,7 @@ func (pp *SPipe) wake(c int, q []*Thread) []*Thread {
 // write runs one step of t's OpWrite of n bytes on CPU c: enter the
 // call, then move one chunk per step — as much as the buffer has room
 // for, waking blocked readers — blocking while the buffer is full.
-func (pp *SPipe) write(c int, t *Thread, n int) {
+func (pp *Pipe) write(c int, t *Thread, n int) {
 	m := pp.m
 	if !t.inCall {
 		pp.enter(c, t)
@@ -238,7 +111,7 @@ func (pp *SPipe) write(c int, t *Thread, n int) {
 // the bytes still wanted), waking blocked writers — or block while the
 // buffer is empty. A woken reader that finds the buffer drained again
 // re-blocks inside the same call at no extra charge.
-func (pp *SPipe) read(c int, t *Thread, n int) {
+func (pp *Pipe) read(c int, t *Thread, n int) {
 	m := pp.m
 	if !t.inCall {
 		if t.left == 0 {

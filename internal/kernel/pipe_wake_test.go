@@ -9,9 +9,7 @@ package kernel
 import (
 	"testing"
 
-	"repro/internal/cpu"
 	"repro/internal/osprofile"
-	"repro/internal/sim"
 )
 
 // runPipePingPong runs the 2-writer/2-reader workload: readers block
@@ -19,22 +17,13 @@ import (
 // every write finds both readers parked — the shape that separates
 // waking the whole queue from waking its head.
 func runPipePingPong(p *osprofile.Profile, msgs int) *Machine {
-	m := MustMachine(cpu.PentiumP54C100(), p, sim.NewRNG(0))
+	m := MustMachine(p, 1)
 	pipe := m.NewPipe()
 	for i := 0; i < 2; i++ {
-		m.Spawn("reader", func(pr *Proc) {
-			for n := 0; n < msgs; n++ {
-				pr.ReadFull(pipe, 1)
-			}
-		})
+		m.SpawnThread("reader", []Op{read(pipe, 1)}, msgs)
 	}
 	for i := 0; i < 2; i++ {
-		m.Spawn("writer", func(pr *Proc) {
-			for n := 0; n < msgs; n++ {
-				pr.Write(pipe, 1)
-				pr.YieldTimeslice()
-			}
-		})
+		m.SpawnThread("writer", []Op{write(pipe, 1), {Kind: OpYield}}, msgs)
 	}
 	m.Run()
 	return m
@@ -98,18 +87,12 @@ func TestPipePingPongSwitchCountPinned(t *testing.T) {
 // re-block path charges nothing.
 func TestPipeWokenReaderReblocksOnce(t *testing.T) {
 	run := func(p *osprofile.Profile) *Machine {
-		m := MustMachine(cpu.PentiumP54C100(), p, sim.NewRNG(0))
+		m := MustMachine(p, 1)
 		pipe := m.NewPipe()
 		for i := 0; i < 2; i++ {
-			m.Spawn("reader", func(pr *Proc) {
-				pr.ReadFull(pipe, 1)
-			})
+			m.SpawnThread("reader", []Op{read(pipe, 1)}, 1)
 		}
-		m.Spawn("writer", func(pr *Proc) {
-			pr.Write(pipe, 1)
-			pr.YieldTimeslice()
-			pr.Write(pipe, 1)
-		})
+		m.SpawnThread("writer", []Op{write(pipe, 1), {Kind: OpYield}, write(pipe, 1)}, 1)
 		m.Run()
 		return m
 	}

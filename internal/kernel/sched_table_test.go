@@ -1,43 +1,36 @@
 package kernel
 
 // Table-driven coverage of the three §5 dispatcher structures, pinning
-// the double-enqueue guards: readying an already-runnable process must
-// be a no-op for every personality, or the slice-backed schedulers would
-// let one process be picked twice (and the goodness scan would reset its
-// queue age). Also pins that each structure's pickCost matches its
-// documented mechanics.
+// the double-ready guard: readying an already-runnable thread must be a
+// no-op for every personality, or one thread could be picked twice (and
+// the goodness scan's queue age would reset). Also pins that each
+// structure's pickCost matches its documented mechanics.
 
 import (
 	"testing"
 
-	"repro/internal/cpu"
 	"repro/internal/osprofile"
-	"repro/internal/sim"
 )
 
-// mkSched builds a personality's scheduler plus n fake procs registered
-// with the machine (the goodness scan walks m.procs, so the procs must
-// be visible there; they never run).
-func mkSched(t *testing.T, p *osprofile.Profile, n int) (scheduler, []*Proc) {
-	t.Helper()
-	m := MustMachine(cpu.PentiumP54C100(), p, sim.NewRNG(0))
-	s, err := newScheduler(m)
-	if err != nil {
-		t.Fatal(err)
+// mkSched builds a personality's machine plus n threads registered with
+// it but not yet queued (the goodness scan counts live threads, so they
+// must be visible there; they never run).
+func mkSched(p *osprofile.Profile, n int) (*Machine, []*Thread) {
+	m := MustMachine(p, 1)
+	threads := make([]*Thread, n)
+	for i := range threads {
+		threads[i] = &Thread{m: m, tid: i + 1}
+		m.threads = append(m.threads, threads[i])
+		m.live++
 	}
-	procs := make([]*Proc, n)
-	for i := range procs {
-		procs[i] = &Proc{m: m, pid: i + 1, priority: 16}
-		m.procs = append(m.procs, procs[i])
-	}
-	return s, procs
+	return m, threads
 }
 
 func TestSchedulerStructures(t *testing.T) {
 	cases := []struct {
 		name    string
 		profile *osprofile.Profile
-		// scanned is the expected pick cost with three live processes:
+		// scanned is the expected pick cost with three live threads:
 		// the goodness loop examines every task in the system; the
 		// bitmap and dispatch-queue structures examine none.
 		scanned int
@@ -48,50 +41,50 @@ func TestSchedulerStructures(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			s, procs := mkSched(t, c.profile, 3)
+			m, threads := mkSched(c.profile, 3)
 
-			// Empty structure: nothing pending, nil pick, zero cost.
-			if s.pending() {
+			// Empty structure: nothing pending, nil pick.
+			if m.queueHead(0) != nil {
 				t.Fatal("empty scheduler reports pending work")
 			}
-			if p, cost := s.pick(); p != nil || cost.scanned != 0 || cost.tableMiss {
-				t.Fatalf("empty pick = %v cost %+v, want nil and zero", p, cost)
+			if th, _ := pick(m); th != nil {
+				t.Fatalf("empty pick = pid %d, want nil", th.tid)
 			}
 
-			// Double enqueue collapses to one entry.
-			s.enqueue(procs[0])
-			s.enqueue(procs[0])
-			if !s.pending() {
-				t.Fatal("enqueued process not pending")
+			// Double ready collapses to one entry.
+			m.ready(0, threads[0])
+			m.ready(0, threads[0])
+			if m.queueHead(0) == nil {
+				t.Fatal("readied thread not pending")
 			}
-			got, cost := s.pick()
-			if got != procs[0] {
+			got, cost := pick(m)
+			if got != threads[0] {
 				t.Fatalf("picked %v, want pid 1", got)
 			}
 			if cost.scanned != c.scanned {
 				t.Fatalf("pick scanned %d tasks, want %d", cost.scanned, c.scanned)
 			}
-			if p, _ := s.pick(); p != nil {
-				t.Fatalf("double enqueue duplicated pid %d in the ready structure", p.pid)
+			if th, _ := pick(m); th != nil {
+				t.Fatalf("double ready duplicated pid %d in the run queue", th.tid)
 			}
-			if s.pending() {
+			if m.queueHead(0) != nil {
 				t.Fatal("drained scheduler still reports pending work")
 			}
 
-			// FIFO order for equal priorities, and a re-enqueue of an
-			// already-ready process keeps its queue position (the scan-all
+			// FIFO order for equal priorities, and readying an
+			// already-ready thread keeps its queue position (the scan-all
 			// goodness age is a property of the task, not the wakeup).
-			s.enqueue(procs[1])
-			s.enqueue(procs[2])
-			s.enqueue(procs[1])
-			if first, _ := s.pick(); first != procs[1] {
-				t.Fatalf("re-enqueue moved pid 2 from the queue head; picked %v", first)
+			m.ready(0, threads[1])
+			m.ready(0, threads[2])
+			m.ready(0, threads[1])
+			if first, _ := pick(m); first != threads[1] {
+				t.Fatalf("re-ready moved pid 2 from the queue head; picked %v", first)
 			}
-			if second, _ := s.pick(); second != procs[2] {
+			if second, _ := pick(m); second != threads[2] {
 				t.Fatalf("picked %v second, want pid 3", second)
 			}
-			if p, _ := s.pick(); p != nil {
-				t.Fatalf("phantom third entry pid %d after two enqueues", p.pid)
+			if th, _ := pick(m); th != nil {
+				t.Fatalf("phantom third entry pid %d after two readies", th.tid)
 			}
 		})
 	}
@@ -99,24 +92,21 @@ func TestSchedulerStructures(t *testing.T) {
 
 // TestPreemptiveDispatchTable pins the Solaris table mechanics: a cold
 // pick reloads the bounded dispatch resource (tableMiss), an immediately
-// repeated pick of the same process hits.
+// repeated pick of the same thread hits.
 func TestPreemptiveDispatchTable(t *testing.T) {
 	p := osprofile.Solaris24()
 	if p.Kernel.CtxTableSize <= 0 {
 		t.Fatal("Solaris personality lost its bounded dispatch table")
 	}
-	s, procs := mkSched(t, p, 2)
-	s.enqueue(procs[0])
-	if _, cost := s.pick(); !cost.tableMiss {
+	m, threads := mkSched(p, 2)
+	if !m.pickCost(threads[0]).tableMiss {
 		t.Fatal("cold pick did not reload the dispatch table")
 	}
-	s.enqueue(procs[0])
-	if _, cost := s.pick(); cost.tableMiss {
+	if m.pickCost(threads[0]).tableMiss {
 		t.Fatal("immediately repeated pick missed the dispatch table")
 	}
-	// A different process evicts nothing at size 32 but still misses cold.
-	s.enqueue(procs[1])
-	if _, cost := s.pick(); !cost.tableMiss {
-		t.Fatal("first pick of a second process did not miss the table")
+	// A different thread evicts nothing at size 32 but still misses cold.
+	if !m.pickCost(threads[1]).tableMiss {
+		t.Fatal("first pick of a second thread did not miss the table")
 	}
 }

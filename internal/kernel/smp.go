@@ -1,37 +1,47 @@
+// Package kernel simulates the operating system kernel of the
+// benchmarking platform: processes, the scheduler, system-call dispatch,
+// pipes and locks, on one or more virtual CPUs.
+//
+// Simulated processes are op programs — short instruction lists
+// (compute, syscall, yield, pipe read/write, fork/exec charges,
+// lock/unlock, RCU) run a given number of times — and the machine steps
+// them as explicit state machines from a single goroutine. Combined
+// with the virtual clock, this makes every simulation a pure,
+// deterministic function of its inputs, while benchmark programs (a
+// ring of token-passing processes, a pipe bandwidth test) keep the shape
+// the originals had against the real kernels.
+//
+// The scheduler implements the structural differences §5 of the paper
+// explains: Linux 1.2 scans an O(n) task list on every switch, 4.4BSD
+// picks from constant-time run queues, and Solaris pays a high fixed
+// dispatch cost plus a 32-entry per-process mapping resource whose
+// overflow causes the jump at 32 processes in Figure 1.
 package kernel
 
-// SMP support (DESIGN.md §16): a machine with NCPU virtual CPUs, per-CPU
-// run queues with deterministic work stealing (or one global queue,
-// selected per personality), and per-CPU busy/idle/spin ledgers that sum
-// to the machine's elapsed time exactly.
-//
-// Where the uniprocessor Machine runs benchmark bodies as goroutines
-// under a baton, the SMP machine is a conservative parallel
-// discrete-event simulator: every thread is an explicit state machine
-// over a small op program (compute, syscall, yield, pipe read/write,
-// fork/exec charges, lock/unlock, RCU), and the engine always steps the
-// CPU with the globally minimal local clock (ties to the lowest CPU
-// index). Because a CPU only ever observes shared state — lock words,
-// pipe buffers, run queues, RCU reader marks — at the start of a step,
-// when its local time is minimal, every observation is causally
-// consistent, the whole simulation is a pure single-goroutine function
-// of its inputs, and the output is bit-identical at any host
-// parallelism.
+// The machine (DESIGN.md §16) has NCPU virtual CPUs, per-CPU run queues
+// with deterministic work stealing (or one global queue, selected per
+// personality), and per-CPU busy/idle/spin ledgers that sum to the
+// machine's elapsed time exactly. It is a conservative parallel
+// discrete-event simulator: the engine always steps the CPU with the
+// globally minimal local clock (ties to the lowest CPU index). Because a
+// CPU only ever observes shared state — lock words, pipe buffers, run
+// queues, RCU reader marks — at the start of a step, when its local time
+// is minimal, every observation is causally consistent and the output
+// is bit-identical at any host parallelism.
 //
 // Exactness invariant: every advance of a CPU's local clock goes through
 // one of three funnels (advanceBusy, advanceSpin, advanceIdle), each
-// paired with exactly one ledger add, and finalize pads each CPU's idle
+// paired with exactly one ledger add, and Run pads each CPU's idle
 // ledger to the machine end time — so busy[c] + idle[c] + spin[c] ==
 // elapsed holds exactly, per CPU, always. The audit engine re-checks it.
 // Every busy advance is also tagged with a Phase, so the phase ledger
 // sums to the CPUs' total busy time.
 //
-// At NCPU=1 the engine reduces to the uniprocessor scheduler bit for
-// bit: one FIFO queue (the per-CPU layout degenerates to it), the same
-// per-personality pick costs (goodness scan width, run-queue constant
-// pick, dispatch-table LRU misses), and dispatch charges only when
-// control actually changes hands. The seeded differential test in
-// smp_diff_test.go pins that equivalence for every personality.
+// At NCPU=1 the machine is the uniprocessor the paper measured: one FIFO
+// queue (the per-CPU layout degenerates to it), dispatch charges only
+// when control actually changes hands, and no idle or spin time, so the
+// phase ledger sums to the elapsed time exactly. T2, T4, F1, A3 and I1's
+// pipe transport run there; L1 and L2 sweep NCPU up to 16.
 
 import (
 	"fmt"
@@ -40,6 +50,53 @@ import (
 	"repro/internal/osprofile"
 	"repro/internal/sim"
 )
+
+// Phase classifies where a machine's virtual time goes, mirroring the
+// paper's Figure 1 decomposition of a context switch: dispatcher
+// mechanics, system-call entry/exit, data copies, wakeups, process
+// creation, and user computation. The ledger is always on (an array add
+// per charge), so `pentiumbench metrics` can attribute any kernel
+// experiment without re-running it traced.
+type Phase int
+
+const (
+	// PhaseDispatch is context-switch mechanics: run-queue scan or pick
+	// plus the dispatch-table reload (Solaris), and cross-CPU steals.
+	PhaseDispatch Phase = iota
+	// PhaseSyscall is system-call entry/exit and argument validation,
+	// including the fixed costs of lock and RCU operations.
+	PhaseSyscall
+	// PhaseCopy is user/kernel data movement (pipe copies).
+	PhaseCopy
+	// PhaseWakeup is waking blocked peers.
+	PhaseWakeup
+	// PhaseProcess is process creation work (fork, exec).
+	PhaseProcess
+	// PhaseUser is time the benchmark programs charge for their own
+	// computation.
+	PhaseUser
+	// NumPhases sizes phase-indexed arrays.
+	NumPhases
+)
+
+// String names the phase for tables and metric keys.
+func (ph Phase) String() string {
+	switch ph {
+	case PhaseDispatch:
+		return "dispatch"
+	case PhaseSyscall:
+		return "syscall"
+	case PhaseCopy:
+		return "copy"
+	case PhaseWakeup:
+		return "wakeup"
+	case PhaseProcess:
+		return "process"
+	case PhaseUser:
+		return "user"
+	}
+	return fmt.Sprintf("Phase(%d)", int(ph))
+}
 
 // OpKind is one instruction kind of a thread program.
 type OpKind int
@@ -84,7 +141,7 @@ type Op struct {
 	// R is the RCU domain operand (OpRCURead, OpRCUSync).
 	R *RCU
 	// P and N are the pipe and byte-count operands (OpWrite, OpRead).
-	P *SPipe
+	P *Pipe
 	N int
 }
 
@@ -98,16 +155,15 @@ const (
 	sDone
 )
 
-// Thread is one simulated process: an op program executed Loops times.
+// Thread is one simulated process: an op program run a fixed number of
+// times (its loops).
 type Thread struct {
-	m     *SMPMachine
+	m     *Machine
 	tid   int
 	name  string
 	state threadState
 	// home is the thread's home run queue under the per-CPU layout.
 	home int
-	// cpu is the CPU currently (or last) running the thread.
-	cpu int
 
 	ops   []Op
 	pc    int
@@ -148,11 +204,6 @@ func (t *Thread) TID() int { return t.tid }
 // Name returns the name given at spawn.
 func (t *Thread) Name() string { return t.name }
 
-// trackName labels a thread's timeline in trace exports.
-func (t *Thread) trackName() string {
-	return fmt.Sprintf("pid %d %s", t.tid, t.name)
-}
-
 // runQueue is a FIFO of ready threads that reuses its backing array:
 // pops advance a head index, the slice rewinds whenever it drains, and
 // a push into a full array first copies the live tail down — so a
@@ -185,10 +236,10 @@ func (r *runQueue) pop() *Thread {
 	return t
 }
 
-// SMPMachine is a simulated multiprocessor running one OS personality.
-// It is driven from a single goroutine and is not safe for concurrent
-// use.
-type SMPMachine struct {
+// Machine is one simulated computer with one or more CPUs running one
+// operating system personality. It is driven from a single goroutine and
+// is not safe for concurrent use.
+type Machine struct {
 	os   *osprofile.Profile
 	ncpu int
 
@@ -208,8 +259,7 @@ type SMPMachine struct {
 	// osprofile.KernelCosts.PerCPUQueues.
 	globalQ runQueue
 	cpuQ    []runQueue
-	// table is the Solaris dispatch-resource model, shared machine-wide
-	// exactly like the uniprocessor scheduler's.
+	// table is the Solaris dispatch-resource model, shared machine-wide.
 	table *lruTable
 
 	switches uint64
@@ -237,19 +287,19 @@ type SMPMachine struct {
 	tsRunnable *obs.SeriesGauge
 }
 
-// NewSMPMachine builds an SMP machine with ncpu virtual CPUs running the
-// given personality. An unknown scheduler kind or a non-positive CPU
-// count is a returned error.
-func NewSMPMachine(os *osprofile.Profile, ncpu int) (*SMPMachine, error) {
+// NewMachine builds a machine with ncpu virtual CPUs running the given
+// personality. An unknown scheduler kind (a hand-edited profile JSON) or
+// a non-positive CPU count is a returned error, never a panic.
+func NewMachine(os *osprofile.Profile, ncpu int) (*Machine, error) {
 	if ncpu < 1 {
-		return nil, fmt.Errorf("kernel: SMP machine needs at least one CPU, got %d", ncpu)
+		return nil, fmt.Errorf("kernel: a machine needs at least one CPU, got %d", ncpu)
 	}
 	switch os.Kernel.Scheduler {
 	case osprofile.SchedScanAll, osprofile.SchedRunQueues, osprofile.SchedPreemptiveMT:
 	default:
 		return nil, fmt.Errorf("kernel: %s: unknown scheduler kind %d", os, int(os.Kernel.Scheduler))
 	}
-	m := &SMPMachine{
+	m := &Machine{
 		os:           os,
 		ncpu:         ncpu,
 		nextTID:      1,
@@ -273,9 +323,10 @@ func NewSMPMachine(os *osprofile.Profile, ncpu int) (*SMPMachine, error) {
 	return m, nil
 }
 
-// MustSMPMachine is NewSMPMachine for the built-in personalities.
-func MustSMPMachine(os *osprofile.Profile, ncpu int) *SMPMachine {
-	m, err := NewSMPMachine(os, ncpu)
+// MustMachine is NewMachine for the built-in personalities, whose
+// scheduler kinds are compile-time constants.
+func MustMachine(os *osprofile.Profile, ncpu int) *Machine {
+	m, err := NewMachine(os, ncpu)
 	if err != nil {
 		panic(err)
 	}
@@ -283,102 +334,50 @@ func MustSMPMachine(os *osprofile.Profile, ncpu int) *SMPMachine {
 }
 
 // OS returns the machine's personality; NCPU its CPU count.
-func (m *SMPMachine) OS() *osprofile.Profile { return m.os }
+func (m *Machine) OS() *osprofile.Profile { return m.os }
 
 // NCPU returns the number of virtual CPUs.
-func (m *SMPMachine) NCPU() int { return m.ncpu }
+func (m *Machine) NCPU() int { return m.ncpu }
 
 // Clock exposes the machine clock (advanced to the end time by Run) so
 // an obs ring recorder can be constructed against it.
-func (m *SMPMachine) Clock() *sim.Clock { return &m.clock }
+func (m *Machine) Clock() *sim.Clock { return &m.clock }
 
 // Switches returns the context switches performed; Steals the dispatches
 // served by stealing from another CPU's queue.
-func (m *SMPMachine) Switches() uint64 { return m.switches }
+func (m *Machine) Switches() uint64 { return m.switches }
 
 // Steals returns the number of cross-CPU queue steals.
-func (m *SMPMachine) Steals() uint64 { return m.steals }
+func (m *Machine) Steals() uint64 { return m.steals }
 
 // Elapsed returns the machine's total virtual run time (valid after Run).
-func (m *SMPMachine) Elapsed() sim.Duration { return m.elapsed }
+func (m *Machine) Elapsed() sim.Duration { return m.elapsed }
 
 // Ledger returns CPU c's exact time decomposition. After Run,
 // busy+idle+spin == Elapsed for every CPU.
-func (m *SMPMachine) Ledger(c int) (busy, idle, spin sim.Duration) {
+func (m *Machine) Ledger(c int) (busy, idle, spin sim.Duration) {
 	return m.busyT[c], m.idleT[c], m.spinT[c]
 }
 
 // PhaseTime returns the accumulated time attributed to one phase.
-func (m *SMPMachine) PhaseTime(ph Phase) sim.Duration { return m.phases[ph] }
+func (m *Machine) PhaseTime(ph Phase) sim.Duration { return m.phases[ph] }
 
 // PhaseBreakdown returns the full attribution ledger, indexed by Phase.
 // The entries sum to the CPUs' total busy time — exactly the elapsed
 // time on a uniprocessor.
-func (m *SMPMachine) PhaseBreakdown() [NumPhases]sim.Duration { return m.phases }
+func (m *Machine) PhaseBreakdown() [NumPhases]sim.Duration { return m.phases }
 
 // Threads returns the machine's threads in spawn order.
-func (m *SMPMachine) Threads() []*Thread { return m.threads }
-
-// Observe attaches a span recorder. Every thread gets a "pid N name"
-// track carrying its run spans (one per scheduling period) and the
-// syscall, copy, fork, exec and spin spans inside them; every CPU gets a
-// kernel track ("kernel" on a uniprocessor, "kernel cpuN" otherwise)
-// carrying its dispatch and wakeup spans and the narration instants —
-// spawn, dispatch, block, wake, exit, pipe-write, pipe-read. Threads
-// spawned before and after the call are covered.
-func (m *SMPMachine) Observe(rec *obs.Recorder) {
-	m.rec = rec
-	for c := range m.kernelTracks {
-		name := "kernel"
-		if m.ncpu > 1 {
-			name = fmt.Sprintf("kernel cpu%d", c)
-		}
-		m.kernelTracks[c] = rec.Track(name)
-	}
-	for _, t := range m.threads {
-		t.track = rec.Track(t.trackName())
-	}
-}
-
-// Recorder returns the attached obs recorder (nil when detached).
-func (m *SMPMachine) Recorder() *obs.Recorder { return m.rec }
-
-// SetSampler attaches a virtual-time time-series sampler: per window it
-// records context switches (kernel.switches) and samples the count of
-// runnable-or-running threads (kernel.runnable) at every ready/dispatch
-// transition. Nil detaches; per-window kernel.switches sums equal
-// Switches() exactly.
-func (m *SMPMachine) SetSampler(smp *obs.Sampler) {
-	if smp == nil {
-		m.tsSwitch, m.tsRunnable = nil, nil
-		return
-	}
-	m.tsSwitch = smp.Counter("kernel.switches")
-	m.tsRunnable = smp.Gauge("kernel.runnable")
-}
-
-// FoldMetrics adds the machine's counters to a registry under the given
-// name prefix ("kernel." conventionally): context switches, threads
-// spawned, and the phase ledger.
-func (m *SMPMachine) FoldMetrics(reg *obs.Registry, prefix string) {
-	if reg == nil {
-		return
-	}
-	reg.Counter(prefix + "context_switches").Add(float64(m.switches))
-	reg.Counter(prefix + "processes").Add(float64(len(m.threads)))
-	for ph := Phase(0); ph < NumPhases; ph++ {
-		reg.Counter(prefix + "phase_us." + ph.String()).Add(m.phases[ph].Microseconds())
-	}
-}
+func (m *Machine) Threads() []*Thread { return m.threads }
 
 // SpawnThread creates a thread that executes ops loops times, runnable
 // at time zero. Threads must be spawned before Run.
-func (m *SMPMachine) SpawnThread(name string, ops []Op, loops int) *Thread {
+func (m *Machine) SpawnThread(name string, ops []Op, loops int) *Thread {
 	if m.finished {
-		panic("kernel: spawning on a finished SMP machine")
+		panic("kernel: spawning on a finished machine")
 	}
 	if loops < 1 {
-		panic("kernel: SMP thread needs at least one loop")
+		panic("kernel: a thread needs at least one loop")
 	}
 	for _, op := range ops {
 		if (op.Kind == OpWrite || op.Kind == OpRead) && op.N <= 0 {
@@ -390,7 +389,6 @@ func (m *SMPMachine) SpawnThread(name string, ops []Op, loops int) *Thread {
 		tid:   m.nextTID,
 		name:  name,
 		home:  (m.nextTID - 1) % m.ncpu,
-		cpu:   -1,
 		ops:   ops,
 		loops: loops,
 	}
@@ -409,7 +407,7 @@ func (m *SMPMachine) SpawnThread(name string, ops []Op, loops int) *Thread {
 // queue. Readying an already-ready thread is a no-op that keeps its
 // queue position: a double wakeup must not let one thread be picked
 // twice.
-func (m *SMPMachine) ready(c int, t *Thread) {
+func (m *Machine) ready(c int, t *Thread) {
 	switch t.state {
 	case sDone:
 		panic("kernel: readying an exited thread")
@@ -426,68 +424,31 @@ func (m *SMPMachine) ready(c int, t *Thread) {
 	m.sampleRunnable(m.now[c])
 }
 
-// sampleRunnable records the current runnable-or-running thread count.
-// The O(threads) walk only happens with a sampler attached.
-func (m *SMPMachine) sampleRunnable(at sim.Time) {
-	if m.tsRunnable == nil {
-		return
-	}
-	n := 0
-	for _, t := range m.threads {
-		if t.state == sReady || t.state == sRunning {
-			n++
-		}
-	}
-	m.tsRunnable.Set(at, int64(n))
-}
-
 // The three clock funnels. Every local-clock advance goes through
 // exactly one of them, each paired with exactly one ledger add — the
 // mechanical basis of the per-CPU exactness invariant.
 
-func (m *SMPMachine) advanceBusy(c int, ph Phase, d sim.Duration) {
+func (m *Machine) advanceBusy(c int, ph Phase, d sim.Duration) {
 	m.now[c] = m.now[c].Add(d)
 	m.busyT[c] += d
 	m.phases[ph] += d
 }
 
-func (m *SMPMachine) advanceSpin(c int, d sim.Duration) {
+func (m *Machine) advanceSpin(c int, d sim.Duration) {
 	m.now[c] = m.now[c].Add(d)
 	m.spinT[c] += d
 }
 
-func (m *SMPMachine) advanceIdle(c int, d sim.Duration) {
+func (m *Machine) advanceIdle(c int, d sim.Duration) {
 	m.now[c] = m.now[c].Add(d)
 	m.idleT[c] += d
-}
-
-// chargeSpan is advanceBusy wrapped in an obs span on the given track,
-// so the Chrome trace shows the charge as a named interval. With no
-// recorder attached it costs two nil checks over a plain charge.
-func (m *SMPMachine) chargeSpan(c int, track obs.TrackID, name string, ph Phase, d sim.Duration) {
-	if m.rec != nil {
-		m.rec.BeginAt(m.now[c], track, name)
-	}
-	m.advanceBusy(c, ph, d)
-	if m.rec != nil {
-		m.rec.EndAt(m.now[c], track, name, d.Microseconds())
-	}
-}
-
-// narrate records one kernel event as an instant on CPU c's kernel
-// track. Call sites whose detail needs formatting guard the call with
-// m.rec != nil, so an unobserved run never formats or boxes anything.
-func (m *SMPMachine) narrate(c int, kind string, tid int, detail string) {
-	if m.rec != nil {
-		m.rec.InstantAt(m.now[c], m.kernelTracks[c], kind, tid, detail)
-	}
 }
 
 // queueHead returns the thread CPU c would dispatch next (without
 // removing it): its own queue's head, or — per-CPU layout only — the
 // head of the longest other queue (steal candidate, ties to the lowest
 // victim index).
-func (m *SMPMachine) queueHead(c int) *Thread {
+func (m *Machine) queueHead(c int) *Thread {
 	if m.cpuQ == nil {
 		if m.globalQ.len() == 0 {
 			return nil
@@ -505,7 +466,7 @@ func (m *SMPMachine) queueHead(c int) *Thread {
 
 // stealVictim picks the CPU to steal from: the longest queue, ties to
 // the lowest index; -1 when every other queue is empty.
-func (m *SMPMachine) stealVictim(c int) int {
+func (m *Machine) stealVictim(c int) int {
 	victim := -1
 	for v := range m.cpuQ {
 		if v == c || m.cpuQ[v].len() == 0 {
@@ -520,7 +481,7 @@ func (m *SMPMachine) stealVictim(c int) int {
 
 // takeQueued removes and returns CPU c's next thread, reporting whether
 // it was stolen from another CPU's queue.
-func (m *SMPMachine) takeQueued(c int) (t *Thread, stolen bool) {
+func (m *Machine) takeQueued(c int) (t *Thread, stolen bool) {
 	if m.cpuQ == nil {
 		if m.globalQ.len() == 0 {
 			return nil, false
@@ -537,12 +498,20 @@ func (m *SMPMachine) takeQueued(c int) (t *Thread, stolen bool) {
 	return m.cpuQ[v].pop(), true
 }
 
+// pickCost carries the cost components of one dispatch.
+type pickCost struct {
+	// scanned counts the tasks examined (Linux's goodness loop).
+	scanned int
+	// tableMiss reports a dispatch-resource reload (Solaris).
+	tableMiss bool
+}
+
 // pickCost prices dispatching t under the personality's §5 scheduler
 // structure: Linux 1.2's goodness loop examines every live task, 4.4BSD's
 // bitmap run queues pick in constant time, and Solaris consults its
 // bounded dispatch resource on every pick (the reload is only paid when
 // the dispatch actually switches).
-func (m *SMPMachine) pickCost(t *Thread) pickCost {
+func (m *Machine) pickCost(t *Thread) pickCost {
 	switch m.os.Kernel.Scheduler {
 	case osprofile.SchedScanAll:
 		return pickCost{scanned: m.live}
@@ -553,7 +522,7 @@ func (m *SMPMachine) pickCost(t *Thread) pickCost {
 }
 
 // switchCost converts one dispatch's pick mechanics into time.
-func (m *SMPMachine) switchCost(c pickCost) sim.Duration {
+func (m *Machine) switchCost(c pickCost) sim.Duration {
 	k := &m.os.Kernel
 	cost := k.CtxBase + sim.Duration(int64(k.CtxPerTask)*int64(c.scanned))
 	if c.tableMiss {
@@ -565,7 +534,7 @@ func (m *SMPMachine) switchCost(c pickCost) sim.Duration {
 // cpuKey returns the virtual time at which CPU c can next make progress:
 // its local clock while it runs a thread, or the dispatch time of the
 // thread it would pull; ok is false when the CPU has nothing to do.
-func (m *SMPMachine) cpuKey(c int) (key sim.Time, ok bool) {
+func (m *Machine) cpuKey(c int) (key sim.Time, ok bool) {
 	if m.running[c] != nil {
 		return m.now[c], true
 	}
@@ -583,7 +552,7 @@ func (m *SMPMachine) cpuKey(c int) (key sim.Time, ok bool) {
 // nextCPU picks the CPU with the globally minimal progress time (ties to
 // the lowest index) — the conservative sequencing rule that makes every
 // shared-state observation causally consistent.
-func (m *SMPMachine) nextCPU() int {
+func (m *Machine) nextCPU() int {
 	best := -1
 	var bestKey sim.Time
 	for c := 0; c < m.ncpu; c++ {
@@ -601,7 +570,7 @@ func (m *SMPMachine) nextCPU() int {
 // dispatch pulls CPU c's next thread, accrues the idle gap up to its
 // ready time, and charges the personality's switch cost when control
 // actually changes hands.
-func (m *SMPMachine) dispatch(c int) {
+func (m *Machine) dispatch(c int) {
 	t, stolen := m.takeQueued(c)
 	if t == nil {
 		return
@@ -627,7 +596,6 @@ func (m *SMPMachine) dispatch(c int) {
 	m.lastRun[c] = t.tid
 	m.running[c] = t
 	t.state = sRunning
-	t.cpu = c
 	if !t.started {
 		t.started, t.FirstRun = true, m.now[c]
 	}
@@ -638,14 +606,14 @@ func (m *SMPMachine) dispatch(c int) {
 }
 
 // endRun closes CPU c's current run span (if observing).
-func (m *SMPMachine) endRun(c int) {
+func (m *Machine) endRun(c int) {
 	if m.rec != nil && m.running[c] != nil {
 		m.rec.EndAt(m.now[c], m.running[c].track, "run", 0)
 	}
 }
 
 // block parks CPU c's running thread until a pipe or lock readies it.
-func (m *SMPMachine) block(c int, t *Thread) {
+func (m *Machine) block(c int, t *Thread) {
 	m.narrate(c, "block", t.tid, t.name)
 	t.state = sBlocked
 	m.endRun(c)
@@ -653,7 +621,7 @@ func (m *SMPMachine) block(c int, t *Thread) {
 }
 
 // finish retires t after its last iteration.
-func (m *SMPMachine) finish(c int, t *Thread) {
+func (m *Machine) finish(c int, t *Thread) {
 	t.state = sDone
 	t.Retired = m.now[c]
 	m.live--
@@ -665,7 +633,7 @@ func (m *SMPMachine) finish(c int, t *Thread) {
 // exec advances CPU c's current thread by one op step (handling the
 // iteration wrap first, so a thread re-dispatched after its final yield
 // retires the way a uniprocessor process exits after being picked).
-func (m *SMPMachine) exec(c int, t *Thread) {
+func (m *Machine) exec(c int, t *Thread) {
 	if t.pc == len(t.ops) {
 		t.Iters++
 		t.loops--
@@ -709,7 +677,7 @@ func (m *SMPMachine) exec(c int, t *Thread) {
 	case OpRCUSync:
 		op.R.synchronize(c, t)
 	default:
-		panic(fmt.Sprintf("kernel: unknown SMP op kind %d", int(op.Kind)))
+		panic(fmt.Sprintf("kernel: unknown op kind %d", int(op.Kind)))
 	}
 }
 
@@ -719,9 +687,9 @@ func (m *SMPMachine) exec(c int, t *Thread) {
 // a bug. The error carries a dump of the recorder's last events per
 // track when the run is observed; the CLI recovers the typed value at
 // its dispatch boundary and prints it instead of a Go stack trace.
-func (m *SMPMachine) Run() sim.Duration {
+func (m *Machine) Run() sim.Duration {
 	if m.finished {
-		panic("kernel: SMP machine already run")
+		panic("kernel: machine already run")
 	}
 	for {
 		c := m.nextCPU()
@@ -761,4 +729,38 @@ func (m *SMPMachine) Run() sim.Duration {
 	m.elapsed = end.Sub(0)
 	m.finished = true
 	return m.elapsed
+}
+
+// lruTable is the Solaris dispatch-resource model: a fixed-capacity LRU
+// set of thread identities. A dispatch whose target is absent pays a
+// reload penalty. With a cyclic ring of more than 32 processes every
+// dispatch misses (the steep Figure 1 rise); with a LIFO chain the
+// turnaround locality lets part of the working set survive, so the rise
+// past 32 is gradual until about double the capacity (Figure 1's
+// Solaris-LIFO curve).
+type lruTable struct {
+	capacity int
+	order    []int // most recent last
+}
+
+func newLRUTable(capacity int) *lruTable {
+	return &lruTable{capacity: capacity, order: make([]int, 0, capacity+1)}
+}
+
+// touch looks up id, promoting it to most-recent. It reports whether the
+// id was present (hit). The order slice never outgrows capacity+1, so
+// touching never allocates.
+func (t *lruTable) touch(id int) bool {
+	for i, v := range t.order {
+		if v == id {
+			copy(t.order[i:], t.order[i+1:])
+			t.order[len(t.order)-1] = id
+			return true
+		}
+	}
+	t.order = append(t.order, id)
+	if len(t.order) > t.capacity {
+		t.order = t.order[:copy(t.order, t.order[1:])]
+	}
+	return false
 }

@@ -1,8 +1,12 @@
 package kernel
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -21,8 +25,8 @@ func lockWorkerOps(l *Lock, think, crit sim.Duration) []Op {
 }
 
 // runContention builds and runs one lock-contention machine.
-func runContention(p *osprofile.Profile, kind LockKind, ncpu, nthreads, iters int) (*SMPMachine, *Lock) {
-	m := MustSMPMachine(p, ncpu)
+func runContention(p *osprofile.Profile, kind LockKind, ncpu, nthreads, iters int) (*Machine, *Lock) {
+	m := MustMachine(p, ncpu)
 	l := m.NewLock(kind)
 	for i := 0; i < nthreads; i++ {
 		// Stagger thinks so spinners do not phase-lock (same trick the
@@ -114,7 +118,7 @@ func TestSMPWorkStealing(t *testing.T) {
 	if !p.Kernel.PerCPUQueues {
 		t.Fatal("Solaris personality lost its per-CPU queues")
 	}
-	m := MustSMPMachine(p, 2)
+	m := MustMachine(p, 2)
 	// Homes alternate by spawn order: t1, t3 land on CPU 0, t2 on CPU 1.
 	// CPU 1 finishes its short thread first and steals t3 from CPU 0.
 	m.SpawnThread("long-a", []Op{{Kind: OpThink, D: 100 * sim.Microsecond}}, 1)
@@ -125,7 +129,7 @@ func TestSMPWorkStealing(t *testing.T) {
 		t.Fatal("idle CPU never stole from the loaded CPU's queue")
 	}
 	// A global-queue personality on the same workload steals nothing.
-	g := MustSMPMachine(osprofile.Linux128(), 2)
+	g := MustMachine(osprofile.Linux128(), 2)
 	g.SpawnThread("long-a", []Op{{Kind: OpThink, D: 100 * sim.Microsecond}}, 1)
 	g.SpawnThread("short", []Op{{Kind: OpThink, D: 1 * sim.Microsecond}}, 1)
 	g.SpawnThread("long-b", []Op{{Kind: OpThink, D: 100 * sim.Microsecond}}, 1)
@@ -139,7 +143,7 @@ func TestSMPWorkStealing(t *testing.T) {
 // sleep lock it holds blocks forever, and Run reports it as a
 // *sim.DeadlockError instead of hanging or finishing silently.
 func TestSMPDeadlockPanics(t *testing.T) {
-	m := MustSMPMachine(osprofile.Linux128(), 2)
+	m := MustMachine(osprofile.Linux128(), 2)
 	l := m.NewLock(SleepLock)
 	m.SpawnThread("self-deadlock", []Op{
 		{Kind: OpLock, L: l},
@@ -165,7 +169,7 @@ func TestSMPDeadlockPanics(t *testing.T) {
 // in the spin ledger), and the ledgers stay exact.
 func TestSMPRCU(t *testing.T) {
 	p := osprofile.FreeBSD205()
-	m := MustSMPMachine(p, 2)
+	m := MustMachine(p, 2)
 	r := m.NewRCU()
 	m.SpawnThread("reader", []Op{{Kind: OpRCURead, R: r, D: 100 * sim.Microsecond}}, 1)
 	m.SpawnThread("writer", []Op{
@@ -195,8 +199,8 @@ func TestSMPRCU(t *testing.T) {
 // overlapping spans from two CPUs), and observation never perturbs
 // timing.
 func TestSMPObserveTracks(t *testing.T) {
-	run := func(observe bool) (*SMPMachine, *obs.Recorder) {
-		m := MustSMPMachine(osprofile.Linux128(), 2)
+	run := func(observe bool) (*Machine, *obs.Recorder) {
+		m := MustMachine(osprofile.Linux128(), 2)
 		var rec *obs.Recorder
 		if observe {
 			rec = obs.NewRecorder(m.Clock())
@@ -254,4 +258,66 @@ func TestSMPObserveTracks(t *testing.T) {
 	if v, ok := reg.Snapshot().Get("kernel.context_switches"); !ok || v != float64(observed.Switches()) {
 		t.Errorf("folded switches = %v %v, want %d", v, ok, observed.Switches())
 	}
+}
+
+// oneCPUFingerprint runs a program mix at NCPU=1 under every
+// personality and renders the full accounting: elapsed time, switch
+// count and the six-phase ledger, one line per personality.
+func oneCPUFingerprint(spawn func(m *Machine)) string {
+	var b strings.Builder
+	for _, p := range osprofile.All() {
+		m := MustMachine(p, 1)
+		spawn(m)
+		elapsed := m.Run()
+		fmt.Fprintf(&b, "%s: %v %d %v\n", p, elapsed, m.Switches(), m.PhaseBreakdown())
+	}
+	return b.String()
+}
+
+// checkFingerprint compares a fingerprint's SHA-256 with the digest
+// recorded from the goroutine-based uniprocessor machine while both
+// engines existed and a differential test held them equal event for
+// event; the machine at NCPU=1 must keep reproducing that accounting.
+func checkFingerprint(t *testing.T, got, want string) {
+	t.Helper()
+	sum := sha256.Sum256([]byte(got))
+	if hex.EncodeToString(sum[:]) != want {
+		t.Errorf("accounting moved from the uniprocessor's (sha256 %x, want %s):\n%s", sum, want, got)
+	}
+}
+
+func TestSMPAtOneCPUMatchesUniprocessorGetpid(t *testing.T) {
+	checkFingerprint(t, oneCPUFingerprint(func(m *Machine) {
+		m.SpawnThread("getpid-loop", []Op{{Kind: OpSyscall}}, 10_000)
+	}), "5e13591e54b3c48c2f3891982fb275cf8b6834d8e67e52b577b30b2662a570ba")
+}
+
+func TestSMPAtOneCPUMatchesUniprocessorYieldRing(t *testing.T) {
+	// 40 processes exercise the Solaris dispatch table past its 32
+	// entries, so LRU miss charging is covered too; 5 processes cover
+	// the small-ring shape of Figure 1.
+	for _, shape := range []struct {
+		nproc, laps int
+		want        string
+	}{
+		{5, 40, "1e7734ad51972a062db4ca399672a2df86d9c4302a82a80879759ed4c4063100"},
+		{40, 5, "0beed3baa9078427a86da18448ddcc58edce473e06249aa8c24a604eb9790999"},
+	} {
+		checkFingerprint(t, oneCPUFingerprint(func(m *Machine) {
+			for i := 0; i < shape.nproc; i++ {
+				m.SpawnThread("yielder", []Op{{Kind: OpYield}}, shape.laps)
+			}
+		}), shape.want)
+	}
+}
+
+// TestSMPAtOneCPUMatchesUniprocessorMixed runs a compute + syscall +
+// yield mix, so the three charge classes land in their columns.
+func TestSMPAtOneCPUMatchesUniprocessorMixed(t *testing.T) {
+	const laps, think = 200, 7 * sim.Microsecond
+	checkFingerprint(t, oneCPUFingerprint(func(m *Machine) {
+		for i := 0; i < 3; i++ {
+			m.SpawnThread("mixed", []Op{{Kind: OpThink, D: think}, {Kind: OpSyscall}, {Kind: OpYield}}, laps)
+		}
+	}), "26295d8e7486e0d7462e0271694214cd42fa9ad80ea0989e1bc6527692e250e6")
 }

@@ -1,111 +1,145 @@
 package kernel
 
+// Observability hooks of the machine: obs tracks and spans, kernel
+// narration, the time-series sampler, metric folding, and the deadlock
+// dump. Every hook is nil-inert, so an unobserved run pays a nil check
+// per event and never formats or allocates.
+
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
-// TraceEvent is one recorded kernel event. Tracing exists to make the
-// models inspectable: an annotated timeline of a token ring shows exactly
-// where each personality spends its microseconds (syscall entry, copy,
-// wakeup, dispatch), which is how the paper's Figure 1 decomposition is
-// verified by eye.
-type TraceEvent struct {
-	// When is the virtual time of the event.
-	When sim.Time
-	// Kind is the event class: spawn, dispatch, block, wake, exit,
-	// pipe-write, pipe-read.
-	Kind string
-	// PID is the process involved (0 for kernel-only events).
-	PID int
-	// Detail is a human-readable annotation.
-	Detail string
+// trackName labels a thread's timeline in trace exports.
+func (t *Thread) trackName() string {
+	return fmt.Sprintf("pid %d %s", t.tid, t.name)
 }
 
-// String formats the event as a timeline line.
-func (e TraceEvent) String() string {
-	return fmt.Sprintf("%12s  %-9s pid=%-3d %s",
-		e.When.Sub(0).Std(), e.Kind, e.PID, e.Detail)
-}
-
-// EnableTrace starts recording kernel events into a fixed-size ring of at
-// most limit entries (0 means the default 4096); once full, the oldest
-// events are overwritten first. The ring's backing array is allocated
-// once here, so steady-state tracing never reallocates. Tracing is off by
-// default and costs nothing when off.
-func (m *Machine) EnableTrace(limit int) {
-	if limit <= 0 {
-		limit = 4096
-	}
-	m.traceLimit = limit
-	m.tracing = true
-	m.traceBuf = make([]TraceEvent, 0, limit)
-	m.traceHead = 0
-}
-
-// TraceEvents returns the recorded events in time order (for a full ring,
-// the oldest surviving event leads).
-func (m *Machine) TraceEvents() []TraceEvent {
-	out := make([]TraceEvent, 0, len(m.traceBuf))
-	out = append(out, m.traceBuf[m.traceHead:]...)
-	out = append(out, m.traceBuf[:m.traceHead]...)
-	return out
-}
-
-// Observe attaches an obs recorder: kernel narration becomes obs instant
-// events, dispatches and syscalls become spans, and each process gets its
-// own track. Pass nil to detach. Processes spawned both before and after
-// the call are covered.
+// Observe attaches a span recorder. Every thread gets a "pid N name"
+// track carrying its run spans (one per scheduling period) and the
+// syscall, copy, fork, exec and spin spans inside them; every CPU gets a
+// kernel track ("kernel" on a uniprocessor, "kernel cpuN" otherwise)
+// carrying its dispatch and wakeup spans and the narration instants —
+// spawn, dispatch, block, wake, exit, pipe-write, pipe-read. Threads
+// spawned before and after the call are covered.
 func (m *Machine) Observe(rec *obs.Recorder) {
 	m.rec = rec
-	if rec == nil {
-		m.kernelTrack = 0
-		return
+	for c := range m.kernelTracks {
+		name := "kernel"
+		if m.ncpu > 1 {
+			name = fmt.Sprintf("kernel cpu%d", c)
+		}
+		m.kernelTracks[c] = rec.Track(name)
 	}
-	m.kernelTrack = rec.Track("kernel")
-	for _, p := range m.procs {
-		p.track = rec.Track(p.trackName())
+	for _, t := range m.threads {
+		t.track = rec.Track(t.trackName())
 	}
 }
 
 // Recorder returns the attached obs recorder (nil when detached).
 func (m *Machine) Recorder() *obs.Recorder { return m.rec }
 
-// trackName labels a process's timeline in trace exports.
-func (p *Proc) trackName() string {
-	return fmt.Sprintf("pid %d %s", p.pid, p.name)
-}
-
-// observing reports whether any narrative sink (text trace ring or obs
-// recorder) is attached. Hot call sites with formatted details must guard
-// trace() with it so variadic boxing never happens when observability is
-// off — that guard is what keeps the disabled path at zero allocations.
-func (m *Machine) observing() bool { return m.tracing || m.rec != nil }
-
-// trace records one narrated event to every attached sink.
-func (m *Machine) trace(kind string, pid int, format string, args ...any) {
-	if !m.observing() {
+// SetSampler attaches a virtual-time time-series sampler: per window it
+// records context switches (kernel.switches) and samples the count of
+// runnable-or-running threads (kernel.runnable) at every ready/dispatch
+// transition. Nil detaches; per-window kernel.switches sums equal
+// Switches() exactly.
+func (m *Machine) SetSampler(smp *obs.Sampler) {
+	if smp == nil {
+		m.tsSwitch, m.tsRunnable = nil, nil
 		return
 	}
-	detail := format
-	if len(args) > 0 {
-		detail = fmt.Sprintf(format, args...)
+	m.tsSwitch = smp.Counter("kernel.switches")
+	m.tsRunnable = smp.Gauge("kernel.runnable")
+}
+
+// FoldMetrics adds the machine's counters to a registry under the given
+// name prefix ("kernel." conventionally): context switches, threads
+// spawned, and the phase ledger.
+func (m *Machine) FoldMetrics(reg *obs.Registry, prefix string) {
+	if reg == nil {
+		return
 	}
-	if m.tracing {
-		e := TraceEvent{When: m.clock.Now(), Kind: kind, PID: pid, Detail: detail}
-		if len(m.traceBuf) == m.traceLimit {
-			m.traceBuf[m.traceHead] = e
-			m.traceHead++
-			if m.traceHead == m.traceLimit {
-				m.traceHead = 0
-			}
-		} else {
-			m.traceBuf = append(m.traceBuf, e)
+	reg.Counter(prefix + "context_switches").Add(float64(m.switches))
+	reg.Counter(prefix + "processes").Add(float64(len(m.threads)))
+	for ph := Phase(0); ph < NumPhases; ph++ {
+		reg.Counter(prefix + "phase_us." + ph.String()).Add(m.phases[ph].Microseconds())
+	}
+}
+
+// sampleRunnable records the current runnable-or-running thread count.
+// The O(threads) walk only happens with a sampler attached.
+func (m *Machine) sampleRunnable(at sim.Time) {
+	if m.tsRunnable == nil {
+		return
+	}
+	n := 0
+	for _, t := range m.threads {
+		if t.state == sReady || t.state == sRunning {
+			n++
 		}
 	}
+	m.tsRunnable.Set(at, int64(n))
+}
+
+// chargeSpan is advanceBusy wrapped in an obs span on the given track,
+// so the Chrome trace shows the charge as a named interval. With no
+// recorder attached it costs two nil checks over a plain charge.
+func (m *Machine) chargeSpan(c int, track obs.TrackID, name string, ph Phase, d sim.Duration) {
 	if m.rec != nil {
-		m.rec.Instant(m.kernelTrack, kind, pid, detail)
+		m.rec.BeginAt(m.now[c], track, name)
 	}
+	m.advanceBusy(c, ph, d)
+	if m.rec != nil {
+		m.rec.EndAt(m.now[c], track, name, d.Microseconds())
+	}
+}
+
+// narrate records one kernel event as an instant on CPU c's kernel
+// track. Call sites whose detail needs formatting guard the call with
+// m.rec != nil, so an unobserved run never formats or boxes anything.
+func (m *Machine) narrate(c int, kind string, tid int, detail string) {
+	if m.rec != nil {
+		m.rec.InstantAt(m.now[c], m.kernelTracks[c], kind, tid, detail)
+	}
+}
+
+// deadlockDump renders the tail of a machine's span buffer: the most
+// recent events on each track, so a deadlock report shows what every
+// timeline was last doing. Empty when the run is not observed.
+func deadlockDump(rec *obs.Recorder) string {
+	if rec == nil {
+		return ""
+	}
+	events := rec.Events()
+	if len(events) == 0 {
+		return ""
+	}
+	const perTrack = 4
+	tracks := rec.Tracks()
+	var b strings.Builder
+	fmt.Fprintf(&b, "last activity per track (%d events buffered, %d dropped):",
+		len(events), rec.Dropped())
+	for id, name := range tracks {
+		var tail []obs.Event
+		for _, e := range events {
+			if int(e.Track) == id {
+				tail = append(tail, e)
+				if len(tail) > perTrack {
+					tail = tail[1:]
+				}
+			}
+		}
+		if len(tail) == 0 {
+			continue
+		}
+		fmt.Fprintf(&b, "\n  %s:", name)
+		for _, e := range tail {
+			fmt.Fprintf(&b, "\n    t=%v %s %s", sim.Duration(e.When).Std(), e.Kind, e.Name)
+		}
+	}
+	return b.String()
 }

@@ -6,9 +6,11 @@ import (
 )
 
 // DeadlockError is the structured form of the kernel's deadlock panic: a
-// machine stopped with processes still blocked and nothing runnable. The
-// kernel raises it through panic so simulated-process goroutines unwind,
-// and the CLI recovers it at the dispatch boundary and renders the
+// machine stopped with processes still blocked and nothing runnable. A
+// deadlocked benchmark program is always a bug in that program, never
+// a condition its caller can handle, so the kernel panics with it
+// rather than threading an error through every benchmark signature;
+// the CLI recovers it at the dispatch boundary and renders the
 // diagnostic instead of a Go stack trace.
 type DeadlockError struct {
 	// Now is the virtual time the machine stopped at.
