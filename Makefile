@@ -30,9 +30,9 @@ short:
 # and -j 8 — the exemplar reservoirs, the queueing-law audit engine,
 # and the serve single-flight path (N concurrent cold clients, one
 # computation) under the race detector. The kernel and bench packages
-# carry the SMP machine and its NCPU=1 differential suite, so the
-# SMP engine (and the lock sweep that feeds exhibits L1/L2) is
-# certified race-free too.
+# carry the kernel engine, so it (and every benchmark that runs on it,
+# including the lock sweep that feeds exhibits L1/L2) is certified
+# race-free too.
 race:
 	$(GO) test -race ./internal/core/... ./internal/cache/... ./internal/memmodel/... ./internal/memo/... ./internal/sim/... ./internal/fault/... ./internal/nfsserver/... ./internal/cli/... ./internal/obs/... ./internal/audit/... ./internal/kernel/... ./internal/bench/...
 

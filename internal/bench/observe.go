@@ -52,7 +52,7 @@ func captureMachine(m *kernel.Machine, rec *obs.Recorder, p *osprofile.Profile) 
 // GetpidObserved is Getpid with tracing and metrics.
 func GetpidObserved(plat Platform, p *osprofile.Profile) (sim.Duration, Observation) {
 	m := kernel.MustMachine(p, 1)
-	rec := obs.NewRing(m.Clock(), TraceRingCap)
+	rec := obs.NewRing(nil, TraceRingCap)
 	m.Observe(rec)
 	d := getpidOn(m)
 	return d, captureMachine(m, rec, p)
@@ -73,7 +73,7 @@ func CtxSampled(plat Platform, p *osprofile.Profile, nproc int, order CtxOrder, 
 		panic("bench: ctx needs at least two processes")
 	}
 	m := kernel.MustMachine(p, 1)
-	rec := obs.NewRing(m.Clock(), TraceRingCap)
+	rec := obs.NewRing(nil, TraceRingCap)
 	m.Observe(rec)
 	m.SetSampler(smp)
 	d := ctxOn(m, nproc, order)
@@ -83,7 +83,7 @@ func CtxSampled(plat Platform, p *osprofile.Profile, nproc int, order CtxOrder, 
 // BwPipeObserved is BwPipe with tracing and metrics.
 func BwPipeObserved(plat Platform, p *osprofile.Profile) (float64, Observation) {
 	m := kernel.MustMachine(p, 1)
-	rec := obs.NewRing(m.Clock(), TraceRingCap)
+	rec := obs.NewRing(nil, TraceRingCap)
 	m.Observe(rec)
 	elapsed := bwPipeOn(m)
 	return netstack.BandwidthMbps(BwPipeTotal, elapsed), captureMachine(m, rec, p)

@@ -878,7 +878,7 @@ func (a *App) traceTimeline(cfg core.Config, procs int) int {
 			fmt.Fprintln(a.Stderr, "pentiumbench:", err)
 			return 1
 		}
-		rec := obs.NewRecorder(m.Clock())
+		rec := obs.NewRecorder(nil)
 		m.Observe(rec)
 		pipes := make([]*kernel.Pipe, procs)
 		for i := range pipes {

@@ -107,7 +107,7 @@ func TestPipeTransfersData(t *testing.T) {
 
 func TestPipeBlocksWriterAtCapacity(t *testing.T) {
 	m := newLinux()
-	rec := obs.NewRecorder(m.Clock())
+	rec := obs.NewRecorder(nil)
 	m.Observe(rec)
 	pipe := m.NewPipe()
 	cap := pipe.Capacity()
@@ -129,7 +129,7 @@ func TestPipeBlocksWriterAtCapacity(t *testing.T) {
 
 func TestPipeReadBlocksUntilData(t *testing.T) {
 	m := newLinux()
-	rec := obs.NewRecorder(m.Clock())
+	rec := obs.NewRecorder(nil)
 	m.Observe(rec)
 	pipe := m.NewPipe()
 	reader := m.SpawnThread("reader", []Op{read(pipe, 42)}, 1)
@@ -321,7 +321,7 @@ func TestSolarisLIFOChainGradual(t *testing.T) {
 // a dump of each track's last activity.
 func TestDeadlockPanics(t *testing.T) {
 	m := newLinux()
-	rec := obs.NewRecorder(m.Clock())
+	rec := obs.NewRecorder(nil)
 	m.Observe(rec)
 	pipe := m.NewPipe()
 	m.SpawnThread("stuck-reader", []Op{read(pipe, 1)}, 1)
@@ -414,7 +414,7 @@ func TestDeterministicMultiProcessRun(t *testing.T) {
 // kernel event class as an instant on the kernel track, in time order.
 func TestTraceRecordsTimeline(t *testing.T) {
 	m := newSolaris()
-	rec := obs.NewRecorder(m.Clock())
+	rec := obs.NewRecorder(nil)
 	m.Observe(rec)
 	pipe := m.NewPipe()
 	m.SpawnThread("w", []Op{write(pipe, 1)}, 1)
@@ -490,7 +490,7 @@ func TestRunQueueReusesBackingArray(t *testing.T) {
 // narration however long the run.
 func TestTraceLimitBounds(t *testing.T) {
 	m := newLinux()
-	rec := obs.NewRing(m.Clock(), 5)
+	rec := obs.NewRing(nil, 5)
 	m.Observe(rec)
 	for i := 0; i < 20; i++ {
 		m.SpawnThread("w", nil, 1)
@@ -503,7 +503,7 @@ func TestTraceLimitBounds(t *testing.T) {
 
 func TestTraceRingDropsOldest(t *testing.T) {
 	m := newLinux()
-	rec := obs.NewRing(m.Clock(), 5)
+	rec := obs.NewRing(nil, 5)
 	m.Observe(rec)
 	for i := 0; i < 20; i++ {
 		m.SpawnThread("w", nil, 1)
@@ -563,7 +563,7 @@ func TestPhaseSumsEqualElapsed(t *testing.T) {
 
 func TestObserveRecordsSpans(t *testing.T) {
 	m := newLinux()
-	rec := obs.NewRecorder(m.Clock())
+	rec := obs.NewRecorder(nil)
 	m.Observe(rec)
 	pipe := m.NewPipe()
 	total := pipe.Capacity() * 2 // overfill so the writer blocks and gets woken
@@ -607,7 +607,7 @@ func TestObserveDoesNotPerturbTiming(t *testing.T) {
 	run := func(observe bool) sim.Duration {
 		m := newSolaris()
 		if observe {
-			m.Observe(obs.NewRing(m.Clock(), 16))
+			m.Observe(obs.NewRing(nil, 16))
 			m.SetSampler(obs.NewSampler(sim.Millisecond))
 		}
 		pipe := m.NewPipe()

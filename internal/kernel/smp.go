@@ -271,7 +271,6 @@ type Machine struct {
 
 	locks []*Lock
 
-	clock    sim.Clock
 	elapsed  sim.Duration
 	finished bool
 
@@ -338,10 +337,6 @@ func (m *Machine) OS() *osprofile.Profile { return m.os }
 
 // NCPU returns the number of virtual CPUs.
 func (m *Machine) NCPU() int { return m.ncpu }
-
-// Clock exposes the machine clock (advanced to the end time by Run) so
-// an obs ring recorder can be constructed against it.
-func (m *Machine) Clock() *sim.Clock { return &m.clock }
 
 // Switches returns the context switches performed; Steals the dispatches
 // served by stealing from another CPU's queue.
@@ -725,7 +720,6 @@ func (m *Machine) Run() sim.Duration {
 			m.advanceIdle(c, end.Sub(m.now[c]))
 		}
 	}
-	m.clock.AdvanceTo(end)
 	m.elapsed = end.Sub(0)
 	m.finished = true
 	return m.elapsed

@@ -203,7 +203,7 @@ func TestSMPObserveTracks(t *testing.T) {
 		m := MustMachine(osprofile.Linux128(), 2)
 		var rec *obs.Recorder
 		if observe {
-			rec = obs.NewRecorder(m.Clock())
+			rec = obs.NewRecorder(nil)
 			m.Observe(rec)
 		}
 		l := m.NewLock(SpinLock)

@@ -108,8 +108,8 @@ func NewRecorder(clock *sim.Clock) *Recorder {
 }
 
 // NewRing returns a recorder that keeps only the most recent limit
-// events, dropping the oldest first — the kernel's bounded text trace
-// rides on this.
+// events, dropping the oldest first — the observed benchmark probes'
+// bounded traces ride on this.
 func NewRing(clock *sim.Clock, limit int) *Recorder {
 	if limit <= 0 {
 		panic("obs: ring limit must be positive")
