@@ -19,7 +19,7 @@ func mkSched(p *osprofile.Profile, n int) (*Machine, []*Thread) {
 	m := MustMachine(p, 1)
 	threads := make([]*Thread, n)
 	for i := range threads {
-		threads[i] = &Thread{m: m, tid: i + 1}
+		threads[i] = &Thread{tid: i + 1}
 		m.threads = append(m.threads, threads[i])
 		m.live++
 	}

@@ -158,7 +158,6 @@ const (
 // Thread is one simulated process: an op program run a fixed number of
 // times (its loops).
 type Thread struct {
-	m     *Machine
 	tid   int
 	name  string
 	state threadState
@@ -380,7 +379,6 @@ func (m *Machine) SpawnThread(name string, ops []Op, loops int) *Thread {
 		}
 	}
 	t := &Thread{
-		m:     m,
 		tid:   m.nextTID,
 		name:  name,
 		home:  (m.nextTID - 1) % m.ncpu,
