@@ -82,7 +82,7 @@ func TestPIDsAreUnique(t *testing.T) {
 	if a.TID() == b.TID() {
 		t.Fatal("duplicate PIDs")
 	}
-	if a.Name() != "a" || b.Name() != "b" {
+	if a.name != "a" || b.name != "b" {
 		t.Fatal("names not preserved")
 	}
 	m.Run()

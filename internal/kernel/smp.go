@@ -200,9 +200,6 @@ type Thread struct {
 // TID returns the thread identifier (1-based, like PIDs).
 func (t *Thread) TID() int { return t.tid }
 
-// Name returns the name given at spawn.
-func (t *Thread) Name() string { return t.name }
-
 // runQueue is a FIFO of ready threads that reuses its backing array:
 // pops advance a head index, the slice rewinds whenever it drains, and
 // a push into a full array first copies the live tail down — so a
