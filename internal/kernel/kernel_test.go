@@ -316,41 +316,71 @@ func TestSolarisLIFOChainGradual(t *testing.T) {
 }
 
 // TestDeadlockPanics pins the failure mode: a reader on a pipe nobody
-// writes blocks forever, and Run panics with a *sim.DeadlockError that
-// names it, carries the virtual time, and — since the run is observed —
-// a dump of each track's last activity.
+// writes blocks forever, and Run panics with a *sim.DeadlockError.
 func TestDeadlockPanics(t *testing.T) {
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("Run did not panic on deadlock")
+		}
+		if _, ok := r.(*sim.DeadlockError); !ok {
+			t.Fatalf("panic value %v (%T), want *sim.DeadlockError", r, r)
+		}
+	}()
+	m := newLinux()
+	pipe := m.NewPipe()
+	m.SpawnThread("stuck", []Op{read(pipe, 1)}, 1)
+	m.Run()
+}
+
+// runChecked runs m the way App.recovered does: a deadlock panic comes
+// back as its *sim.DeadlockError, any other panic propagates.
+func runChecked(m *Machine) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			d, ok := r.(*sim.DeadlockError)
+			if !ok {
+				panic(r)
+			}
+			err = d
+		}
+	}()
+	m.Run()
+	return nil
+}
+
+// TestRunCheckedSurfacesDeadlockError holds that a recovered deadlock
+// names the blocked thread, carries the virtual time, and — since the
+// run is observed — a dump of each track's last activity.
+func TestRunCheckedSurfacesDeadlockError(t *testing.T) {
 	m := newLinux()
 	rec := obs.NewRecorder(nil)
 	m.Observe(rec)
 	pipe := m.NewPipe()
 	m.SpawnThread("stuck-reader", []Op{read(pipe, 1)}, 1)
 	m.SpawnThread("worker", []Op{{Kind: OpThink, D: 2 * sim.Millisecond}}, 1)
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("Run did not panic on deadlock")
-		}
-		err, ok := r.(error)
-		var d *sim.DeadlockError
-		if !ok || !errors.As(err, &d) {
-			t.Fatalf("panic value %v (%T), want *sim.DeadlockError", r, r)
-		}
-		if len(d.Blocked) != 1 || !strings.Contains(d.Blocked[0], "stuck-reader") {
-			t.Errorf("Blocked = %v, want the stuck reader", d.Blocked)
-		}
-		if d.Now == 0 {
-			t.Error("deadlock carries no virtual timestamp")
-		}
-		if !strings.Contains(err.Error(), "deadlock") {
-			t.Errorf("error line %q does not say deadlock", err)
-		}
-		if !strings.Contains(d.Dump, "last activity per track") ||
-			!strings.Contains(d.Dump, "stuck-reader") {
-			t.Errorf("dump missing track activity:\n%s", d.Dump)
-		}
-	}()
-	m.Run()
+
+	err := runChecked(m)
+	if err == nil {
+		t.Fatal("a deadlocked run surfaced no error")
+	}
+	var d *sim.DeadlockError
+	if !errors.As(err, &d) {
+		t.Fatalf("surfaced %T, want *sim.DeadlockError", err)
+	}
+	if len(d.Blocked) != 1 || !strings.Contains(d.Blocked[0], "stuck-reader") {
+		t.Errorf("Blocked = %v, want the stuck reader", d.Blocked)
+	}
+	if d.Now == 0 {
+		t.Error("deadlock carries no virtual timestamp")
+	}
+	if !strings.Contains(err.Error(), "deadlock") {
+		t.Errorf("error line %q does not say deadlock", err)
+	}
+	if !strings.Contains(d.Dump, "last activity per track") ||
+		!strings.Contains(d.Dump, "stuck-reader") {
+		t.Errorf("dump missing track activity:\n%s", d.Dump)
+	}
 }
 
 func TestChargeAccumulatesUserTime(t *testing.T) {
