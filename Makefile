@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test short race vet bench bench-json check baseline baseline-record
+.PHONY: all build test short race vet bench check baseline baseline-record
 
 all: check
 
@@ -44,15 +44,6 @@ vet:
 # performance" for recorded results.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSuite' -benchtime 1x .
-
-# Machine-readable suite wall-clock timings (cold, memo-fill, memo-warm;
-# best of three each, cold/warm outputs compared byte for byte), the NFS
-# scale-out sweep timings at 10^3 and 10^6 clients, the SMP lock-sweep
-# wall time (`locks`), and the `serve` replay throughput under
-# concurrent load, written to BENCH_pr10.json — the perf-trajectory
-# record.
-bench-json:
-	sh scripts/bench_json.sh BENCH_pr10.json
 
 # Metric regression gate: re-run the probes with the committed baseline's
 # recorded seed and diff every metric point (exact for integer ledgers,

@@ -66,6 +66,13 @@ func NewNFSServer(kind NFSServerKind, seed uint64) *nfs.Server {
 // mount with the reserved-port option when the server is Linux, working
 // around the §11 quirk exactly as the authors had to.
 func MABNFS(p *osprofile.Profile, kind NFSServerKind, cfg MABConfig, seed uint64) MABResult {
+	clock, _, mount := mountNFS(p, kind, seed)
+	return MABOn(clock, mount, p, cfg)
+}
+
+// mountNFS builds the chosen server and mounts it from a client running
+// p on a fresh clock.
+func mountNFS(p *osprofile.Profile, kind NFSServerKind, seed uint64) (*sim.Clock, *nfs.Server, *nfs.Mount) {
 	clock := &sim.Clock{}
 	server := NewNFSServer(kind, seed)
 	opts := nfs.MountOptions{}
@@ -76,7 +83,7 @@ func MABNFS(p *osprofile.Profile, kind NFSServerKind, cfg MABConfig, seed uint64
 	if err != nil {
 		panic(err)
 	}
-	return MABOn(clock, mount, p, cfg)
+	return clock, server, mount
 }
 
 // mabPhaseKeys are metric-name slugs for MABResult.Phase, index-aligned
@@ -91,17 +98,8 @@ var mabPhaseKeys = [5]string{"mkdir", "copy", "stat", "read", "compile"}
 // and disk counters, and the injector counters. Zero-value injectors
 // leave the run byte-identical to MABNFS.
 func MABNFSObserved(p *osprofile.Profile, kind NFSServerKind, cfg MABConfig, seed uint64, inj fault.Injectors) (MABResult, Observation) {
-	clock := &sim.Clock{}
-	server := NewNFSServer(kind, seed)
+	clock, server, mount := mountNFS(p, kind, seed)
 	server.SetFaults(inj)
-	opts := nfs.MountOptions{}
-	if server.OS().NFS.RequiresPrivPort && !p.NFS.SendsPrivPort {
-		opts.ResvPort = true
-	}
-	mount, err := nfs.NewMount(clock, p, server, netstack.Ethernet10(), opts)
-	if err != nil {
-		panic(err)
-	}
 	mount.SetFaults(inj.Net)
 	res := MABOn(clock, mount, p, cfg)
 	reg := obs.NewRegistry()

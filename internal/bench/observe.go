@@ -58,16 +58,10 @@ func GetpidObserved(plat Platform, p *osprofile.Profile) (sim.Duration, Observat
 	return d, captureMachine(m, rec, p)
 }
 
-// CtxObserved is Ctx with tracing and metrics: the Figure 1 decomposition
+// CtxSampled is Ctx with tracing and metrics: the Figure 1 decomposition
 // of a context switch into syscall-entry, copy, wakeup and dispatch
-// spans.
-func CtxObserved(plat Platform, p *osprofile.Profile, nproc int, order CtxOrder) (sim.Duration, Observation) {
-	return CtxSampled(plat, p, nproc, order, nil)
-}
-
-// CtxSampled is CtxObserved with a virtual-time time-series sampler
-// attached to the machine (kernel.switches per window, kernel.runnable
-// gauge). A nil sampler makes it exactly CtxObserved.
+// spans. A non-nil sampler also records a virtual-time time series
+// (kernel.switches per window, kernel.runnable gauge).
 func CtxSampled(plat Platform, p *osprofile.Profile, nproc int, order CtxOrder, smp *obs.Sampler) (sim.Duration, Observation) {
 	if nproc < 2 {
 		panic("bench: ctx needs at least two processes")
@@ -89,20 +83,14 @@ func BwPipeObserved(plat Platform, p *osprofile.Profile) (float64, Observation) 
 	return netstack.BandwidthMbps(BwPipeTotal, elapsed), captureMachine(m, rec, p)
 }
 
-// CrtdelObserved is Crtdel with tracing and metrics: the Figure 12
+// CrtdelSampled is Crtdel with tracing and metrics: the Figure 12
 // decomposition of a create/delete cycle into VFS, copy, allocation,
 // metadata-sync, disk-read and write-back spans. A fault injector's
 // disk and cache faults ride the same charge paths, so the phase ledger
 // stays exact under injection; zero-value injectors add nothing and the
-// run is byte-identical to the unfaulted one.
-func CrtdelObserved(plat Platform, p *osprofile.Profile, fileBytes int64, seed uint64, inj fault.Injectors) (sim.Duration, Observation) {
-	return CrtdelSampled(plat, p, fileBytes, seed, inj, nil)
-}
-
-// CrtdelSampled is CrtdelObserved with a virtual-time time-series
-// sampler attached to the benchmark disk (disk.ops, disk.busy_ns and
-// injected fault time per window). A nil sampler makes it exactly
-// CrtdelObserved.
+// run is byte-identical to the unfaulted one. A non-nil sampler also
+// records the benchmark disk's virtual-time time series (disk.ops,
+// disk.busy_ns and injected fault time per window).
 func CrtdelSampled(plat Platform, p *osprofile.Profile, fileBytes int64, seed uint64, inj fault.Injectors, smp *obs.Sampler) (sim.Duration, Observation) {
 	clock, fsys := crtdelSetup(plat, p, seed)
 	fsys.SetFaults(inj)

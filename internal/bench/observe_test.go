@@ -19,20 +19,25 @@ func TestObservedVariantsBitIdentical(t *testing.T) {
 			if d, _ := GetpidObserved(plat, p); d != Getpid(plat, p) {
 				t.Error("GetpidObserved diverges from Getpid")
 			}
-			if d, _ := CtxObserved(plat, p, 8, CtxRing); d != Ctx(plat, p, 8, CtxRing) {
-				t.Error("CtxObserved diverges from Ctx")
+			if d, _ := CtxSampled(plat, p, 8, CtxRing, nil); d != Ctx(plat, p, 8, CtxRing) {
+				t.Error("CtxSampled diverges from Ctx")
 			}
 			if v, _ := BwPipeObserved(plat, p); v != BwPipe(plat, p) {
 				t.Error("BwPipeObserved diverges from BwPipe")
 			}
-			if d, _ := CrtdelObserved(plat, p, 64<<10, 1, fault.Injectors{}); d != Crtdel(plat, p, 64<<10, 1) {
-				t.Error("CrtdelObserved diverges from Crtdel")
+			if d, _ := CrtdelSampled(plat, p, 64<<10, 1, fault.Injectors{}, nil); d != Crtdel(plat, p, 64<<10, 1) {
+				t.Error("CrtdelSampled diverges from Crtdel")
 			}
 			if v, _ := BwTCPObserved(p, 0, fault.Injectors{}); v != BwTCP(p, 0) {
 				t.Error("BwTCPObserved diverges from BwTCP")
 			}
 			if v, _ := TTCPObserved(p, 1024, fault.Injectors{}); v != TTCP(p, 1024) {
 				t.Error("TTCPObserved diverges from TTCP")
+			}
+			for _, kind := range []NFSServerKind{ServerLinux, ServerSunOS} {
+				if r, _ := MABNFSObserved(p, kind, DefaultMAB(), 1, fault.Injectors{}); r != MABNFS(p, kind, DefaultMAB(), 1) {
+					t.Errorf("MABNFSObserved diverges from MABNFS (server %d)", kind)
+				}
 			}
 		})
 	}
@@ -44,7 +49,7 @@ func TestObservedVariantsBitIdentical(t *testing.T) {
 func TestObservationsCarryData(t *testing.T) {
 	plat := PaperPlatform()
 	p := osprofile.FreeBSD205()
-	_, o := CrtdelObserved(plat, p, 64<<10, 1, fault.Injectors{})
+	_, o := CrtdelSampled(plat, p, 64<<10, 1, fault.Injectors{}, nil)
 	if o.Total <= 0 {
 		t.Fatal("crtdel observation has no total")
 	}
@@ -77,7 +82,7 @@ func BenchmarkCrtdelObserved(b *testing.B) {
 	plat := PaperPlatform()
 	p := osprofile.FreeBSD205()
 	for i := 0; i < b.N; i++ {
-		CrtdelObserved(plat, p, 64<<10, 1, fault.Injectors{})
+		CrtdelSampled(plat, p, 64<<10, 1, fault.Injectors{}, nil)
 	}
 }
 
@@ -93,6 +98,6 @@ func BenchmarkCtxObserved(b *testing.B) {
 	plat := PaperPlatform()
 	p := osprofile.Linux128()
 	for i := 0; i < b.N; i++ {
-		CtxObserved(plat, p, 8, CtxRing)
+		CtxSampled(plat, p, 8, CtxRing, nil)
 	}
 }

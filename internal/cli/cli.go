@@ -12,7 +12,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
 	"time"
 
@@ -106,7 +105,7 @@ func (a *App) Execute(args []string) int {
 		remaining = remaining[1:]
 	}
 
-	if msg := flagRangeError(*runs, *workers, *procs, *trials, *topN, *clients, *nfsd, *exemplars, *eps, *tol); msg != "" {
+	if msg := flagRangeError(*runs, *workers, *procs, *trials, *topN, *clients, *nfsd, *exemplars, *eps, *tol, *window); msg != "" {
 		fmt.Fprintln(a.Stderr, "pentiumbench:", msg)
 		return 2
 	}
@@ -170,7 +169,7 @@ func (a *App) Execute(args []string) int {
 // flagRangeError bounds-checks the numeric flags. The flag package
 // already rejects malformed syntax ("-j x"); these catch values that
 // parse but mean nothing ("-j -3", "-tol NaN") before any model runs.
-func flagRangeError(runs, workers, procs, trials, top, clients, nfsd, exemplars int, eps, tol float64) string {
+func flagRangeError(runs, workers, procs, trials, top, clients, nfsd, exemplars int, eps, tol float64, window time.Duration) string {
 	badFloat := func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) || v < 0 }
 	switch {
 	case runs <= 0:
@@ -193,6 +192,8 @@ func flagRangeError(runs, workers, procs, trials, top, clients, nfsd, exemplars 
 		return fmt.Sprintf("-eps must be a finite non-negative number (got %v)", eps)
 	case badFloat(tol):
 		return fmt.Sprintf("-tol must be a finite non-negative number (got %v)", tol)
+	case window <= 0:
+		return fmt.Sprintf("-window must be a positive duration (got %v)", window)
 	}
 	return ""
 }
@@ -281,8 +282,7 @@ type cmdOpts struct {
 // dispatch routes a parsed command line to its subcommand.
 func (a *App) dispatch(fl *flag.FlagSet, cfg core.Config, runner *core.Runner,
 	o cmdOpts, rest []string) int {
-	showStats, outDir, eps, trials := o.showStats, o.outDir, o.eps, o.trials
-	procs, format := o.procs, o.format
+	showStats, outDir, eps, trials, procs := o.showStats, o.outDir, o.eps, o.trials, o.procs
 	if o.faults != nil {
 		switch rest[0] {
 		case "scale", "trace", "metrics", "profile", "timeseries", "audit", "ipc":
@@ -336,21 +336,12 @@ func (a *App) dispatch(fl *flag.FlagSet, cfg core.Config, runner *core.Runner,
 	case "ipc":
 		return a.ipc(cfg, o.faults)
 	case "trace":
-		return a.trace(cfg, runner, rest[1:], a.probeOpts(o), format, o.top)
-	case "metrics":
-		return a.metrics(cfg, runner, rest[1:], a.probeOpts(o))
-	case "timeseries":
-		opts := a.probeOpts(o)
-		opts.Window = o.window
-		return a.timeseries(cfg, runner, rest[1:], opts, format, outDir)
+		if len(rest) == 1 {
+			return a.traceTimeline(cfg, procs)
+		}
+		return a.runView("trace", cfg, runner, o, rest[1:])
 	case "serve":
 		return a.serve(cfg, runner, o)
-	case "audit":
-		opts := a.probeOpts(o)
-		opts.Window = o.window
-		return a.audit(cfg, rest[1:], opts, format)
-	case "profile":
-		return a.profileCmd(cfg, runner, rest[1:], a.probeOpts(o), format, o.top, o.out)
 	case "faults":
 		return a.faults(cfg, runner, rest[1:],
 			core.ObserveOpts{Procs: procs, Clients: o.clients, Nfsd: o.nfsd}, o.plan)
@@ -366,18 +357,13 @@ func (a *App) dispatch(fl *flag.FlagSet, cfg core.Config, runner *core.Runner,
 	case "profiles":
 		return a.profiles()
 	default:
+		if v := views[rest[0]]; v != nil && v.cli != nil {
+			return a.runView(rest[0], cfg, runner, o, rest[1:])
+		}
 		fmt.Fprintf(a.Stderr, "pentiumbench: unknown command %q\n\n", rest[0])
 		a.usage(fl)
 		return 2
 	}
-}
-
-// probeOpts assembles the ObserveOpts for trace/metrics/profile from
-// the shared flag values (the faults command builds its own clean and
-// faulted pairs).
-func (a *App) probeOpts(o cmdOpts) core.ObserveOpts {
-	return core.ObserveOpts{Procs: o.procs, Clients: o.clients, Nfsd: o.nfsd,
-		Faults: o.faults, ExemplarK: o.exemplars}
 }
 
 // profiled runs cmd, optionally bracketed by pprof capture. The CPU
@@ -407,18 +393,11 @@ func (a *App) profiled(cpuPath, memPath string, cmd func() int) int {
 		pprof.StopCPUProfile() // idempotent with the deferred stop
 	}
 	if memPath != "" {
-		f, err := a.CreateFile(memPath)
-		if err != nil {
-			fmt.Fprintln(a.Stderr, "pentiumbench:", err)
-			return 2
-		}
 		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			f.Close()
+		if err := a.writeFile(memPath, pprof.WriteHeapProfile); err != nil {
 			fmt.Fprintln(a.Stderr, "pentiumbench:", err)
 			return 2
 		}
-		f.Close()
 	}
 	return code
 }
@@ -620,13 +599,14 @@ func (a *App) svg(cfg core.Config, runner *core.Runner, showStats bool, ids []st
 	results, st := runner.RunAll(cfg, exps)
 	for i, e := range exps {
 		path := fmt.Sprintf("%s/%s.svg", dir, e.ID)
-		f, err := a.CreateFile(path)
+		err := a.writeFile(path, func(w io.Writer) error {
+			report.SVG(w, results[i])
+			return nil
+		})
 		if err != nil {
 			fmt.Fprintln(a.Stderr, "pentiumbench:", err)
 			return 1
 		}
-		report.SVG(f, results[i])
-		f.Close()
 		fmt.Fprintln(a.Stdout, "wrote", path)
 	}
 	a.maybeStats(showStats, st)
@@ -767,98 +747,6 @@ func (a *App) latency(cfg core.Config) {
 	fmt.Fprintln(a.Stdout, "Cross-check: §5 reports the Solaris self-pipe round trip at 80 µs.")
 }
 
-// trace without a selector prints the annotated kernel timeline of one
-// token-ring lap per system — §5's cost decomposition, visible event by
-// event. With experiment ids it runs the observability probes and
-// exports their span streams: -format=chrome (the default) emits Chrome
-// trace-event JSON on stdout (load it in Perfetto or chrome://tracing),
-// -format=text a per-run summary with the tracks ranked by cumulative
-// virtual time (-top limits the ranking).
-func (a *App) trace(cfg core.Config, runner *core.Runner, ids []string,
-	opts core.ObserveOpts, format string, top int) int {
-	if len(ids) == 0 {
-		return a.traceTimeline(cfg, opts.Procs)
-	}
-	suite, code := a.observeSuite(cfg, runner, ids, opts)
-	if suite == nil {
-		return code
-	}
-	switch format {
-	case "chrome", "":
-		if err := obs.WriteChrome(a.Stdout, suite.Processes); err != nil {
-			fmt.Fprintln(a.Stderr, "pentiumbench:", err)
-			return 1
-		}
-	case "text":
-		a.traceText(suite, top)
-	default:
-		fmt.Fprintf(a.Stderr, "pentiumbench: unknown trace format %q (want chrome or text)\n", format)
-		return 2
-	}
-	return 0
-}
-
-// traceText renders the per-run trace summaries: one line per run (and
-// one for its per-request exemplar trace, when traced), then its tracks
-// ranked by cumulative virtual time from the run's folded profile.
-// top > 0 keeps only the heaviest tracks; ring-buffer drops are surfaced
-// so a truncated capture is never mistaken for a complete one.
-func (a *App) traceText(suite *core.SuiteObservation, top int) {
-	counts := func(label string, p *obs.Process) {
-		spans := 0
-		for _, e := range p.Events {
-			if e.Kind == obs.EvBegin {
-				spans++
-			}
-		}
-		fmt.Fprintf(a.Stdout, "  %-24s %d tracks, %d events (%d spans)",
-			label, len(p.Tracks), len(p.Events), spans)
-	}
-	for oi, o := range suite.Observations {
-		if oi > 0 {
-			fmt.Fprintln(a.Stdout)
-		}
-		fmt.Fprintf(a.Stdout, "%s — %s:\n", o.ID, o.Title)
-		for _, run := range o.Runs {
-			counts(run.Label, &run.Process)
-			fmt.Fprintf(a.Stdout, ", total %.2f %s", run.Total, run.Unit)
-			if run.Process.Dropped > 0 {
-				fmt.Fprintf(a.Stdout, "  [%d events ring-dropped]", run.Process.Dropped)
-			}
-			fmt.Fprintln(a.Stdout)
-			if run.Requests != nil {
-				counts(run.Label+" requests", run.Requests)
-				fmt.Fprintln(a.Stdout)
-			}
-			if run.Profile == nil {
-				continue
-			}
-			tracks := run.Profile.TrackTotals()
-			sort.SliceStable(tracks, func(i, j int) bool {
-				if tracks[i].TotalNs != tracks[j].TotalNs {
-					return tracks[i].TotalNs > tracks[j].TotalNs
-				}
-				return tracks[i].Track < tracks[j].Track
-			})
-			shown := tracks
-			if top > 0 && len(shown) > top {
-				shown = shown[:top]
-			}
-			for _, tt := range shown {
-				fmt.Fprintf(a.Stdout, "    %-22s %12d ns over %d spans",
-					tt.Track, tt.TotalNs, tt.Spans)
-				if tt.Truncated > 0 {
-					fmt.Fprintf(a.Stdout, "  [truncated: %d incomplete]", tt.Truncated)
-				}
-				fmt.Fprintln(a.Stdout)
-			}
-			if len(shown) < len(tracks) {
-				fmt.Fprintf(a.Stdout, "    (%d more tracks)\n", len(tracks)-len(shown))
-			}
-		}
-	}
-}
-
 // traceTimeline is the bare `trace` command: one annotated token-ring
 // lap per system, ring size set by -procs (default 3), printed from the
 // kernel's narration instants. A deadlock panics with a
@@ -900,100 +788,6 @@ func (a *App) traceTimeline(cfg core.Config, procs int) int {
 			}
 		}
 		fmt.Fprintf(a.Stdout, "  total %v across %d switches\n\n", m.Elapsed().Std(), m.Switches())
-	}
-	return 0
-}
-
-// observeSuite resolves the id list ("all" → every probe) and runs the
-// observability probes on the pool. A nil suite means the int is the
-// exit code.
-func (a *App) observeSuite(cfg core.Config, runner *core.Runner, ids []string,
-	opts core.ObserveOpts) (*core.SuiteObservation, int) {
-	if len(ids) == 1 && ids[0] == "all" {
-		ids = core.ObservableIDs()
-	}
-	suite, err := runner.Observe(cfg, ids, opts)
-	if err != nil {
-		fmt.Fprintln(a.Stderr, "pentiumbench:", err)
-		return nil, 2
-	}
-	return suite, 0
-}
-
-// metrics prints per-phase cycle-attribution tables for the given
-// experiments: where the modelled time of each run went, one column per
-// phase. The columns sum to the total, by construction of the phase
-// ledgers.
-func (a *App) metrics(cfg core.Config, runner *core.Runner, ids []string, opts core.ObserveOpts) int {
-	if len(ids) == 0 {
-		fmt.Fprintf(a.Stderr, "pentiumbench: metrics needs experiment ids or 'all' (observable: %v)\n",
-			core.ObservableIDs())
-		return 2
-	}
-	suite, code := a.observeSuite(cfg, runner, ids, opts)
-	if suite == nil {
-		return code
-	}
-	for oi, o := range suite.Observations {
-		if oi > 0 {
-			fmt.Fprintln(a.Stdout)
-		}
-		if len(o.Runs) == 0 {
-			continue
-		}
-		fmt.Fprintf(a.Stdout, "%s — %s: per-phase attribution (%s)\n", o.ID, o.Title, o.Runs[0].Unit)
-		head := o.Runs[0].Rows
-		fmt.Fprintf(a.Stdout, "  %-24s", "system")
-		for _, r := range head {
-			fmt.Fprintf(a.Stdout, " %11s", r.Name)
-		}
-		fmt.Fprintf(a.Stdout, " %13s\n", "total")
-		for _, run := range o.Runs {
-			// Look rows up by name so every run prints in header order.
-			vals := make(map[string]float64, len(run.Rows))
-			for _, r := range run.Rows {
-				vals[r.Name] = r.Value
-			}
-			fmt.Fprintf(a.Stdout, "  %-24s", run.Label)
-			for _, h := range head {
-				fmt.Fprintf(a.Stdout, " %11.2f", vals[h.Name])
-			}
-			fmt.Fprintf(a.Stdout, " %13.2f\n", run.Total)
-		}
-		if counters := faultCounters(o); len(counters) > 0 {
-			fmt.Fprintln(a.Stdout, "  injected faults (summed across systems):")
-			for _, c := range counters {
-				fmt.Fprintf(a.Stdout, "    %-32s %14.0f\n", c.Name, c.Value)
-			}
-		}
-	}
-	// Capture-fidelity footer: a non-zero trace-drop count means the
-	// span recorder's ring wrapped and the tables above were built from
-	// an incomplete trace; the exemplar line reports reservoir evictions
-	// (expected whenever more than K requests land in a window).
-	var obsDropped, exDropped float64
-	var haveObs, haveEx bool
-	for _, c := range suite.Metrics.Counters {
-		switch c.Name {
-		case "runner.obs_dropped":
-			obsDropped, haveObs = c.Value, true
-		case "runner.exemplars_dropped":
-			exDropped, haveEx = c.Value, true
-		}
-	}
-	if haveObs {
-		fmt.Fprintf(a.Stdout, "\nrecorder: %.0f trace events dropped", obsDropped)
-		if obsDropped == 0 {
-			fmt.Fprint(a.Stdout, " (capture complete)")
-		}
-		fmt.Fprintln(a.Stdout)
-	}
-	if haveEx {
-		fmt.Fprintf(a.Stdout, "exemplars: %.0f candidates evicted from the reservoirs", exDropped)
-		if exDropped == 0 {
-			fmt.Fprint(a.Stdout, " (every candidate kept)")
-		}
-		fmt.Fprintln(a.Stdout)
 	}
 	return 0
 }

@@ -34,15 +34,15 @@ func (a *App) faults(cfg core.Config, runner *core.Runner, ids []string,
 	if len(ids) == 1 && ids[0] == "all" {
 		ids = core.FaultableIDs()
 	}
-	clean, code := a.observeSuite(cfg, runner, ids, opts)
-	if clean == nil {
-		return code
+	clean, err := runner.Observe(cfg, ids, opts)
+	var faulted *core.SuiteObservation
+	if err == nil {
+		opts.Faults = plan
+		faulted, err = runner.Observe(cfg, ids, opts)
 	}
-	fopts := opts
-	fopts.Faults = plan
-	faulted, code := a.observeSuite(cfg, runner, ids, fopts)
-	if faulted == nil {
-		return code
+	if err != nil {
+		fmt.Fprintln(a.Stderr, "pentiumbench:", err)
+		return 2
 	}
 	name := plan.Name
 	if name == "" {

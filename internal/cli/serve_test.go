@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -320,10 +321,16 @@ func TestServeExemplarsEndpoint(t *testing.T) {
 		t.Fatal("no exemplars in any window")
 	}
 
-	// Probes without exemplar instrumentation are a 404.
-	resp2, _ := get(t, srv.URL+"/api/exemplars/F1", nil)
-	if resp2.StatusCode != http.StatusNotFound {
-		t.Fatalf("uninstrumented id status = %d, want 404", resp2.StatusCode)
+	// Probes without exemplar instrumentation are a 404 naming the
+	// exemplar set — L1 too, though it is auditable.
+	for _, id := range []string{"F1", "L1"} {
+		resp2, body2 := get(t, srv.URL+"/api/exemplars/"+id, nil)
+		if resp2.StatusCode != http.StatusNotFound {
+			t.Fatalf("uninstrumented id %s status = %d, want 404", id, resp2.StatusCode)
+		}
+		if !strings.Contains(string(body2), "exemplar-traced: [S1 S2]") {
+			t.Fatalf("%s 404 should name the exemplar set: %s", id, body2)
+		}
 	}
 }
 
@@ -356,10 +363,57 @@ func TestServeAuditEndpoint(t *testing.T) {
 		}
 	}
 
-	resp2, _ := get(t, srv.URL+"/api/audit/F1", nil)
+	resp2, body2 := get(t, srv.URL+"/api/audit/F1", nil)
 	if resp2.StatusCode != http.StatusNotFound {
 		t.Fatalf("unauditable id status = %d, want 404", resp2.StatusCode)
 	}
+	if !strings.Contains(string(body2), "auditable: [S1 S2 L1]") {
+		t.Fatalf("404 should name the auditable set: %s", body2)
+	}
+
+	// L1 is auditable on both surfaces: six clean reports (three
+	// personalities, spin and sleep) carrying the CLI's checks.
+	resp3, body3 := get(t, srv.URL+"/api/audit/L1", nil)
+	if resp3.StatusCode != http.StatusOK {
+		t.Fatalf("L1 status = %d: %s", resp3.StatusCode, body3)
+	}
+	var l1 struct {
+		ID      string            `json:"id"`
+		OK      bool              `json:"ok"`
+		Reports []json.RawMessage `json:"reports"`
+	}
+	if err := json.Unmarshal(body3, &l1); err != nil {
+		t.Fatalf("L1 audit is not JSON: %v", err)
+	}
+	if l1.ID != "L1" || !l1.OK || len(l1.Reports) != 6 {
+		t.Fatalf("bad L1 verdict: id %q ok %v, %d reports", l1.ID, l1.OK, len(l1.Reports))
+	}
+	a, out, errb, _ := testApp()
+	if code := a.Execute([]string{"-format", "json", "audit", "L1"}); code != 0 {
+		t.Fatalf("audit L1 exit = %d: %s", code, errb.String())
+	}
+	var cli []struct{ Reports []json.RawMessage }
+	if err := json.Unmarshal(out.Bytes(), &cli); err != nil || len(cli) != 1 {
+		t.Fatalf("audit L1 json: %v", err)
+	}
+	for i, rep := range l1.Reports {
+		if !jsonEqual(t, rep, cli[0].Reports[i]) {
+			t.Fatalf("report %d differs from the CLI's:\n%s\nvs\n%s", i, rep, cli[0].Reports[i])
+		}
+	}
+}
+
+// jsonEqual reports whether two JSON documents decode to equal values.
+func jsonEqual(t *testing.T, a, b []byte) bool {
+	t.Helper()
+	var va, vb any
+	if err := json.Unmarshal(a, &va); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(b, &vb); err != nil {
+		t.Fatal(err)
+	}
+	return reflect.DeepEqual(va, vb)
 }
 
 func TestServeBaselineDiff(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 
-	"repro/internal/fault"
 	"repro/internal/osprofile"
 )
 
@@ -18,16 +17,14 @@ const memoSchema = 1
 // execution: everything its Result depends on. Profiles embed the
 // complete calibrated personality JSON, so a -profiles file with one
 // tweaked constant (or a -future run) keys differently from the paper
-// set. FaultPlan is part of the key format for forward compatibility;
-// the RunAll path never carries one today.
+// set.
 type memoKeyMaterial struct {
-	Schema    int             `json:"schema"`
-	ID        string          `json:"id"`
-	Seed      uint64          `json:"seed"`
-	Runs      int             `json:"runs"`
-	RefModel  bool            `json:"ref_model,omitempty"`
-	Profiles  json.RawMessage `json:"profiles"`
-	FaultPlan *fault.Plan     `json:"fault_plan,omitempty"`
+	Schema   int             `json:"schema"`
+	ID       string          `json:"id"`
+	Seed     uint64          `json:"seed"`
+	Runs     int             `json:"runs"`
+	RefModel bool            `json:"ref_model,omitempty"`
+	Profiles json.RawMessage `json:"profiles"`
 }
 
 // memoKey builds the canonical key bytes for one experiment under cfg,

@@ -4,14 +4,13 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 
+	"repro/internal/audit"
 	"repro/internal/bench"
 	"repro/internal/cache"
 	"repro/internal/fault"
 	"repro/internal/memmodel"
-	"repro/internal/nfsserver"
 	"repro/internal/obs"
 	"repro/internal/osprofile"
 	"repro/internal/profile"
@@ -80,20 +79,16 @@ type Observation struct {
 type ObserveOpts struct {
 	// Procs is the ctx process count for the F1 probe (default 8).
 	Procs int
-	// FileBytes is the crtdel file size for the F12 probe (default 64 KB).
-	FileBytes int64
-	// PacketSize is the datagram size for the F13 probe (default 1024).
-	PacketSize int
 	// Clients is the client population for the S1/S2 scale probes
 	// (default 1000 — the knee of the curves); Nfsd is the server's
 	// worker-slot count (default 8).
 	Clients int
 	Nfsd    int
 	// Faults, when non-nil and active, injects the plan's faults into
-	// the probes that model faultable hardware (disk, network, buffer
-	// cache): T5, T6, T7, F12 and F13. Each (experiment, personality)
-	// run forks its own injector RNG from the seed, so results are
-	// bit-identical at every worker count. Nil runs clean.
+	// the probes that model faultable hardware (see FaultableIDs). Each
+	// (experiment, personality) run forks its own injector RNG from the
+	// seed, so results are bit-identical at every worker count. Nil runs
+	// clean.
 	Faults *fault.Plan
 	// Window, when positive, attaches a virtual-time time-series
 	// sampler of that window width to the probes in SampledIDs; each
@@ -102,9 +97,8 @@ type ObserveOpts struct {
 	// builds without the sampler.
 	Window sim.Duration
 	// ExemplarK, when positive, attaches a deterministic per-window
-	// exemplar reservoir of that capacity to the probes whose models
-	// offer request lifecycles (S1/S2): each run's
-	// ObservedRun.Exemplars carries the tail-biased sample,
+	// exemplar reservoir of that capacity to the probes in ExemplarIDs:
+	// each run's ObservedRun.Exemplars carries the tail-biased sample,
 	// ObservedRun.Requests the per-request tracks, and Series (when
 	// sampling is also on) attaches the exemplars to its snapshot.
 	// Windows follow ObserveOpts.Window, defaulting to 100 ms when
@@ -118,12 +112,6 @@ func (o ObserveOpts) withDefaults() ObserveOpts {
 	if o.Procs <= 0 {
 		o.Procs = 8
 	}
-	if o.FileBytes <= 0 {
-		o.FileBytes = 64 << 10
-	}
-	if o.PacketSize <= 0 {
-		o.PacketSize = 1024
-	}
 	if o.Clients <= 0 {
 		o.Clients = 1000
 	}
@@ -133,51 +121,116 @@ func (o ObserveOpts) withDefaults() ObserveOpts {
 	return o
 }
 
-// memRoutines maps the §6 figure IDs to their routines.
-var memRoutines = map[string]memmodel.Routine{
-	"F2": memmodel.CustomRead,
-	"F3": memmodel.Memset,
-	"F4": memmodel.NaiveWrite,
-	"F5": memmodel.PrefetchWrite,
-	"F6": memmodel.LibcMemcpy,
-	"F7": memmodel.NaiveCopy,
-	"F8": memmodel.PrefetchCopy,
+const (
+	// crtdelProbeBytes is the file size the F12 probe creates and
+	// deletes; ttcpProbePacket the datagram size the F13 probe sends.
+	crtdelProbeBytes = 64 << 10
+	ttcpProbePacket  = 1024
+)
+
+// A probe declares how one exhibit is observed and which views its runs
+// feed. observe produces the exhibit's observed runs (nil: it is not
+// observable); audit evaluates one personality's invariants (nil: the
+// exhibit is not auditable); sampled, faultable and exemplars say
+// whether its model carries time-series instrumentation, consults the
+// fault injectors, and offers per-request lifecycles. Every id list
+// below is computed from the probes table, so an exhibit's views are
+// declared once, here.
+type probe struct {
+	observe   func(cfg Config, id string, opts ObserveOpts) []ObservedRun
+	audit     func(cfg Config, id string, opts ObserveOpts, p *osprofile.Profile) []*audit.Report
+	sampled   bool
+	faultable bool
+	exemplars bool
+}
+
+// probes maps each exhibit with views to its probe.
+var probes = map[string]probe{
+	"T2":  {observe: eachProfile(observeGetpid)},
+	"T4":  {observe: eachProfile(observeBwPipe)},
+	"T5":  {observe: eachProfile(observeTCP), faultable: true},
+	"T6":  {observe: eachProfile(observeMABNFS(bench.ServerLinux)), faultable: true},
+	"T7":  {observe: eachProfile(observeMABNFS(bench.ServerSunOS)), faultable: true},
+	"F1":  {observe: eachProfile(observeCtx), sampled: true},
+	"F2":  {observe: observeMem(memmodel.CustomRead)},
+	"F3":  {observe: observeMem(memmodel.Memset)},
+	"F4":  {observe: observeMem(memmodel.NaiveWrite)},
+	"F5":  {observe: observeMem(memmodel.PrefetchWrite)},
+	"F6":  {observe: observeMem(memmodel.LibcMemcpy)},
+	"F7":  {observe: observeMem(memmodel.NaiveCopy)},
+	"F8":  {observe: observeMem(memmodel.PrefetchCopy)},
+	"F12": {observe: eachProfile(observeCrtdel), sampled: true, faultable: true},
+	"F13": {observe: eachProfile(observeTTCP), faultable: true},
+	"S1":  {observe: eachProfile(observeScale), audit: auditScale, sampled: true, faultable: true, exemplars: true},
+	"S2":  {observe: eachProfile(observeScale), audit: auditScale, sampled: true, faultable: true, exemplars: true},
+	"L1":  {audit: auditLocks},
+}
+
+// probeIDs returns the ids whose probe has the property, in
+// presentation order.
+func probeIDs(has func(probe) bool) []string {
+	var ids []string
+	for id, p := range probes {
+		if has(p) {
+			ids = append(ids, id)
+		}
+	}
+	slices.SortFunc(ids, func(a, b string) int { return rank(a) - rank(b) })
+	return ids
 }
 
 // ObservableIDs returns the experiment IDs Observe has probes for, in
 // presentation order.
-func ObservableIDs() []string {
-	ids := []string{"T2", "T4", "T5", "T6", "T7", "F1", "F12", "F13", "S1", "S2"}
-	for id := range memRoutines {
-		ids = append(ids, id)
-	}
-	// Same precomputed rank-key sort as All: ranks are distinct across
-	// these IDs, so the order is deterministic despite the map walk.
-	keys := make([]int64, len(ids))
-	for i, id := range ids {
-		keys[i] = int64(rank(id))<<32 | int64(i)
-	}
-	slices.Sort(keys)
-	out := make([]string, len(ids))
-	for j, k := range keys {
-		out[j] = ids[k&(1<<32-1)]
-	}
-	return out
-}
+func ObservableIDs() []string { return probeIDs(func(p probe) bool { return p.observe != nil }) }
 
 // SampledIDs returns the observable experiments whose probes carry
 // time-series instrumentation: the kernel scheduler (F1), the benchmark
-// disk (F12), and the NFS scale-out server (S1, S2). The other probes'
-// models have no windowed series to report.
-func SampledIDs() []string {
-	return []string{"F1", "F12", "S1", "S2"}
-}
+// disk (F12), and the NFS scale-out server (S1, S2).
+func SampledIDs() []string { return probeIDs(func(p probe) bool { return p.sampled }) }
 
 // FaultableIDs returns the observable experiments whose probes consult
 // the fault injectors: the ones modelling disk, network or buffer-cache
 // hardware. The other probes run identically under any plan.
-func FaultableIDs() []string {
-	return []string{"T5", "T6", "T7", "F12", "F13", "S1", "S2"}
+func FaultableIDs() []string { return probeIDs(func(p probe) bool { return p.faultable }) }
+
+// ExemplarIDs returns the observable experiments whose models offer
+// per-request lifecycles to an exemplar reservoir: the NFS scale-out
+// server (S1, S2).
+func ExemplarIDs() []string { return probeIDs(func(p probe) bool { return p.exemplars }) }
+
+// AuditableIDs returns the experiments the audit engine can evaluate:
+// the NFS scale-out probes, whose server model carries the double-entry
+// accounting the queueing-law invariants cross-check, and the SMP
+// lock-contention exhibit, whose per-CPU ledgers and lock flow counters
+// carry the DESIGN.md §16 exactness invariants.
+func AuditableIDs() []string { return probeIDs(func(p probe) bool { return p.audit != nil }) }
+
+// probeProfiles is the personality set a probe runs: the configured
+// one, or the paper's three when none is configured.
+func probeProfiles(cfg Config) []*osprofile.Profile {
+	if len(cfg.Profiles) == 0 {
+		return osprofile.Paper()
+	}
+	return cfg.Profiles
+}
+
+// eachProfile adapts a one-personality probe into one run per profile.
+func eachProfile(run func(cfg Config, id string, opts ObserveOpts, p *osprofile.Profile) ObservedRun) func(Config, string, ObserveOpts) []ObservedRun {
+	return func(cfg Config, id string, opts ObserveOpts) []ObservedRun {
+		var runs []ObservedRun
+		for _, p := range probeProfiles(cfg) {
+			runs = append(runs, run(cfg, id, opts, p))
+		}
+		return runs
+	}
+}
+
+// titleOf is an experiment's title, or its id when none is registered.
+func titleOf(id string) string {
+	if e, ok := Lookup(id); ok {
+		return e.Title
+	}
+	return id
 }
 
 // rows extracts attribution rows from a snapshot: the counters carrying
@@ -206,33 +259,63 @@ func benchRun(label string, o bench.Observation, prefix, suffix string) Observed
 	}
 }
 
-// Observe runs the observability probe for one experiment: the same model
-// workload the experiment measures, instrumented with spans and metrics.
-// Every probe is deterministic — virtual time stamps, fixed seeds — so
-// its output is bit-identical across runs and worker counts.
-func Observe(cfg Config, id string, opts ObserveOpts) (*Observation, error) {
-	opts = opts.withDefaults()
-	profiles := cfg.Profiles
-	if len(profiles) == 0 {
-		profiles = osprofile.Paper()
-	}
-	plat := bench.PaperPlatform()
-	title := id
-	if e, ok := Lookup(id); ok {
-		title = e.Title
-	}
-	out := &Observation{ID: id, Title: title}
+func observeGetpid(cfg Config, id string, opts ObserveOpts, p *osprofile.Profile) ObservedRun {
+	_, o := bench.GetpidObserved(bench.PaperPlatform(), p)
+	return benchRun(p.String(), o, "kernel.phase_us.", "")
+}
 
-	if r, ok := memRoutines[id]; ok {
+func observeBwPipe(cfg Config, id string, opts ObserveOpts, p *osprofile.Profile) ObservedRun {
+	_, o := bench.BwPipeObserved(bench.PaperPlatform(), p)
+	return benchRun(p.String(), o, "kernel.phase_us.", "")
+}
+
+func observeTCP(cfg Config, id string, opts ObserveOpts, p *osprofile.Profile) ObservedRun {
+	_, o := bench.BwTCPObserved(p, 0, injFor(cfg, opts, id, p))
+	return benchRun(p.String(), o, "tcp.", "_us")
+}
+
+// observeMABNFS probes one NFS MAB table (T6 or T7) against its server.
+func observeMABNFS(kind bench.NFSServerKind) func(Config, string, ObserveOpts, *osprofile.Profile) ObservedRun {
+	return func(cfg Config, id string, opts ObserveOpts, p *osprofile.Profile) ObservedRun {
+		_, o := bench.MABNFSObserved(p, kind, bench.DefaultMAB(), cfg.Seed, injFor(cfg, opts, id, p))
+		return benchRun(p.String(), o, "mab.phase_us.", "")
+	}
+}
+
+func observeCtx(cfg Config, id string, opts ObserveOpts, p *osprofile.Profile) ObservedRun {
+	smp := samplerFor(opts)
+	_, o := bench.CtxSampled(bench.PaperPlatform(), p, opts.Procs, bench.CtxRing, smp)
+	run := benchRun(p.String(), o, "kernel.phase_us.", "")
+	run.Series = seriesOf(smp, o.Total)
+	return run
+}
+
+func observeCrtdel(cfg Config, id string, opts ObserveOpts, p *osprofile.Profile) ObservedRun {
+	smp := samplerFor(opts)
+	_, o := bench.CrtdelSampled(bench.PaperPlatform(), p, crtdelProbeBytes, cfg.Seed, injFor(cfg, opts, id, p), smp)
+	run := benchRun(p.String(), o, "fs.phase_us.", "")
+	run.Series = seriesOf(smp, o.Total)
+	return run
+}
+
+func observeTTCP(cfg Config, id string, opts ObserveOpts, p *osprofile.Profile) ObservedRun {
+	_, o := bench.TTCPObserved(p, ttcpProbePacket, injFor(cfg, opts, id, p))
+	return benchRun(p.String(), o, "udp.", "_us")
+}
+
+// observeMem probes one §6 memory figure: a single run of its routine
+// at 1 MB on the Pentium's cache hierarchy, rows in cycles.
+func observeMem(r memmodel.Routine) func(Config, string, ObserveOpts) []ObservedRun {
+	return func(Config, string, ObserveOpts) []ObservedRun {
 		const size = 1 << 20
-		m := memmodel.NewModel(plat.CPU, cache.PentiumConfig())
+		m := memmodel.NewModel(bench.PaperPlatform().CPU, cache.PentiumConfig())
 		pt := m.ObservedBandwidth(r, size)
 		reg := obs.NewRegistry()
 		pt.Stats.FoldStats(reg, "cache.")
 		reg.Counter("mem.mbs").Add(pt.MBs)
 		reg.Counter("mem.overlap_cycles").Add(pt.Overlap)
 		b := pt.Breakdown
-		out.Runs = append(out.Runs, ObservedRun{
+		return []ObservedRun{{
 			Label: "Pentium P54C-100",
 			Unit:  "cycles",
 			Rows: []PhaseRow{
@@ -245,125 +328,78 @@ func Observe(cfg Config, id string, opts ObserveOpts) (*Observation, error) {
 			Total:   pt.SimCycles,
 			Process: obs.Process{Name: "Pentium P54C-100"},
 			Metrics: reg.Snapshot(),
-		})
-		out.foldProfiles()
-		return out, nil
+		}}
 	}
+}
 
-	switch id {
-	case "T2":
-		for _, p := range profiles {
-			_, o := bench.GetpidObserved(plat, p)
-			out.Runs = append(out.Runs, benchRun(p.String(), o, "kernel.phase_us.", ""))
-		}
-	case "F1":
-		for _, p := range profiles {
-			smp := samplerFor(opts)
-			_, o := bench.CtxSampled(plat, p, opts.Procs, bench.CtxRing, smp)
-			run := benchRun(p.String(), o, "kernel.phase_us.", "")
-			run.Series = seriesOf(smp, o.Total)
-			out.Runs = append(out.Runs, run)
-		}
-	case "T4":
-		for _, p := range profiles {
-			_, o := bench.BwPipeObserved(plat, p)
-			out.Runs = append(out.Runs, benchRun(p.String(), o, "kernel.phase_us.", ""))
-		}
-	case "T5":
-		for _, p := range profiles {
-			_, o := bench.BwTCPObserved(p, 0, injFor(cfg, opts, id, p))
-			out.Runs = append(out.Runs, benchRun(p.String(), o, "tcp.", "_us"))
-		}
-	case "T6":
-		for _, p := range profiles {
-			_, o := bench.MABNFSObserved(p, bench.ServerLinux, bench.DefaultMAB(), cfg.Seed, injFor(cfg, opts, id, p))
-			out.Runs = append(out.Runs, benchRun(p.String(), o, "mab.phase_us.", ""))
-		}
-	case "T7":
-		for _, p := range profiles {
-			_, o := bench.MABNFSObserved(p, bench.ServerSunOS, bench.DefaultMAB(), cfg.Seed, injFor(cfg, opts, id, p))
-			out.Runs = append(out.Runs, benchRun(p.String(), o, "mab.phase_us.", ""))
-		}
-	case "F12":
-		for _, p := range profiles {
-			smp := samplerFor(opts)
-			_, o := bench.CrtdelSampled(plat, p, opts.FileBytes, cfg.Seed, injFor(cfg, opts, id, p), smp)
-			run := benchRun(p.String(), o, "fs.phase_us.", "")
-			run.Series = seriesOf(smp, o.Total)
-			out.Runs = append(out.Runs, run)
-		}
-	case "F13":
-		for _, p := range profiles {
-			_, o := bench.TTCPObserved(p, opts.PacketSize, injFor(cfg, opts, id, p))
-			out.Runs = append(out.Runs, benchRun(p.String(), o, "udp.", "_us"))
-		}
-	case "S1", "S2":
-		// Both scale exhibits probe the same server model; each
-		// personality gets one run at opts.Clients with per-nfsd-slot
-		// span tracks and the exact phase ledger as its rows.
-		for _, p := range profiles {
-			inj := injFor(cfg, opts, id, p)
-			srv := nfsserver.New(nfsserver.Config{
-				Profile: p,
-				Clients: opts.Clients,
-				Nfsd:    opts.Nfsd,
-				Seed:    cfg.Seed ^ saltFor("scale", p.Name, opts.Clients),
-				Faults:  inj.Net,
-			})
-			rec := obs.NewRing(srv.Clock(), bench.TraceRingCap)
-			srv.SetRecorder(rec)
-			smp := samplerFor(opts)
-			srv.SetSampler(smp)
-			ex := exemplarsFor(cfg, opts, p)
-			srv.SetExemplars(ex)
-			res := srv.Run()
-			exWins := ex.Snapshot()
-			name := fmt.Sprintf("%s %s", id, p)
-			var requests *obs.Process
-			if ex != nil {
-				// Rendered post-run on a recorder of their own: free
-				// while the model runs, and bounded by K per window.
-				xrec := obs.NewRecorder(nil)
-				obs.ExemplarTracks(xrec, exWins)
-				proc := xrec.Capture(name + " requests")
-				requests = &proc
-			}
-			reg := obs.NewRegistry()
-			res.FoldMetrics(reg, "scale.")
-			inj.FoldMetrics(reg, "fault.")
-			led := res.Ledger
-			for _, ph := range []struct {
-				name string
-				v    sim.Duration
-			}{
-				{"wire", led.Wire}, {"rto", led.RTO},
-				{"queue_wait", led.QueueWait}, {"cpu", led.CPU},
-				{"disk_wait", led.DiskWait}, {"disk_time", led.DiskTime},
-			} {
-				reg.Counter("scale.phase_us." + ph.name).Add(ph.v.Microseconds())
-			}
-			snap := reg.Snapshot()
-			series := seriesOf(smp, res.Elapsed)
-			if series != nil {
-				series.Exemplars = exWins
-			}
-			out.Runs = append(out.Runs, ObservedRun{
-				Label:         p.String(),
-				Unit:          "µs",
-				Rows:          rows(snap, "scale.phase_us.", ""),
-				Total:         led.Sum().Microseconds(),
-				Process:       rec.Capture(name),
-				Requests:      requests,
-				Metrics:       snap,
-				Series:        series,
-				Exemplars:     exWins,
-				ExemplarDrops: ex.Dropped(),
-				LatencyHist:   &res.Hist,
-			})
-		}
-	default:
+// observeScale probes one personality of S1/S2: one server run at
+// opts.Clients with per-nfsd-slot span tracks and the exact phase
+// ledger as its rows.
+func observeScale(cfg Config, id string, opts ObserveOpts, p *osprofile.Profile) ObservedRun {
+	inj := injFor(cfg, opts, id, p)
+	srv := scaleServer(cfg, p, opts.Clients, opts.Nfsd, inj.Net)
+	rec := obs.NewRing(srv.Clock(), bench.TraceRingCap)
+	srv.SetRecorder(rec)
+	smp := samplerFor(opts)
+	srv.SetSampler(smp)
+	ex := exemplarsFor(cfg, opts, p)
+	srv.SetExemplars(ex)
+	res := srv.Run()
+	exWins := ex.Snapshot()
+	name := fmt.Sprintf("%s %s", id, p)
+	var requests *obs.Process
+	if ex != nil {
+		// Rendered post-run on a recorder of their own: free while the
+		// model runs, and bounded by K per window.
+		xrec := obs.NewRecorder(nil)
+		obs.ExemplarTracks(xrec, exWins)
+		proc := xrec.Capture(name + " requests")
+		requests = &proc
+	}
+	reg := obs.NewRegistry()
+	res.FoldMetrics(reg, "scale.")
+	inj.FoldMetrics(reg, "fault.")
+	led := res.Ledger
+	for _, ph := range []struct {
+		name string
+		v    sim.Duration
+	}{
+		{"wire", led.Wire}, {"rto", led.RTO},
+		{"queue_wait", led.QueueWait}, {"cpu", led.CPU},
+		{"disk_wait", led.DiskWait}, {"disk_time", led.DiskTime},
+	} {
+		reg.Counter("scale.phase_us." + ph.name).Add(ph.v.Microseconds())
+	}
+	snap := reg.Snapshot()
+	series := seriesOf(smp, res.Elapsed)
+	if series != nil {
+		series.Exemplars = exWins
+	}
+	return ObservedRun{
+		Label:         p.String(),
+		Unit:          "µs",
+		Rows:          rows(snap, "scale.phase_us.", ""),
+		Total:         led.Sum().Microseconds(),
+		Process:       rec.Capture(name),
+		Requests:      requests,
+		Metrics:       snap,
+		Series:        series,
+		Exemplars:     exWins,
+		ExemplarDrops: ex.Dropped(),
+		LatencyHist:   &res.Hist,
+	}
+}
+
+// Observe runs the observability probe for one experiment: the same model
+// workload the experiment measures, instrumented with spans and metrics.
+// Every probe is deterministic — virtual time stamps, fixed seeds — so
+// its output is bit-identical across runs and worker counts.
+func Observe(cfg Config, id string, opts ObserveOpts) (*Observation, error) {
+	p := probes[id]
+	if p.observe == nil {
 		return nil, fmt.Errorf("core: no observability probe for %q (have %v)", id, ObservableIDs())
 	}
+	out := &Observation{ID: id, Title: titleOf(id), Runs: p.observe(cfg, id, opts.withDefaults())}
 	out.foldProfiles()
 	return out, nil
 }
@@ -488,30 +524,11 @@ func (r *Runner) Observe(cfg Config, ids []string, opts ObserveOpts) (*SuiteObse
 	errs := make([]error, len(ids))
 	timings := make([]ExperimentTiming, len(ids))
 	start := time.Now()
-	runOne := func(i int) {
+	forEach(newWorkPool(w), len(ids), func(i int) {
 		t0 := time.Now()
 		obsv[i], errs[i] = Observe(cfg, ids[i], opts)
 		timings[i] = ExperimentTiming{ID: ids[i], Wall: time.Since(t0)}
-	}
-	if w <= 1 {
-		for i := range ids {
-			runOne(i)
-		}
-	} else {
-		pool := newWorkPool(w)
-		var wg sync.WaitGroup
-		for i := range ids {
-			i := i
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				pool.acquire()
-				defer pool.release()
-				runOne(i)
-			}()
-		}
-		wg.Wait()
-	}
+	})
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("observe %s: %w", ids[i], err)

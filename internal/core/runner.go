@@ -24,7 +24,13 @@ type workPool struct {
 	innerJobs atomic.Int64
 }
 
+// newWorkPool returns a pool of the given size, or nil for one worker:
+// a nil pool runs everything serially on the caller's goroutine, the
+// reference schedule the parallel one must reproduce.
 func newWorkPool(workers int) *workPool {
+	if workers <= 1 {
+		return nil
+	}
 	p := &workPool{tokens: make(chan struct{}, workers)}
 	for i := 0; i < workers; i++ {
 		p.tokens <- struct{}{}
@@ -44,6 +50,31 @@ func (p *workPool) tryAcquire() bool {
 }
 
 func (p *workPool) release() { p.tokens <- struct{}{} }
+
+// forEach runs f(i) for every i in [0, n) and returns when all are
+// done: in index order on the caller's goroutine when pool is nil, else
+// one goroutine per index, each holding a pool token while f runs.
+// Each f(i) writes only its own per-index slots, so the schedule never
+// reaches the results.
+func forEach(pool *workPool, n int, f func(int)) {
+	if pool == nil {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pool.acquire()
+			defer pool.release()
+			f(i)
+		}()
+	}
+	wg.Wait()
+}
 
 // parallelFor executes f(i) for every i in [0, n). When cfg carries a
 // worker pool with spare capacity, helper goroutines steal iterations from
@@ -189,33 +220,14 @@ func (r *Runner) RunAll(cfg Config, exps []*Experiment) ([]*Result, *RunStats) {
 	}
 	results := make([]*Result, len(exps))
 	start := time.Now()
-	runOne := func(i int) {
+	cfg.pool = newWorkPool(w)
+	forEach(cfg.pool, len(exps), func(i int) {
 		t0 := time.Now()
 		results[i] = runMemoized(cfg, exps[i])
 		st.Experiments[i] = ExperimentTiming{ID: exps[i].ID, Wall: time.Since(t0)}
-	}
-	if w <= 1 {
-		// Strictly serial: no pool, no goroutines — the reference
-		// schedule the parallel one must reproduce.
-		for i := range exps {
-			runOne(i)
-		}
-	} else {
-		pool := newWorkPool(w)
-		cfg.pool = pool
-		var wg sync.WaitGroup
-		for i := range exps {
-			i := i
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				pool.acquire()
-				defer pool.release()
-				runOne(i)
-			}()
-		}
-		wg.Wait()
-		st.InnerJobs = int(pool.innerJobs.Load())
+	})
+	if cfg.pool != nil {
+		st.InnerJobs = int(cfg.pool.innerJobs.Load())
 	}
 	st.Wall = time.Since(start)
 	ms := sweeps.Stats()

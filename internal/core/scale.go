@@ -37,12 +37,7 @@ type scaleKey struct {
 func scalePoint(cfg Config, p *osprofile.Profile, clients, nfsd int) *nfsserver.Result {
 	key := scaleKey{profile: p.Name, clients: clients, nfsd: nfsd, seed: cfg.Seed}
 	run := func() *nfsserver.Result {
-		return nfsserver.Run(nfsserver.Config{
-			Profile: p,
-			Clients: clients,
-			Nfsd:    nfsd,
-			Seed:    cfg.Seed ^ saltFor("scale", p.Name, clients),
-		})
+		return scaleServer(cfg, p, clients, nfsd, nil).Run()
 	}
 	if cfg.scale == nil {
 		return run()
@@ -59,12 +54,21 @@ func scalePoint(cfg Config, p *osprofile.Profile, clients, nfsd int) *nfsserver.
 // changing the cache key.
 func ScaleRun(cfg Config, p *osprofile.Profile, clients, nfsd int, plan *fault.Plan) *nfsserver.Result {
 	inj := fault.New(plan, sim.NewRNG(cfg.Seed).Fork(saltFor("scale", p.String(), clients)))
-	return nfsserver.Run(nfsserver.Config{
+	return scaleServer(cfg, p, clients, nfsd, inj.Net).Run()
+}
+
+// scaleServer builds the S1/S2 server model for one personality and
+// population. It is the one place a scale point's configuration and
+// seed are chosen, so the exhibited, swept, observed and audited runs
+// of a point are the same run; net, when non-nil, injects network
+// faults.
+func scaleServer(cfg Config, p *osprofile.Profile, clients, nfsd int, net *fault.NetInjector) *nfsserver.Server {
+	return nfsserver.New(nfsserver.Config{
 		Profile: p,
 		Clients: clients,
 		Nfsd:    nfsd,
 		Seed:    cfg.Seed ^ saltFor("scale", p.Name, clients),
-		Faults:  inj.Net,
+		Faults:  net,
 	})
 }
 

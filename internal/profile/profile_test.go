@@ -228,7 +228,7 @@ func TestWriteTopReportsTruncation(t *testing.T) {
 // coverage, computed independently here.
 func TestFoldRealObservedRun(t *testing.T) {
 	for _, prof := range osprofile.Paper() {
-		_, o := bench.CtxObserved(bench.PaperPlatform(), prof, 8, bench.CtxRing)
+		_, o := bench.CtxSampled(bench.PaperPlatform(), prof, 8, bench.CtxRing, nil)
 		p := Fold(o.Process)
 
 		// Independent per-track root-span coverage from the raw events.
@@ -300,7 +300,7 @@ func TestFoldRealObservedRun(t *testing.T) {
 // functions of the capture.
 func TestFoldDeterministicBytes(t *testing.T) {
 	render := func() (string, string, string) {
-		_, o := bench.CrtdelObserved(bench.PaperPlatform(), osprofile.Paper()[1], 64<<10, 1, fault.Injectors{})
+		_, o := bench.CrtdelSampled(bench.PaperPlatform(), osprofile.Paper()[1], 64<<10, 1, fault.Injectors{}, nil)
 		p := Fold(o.Process)
 		var folded, top, pb strings.Builder
 		if err := p.WriteFolded(&folded); err != nil {
