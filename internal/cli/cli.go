@@ -320,9 +320,9 @@ func (a *App) dispatch(fl *flag.FlagSet, cfg core.Config, runner *core.Runner,
 		a.html(cfg, runner, showStats)
 		return 0
 	case "check":
-		return a.check(cfg)
+		return a.check(cfg, runner)
 	case "sensitivity":
-		a.sensitivity(cfg, eps, trials)
+		a.sensitivity(cfg, runner, eps, trials)
 		return 0
 	case "replay":
 		return a.replay(cfg, rest[1:])
@@ -616,14 +616,15 @@ func (a *App) svg(cfg core.Config, runner *core.Runner, showStats bool, ids []st
 func (a *App) experiments(cfg core.Config, runner *core.Runner, showStats bool) {
 	results, st := runner.RunAll(cfg, core.All())
 	report.Markdown(a.Stdout, results)
-	report.MarkdownClaims(a.Stdout, claimLines(cfg))
+	report.MarkdownClaims(a.Stdout, claimLines(results))
 	a.maybeStats(showStats, st)
 }
 
-// claimLines evaluates the paper claims for the experiments report.
-func claimLines(cfg core.Config) []report.ClaimLine {
+// claimLines scores the paper claims on results for the experiments
+// report.
+func claimLines(results []*core.Result) []report.ClaimLine {
 	var lines []report.ClaimLine
-	for _, o := range validate.RunAll(cfg) {
+	for _, o := range validate.Evaluate(results) {
 		l := report.ClaimLine{
 			ID:        o.Claim.ID,
 			Exhibit:   o.Claim.Exhibit,
@@ -644,8 +645,9 @@ func (a *App) html(cfg core.Config, runner *core.Runner, showStats bool) {
 	a.maybeStats(showStats, st)
 }
 
-func (a *App) check(cfg core.Config) int {
-	outcomes := validate.RunAll(cfg)
+func (a *App) check(cfg core.Config, runner *core.Runner) int {
+	results, _ := runner.RunAll(cfg, validate.Exhibits())
+	outcomes := validate.Evaluate(results)
 	failed := 0
 	fmt.Fprintf(a.Stdout, "Checking %d paper claims against the simulation:\n\n", len(outcomes))
 	for _, o := range outcomes {
@@ -666,13 +668,13 @@ func (a *App) check(cfg core.Config) int {
 	return 0
 }
 
-func (a *App) sensitivity(cfg core.Config, eps float64, trials int) {
+func (a *App) sensitivity(cfg core.Config, runner *core.Runner, eps float64, trials int) {
 	fmt.Fprintf(a.Stdout, "Re-checking every claim across %d replicas with all calibrated\n", trials)
 	fmt.Fprintf(a.Stdout, "constants independently perturbed by ±%.0f%%. Structural choices (the\n", 100*eps)
 	fmt.Fprintln(a.Stdout, "scheduler kinds, metadata policies, TCP windows, transfer sizes) come")
 	fmt.Fprintln(a.Stdout, "from the paper's text and stay fixed.")
 	fmt.Fprintln(a.Stdout)
-	rob := validate.Sensitivity(cfg, eps, trials)
+	rob := validate.Sensitivity(runner, cfg, eps, trials)
 	fragile := 0
 	for _, r := range rob {
 		mark := "robust "

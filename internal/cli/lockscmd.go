@@ -10,38 +10,23 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/kernel"
-	"repro/internal/osprofile"
 	"repro/internal/sim"
 )
-
-// locksNCPUs is the CPU sweep the locks command prints.
-var locksNCPUs = []int{1, 2, 4, 8, 16}
-
-// locksProfiles falls back to the paper personalities when -profiles is
-// not given, matching the exhibit default.
-func locksProfiles(cfg core.Config) []*osprofile.Profile {
-	if len(cfg.Profiles) > 0 {
-		return cfg.Profiles
-	}
-	return osprofile.Paper()
-}
 
 // locks prints the lock-contention sweep: per personality and lock kind,
 // throughput and wait percentiles over the CPU count, with the spin and
 // idle shares of the machine's time so the cost of each strategy is
 // visible, not just its bottom line.
 func (a *App) locks(cfg core.Config) int {
-	crit := 20 * sim.Microsecond
-	fmt.Fprintf(a.Stdout, "Lock contention: one worker per CPU, think 5µs, critical section %v\n", crit)
+	fmt.Fprintf(a.Stdout, "Lock contention: one worker per CPU, think %v, critical section %v\n", core.LockThink, core.LockCrit)
 	fmt.Fprintf(a.Stdout, "(model behind exhibits L1/L2; wait percentiles over contended acquisitions)\n\n")
-	for _, p := range locksProfiles(cfg) {
-		for _, kind := range []kernel.LockKind{kernel.SpinLock, kernel.SleepLock} {
+	for _, p := range cfg.Profiles {
+		for _, kind := range core.LockKinds {
 			fmt.Fprintf(a.Stdout, "%s — %s lock\n", p, kind)
 			fmt.Fprintf(a.Stdout, "  %5s  %12s  %10s  %10s  %8s  %8s  %9s\n",
 				"cpus", "ops/s", "p50 wait", "p99 wait", "spin%", "idle%", "switches")
-			for _, ncpu := range locksNCPUs {
-				r := core.LockPoint(p, kind, ncpu, crit)
+			for _, ncpu := range core.LockNCPUs {
+				r := core.LockPoint(p, kind, ncpu, core.LockCrit)
 				m := r.Machine
 				var spin, idle, total sim.Duration
 				for c := 0; c < m.NCPU(); c++ {
@@ -71,23 +56,21 @@ func (a *App) locks(cfg core.Config) int {
 // MB/s over the message sizes the I1 exhibit plots. A -faults plan
 // reaches the socket transport only.
 func (a *App) ipc(cfg core.Config, plan *fault.Plan) int {
-	sizes := []int{64, 256, 1024, 4096, 16384, 65536}
-	transports := []string{"pipe", "socket", "shm"}
 	fmt.Fprintf(a.Stdout, "IPC bandwidth (MB/s), 1 MB transfers (model behind exhibit I1)\n")
 	if plan != nil {
 		fmt.Fprintf(a.Stdout, "fault plan applies to the socket transport only\n")
 	}
 	fmt.Fprintln(a.Stdout)
-	for _, p := range locksProfiles(cfg) {
+	for _, p := range cfg.Profiles {
 		fmt.Fprintf(a.Stdout, "%s\n", p)
 		fmt.Fprintf(a.Stdout, "  %-8s", "bytes")
-		for _, tr := range transports {
+		for _, tr := range core.IPCTransports {
 			fmt.Fprintf(a.Stdout, "  %8s", tr)
 		}
 		fmt.Fprintln(a.Stdout)
-		for _, msg := range sizes {
+		for _, msg := range core.IPCMsgSizes {
 			fmt.Fprintf(a.Stdout, "  %-8d", msg)
-			for _, tr := range transports {
+			for _, tr := range core.IPCTransports {
 				mbps, err := core.IPCPoint(cfg, p, tr, msg, plan)
 				if err != nil {
 					fmt.Fprintln(a.Stderr, "pentiumbench:", err)

@@ -17,10 +17,10 @@ import (
 // report is byte-identical run to run.
 func (a *App) scale(cfg core.Config, clients, nfsd int, plan *fault.Plan) int {
 	if clients <= 0 {
-		clients = 1_000_000
+		clients = core.ScaleClientCounts[len(core.ScaleClientCounts)-1]
 	}
 	if nfsd <= 0 {
-		nfsd = 8
+		nfsd = core.ScaleNfsd
 	}
 	fmt.Fprintf(a.Stdout, "NFS server scale-out: %d nfsd slots, open-loop 1 op/s per client\n", nfsd)
 	if plan != nil {

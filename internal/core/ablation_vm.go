@@ -22,41 +22,27 @@ func init() {
 		Title: "Ablation: buffer cache vs. memory pressure",
 		Kind:  Figure,
 		Paper: "§7 (the dynamic buffer cache); DESIGN.md A7",
-		Run: func(cfg Config) *Result {
-			res := &Result{
-				ID: "A7", Title: "Ablation: buffer cache vs. memory pressure", Kind: Figure,
-				YUnit: "MB/s", XLabel: "file MB", LogX: true,
-				Direction: stats.HigherIsBetter,
-				Notes: []string{
-					"The bonnie read knee sits wherever the VM leaves room for the cache: ~20 MB idle, sliding left as resident processes claim pages.",
-					"This is §7's 'trades physical pages for buffer cache pages' made visible.",
-				},
-			}
+		YUnit: "MB/s", XLabel: "file MB", LogX: true,
+		Direction: stats.HigherIsBetter,
+		Notes: []string{
+			"The bonnie read knee sits wherever the VM leaves room for the cache: ~20 MB idle, sliding left as resident processes claim pages.",
+			"This is §7's 'trades physical pages for buffer cache pages' made visible.",
+		},
+		Series: func(cfg Config) []Series {
 			p := osprofile.FreeBSD205()
 			hogs := []int{0, 6, 12}
 			sizes := bench.BonnieSweepSizes()
-			res.Series = make([]Series, len(hogs))
-			parallelFor(cfg, len(hogs), func(hi int) {
-				hogMB := hogs[hi]
+			return fan(cfg, len(hogs), func(hi int) Series {
 				pool := vm.PaperMachine(3)
-				if hogMB > 0 {
-					pool.Claim("memory hog", int64(hogMB)<<20)
+				if hogs[hi] > 0 {
+					pool.Claim("memory hog", int64(hogs[hi])<<20)
 				}
 				budget := pool.CacheBudget()
-				label := fmt.Sprintf("%s, %d MB hog (cache %d MB)", p.Name, hogMB, budget>>20)
-				s := Series{
-					Label:   label,
-					X:       make([]float64, len(sizes)),
-					Samples: make([]*stats.Sample, len(sizes)),
-				}
-				parallelFor(cfg, len(sizes), func(i int) {
-					r := bench.BonnieWithCache(plat, p, sizes[i], cfg.Seed+uint64(i), budget)
-					s.X[i] = float64(sizes[i])
-					s.Samples[i] = noiseSample(cfg, saltFor("A7", label, i), noiseFor(p, noiseFS), r.ReadMBs)
+				label := fmt.Sprintf("%s, %d MB hog (cache %d MB)", p.Name, hogs[hi], budget>>20)
+				return curve(cfg, "A7", label, label, floats(sizes), noiseFor(p, noiseFS), func(i int) float64 {
+					return bench.BonnieWithCache(plat, p, sizes[i], cfg.Seed+uint64(i), budget).ReadMBs
 				})
-				res.Series[hi] = s
 			})
-			return res
 		},
 	})
 }

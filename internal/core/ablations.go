@@ -14,23 +14,17 @@ import (
 // paper identifies as decisive and shows the result flipping when it is
 // changed.
 func init() {
-	plat := bench.PaperPlatform()
-
 	register(&Experiment{
 		ID:    "A1",
 		Title: "Ablation: write-allocate cache",
 		Kind:  Figure,
 		Paper: "§6 (root cause); DESIGN.md A1",
-		Run: func(cfg Config) *Result {
-			res := &Result{
-				ID: "A1", Title: "Ablation: write-allocate cache", Kind: Figure,
-				YUnit: "MB/s", XLabel: "buffer bytes", LogX: true,
-				Direction: stats.HigherIsBetter,
-				Notes: []string{
-					"On a hypothetical write-allocate P54C, memset and memcpy jump to read-class bandwidth in cache — confirming §6's diagnosis.",
-				},
-			}
-			sizes := bench.MemSweepSizes()
+		YUnit: "MB/s", XLabel: "buffer bytes", LogX: true,
+		Direction: stats.HigherIsBetter,
+		Notes: []string{
+			"On a hypothetical write-allocate P54C, memset and memcpy jump to read-class bandwidth in cache — confirming §6's diagnosis.",
+		},
+		Series: func(cfg Config) []Series {
 			variants := []struct {
 				label    string
 				allocate bool
@@ -41,24 +35,14 @@ func init() {
 				{"memcpy, no write-allocate (real P54C)", false, memmodel.LibcMemcpy},
 				{"memcpy, write-allocate (hypothetical)", true, memmodel.LibcMemcpy},
 			}
-			res.Series = make([]Series, len(variants))
-			parallelFor(cfg, len(variants), func(vi int) {
-				variant := variants[vi]
+			return fan(cfg, len(variants), func(vi int) Series {
+				v := variants[vi]
 				cacheCfg := cache.PentiumConfig()
-				cacheCfg.WriteAllocate = variant.allocate
+				cacheCfg.WriteAllocate = v.allocate
 				// The no-write-allocate variants are Figures 3 and 6's
 				// exact sweeps; the memo shares their points.
-				points := memSweep(cfg, cacheCfg, variant.routine,
-					memmodel.DefaultPrefetchDistance, sizes)
-				s := Series{Label: variant.label}
-				for i, pt := range points {
-					s.X = append(s.X, float64(pt.Size))
-					s.Samples = append(s.Samples,
-						noiseSample(cfg, saltFor("A1", variant.label, i), 0.01, pt.MBs))
-				}
-				res.Series[vi] = s
+				return memCurve(cfg, "A1", v.label, v.label, 0.01, cacheCfg, v.routine, memmodel.DefaultPrefetchDistance)
 			})
-			return res
 		},
 	})
 
@@ -67,32 +51,18 @@ func init() {
 		Title: "Ablation: prefetch distance",
 		Kind:  Figure,
 		Paper: "§6.2-6.3; DESIGN.md A2",
-		Run: func(cfg Config) *Result {
-			res := &Result{
-				ID: "A2", Title: "Ablation: prefetch distance", Kind: Figure,
-				YUnit: "MB/s", XLabel: "buffer bytes", LogX: true,
-				Direction: stats.HigherIsBetter,
-				Notes: []string{
-					"Beyond the caches, deeper prefetch lookahead hides more of the line-fill latency, saturating once the fill is fully hidden.",
-				},
-			}
-			sizes := bench.MemSweepSizes()
+		YUnit: "MB/s", XLabel: "buffer bytes", LogX: true,
+		Direction: stats.HigherIsBetter,
+		Notes: []string{
+			"Beyond the caches, deeper prefetch lookahead hides more of the line-fill latency, saturating once the fill is fully hidden.",
+		},
+		Series: func(cfg Config) []Series {
 			dists := []int{0, 1, 2, 4, 8}
-			res.Series = make([]Series, len(dists))
-			parallelFor(cfg, len(dists), func(di int) {
-				dist := dists[di]
-				label := fmt.Sprintf("prefetch distance %d", dist)
+			return fan(cfg, len(dists), func(di int) Series {
+				label := fmt.Sprintf("prefetch distance %d", dists[di])
 				// Distance 1 is Figure 5's exact sweep; the memo shares it.
-				points := memSweep(cfg, cache.PentiumConfig(), memmodel.PrefetchWrite, dist, sizes)
-				s := Series{Label: label}
-				for i, pt := range points {
-					s.X = append(s.X, float64(pt.Size))
-					s.Samples = append(s.Samples,
-						noiseSample(cfg, saltFor("A2", label, i), 0.01, pt.MBs))
-				}
-				res.Series[di] = s
+				return memCurve(cfg, "A2", label, label, 0.01, cache.PentiumConfig(), memmodel.PrefetchWrite, dists[di])
 			})
-			return res
 		},
 	})
 
@@ -101,19 +71,17 @@ func init() {
 		Title: "Ablation: scheduler structure (Linux 1.3.40 preview)",
 		Kind:  Figure,
 		Paper: "§5, §13; DESIGN.md A3",
-		Run: func(cfg Config) *Result {
-			res := &Result{
-				ID: "A3", Title: "Ablation: scheduler structure (Linux 1.3.40 preview)", Kind: Figure,
-				YUnit: "µs", XLabel: "active processes", LogX: true,
-				Direction: stats.LowerIsBetter,
-				Notes: []string{
-					"Replacing the O(n) pick with the 1.3.40 scheduler gives ~10 µs switches with almost no growth in process count (§13).",
-				},
-			}
-			for _, p := range []*osprofile.Profile{osprofile.Linux128(), osprofile.Linux1340()} {
-				res.Series = append(res.Series, ctxSeries(cfg, p, bench.CtxRing, p.String()))
-			}
-			return res
+		YUnit: "µs", XLabel: "active processes", LogX: true,
+		Direction: stats.LowerIsBetter,
+		Notes: []string{
+			"Replacing the O(n) pick with the 1.3.40 scheduler gives ~10 µs switches with almost no growth in process count (§13).",
+		},
+		Series: func(cfg Config) []Series {
+			variants := []*osprofile.Profile{osprofile.Linux128(), osprofile.Linux1340()}
+			return fan(cfg, len(variants), func(i int) Series {
+				p := variants[i]
+				return ctxSeries(cfg, p, bench.CtxRing, p.String())
+			})
 		},
 	})
 
@@ -122,15 +90,12 @@ func init() {
 		Title: "Ablation: metadata update policy",
 		Kind:  Figure,
 		Paper: "§7.2, §13; DESIGN.md A4",
-		Run: func(cfg Config) *Result {
-			res := &Result{
-				ID: "A4", Title: "Ablation: metadata update policy", Kind: Figure,
-				YUnit: "ms", XLabel: "file bytes", LogX: true,
-				Direction: stats.LowerIsBetter,
-				Notes: []string{
-					"ext2 forced synchronous loses its order-of-magnitude advantage; FreeBSD 2.1's ordered-async policy recovers it (§13).",
-				},
-			}
+		YUnit: "ms", XLabel: "file bytes", LogX: true,
+		Direction: stats.LowerIsBetter,
+		Notes: []string{
+			"ext2 forced synchronous loses its order-of-magnitude advantage; FreeBSD 2.1's ordered-async policy recovers it (§13).",
+		},
+		Series: func(cfg Config) []Series {
 			linuxSync := osprofile.Linux128()
 			linuxSync.Version = "1.2.8 (forced sync metadata)"
 			linuxSync.FS.MetaPolicy = osprofile.MetaSync
@@ -141,23 +106,7 @@ func init() {
 				osprofile.Linux128(), linuxSync,
 				osprofile.FreeBSD205(), osprofile.FreeBSD21(),
 			}
-			sizes := bench.CrtdelSweepSizes()
-			res.Series = make([]Series, len(variants))
-			parallelFor(cfg, len(variants), func(vi int) {
-				p := variants[vi]
-				s := Series{
-					Label:   p.String(),
-					X:       make([]float64, len(sizes)),
-					Samples: make([]*stats.Sample, len(sizes)),
-				}
-				parallelFor(cfg, len(sizes), func(i int) {
-					d := bench.Crtdel(plat, p, sizes[i], cfg.Seed+uint64(i))
-					s.X[i] = float64(sizes[i])
-					s.Samples[i] = noiseSample(cfg, saltFor("A4", p.String(), i), noiseFor(p, noiseFS), d.Milliseconds())
-				})
-				res.Series[vi] = s
-			})
-			return res
+			return fan(cfg, len(variants), func(i int) Series { return crtdelCurve(cfg, "A4", variants[i]) })
 		},
 	})
 
@@ -166,35 +115,23 @@ func init() {
 		Title: "Ablation: Linux TCP window",
 		Kind:  Figure,
 		Paper: "§9.3; DESIGN.md A5",
-		Run: func(cfg Config) *Result {
-			res := &Result{
-				ID: "A5", Title: "Ablation: Linux TCP window", Kind: Figure,
-				YUnit: "Mb/s", XLabel: "window packets", LogX: true,
-				Direction: stats.HigherIsBetter,
-				Notes: []string{
-					"Widening Linux's one-packet window recovers most of the Table 5 gap to FreeBSD: the window, not the data path, was the bottleneck.",
-				},
-			}
+		YUnit: "Mb/s", XLabel: "window packets", LogX: true,
+		Direction: stats.HigherIsBetter,
+		Notes: []string{
+			"Widening Linux's one-packet window recovers most of the Table 5 gap to FreeBSD: the window, not the data path, was the bottleneck.",
+		},
+		Series: func(cfg Config) []Series {
+			windows := []int{1, 2, 4, 8, 16, 32, 64}
 			linux := osprofile.Linux128()
-			s := Series{Label: linux.String()}
-			for i, w := range []int{1, 2, 4, 8, 16, 32, 64} {
-				bw := bench.BwTCP(linux, w)
-				s.X = append(s.X, float64(w))
-				s.Samples = append(s.Samples,
-					noiseSample(cfg, saltFor("A5", "window", i), linux.Net.TCPNoise, bw))
-			}
-			res.Series = append(res.Series, s)
 			// FreeBSD's actual Table 5 value as the reference line.
 			fb := osprofile.FreeBSD205()
-			ref := Series{Label: fb.String() + " (reference)"}
-			for i, w := range []int{1, 2, 4, 8, 16, 32, 64} {
-				_ = i
-				ref.X = append(ref.X, float64(w))
-				ref.Samples = append(ref.Samples,
-					noiseSample(cfg, saltFor("A5", "ref", i), fb.Net.TCPNoise, bench.BwTCP(fb, 0)))
+			ref := bench.BwTCP(fb, 0)
+			return []Series{
+				curve(cfg, "A5", "window", linux.String(), floats(windows), linux.Net.TCPNoise, func(i int) float64 {
+					return bench.BwTCP(linux, windows[i])
+				}),
+				curve(cfg, "A5", "ref", fb.String()+" (reference)", floats(windows), fb.Net.TCPNoise, func(int) float64 { return ref }),
 			}
-			res.Series = append(res.Series, ref)
-			return res
 		},
 	})
 
@@ -203,31 +140,20 @@ func init() {
 		Title: "Ablation: NFS server write policy",
 		Kind:  Table,
 		Paper: "§10; DESIGN.md A6",
-		Run: func(cfg Config) *Result {
-			res := &Result{
-				ID: "A6", Title: "Ablation: NFS server write policy", Kind: Table,
-				YUnit: "s", Direction: stats.LowerIsBetter,
-				Notes: []string{
-					"Swapping only the server's write policy reproduces most of the Table 6 → Table 7 slowdown: the spec's synchronous commit is the dominant cost.",
-				},
-			}
+		YUnit: "s", Direction: stats.LowerIsBetter,
+		Notes: []string{
+			"Swapping only the server's write policy reproduces most of the Table 6 → Table 7 slowdown: the spec's synchronous commit is the dominant cost.",
+		},
+		Series: func(cfg Config) []Series {
 			kinds := []bench.NFSServerKind{bench.ServerLinux, bench.ServerSunOS}
-			res.Series = make([]Series, len(cfg.Profiles)*len(kinds))
-			parallelFor(cfg, len(res.Series), func(i int) {
-				p := cfg.Profiles[i/len(kinds)]
-				kind := kinds[i%len(kinds)]
+			return perProfile(cfg, len(kinds), func(p *osprofile.Profile, k int) Series {
 				name := "async server (Linux)"
-				if kind == bench.ServerSunOS {
+				if kinds[k] == bench.ServerSunOS {
 					name = "sync server (SunOS)"
 				}
-				mean := bench.MABNFS(p, kind, bench.DefaultMAB(), cfg.Seed).Total.Seconds()
-				label := p.String() + " / " + name
-				res.Series[i] = Series{
-					Label:   label,
-					Samples: []*stats.Sample{noiseSample(cfg, saltFor("A6", label, 0), noiseFor(p, noiseNFS), mean)},
-				}
+				mean := bench.MABNFS(p, kinds[k], bench.DefaultMAB(), cfg.Seed).Total.Seconds()
+				return row(cfg, "A6", p.String()+" / "+name, noiseFor(p, noiseNFS), mean)
 			})
-			return res
 		},
 	})
 }

@@ -82,8 +82,8 @@ func auditScale(cfg Config, id string, opts ObserveOpts, p *osprofile.Profile) [
 // plans have nothing to reach here.
 func auditLocks(cfg Config, id string, opts ObserveOpts, p *osprofile.Profile) []*audit.Report {
 	var reps []*audit.Report
-	for _, kind := range lockKinds {
-		r := LockPoint(p, kind, lockSweepNCPU, lockCrit)
+	for _, kind := range LockKinds {
+		r := LockPoint(p, kind, lockSweepNCPU, LockCrit)
 		m, l := r.Machine, r.Lock
 		in := audit.SMPInput{
 			System:  fmt.Sprintf("%s %s", p, kind),

@@ -42,19 +42,11 @@ type Config struct {
 
 	// Memo, when non-nil, persists whole experiment results across suite
 	// runs: RunAll serves an experiment from the store when its key — the
-	// memo schema version, experiment ID, seed, run count, ref-model flag
-	// and the full personality set — matches a stored entry, and stores
-	// fresh results for the next run. Serving from the store cannot change
-	// output: results round-trip JSON bit for bit.
+	// memo schema version, experiment ID, seed, run count and the full
+	// personality set — matches a stored entry, and stores fresh results
+	// for the next run. Serving from the store cannot change output:
+	// results round-trip JSON bit for bit.
 	Memo *memo.Store
-
-	// UseRefModel routes the §6 cache-hierarchy sweeps through the
-	// per-access reference hierarchy (cache.RefHierarchy) instead of the
-	// line-granular fast path, bypassing the sweep memo. Results must be
-	// bit-identical either way — the fast path's defining invariant — so
-	// the flag exists purely to certify that end to end (it is much
-	// slower; see TestMemSweepRefModelBitIdentical).
-	UseRefModel bool
 
 	// pool is the worker pool of the Runner executing this configuration.
 	// Experiments fan their per-(series, sweep-point) model runs out on it
@@ -150,17 +142,37 @@ type Expectation struct {
 	StdDevPct float64
 }
 
-// Experiment is a runnable exhibit reproduction.
+// Experiment is one exhibit, declared once: the header every Result it
+// produces carries, and the function that sweeps its series.
 type Experiment struct {
 	// ID is the exhibit identifier ("T2", "F1", "A3"); Title names it.
 	ID    string
 	Title string
-	// Kind mirrors Result.Kind.
+	// Kind says whether this renders as a table or a figure.
 	Kind Kind
 	// Paper references the paper section/table/figure.
 	Paper string
-	// Run executes the experiment under cfg.
-	Run func(cfg Config) *Result
+	// YUnit, XLabel, LogX, Direction, Expected and Notes are the
+	// Result fields of the same names.
+	YUnit, XLabel string
+	LogX          bool
+	Direction     stats.Direction
+	Expected      []Expectation
+	Notes         []string
+	// Series runs the exhibit's models under cfg, one Series per curve
+	// or table row, each built by curve or row.
+	Series func(cfg Config) []Series
+}
+
+// Run executes the experiment under cfg.
+func (e *Experiment) Run(cfg Config) *Result {
+	return &Result{
+		ID: e.ID, Title: e.Title, Kind: e.Kind,
+		YUnit: e.YUnit, XLabel: e.XLabel, LogX: e.LogX, Direction: e.Direction,
+		Series:   e.Series(cfg),
+		Expected: e.Expected,
+		Notes:    e.Notes,
+	}
 }
 
 // registry holds all experiments in presentation order.
@@ -266,8 +278,8 @@ func ValidateRegistry() error {
 			return fmt.Errorf("core: duplicate experiment id %q", e.ID)
 		}
 		seen[e.ID] = true
-		if e.Run == nil {
-			return fmt.Errorf("core: experiment %q has no Run", e.ID)
+		if e.Series == nil {
+			return fmt.Errorf("core: experiment %q has no Series", e.ID)
 		}
 		if e.ID == "" || e.Title == "" || e.Paper == "" {
 			return fmt.Errorf("core: experiment %q missing metadata", e.ID)
@@ -279,7 +291,8 @@ func ValidateRegistry() error {
 // noiseSample replicates a deterministic model mean into a run sample
 // with the personality's calibrated relative noise, reproducing the
 // paper's twenty-run protocol. The salt isolates each (experiment,
-// series, point) stream so adding a series never perturbs another's.
+// series, point) stream so adding a series never perturbs another's. At
+// rel 0 every run is exactly mean: sim.RNG.Noise(0) is exactly 1.
 func noiseSample(cfg Config, salt uint64, rel float64, mean float64) *stats.Sample {
 	rng := sim.NewRNG(cfg.Seed).Fork(salt)
 	s := &stats.Sample{}
@@ -291,6 +304,47 @@ func noiseSample(cfg Config, salt uint64, rel float64, mean float64) *stats.Samp
 		s.Add(mean * rng.Noise(rel))
 	}
 	return s
+}
+
+// curve applies the twenty-run protocol to one swept series: point i
+// sits at xs[i], its model mean is mean(i), and its runs are drawn with
+// relative noise rel from the stream saltFor(id, salt, i). The points
+// fan out on cfg's pool, so mean must be a pure function of i.
+func curve(cfg Config, id, salt, label string, xs []float64, rel float64, mean func(i int) float64) Series {
+	s := Series{Label: label, X: xs, Samples: make([]*stats.Sample, len(xs))}
+	parallelFor(cfg, len(xs), func(i int) {
+		s.Samples[i] = noiseSample(cfg, saltFor(id, salt, i), rel, mean(i))
+	})
+	return s
+}
+
+// row applies the twenty-run protocol to one table row: the model mean,
+// drawn with relative noise rel from the stream saltFor(id, label, 0).
+func row(cfg Config, id, label string, rel, mean float64) Series {
+	return Series{Label: label, Samples: []*stats.Sample{noiseSample(cfg, saltFor(id, label, 0), rel, mean)}}
+}
+
+// fan builds n series, series i being f(i), fanned out on cfg's pool.
+func fan(cfg Config, n int, f func(i int) Series) []Series {
+	out := make([]Series, n)
+	parallelFor(cfg, n, func(i int) { out[i] = f(i) })
+	return out
+}
+
+// perProfile builds one series per (personality, variant) pair of cfg's
+// profiles and n variants, personalities outermost, fanned out on cfg's
+// pool.
+func perProfile(cfg Config, n int, f func(p *osprofile.Profile, v int) Series) []Series {
+	return fan(cfg, len(cfg.Profiles)*n, func(i int) Series { return f(cfg.Profiles[i/n], i%n) })
+}
+
+// floats converts a sweep's integer parameter values to X coordinates.
+func floats[T int | int64](ns []T) []float64 {
+	xs := make([]float64, len(ns))
+	for i, n := range ns {
+		xs[i] = float64(n)
+	}
+	return xs
 }
 
 // saltFor derives a stable per-(experiment, series, point) RNG label.

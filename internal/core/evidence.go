@@ -23,29 +23,19 @@ func init() {
 		Title: "MAB Phase Breakdown (supplementary)",
 		Kind:  Figure,
 		Paper: "§8.1 (discussion of Table 3)",
-		Run: func(cfg Config) *Result {
-			res := &Result{
-				ID: "X1", Title: "MAB Phase Breakdown (supplementary)", Kind: Figure,
-				YUnit: "s", XLabel: "phase (1=mkdir 2=copy 3=stat 4=read 5=compile)",
-				Direction: stats.LowerIsBetter,
-				Notes: []string{
-					"FreeBSD is competitive with Solaris in every phase and beats even Linux in phase 3 (its attribute cache).",
-					"Compile time dominates every system, which is why MAB totals sit so much closer than the microbenchmarks.",
-				},
-			}
-			res.Series = make([]Series, len(cfg.Profiles))
-			parallelFor(cfg, len(cfg.Profiles), func(pi int) {
-				p := cfg.Profiles[pi]
+		YUnit: "s", XLabel: "phase (1=mkdir 2=copy 3=stat 4=read 5=compile)",
+		Direction: stats.LowerIsBetter,
+		Notes: []string{
+			"FreeBSD is competitive with Solaris in every phase and beats even Linux in phase 3 (its attribute cache).",
+			"Compile time dominates every system, which is why MAB totals sit so much closer than the microbenchmarks.",
+		},
+		Series: func(cfg Config) []Series {
+			return perProfile(cfg, 1, func(p *osprofile.Profile, _ int) Series {
 				r := bench.MAB(plat, p, bench.DefaultMAB(), cfg.Seed)
-				s := Series{Label: p.String()}
-				for i, d := range r.Phase {
-					s.X = append(s.X, float64(i+1))
-					s.Samples = append(s.Samples,
-						noiseSample(cfg, saltFor("X1", p.String(), i), noiseFor(p, noiseMAB), d.Seconds()))
-				}
-				res.Series[pi] = s
+				return curve(cfg, "X1", p.String(), p.String(), floats([]int{1, 2, 3, 4, 5}), noiseFor(p, noiseMAB), func(i int) float64 {
+					return r.Phase[i].Seconds()
+				})
 			})
-			return res
 		},
 	})
 
@@ -54,25 +44,17 @@ func init() {
 		Title: "Disk Operations per crtdel Iteration (supplementary)",
 		Kind:  Table,
 		Paper: "§7.2 (the asynchronous-metadata inference)",
-		Run: func(cfg Config) *Result {
-			res := &Result{
-				ID: "X2", Title: "Disk Operations per crtdel Iteration (supplementary)", Kind: Table,
-				YUnit: "disk ops", Direction: stats.LowerIsBetter,
-				Notes: []string{
-					"Linux performs zero synchronous disk operations per create/write/read/delete cycle — §7.2's 'clearly not accessing the disk', observed directly.",
-					"The FFS systems pay one synchronous metadata write per count shown; FreeBSD issues the most.",
-				},
-			}
-			res.Series = make([]Series, len(cfg.Profiles))
-			parallelFor(cfg, len(cfg.Profiles), func(i int) {
-				p := cfg.Profiles[i]
-				ops := crtdelDiskOps(plat, p, cfg.Seed)
-				res.Series[i] = Series{
-					Label:   p.String(),
-					Samples: []*stats.Sample{exactSample(cfg, ops)},
-				}
+		YUnit: "disk ops", Direction: stats.LowerIsBetter,
+		Notes: []string{
+			"Linux performs zero synchronous disk operations per create/write/read/delete cycle — §7.2's 'clearly not accessing the disk', observed directly.",
+			"The FFS systems pay one synchronous metadata write per count shown; FreeBSD issues the most.",
+		},
+		Series: func(cfg Config) []Series {
+			// An operation count carries no measurement noise: rel 0
+			// makes every run exactly the count.
+			return perProfile(cfg, 1, func(p *osprofile.Profile, _ int) Series {
+				return row(cfg, "X2", p.String(), 0, crtdelDiskOps(plat, p, cfg.Seed))
 			})
-			return res
 		},
 	})
 }
@@ -101,18 +83,4 @@ func crtdelDiskOps(plat bench.Platform, p *osprofile.Profile, seed uint64) float
 		}
 	}
 	return float64(fsys.Stats().SyncMetaWrites) / iters
-}
-
-// exactSample wraps a deterministic count (no measurement noise applies
-// to an operation count) into a sample of the configured run length.
-func exactSample(cfg Config, v float64) *stats.Sample {
-	s := &stats.Sample{}
-	runs := cfg.Runs
-	if runs <= 0 {
-		runs = 20
-	}
-	for i := 0; i < runs; i++ {
-		s.Add(v)
-	}
-	return s
 }

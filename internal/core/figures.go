@@ -19,23 +19,20 @@ func init() {
 		Title: "Context Switch vs. Active Processes",
 		Kind:  Figure,
 		Paper: "Figure 1, §5",
-		Run: func(cfg Config) *Result {
-			res := &Result{
-				ID: "F1", Title: "Context Switch vs. Active Processes", Kind: Figure,
-				YUnit: "µs", XLabel: "active processes", LogX: true,
-				Direction: stats.LowerIsBetter,
-				Expected: []Expectation{
-					{Label: "Linux 1.2.8 @2", Mean: 55, StdDevPct: 3},
-					{Label: "FreeBSD 2.0.5R @2", Mean: 80, StdDevPct: 4},
-					{Label: "Solaris 2.4 @2", Mean: 220, StdDevPct: 9},
-				},
-				Notes: []string{
-					"Linux grows linearly (O(n) task-list scan) but wins below ~20 processes.",
-					"FreeBSD is flat at ~80 µs at every process count.",
-					"Solaris is slowest everywhere, with a sharp jump past 32 processes.",
-					"The Solaris-LIFO chain still jumps at 32 but grows gradually past 64.",
-				},
-			}
+		YUnit: "µs", XLabel: "active processes", LogX: true,
+		Direction: stats.LowerIsBetter,
+		Expected: []Expectation{
+			{Label: "Linux 1.2.8 @2", Mean: 55, StdDevPct: 3},
+			{Label: "FreeBSD 2.0.5R @2", Mean: 80, StdDevPct: 4},
+			{Label: "Solaris 2.4 @2", Mean: 220, StdDevPct: 9},
+		},
+		Notes: []string{
+			"Linux grows linearly (O(n) task-list scan) but wins below ~20 processes.",
+			"FreeBSD is flat at ~80 µs at every process count.",
+			"Solaris is slowest everywhere, with a sharp jump past 32 processes.",
+			"The Solaris-LIFO chain still jumps at 32 but grows gradually past 64.",
+		},
+		Series: func(cfg Config) []Series {
 			type ctxSlot struct {
 				p     *osprofile.Profile
 				order bench.CtxOrder
@@ -51,11 +48,9 @@ func init() {
 					slots = append(slots, ctxSlot{p, bench.CtxLIFO, p.Name + "-LIFO"})
 				}
 			}
-			res.Series = make([]Series, len(slots))
-			parallelFor(cfg, len(slots), func(i int) {
-				res.Series[i] = ctxSeries(cfg, slots[i].p, slots[i].order, slots[i].label)
+			return fan(cfg, len(slots), func(i int) Series {
+				return ctxSeries(cfg, slots[i].p, slots[i].order, slots[i].label)
 			})
-			return res
 		},
 	})
 
@@ -94,36 +89,23 @@ func init() {
 			[]string{"Over 160 MB/s copied (320 MB/s total), approaching the read peak."}},
 	}
 	for _, mf := range memFigs {
-		mf := mf
 		register(&Experiment{
 			ID:    mf.id,
 			Title: mf.title,
 			Kind:  Figure,
 			Paper: "Figures 2-8, §6",
-			Run: func(cfg Config) *Result {
-				res := &Result{
-					ID: mf.id, Title: mf.title, Kind: Figure,
-					YUnit: "MB/s", XLabel: "buffer bytes", LogX: true,
-					Direction: stats.HigherIsBetter,
-					Expected:  mf.expected,
-					Notes:     mf.notes,
-				}
-				sizes := bench.MemSweepSizes()
-				points := memSweep(cfg, cache.PentiumConfig(), mf.routine,
-					memmodel.DefaultPrefetchDistance, sizes)
-				s := Series{Label: "Pentium P54C-100"}
+			YUnit: "MB/s", XLabel: "buffer bytes", LogX: true,
+			Direction: stats.HigherIsBetter,
+			Expected:  mf.expected,
+			Notes:     mf.notes,
+			Series: func(cfg Config) []Series {
 				// Memory noise is hardware-level; use the first profile's.
 				rel := 0.01
 				if len(cfg.Profiles) > 0 {
 					rel = noiseFor(cfg.Profiles[0], noiseMem)
 				}
-				for i, pt := range points {
-					s.X = append(s.X, float64(pt.Size))
-					s.Samples = append(s.Samples,
-						noiseSample(cfg, saltFor(mf.id, "hw", i), rel, pt.MBs))
-				}
-				res.Series = append(res.Series, s)
-				return res
+				return []Series{memCurve(cfg, mf.id, "hw", "Pentium P54C-100", rel,
+					cache.PentiumConfig(), mf.routine, memmodel.DefaultPrefetchDistance)}
 			},
 		})
 	}
@@ -155,35 +137,20 @@ func init() {
 			}},
 	}
 	for _, bf := range bonnieFigs {
-		bf := bf
 		register(&Experiment{
 			ID:    bf.id,
 			Title: bf.title,
 			Kind:  Figure,
 			Paper: "Figures 9-11, §7.1",
-			Run: func(cfg Config) *Result {
-				res := &Result{
-					ID: bf.id, Title: bf.title, Kind: Figure,
-					YUnit: bf.unit, XLabel: "file MB", LogX: true,
-					Direction: bf.dir, Notes: bf.notes,
-				}
+			YUnit: bf.unit, XLabel: "file MB", LogX: true,
+			Direction: bf.dir, Notes: bf.notes,
+			Series: func(cfg Config) []Series {
 				sizes := bench.BonnieSweepSizes()
-				res.Series = make([]Series, len(cfg.Profiles))
-				parallelFor(cfg, len(cfg.Profiles), func(pi int) {
-					p := cfg.Profiles[pi]
-					s := Series{
-						Label:   p.String(),
-						X:       make([]float64, len(sizes)),
-						Samples: make([]*stats.Sample, len(sizes)),
-					}
-					parallelFor(cfg, len(sizes), func(i int) {
-						r := bench.Bonnie(plat, p, sizes[i], cfg.Seed+uint64(i))
-						s.X[i] = float64(sizes[i])
-						s.Samples[i] = noiseSample(cfg, saltFor(bf.id, p.String(), i), noiseFor(p, noiseFS), bf.pick(r))
+				return perProfile(cfg, 1, func(p *osprofile.Profile, _ int) Series {
+					return curve(cfg, bf.id, p.String(), p.String(), floats(sizes), noiseFor(p, noiseFS), func(i int) float64 {
+						return bf.pick(bench.Bonnie(plat, p, sizes[i], cfg.Seed+uint64(i)))
 					})
-					res.Series[pi] = s
 				})
-				return res
 			},
 		})
 	}
@@ -193,37 +160,20 @@ func init() {
 		Title: "File Create/Delete (crtdel)",
 		Kind:  Figure,
 		Paper: "Figure 12, §7.2",
-		Run: func(cfg Config) *Result {
-			res := &Result{
-				ID: "F12", Title: "File Create/Delete (crtdel)", Kind: Figure,
-				YUnit: "ms", XLabel: "file bytes", LogX: true,
-				Direction: stats.LowerIsBetter,
-				Expected: []Expectation{
-					{Label: "Solaris 2.4 @1KB", Mean: 34},
-					{Label: "FreeBSD 2.0.5R @1KB", Mean: 66},
-				},
-				Notes: []string{
-					"Linux never touches the disk: ext2 updates metadata asynchronously — an order of magnitude faster.",
-					"FreeBSD trails Solaris by a near-constant ~32 ms: more (or farther) synchronous metadata writes.",
-				},
-			}
-			sizes := bench.CrtdelSweepSizes()
-			res.Series = make([]Series, len(cfg.Profiles))
-			parallelFor(cfg, len(cfg.Profiles), func(pi int) {
-				p := cfg.Profiles[pi]
-				s := Series{
-					Label:   p.String(),
-					X:       make([]float64, len(sizes)),
-					Samples: make([]*stats.Sample, len(sizes)),
-				}
-				parallelFor(cfg, len(sizes), func(i int) {
-					d := bench.Crtdel(plat, p, sizes[i], cfg.Seed+uint64(i))
-					s.X[i] = float64(sizes[i])
-					s.Samples[i] = noiseSample(cfg, saltFor("F12", p.String(), i), noiseFor(p, noiseFS), d.Milliseconds())
-				})
-				res.Series[pi] = s
+		YUnit: "ms", XLabel: "file bytes", LogX: true,
+		Direction: stats.LowerIsBetter,
+		Expected: []Expectation{
+			{Label: "Solaris 2.4 @1KB", Mean: 34},
+			{Label: "FreeBSD 2.0.5R @1KB", Mean: 66},
+		},
+		Notes: []string{
+			"Linux never touches the disk: ext2 updates metadata asynchronously — an order of magnitude faster.",
+			"FreeBSD trails Solaris by a near-constant ~32 ms: more (or farther) synchronous metadata writes.",
+		},
+		Series: func(cfg Config) []Series {
+			return perProfile(cfg, 1, func(p *osprofile.Profile, _ int) Series {
+				return crtdelCurve(cfg, "F12", p)
 			})
-			return res
 		},
 	})
 
@@ -232,57 +182,50 @@ func init() {
 		Title: "UDP Bandwidth (ttcp)",
 		Kind:  Figure,
 		Paper: "Figure 13, §9.2",
-		Run: func(cfg Config) *Result {
-			res := &Result{
-				ID: "F13", Title: "UDP Bandwidth (ttcp)", Kind: Figure,
-				YUnit: "Mb/s", XLabel: "packet bytes", LogX: true,
-				Direction: stats.HigherIsBetter,
-				Expected: []Expectation{
-					{Label: "FreeBSD 2.0.5R peak", Mean: 48},
-					{Label: "Solaris 2.4 peak", Mean: 32},
-					{Label: "Linux 1.2.8 peak", Mean: 16},
-				},
-				Notes: []string{
-					"FreeBSD approaches 50 Mb/s (half its pipe bandwidth); Solaris peaks at ~32 (also half of pipes).",
-					"Linux, despite the best pipes, is worst at UDP: extra copies and inefficient buffer allocation (14% of its pipe bandwidth).",
-				},
-			}
+		YUnit: "Mb/s", XLabel: "packet bytes", LogX: true,
+		Direction: stats.HigherIsBetter,
+		Expected: []Expectation{
+			{Label: "FreeBSD 2.0.5R peak", Mean: 48},
+			{Label: "Solaris 2.4 peak", Mean: 32},
+			{Label: "Linux 1.2.8 peak", Mean: 16},
+		},
+		Notes: []string{
+			"FreeBSD approaches 50 Mb/s (half its pipe bandwidth); Solaris peaks at ~32 (also half of pipes).",
+			"Linux, despite the best pipes, is worst at UDP: extra copies and inefficient buffer allocation (14% of its pipe bandwidth).",
+		},
+		Series: func(cfg Config) []Series {
 			sizes := bench.TTCPSweepSizes()
-			res.Series = make([]Series, len(cfg.Profiles))
-			parallelFor(cfg, len(cfg.Profiles), func(pi int) {
-				p := cfg.Profiles[pi]
-				s := Series{
-					Label:   p.String(),
-					X:       make([]float64, len(sizes)),
-					Samples: make([]*stats.Sample, len(sizes)),
-				}
-				for i, size := range sizes {
-					bw := bench.TTCP(p, size)
-					s.X[i] = float64(size)
-					s.Samples[i] = noiseSample(cfg, saltFor("F13", p.String(), i), noiseFor(p, noiseUDP), bw)
-				}
-				res.Series[pi] = s
+			return perProfile(cfg, 1, func(p *osprofile.Profile, _ int) Series {
+				return curve(cfg, "F13", p.String(), p.String(), floats(sizes), noiseFor(p, noiseUDP), func(i int) float64 {
+					return bench.TTCP(p, sizes[i])
+				})
 			})
-			return res
 		},
 	})
 }
 
-// ctxSeries runs the Figure 1 sweep for one OS and pattern, fanning the
-// process-count points out on the worker pool. (The "F1" salt is shared
-// with ablation A3, which reuses these curves; keep it.)
+// ctxSeries runs the Figure 1 sweep for one OS and pattern. (The "F1"
+// salt is shared with ablation A3, which reuses these curves; keep it.)
 func ctxSeries(cfg Config, p *osprofile.Profile, order bench.CtxOrder, label string) Series {
 	plat := bench.PaperPlatform()
-	s := Series{
-		Label:   label,
-		X:       make([]float64, len(ctxProcCounts)),
-		Samples: make([]*stats.Sample, len(ctxProcCounts)),
-	}
-	parallelFor(cfg, len(ctxProcCounts), func(i int) {
-		n := ctxProcCounts[i]
-		d := bench.Ctx(plat, p, n, order)
-		s.X[i] = float64(n)
-		s.Samples[i] = noiseSample(cfg, saltFor("F1", label, i), noiseFor(p, noiseCtx), d.Microseconds())
+	return curve(cfg, "F1", label, label, floats(ctxProcCounts), noiseFor(p, noiseCtx), func(i int) float64 {
+		return bench.Ctx(plat, p, ctxProcCounts[i], order).Microseconds()
 	})
-	return s
+}
+
+// memCurve runs one §6 cache-hierarchy sweep over the memory suite's
+// buffer sizes.
+func memCurve(cfg Config, id, salt, label string, rel float64, cacheCfg cache.Config, r memmodel.Routine, dist int) Series {
+	sizes := bench.MemSweepSizes()
+	points := memSweep(cfg, cacheCfg, r, dist, sizes)
+	return curve(cfg, id, salt, label, floats(sizes), rel, func(i int) float64 { return points[i].MBs })
+}
+
+// crtdelCurve runs the Figure 12 crtdel sweep for one personality.
+func crtdelCurve(cfg Config, id string, p *osprofile.Profile) Series {
+	plat := bench.PaperPlatform()
+	sizes := bench.CrtdelSweepSizes()
+	return curve(cfg, id, p.String(), p.String(), floats(sizes), noiseFor(p, noiseFS), func(i int) float64 {
+		return bench.Crtdel(plat, p, sizes[i], cfg.Seed+uint64(i)).Milliseconds()
+	})
 }

@@ -17,11 +17,11 @@ import (
 // (Table 4), the netstack UDP path (Figure 13), and the §6 cache
 // hierarchy for shared-memory line traffic.
 
-// ipcMsgSizes is the message-size sweep (log-spaced).
-var ipcMsgSizes = []int{64, 256, 1024, 4096, 16384, 65536}
+// IPCMsgSizes is the message-size sweep (log-spaced).
+var IPCMsgSizes = []int{64, 256, 1024, 4096, 16384, 65536}
 
-// ipcTransports orders the transports in exhibit series.
-var ipcTransports = []string{"pipe", "socket", "shm"}
+// IPCTransports orders the transports in exhibit series.
+var IPCTransports = []string{"pipe", "socket", "shm"}
 
 // IPCPoint runs one IPC point with the exhibits' construction and
 // returns the transfer bandwidth in MB/s. A non-nil plan perturbs the
@@ -68,48 +68,25 @@ func init() {
 		Title: "IPC Bandwidth vs Message Size (pipe / socket / shm)",
 		Kind:  Figure,
 		Paper: "IPC extension of §9 (FreeBSD IPC study, PAPERS.md)",
-		Run: func(cfg Config) *Result {
-			res := &Result{
-				ID: "I1", Title: "IPC Bandwidth vs Message Size (pipe / socket / shm)",
-				Kind: Figure, YUnit: "MB/s", XLabel: "message bytes", LogX: true,
-				Direction: stats.HigherIsBetter,
-				Notes: []string{
-					"Every transport moves 1 MB between two processes; bandwidth = total / elapsed virtual time.",
-					"Pipes amortize their two copies and syscall pair as messages grow until the kernel buffer bounds the burst; UDP sockets pay per-packet protocol and checksum costs and fragment at the personality's maximum datagram; shared memory pays only semaphore handshakes plus the cache-line traffic of handing the message's lines to a cold consumer.",
-					"Fault plans reach only the socket series (the transport with a network under it) — `-faults` leaves pipe and shm curves byte-identical.",
-				},
-			}
-			type job struct {
-				p  *osprofile.Profile
-				tr string
-			}
-			jobs := make([]job, 0, len(cfg.Profiles)*len(ipcTransports))
-			for _, p := range cfg.Profiles {
-				for _, tr := range ipcTransports {
-					jobs = append(jobs, job{p, tr})
-				}
-			}
-			res.Series = make([]Series, len(jobs))
-			parallelFor(cfg, len(jobs), func(ji int) {
-				p, tr := jobs[ji].p, jobs[ji].tr
+		YUnit: "MB/s", XLabel: "message bytes", LogX: true,
+		Direction: stats.HigherIsBetter,
+		Notes: []string{
+			"Every transport moves 1 MB between two processes; bandwidth = total / elapsed virtual time.",
+			"Pipes amortize their two copies and syscall pair as messages grow until the kernel buffer bounds the burst; UDP sockets pay per-packet protocol and checksum costs and fragment at the personality's maximum datagram; shared memory pays only semaphore handshakes plus the cache-line traffic of handing the message's lines to a cold consumer.",
+			"Fault plans reach only the socket series (the transport with a network under it) — `-faults` leaves pipe and shm curves byte-identical.",
+		},
+		Series: func(cfg Config) []Series {
+			return perProfile(cfg, len(IPCTransports), func(p *osprofile.Profile, t int) Series {
+				tr := IPCTransports[t]
 				label := fmt.Sprintf("%s %s", p, tr)
-				s := Series{
-					Label:   label,
-					X:       make([]float64, len(ipcMsgSizes)),
-					Samples: make([]*stats.Sample, len(ipcMsgSizes)),
-				}
-				for i, msg := range ipcMsgSizes {
-					mbps, err := IPCPoint(cfg, p, tr, msg, nil)
+				return curve(cfg, "I1", label, label, floats(IPCMsgSizes), ipcNoise(p, tr), func(i int) float64 {
+					mbps, err := IPCPoint(cfg, p, tr, IPCMsgSizes[i], nil)
 					if err != nil {
 						panic(err) // unreachable: transports are the fixed set above
 					}
-					s.X[i] = float64(msg)
-					s.Samples[i] = noiseSample(cfg, saltFor("I1", label, i),
-						ipcNoise(p, tr), mbps)
-				}
-				res.Series[ji] = s
+					return mbps
+				})
 			})
-			return res
 		},
 	})
 }

@@ -23,7 +23,6 @@ type memoKeyMaterial struct {
 	ID       string          `json:"id"`
 	Seed     uint64          `json:"seed"`
 	Runs     int             `json:"runs"`
-	RefModel bool            `json:"ref_model,omitempty"`
 	Profiles json.RawMessage `json:"profiles"`
 }
 
@@ -40,7 +39,6 @@ func memoKey(cfg Config, id string) []byte {
 		ID:       id,
 		Seed:     cfg.Seed,
 		Runs:     cfg.Runs,
-		RefModel: cfg.UseRefModel,
 		Profiles: prof.Bytes(),
 	})
 	if err != nil {

@@ -116,7 +116,7 @@ func (o ObserveOpts) withDefaults() ObserveOpts {
 		o.Clients = 1000
 	}
 	if o.Nfsd <= 0 {
-		o.Nfsd = scaleNfsd
+		o.Nfsd = ScaleNfsd
 	}
 	return o
 }

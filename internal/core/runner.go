@@ -125,19 +125,11 @@ func memSweep(cfg Config, cacheCfg cache.Config, r memmodel.Routine, dist int, s
 	cpuc := bench.PaperPlatform().CPU
 	out := make([]bench.MemPoint, len(sizes))
 	parallelFor(cfg, len(sizes), func(i int) {
-		var mbs float64
-		switch {
-		case cfg.UseRefModel:
-			// Differential certification path: per-access reference model,
-			// no memo (the memo key does not carry the implementation, and
-			// sharing values would defeat the point of re-simulating).
-			mbs = memmodel.RefSweepPoint(cpuc, cacheCfg, r, dist, sizes[i])
-		case cfg.memo != nil:
-			mbs = cfg.memo.Bandwidth(cpuc, cacheCfg, r, dist, sizes[i])
-		default:
-			mbs = memmodel.SweepPoint(cpuc, cacheCfg, r, dist, sizes[i])
+		mbs := memmodel.SweepPoint
+		if cfg.memo != nil {
+			mbs = cfg.memo.Bandwidth
 		}
-		out[i] = bench.MemPoint{Size: sizes[i], MBs: mbs}
+		out[i] = bench.MemPoint{Size: sizes[i], MBs: mbs(cpuc, cacheCfg, r, dist, sizes[i])}
 	})
 	return out
 }

@@ -171,32 +171,24 @@ func TestRunStatsSlowest(t *testing.T) {
 
 // TestMemSweepRefModelBitIdentical certifies the line-granular cache fast
 // path end to end: the same sweeps the §6 figures run, re-simulated on the
-// per-access reference hierarchy (Config.UseRefModel), must reproduce the
-// fast path's bandwidths bit for bit. This is the suite-level face of the
-// differential property tests in internal/cache and internal/memmodel.
+// per-access reference hierarchy (memmodel.NewRefModel), must reproduce
+// the fast path's bandwidths bit for bit. This is the suite-level face of
+// the differential property tests in internal/cache and internal/memmodel.
 func TestMemSweepRefModelBitIdentical(t *testing.T) {
 	cfg := smallConfig()
-	refCfg := cfg
-	refCfg.UseRefModel = true
 	sizes := []int{512, 4 << 10, 64 << 10, 512 << 10}
 	if testing.Short() {
 		sizes = sizes[:3]
 	}
 	for _, r := range []memmodel.Routine{memmodel.CustomRead, memmodel.Memset, memmodel.PrefetchCopy} {
 		fast := memSweep(cfg, cache.PentiumConfig(), r, memmodel.DefaultPrefetchDistance, sizes)
-		ref := memSweep(refCfg, cache.PentiumConfig(), r, memmodel.DefaultPrefetchDistance, sizes)
-		for i := range sizes {
-			if fast[i] != ref[i] {
-				t.Errorf("%v at %d bytes: fast %v, reference %v", r, sizes[i], fast[i], ref[i])
+		for i, size := range sizes {
+			m := memmodel.NewRefModel(bench.PaperPlatform().CPU, cache.PentiumConfig())
+			m.PrefetchDistance = memmodel.DefaultPrefetchDistance
+			if ref := m.Bandwidth(r, size); fast[i].MBs != ref {
+				t.Errorf("%v at %d bytes: fast %v, reference %v", r, size, fast[i].MBs, ref)
 			}
 		}
-	}
-	// UseRefModel must also win over an attached memo: the point of the
-	// flag is to re-simulate, not to read back memoized fast-path values.
-	refCfg.memo = memmodel.NewSweepCache()
-	memSweep(refCfg, cache.PentiumConfig(), memmodel.Memset, memmodel.DefaultPrefetchDistance, sizes[:1])
-	if st := refCfg.memo.Stats(); st.Hits != 0 || st.Misses != 0 {
-		t.Errorf("reference sweep touched the memo: %+v", st)
 	}
 }
 

@@ -10,21 +10,22 @@ import (
 	"repro/internal/stats"
 )
 
-// scaleClientCounts is the S1/S2 sweep: six decades of client
+// ScaleClientCounts is the S1/S2 sweep: six decades of client
 // population, the ROADMAP's "millions of users" reached on the last
 // point.
-var scaleClientCounts = []int{10, 100, 1_000, 10_000, 100_000, 1_000_000}
+var ScaleClientCounts = []int{10, 100, 1_000, 10_000, 100_000, 1_000_000}
 
-// scaleNfsd is the server's worker-slot count in the registry
+// ScaleNfsd is the server's worker-slot count in the registry
 // experiments (the conventional nfsd count of the era; the CLI's
 // `scale` command makes it a flag).
-const scaleNfsd = 8
+const ScaleNfsd = 8
 
 // scaleKey identifies one server run for the per-suite sweep cache. The
-// personality is keyed by name: profiles are registry constants, one
-// name per parameter set.
+// personality is keyed by identity, not by name: a -profiles
+// personality may share a paper personality's name with different
+// parameters.
 type scaleKey struct {
-	profile string
+	profile *osprofile.Profile
 	clients int
 	nfsd    int
 	seed    uint64
@@ -35,7 +36,7 @@ type scaleKey struct {
 // between S1 and S2 — and between concurrent workers via the
 // single-flight table — cannot change any result.
 func scalePoint(cfg Config, p *osprofile.Profile, clients, nfsd int) *nfsserver.Result {
-	key := scaleKey{profile: p.Name, clients: clients, nfsd: nfsd, seed: cfg.Seed}
+	key := scaleKey{profile: p, clients: clients, nfsd: nfsd, seed: cfg.Seed}
 	run := func() *nfsserver.Result {
 		return scaleServer(cfg, p, clients, nfsd, nil).Run()
 	}
@@ -88,34 +89,19 @@ func init() {
 		Title: "NFS Server Throughput vs Client Population",
 		Kind:  Figure,
 		Paper: "scale-out of §10 (beyond the paper's one-client exhibit)",
-		Run: func(cfg Config) *Result {
-			res := &Result{
-				ID: "S1", Title: "NFS Server Throughput vs Client Population",
-				Kind: Figure, YUnit: "ops/s", XLabel: "clients", LogX: true,
-				Direction: stats.HigherIsBetter,
-				Notes: []string{
-					"Open-loop load: each client issues one op/s, so offered load equals the client count; served throughput tracks it until a shared resource saturates.",
-					"Synchronous-commit servers (FreeBSD, Solaris) hit the disk wall first — every write pays real I/O — while the Linux 1.2.8 server answers from its cache and rides to the CPU/cache limit before the buffer cache stops covering the population's working set.",
-					"Past saturation all personalities converge to the shared disk's service rate: the million-client point measures queueing collapse, not the server.",
-				},
-			}
-			res.Series = make([]Series, len(cfg.Profiles))
-			parallelFor(cfg, len(cfg.Profiles), func(pi int) {
-				p := cfg.Profiles[pi]
-				s := Series{
-					Label:   p.String(),
-					X:       make([]float64, len(scaleClientCounts)),
-					Samples: make([]*stats.Sample, len(scaleClientCounts)),
-				}
-				for i, clients := range scaleClientCounts {
-					r := scalePoint(cfg, p, clients, scaleNfsd)
-					s.X[i] = float64(clients)
-					s.Samples[i] = noiseSample(cfg, saltFor("S1", p.String(), i),
-						noiseFor(p, noiseNFS), r.Throughput())
-				}
-				res.Series[pi] = s
+		YUnit: "ops/s", XLabel: "clients", LogX: true,
+		Direction: stats.HigherIsBetter,
+		Notes: []string{
+			"Open-loop load: each client issues one op/s, so offered load equals the client count; served throughput tracks it until a shared resource saturates.",
+			"Synchronous-commit servers (FreeBSD, Solaris) hit the disk wall first — every write pays real I/O — while the Linux 1.2.8 server answers from its cache and rides to the CPU/cache limit before the buffer cache stops covering the population's working set.",
+			"Past saturation all personalities converge to the shared disk's service rate: the million-client point measures queueing collapse, not the server.",
+		},
+		Series: func(cfg Config) []Series {
+			return perProfile(cfg, 1, func(p *osprofile.Profile, _ int) Series {
+				return curve(cfg, "S1", p.String(), p.String(), floats(ScaleClientCounts), noiseFor(p, noiseNFS), func(i int) float64 {
+					return scalePoint(cfg, p, ScaleClientCounts[i], ScaleNfsd).Throughput()
+				})
 			})
-			return res
 		},
 	})
 
@@ -124,47 +110,22 @@ func init() {
 		Title: "NFS Server Latency Percentiles vs Client Population",
 		Kind:  Figure,
 		Paper: "scale-out of §10 (beyond the paper's one-client exhibit)",
-		Run: func(cfg Config) *Result {
-			res := &Result{
-				ID: "S2", Title: "NFS Server Latency Percentiles vs Client Population",
-				Kind: Figure, YUnit: "ms", XLabel: "clients", LogX: true,
-				Direction: stats.LowerIsBetter,
-				Notes: []string{
-					"Percentiles stream from fixed-boundary log-bucket histograms (O(1) memory per op, exact merge); no sample is ever stored.",
-					"The p50/p99 gap opens exactly where the ingress queue starts filling; past the knee the p999 is dominated by retransmit backoff of queue-dropped requests.",
-					"The async Linux server's percentiles stay flat for two more decades than the synchronous servers' — the spec-violating §10 cache reply at population scale.",
-				},
-			}
-			res.Series = make([]Series, 0, len(cfg.Profiles)*len(scaleQuantiles))
-			type job struct {
-				p *osprofile.Profile
-				q int
-			}
-			jobs := make([]job, 0, cap(res.Series))
-			for _, p := range cfg.Profiles {
-				for qi := range scaleQuantiles {
-					jobs = append(jobs, job{p, qi})
-				}
-			}
-			res.Series = res.Series[:len(jobs)]
-			parallelFor(cfg, len(jobs), func(ji int) {
-				p, qd := jobs[ji].p, scaleQuantiles[jobs[ji].q]
+		YUnit: "ms", XLabel: "clients", LogX: true,
+		Direction: stats.LowerIsBetter,
+		Notes: []string{
+			"Percentiles stream from fixed-boundary log-bucket histograms (O(1) memory per op, exact merge); no sample is ever stored.",
+			"The p50/p99 gap opens exactly where the ingress queue starts filling; past the knee the p999 is dominated by retransmit backoff of queue-dropped requests.",
+			"The async Linux server's percentiles stay flat for two more decades than the synchronous servers' — the spec-violating §10 cache reply at population scale.",
+		},
+		Series: func(cfg Config) []Series {
+			return perProfile(cfg, len(scaleQuantiles), func(p *osprofile.Profile, qi int) Series {
+				qd := scaleQuantiles[qi]
 				label := fmt.Sprintf("%s %s", p, qd.label)
-				s := Series{
-					Label:   label,
-					X:       make([]float64, len(scaleClientCounts)),
-					Samples: make([]*stats.Sample, len(scaleClientCounts)),
-				}
-				for i, clients := range scaleClientCounts {
-					r := scalePoint(cfg, p, clients, scaleNfsd)
-					s.X[i] = float64(clients)
-					ms := float64(r.Hist.Quantile(qd.q)) / 1e6
-					s.Samples[i] = noiseSample(cfg, saltFor("S2", label, i),
-						noiseFor(p, noiseNFS), ms)
-				}
-				res.Series[ji] = s
+				return curve(cfg, "S2", label, label, floats(ScaleClientCounts), noiseFor(p, noiseNFS), func(i int) float64 {
+					r := scalePoint(cfg, p, ScaleClientCounts[i], ScaleNfsd)
+					return float64(r.Hist.Quantile(qd.q)) / 1e6
+				})
 			})
-			return res
 		},
 	})
 }

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/osprofile"
 )
 
 // TestScaleDeterminismTenThousandClients is the scale-out determinism
@@ -67,6 +69,35 @@ func TestScaleSweepParallelBitIdentical(t *testing.T) {
 	}
 	parallel, _ := NewRunner(8).RunAll(cfg, exps)
 	assertResultsIdentical(t, serial, parallel)
+}
+
+// A -profiles personality may share a paper personality's name with
+// other parameters. The suite cache must not serve it the paper
+// personality's server runs: its S2 curves are the same whether or not
+// Linux 1.2.8 runs next to it.
+func TestScaleCacheKeysByPersonality(t *testing.T) {
+	slow := osprofile.Linux128()
+	slow.Version = "1.2.8-slowserver"
+	slow.NFS.ServerPerRPC *= 20
+	s2 := []*Experiment{mustLookup(t, "S2")}
+	cfg := smallConfig()
+	cfg.Profiles = []*osprofile.Profile{osprofile.Linux128(), slow}
+	both, _ := NewRunner(1).RunAll(cfg, s2)
+	cfg.Profiles = []*osprofile.Profile{slow}
+	alone, _ := NewRunner(1).RunAll(cfg, s2)
+	for _, s := range alone[0].Series {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(both[0].FindSeries(s.Label))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s differs when run next to Linux 1.2.8:\nnext to it: %s\nalone:      %s", s.Label, got, want)
+		}
+	}
 }
 
 // Every S2 percentile curve is pointwise no less than the p50 curve of

@@ -41,33 +41,22 @@ var (
 	}
 )
 
-// tableExperiment builds a one-value-per-OS experiment from a model
+// tableExperiment declares a one-value-per-OS experiment from a model
 // function returning the deterministic mean for one OS.
 func tableExperiment(id, title, paperRef, unit string, dir stats.Direction,
 	area noiseArea, expected []Expectation, notes []string,
-	model func(cfg Config, p *osprofile.Profile, runIdx int) float64) *Experiment {
+	model func(cfg Config, p *osprofile.Profile) float64) *Experiment {
 	return &Experiment{
 		ID:    id,
 		Title: title,
 		Kind:  Table,
 		Paper: paperRef,
-		Run: func(cfg Config) *Result {
-			res := &Result{
-				ID: id, Title: title, Kind: Table,
-				YUnit: unit, Direction: dir,
-				Expected: expected, Notes: notes,
-			}
-			res.Series = make([]Series, len(cfg.Profiles))
-			parallelFor(cfg, len(cfg.Profiles), func(i int) {
-				p := cfg.Profiles[i]
-				mean := model(cfg, p, 0)
-				sample := noiseSample(cfg, saltFor(id, p.String(), 0), noiseFor(p, area), mean)
-				res.Series[i] = Series{
-					Label:   p.String(),
-					Samples: []*stats.Sample{sample},
-				}
+		YUnit: unit, Direction: dir,
+		Expected: expected, Notes: notes,
+		Series: func(cfg Config) []Series {
+			return perProfile(cfg, 1, func(p *osprofile.Profile, _ int) Series {
+				return row(cfg, id, p.String(), noiseFor(p, area), model(cfg, p))
 			})
-			return res
 		},
 	}
 }
@@ -82,7 +71,7 @@ func init() {
 			"Linux has the fastest basic system call, then FreeBSD, then Solaris.",
 			"Solaris' multi-threaded fully-preemptive kernel costs it ~50% over Linux.",
 		},
-		func(cfg Config, p *osprofile.Profile, _ int) float64 {
+		func(cfg Config, p *osprofile.Profile) float64 {
 			return bench.Getpid(plat, p).Microseconds()
 		}))
 
@@ -94,7 +83,7 @@ func init() {
 			"FreeBSD beats Solaris despite losing crtdel badly: its attribute cache wins the stat phase and the gap is amortised by compile time.",
 			"Overall MAB spread is far narrower than the microbenchmarks (paper §12).",
 		},
-		func(cfg Config, p *osprofile.Profile, _ int) float64 {
+		func(cfg Config, p *osprofile.Profile) float64 {
 			return bench.MAB(plat, p, bench.DefaultMAB(), cfg.Seed).Total.Seconds()
 		}))
 
@@ -105,7 +94,7 @@ func init() {
 			"Linux and FreeBSD could theoretically keep up with 100 Mb/s Ethernet; Solaris could not.",
 			"Solaris pipes ride on System V STREAMS, the bulk of its deficit.",
 		},
-		func(cfg Config, p *osprofile.Profile, _ int) float64 {
+		func(cfg Config, p *osprofile.Profile) float64 {
 			return bench.BwPipe(plat, p)
 		}))
 
@@ -116,7 +105,7 @@ func init() {
 			"FreeBSD first; Solaris close behind with wildly unstable throughput (16% σ).",
 			"Linux collapses to ~38% of FreeBSD: its TCP window is one packet.",
 		},
-		func(cfg Config, p *osprofile.Profile, _ int) float64 {
+		func(cfg Config, p *osprofile.Profile) float64 {
 			return bench.BwTCP(p, 0)
 		}))
 
@@ -127,7 +116,7 @@ func init() {
 			"FreeBSD's networking wins; Linux and Solaris effectively tie behind it.",
 			"The Linux server replies from its cache (async policy), keeping every client fast.",
 		},
-		func(cfg Config, p *osprofile.Profile, _ int) float64 {
+		func(cfg Config, p *osprofile.Profile) float64 {
 			return bench.MABNFS(p, bench.ServerLinux, bench.DefaultMAB(), cfg.Seed).Total.Seconds()
 		}))
 
@@ -138,7 +127,7 @@ func init() {
 			"The spec-compliant synchronous server slows everyone; FreeBSD degrades least.",
 			"Linux 'performs miserably when connected to other types of servers' — tiny foreign transfer size, no pipelining, no client caching.",
 		},
-		func(cfg Config, p *osprofile.Profile, _ int) float64 {
+		func(cfg Config, p *osprofile.Profile) float64 {
 			return bench.MABNFS(p, bench.ServerSunOS, bench.DefaultMAB(), cfg.Seed).Total.Seconds()
 		}))
 }

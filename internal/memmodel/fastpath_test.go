@@ -39,8 +39,17 @@ func TestModelFastVsRefAllRoutines(t *testing.T) {
 	}
 }
 
-// RefSweepPoint is the exported certification hook; it must agree with
-// SweepPoint bit for bit.
+// RefSweepPoint computes SweepPoint's sweep point on the per-access
+// reference hierarchy (cache.RefHierarchy). It must return a value
+// bit-identical to SweepPoint's — that invariant is what certifies the
+// fast path.
+func RefSweepPoint(c cpu.CPU, cfg cache.Config, r Routine, dist, size int) float64 {
+	m := NewRefModel(c, cfg)
+	m.PrefetchDistance = dist
+	return m.Bandwidth(r, size)
+}
+
+// RefSweepPoint must agree with SweepPoint bit for bit.
 func TestRefSweepPointMatchesSweepPoint(t *testing.T) {
 	c := cpu.PentiumP54C100()
 	cfg := cache.PentiumConfig()

@@ -18,16 +18,6 @@ func SweepPoint(c cpu.CPU, cfg cache.Config, r Routine, dist, size int) float64 
 	return m.Bandwidth(r, size)
 }
 
-// RefSweepPoint computes the same sweep point on the per-access reference
-// hierarchy (cache.RefHierarchy). It must return a value bit-identical to
-// SweepPoint's — that invariant is what certifies the fast path, and
-// core's UseRefModel plumbing exercises it across whole suite sweeps.
-func RefSweepPoint(c cpu.CPU, cfg cache.Config, r Routine, dist, size int) float64 {
-	m := NewRefModel(c, cfg)
-	m.PrefetchDistance = dist
-	return m.Bandwidth(r, size)
-}
-
 // SweepKey identifies one sweep point by the full machine description and
 // routine parameters that determine its (deterministic) bandwidth. Both
 // cpu.CPU and cache.Config are flat comparable structs, so the key doubles

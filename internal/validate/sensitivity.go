@@ -70,9 +70,9 @@ type ClaimRobustness struct {
 func (c ClaimRobustness) Robust() bool { return c.Passes == c.Trials }
 
 // Sensitivity evaluates every claim across trials perturbed replicas of
-// the study, each with all calibrated constants jittered by ±eps. The
-// returned slice is in Claims() order.
-func Sensitivity(base core.Config, eps float64, trials int) []ClaimRobustness {
+// the study, each with all calibrated constants jittered by ±eps and its
+// exhibits run on runner. The returned slice is in Claims() order.
+func Sensitivity(runner *core.Runner, base core.Config, eps float64, trials int) []ClaimRobustness {
 	claims := Claims()
 	out := make([]ClaimRobustness, len(claims))
 	for i := range out {
@@ -88,7 +88,8 @@ func Sensitivity(base core.Config, eps float64, trials int) []ClaimRobustness {
 			perturbed[j] = Perturb(p, rng, eps)
 		}
 		cfg.Profiles = perturbed
-		for i, o := range RunAll(cfg) {
+		results, _ := runner.RunAll(cfg, Exhibits())
+		for i, o := range Evaluate(results) {
 			if o.Passed() {
 				out[i].Passes++
 			} else if out[i].FirstFailure == nil {

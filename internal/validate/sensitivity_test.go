@@ -81,7 +81,7 @@ func TestSensitivitySmoke(t *testing.T) {
 	}
 	cfg := core.DefaultConfig()
 	cfg.Runs = 5
-	rob := Sensitivity(cfg, 0.05, 1)
+	rob := Sensitivity(core.NewRunner(0), cfg, 0.05, 1)
 	if len(rob) != len(Claims()) {
 		t.Fatalf("robustness rows %d != claims %d", len(rob), len(Claims()))
 	}

@@ -6,12 +6,15 @@
 // The claims drive three consumers: the test suite, the `pentiumbench
 // check` command, and the sensitivity analysis, which re-evaluates every
 // claim under perturbed calibration constants to show the conclusions do
-// not hinge on the fitted values.
+// not hinge on the fitted values. The package runs nothing itself: each
+// consumer runs Exhibits on a core.Runner and scores the results with
+// Evaluate.
 package validate
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -660,29 +663,28 @@ func Claims() []Claim {
 	}
 }
 
-// RunAll evaluates every claim under cfg, running each exhibit once.
-func RunAll(cfg core.Config) []Outcome {
-	cache := map[string]*core.Result{}
-	resultFor := func(id string) (*core.Result, error) {
-		if r, ok := cache[id]; ok {
-			return r, nil
-		}
-		e, ok := core.Lookup(id)
-		if !ok {
-			return nil, fmt.Errorf("no experiment %q", id)
-		}
-		r := e.Run(cfg)
-		cache[id] = r
-		return r, nil
-	}
+// Exhibits returns the experiments the claims are checked against, in
+// presentation order: running them gives Evaluate every result it needs.
+func Exhibits() []*core.Experiment {
+	claims := Claims()
+	return slices.DeleteFunc(core.All(), func(e *core.Experiment) bool {
+		return !slices.ContainsFunc(claims, func(c Claim) bool { return c.Exhibit == e.ID })
+	})
+}
+
+// Evaluate scores every claim, in Claims() order, against its exhibit's
+// result among results.
+func Evaluate(results []*core.Result) []Outcome {
 	var out []Outcome
 	for _, c := range Claims() {
-		r, err := resultFor(c.Exhibit)
-		if err != nil {
-			out = append(out, Outcome{Claim: c, Err: err})
-			continue
+		o := Outcome{Claim: c, Err: fmt.Errorf("no result for exhibit %q", c.Exhibit)}
+		for _, r := range results {
+			if r.ID == c.Exhibit {
+				o.Err = c.Check(r)
+				break
+			}
 		}
-		out = append(out, Outcome{Claim: c, Err: c.Check(r)})
+		out = append(out, o)
 	}
 	return out
 }

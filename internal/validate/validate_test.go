@@ -12,11 +12,57 @@ func TestAllClaimsPassOnDefaultConfig(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full claim sweep is a few seconds")
 	}
-	cfg := core.DefaultConfig()
-	for _, o := range RunAll(cfg) {
+	results, _ := core.NewRunner(0).RunAll(core.DefaultConfig(), Exhibits())
+	for _, o := range Evaluate(results) {
 		if !o.Passed() {
 			t.Errorf("%s (%s) failed: %v\n  claim: %s",
 				o.Claim.ID, o.Claim.Exhibit, o.Err, o.Claim.Statement)
+		}
+	}
+}
+
+// TestClaimsHoldAcrossSeeds checks that no claim holds only by the luck
+// of seed 1's noise draws: every claim must pass at seeds 1-8.
+func TestClaimsHoldAcrossSeeds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("eight claim sweeps")
+	}
+	runner := core.NewRunner(0)
+	for seed := uint64(1); seed <= 8; seed++ {
+		cfg := core.DefaultConfig()
+		cfg.Seed = seed
+		results, _ := runner.RunAll(cfg, Exhibits())
+		for _, o := range Evaluate(results) {
+			if !o.Passed() {
+				t.Errorf("seed %d: %s (%s) failed: %v", seed, o.Claim.ID, o.Claim.Exhibit, o.Err)
+			}
+		}
+	}
+}
+
+// Exhibits is exactly the set of exhibits the claims cite, and Evaluate
+// fails a claim whose exhibit has no result instead of running it.
+func TestEvaluateNeedsExhibitResults(t *testing.T) {
+	cited := map[string]bool{}
+	for _, c := range Claims() {
+		cited[c.Exhibit] = true
+	}
+	exps := Exhibits()
+	if len(exps) != len(cited) {
+		t.Fatalf("Exhibits() has %d experiments, claims cite %d", len(exps), len(cited))
+	}
+	for _, e := range exps {
+		if !cited[e.ID] {
+			t.Errorf("Exhibits() includes uncited %s", e.ID)
+		}
+	}
+	outcomes := Evaluate(nil)
+	if len(outcomes) != len(Claims()) {
+		t.Fatalf("Evaluate(nil) gave %d outcomes, want %d", len(outcomes), len(Claims()))
+	}
+	for _, o := range outcomes {
+		if o.Passed() || !strings.Contains(o.Err.Error(), "no result for exhibit") {
+			t.Errorf("%s: Evaluate(nil) = %v, want a missing-result error", o.Claim.ID, o.Err)
 		}
 	}
 }

@@ -5,9 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/report"
-	"repro/internal/validate"
+	"repro/internal/cli"
 )
 
 // experimentsAppendixMarker separates the generated body of
@@ -33,23 +31,10 @@ func TestExperimentsGolden(t *testing.T) {
 	if i := strings.Index(string(wantFile), experimentsAppendixMarker); i >= 0 {
 		want = wantFile[:i]
 	}
-	cfg := core.DefaultConfig()
-	var b strings.Builder
-	var results []*core.Result
-	for _, e := range core.All() {
-		results = append(results, e.Run(cfg))
+	var b, errb strings.Builder
+	if code := cli.NewApp(&b, &errb).Execute([]string{"experiments"}); code != 0 {
+		t.Fatalf("experiments exited %d: %s", code, errb.String())
 	}
-	report.Markdown(&b, results)
-	var lines []report.ClaimLine
-	for _, o := range validate.RunAll(cfg) {
-		l := report.ClaimLine{ID: o.Claim.ID, Exhibit: o.Claim.Exhibit,
-			Statement: o.Claim.Statement, Passed: o.Passed()}
-		if o.Err != nil {
-			l.Err = o.Err.Error()
-		}
-		lines = append(lines, l)
-	}
-	report.MarkdownClaims(&b, lines)
 	got := b.String()
 	if got != string(want) {
 		// Find the first differing line for a useful message.
