@@ -125,11 +125,14 @@ func memSweep(cfg Config, cacheCfg cache.Config, r memmodel.Routine, dist int, s
 	cpuc := bench.PaperPlatform().CPU
 	out := make([]bench.MemPoint, len(sizes))
 	parallelFor(cfg, len(sizes), func(i int) {
-		mbs := memmodel.SweepPoint
-		if cfg.memo != nil {
-			mbs = cfg.memo.Bandwidth
+		var mbs float64
+		switch {
+		case cfg.memo != nil:
+			mbs = cfg.memo.Bandwidth(cpuc, cacheCfg, r, dist, sizes[i])
+		default:
+			mbs = memmodel.SweepPoint(cpuc, cacheCfg, r, dist, sizes[i])
 		}
-		out[i] = bench.MemPoint{Size: sizes[i], MBs: mbs(cpuc, cacheCfg, r, dist, sizes[i])}
+		out[i] = bench.MemPoint{Size: sizes[i], MBs: mbs}
 	})
 	return out
 }
