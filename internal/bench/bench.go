@@ -14,7 +14,9 @@ package bench
 import (
 	"repro/internal/cpu"
 	"repro/internal/disk"
+	"repro/internal/fault"
 	"repro/internal/kernel"
+	"repro/internal/obs"
 	"repro/internal/osprofile"
 	"repro/internal/sim"
 )
@@ -35,6 +37,98 @@ func PaperPlatform() Platform {
 	}
 }
 
+// TraceRingCap bounds every observed run's trace to the most recent
+// events, the way Chrome's own tracing rings do. The benchmarks loop one
+// operation tens of thousands of times, so an unbounded capture is
+// hundreds of megabytes of identical iterations; the ring keeps the
+// steady-state tail, which is the part worth looking at, and keeps
+// exported traces Perfetto-sized. Dropping is deterministic (oldest
+// first), so capped traces stay bit-identical across worker counts.
+const TraceRingCap = 1 << 14
+
+// Scope observes one benchmark run and injects faults into it. Each
+// observable benchmark is a Scope method, and the package function of
+// the same name runs that method on a nil Scope, so an observed run
+// executes the plain run's code: same machine, same seed, same charges,
+// and a bit-identical measurement. A nil *Scope observes and injects
+// nothing.
+type Scope struct {
+	// Sampler, when non-nil, records the run's virtual-time time series:
+	// the scheduler's switches and runnable count on the kernel
+	// benchmarks, the benchmark disk's operations and fault time under
+	// Crtdel.
+	Sampler *obs.Sampler
+	// Faults are injected into the hardware the run models: the disk
+	// and buffer cache under Crtdel and MABNFS's server, the network
+	// under BwTCP, TTCP and MABNFS. The zero value injects nothing, and
+	// the injectors' counters join Metrics.
+	Faults fault.Injectors
+
+	// Process is the run's trace, named after the OS personality and
+	// bounded by TraceRingCap; clockless models capture an empty one.
+	Process obs.Process
+	// Metrics is the model's counters and phase ledgers after the run.
+	Metrics obs.Snapshot
+	// Total is the run's total simulated time (the phase ledgers in
+	// Metrics sum to it exactly for clocked models).
+	Total sim.Duration
+
+	rec *obs.Recorder
+}
+
+// faults is s's fault injectors; a nil s has none.
+func (s *Scope) faults() fault.Injectors {
+	if s == nil {
+		return fault.Injectors{}
+	}
+	return s.Faults
+}
+
+// trace starts the run's trace, stamped from clock (nil for models that
+// stamp their own events), and returns its recorder; nil for a nil s.
+func (s *Scope) trace(clock *sim.Clock) *obs.Recorder {
+	if s == nil {
+		return nil
+	}
+	s.rec = obs.NewRing(clock, TraceRingCap)
+	return s.rec
+}
+
+// capture ends the run: s takes the trace, the counters fold adds to a
+// fresh registry, the injectors' counters, and the run's total time. A
+// nil s records nothing.
+func (s *Scope) capture(p *osprofile.Profile, total sim.Duration, fold func(reg *obs.Registry)) {
+	if s == nil {
+		return
+	}
+	if s.rec == nil {
+		s.trace(nil)
+	}
+	reg := obs.NewRegistry()
+	fold(reg)
+	s.Faults.FoldMetrics(reg, "fault.")
+	s.Process = s.rec.Capture(p.String())
+	s.Metrics = reg.Snapshot()
+	s.Total = total
+	s.rec = nil
+}
+
+// machine builds a kernel benchmark's uniprocessor with s's trace and
+// sampler attached.
+func (s *Scope) machine(p *osprofile.Profile) *kernel.Machine {
+	m := kernel.MustMachine(p, 1)
+	if s != nil {
+		m.Observe(s.trace(nil))
+		m.SetSampler(s.Sampler)
+	}
+	return m
+}
+
+// captureMachine ends a kernel benchmark's run.
+func (s *Scope) captureMachine(m *kernel.Machine, p *osprofile.Profile) {
+	s.capture(p, m.Elapsed(), func(reg *obs.Registry) { m.FoldMetrics(reg, "kernel.") })
+}
+
 // GetpidIterations is the loop count of the system-call benchmark
 // (Table 2: "100,000 iterations each").
 const GetpidIterations = 100_000
@@ -42,14 +136,17 @@ const GetpidIterations = 100_000
 // Getpid measures the mean time of one getpid() call over the benchmark's
 // loop, per §4.
 func Getpid(plat Platform, p *osprofile.Profile) sim.Duration {
-	return getpidOn(kernel.MustMachine(p, 1))
+	return (*Scope)(nil).Getpid(plat, p)
 }
 
-// getpidOn runs the getpid loop on a prepared machine (possibly
-// observed). The initial dispatch is not part of the loop.
-func getpidOn(m *kernel.Machine) sim.Duration {
+// Getpid is Getpid observed by s. The initial dispatch is not part of
+// the loop.
+func (s *Scope) Getpid(plat Platform, p *osprofile.Profile) sim.Duration {
+	m := s.machine(p)
 	t := m.SpawnThread("getpid-loop", []kernel.Op{{Kind: kernel.OpSyscall}}, GetpidIterations)
-	return (m.Run() - t.FirstRun.Sub(0)) / GetpidIterations
+	d := (m.Run() - t.FirstRun.Sub(0)) / GetpidIterations
+	s.captureMachine(m, p)
+	return d
 }
 
 // CtxSwitches is the per-run switch count of the ctx benchmark
@@ -72,16 +169,18 @@ const (
 // operations, as the paper's numbers do) for the given number of
 // processes.
 func Ctx(plat Platform, p *osprofile.Profile, nproc int, order CtxOrder) sim.Duration {
+	return (*Scope)(nil).Ctx(plat, p, nproc, order)
+}
+
+// Ctx is Ctx observed by s: the Figure 1 decomposition of a context
+// switch into syscall-entry, copy, wakeup and dispatch spans. Timing
+// starts when process 0 first runs and injects the token, after every
+// process has been spawned.
+func (s *Scope) Ctx(plat Platform, p *osprofile.Profile, nproc int, order CtxOrder) sim.Duration {
 	if nproc < 2 {
 		panic("bench: ctx needs at least two processes")
 	}
-	return ctxOn(kernel.MustMachine(p, 1), nproc, order)
-}
-
-// ctxOn runs the ctx benchmark on a prepared machine (possibly observed).
-// Timing starts when process 0 first runs and injects the token, after
-// every process has been spawned.
-func ctxOn(m *kernel.Machine, nproc int, order CtxOrder) sim.Duration {
+	m := s.machine(p)
 	// Scale work down for big rings so every configuration does a few
 	// thousand hops; the per-switch mean is what matters.
 	hops := CtxSwitches
@@ -101,7 +200,9 @@ func ctxOn(m *kernel.Machine, nproc int, order CtxOrder) sim.Duration {
 	default:
 		panic("bench: unknown ctx order")
 	}
-	return (m.Run() - first.FirstRun.Sub(0)) / sim.Duration(switches)
+	d := (m.Run() - first.FirstRun.Sub(0)) / sim.Duration(switches)
+	s.captureMachine(m, p)
+	return d
 }
 
 // pipeOp is a one-byte token transfer on p.

@@ -3,8 +3,6 @@ package bench
 import (
 	"testing"
 
-	"repro/internal/cache"
-	"repro/internal/memmodel"
 	"repro/internal/osprofile"
 	"repro/internal/sim"
 )
@@ -338,22 +336,6 @@ func TestTTCPFigure13AndBwTCPTable5(t *testing.T) {
 	// A5 wrapper: window override raises Linux.
 	if BwTCP(osprofile.Linux128(), 16) <= BwTCP(osprofile.Linux128(), 0) {
 		t.Error("window override must raise Linux TCP bandwidth")
-	}
-}
-
-func TestMemFigureWrappers(t *testing.T) {
-	sizes := []int{1 << 10, 64 << 10, 1 << 20}
-	pts := MemFigure(plat, cache.PentiumConfig(), memmodel.CustomRead, sizes)
-	if len(pts) != 3 {
-		t.Fatalf("MemFigure returned %d points", len(pts))
-	}
-	if !(pts[0].MBs > pts[1].MBs && pts[1].MBs > pts[2].MBs) {
-		t.Errorf("read bandwidth must fall across cache levels: %+v", pts)
-	}
-	d0 := MemFigureDistance(plat, cache.PentiumConfig(), memmodel.PrefetchWrite, []int{2 << 20}, 0)
-	d4 := MemFigureDistance(plat, cache.PentiumConfig(), memmodel.PrefetchWrite, []int{2 << 20}, 4)
-	if d4[0].MBs <= d0[0].MBs {
-		t.Errorf("deeper prefetch should help out of cache: %.1f vs %.1f", d4[0].MBs, d0[0].MBs)
 	}
 }
 

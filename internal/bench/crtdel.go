@@ -2,6 +2,7 @@ package bench
 
 import (
 	"repro/internal/fs"
+	"repro/internal/obs"
 	"repro/internal/osprofile"
 	"repro/internal/sim"
 )
@@ -14,22 +15,23 @@ const CrtdelIterations = 50
 // size, per §7.2: open (create) a file, write the data, close it; open it
 // again, read the data, delete it — a compiler's temporary-file pattern.
 func Crtdel(plat Platform, p *osprofile.Profile, fileBytes int64, seed uint64) sim.Duration {
-	clock, fsys := crtdelSetup(plat, p, seed)
-	return crtdelOn(clock, fsys, fileBytes)
+	return (*Scope)(nil).Crtdel(plat, p, fileBytes, seed)
 }
 
-// crtdelSetup builds the benchmark's fresh file system and its clock.
-func crtdelSetup(plat Platform, p *osprofile.Profile, seed uint64) (*sim.Clock, *fs.FileSystem) {
-	clock := &sim.Clock{}
-	rng := sim.NewRNG(seed)
-	return clock, fs.MustNew(clock, plat.Disk(rng.Fork(1)), p)
-}
-
-// crtdelOn runs the create/delete loop on a prepared file system
-// (possibly observed).
-func crtdelOn(clock *sim.Clock, fsys *fs.FileSystem, fileBytes int64) sim.Duration {
+// Crtdel is Crtdel observed by s: the Figure 12 decomposition of a
+// create/delete cycle into VFS, copy, allocation, metadata-sync,
+// disk-read and write-back spans. Disk and cache faults ride the same
+// charge paths, so the phase ledger stays exact under injection.
+func (s *Scope) Crtdel(plat Platform, p *osprofile.Profile, fileBytes int64, seed uint64) sim.Duration {
 	if fileBytes < 0 {
 		panic("bench: negative crtdel file size")
+	}
+	clock := &sim.Clock{}
+	fsys := fs.MustNew(clock, plat.Disk(sim.NewRNG(seed).Fork(1)), p)
+	if s != nil {
+		fsys.SetFaults(s.Faults)
+		fsys.Disk().Sample(clock, s.Sampler)
+		fsys.Observe(s.trace(clock))
 	}
 	start := clock.Now()
 	for i := 0; i < CrtdelIterations; i++ {
@@ -53,7 +55,12 @@ func crtdelOn(clock *sim.Clock, fsys *fs.FileSystem, fileBytes int64) sim.Durati
 			panic(err)
 		}
 	}
-	return clock.Now().Sub(start) / CrtdelIterations
+	d := clock.Now().Sub(start) / CrtdelIterations
+	s.capture(p, clock.Now().Sub(0), func(reg *obs.Registry) {
+		fsys.FoldMetrics(reg, "fs.")
+		fsys.Disk().Stats().FoldMetrics(reg, "disk.")
+	})
+	return d
 }
 
 // CrtdelSweepSizes returns Figure 12's file sizes: zero bytes through one

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"repro/internal/disk"
-	"repro/internal/fault"
 	"repro/internal/netstack"
 	"repro/internal/nfs"
 	"repro/internal/obs"
@@ -66,13 +65,20 @@ func NewNFSServer(kind NFSServerKind, seed uint64) *nfs.Server {
 // mount with the reserved-port option when the server is Linux, working
 // around the §11 quirk exactly as the authors had to.
 func MABNFS(p *osprofile.Profile, kind NFSServerKind, cfg MABConfig, seed uint64) MABResult {
-	clock, _, mount := mountNFS(p, kind, seed)
-	return MABOn(clock, mount, p, cfg)
+	return (*Scope)(nil).MABNFS(p, kind, cfg, seed)
 }
 
-// mountNFS builds the chosen server and mounts it from a client running
-// p on a fresh clock.
-func mountNFS(p *osprofile.Profile, kind NFSServerKind, seed uint64) (*sim.Clock, *nfs.Server, *nfs.Mount) {
+// mabPhaseKeys are metric-name slugs for MABResult.Phase, index-aligned
+// with PhaseNames.
+var mabPhaseKeys = [5]string{"mkdir", "copy", "stat", "read", "compile"}
+
+// MABNFS is MABNFS observed by s: the network injector rides the
+// mount's RPC path (hard-mount retry under loss), and the disk and
+// cache injectors ride the server's local file system. The metrics
+// carry the per-phase times, the client's RPC counters (including
+// retransmits when faults fired), and the server's file system and
+// disk counters.
+func (s *Scope) MABNFS(p *osprofile.Profile, kind NFSServerKind, cfg MABConfig, seed uint64) MABResult {
 	clock := &sim.Clock{}
 	server := NewNFSServer(kind, seed)
 	opts := nfs.MountOptions{}
@@ -83,37 +89,16 @@ func mountNFS(p *osprofile.Profile, kind NFSServerKind, seed uint64) (*sim.Clock
 	if err != nil {
 		panic(err)
 	}
-	return clock, server, mount
-}
-
-// mabPhaseKeys are metric-name slugs for MABResult.Phase, index-aligned
-// with PhaseNames.
-var mabPhaseKeys = [5]string{"mkdir", "copy", "stat", "read", "compile"}
-
-// MABNFSObserved is MABNFS with metrics and fault injection: the network
-// injector rides the mount's RPC path (hard-mount retry under loss), and
-// the disk/cache injectors ride the server's local file system. The
-// snapshot carries the per-phase times, the client's RPC counters
-// (including retransmits when faults fired), the server's file system
-// and disk counters, and the injector counters. Zero-value injectors
-// leave the run byte-identical to MABNFS.
-func MABNFSObserved(p *osprofile.Profile, kind NFSServerKind, cfg MABConfig, seed uint64, inj fault.Injectors) (MABResult, Observation) {
-	clock, server, mount := mountNFS(p, kind, seed)
-	server.SetFaults(inj)
-	mount.SetFaults(inj.Net)
+	server.SetFaults(s.faults())
+	mount.SetFaults(s.faults().Net)
 	res := MABOn(clock, mount, p, cfg)
-	reg := obs.NewRegistry()
-	for i, key := range mabPhaseKeys {
-		reg.Counter("mab.phase_us." + key).Add(res.Phase[i].Microseconds())
-	}
-	mount.Stats().FoldMetrics(reg, "nfs.")
-	server.FS().FoldMetrics(reg, "srv.fs.")
-	server.FS().Disk().Stats().FoldMetrics(reg, "srv.disk.")
-	inj.FoldMetrics(reg, "fault.")
-	rec := obs.NewRing(nil, TraceRingCap)
-	return res, Observation{
-		Process: rec.Capture(p.String()),
-		Metrics: reg.Snapshot(),
-		Total:   res.Total,
-	}
+	s.capture(p, res.Total, func(reg *obs.Registry) {
+		for i, key := range mabPhaseKeys {
+			reg.Counter("mab.phase_us." + key).Add(res.Phase[i].Microseconds())
+		}
+		mount.Stats().FoldMetrics(reg, "nfs.")
+		server.FS().FoldMetrics(reg, "srv.fs.")
+		server.FS().Disk().Stats().FoldMetrics(reg, "srv.disk.")
+	})
+	return res
 }

@@ -22,11 +22,12 @@ func TestMABNFSCompletesOverLossyUDP(t *testing.T) {
 	if err := plan.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	run := func() (MABResult, Observation) {
-		inj := fault.New(plan, sim.NewRNG(7))
-		return MABNFSObserved(osprofile.Solaris24(), ServerLinux, DefaultMAB(), 7, inj)
+	run := func() (MABResult, *Scope) {
+		o := &Scope{Faults: fault.New(plan, sim.NewRNG(7))}
+		return o.MABNFS(osprofile.Solaris24(), ServerLinux, DefaultMAB(), 7), o
 	}
-	clean, cleanObs := MABNFSObserved(osprofile.Solaris24(), ServerLinux, DefaultMAB(), 7, fault.Injectors{})
+	cleanObs := new(Scope)
+	clean := cleanObs.MABNFS(osprofile.Solaris24(), ServerLinux, DefaultMAB(), 7)
 	res, o := run()
 
 	if res.Total <= 0 {

@@ -1,18 +1,5 @@
 package bench
 
-import (
-	"repro/internal/cache"
-	"repro/internal/memmodel"
-)
-
-// MemPoint is one point of a §6 memory figure.
-type MemPoint struct {
-	// Size is the buffer size in bytes.
-	Size int
-	// MBs is the achieved bandwidth in megabytes per second.
-	MBs float64
-}
-
 // MemSweepSizes returns the buffer sizes the memory benchmarks sweep:
 // four points per octave from 64 bytes to 8 MB, plus ragged sizes (2^k-1)
 // at the low end that land 15 bytes in the tail loop and reproduce the
@@ -40,21 +27,4 @@ func insertionSort(a []int) {
 			a[j], a[j-1] = a[j-1], a[j]
 		}
 	}
-}
-
-// MemFigure runs one §6 routine across the sweep on a fresh Pentium
-// hierarchy and returns the bandwidth curve. The cfg parameter lets the
-// A1 (write-allocate) ablation substitute a hypothetical cache.
-func MemFigure(plat Platform, cfg cache.Config, r memmodel.Routine, sizes []int) []MemPoint {
-	return MemFigureDistance(plat, cfg, r, sizes, memmodel.DefaultPrefetchDistance)
-}
-
-// MemFigureDistance is MemFigure with an explicit prefetch distance, for
-// the A2 ablation.
-func MemFigureDistance(plat Platform, cfg cache.Config, r memmodel.Routine, sizes []int, dist int) []MemPoint {
-	out := make([]MemPoint, 0, len(sizes))
-	for _, s := range sizes {
-		out = append(out, MemPoint{Size: s, MBs: memmodel.SweepPoint(plat.CPU, cfg, r, dist, s)})
-	}
-	return out
 }

@@ -3,40 +3,41 @@ package bench
 import (
 	"testing"
 
-	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/osprofile"
+	"repro/internal/sim"
 )
 
 // TestObservedVariantsBitIdentical is the observability layer's central
-// promise at the benchmark level: attaching a recorder never changes a
-// measurement. Every observed variant must return exactly the plain
-// variant's value.
+// promise at the benchmark level: attaching a scope never changes a
+// measurement. Every Scope method must return exactly its plain entry
+// point's value, with a live sampler where the model samples.
 func TestObservedVariantsBitIdentical(t *testing.T) {
 	plat := PaperPlatform()
+	sampled := func() *Scope { return &Scope{Sampler: obs.NewSampler(100 * sim.Millisecond)} }
 	for _, p := range osprofile.Paper() {
-		p := p
 		t.Run(p.String(), func(t *testing.T) {
-			if d, _ := GetpidObserved(plat, p); d != Getpid(plat, p) {
-				t.Error("GetpidObserved diverges from Getpid")
+			if d := new(Scope).Getpid(plat, p); d != Getpid(plat, p) {
+				t.Error("Scope.Getpid diverges from Getpid")
 			}
-			if d, _ := CtxSampled(plat, p, 8, CtxRing, nil); d != Ctx(plat, p, 8, CtxRing) {
-				t.Error("CtxSampled diverges from Ctx")
+			if d := sampled().Ctx(plat, p, 8, CtxRing); d != Ctx(plat, p, 8, CtxRing) {
+				t.Error("Scope.Ctx diverges from Ctx")
 			}
-			if v, _ := BwPipeObserved(plat, p); v != BwPipe(plat, p) {
-				t.Error("BwPipeObserved diverges from BwPipe")
+			if v := new(Scope).BwPipe(plat, p); v != BwPipe(plat, p) {
+				t.Error("Scope.BwPipe diverges from BwPipe")
 			}
-			if d, _ := CrtdelSampled(plat, p, 64<<10, 1, fault.Injectors{}, nil); d != Crtdel(plat, p, 64<<10, 1) {
-				t.Error("CrtdelSampled diverges from Crtdel")
+			if d := sampled().Crtdel(plat, p, 64<<10, 1); d != Crtdel(plat, p, 64<<10, 1) {
+				t.Error("Scope.Crtdel diverges from Crtdel")
 			}
-			if v, _ := BwTCPObserved(p, 0, fault.Injectors{}); v != BwTCP(p, 0) {
-				t.Error("BwTCPObserved diverges from BwTCP")
+			if v := new(Scope).BwTCP(p, 0); v != BwTCP(p, 0) {
+				t.Error("Scope.BwTCP diverges from BwTCP")
 			}
-			if v, _ := TTCPObserved(p, 1024, fault.Injectors{}); v != TTCP(p, 1024) {
-				t.Error("TTCPObserved diverges from TTCP")
+			if v := new(Scope).TTCP(p, 1024); v != TTCP(p, 1024) {
+				t.Error("Scope.TTCP diverges from TTCP")
 			}
 			for _, kind := range []NFSServerKind{ServerLinux, ServerSunOS} {
-				if r, _ := MABNFSObserved(p, kind, DefaultMAB(), 1, fault.Injectors{}); r != MABNFS(p, kind, DefaultMAB(), 1) {
-					t.Errorf("MABNFSObserved diverges from MABNFS (server %d)", kind)
+				if r := new(Scope).MABNFS(p, kind, DefaultMAB(), 1); r != MABNFS(p, kind, DefaultMAB(), 1) {
+					t.Errorf("Scope.MABNFS diverges from MABNFS (server %d)", kind)
 				}
 			}
 		})
@@ -49,7 +50,8 @@ func TestObservedVariantsBitIdentical(t *testing.T) {
 func TestObservationsCarryData(t *testing.T) {
 	plat := PaperPlatform()
 	p := osprofile.FreeBSD205()
-	_, o := CrtdelSampled(plat, p, 64<<10, 1, fault.Injectors{}, nil)
+	o := new(Scope)
+	o.Crtdel(plat, p, 64<<10, 1)
 	if o.Total <= 0 {
 		t.Fatal("crtdel observation has no total")
 	}
@@ -82,7 +84,7 @@ func BenchmarkCrtdelObserved(b *testing.B) {
 	plat := PaperPlatform()
 	p := osprofile.FreeBSD205()
 	for i := 0; i < b.N; i++ {
-		CrtdelSampled(plat, p, 64<<10, 1, fault.Injectors{}, nil)
+		new(Scope).Crtdel(plat, p, 64<<10, 1)
 	}
 }
 
@@ -98,6 +100,6 @@ func BenchmarkCtxObserved(b *testing.B) {
 	plat := PaperPlatform()
 	p := osprofile.Linux128()
 	for i := 0; i < b.N; i++ {
-		CtxSampled(plat, p, 8, CtxRing, nil)
+		new(Scope).Ctx(plat, p, 8, CtxRing)
 	}
 }

@@ -9,18 +9,20 @@ import (
 )
 
 // baseline implements `pentiumbench baseline record|check|diff`, the
-// metric regression harness (DESIGN.md §10).
-func (a *App) baseline(cfg core.Config, runner *core.Runner, args []string,
-	opts core.ObserveOpts, path string, tol float64) int {
+// metric regression harness (DESIGN.md §10). The file records no probe
+// options, so record and check run the probes at their defaults, as
+// /api/baseline/diff does: -procs and the other probe flags do not
+// reach the gate.
+func (a *App) baseline(cfg core.Config, runner *core.Runner, args []string, path string, tol float64) int {
 	if len(args) == 0 {
 		fmt.Fprintln(a.Stderr, "pentiumbench: baseline needs a verb: record [ids|all], check, or diff <a.json> <b.json>")
 		return 2
 	}
 	switch args[0] {
 	case "record":
-		return a.baselineRecord(cfg, runner, args[1:], opts, path)
+		return a.baselineRecord(cfg, runner, args[1:], path)
 	case "check":
-		return a.baselineCheck(cfg, runner, opts, path, tol)
+		return a.baselineCheck(cfg, runner, path, tol)
 	case "diff":
 		return a.baselineDiff(args[1:], tol)
 	default:
@@ -33,12 +35,11 @@ func (a *App) baseline(cfg core.Config, runner *core.Runner, args []string,
 // probes (default: every observable experiment) and writes the baseline
 // file. The capture is a pure function of (ids, seed), so a re-record
 // without model changes is byte-identical.
-func (a *App) baselineRecord(cfg core.Config, runner *core.Runner, ids []string,
-	opts core.ObserveOpts, path string) int {
+func (a *App) baselineRecord(cfg core.Config, runner *core.Runner, ids []string, path string) int {
 	if len(ids) == 0 || (len(ids) == 1 && ids[0] == "all") {
 		ids = core.ObservableIDs()
 	}
-	suite, err := runner.Observe(cfg, ids, opts)
+	suite, err := runner.Observe(cfg, ids, core.ObserveOpts{})
 	if err != nil {
 		fmt.Fprintln(a.Stderr, "pentiumbench:", err)
 		return 2
@@ -63,14 +64,13 @@ func (a *App) baselineRecord(cfg core.Config, runner *core.Runner, ids []string,
 // baselineCheck loads the baseline, re-runs it with checkBaseline and
 // prints the verdict. Exit 0 on a clean pass; exit 1 with the ranked
 // regression table on any violation.
-func (a *App) baselineCheck(cfg core.Config, runner *core.Runner,
-	opts core.ObserveOpts, path string, tol float64) int {
+func (a *App) baselineCheck(cfg core.Config, runner *core.Runner, path string, tol float64) int {
 	data, err := a.ReadFile(path)
 	if err != nil {
 		fmt.Fprintln(a.Stderr, "pentiumbench:", err)
 		return 2
 	}
-	base, res, err := checkBaseline(cfg, runner, data, opts, tol)
+	base, res, err := checkBaseline(cfg, runner, data, tol)
 	if err != nil {
 		fmt.Fprintln(a.Stderr, "pentiumbench:", err)
 		return 2
@@ -89,17 +89,17 @@ func (a *App) baselineCheck(cfg core.Config, runner *core.Runner,
 }
 
 // checkBaseline re-runs a recorded baseline's probes with the seed it
-// records — the gate is self-contained; command-line -seed does not leak
-// in — and compares the fresh capture against it. `baseline check` and
-// /api/baseline/diff both call it.
-func checkBaseline(cfg core.Config, runner *core.Runner, data []byte,
-	opts core.ObserveOpts, tol float64) (*baseline.File, *baseline.Result, error) {
+// records and default probe options — the gate is self-contained;
+// command-line -seed and probe flags do not leak in — and compares the
+// fresh capture against it. `baseline check` and /api/baseline/diff
+// both call it.
+func checkBaseline(cfg core.Config, runner *core.Runner, data []byte, tol float64) (*baseline.File, *baseline.Result, error) {
 	base, err := baseline.Load(data)
 	if err != nil {
 		return nil, nil, err
 	}
 	cfg.Seed = base.Seed
-	suite, err := runner.Observe(cfg, base.IDs, opts)
+	suite, err := runner.Observe(cfg, base.IDs, core.ObserveOpts{})
 	if err != nil {
 		return nil, nil, err
 	}

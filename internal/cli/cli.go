@@ -346,8 +346,7 @@ func (a *App) dispatch(fl *flag.FlagSet, cfg core.Config, runner *core.Runner,
 		return a.faults(cfg, runner, rest[1:],
 			core.ObserveOpts{Procs: procs, Clients: o.clients, Nfsd: o.nfsd}, o.plan)
 	case "baseline":
-		return a.baseline(cfg, runner, rest[1:], core.ObserveOpts{Procs: procs},
-			o.baseline, o.tol)
+		return a.baseline(cfg, runner, rest[1:], o.baseline, o.tol)
 	case "notes":
 		a.notes()
 		return 0

@@ -187,6 +187,22 @@ func TestBaselineCheckUsesRecordedSeed(t *testing.T) {
 	}
 }
 
+// TestBaselineCheckIgnoresProcs: the baseline file records no probe
+// options, so a check with -procs must run the probes at the defaults
+// they were recorded with, as /api/baseline/diff does.
+func TestBaselineCheckIgnoresProcs(t *testing.T) {
+	a, _, errb, _ := testApp()
+	if code := a.Execute([]string{"baseline", "record", "T2", "F1", "-baseline", "b.json"}); code != 0 {
+		t.Fatalf("record exit = %d: %s", code, errb.String())
+	}
+	var out, errb2 bytes.Buffer
+	b := &App{Stdout: &out, Stderr: &errb2,
+		ReadFile: a.ReadFile, CreateFile: a.CreateFile, MkdirAll: a.MkdirAll}
+	if code := b.Execute([]string{"-procs", "4", "baseline", "check", "-baseline", "b.json"}); code != 0 {
+		t.Fatalf("-procs 4 check exit = %d: %s\n%s", code, out.String(), errb2.String())
+	}
+}
+
 func TestBaselineDiff(t *testing.T) {
 	a, _, errb, files := testApp()
 	if code := a.Execute([]string{"baseline", "record", "T2", "-baseline", "a.json"}); code != 0 {

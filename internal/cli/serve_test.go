@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,6 +14,8 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/memo"
+	"repro/internal/osprofile"
 	"repro/internal/sim"
 )
 
@@ -444,6 +447,103 @@ func TestServeBaselineDiff(t *testing.T) {
 	}
 	if !diff.OK || diff.Compared == 0 {
 		t.Fatalf("self-diff should be clean: %+v", diff)
+	}
+}
+
+// serveBody requests path from h in-process and returns the 200 body.
+func serveBody(t *testing.T, h http.Handler, path string) []byte {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("%s status = %d: %s", path, rec.Code, rec.Body.Bytes())
+	}
+	return rec.Body.Bytes()
+}
+
+// TestServeMemoKeyedByProfiles: a -future server on a store filled by a
+// paper-set server must compute its own bodies, not replay the paper
+// set's.
+func TestServeMemoKeyedByProfiles(t *testing.T) {
+	dir := t.TempDir()
+	body := func(profiles []*osprofile.Profile, withStore bool) []byte {
+		cfg := core.DefaultConfig()
+		cfg.Profiles = profiles
+		if withStore {
+			store, err := memo.OpenStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Memo = store
+		}
+		return serveBody(t, newServeHandler(cfg, core.NewRunner(1), cmdOpts{}, nil), "/api/metrics/T2")
+	}
+	body(osprofile.Paper(), true)
+	future := append(osprofile.Paper(), osprofile.Linux1340(), osprofile.FreeBSD21(), osprofile.Solaris25())
+	if got, want := body(future, true), body(future, false); !bytes.Equal(got, want) {
+		t.Fatalf("-future body from the paper set's store differs from the storeless one:\n%s", got)
+	}
+}
+
+// TestServeBaselineDiffFollowsFile: editing the baseline file must
+// change /api/baseline/diff, both for a restarted -memo server and
+// between two requests to one server.
+func TestServeBaselineDiffFollowsFile(t *testing.T) {
+	cfg := core.DefaultConfig()
+	suite, err := core.NewRunner(1).Observe(cfg, []string{"T2"}, core.ObserveOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := baseline.FromSuite([]string{"T2"}, cfg.Seed, suite).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bumped := bytes.Replace(data, []byte(`"kernel.processes": 1`), []byte(`"kernel.processes": 2`), 1)
+	if bytes.Equal(bumped, data) {
+		t.Fatalf("fixture drift: kernel.processes not found in baseline:\n%s", data)
+	}
+	file := data
+	readFile := func(string) ([]byte, error) { return file, nil }
+	// handler builds a server on the -memo store at dir, or on none when
+	// dir is empty.
+	handler := func(dir string) http.Handler {
+		c := cfg
+		if dir != "" {
+			store, err := memo.OpenStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Memo = store
+		}
+		return newServeHandler(c, core.NewRunner(1), cmdOpts{baseline: "base.json"}, readFile)
+	}
+	diffOK := func(h http.Handler) bool {
+		var diff struct {
+			OK bool `json:"ok"`
+		}
+		if err := json.Unmarshal(serveBody(t, h, "/api/baseline/diff"), &diff); err != nil {
+			t.Fatal(err)
+		}
+		return diff.OK
+	}
+
+	dir := t.TempDir()
+	if !diffOK(handler(dir)) {
+		t.Fatal("recorded baseline does not diff clean")
+	}
+	file = bumped
+	if diffOK(handler(dir)) {
+		t.Fatal("restarted -memo server replayed the diff of the unedited baseline")
+	}
+
+	file = data
+	h := handler("")
+	if !diffOK(h) {
+		t.Fatal("recorded baseline does not diff clean")
+	}
+	file = bumped
+	if diffOK(h) {
+		t.Fatal("server replayed the diff of the unedited baseline")
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/memo"
+	"repro/internal/osprofile"
 )
 
 // serveSchema versions the persistent serve-response cache: bump it when
@@ -70,7 +71,7 @@ func newServeHandler(cfg core.Config, runner *core.Runner, opts cmdOpts,
 			h.mux.HandleFunc("/api/"+name+"/", h.view(name, v))
 		}
 	}
-	h.mux.HandleFunc("/api/baseline/diff", h.handle(h.baselineDiff))
+	h.mux.HandleFunc("/api/baseline/diff", h.keyed(h.baselineDiff))
 	return h
 }
 
@@ -122,10 +123,15 @@ func (h *serveHandler) keyed(resolve func(*http.Request) (string, func() serveEn
 
 // stored is the persistent layer: with -memo attached, successful
 // responses are content-addressed on disk under a key carrying the
-// serve schema, the seed and the endpoint, so a restarted server is
-// warm from its first request.
+// serve schema, the seed, the probe flags, the full personality set
+// (as the result memo keys it) and the endpoint's cache key, so a
+// restarted server is warm from its first request.
 func (h *serveHandler) stored(key string, compute func() serveEntry) serveEntry {
 	if h.cfg.Memo == nil {
+		return compute()
+	}
+	var prof bytes.Buffer
+	if err := osprofile.WriteJSON(&prof, h.cfg.Profiles); err != nil {
 		return compute()
 	}
 	mat, err := json.Marshal(map[string]any{
@@ -133,6 +139,7 @@ func (h *serveHandler) stored(key string, compute func() serveEntry) serveEntry 
 		"window": int64(h.opts.window), "clients": h.opts.clients,
 		"nfsd": h.opts.nfsd, "procs": h.opts.procs,
 		"exemplars": h.opts.exemplars, "endpoint": key,
+		"profiles": json.RawMessage(prof.Bytes()),
 	})
 	if err != nil {
 		return compute()
@@ -246,27 +253,34 @@ func (h *serveHandler) experiments() serveEntry {
 	return entry(b.Bytes(), jsonType)
 }
 
-// baselineDiff re-runs the committed baseline's probes with its recorded
+// baselineDiff re-runs the baseline file's probes with its recorded
 // seed and returns the comparison as JSON — the baseline-check gate as
-// a live endpoint.
-func (h *serveHandler) baselineDiff() serveEntry {
+// a live endpoint. Every request reads the file, and the response is
+// cached under the SHA-256 of its bytes and -tol, so an edited baseline
+// is diffed afresh; a missing file is a 404 that is not cached.
+func (h *serveHandler) baselineDiff(r *http.Request) (string, func() serveEntry, *serveEntry) {
 	data, err := h.readFile(h.opts.baseline)
 	if err != nil {
-		return fail(http.StatusNotFound, "baseline: %v", err)
+		e := fail(http.StatusNotFound, "baseline: %v", err)
+		return "", nil, &e
 	}
-	base, res, err := checkBaseline(h.cfg, h.runner, data, core.ObserveOpts{}, h.opts.tol)
-	if err != nil {
-		return fail(http.StatusInternalServerError, "baseline: %v", err)
-	}
-	var b bytes.Buffer
-	writeJSON(&b, map[string]any{
-		"baseline":   h.opts.baseline,
-		"seed":       base.Seed,
-		"compared":   res.Compared,
-		"ok":         res.OK(),
-		"violations": res.Violations,
-	})
-	return entry(b.Bytes(), jsonType)
+	sum := sha256.Sum256(data)
+	key := fmt.Sprintf("%s?sha256=%x&tol=%v", r.URL.Path, sum, h.opts.tol)
+	return key, func() serveEntry {
+		base, res, err := checkBaseline(h.cfg, h.runner, data, h.opts.tol)
+		if err != nil {
+			return fail(http.StatusInternalServerError, "baseline: %v", err)
+		}
+		var b bytes.Buffer
+		writeJSON(&b, map[string]any{
+			"baseline":   h.opts.baseline,
+			"seed":       base.Seed,
+			"compared":   res.Compared,
+			"ok":         res.OK(),
+			"violations": res.Violations,
+		})
+		return entry(b.Bytes(), jsonType)
+	}, nil
 }
 
 // serve runs the observability server until the listener fails (or the

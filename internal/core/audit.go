@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/audit"
-	"repro/internal/obs"
 	"repro/internal/osprofile"
 	"repro/internal/sim"
 )
@@ -53,23 +52,16 @@ func Audit(cfg Config, id string, opts ObserveOpts) (*AuditObservation, error) {
 	return out, nil
 }
 
-// auditScale audits one personality's S1/S2 server run with the sampler
-// and exemplar reservoir attached.
+// auditScale audits one personality's S1/S2 server run, the run Observe
+// makes, with the sampler and exemplar reservoir attached.
 func auditScale(cfg Config, id string, opts ObserveOpts, p *osprofile.Profile) []*audit.Report {
-	inj := injFor(cfg, opts, id, p)
-	srv := scaleServer(cfg, p, opts.Clients, opts.Nfsd, inj.Net)
-	smp := obs.NewSampler(opts.Window)
-	srv.SetSampler(smp)
-	ex := exemplarsFor(cfg, opts, p)
-	srv.SetExemplars(ex)
-	res := srv.Run()
-	ts := smp.Snapshot(sim.Time(res.Elapsed))
+	r := runScale(cfg, id, opts, p)
 	return []*audit.Report{audit.Evaluate(audit.Input{
 		System:    p.String(),
-		Res:       res,
-		Facts:     srv.Facts(),
-		Series:    &ts,
-		Exemplars: ex.Snapshot(),
+		Res:       r.res,
+		Facts:     r.srv.Facts(),
+		Series:    seriesOf(r.smp, r.res.Elapsed),
+		Exemplars: r.ex.Snapshot(),
 		ExemplarK: opts.ExemplarK,
 	})}
 }

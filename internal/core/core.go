@@ -56,7 +56,7 @@ type Config struct {
 	// memo caches cache-hierarchy sweep points across the experiments of
 	// one suite run; nil disables memoization. Results are identical
 	// either way — the model is a pure function of the memo key.
-	memo *memmodel.SweepCache
+	memo *memo.Table[memmodel.SweepKey, float64]
 	// scale caches NFS scale-out sweep points (S1/S2 share every
 	// (personality, clients) server run) across one suite run; nil runs
 	// each point directly. The server model is a pure function of the

@@ -217,8 +217,21 @@ func ctxSeries(cfg Config, p *osprofile.Profile, order bench.CtxOrder, label str
 // buffer sizes.
 func memCurve(cfg Config, id, salt, label string, rel float64, cacheCfg cache.Config, r memmodel.Routine, dist int) Series {
 	sizes := bench.MemSweepSizes()
-	points := memSweep(cfg, cacheCfg, r, dist, sizes)
-	return curve(cfg, id, salt, label, floats(sizes), rel, func(i int) float64 { return points[i].MBs })
+	return curve(cfg, id, salt, label, floats(sizes), rel, func(i int) float64 {
+		return memPoint(cfg, cacheCfg, r, dist, sizes[i])
+	})
+}
+
+// memPoint returns the bandwidth of one §6 sweep point on the paper's
+// CPU, sharing identical (machine, routine, distance, size) points
+// across exhibits through the suite memo when one is attached to cfg.
+func memPoint(cfg Config, cacheCfg cache.Config, r memmodel.Routine, dist, size int) float64 {
+	cpuc := bench.PaperPlatform().CPU
+	run := func() float64 { return memmodel.SweepPoint(cpuc, cacheCfg, r, dist, size) }
+	if cfg.memo == nil {
+		return run()
+	}
+	return cfg.memo.Do(memmodel.SweepKey{CPU: cpuc, Cache: cacheCfg, Routine: r, Distance: dist, Size: size}, run)
 }
 
 // crtdelCurve runs the Figure 12 crtdel sweep for one personality.

@@ -27,8 +27,8 @@ var IPCTransports = []string{"pipe", "socket", "shm"}
 // returns the transfer bandwidth in MB/s. A non-nil plan perturbs the
 // socket transport (the only one with a network under it); pipes and
 // shared memory are immune by construction. Exported for the CLI `ipc`
-// command.
-func IPCPoint(cfg Config, p *osprofile.Profile, transport string, msg int, plan *fault.Plan) (float64, error) {
+// command. The transport must be one of IPCTransports.
+func IPCPoint(cfg Config, p *osprofile.Profile, transport string, msg int, plan *fault.Plan) float64 {
 	plat := bench.PaperPlatform()
 	var d sim.Duration
 	switch transport {
@@ -40,13 +40,13 @@ func IPCPoint(cfg Config, p *osprofile.Profile, transport string, msg int, plan 
 	case "shm":
 		d = bench.IPCShm(plat, p, msg, bench.IPCTotalBytes)
 	default:
-		return 0, fmt.Errorf("core: unknown IPC transport %q (want pipe, socket, or shm)", transport)
+		panic(fmt.Sprintf("core: unknown IPC transport %q (want pipe, socket, or shm)", transport))
 	}
 	s := d.Seconds()
 	if s <= 0 {
-		return 0, nil
+		return 0
 	}
-	return float64(bench.IPCTotalBytes) / (1 << 20) / s, nil
+	return float64(bench.IPCTotalBytes) / (1 << 20) / s
 }
 
 // ipcNoise picks the calibrated noise area per transport: pipes share
@@ -80,11 +80,7 @@ func init() {
 				tr := IPCTransports[t]
 				label := fmt.Sprintf("%s %s", p, tr)
 				return curve(cfg, "I1", label, label, floats(IPCMsgSizes), ipcNoise(p, tr), func(i int) float64 {
-					mbps, err := IPCPoint(cfg, p, tr, IPCMsgSizes[i], nil)
-					if err != nil {
-						panic(err) // unreachable: transports are the fixed set above
-					}
-					return mbps
+					return IPCPoint(cfg, p, tr, IPCMsgSizes[i], nil)
 				})
 			})
 		},

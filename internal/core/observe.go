@@ -11,6 +11,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/fault"
 	"repro/internal/memmodel"
+	"repro/internal/nfsserver"
 	"repro/internal/obs"
 	"repro/internal/osprofile"
 	"repro/internal/profile"
@@ -132,10 +133,9 @@ const (
 // feed. observe produces the exhibit's observed runs (nil: it is not
 // observable); audit evaluates one personality's invariants (nil: the
 // exhibit is not auditable); sampled, faultable and exemplars say
-// whether its model carries time-series instrumentation, consults the
-// fault injectors, and offers per-request lifecycles. Every id list
-// below is computed from the probes table, so an exhibit's views are
-// declared once, here.
+// whether its runs carry the sampler, the fault injectors and the
+// exemplar reservoir of ObserveOpts. Every id list below is computed
+// from the probes table, so an exhibit's views are declared once, here.
 type probe struct {
 	observe   func(cfg Config, id string, opts ObserveOpts) []ObservedRun
 	audit     func(cfg Config, id string, opts ObserveOpts, p *osprofile.Profile) []*audit.Report
@@ -144,26 +144,43 @@ type probe struct {
 	exemplars bool
 }
 
-// probes maps each exhibit with views to its probe.
+// probes maps each exhibit with views to its probe. A bench probe names
+// the one scoped call its exhibit's observed run makes.
 var probes = map[string]probe{
-	"T2":  {observe: eachProfile(observeGetpid)},
-	"T4":  {observe: eachProfile(observeBwPipe)},
-	"T5":  {observe: eachProfile(observeTCP), faultable: true},
-	"T6":  {observe: eachProfile(observeMABNFS(bench.ServerLinux)), faultable: true},
-	"T7":  {observe: eachProfile(observeMABNFS(bench.ServerSunOS)), faultable: true},
-	"F1":  {observe: eachProfile(observeCtx), sampled: true},
-	"F2":  {observe: observeMem(memmodel.CustomRead)},
-	"F3":  {observe: observeMem(memmodel.Memset)},
-	"F4":  {observe: observeMem(memmodel.NaiveWrite)},
-	"F5":  {observe: observeMem(memmodel.PrefetchWrite)},
-	"F6":  {observe: observeMem(memmodel.LibcMemcpy)},
-	"F7":  {observe: observeMem(memmodel.NaiveCopy)},
-	"F8":  {observe: observeMem(memmodel.PrefetchCopy)},
-	"F12": {observe: eachProfile(observeCrtdel), sampled: true, faultable: true},
-	"F13": {observe: eachProfile(observeTTCP), faultable: true},
-	"S1":  {observe: eachProfile(observeScale), audit: auditScale, sampled: true, faultable: true, exemplars: true},
-	"S2":  {observe: eachProfile(observeScale), audit: auditScale, sampled: true, faultable: true, exemplars: true},
-	"L1":  {audit: auditLocks},
+	"T2": {observe: benchProbe("kernel.phase_us.", "", func(s *bench.Scope, _ Config, _ ObserveOpts, p *osprofile.Profile) {
+		s.Getpid(bench.PaperPlatform(), p)
+	})},
+	"T4": {observe: benchProbe("kernel.phase_us.", "", func(s *bench.Scope, _ Config, _ ObserveOpts, p *osprofile.Profile) {
+		s.BwPipe(bench.PaperPlatform(), p)
+	})},
+	"T5": {observe: benchProbe("tcp.", "_us", func(s *bench.Scope, _ Config, _ ObserveOpts, p *osprofile.Profile) {
+		s.BwTCP(p, 0)
+	}), faultable: true},
+	"T6": {observe: benchProbe("mab.phase_us.", "", func(s *bench.Scope, cfg Config, _ ObserveOpts, p *osprofile.Profile) {
+		s.MABNFS(p, bench.ServerLinux, bench.DefaultMAB(), cfg.Seed)
+	}), faultable: true},
+	"T7": {observe: benchProbe("mab.phase_us.", "", func(s *bench.Scope, cfg Config, _ ObserveOpts, p *osprofile.Profile) {
+		s.MABNFS(p, bench.ServerSunOS, bench.DefaultMAB(), cfg.Seed)
+	}), faultable: true},
+	"F1": {observe: benchProbe("kernel.phase_us.", "", func(s *bench.Scope, _ Config, opts ObserveOpts, p *osprofile.Profile) {
+		s.Ctx(bench.PaperPlatform(), p, opts.Procs, bench.CtxRing)
+	}), sampled: true},
+	"F2": {observe: observeMem(memmodel.CustomRead)},
+	"F3": {observe: observeMem(memmodel.Memset)},
+	"F4": {observe: observeMem(memmodel.NaiveWrite)},
+	"F5": {observe: observeMem(memmodel.PrefetchWrite)},
+	"F6": {observe: observeMem(memmodel.LibcMemcpy)},
+	"F7": {observe: observeMem(memmodel.NaiveCopy)},
+	"F8": {observe: observeMem(memmodel.PrefetchCopy)},
+	"F12": {observe: benchProbe("fs.phase_us.", "", func(s *bench.Scope, cfg Config, _ ObserveOpts, p *osprofile.Profile) {
+		s.Crtdel(bench.PaperPlatform(), p, crtdelProbeBytes, cfg.Seed)
+	}), sampled: true, faultable: true},
+	"F13": {observe: benchProbe("udp.", "_us", func(s *bench.Scope, _ Config, _ ObserveOpts, p *osprofile.Profile) {
+		s.TTCP(p, ttcpProbePacket)
+	}), faultable: true},
+	"S1": {observe: eachProfile(observeScale), audit: auditScale, sampled: true, faultable: true, exemplars: true},
+	"S2": {observe: eachProfile(observeScale), audit: auditScale, sampled: true, faultable: true, exemplars: true},
+	"L1": {audit: auditLocks},
 }
 
 // probeIDs returns the ids whose probe has the property, in
@@ -246,61 +263,24 @@ func rows(snap obs.Snapshot, prefix, suffix string) []PhaseRow {
 	return out
 }
 
-// benchRun adapts a bench.Observation into an ObservedRun with µs rows
-// drawn from the snapshot counters matching prefix+...+suffix.
-func benchRun(label string, o bench.Observation, prefix, suffix string) ObservedRun {
-	return ObservedRun{
-		Label:   label,
-		Unit:    "µs",
-		Rows:    rows(o.Metrics, prefix, suffix),
-		Total:   o.Total.Microseconds(),
-		Process: o.Process,
-		Metrics: o.Metrics,
-	}
-}
-
-func observeGetpid(cfg Config, id string, opts ObserveOpts, p *osprofile.Profile) ObservedRun {
-	_, o := bench.GetpidObserved(bench.PaperPlatform(), p)
-	return benchRun(p.String(), o, "kernel.phase_us.", "")
-}
-
-func observeBwPipe(cfg Config, id string, opts ObserveOpts, p *osprofile.Profile) ObservedRun {
-	_, o := bench.BwPipeObserved(bench.PaperPlatform(), p)
-	return benchRun(p.String(), o, "kernel.phase_us.", "")
-}
-
-func observeTCP(cfg Config, id string, opts ObserveOpts, p *osprofile.Profile) ObservedRun {
-	_, o := bench.BwTCPObserved(p, 0, injFor(cfg, opts, id, p))
-	return benchRun(p.String(), o, "tcp.", "_us")
-}
-
-// observeMABNFS probes one NFS MAB table (T6 or T7) against its server.
-func observeMABNFS(kind bench.NFSServerKind) func(Config, string, ObserveOpts, *osprofile.Profile) ObservedRun {
-	return func(cfg Config, id string, opts ObserveOpts, p *osprofile.Profile) ObservedRun {
-		_, o := bench.MABNFSObserved(p, kind, bench.DefaultMAB(), cfg.Seed, injFor(cfg, opts, id, p))
-		return benchRun(p.String(), o, "mab.phase_us.", "")
-	}
-}
-
-func observeCtx(cfg Config, id string, opts ObserveOpts, p *osprofile.Profile) ObservedRun {
-	smp := samplerFor(opts)
-	_, o := bench.CtxSampled(bench.PaperPlatform(), p, opts.Procs, bench.CtxRing, smp)
-	run := benchRun(p.String(), o, "kernel.phase_us.", "")
-	run.Series = seriesOf(smp, o.Total)
-	return run
-}
-
-func observeCrtdel(cfg Config, id string, opts ObserveOpts, p *osprofile.Profile) ObservedRun {
-	smp := samplerFor(opts)
-	_, o := bench.CrtdelSampled(bench.PaperPlatform(), p, crtdelProbeBytes, cfg.Seed, injFor(cfg, opts, id, p), smp)
-	run := benchRun(p.String(), o, "fs.phase_us.", "")
-	run.Series = seriesOf(smp, o.Total)
-	return run
-}
-
-func observeTTCP(cfg Config, id string, opts ObserveOpts, p *osprofile.Profile) ObservedRun {
-	_, o := bench.TTCPObserved(p, ttcpProbePacket, injFor(cfg, opts, id, p))
-	return benchRun(p.String(), o, "udp.", "_us")
+// benchProbe turns one scoped bench call into a probe: per personality
+// it runs call on a scope carrying the run's sampler and fault
+// injectors, and its rows are the snapshot counters named
+// prefix+...+suffix, in µs.
+func benchProbe(prefix, suffix string, call func(s *bench.Scope, cfg Config, opts ObserveOpts, p *osprofile.Profile)) func(Config, string, ObserveOpts) []ObservedRun {
+	return eachProfile(func(cfg Config, id string, opts ObserveOpts, p *osprofile.Profile) ObservedRun {
+		s := &bench.Scope{Sampler: samplerFor(opts), Faults: injFor(cfg, opts, id, p)}
+		call(s, cfg, opts, p)
+		return ObservedRun{
+			Label:   p.String(),
+			Unit:    "µs",
+			Rows:    rows(s.Metrics, prefix, suffix),
+			Total:   s.Total.Microseconds(),
+			Process: s.Process,
+			Metrics: s.Metrics,
+			Series:  seriesOf(s.Sampler, s.Total),
+		}
+	})
 }
 
 // observeMem probes one §6 memory figure: a single run of its routine
@@ -332,23 +312,40 @@ func observeMem(r memmodel.Routine) func(Config, string, ObserveOpts) []Observed
 	}
 }
 
-// observeScale probes one personality of S1/S2: one server run at
-// opts.Clients with per-nfsd-slot span tracks and the exact phase
-// ledger as its rows.
+// A scaleRun is the one S1/S2 server run that Observe and Audit share:
+// one personality at opts.Clients with the run's fault injectors,
+// sampler, exemplar reservoir and a span ring (one track per nfsd slot)
+// attached. Observe renders it and Audit evaluates it, so the audited
+// run is the observed run.
+type scaleRun struct {
+	srv *nfsserver.Server
+	res *nfsserver.Result
+	inj fault.Injectors
+	rec *obs.Recorder
+	smp *obs.Sampler
+	ex  *obs.Exemplars
+}
+
+func runScale(cfg Config, id string, opts ObserveOpts, p *osprofile.Profile) scaleRun {
+	r := scaleRun{inj: injFor(cfg, opts, id, p), smp: samplerFor(opts), ex: exemplarsFor(cfg, opts, p)}
+	r.srv = scaleServer(cfg, p, opts.Clients, opts.Nfsd, r.inj.Net)
+	r.rec = obs.NewRing(r.srv.Clock(), bench.TraceRingCap)
+	r.srv.SetRecorder(r.rec)
+	r.srv.SetSampler(r.smp)
+	r.srv.SetExemplars(r.ex)
+	r.res = r.srv.Run()
+	return r
+}
+
+// observeScale probes one personality of S1/S2: its span tracks, the
+// exact phase ledger as its rows, and its series and exemplars.
 func observeScale(cfg Config, id string, opts ObserveOpts, p *osprofile.Profile) ObservedRun {
-	inj := injFor(cfg, opts, id, p)
-	srv := scaleServer(cfg, p, opts.Clients, opts.Nfsd, inj.Net)
-	rec := obs.NewRing(srv.Clock(), bench.TraceRingCap)
-	srv.SetRecorder(rec)
-	smp := samplerFor(opts)
-	srv.SetSampler(smp)
-	ex := exemplarsFor(cfg, opts, p)
-	srv.SetExemplars(ex)
-	res := srv.Run()
-	exWins := ex.Snapshot()
+	r := runScale(cfg, id, opts, p)
+	res := r.res
+	exWins := r.ex.Snapshot()
 	name := fmt.Sprintf("%s %s", id, p)
 	var requests *obs.Process
-	if ex != nil {
+	if r.ex != nil {
 		// Rendered post-run on a recorder of their own: free while the
 		// model runs, and bounded by K per window.
 		xrec := obs.NewRecorder(nil)
@@ -358,7 +355,7 @@ func observeScale(cfg Config, id string, opts ObserveOpts, p *osprofile.Profile)
 	}
 	reg := obs.NewRegistry()
 	res.FoldMetrics(reg, "scale.")
-	inj.FoldMetrics(reg, "fault.")
+	r.inj.FoldMetrics(reg, "fault.")
 	led := res.Ledger
 	for _, ph := range []struct {
 		name string
@@ -371,7 +368,7 @@ func observeScale(cfg Config, id string, opts ObserveOpts, p *osprofile.Profile)
 		reg.Counter("scale.phase_us." + ph.name).Add(ph.v.Microseconds())
 	}
 	snap := reg.Snapshot()
-	series := seriesOf(smp, res.Elapsed)
+	series := seriesOf(r.smp, res.Elapsed)
 	if series != nil {
 		series.Exemplars = exWins
 	}
@@ -380,12 +377,12 @@ func observeScale(cfg Config, id string, opts ObserveOpts, p *osprofile.Profile)
 		Unit:          "µs",
 		Rows:          rows(snap, "scale.phase_us.", ""),
 		Total:         led.Sum().Microseconds(),
-		Process:       rec.Capture(name),
+		Process:       r.rec.Capture(name),
 		Requests:      requests,
 		Metrics:       snap,
 		Series:        series,
 		Exemplars:     exWins,
-		ExemplarDrops: ex.Dropped(),
+		ExemplarDrops: r.ex.Dropped(),
 		LatencyHist:   &res.Hist,
 	}
 }
@@ -399,9 +396,25 @@ func Observe(cfg Config, id string, opts ObserveOpts) (*Observation, error) {
 	if p.observe == nil {
 		return nil, fmt.Errorf("core: no observability probe for %q (have %v)", id, ObservableIDs())
 	}
-	out := &Observation{ID: id, Title: titleOf(id), Runs: p.observe(cfg, id, opts.withDefaults())}
+	out := &Observation{ID: id, Title: titleOf(id), Runs: p.observe(cfg, id, p.restrict(opts.withDefaults()))}
 	out.foldProfiles()
 	return out, nil
+}
+
+// restrict clears the options for the views p does not feed, so a run
+// carries a sampler, fault injectors or an exemplar reservoir only when
+// its probe declares it.
+func (p probe) restrict(opts ObserveOpts) ObserveOpts {
+	if !p.sampled {
+		opts.Window = 0
+	}
+	if !p.faultable {
+		opts.Faults = nil
+	}
+	if !p.exemplars {
+		opts.ExemplarK = 0
+	}
+	return opts
 }
 
 // samplerFor builds one probe run's time-series sampler, or nil when

@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bench"
-	"repro/internal/cache"
 	"repro/internal/memmodel"
 	"repro/internal/memo"
 	"repro/internal/nfsserver"
@@ -117,26 +115,6 @@ func parallelFor(cfg Config, n int, f func(int)) {
 	wg.Wait()
 }
 
-// memSweep produces one §6 cache-hierarchy sweep, fanning the points out
-// on the worker pool and sharing identical (machine, routine, distance,
-// size) points across exhibits through the suite memo when one is
-// attached to cfg.
-func memSweep(cfg Config, cacheCfg cache.Config, r memmodel.Routine, dist int, sizes []int) []bench.MemPoint {
-	cpuc := bench.PaperPlatform().CPU
-	out := make([]bench.MemPoint, len(sizes))
-	parallelFor(cfg, len(sizes), func(i int) {
-		var mbs float64
-		switch {
-		case cfg.memo != nil:
-			mbs = cfg.memo.Bandwidth(cpuc, cacheCfg, r, dist, sizes[i])
-		default:
-			mbs = memmodel.SweepPoint(cpuc, cacheCfg, r, dist, sizes[i])
-		}
-		out[i] = bench.MemPoint{Size: sizes[i], MBs: mbs}
-	})
-	return out
-}
-
 // Runner executes experiments on a bounded worker pool. Because every
 // experiment is a pure function of (Config, experiment), and every noise
 // stream is forked per (experiment, series, point) by saltFor, scheduling
@@ -205,8 +183,7 @@ func (st *RunStats) Slowest(k int) []ExperimentTiming {
 // identical to calling e.Run(cfg) serially for each experiment.
 func (r *Runner) RunAll(cfg Config, exps []*Experiment) ([]*Result, *RunStats) {
 	w := r.workers()
-	sweeps := memmodel.NewSweepCache()
-	cfg.memo = sweeps
+	cfg.memo = memo.NewTable[memmodel.SweepKey, float64]()
 	cfg.scale = memo.NewTable[scaleKey, *nfsserver.Result]()
 	st := &RunStats{
 		Workers:     w,
@@ -225,7 +202,7 @@ func (r *Runner) RunAll(cfg Config, exps []*Experiment) ([]*Result, *RunStats) {
 		st.InnerJobs = int(cfg.pool.innerJobs.Load())
 	}
 	st.Wall = time.Since(start)
-	ms := sweeps.Stats()
+	ms := cfg.memo.Stats()
 	st.MemoHits, st.MemoMisses = ms.Hits, ms.Misses
 	if cfg.Memo != nil {
 		ss := cfg.Memo.Stats()

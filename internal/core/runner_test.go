@@ -7,6 +7,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cache"
 	"repro/internal/memmodel"
+	"repro/internal/memo"
 )
 
 // assertResultsIdentical compares two result sets bit for bit: every
@@ -181,12 +182,12 @@ func TestMemSweepRefModelBitIdentical(t *testing.T) {
 		sizes = sizes[:3]
 	}
 	for _, r := range []memmodel.Routine{memmodel.CustomRead, memmodel.Memset, memmodel.PrefetchCopy} {
-		fast := memSweep(cfg, cache.PentiumConfig(), r, memmodel.DefaultPrefetchDistance, sizes)
-		for i, size := range sizes {
+		for _, size := range sizes {
+			fast := memPoint(cfg, cache.PentiumConfig(), r, memmodel.DefaultPrefetchDistance, size)
 			m := memmodel.NewRefModel(bench.PaperPlatform().CPU, cache.PentiumConfig())
 			m.PrefetchDistance = memmodel.DefaultPrefetchDistance
-			if ref := m.Bandwidth(r, size); fast[i].MBs != ref {
-				t.Errorf("%v at %d bytes: fast %v, reference %v", r, size, fast[i].MBs, ref)
+			if ref := m.Bandwidth(r, size); fast != ref {
+				t.Errorf("%v at %d bytes: fast %v, reference %v", r, size, fast, ref)
 			}
 		}
 	}
@@ -197,13 +198,17 @@ func TestMemSweepRefModelBitIdentical(t *testing.T) {
 func TestMemSweepMemoMatchesDirect(t *testing.T) {
 	cfg := smallConfig()
 	sizes := []int{64, 1 << 10, 32 << 10}
-	direct := memSweep(cfg, cache.PentiumConfig(), memmodel.Memset,
-		memmodel.DefaultPrefetchDistance, sizes)
-	cfg.memo = memmodel.NewSweepCache()
-	first := memSweep(cfg, cache.PentiumConfig(), memmodel.Memset,
-		memmodel.DefaultPrefetchDistance, sizes)
-	second := memSweep(cfg, cache.PentiumConfig(), memmodel.Memset,
-		memmodel.DefaultPrefetchDistance, sizes)
+	sweep := func() []float64 {
+		out := make([]float64, len(sizes))
+		for i, size := range sizes {
+			out[i] = memPoint(cfg, cache.PentiumConfig(), memmodel.Memset, memmodel.DefaultPrefetchDistance, size)
+		}
+		return out
+	}
+	direct := sweep()
+	cfg.memo = memo.NewTable[memmodel.SweepKey, float64]()
+	first := sweep()
+	second := sweep()
 	for i := range sizes {
 		if direct[i] != first[i] || first[i] != second[i] {
 			t.Fatalf("point %d: direct %v, first %v, second %v", i, direct[i], first[i], second[i])
@@ -215,7 +220,7 @@ func TestMemSweepMemoMatchesDirect(t *testing.T) {
 	}
 	// A different distance is a different key, even for a routine that
 	// never prefetches — correctness over cleverness.
-	cfg.memo.Bandwidth(bench.PaperPlatform().CPU, cache.PentiumConfig(), memmodel.Memset, 4, 64)
+	memPoint(cfg, cache.PentiumConfig(), memmodel.Memset, 4, 64)
 	if got := cfg.memo.Stats().Misses; got != uint64(len(sizes))+1 {
 		t.Fatalf("distance not part of the key: misses = %d", got)
 	}

@@ -20,10 +20,9 @@ type entry[V any] struct {
 }
 
 // Table memoizes a pure function of a comparable key across one suite
-// run. It generalizes the §6 sweep-point memo (memmodel.SweepCache now
-// rides on it): any deterministic computation keyed by a flat comparable
-// struct can share values through one. A Table is safe for concurrent
-// use.
+// run, such as the §6 sweep points keyed by memmodel.SweepKey: any
+// deterministic computation keyed by a flat comparable struct can share
+// values through one. A Table is safe for concurrent use.
 type Table[K comparable, V any] struct {
 	mu      sync.Mutex
 	entries map[K]*entry[V]

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/osprofile"
 	"repro/internal/sim"
@@ -228,7 +227,8 @@ func TestWriteTopReportsTruncation(t *testing.T) {
 // coverage, computed independently here.
 func TestFoldRealObservedRun(t *testing.T) {
 	for _, prof := range osprofile.Paper() {
-		_, o := bench.CtxSampled(bench.PaperPlatform(), prof, 8, bench.CtxRing, nil)
+		o := new(bench.Scope)
+		o.Ctx(bench.PaperPlatform(), prof, 8, bench.CtxRing)
 		p := Fold(o.Process)
 
 		// Independent per-track root-span coverage from the raw events.
@@ -300,7 +300,8 @@ func TestFoldRealObservedRun(t *testing.T) {
 // functions of the capture.
 func TestFoldDeterministicBytes(t *testing.T) {
 	render := func() (string, string, string) {
-		_, o := bench.CrtdelSampled(bench.PaperPlatform(), osprofile.Paper()[1], 64<<10, 1, fault.Injectors{}, nil)
+		o := new(bench.Scope)
+		o.Crtdel(bench.PaperPlatform(), osprofile.Paper()[1], 64<<10, 1)
 		p := Fold(o.Process)
 		var folded, top, pb strings.Builder
 		if err := p.WriteFolded(&folded); err != nil {
