@@ -1,4 +1,5 @@
-# Tier-1 verification plus the runner's race certification, one command:
+# Formatting, tier-1 verification and the runner's race certification,
+# one command:
 #
 #   make check
 #
@@ -6,9 +7,13 @@
 
 GO ?= go
 
-.PHONY: all build test short race vet bench check baseline baseline-record
+.PHONY: all fmt build test short race vet bench check baseline baseline-record
 
 all: check
+
+# Fails, listing the files, when any Go file is not gofmt-clean.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -55,4 +60,4 @@ baseline:
 baseline-record:
 	$(GO) run ./cmd/pentiumbench baseline record all
 
-check: build vet test race
+check: fmt build vet test race

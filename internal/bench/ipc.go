@@ -67,10 +67,11 @@ func IPCShm(plat Platform, p *osprofile.Profile, msg, total int) sim.Duration {
 	h := cache.MustNew(cache.PentiumConfig())
 	count := total / msg
 	// One message's cache traffic is identical for every iteration (the
-	// flushes reset the hierarchy), so price one round and multiply.
-	h.WriteRunBytes(0, msg)
+	// flushes reset the hierarchy), so price one round, byte by byte
+	// through WriteBytes and ReadBytes, and multiply.
+	h.WriteBytes(0, msg)
 	h.Flush()
-	h.ReadRunBytes(0, msg)
+	h.ReadBytes(0, msg)
 	h.Flush()
 	perMsg := plat.CPU.Cycles(h.Cycles()) + 2*p.Kernel.Syscall
 	return sim.Duration(int64(perMsg) * int64(count))

@@ -4,20 +4,22 @@ import "testing"
 
 // Micro-benchmarks for the line-granular fast path. "fast" drives the
 // run-length entry points on Hierarchy (one tag lookup per line); "ref"
-// drives the same access sequence through RefHierarchy's per-access
-// decomposition — the pre-fast-path cost. EXPERIMENTS.md's "Harness
-// performance" appendix records measured before/after numbers.
+// drives the same access sequence through the attributed reference
+// (mustRef), whose runs take the per-access decomposition — the
+// pre-fast-path cost, and the path the metrics view runs for F2–F8.
+// EXPERIMENTS.md's "Harness performance" appendix records measured
+// before/after numbers.
 
 func benchImpls() []struct {
 	name string
-	mk   func(Config) Sim
+	mk   func(Config) *Hierarchy
 } {
 	return []struct {
 		name string
-		mk   func(Config) Sim
+		mk   func(Config) *Hierarchy
 	}{
-		{"fast", func(cfg Config) Sim { return MustNew(cfg) }},
-		{"ref", func(cfg Config) Sim { return MustRef(cfg) }},
+		{"fast", MustNew},
+		{"ref", mustRef},
 	}
 }
 

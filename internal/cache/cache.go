@@ -169,6 +169,9 @@ func newLevel(size, assoc, lineSize int) (*level, error) {
 		return nil, fmt.Errorf("cache: sizes and associativity must be positive (size %d, assoc %d, line %d)",
 			size, assoc, lineSize)
 	}
+	if lineSize&(lineSize-1) != 0 {
+		return nil, fmt.Errorf("cache: line size %d must be a power of two", lineSize)
+	}
 	if size%(assoc*lineSize) != 0 {
 		return nil, fmt.Errorf("cache: size %d not divisible by assoc*line (%d*%d)", size, assoc, lineSize)
 	}
@@ -380,14 +383,20 @@ type Hierarchy struct {
 	stats  Stats
 	// attr, when non-nil, receives a per-bucket copy of every cycle
 	// charged (see AttachBreakdown in obs.go). The run-length fast paths
-	// divert to the per-access decomposition while it is attached.
+	// divert to the per-access decomposition while it is attached, which
+	// makes an attributed Hierarchy the reference model (DESIGN.md §8.1).
 	attr *CycleBreakdown
+	// words and bytes are the per-access loops' two access widths (4-byte
+	// words, single bytes), fixed by New from cfg.Timing. Keeping them
+	// here lets the one-line ReadWords/WriteWords wrappers inline into
+	// the runs' attributed branches.
+	words, bytes width
 }
 
 // New builds a hierarchy from cfg. Invalid geometry — non-positive
-// sizes, a non-power-of-two set count, L1 at least as large as L2 — is
-// a returned error, so a malformed machine description from a flag or a
-// config file surfaces as a message, not a panic.
+// sizes, a non-power-of-two line size or set count, L1 at least as
+// large as L2 — is a returned error, so a malformed machine description
+// from a flag or a config file surfaces as a message, not a panic.
 func New(cfg Config) (*Hierarchy, error) {
 	if cfg.L1Size >= cfg.L2Size {
 		return nil, fmt.Errorf("cache: L1 (%d) must be smaller than L2 (%d)", cfg.L1Size, cfg.L2Size)
@@ -400,7 +409,11 @@ func New(cfg Config) (*Hierarchy, error) {
 	if err != nil {
 		return nil, fmt.Errorf("L2: %w", err)
 	}
-	return &Hierarchy{cfg: cfg, l1: l1, l2: l2}, nil
+	h := &Hierarchy{cfg: cfg, l1: l1, l2: l2}
+	t := &h.cfg.Timing
+	h.words = width{WordSize, t.WordHit, t.WordWriteHit, t.MemWordWrite, &h.stats.MemWordWrites}
+	h.bytes = width{1, t.ByteOp, t.ByteOp, t.MemByteWrite, &h.stats.MemByteWrites}
+	return h, nil
 }
 
 // MustNew is New for the compiled-in machine descriptions, whose
@@ -514,15 +527,38 @@ func (h *Hierarchy) fill(addr uint64) *line {
 	return l
 }
 
+// width is one access size of the per-access loops: its byte count,
+// the cycles a load, an L1 store hit and a memory store cost at that
+// size, and the counter a memory store bumps. A store absorbed by an
+// L2-resident line costs L2WordAccess at either size.
+type width struct {
+	size                     uint64
+	load, storeHit, memStore float64
+	memWrites                *uint64
+}
+
 // ReadWords simulates n consecutive 4-byte loads starting at addr.
-func (h *Hierarchy) ReadWords(addr uint64, n int) {
-	t := &h.cfg.Timing
-	h.stats.BytesRead += uint64(n) * WordSize
+func (h *Hierarchy) ReadWords(addr uint64, n int) { h.load(addr, n, &h.words) }
+
+// WriteWords simulates n consecutive 4-byte stores starting at addr.
+func (h *Hierarchy) WriteWords(addr uint64, n int) { h.store(addr, n, &h.words) }
+
+// ReadBytes simulates n consecutive 1-byte loads starting at addr (the
+// benchmarks' tail loop).
+func (h *Hierarchy) ReadBytes(addr uint64, n int) { h.load(addr, n, &h.bytes) }
+
+// WriteBytes simulates n consecutive 1-byte stores starting at addr.
+func (h *Hierarchy) WriteBytes(addr uint64, n int) { h.store(addr, n, &h.bytes) }
+
+// load is the per-access load loop: every load pays its L1 cost, and a
+// miss fills the line.
+func (h *Hierarchy) load(addr uint64, n int, w *width) {
+	h.stats.BytesRead += uint64(n) * w.size
 	for i := 0; i < n; i++ {
-		a := addr + uint64(i)*WordSize
-		h.cycles += t.WordHit
+		a := addr + uint64(i)*w.size
+		h.cycles += w.load
 		if h.attr != nil {
-			h.attr.L1 += t.WordHit
+			h.attr.L1 += w.load
 		}
 		if h.l1.lookup(a) != nil {
 			h.stats.L1Hits++
@@ -533,17 +569,19 @@ func (h *Hierarchy) ReadWords(addr uint64, n int) {
 	}
 }
 
-// WriteWords simulates n consecutive 4-byte stores starting at addr.
-func (h *Hierarchy) WriteWords(addr uint64, n int) {
+// store is the per-access store loop: an L1 hit dirties the line, and a
+// miss either fills it (write-allocate) or goes on to L2 or memory
+// without allocating (the P54C).
+func (h *Hierarchy) store(addr uint64, n int, w *width) {
 	t := &h.cfg.Timing
-	h.stats.BytesWrit += uint64(n) * WordSize
+	h.stats.BytesWrit += uint64(n) * w.size
 	for i := 0; i < n; i++ {
-		a := addr + uint64(i)*WordSize
+		a := addr + uint64(i)*w.size
 		if l := h.l1.lookup(a); l != nil {
 			h.stats.L1Hits++
-			h.cycles += t.WordWriteHit
+			h.cycles += w.storeHit
 			if h.attr != nil {
-				h.attr.L1 += t.WordWriteHit
+				h.attr.L1 += w.storeHit
 			}
 			l.markDirty()
 			continue
@@ -552,9 +590,9 @@ func (h *Hierarchy) WriteWords(addr uint64, n int) {
 		if h.cfg.WriteAllocate {
 			// Write-allocate: fill the line, then the store hits.
 			h.fill(a)
-			h.cycles += t.WordWriteHit
+			h.cycles += w.storeHit
 			if h.attr != nil {
-				h.attr.L1 += t.WordWriteHit
+				h.attr.L1 += w.storeHit
 			}
 			if l := h.l1.lookup(a); l != nil {
 				l.markDirty()
@@ -572,75 +610,10 @@ func (h *Hierarchy) WriteWords(addr uint64, n int) {
 			continue
 		}
 		h.stats.L2Misses++
-		h.cycles += t.MemWordWrite
-		h.stats.MemWordWrites++
+		h.cycles += w.memStore
+		*w.memWrites++
 		if h.attr != nil {
-			h.attr.Mem += t.MemWordWrite
-		}
-	}
-}
-
-// ReadBytes simulates n consecutive 1-byte loads starting at addr (the
-// benchmarks' tail loop).
-func (h *Hierarchy) ReadBytes(addr uint64, n int) {
-	t := &h.cfg.Timing
-	h.stats.BytesRead += uint64(n)
-	for i := 0; i < n; i++ {
-		a := addr + uint64(i)
-		h.cycles += t.ByteOp
-		if h.attr != nil {
-			h.attr.L1 += t.ByteOp
-		}
-		if h.l1.lookup(a) != nil {
-			h.stats.L1Hits++
-			continue
-		}
-		h.stats.L1Misses++
-		h.fill(a)
-	}
-}
-
-// WriteBytes simulates n consecutive 1-byte stores starting at addr.
-func (h *Hierarchy) WriteBytes(addr uint64, n int) {
-	t := &h.cfg.Timing
-	h.stats.BytesWrit += uint64(n)
-	for i := 0; i < n; i++ {
-		a := addr + uint64(i)
-		if l := h.l1.lookup(a); l != nil {
-			h.stats.L1Hits++
-			h.cycles += t.ByteOp
-			if h.attr != nil {
-				h.attr.L1 += t.ByteOp
-			}
-			l.markDirty()
-			continue
-		}
-		h.stats.L1Misses++
-		if h.cfg.WriteAllocate {
-			h.fill(a)
-			h.cycles += t.ByteOp
-			if h.attr != nil {
-				h.attr.L1 += t.ByteOp
-			}
-			if l := h.l1.lookup(a); l != nil {
-				l.markDirty()
-			}
-			continue
-		}
-		if l2 := h.l2.lookup(a); l2 != nil {
-			h.stats.L2Hits++
-			h.cycles += t.L2WordAccess
-			if h.attr != nil {
-				h.attr.L2 += t.L2WordAccess
-			}
-			l2.markDirty()
-			continue
-		}
-		h.stats.L2Misses++
-		h.cycles += t.MemByteWrite
-		h.stats.MemByteWrites++
-		if h.attr != nil {
-			h.attr.Mem += t.MemByteWrite
+			h.attr.Mem += w.memStore
 		}
 	}
 }
@@ -668,10 +641,9 @@ func checkRun(chunkWords int, chunkLoop float64) {
 
 // runChunks replays the chunked loop structure of a run through a
 // per-access body: chunkLoop cycles charged before every chunkWords
-// accesses, exactly as the run-length entry points interleave them. It
-// is the single decomposition implementation shared by RefHierarchy and
-// by Hierarchy when a cycle breakdown is attached, so both take the same
-// trusted path.
+// accesses, exactly as the run-length entry points interleave them. The
+// runs take it while a cycle breakdown is attached, which is what makes
+// an attributed Hierarchy the per-access reference for the fast paths.
 func (h *Hierarchy) runChunks(n, chunk int, loop float64, body func(off, n int)) {
 	if n <= 0 {
 		return
@@ -696,9 +668,9 @@ func (h *Hierarchy) runChunks(n, chunk int, loop float64, body func(off, n int))
 // path for ReadWords: one tag lookup and LRU update resolves each cache
 // line, and the per-word hit costs for the rest of the line are charged in
 // the same accumulation order as the per-access loop, so cycles and Stats
-// are bit-identical to issuing the equivalent per-word sequence
-// (RefHierarchy is that per-access decomposition; the differential test
-// holds the two together).
+// are bit-identical to issuing the equivalent per-word sequence (an
+// attributed Hierarchy runs that per-access decomposition; the
+// differential test holds the two together).
 func (h *Hierarchy) ReadRun(addr uint64, words, chunkWords int, chunkLoop float64) {
 	checkRun(chunkWords, chunkLoop)
 	if words <= 0 {
@@ -1026,103 +998,6 @@ func (h *Hierarchy) CopyRun(src, dst uint64, words, chunkWords int, chunkLoop fl
 		}
 	}
 	h.cycles = cycles
-}
-
-// ReadRunBytes is the run-length fast path for ReadBytes: one tag lookup
-// per line, per-byte costs for the rest.
-func (h *Hierarchy) ReadRunBytes(addr uint64, n int) {
-	if n <= 0 {
-		return
-	}
-	if h.attr != nil {
-		h.ReadBytes(addr, n)
-		return
-	}
-	t := &h.cfg.Timing
-	h.stats.BytesRead += uint64(n)
-	for i := 0; i < n; {
-		a := addr + uint64(i)
-		k := h.lineRun(a, n-i, 1)
-		h.cycles += t.ByteOp
-		if h.l1.lookup(a) != nil {
-			h.stats.L1Hits++
-		} else {
-			h.stats.L1Misses++
-			h.fill(a)
-		}
-		for j := 1; j < k; j++ {
-			h.cycles += t.ByteOp
-		}
-		h.stats.L1Hits += uint64(k - 1)
-		i += k
-	}
-}
-
-// WriteRunBytes is the run-length fast path for WriteBytes: one tag lookup
-// per line classifies the stores, per-byte costs follow.
-func (h *Hierarchy) WriteRunBytes(addr uint64, n int) {
-	if n <= 0 {
-		return
-	}
-	if h.attr != nil {
-		h.WriteBytes(addr, n)
-		return
-	}
-	t := &h.cfg.Timing
-	h.stats.BytesWrit += uint64(n)
-	for i := 0; i < n; {
-		a := addr + uint64(i)
-		k := h.lineRun(a, n-i, 1)
-		var class runClass
-		if l := h.l1.lookup(a); l != nil {
-			h.stats.L1Hits++
-			h.cycles += t.ByteOp
-			l.markDirty()
-			class = runL1
-		} else {
-			h.stats.L1Misses++
-			switch {
-			case h.cfg.WriteAllocate:
-				h.fill(a)
-				h.cycles += t.ByteOp
-				if l := h.l1.lookup(a); l != nil {
-					l.markDirty()
-				}
-				class = runL1
-			default:
-				if l2 := h.l2.lookup(a); l2 != nil {
-					h.stats.L2Hits++
-					h.cycles += t.L2WordAccess
-					l2.markDirty()
-					class = runL2
-				} else {
-					h.stats.L2Misses++
-					h.cycles += t.MemByteWrite
-					h.stats.MemByteWrites++
-					class = runMem
-				}
-			}
-		}
-		var cost float64
-		switch class {
-		case runL1:
-			cost = t.ByteOp
-			h.stats.L1Hits += uint64(k - 1)
-		case runL2:
-			cost = t.L2WordAccess
-			h.stats.L1Misses += uint64(k - 1)
-			h.stats.L2Hits += uint64(k - 1)
-		case runMem:
-			cost = t.MemByteWrite
-			h.stats.L1Misses += uint64(k - 1)
-			h.stats.L2Misses += uint64(k - 1)
-			h.stats.MemByteWrites += uint64(k - 1)
-		}
-		for j := 1; j < k; j++ {
-			h.cycles += cost
-		}
-		i += k
-	}
 }
 
 // Prefetch simulates a software prefetch: a load that touches one byte of

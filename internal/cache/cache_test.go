@@ -194,10 +194,10 @@ func TestMemWriteCountersDistinguishWordsFromBytes(t *testing.T) {
 	if s.MemByteWrites != 5 {
 		t.Errorf("MemByteWrites = %d, want 5", s.MemByteWrites)
 	}
-	// The run-length entry points must count identically.
+	// The run-length word entry point must count identically.
 	h2 := pentium()
 	h2.WriteRun(0x6000, 3, 0, 0)
-	h2.WriteRunBytes(0x7000, 5)
+	h2.WriteBytes(0x7000, 5)
 	if s2 := h2.Stats(); s2.MemWordWrites != 3 || s2.MemByteWrites != 5 {
 		t.Errorf("run-length counters: %+v, want MemWordWrites=3 MemByteWrites=5", s2)
 	}
@@ -240,6 +240,9 @@ func TestNewRejectsBadGeometry(t *testing.T) {
 		{LineSize: 32, L1Size: 8 << 10, L1Assoc: 2, L2Size: 4 << 10, L2Assoc: 2}, // L1 >= L2
 		{LineSize: 32, L1Size: 0, L1Assoc: 2, L2Size: 256 << 10, L2Assoc: 2},
 		{LineSize: 32, L1Size: 8<<10 + 32, L1Assoc: 2, L2Size: 256 << 10, L2Assoc: 2},
+		// Power-of-two set counts (4 and 64) but a 48-byte line, which the
+		// shift-based line addressing cannot represent.
+		{LineSize: 48, L1Size: 384, L1Assoc: 2, L2Size: 6144, L2Assoc: 2, Timing: PentiumTiming()},
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {

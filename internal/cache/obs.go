@@ -31,28 +31,15 @@ func (b CycleBreakdown) Total() float64 {
 	return b.L1 + b.L2 + b.Mem + b.WriteBack + b.Overhead
 }
 
-// Sub returns the bucket-wise difference b - o.
-func (b CycleBreakdown) Sub(o CycleBreakdown) CycleBreakdown {
-	return CycleBreakdown{
-		L1:        b.L1 - o.L1,
-		L2:        b.L2 - o.L2,
-		Mem:       b.Mem - o.Mem,
-		WriteBack: b.WriteBack - o.WriteBack,
-		Overhead:  b.Overhead - o.Overhead,
-	}
-}
-
 // AttachBreakdown starts attributing every charged cycle into b (nil
 // detaches). While attached, the run-length entry points take the
 // per-access decomposition instead of the batched fast path: the
 // decomposition is bit-identical in cycles and Stats (the §8.1
 // invariant), and per-access charges are where exact bucket attribution
-// is defined. Detached (the default), attribution costs the fast paths
-// nothing.
+// is defined. An attributed Hierarchy is therefore also the reference
+// model the fast paths are tested against. Detached (the default),
+// attribution costs the fast paths nothing.
 func (h *Hierarchy) AttachBreakdown(b *CycleBreakdown) { h.attr = b }
-
-// AttachBreakdown attributes the reference hierarchy's cycles into b.
-func (r *RefHierarchy) AttachBreakdown(b *CycleBreakdown) { r.h.attr = b }
 
 // FoldStats adds the traffic counters to a registry under the given name
 // prefix ("cache." conventionally).

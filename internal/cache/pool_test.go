@@ -13,8 +13,8 @@ func poolDrive(h *Hierarchy) (float64, Stats) {
 	h.WriteRun(1<<15, 4096, 8, 1.33)
 	h.CopyRun(0, 1<<18, 2048, 4, 0.7)
 	h.Flush()
-	h.ReadRunBytes(12345, 300)
-	h.WriteRunBytes(54321, 300)
+	h.ReadBytes(12345, 300)
+	h.WriteBytes(54321, 300)
 	h.Prefetch(1 << 19)
 	h.ReadWords(1<<19, 64)
 	return h.Cycles(), h.Stats()

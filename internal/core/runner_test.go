@@ -172,9 +172,11 @@ func TestRunStatsSlowest(t *testing.T) {
 
 // TestMemSweepRefModelBitIdentical certifies the line-granular cache fast
 // path end to end: the same sweeps the §6 figures run, re-simulated on the
-// per-access reference hierarchy (memmodel.NewRefModel), must reproduce
-// the fast path's bandwidths bit for bit. This is the suite-level face of
-// the differential property tests in internal/cache and internal/memmodel.
+// attributed model (a memmodel.NewModel whose hierarchy has a cycle
+// breakdown attached, so every run takes the per-access decomposition),
+// must reproduce the fast path's bandwidths bit for bit. This is the
+// suite-level face of the differential property tests in internal/cache
+// and internal/memmodel.
 func TestMemSweepRefModelBitIdentical(t *testing.T) {
 	cfg := smallConfig()
 	sizes := []int{512, 4 << 10, 64 << 10, 512 << 10}
@@ -184,7 +186,8 @@ func TestMemSweepRefModelBitIdentical(t *testing.T) {
 	for _, r := range []memmodel.Routine{memmodel.CustomRead, memmodel.Memset, memmodel.PrefetchCopy} {
 		for _, size := range sizes {
 			fast := memPoint(cfg, cache.PentiumConfig(), r, memmodel.DefaultPrefetchDistance, size)
-			m := memmodel.NewRefModel(bench.PaperPlatform().CPU, cache.PentiumConfig())
+			m := memmodel.NewModel(bench.PaperPlatform().CPU, cache.PentiumConfig())
+			m.Hierarchy().AttachBreakdown(new(cache.CycleBreakdown))
 			m.PrefetchDistance = memmodel.DefaultPrefetchDistance
 			if ref := m.Bandwidth(r, size); fast != ref {
 				t.Errorf("%v at %d bytes: fast %v, reference %v", r, size, fast, ref)

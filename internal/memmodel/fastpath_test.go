@@ -8,6 +8,15 @@ import (
 	"repro/internal/cpu"
 )
 
+// refModel builds the per-access reference model: NewModel with a cycle
+// breakdown attached to its hierarchy, which sends every run-length call
+// through the per-access decomposition (DESIGN.md §8.1).
+func refModel(c cpu.CPU, cfg cache.Config) *Model {
+	m := NewModel(c, cfg)
+	m.hier.AttachBreakdown(new(cache.CycleBreakdown))
+	return m
+}
+
 // Model-level differential: every routine, driven through the run-length
 // fast path and through the per-access reference hierarchy, must produce
 // bit-identical bandwidths and traffic stats. The sizes mix L1-resident,
@@ -25,7 +34,7 @@ func TestModelFastVsRefAllRoutines(t *testing.T) {
 			for _, size := range sizes {
 				t.Run(fmt.Sprintf("%v/writeAlloc=%v/size%d", r, wa, size), func(t *testing.T) {
 					fast := NewModel(cpu.PentiumP54C100(), cfg)
-					ref := NewRefModel(cpu.PentiumP54C100(), cfg)
+					ref := refModel(cpu.PentiumP54C100(), cfg)
 					fb, rb := fast.Bandwidth(r, size), ref.Bandwidth(r, size)
 					if fb != rb {
 						t.Errorf("bandwidth fast=%v ref=%v (Δ %v)", fb, rb, fb-rb)
@@ -40,11 +49,10 @@ func TestModelFastVsRefAllRoutines(t *testing.T) {
 }
 
 // RefSweepPoint computes SweepPoint's sweep point on the per-access
-// reference hierarchy (cache.RefHierarchy). It must return a value
-// bit-identical to SweepPoint's — that invariant is what certifies the
-// fast path.
+// reference model (refModel). It must return a value bit-identical to
+// SweepPoint's — that invariant is what certifies the fast path.
 func RefSweepPoint(c cpu.CPU, cfg cache.Config, r Routine, dist, size int) float64 {
-	m := NewRefModel(c, cfg)
+	m := refModel(c, cfg)
 	m.PrefetchDistance = dist
 	return m.Bandwidth(r, size)
 }

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/cpu"
-	"repro/internal/sim"
 )
 
 // ChunkSize is the number of bytes handled per main-loop iteration.
@@ -60,24 +59,11 @@ func (r Routine) String() string {
 	return fmt.Sprintf("Routine(%d)", int(r))
 }
 
-// IsCopy reports whether the routine moves data between two buffers, in
-// which case its bandwidth counts bytes copied (the paper reports copy
-// bandwidth this way, noting total traffic is double).
-func (r Routine) IsCopy() bool {
-	return r == LibcMemcpy || r == NaiveCopy || r == PrefetchCopy
-}
-
 // Model runs memory routines over a cache hierarchy. The zero value is not
-// usable; construct with NewModel (fast line-granular hierarchy) or
-// NewRefModel (per-access reference hierarchy; same results, slower).
+// usable; construct with NewModel.
 type Model struct {
 	cpu  cpu.CPU
-	hier cache.Sim
-	// fast is hier's concrete type when the model runs on the optimized
-	// hierarchy, nil on the reference. The per-line hot paths call through
-	// it to avoid interface dispatch; every such call site falls back to
-	// hier so the reference model follows the identical code path.
-	fast *cache.Hierarchy
+	hier *cache.Hierarchy
 
 	// ChunkLoop is the loop overhead in cycles charged per 16-byte
 	// main-loop iteration of the custom routines.
@@ -96,10 +82,8 @@ type Model struct {
 	// one line.
 	overlapSavings float64
 
-	// line and prefetchIssue cache hierarchy configuration the passes
-	// consult per line: reading them through the Sim interface would copy
-	// the whole Config struct on every call, which profiles as the single
-	// hottest item in the prefetch sweeps.
+	// line and prefetchIssue copy the two hierarchy settings the passes
+	// read on every line.
 	line          int
 	prefetchIssue float64
 
@@ -111,25 +95,17 @@ type Model struct {
 const DefaultPrefetchDistance = 1
 
 // NewModel builds a memory model over a fresh hierarchy with the given
-// configuration. The passes issue run-length accesses, which the fast
+// configuration. The passes issue run-length accesses, which the
 // hierarchy resolves with one tag lookup per cache line.
 func NewModel(c cpu.CPU, cfg cache.Config) *Model {
 	return newModelOn(c, cache.MustNew(cfg))
 }
 
-// NewRefModel builds the model over the per-access reference hierarchy
-// (cache.RefHierarchy). Every result is bit-identical to NewModel's —
-// the fast path's defining invariant — just slower to simulate; core's
-// differential suite test and the property tests here rely on it.
-func NewRefModel(c cpu.CPU, cfg cache.Config) *Model {
-	return newModelOn(c, cache.MustRef(cfg))
-}
-
-func newModelOn(c cpu.CPU, sim cache.Sim) *Model {
-	cfg := sim.Config()
-	m := &Model{
+func newModelOn(c cpu.CPU, h *cache.Hierarchy) *Model {
+	cfg := h.Config()
+	return &Model{
 		cpu:              c,
-		hier:             sim,
+		hier:             h,
 		ChunkLoop:        1.33,
 		LibcChunkLoop:    1.0,
 		TailLoop:         0.7,
@@ -138,49 +114,10 @@ func newModelOn(c cpu.CPU, sim cache.Sim) *Model {
 		prefetchIssue:    cfg.Timing.PrefetchIssue,
 		srcBase:          1 << 20,
 	}
-	m.fast, _ = sim.(*cache.Hierarchy)
-	return m
-}
-
-// The pass loops issue their cache operations through these thin dispatch
-// helpers: on the optimized hierarchy they call the concrete type (the
-// per-line-group calls of the prefetching passes are hot enough for
-// interface dispatch to show in profiles), otherwise they fall through to
-// the Sim interface. Both branches run the same simulation code.
-
-func (m *Model) readRun(addr uint64, words, cw int, loop float64) {
-	if m.fast != nil {
-		m.fast.ReadRun(addr, words, cw, loop)
-		return
-	}
-	m.hier.ReadRun(addr, words, cw, loop)
-}
-
-func (m *Model) writeRun(addr uint64, words, cw int, loop float64) {
-	if m.fast != nil {
-		m.fast.WriteRun(addr, words, cw, loop)
-		return
-	}
-	m.hier.WriteRun(addr, words, cw, loop)
-}
-
-func (m *Model) copyRun(src, dst uint64, words, cw int, loop float64) {
-	if m.fast != nil {
-		m.fast.CopyRun(src, dst, words, cw, loop)
-		return
-	}
-	m.hier.CopyRun(src, dst, words, cw, loop)
-}
-
-func (m *Model) prefetch(addr uint64) float64 {
-	if m.fast != nil {
-		return m.fast.Prefetch(addr)
-	}
-	return m.hier.Prefetch(addr)
 }
 
 // Hierarchy exposes the underlying cache model (for statistics).
-func (m *Model) Hierarchy() cache.Sim { return m.hier }
+func (m *Model) Hierarchy() *cache.Hierarchy { return m.hier }
 
 // layout positions the source and destination buffers the way the original
 // benchmark's allocator did: adjacent, line-aligned allocations.
@@ -195,7 +132,7 @@ func (m *Model) layout(size int) {
 // resolving only one tag lookup per cache line.
 func (m *Model) readPass(base uint64, size int) {
 	chunks := size / ChunkSize
-	m.readRun(base, chunks*wordsPerChunk, wordsPerChunk, m.ChunkLoop)
+	m.hier.ReadRun(base, chunks*wordsPerChunk, wordsPerChunk, m.ChunkLoop)
 	m.tailRead(base, size)
 }
 
@@ -206,7 +143,7 @@ func (m *Model) readPass(base uint64, size int) {
 func (m *Model) writePass(base uint64, size int, loop float64, prefetch bool) {
 	chunks := size / ChunkSize
 	if !prefetch {
-		m.writeRun(base, chunks*wordsPerChunk, wordsPerChunk, loop)
+		m.hier.WriteRun(base, chunks*wordsPerChunk, wordsPerChunk, loop)
 		m.tailWrite(base, size)
 		return
 	}
@@ -222,7 +159,7 @@ func (m *Model) writePass(base uint64, size int, loop float64, prefetch bool) {
 		for i+g < chunks && (base+uint64((i+g)*ChunkSize))&lineMask != 0 {
 			g++
 		}
-		m.writeRun(addr, g*wordsPerChunk, wordsPerChunk, loop)
+		m.hier.WriteRun(addr, g*wordsPerChunk, wordsPerChunk, loop)
 		i += g
 	}
 	m.tailWrite(base, size)
@@ -235,7 +172,7 @@ func (m *Model) writePass(base uint64, size int, loop float64, prefetch bool) {
 func (m *Model) preamble(base uint64, size int) {
 	line := m.line
 	for d := 0; d < m.PrefetchDistance && d*line < size; d++ {
-		m.prefetch(base + uint64(d*line))
+		m.hier.Prefetch(base + uint64(d*line))
 	}
 }
 
@@ -247,7 +184,7 @@ func (m *Model) copyPass(size int, loop float64, prefetch bool) {
 	chunks := size / ChunkSize
 	lineMask := uint64(m.line) - 1 // line sizes are powers of two
 	if !prefetch {
-		m.copyRun(m.srcBase, m.dstBase, chunks*wordsPerChunk, wordsPerChunk, loop)
+		m.hier.CopyRun(m.srcBase, m.dstBase, chunks*wordsPerChunk, wordsPerChunk, loop)
 	} else {
 		m.preamble(m.dstBase, size)
 		m.preamble(m.srcBase, size)
@@ -266,17 +203,18 @@ func (m *Model) copyPass(size int, loop float64, prefetch bool) {
 			for i+g < chunks && (m.dstBase+uint64((i+g)*ChunkSize))&lineMask != 0 {
 				g++
 			}
-			m.copyRun(src, dst, g*wordsPerChunk, wordsPerChunk, loop)
+			m.hier.CopyRun(src, dst, g*wordsPerChunk, wordsPerChunk, loop)
 			i += g
 		}
 	}
-	// Tail: byte-at-a-time copy.
+	// Tail: byte-at-a-time copy through the per-access ReadBytes and
+	// WriteBytes loops (at most ChunkSize-1 bytes a pass).
 	tail := size % ChunkSize
 	if tail > 0 {
 		off := uint64(size - tail)
-		m.hier.ReadRunBytes(m.srcBase+off, tail)
+		m.hier.ReadBytes(m.srcBase+off, tail)
 		m.chargeLoop(float64(tail) * m.TailLoop)
-		m.hier.WriteRunBytes(m.dstBase+off, tail)
+		m.hier.WriteBytes(m.dstBase+off, tail)
 	}
 }
 
@@ -289,7 +227,7 @@ func (m *Model) prefetchAhead(addr uint64, size int, base uint64) {
 	if target >= base+uint64(size) {
 		target = addr
 	}
-	fillCost := m.prefetch(target) - m.prefetchIssue
+	fillCost := m.hier.Prefetch(target) - m.prefetchIssue
 	if m.PrefetchDistance > 0 && fillCost > 0 {
 		// Each line of lead overlaps the fill with the processing of one
 		// line (two chunks of loop + word work).
@@ -302,11 +240,13 @@ func (m *Model) prefetchAhead(addr uint64, size int, base uint64) {
 	}
 }
 
+// tailRead and tailWrite run the byte-at-a-time tail loop (at most
+// ChunkSize-1 bytes) through the per-access ReadBytes and WriteBytes.
 func (m *Model) tailRead(base uint64, size int) {
 	tail := size % ChunkSize
 	if tail > 0 {
 		m.chargeLoop(float64(tail) * m.TailLoop)
-		m.hier.ReadRunBytes(base+uint64(size-tail), tail)
+		m.hier.ReadBytes(base+uint64(size-tail), tail)
 	}
 }
 
@@ -314,7 +254,7 @@ func (m *Model) tailWrite(base uint64, size int) {
 	tail := size % ChunkSize
 	if tail > 0 {
 		m.chargeLoop(float64(tail) * m.TailLoop)
-		m.hier.WriteRunBytes(base+uint64(size-tail), tail)
+		m.hier.WriteBytes(base+uint64(size-tail), tail)
 	}
 }
 
@@ -410,16 +350,4 @@ func samePassCost(prev, prev2 float64) bool {
 		diff = -diff
 	}
 	return diff/prev < 1e-9
-}
-
-// Duration returns the virtual time r takes to process size bytes once,
-// with a cold hierarchy. Used by kernel models that charge for bulk data
-// movement (pipe transfers, packet copies).
-func (m *Model) Duration(r Routine, size int) sim.Duration {
-	m.layout(size)
-	m.hier.Flush()
-	m.hier.ResetCycles()
-	m.overlapSavings = 0
-	c := m.pass(r, size)
-	return m.cpu.Cycles(c)
 }

@@ -36,9 +36,9 @@ func TestSamplerCounterWindowsSumToTotal(t *testing.T) {
 func TestSamplerGaugeCarryForward(t *testing.T) {
 	s := NewSampler(10)
 	g := s.Gauge("depth")
-	g.Set(5, 7)  // window 0
-	g.Set(8, 3)  // window 0: last 3, max 7
-	g.Set(35, 9) // window 3
+	g.Set(5, 7)          // window 0
+	g.Set(8, 3)          // window 0: last 3, max 7
+	g.Set(35, 9)         // window 3
 	ts := s.Snapshot(59) // 6 windows
 	gs := ts.Gauges[0]
 	wantLast := []int64{3, 3, 3, 9, 9, 9}

@@ -26,14 +26,14 @@ type TimelineRun struct {
 // Output depends only on the inputs — same series, same bytes.
 func Timeline(w io.Writer, id, title string, runs []TimelineRun) {
 	const (
-		width        = 860
-		left, right  = 220, 20
-		top          = 56
-		stripH       = 56
-		stripGap     = 14
-		plotW        = width - left - right
-		fontSize     = 11
-		titleSize    = 15
+		width       = 860
+		left, right = 220, 20
+		top         = 56
+		stripH      = 56
+		stripGap    = 14
+		plotW       = width - left - right
+		fontSize    = 11
+		titleSize   = 15
 	)
 
 	// The strip list is the name-sorted union of every run's series.
