@@ -391,6 +391,9 @@ type Hierarchy struct {
 	// here lets the one-line ReadWords/WriteWords wrappers inline into
 	// the runs' attributed branches.
 	words, bytes width
+	// snap is the period snapshot Mark takes and Repeats and Skip read
+	// (skip.go).
+	snap periodSnap
 }
 
 // New builds a hierarchy from cfg. Invalid geometry — non-positive
@@ -461,10 +464,11 @@ func (h *Hierarchy) Stats() Stats { return h.stats }
 func (h *Hierarchy) ResetStats() { h.stats = Stats{} }
 
 // Flush invalidates every line in both levels without writing anything back,
-// modelling a cold start.
+// modelling a cold start. It also drops a Mark snapshot.
 func (h *Hierarchy) Flush() {
 	h.l1.flush()
 	h.l2.flush()
+	h.snap.marked = false
 }
 
 // fill brings the line containing addr into L1 (and L2, maintaining

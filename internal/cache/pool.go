@@ -49,10 +49,10 @@ func (h *Hierarchy) Release() {
 }
 
 // reset restores every observable of the hierarchy to its post-New
-// state: no resident lines, zero cycles, zero traffic, no breakdown.
+// state: no resident lines, zero cycles, zero traffic, no breakdown. The
+// snapshot buffers stay, for the next user's Mark.
 func (h *Hierarchy) reset() {
-	h.l1.flush()
-	h.l2.flush()
+	h.Flush()
 	h.cycles = 0
 	h.stats = Stats{}
 	h.attr = nil

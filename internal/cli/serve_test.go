@@ -592,3 +592,18 @@ func TestServeCommandBadAddr(t *testing.T) {
 		t.Fatal("listen error not reported")
 	}
 }
+
+// The server the serve command runs bounds the request-header read, so a
+// client that connects and never finishes its header cannot hold a
+// goroutine and a socket for good. The idle wait between keep-alive
+// requests stays unbounded.
+func TestServeServerReadHeaderTimeout(t *testing.T) {
+	srv := newServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != serveReadHeaderTimeout || serveReadHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v (> 0)", srv.ReadHeaderTimeout, serveReadHeaderTimeout)
+	}
+	if srv.IdleTimeout != 0 || srv.ReadTimeout != 0 {
+		t.Fatalf("IdleTimeout = %v, ReadTimeout = %v; keep-alive connections must not time out idle",
+			srv.IdleTimeout, srv.ReadTimeout)
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"slices"
 	"strings"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/memo"
@@ -283,6 +284,17 @@ func (h *serveHandler) baselineDiff(r *http.Request) (string, func() serveEntry,
 	}, nil
 }
 
+// serveReadHeaderTimeout bounds the wait for a request's header, so a
+// client that connects and stalls cannot hold a goroutine and a socket for
+// good. IdleTimeout and ReadTimeout stay unset: the header clock starts
+// only when a keep-alive connection's next request begins to arrive.
+const serveReadHeaderTimeout = 10 * time.Second
+
+// newServer builds the http.Server the serve command runs.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: serveReadHeaderTimeout}
+}
+
 // serve runs the observability server until the listener fails (or the
 // process is interrupted). The bound address is printed first, so
 // scripts using -addr 127.0.0.1:0 can parse the chosen port.
@@ -293,7 +305,7 @@ func (a *App) serve(cfg core.Config, runner *core.Runner, o cmdOpts) int {
 		return 1
 	}
 	fmt.Fprintf(a.Stdout, "serving on http://%s\n", ln.Addr())
-	srv := &http.Server{Handler: newServeHandler(cfg, runner, o, a.ReadFile)}
+	srv := newServer(newServeHandler(cfg, runner, o, a.ReadFile))
 	if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
 		fmt.Fprintln(a.Stderr, "pentiumbench:", err)
 		return 1

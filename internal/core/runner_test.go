@@ -173,13 +173,14 @@ func TestRunStatsSlowest(t *testing.T) {
 // TestMemSweepRefModelBitIdentical certifies the line-granular cache fast
 // path end to end: the same sweeps the §6 figures run, re-simulated on the
 // attributed model (a memmodel.NewModel whose hierarchy has a cycle
-// breakdown attached, so every run takes the per-access decomposition),
-// must reproduce the fast path's bandwidths bit for bit. This is the
-// suite-level face of the differential property tests in internal/cache
-// and internal/memmodel.
+// breakdown attached, so every run takes the per-access decomposition and
+// never fast-forwards a period), must reproduce the fast path's
+// bandwidths bit for bit. The 1 MB and 8 MB points are ones where the
+// fast path skips periods. This is the suite-level face of the
+// differential property tests in internal/cache and internal/memmodel.
 func TestMemSweepRefModelBitIdentical(t *testing.T) {
 	cfg := smallConfig()
-	sizes := []int{512, 4 << 10, 64 << 10, 512 << 10}
+	sizes := []int{512, 4 << 10, 64 << 10, 512 << 10, 1 << 20, 8 << 20}
 	if testing.Short() {
 		sizes = sizes[:3]
 	}

@@ -1,6 +1,7 @@
 package memmodel
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cache"
@@ -43,3 +44,23 @@ func coldPass(m *Model, r Routine, size int) float64 {
 	m.overlapSavings = 0
 	return m.pass(r, size)
 }
+
+// BenchmarkSweepPoint times SweepPoint, the unit the §6 sweeps repeat,
+// for three routines at three sizes. 256 KB is two periods of the P54C,
+// below the three-period floor, so it never skips and is the control;
+// 1 MB and 8 MB fast-forward the periods a pass repeats.
+func BenchmarkSweepPoint(b *testing.B) {
+	c, cfg := cpu.PentiumP54C100(), cache.PentiumConfig()
+	for _, r := range []Routine{CustomRead, LibcMemcpy, PrefetchCopy} {
+		for _, size := range []int{256 << 10, 1 << 20, 8 << 20} {
+			b.Run(fmt.Sprintf("%v/%dKB", r, size>>10), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					sweepSink = SweepPoint(c, cfg, r, DefaultPrefetchDistance, size)
+				}
+			})
+		}
+	}
+}
+
+// sweepSink keeps BenchmarkSweepPoint's result live.
+var sweepSink float64

@@ -253,21 +253,59 @@ func (h *Histogram) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON restores a histogram from its wire form. A round trip
-// reproduces the histogram field for field.
+// reproduces the histogram field for field. It rejects any input its
+// buckets cannot hold: an index outside the table, repeated or out of the
+// ascending order MarshalJSON writes; a negative count; an n other than
+// the counts' sum; a max outside the top non-empty bucket (or nonzero
+// when there is none); and a sum outside [Σ count·lower, Σ count·upper].
 func (h *Histogram) UnmarshalJSON(data []byte) error {
 	var enc histogramJSON
 	if err := json.Unmarshal(data, &enc); err != nil {
 		return err
 	}
-	*h = Histogram{n: enc.N, sum: enc.Sum, max: enc.Max}
+	*h = Histogram{}
+	var n, lowSum, highSum uint64
+	var maxLo, maxHi int64 // the top non-empty bucket's bounds
+	prev := int64(-1)
 	for _, b := range enc.Buckets {
 		if b[0] < 0 || b[0] >= histBuckets {
 			return fmt.Errorf("stats: histogram bucket %d outside [0,%d)", b[0], histBuckets)
 		}
+		if b[0] <= prev {
+			return fmt.Errorf("stats: histogram bucket %d after bucket %d; indices must ascend", b[0], prev)
+		}
 		if b[1] < 0 {
 			return fmt.Errorf("stats: negative histogram count %d", b[1])
 		}
-		h.counts[b[0]] = uint64(b[1])
+		i, c := int(b[0]), uint64(b[1])
+		if prev = b[0]; n+c < n {
+			return fmt.Errorf("stats: histogram counts overflow")
+		}
+		if n += c; c != 0 {
+			maxLo, maxHi = bucketLower(i), bucketUpper(i)
+			lowSum = satMulAdd(lowSum, c, uint64(maxLo))
+			highSum = satMulAdd(highSum, c, uint64(maxHi))
+		}
+		h.counts[i] = c
 	}
+	switch {
+	case n != enc.N:
+		return fmt.Errorf("stats: histogram n %d, but its buckets count %d", enc.N, n)
+	case enc.Max < maxLo || enc.Max > maxHi:
+		return fmt.Errorf("stats: histogram max %d outside its top bucket [%d,%d]", enc.Max, maxLo, maxHi)
+	case enc.Sum < 0 || uint64(enc.Sum) < lowSum || uint64(enc.Sum) > highSum:
+		return fmt.Errorf("stats: histogram sum %d outside what its buckets hold", enc.Sum)
+	}
+	h.n, h.sum, h.max = enc.N, enc.Sum, enc.Max
 	return nil
+}
+
+// satMulAdd returns acc + c·v, saturated at 1<<63, which is above every
+// int64, so a saturated bound still compares correctly with a sum.
+func satMulAdd(acc, c, v uint64) uint64 {
+	const limit = 1 << 63
+	if hi, lo := bits.Mul64(c, v); hi == 0 && lo < limit && acc+lo < limit {
+		return acc + lo
+	}
+	return limit
 }

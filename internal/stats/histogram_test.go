@@ -150,6 +150,24 @@ func TestHistogramJSONRejectsBadBuckets(t *testing.T) {
 		`{"n":1,"sum":1,"max":1,"buckets":[[-1,1]]}`,
 		`{"n":1,"sum":1,"max":1,"buckets":[[999999,1]]}`,
 		`{"n":1,"sum":1,"max":1,"buckets":[[3,-2]]}`,
+		// n disagrees with the counts: Quantile(0.5) used to return -1.
+		`{"n":5,"sum":3,"max":1,"buckets":[[2,1]]}`,
+		// A repeated index used to overwrite the first count.
+		`{"n":2,"sum":4,"max":2,"buckets":[[2,1],[2,1]]}`,
+		// MarshalJSON writes indices in ascending order.
+		`{"n":2,"sum":5,"max":3,"buckets":[[3,1],[2,1]]}`,
+		// max outside the top non-empty bucket, either side.
+		`{"n":1,"sum":2,"max":3,"buckets":[[2,1]]}`,
+		`{"n":2,"sum":4,"max":1,"buckets":[[1,1],[3,1]]}`,
+		// sum outside [Σ count·lower, Σ count·upper].
+		`{"n":2,"sum":5,"max":2,"buckets":[[2,2]]}`,
+		`{"n":2,"sum":100,"max":40,"buckets":[[10,1],[40,1]]}`,
+		`{"n":1,"sum":-1,"max":0,"buckets":[[0,1]]}`,
+		// An empty histogram holds no sum and no max.
+		`{"n":0,"sum":3,"max":0,"buckets":[]}`,
+		`{"n":0,"sum":0,"max":7,"buckets":[[4,0]]}`,
+		// Counts whose sum overflows uint64.
+		`{"n":0,"sum":0,"max":0,"buckets":[[1,9223372036854775807],[2,9223372036854775807],[3,2]]}`,
 	} {
 		var h Histogram
 		if err := json.Unmarshal([]byte(bad), &h); err == nil {
