@@ -13,18 +13,18 @@ import (
 // options, so record and check run the probes at their defaults, as
 // /api/baseline/diff does: -procs and the other probe flags do not
 // reach the gate.
-func (a *App) baseline(cfg core.Config, runner *core.Runner, args []string, path string, tol float64) int {
+func (a *App) baseline(cfg core.Config, runner *core.Runner, o cmdOpts, args []string) int {
 	if len(args) == 0 {
 		fmt.Fprintln(a.Stderr, "pentiumbench: baseline needs a verb: record [ids|all], check, or diff <a.json> <b.json>")
 		return 2
 	}
 	switch args[0] {
 	case "record":
-		return a.baselineRecord(cfg, runner, args[1:], path)
+		return a.baselineRecord(cfg, runner, args[1:], o.baseline)
 	case "check":
-		return a.baselineCheck(cfg, runner, path, tol)
+		return a.baselineCheck(cfg, runner, o.baseline, o.tol)
 	case "diff":
-		return a.baselineDiff(args[1:], tol)
+		return a.baselineDiff(args[1:], o.tol)
 	default:
 		fmt.Fprintf(a.Stderr, "pentiumbench: unknown baseline verb %q (want record, check or diff)\n", args[0])
 		return 2

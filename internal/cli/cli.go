@@ -61,29 +61,29 @@ func NewApp(stdout, stderr io.Writer) *App {
 func (a *App) Execute(args []string) int {
 	fl := flag.NewFlagSet("pentiumbench", flag.ContinueOnError)
 	fl.SetOutput(a.Stderr)
+	var o cmdOpts
 	seed := fl.Uint64("seed", 1, "master RNG seed")
 	runs := fl.Int("runs", 20, "benchmark repetitions (paper: 20)")
 	future := fl.Bool("future", false, "include the §13 future-work systems")
-	outDir := fl.String("out", "figures", "svg: output directory")
-	eps := fl.Float64("eps", 0.15, "sensitivity: relative perturbation of calibrated constants")
-	trials := fl.Int("trials", 5, "sensitivity: perturbed replicas")
+	fl.StringVar(&o.outDir, "out", "figures", "run/timeseries -format=svg: output directory")
+	fl.Float64Var(&o.eps, "eps", 0.15, "sensitivity: relative perturbation of calibrated constants")
+	fl.IntVar(&o.trials, "trials", 5, "sensitivity: perturbed replicas (at most 100)")
 	profilesFile := fl.String("profiles", "", "JSON file with extra OS personalities to benchmark")
 	workers := fl.Int("j", 0, "parallel runner workers (0 = GOMAXPROCS, 1 = serial)")
-	procs := fl.Int("procs", 0, "trace/metrics/profile: process count — ring size for the bare timeline (default 3), F1 probe processes (default 8)")
-	format := fl.String("format", "", "trace <ids>: 'chrome' (default; Perfetto-loadable JSON) or 'text'. profile <ids>: 'top' (default), 'folded' or 'pprof'")
-	topN := fl.Int("top", 0, "trace -format=text / profile -format=top: keep only the N heaviest rows per table (0 = all)")
-	outFile := fl.String("o", "", "profile: write output to this file instead of stdout")
-	baseFile := fl.String("baseline", "BENCH_baseline.json", "baseline record/check: the baseline file path")
-	tol := fl.Float64("tol", 0, "baseline check/diff: relative tolerance for non-integer metrics (0 = default 1e-9); integer ledgers always match exactly")
-	clients := fl.Int("clients", 0, "scale: sweep client populations in decades up to this count (default 1000000); trace/metrics/profile: the S1/S2 probes' population (default 1000)")
-	nfsd := fl.Int("nfsd", 0, "scale and the S1/S2 probes: server worker-slot (nfsd) count (default 8)")
-	planFile := fl.String("plan", "", "faults: the fault plan JSON file to inject (see examples/lossy-nfs.json)")
-	faultsFile := fl.String("faults", "", "scale/trace/metrics/profile: inject this fault plan JSON into the probes")
-	showStats := fl.Bool("stats", false, "print runner statistics to stderr after run/csv/svg/experiments")
-	memoDir := fl.String("memo", "", "persistent result-memo directory for run/csv/svg/experiments/html/serve (a cold run fills it; an unchanged re-run is served from it)")
+	fl.IntVar(&o.procs, "procs", 0, "trace/metrics/profile: process count — ring size for the bare timeline (default 3), F1 probe processes (default 8); at most 1024")
+	fl.StringVar(&o.format, "format", "", "run <ids>: 'text' (default), 'csv', 'svg' (files into -out) or 'table' (the model tables behind S1/S2, L1/L2 and I1). trace <ids>: 'chrome' (default; Perfetto-loadable JSON) or 'text'. profile <ids>: 'top' (default), 'folded' or 'pprof'")
+	fl.IntVar(&o.top, "top", 0, "trace -format=text / profile -format=top: keep only the N heaviest rows per table (0 = all)")
+	fl.StringVar(&o.out, "o", "", "profile: write output to this file instead of stdout")
+	fl.StringVar(&o.baseline, "baseline", "BENCH_baseline.json", "baseline record/check: the baseline file path")
+	fl.Float64Var(&o.tol, "tol", 0, "baseline check/diff: relative tolerance for non-integer metrics (0 = default 1e-9); integer ledgers always match exactly")
+	fl.IntVar(&o.clients, "clients", 0, "run -format=table: sweep S1/S2's client populations in decades up to this count (default 1000000); trace/metrics/profile: the S1/S2 probes' population (default 1000); at most 10000000")
+	fl.IntVar(&o.nfsd, "nfsd", 0, "run -format=table's S1/S2 sweep and the S1/S2 probes: server worker-slot (nfsd) count (default 8, at most 1024)")
+	faultsFile := fl.String("faults", "", "the fault plan JSON to inject (see examples/lossy-nfs.json): faults compares the probes clean and under it; trace/metrics/profile/timeseries/audit inject it into the probes, run -format=table into the S1/S2 and I1 tables")
+	fl.BoolVar(&o.showStats, "stats", false, "print runner statistics to stderr after run/experiments/html")
+	memoDir := fl.String("memo", "", "persistent result-memo directory for run/experiments/html/serve (a cold run fills it; an unchanged re-run is served from it)")
 	window := fl.Duration("window", 100*time.Millisecond, "timeseries/serve/audit: virtual-time sampler window width")
-	exemplars := fl.Int("exemplars", 0, "trace/timeseries/serve/audit: exemplar reservoir size K per latency window on the S1/S2 probes (0 = off; audit defaults to 4)")
-	addr := fl.String("addr", "127.0.0.1:8080", "serve: listen address (use :0 for a random port)")
+	fl.IntVar(&o.exemplars, "exemplars", 0, "trace/timeseries/serve/audit: exemplar reservoir size K per latency window on the S1/S2 probes (0 = off; audit defaults to 4)")
+	fl.StringVar(&o.addr, "addr", "127.0.0.1:8080", "serve: listen address (use :0 for a random port)")
 	cpuProfile := fl.String("cpuprofile", "", "write a pprof CPU profile of the whole command to this file")
 	memProfile := fl.String("memprofile", "", "write a pprof heap profile (post-GC, at exit) to this file")
 	fl.Usage = func() { a.usage(fl) }
@@ -105,7 +105,7 @@ func (a *App) Execute(args []string) int {
 		remaining = remaining[1:]
 	}
 
-	if msg := flagRangeError(*runs, *workers, *procs, *trials, *topN, *clients, *nfsd, *exemplars, *eps, *tol, *window); msg != "" {
+	if msg := flagRangeError(o, *runs, *workers, *window); msg != "" {
 		fmt.Fprintln(a.Stderr, "pentiumbench:", msg)
 		return 2
 	}
@@ -135,13 +135,15 @@ func (a *App) Execute(args []string) int {
 		a.usage(fl)
 		return 2
 	}
-	plan, code := a.loadPlan(*planFile)
-	if code != 0 {
-		return code
-	}
-	faultPlan, code := a.loadPlan(*faultsFile)
-	if code != 0 {
-		return code
+	if *faultsFile != "" {
+		data, err := a.ReadFile(*faultsFile)
+		if err == nil {
+			o.faults, err = fault.Load(data)
+		}
+		if err != nil {
+			fmt.Fprintln(a.Stderr, "pentiumbench:", err)
+			return 2
+		}
 	}
 	if *memoDir != "" {
 		store, err := memo.OpenStore(*memoDir)
@@ -152,16 +154,10 @@ func (a *App) Execute(args []string) int {
 		cfg.Memo = store
 	}
 	runner := core.NewRunner(*workers)
-	opts := cmdOpts{
-		showStats: *showStats, outDir: *outDir, eps: *eps, trials: *trials,
-		procs: *procs, format: *format, top: *topN, out: *outFile,
-		baseline: *baseFile, tol: *tol, plan: plan, faults: faultPlan,
-		clients: *clients, nfsd: *nfsd, exemplars: *exemplars,
-		window: sim.Duration(*window), addr: *addr,
-	}
+	o.window = sim.Duration(*window)
 	return a.profiled(*cpuProfile, *memProfile, func() int {
 		return a.recovered(func() int {
-			return a.dispatch(fl, cfg, runner, opts, rest)
+			return a.dispatch(fl, cfg, runner, o, rest)
 		})
 	})
 }
@@ -169,52 +165,33 @@ func (a *App) Execute(args []string) int {
 // flagRangeError bounds-checks the numeric flags. The flag package
 // already rejects malformed syntax ("-j x"); these catch values that
 // parse but mean nothing ("-j -3", "-tol NaN") before any model runs.
-func flagRangeError(runs, workers, procs, trials, top, clients, nfsd, exemplars int, eps, tol float64, window time.Duration) string {
+func flagRangeError(o cmdOpts, runs, workers int, window time.Duration) string {
 	badFloat := func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) || v < 0 }
 	switch {
 	case runs <= 0:
 		return fmt.Sprintf("-runs must be positive (got %d)", runs)
 	case workers < 0:
 		return fmt.Sprintf("-j must be >= 0, 0 meaning GOMAXPROCS (got %d)", workers)
-	case procs < 0:
-		return fmt.Sprintf("-procs must be >= 0 (got %d)", procs)
-	case trials <= 0:
-		return fmt.Sprintf("-trials must be positive (got %d)", trials)
-	case top < 0:
-		return fmt.Sprintf("-top must be >= 0 (got %d)", top)
-	case clients < 0:
-		return fmt.Sprintf("-clients must be >= 0, 0 meaning the command default (got %d)", clients)
-	case nfsd < 0:
-		return fmt.Sprintf("-nfsd must be >= 0, 0 meaning the default 8 (got %d)", nfsd)
-	case exemplars < 0:
-		return fmt.Sprintf("-exemplars must be >= 0, 0 meaning off (got %d)", exemplars)
-	case badFloat(eps):
-		return fmt.Sprintf("-eps must be a finite non-negative number (got %v)", eps)
-	case badFloat(tol):
-		return fmt.Sprintf("-tol must be a finite non-negative number (got %v)", tol)
+	case o.procs < 0:
+		return fmt.Sprintf("-procs must be >= 0 (got %d)", o.procs)
+	case o.trials <= 0:
+		return fmt.Sprintf("-trials must be positive (got %d)", o.trials)
+	case o.top < 0:
+		return fmt.Sprintf("-top must be >= 0 (got %d)", o.top)
+	case o.clients < 0:
+		return fmt.Sprintf("-clients must be >= 0, 0 meaning the command default (got %d)", o.clients)
+	case o.nfsd < 0:
+		return fmt.Sprintf("-nfsd must be >= 0, 0 meaning the default 8 (got %d)", o.nfsd)
+	case o.exemplars < 0:
+		return fmt.Sprintf("-exemplars must be >= 0, 0 meaning off (got %d)", o.exemplars)
+	case badFloat(o.eps):
+		return fmt.Sprintf("-eps must be a finite non-negative number (got %v)", o.eps)
+	case badFloat(o.tol):
+		return fmt.Sprintf("-tol must be a finite non-negative number (got %v)", o.tol)
 	case window <= 0:
 		return fmt.Sprintf("-window must be a positive duration (got %v)", window)
 	}
 	return ""
-}
-
-// loadPlan reads and validates a fault plan file; an empty path means no
-// plan. The int is the exit code when the plan is non-nil-but-unloadable.
-func (a *App) loadPlan(path string) (*fault.Plan, int) {
-	if path == "" {
-		return nil, 0
-	}
-	data, err := a.ReadFile(path)
-	if err != nil {
-		fmt.Fprintln(a.Stderr, "pentiumbench:", err)
-		return nil, 2
-	}
-	p, err := fault.Load(data)
-	if err != nil {
-		fmt.Fprintln(a.Stderr, "pentiumbench:", err)
-		return nil, 2
-	}
-	return p, 0
 }
 
 // recovered is the last-resort panic boundary: no command line may
@@ -249,7 +226,8 @@ func (a *App) renderDeadlock(d *sim.DeadlockError) {
 	}
 }
 
-// cmdOpts bundles the per-subcommand flag values for dispatch.
+// cmdOpts holds the flag values the commands read: Execute binds the
+// flags to its fields, and dispatch passes it whole.
 type cmdOpts struct {
 	showStats bool
 	outDir    string
@@ -261,9 +239,8 @@ type cmdOpts struct {
 	out       string
 	baseline  string
 	tol       float64
-	// plan is the -plan fault plan (faults command only); faults is the
-	// -faults plan injected into scale/trace/metrics/profile probes.
-	plan   *fault.Plan
+	// faults is the -faults plan: the faults command's plan, injected
+	// into the probes of the views and into the S1/S2 and I1 tables.
 	faults *fault.Plan
 	// clients and nfsd shape the NFS server model: the scale sweep's
 	// maximum population and the S1/S2 probes' population, and the
@@ -282,71 +259,55 @@ type cmdOpts struct {
 // dispatch routes a parsed command line to its subcommand.
 func (a *App) dispatch(fl *flag.FlagSet, cfg core.Config, runner *core.Runner,
 	o cmdOpts, rest []string) int {
-	showStats, outDir, eps, trials, procs := o.showStats, o.outDir, o.eps, o.trials, o.procs
 	if o.faults != nil {
 		switch rest[0] {
-		case "scale", "trace", "metrics", "profile", "timeseries", "audit", "ipc":
+		case "faults", "run", "trace", "metrics", "profile", "timeseries", "audit":
 		default:
-			fmt.Fprintf(a.Stderr, "pentiumbench: -faults does not apply to %q (only scale, trace, metrics, profile, timeseries, audit and ipc take it; see the faults command)\n", rest[0])
+			fmt.Fprintf(a.Stderr, "pentiumbench: -faults does not apply to %q (only faults, run -format=table, trace, metrics, profile, timeseries and audit take it)\n", rest[0])
 			return 2
 		}
 	}
 	if cfg.Memo != nil {
 		switch rest[0] {
-		case "run", "csv", "svg", "experiments", "html", "serve":
+		case "run", "experiments", "html", "serve":
 		default:
-			fmt.Fprintf(a.Stderr, "pentiumbench: -memo does not apply to %q (only run, csv, svg, experiments, html and serve take it)\n", rest[0])
+			fmt.Fprintf(a.Stderr, "pentiumbench: -memo does not apply to %q (only run, experiments, html and serve take it)\n", rest[0])
 			return 2
 		}
-	}
-	if o.plan != nil && rest[0] != "faults" {
-		fmt.Fprintln(a.Stderr, "pentiumbench: -plan only applies to the faults command (use -faults with scale/trace/metrics/profile)")
-		return 2
 	}
 	switch rest[0] {
 	case "list":
 		a.list()
 		return 0
 	case "run":
-		return a.run(cfg, runner, showStats, rest[1:], false)
-	case "csv":
-		return a.run(cfg, runner, showStats, rest[1:], true)
-	case "svg":
-		return a.svg(cfg, runner, showStats, rest[1:], outDir)
+		return a.run(cfg, runner, o, rest[1:])
 	case "experiments":
-		a.experiments(cfg, runner, showStats)
+		a.experiments(cfg, runner, o)
 		return 0
 	case "html":
-		a.html(cfg, runner, showStats)
+		a.html(cfg, runner, o)
 		return 0
 	case "check":
 		return a.check(cfg, runner)
 	case "sensitivity":
-		a.sensitivity(cfg, runner, eps, trials)
+		a.sensitivity(cfg, runner, o)
 		return 0
 	case "replay":
 		return a.replay(cfg, rest[1:])
 	case "latency":
 		a.latency(cfg)
 		return 0
-	case "scale":
-		return a.scale(cfg, o.clients, o.nfsd, o.faults)
-	case "locks":
-		return a.locks(cfg)
-	case "ipc":
-		return a.ipc(cfg, o.faults)
 	case "trace":
 		if len(rest) == 1 {
-			return a.traceTimeline(cfg, procs)
+			return a.traceTimeline(cfg, o.procs)
 		}
 		return a.runView("trace", cfg, runner, o, rest[1:])
 	case "serve":
 		return a.serve(cfg, runner, o)
 	case "faults":
-		return a.faults(cfg, runner, rest[1:],
-			core.ObserveOpts{Procs: procs, Clients: o.clients, Nfsd: o.nfsd}, o.plan)
+		return a.faults(cfg, runner, o, rest[1:])
 	case "baseline":
-		return a.baseline(cfg, runner, rest[1:], o.baseline, o.tol)
+		return a.baseline(cfg, runner, o, rest[1:])
 	case "notes":
 		a.notes()
 		return 0
@@ -404,11 +365,11 @@ func (a *App) profiled(cpuPath, memPath string, cmd func() int) int {
 func (a *App) usage(fl *flag.FlagSet) {
 	fmt.Fprintln(a.Stderr, `usage: pentiumbench [flags] <command> [args] [flags]
 
-run, csv, svg, experiments and html execute on a parallel deterministic
-runner: -j picks the worker count (results are bit-identical at any -j),
--stats reports jobs, memo hits and wall time on stderr. -memo <dir>
-persists results content-addressed on disk: a cold run fills the store,
-an unchanged re-run (same seed, runs, personalities and code schema) is
+run, experiments and html execute on a parallel deterministic runner:
+-j picks the worker count (results are bit-identical at any -j), -stats
+reports jobs, memo hits and wall time on stderr. -memo <dir> persists
+results content-addressed on disk: a cold run fills the store, an
+unchanged re-run (same seed, runs, personalities and code schema) is
 served from it near-instantly, byte-identical to the cold output.
 
 Any command can be profiled: -cpuprofile and -memprofile write pprof
@@ -416,29 +377,19 @@ files for inspection with 'go tool pprof'.
 
 commands:
   list            show all experiments (tables, figures, ablations)
-  run <ids|all>   run experiments and render results
-  csv <ids|all>   run experiments and emit CSV
-  svg <ids|all>   run experiments and write SVG figures (-out dir)
+  run <ids|all>   run experiments and render results: -format=text
+                  (default), csv, svg (one file per exhibit into -out),
+                  or table: the deterministic model tables behind S1/S2
+                  (client populations in decades up to -clients, default
+                  1000000, on -nfsd slots), L1/L2 (lock contention over
+                  CPU counts) and I1 (IPC bandwidth over message sizes);
+                  -faults injects a plan into the S1/S2 and I1 tables
   experiments     run everything and emit the EXPERIMENTS.md body
   html            run everything and emit a self-contained HTML report
   check           evaluate every paper claim against the simulation
   sensitivity     re-check claims under perturbed calibration (-eps, -trials)
   replay <trace>  time a workload trace (builtin name or file) on every system
   latency         lmbench-style latency probes for every system
-  scale           sweep the NFS server model's client population in
-                  decades (10 up to -clients, default 1000000) and print
-                  each personality's served throughput, streaming
-                  latency percentiles (p50/p99/p999) and overload
-                  counters; -nfsd sets the worker-slot count, -faults
-                  injects a fault plan into every point
-  locks           sweep the SMP lock-contention model (exhibits L1/L2)
-                  over CPU counts per personality and lock kind:
-                  throughput, wait percentiles, spin/idle shares and
-                  context switches, all from exact per-CPU ledgers
-  ipc             sweep the IPC transport family (exhibit I1) over
-                  message sizes per personality: pipe vs UDP socket vs
-                  shared memory bandwidth; -faults perturbs the socket
-                  transport (the only one with a network under it)
   trace [ids|all] bare: annotated kernel timeline of one token-ring lap per
                   system (-procs sets the ring size). With experiment ids:
                   run the observability probes and export their span
@@ -483,12 +434,12 @@ commands:
                   -format=folded emits flamegraph.pl/inferno folded
                   stacks, -format=pprof a 'go tool pprof'-compatible
                   profile; -o writes to a file, -top truncates tables
-  faults <ids|all> -plan <file>   run the observability probes clean and
-                  under a deterministic fault plan (JSON; see
+  faults <ids|all> -faults <file>   run the observability probes clean
+                  and under a deterministic fault plan (JSON; see
                   examples/lossy-nfs.json) and report the slowdown per
                   system plus the injected-fault counters. 'all' selects
-                  the faultable probes. The same plan can be injected
-                  into scale/trace/metrics/profile with -faults <file>
+                  the faultable probes. -faults injects the same plan
+                  into trace, metrics, profile, timeseries and audit
   baseline record [ids|all]   record the probes' canonical metric
                   snapshot to -baseline (default BENCH_baseline.json)
   baseline check  re-run with the baseline's recorded seed and ids and
@@ -516,9 +467,13 @@ func (a *App) list() {
 	}
 }
 
-// resolve maps ids (or "all") to experiments, reporting unknowns.
+// resolve maps run's ids (or "all") to experiments, reporting unknowns.
 func (a *App) resolve(ids []string) ([]*core.Experiment, bool) {
-	if len(ids) == 1 && ids[0] == "all" {
+	switch {
+	case len(ids) == 0:
+		fmt.Fprintln(a.Stderr, "pentiumbench: run needs experiment ids or 'all'")
+		return nil, false
+	case len(ids) == 1 && ids[0] == "all":
 		return core.All(), true
 	}
 	var exps []*core.Experiment
@@ -533,27 +488,56 @@ func (a *App) resolve(ids []string) ([]*core.Experiment, bool) {
 	return exps, true
 }
 
-func (a *App) run(cfg core.Config, runner *core.Runner, showStats bool, ids []string, csv bool) int {
-	if len(ids) == 0 {
-		fmt.Fprintln(a.Stderr, "pentiumbench: run/csv needs experiment ids or 'all'")
+// runFormats is run's rendering surface, default first: text, csv and
+// svg (one file per experiment into -out) render the selected
+// experiments' Runner.RunAll results; table prints the model tables
+// behind them (modelTables).
+var runFormats = []string{"text", "csv", "svg", "table"}
+
+// run is `pentiumbench run <ids|all>`: resolve the format and the ids,
+// check the flags the format takes, and render.
+func (a *App) run(cfg core.Config, runner *core.Runner, o cmdOpts, ids []string) int {
+	format, err := pick("run", runFormats, o.format)
+	if err != nil {
+		fmt.Fprintln(a.Stderr, "pentiumbench:", err)
 		return 2
 	}
 	exps, ok := a.resolve(ids)
-	if !ok {
+	switch {
+	case !ok:
 		return 2
+	case format == "table":
+		return a.tables(cfg, o, ids)
+	case o.faults != nil:
+		fmt.Fprintf(a.Stderr, "pentiumbench: -faults does not apply to run -format=%s (only -format=table takes it)\n", format)
+		return 2
+	}
+	if format == "svg" {
+		if err := a.MkdirAll(o.outDir, 0o755); err != nil {
+			fmt.Fprintln(a.Stderr, "pentiumbench:", err)
+			return 1
+		}
 	}
 	results, st := runner.RunAll(cfg, exps)
 	for i, res := range results {
-		if csv {
+		switch format {
+		case "text":
+			if i > 0 {
+				fmt.Fprintln(a.Stdout)
+			}
+			report.Render(a.Stdout, res)
+		case "csv":
 			report.CSV(a.Stdout, res)
-			continue
+		case "svg":
+			path := fmt.Sprintf("%s/%s.svg", o.outDir, exps[i].ID)
+			if err := a.writeFile(path, func(w io.Writer) error { report.SVG(w, res); return nil }); err != nil {
+				fmt.Fprintln(a.Stderr, "pentiumbench:", err)
+				return 1
+			}
+			fmt.Fprintln(a.Stdout, "wrote", path)
 		}
-		if i > 0 {
-			fmt.Fprintln(a.Stdout)
-		}
-		report.Render(a.Stdout, res)
 	}
-	a.maybeStats(showStats, st)
+	a.maybeStats(o.showStats, st)
 	return 0
 }
 
@@ -582,41 +566,11 @@ func (a *App) maybeStats(show bool, st *core.RunStats) {
 	fmt.Fprintln(a.Stderr)
 }
 
-func (a *App) svg(cfg core.Config, runner *core.Runner, showStats bool, ids []string, dir string) int {
-	if len(ids) == 0 {
-		fmt.Fprintln(a.Stderr, "pentiumbench: svg needs experiment ids or 'all'")
-		return 2
-	}
-	exps, ok := a.resolve(ids)
-	if !ok {
-		return 2
-	}
-	if err := a.MkdirAll(dir, 0o755); err != nil {
-		fmt.Fprintln(a.Stderr, "pentiumbench:", err)
-		return 1
-	}
-	results, st := runner.RunAll(cfg, exps)
-	for i, e := range exps {
-		path := fmt.Sprintf("%s/%s.svg", dir, e.ID)
-		err := a.writeFile(path, func(w io.Writer) error {
-			report.SVG(w, results[i])
-			return nil
-		})
-		if err != nil {
-			fmt.Fprintln(a.Stderr, "pentiumbench:", err)
-			return 1
-		}
-		fmt.Fprintln(a.Stdout, "wrote", path)
-	}
-	a.maybeStats(showStats, st)
-	return 0
-}
-
-func (a *App) experiments(cfg core.Config, runner *core.Runner, showStats bool) {
+func (a *App) experiments(cfg core.Config, runner *core.Runner, o cmdOpts) {
 	results, st := runner.RunAll(cfg, core.All())
 	report.Markdown(a.Stdout, results)
 	report.MarkdownClaims(a.Stdout, claimLines(results))
-	a.maybeStats(showStats, st)
+	a.maybeStats(o.showStats, st)
 }
 
 // claimLines scores the paper claims on results for the experiments
@@ -638,10 +592,10 @@ func claimLines(results []*core.Result) []report.ClaimLine {
 	return lines
 }
 
-func (a *App) html(cfg core.Config, runner *core.Runner, showStats bool) {
+func (a *App) html(cfg core.Config, runner *core.Runner, o cmdOpts) {
 	results, st := runner.RunAll(cfg, core.All())
 	report.HTML(a.Stdout, results)
-	a.maybeStats(showStats, st)
+	a.maybeStats(o.showStats, st)
 }
 
 func (a *App) check(cfg core.Config, runner *core.Runner) int {
@@ -667,13 +621,13 @@ func (a *App) check(cfg core.Config, runner *core.Runner) int {
 	return 0
 }
 
-func (a *App) sensitivity(cfg core.Config, runner *core.Runner, eps float64, trials int) {
-	fmt.Fprintf(a.Stdout, "Re-checking every claim across %d replicas with all calibrated\n", trials)
-	fmt.Fprintf(a.Stdout, "constants independently perturbed by ±%.0f%%. Structural choices (the\n", 100*eps)
+func (a *App) sensitivity(cfg core.Config, runner *core.Runner, o cmdOpts) {
+	fmt.Fprintf(a.Stdout, "Re-checking every claim across %d replicas with all calibrated\n", o.trials)
+	fmt.Fprintf(a.Stdout, "constants independently perturbed by ±%.0f%%. Structural choices (the\n", 100*o.eps)
 	fmt.Fprintln(a.Stdout, "scheduler kinds, metadata policies, TCP windows, transfer sizes) come")
 	fmt.Fprintln(a.Stdout, "from the paper's text and stay fixed.")
 	fmt.Fprintln(a.Stdout)
-	rob := validate.Sensitivity(runner, cfg, eps, trials)
+	rob := validate.Sensitivity(runner, cfg, o.eps, o.trials)
 	fragile := 0
 	for _, r := range rob {
 		mark := "robust "

@@ -49,13 +49,16 @@ func TestNoArgsShowsUsage(t *testing.T) {
 	}
 }
 
+// The commands `run -format` replaced are unknown, with no alias.
 func TestUnknownCommand(t *testing.T) {
-	a, _, errb, _ := testApp()
-	if code := a.Execute([]string{"bogus"}); code != 2 {
-		t.Fatalf("exit = %d, want 2", code)
-	}
-	if !strings.Contains(errb.String(), "unknown command") {
-		t.Fatal("error not reported")
+	for _, cmd := range []string{"bogus", "csv", "svg", "scale", "locks", "ipc"} {
+		a, _, errb, _ := testApp()
+		if code := a.Execute([]string{cmd, "T2"}); code != 2 {
+			t.Fatalf("%s: exit = %d, want 2", cmd, code)
+		}
+		if !strings.Contains(errb.String(), "unknown command") {
+			t.Fatalf("%s: error not reported", cmd)
+		}
 	}
 }
 
@@ -100,7 +103,7 @@ func TestRunWithoutIDs(t *testing.T) {
 
 func TestCSV(t *testing.T) {
 	a, out, _, _ := testApp()
-	if code := a.Execute([]string{"-runs", "3", "csv", "T4"}); code != 0 {
+	if code := a.Execute([]string{"-runs", "3", "run", "T4", "-format=csv"}); code != 0 {
 		t.Fatalf("exit = %d", code)
 	}
 	if !strings.HasPrefix(out.String(), "experiment,series,") {
@@ -110,7 +113,7 @@ func TestCSV(t *testing.T) {
 
 func TestSVGWritesFiles(t *testing.T) {
 	a, out, _, files := testApp()
-	if code := a.Execute([]string{"-runs", "3", "-out", "figs", "svg", "T2", "F3"}); code != 0 {
+	if code := a.Execute([]string{"-runs", "3", "-out", "figs", "run", "T2", "F3", "-format=svg"}); code != 0 {
 		t.Fatalf("exit = %d", code)
 	}
 	for _, path := range []string{"figs/T2.svg", "figs/F3.svg"} {

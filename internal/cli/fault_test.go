@@ -22,7 +22,7 @@ func faultApp() (*App, *bytes.Buffer, *bytes.Buffer) {
 
 func TestFaultsCommandRunsPlan(t *testing.T) {
 	a, out, errb := faultApp()
-	if code := a.Execute([]string{"faults", "T7", "-plan", "plan.json"}); code != 0 {
+	if code := a.Execute([]string{"faults", "T7", "-faults", "plan.json"}); code != 0 {
 		t.Fatalf("exit = %d: %s", code, errb.String())
 	}
 	text := out.String()
@@ -38,7 +38,7 @@ func TestFaultsCommandRunsPlan(t *testing.T) {
 
 func TestFaultsAllExpandsToFaultableIDs(t *testing.T) {
 	a, out, errb := faultApp()
-	if code := a.Execute([]string{"faults", "all", "-plan", "plan.json"}); code != 0 {
+	if code := a.Execute([]string{"faults", "all", "-faults", "plan.json"}); code != 0 {
 		t.Fatalf("exit = %d: %s", code, errb.String())
 	}
 	for _, id := range []string{"T5", "T6", "T7", "F12", "F13"} {
@@ -53,11 +53,11 @@ func TestFaultsAllExpandsToFaultableIDs(t *testing.T) {
 // personality) RNG fork, never from scheduling.
 func TestFaultsOutputIdenticalAcrossWorkers(t *testing.T) {
 	serial, sOut, sErr := faultApp()
-	if code := serial.Execute([]string{"-j", "1", "faults", "all", "-plan", "plan.json"}); code != 0 {
+	if code := serial.Execute([]string{"-j", "1", "faults", "all", "-faults", "plan.json"}); code != 0 {
 		t.Fatalf("serial exit = %d: %s", code, sErr.String())
 	}
 	par, pOut, pErr := faultApp()
-	if code := par.Execute([]string{"-j", "8", "faults", "all", "-plan", "plan.json"}); code != 0 {
+	if code := par.Execute([]string{"-j", "8", "faults", "all", "-faults", "plan.json"}); code != 0 {
 		t.Fatalf("parallel exit = %d: %s", code, pErr.String())
 	}
 	if !bytes.Equal(sOut.Bytes(), pOut.Bytes()) {
@@ -73,14 +73,14 @@ func TestFaultsErrorPaths(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"no plan", []string{"faults", "T7"}, "faults needs -plan"},
-		{"no ids", []string{"faults", "-plan", "plan.json"}, "faultable:"},
-		{"unknown id", []string{"faults", "T99", "-plan", "plan.json"}, "T99"},
-		{"unreadable plan", []string{"faults", "T7", "-plan", "nope.json"}, "nope.json"},
-		{"inert plan", []string{"faults", "T7", "-plan", "inert.json"}, "inert"},
-		{"typo in plan field", []string{"faults", "T7", "-plan", "typo.json"}, "bad plan"},
-		{"out-of-range probability", []string{"faults", "T7", "-plan", "hot.json"}, "udp_loss_prob"},
-		{"plan on run", []string{"run", "T2", "-plan", "plan.json"}, "-plan only applies to the faults command"},
+		{"no plan", []string{"faults", "T7"}, "faults needs -faults"},
+		{"no ids", []string{"faults", "-faults", "plan.json"}, "faultable:"},
+		{"unknown id", []string{"faults", "T99", "-faults", "plan.json"}, "T99"},
+		{"unreadable plan", []string{"faults", "T7", "-faults", "nope.json"}, "nope.json"},
+		{"inert plan", []string{"faults", "T7", "-faults", "inert.json"}, "inert"},
+		{"typo in plan field", []string{"faults", "T7", "-faults", "typo.json"}, "bad plan"},
+		{"out-of-range probability", []string{"faults", "T7", "-faults", "hot.json"}, "udp_loss_prob"},
+		{"plan flag is gone", []string{"faults", "T7", "-plan", "plan.json"}, "flag provided but not defined: -plan"},
 		{"faults flag on run", []string{"run", "T2", "-faults", "plan.json"}, "-faults does not apply"},
 		{"unreadable faults flag", []string{"metrics", "T7", "-faults", "nope.json"}, "nope.json"},
 	}

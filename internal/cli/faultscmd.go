@@ -1,25 +1,25 @@
 package cli
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/obs"
 )
 
-// faults implements `pentiumbench faults <ids|all> -plan <file>`: run
-// each observability probe twice — clean, then under the fault plan —
-// and report per system where the injected faults sent the time, plus
+// faults implements `pentiumbench faults <ids|all> -faults <file>`:
+// run each observability probe twice — clean, then under the fault plan
+// — and report per system where the injected faults sent the time, plus
 // the injected-event counters. Both passes run on the worker pool, and
 // every fault arrival derives from the sim RNG forked per (experiment,
 // personality), so the whole report is byte-identical at every -j.
-func (a *App) faults(cfg core.Config, runner *core.Runner, ids []string,
-	opts core.ObserveOpts, plan *fault.Plan) int {
+func (a *App) faults(cfg core.Config, runner *core.Runner, o cmdOpts, ids []string) int {
+	plan := o.faults
 	if plan == nil {
-		fmt.Fprintln(a.Stderr, "pentiumbench: faults needs -plan <file> (see examples/lossy-nfs.json)")
+		fmt.Fprintln(a.Stderr, "pentiumbench: faults needs -faults <file> (see examples/lossy-nfs.json)")
 		return 2
 	}
 	if !plan.Active() {
@@ -34,6 +34,7 @@ func (a *App) faults(cfg core.Config, runner *core.Runner, ids []string,
 	if len(ids) == 1 && ids[0] == "all" {
 		ids = core.FaultableIDs()
 	}
+	opts := core.ObserveOpts{Procs: o.procs, Clients: o.clients, Nfsd: o.nfsd}
 	clean, err := runner.Observe(cfg, ids, opts)
 	var faulted *core.SuiteObservation
 	if err == nil {
@@ -44,10 +45,7 @@ func (a *App) faults(cfg core.Config, runner *core.Runner, ids []string,
 		fmt.Fprintln(a.Stderr, "pentiumbench:", err)
 		return 2
 	}
-	name := plan.Name
-	if name == "" {
-		name = "unnamed"
-	}
+	name := cmp.Or(plan.Name, "unnamed")
 	for oi, co := range clean.Observations {
 		fo := faulted.Observations[oi]
 		if oi > 0 {

@@ -200,7 +200,7 @@ func (h *serveHandler) view(name string, v *view) http.HandlerFunc {
 		if len(v.api) > 1 {
 			req = r.URL.Query().Get("format")
 		}
-		fname, err := v.pick(name, v.api, req)
+		fname, err := pick(name, v.api, req)
 		if err != nil {
 			e := fail(http.StatusBadRequest, "%v", err)
 			return "", nil, &e

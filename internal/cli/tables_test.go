@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -10,7 +11,7 @@ import (
 // decade populations up to -clients.
 func TestScaleCommand(t *testing.T) {
 	a, out, errb, _ := testApp()
-	if code := a.Execute([]string{"-clients", "1000", "scale"}); code != 0 {
+	if code := a.Execute([]string{"-clients", "1000", "run", "S1", "-format=table"}); code != 0 {
 		t.Fatalf("exit = %d: %s", code, errb.String())
 	}
 	text := out.String()
@@ -39,12 +40,12 @@ func TestScaleOutputDeterministic(t *testing.T) {
 		}
 		return out.String()
 	}
-	first := run("-clients", "1000", "scale")
-	second := run("-clients", "1000", "scale")
+	first := run("-clients", "1000", "run", "S1", "-format=table")
+	second := run("-clients", "1000", "run", "S1", "-format=table")
 	if first != second {
 		t.Fatal("twin scale runs differ")
 	}
-	if reseeded := run("-clients", "1000", "-seed", "2", "scale"); reseeded == first {
+	if reseeded := run("-clients", "1000", "-seed", "2", "run", "S1", "-format=table"); reseeded == first {
 		t.Fatal("seed change did not change the scale report")
 	}
 }
@@ -53,7 +54,7 @@ func TestScaleOutputDeterministic(t *testing.T) {
 // and (at a saturated point) the served throughput.
 func TestScaleNfsdFlag(t *testing.T) {
 	a, out, errb, _ := testApp()
-	if code := a.Execute([]string{"-clients", "1000", "-nfsd", "16", "scale"}); code != 0 {
+	if code := a.Execute([]string{"-clients", "1000", "-nfsd", "16", "run", "S1", "-format=table"}); code != 0 {
 		t.Fatalf("exit = %d: %s", code, errb.String())
 	}
 	if !strings.Contains(out.String(), "16 nfsd slots") {
@@ -66,11 +67,11 @@ func TestScaleNfsdFlag(t *testing.T) {
 // instead of crashing anything.
 func TestScaleWithFaultPlan(t *testing.T) {
 	clean, cleanOut, _, _ := testApp()
-	if code := clean.Execute([]string{"-clients", "100", "scale"}); code != 0 {
+	if code := clean.Execute([]string{"-clients", "100", "run", "S1", "-format=table"}); code != 0 {
 		t.Fatal("clean scale failed")
 	}
 	lossy, lossyOut, errb := faultApp()
-	if code := lossy.Execute([]string{"-clients", "100", "scale", "-faults", "plan.json"}); code != 0 {
+	if code := lossy.Execute([]string{"-clients", "100", "run", "S1", "-format=table", "-faults", "plan.json"}); code != 0 {
 		t.Fatalf("lossy exit = %d: %s", code, errb.String())
 	}
 	text := lossyOut.String()
@@ -118,5 +119,57 @@ func TestMemoColdWarmScaleExhibits(t *testing.T) {
 	}
 	if !strings.Contains(warmErr.String(), "memo store: 2 hits, 0 misses") {
 		t.Errorf("warm stats missing store hits:\n%s", warmErr.String())
+	}
+}
+
+// Each selected table prints once, in presentation order; "all" selects
+// every table, and -stats stays silent.
+func TestRunTablesInPresentationOrder(t *testing.T) {
+	run := func(args ...string) string {
+		a, out, errb, _ := testApp()
+		if code := a.Execute(append([]string{"-clients", "1000", "-stats"}, args...)); code != 0 || errb.Len() != 0 {
+			t.Fatalf("%v: exit = %d: %s", args, code, errb.String())
+		}
+		return out.String()
+	}
+	scale := run("run", "S1", "-format=table")
+	locks := run("run", "L1", "-format=table")
+	ipc := run("run", "I1", "-format=table")
+	if run("run", "all", "-format=table") != scale+locks+ipc {
+		t.Error("run all -format=table is not the scale, locks and ipc tables in order")
+	}
+	if run("run", "I1", "S2", "S1", "-format=table") != scale+ipc {
+		t.Error("run I1 S2 S1 -format=table is not the scale then the ipc table")
+	}
+}
+
+// run refuses a format, an id or a flag its format does not take, with
+// exit 2 and the choices it does take.
+func TestRunFormatErrors(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"unknown format", []string{"run", "T2", "-format=yaml"}, `unknown run format "yaml" (want text, csv, svg or table)`},
+		{"id with no table", []string{"run", "S1", "T2", "-format=table"}, "T2 has no model table (tables: [S1 S2 L1 L2 I1])"},
+		{"faults on the locks table", []string{"run", "S1", "L1", "-format=table", "-faults", "plan.json"}, "-faults does not apply to the [L1 L2] table"},
+		{"faults on every table", []string{"run", "all", "-format=table", "-faults", "plan.json"}, "-faults does not apply to the [L1 L2] table"},
+		{"memo on the tables", []string{"run", "S1", "-format=table", "-memo", t.TempDir()}, "-memo does not apply to run -format=table"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a, out, errb, files := testApp()
+			files["plan.json"] = bytes.NewBufferString(planJSON)
+			if code := a.Execute(tc.args); code != 2 {
+				t.Fatalf("exit = %d, want 2 (stderr: %s)", code, errb.String())
+			}
+			if !strings.Contains(errb.String(), tc.want) {
+				t.Fatalf("stderr %q does not contain %q", errb.String(), tc.want)
+			}
+			if out.Len() != 0 {
+				t.Fatalf("a refused run printed:\n%s", out.String())
+			}
+		})
 	}
 }

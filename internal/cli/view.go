@@ -121,10 +121,10 @@ func (v *view) opts(o cmdOpts) core.ObserveOpts {
 	return opts
 }
 
-// pick resolves a requested format against the formats a surface
-// offers: "" selects the default, and a surface with one format ignores
-// the request.
-func (v *view) pick(name string, offered []string, req string) (string, error) {
+// pick resolves a requested format against the formats a surface of
+// the named command offers: "" selects the default, and a surface with
+// one format ignores the request.
+func pick(name string, offered []string, req string) (string, error) {
 	if req == "" || len(offered) == 1 {
 		return offered[0], nil
 	}
@@ -163,7 +163,7 @@ func (v *view) resolve(name string, ids []string) ([]string, error) {
 // exit code 1.
 func (a *App) runView(name string, cfg core.Config, runner *core.Runner, o cmdOpts, ids []string) int {
 	v := views[name]
-	fname, err := v.pick(name, v.cli, o.format)
+	fname, err := pick(name, v.cli, o.format)
 	if err == nil {
 		ids, err = v.resolve(name, ids)
 	}

@@ -122,22 +122,28 @@ var viewDigests = []struct {
 	{"audit S2 -format json", "757a84f1cae984d43f633b0e4222e96dcac2733fd35c8d21d765e171fe1f8a19"},
 	{"audit L1", "f841d8553ee184a7d50b6c4e81fdb3ba17d6c861e3ea0f4b66444c9dfa8a2267"},
 	{"audit L1 -format json", "47e13ccde7d5bb6059feeb584e467799741cb90cff6673363461adc6dca92848"},
-	{"faults all -plan examples/lossy-nfs.json", "e2cf341ce0eae406601114dac045e7ce46fbb730ecf71bf9aca664e016f4a017"},
-	{"-runs 3 csv T4 F13", "b970c255501bde79e9140fb7e7c0c6b1adc50338f61750538b90a329ffd33498"},
-	{"-runs 3 -out d svg T2 F3", "b032c7ebb66b385d2178055d0d43e0260c61a5d88a8d65678367da4f4536deed"},
-	{"-clients 1000 scale", "774151b38a7616b3f8c2641966805c4576c8538c137f14b34743f828e6df3e1e"},
-	{"-clients 1000 -nfsd 16 scale", "42ae1860df51b0cde693bf22c343bedad487d291e4a41f9909664791118ebdeb"},
-	{"-clients 1000 scale -faults examples/scale-lossy.json", "0e5e1bc29fb6ac2d1034bc9b3a16ef9530135d6116bd8c41b21f0417117cee57"},
-	{"scale", "56cbbd39a1ff59dc92cb0d516425cccb3daef3674debab918792c8c0f7083691"},
-	{"locks", "871916bd2afa9cf62a686be746a8b39e03844187947e3fe8c1658a5b0343d007"},
-	{"ipc", "60f20c4d8c46f7c0c6e52ef077f76b272b5403429d069f04bafc6656ad75646c"},
-	{"ipc -faults examples/lossy-nfs.json", "432c70a48e3651808b3c1c8fdfec925a6b7996f06d2e88d4de56f2491e21f46d"},
+	{"faults all -faults examples/lossy-nfs.json", "e2cf341ce0eae406601114dac045e7ce46fbb730ecf71bf9aca664e016f4a017"},
+	{"-runs 3 run T4 F13 -format=csv", "b970c255501bde79e9140fb7e7c0c6b1adc50338f61750538b90a329ffd33498"},
+	{"-runs 3 -out d run T2 F3 -format=svg", "b032c7ebb66b385d2178055d0d43e0260c61a5d88a8d65678367da4f4536deed"},
+	{"-clients 1000 run S1 -format=table", "774151b38a7616b3f8c2641966805c4576c8538c137f14b34743f828e6df3e1e"},
+	{"-clients 1000 run S2 -format=table", "774151b38a7616b3f8c2641966805c4576c8538c137f14b34743f828e6df3e1e"},
+	{"-clients 1000 -nfsd 16 run S1 -format=table", "42ae1860df51b0cde693bf22c343bedad487d291e4a41f9909664791118ebdeb"},
+	{"-clients 1000 -nfsd 16 run S2 -format=table", "42ae1860df51b0cde693bf22c343bedad487d291e4a41f9909664791118ebdeb"},
+	{"-clients 1000 run S1 -format=table -faults examples/scale-lossy.json", "0e5e1bc29fb6ac2d1034bc9b3a16ef9530135d6116bd8c41b21f0417117cee57"},
+	{"-clients 1000 run S2 -format=table -faults examples/scale-lossy.json", "0e5e1bc29fb6ac2d1034bc9b3a16ef9530135d6116bd8c41b21f0417117cee57"},
+	{"run S1 -format=table", "56cbbd39a1ff59dc92cb0d516425cccb3daef3674debab918792c8c0f7083691"},
+	{"run S2 -format=table", "56cbbd39a1ff59dc92cb0d516425cccb3daef3674debab918792c8c0f7083691"},
+	{"run L1 -format=table", "871916bd2afa9cf62a686be746a8b39e03844187947e3fe8c1658a5b0343d007"},
+	{"run L2 -format=table", "871916bd2afa9cf62a686be746a8b39e03844187947e3fe8c1658a5b0343d007"},
+	{"run I1 -format=table", "60f20c4d8c46f7c0c6e52ef077f76b272b5403429d069f04bafc6656ad75646c"},
+	{"run I1 -format=table -faults examples/lossy-nfs.json", "432c70a48e3651808b3c1c8fdfec925a6b7996f06d2e88d4de56f2491e21f46d"},
+	{"run all -format=table", "75f85696e01b5e6aaee7d776ba19f4dc476e744059e8e5c604edfdb44581ce9c"},
 }
 
 // viewFileDigests pins the files a viewDigests case writes, keyed by its
 // args.
 var viewFileDigests = map[string]map[string]string{
-	"-runs 3 -out d svg T2 F3": {
+	"-runs 3 -out d run T2 F3 -format=svg": {
 		"d/T2.svg": "b669406679c54693154996c88fce734a27c9dd4e6adc7a77cce37e7100b5fc7b",
 		"d/F3.svg": "82d05b00f865de9293f30dadbbed86c5eb7ab7111ff91593521d6cef08c93721",
 	},

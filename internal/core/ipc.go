@@ -26,8 +26,9 @@ var IPCTransports = []string{"pipe", "socket", "shm"}
 // IPCPoint runs one IPC point with the exhibits' construction and
 // returns the transfer bandwidth in MB/s. A non-nil plan perturbs the
 // socket transport (the only one with a network under it); pipes and
-// shared memory are immune by construction. Exported for the CLI `ipc`
-// command. The transport must be one of IPCTransports.
+// shared memory are immune by construction. Exported for the CLI's I1
+// table (`run I1 -format=table`). The transport must be one of
+// IPCTransports.
 func IPCPoint(cfg Config, p *osprofile.Profile, transport string, msg int, plan *fault.Plan) float64 {
 	plat := bench.PaperPlatform()
 	var d sim.Duration

@@ -38,7 +38,7 @@ var LockKinds = []kernel.LockKind{kernel.SpinLock, kernel.SleepLock}
 
 // LockPoint runs one lock-contention point with the exhibits'
 // construction — the audited run is the exhibited run. Exported for the
-// CLI `locks` command.
+// CLI's L1/L2 table (`run L1 -format=table`).
 func LockPoint(p *osprofile.Profile, kind kernel.LockKind, ncpu int, crit sim.Duration) bench.LockResult {
 	return bench.LockContention(p, bench.LockWorkload{
 		Kind: kind, NCPU: ncpu,

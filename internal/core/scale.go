@@ -16,8 +16,8 @@ import (
 var ScaleClientCounts = []int{10, 100, 1_000, 10_000, 100_000, 1_000_000}
 
 // ScaleNfsd is the server's worker-slot count in the registry
-// experiments (the conventional nfsd count of the era; the CLI's
-// `scale` command makes it a flag).
+// experiments (the conventional nfsd count of the era; the CLI's -nfsd
+// flag changes it for the S1/S2 table and probes).
 const ScaleNfsd = 8
 
 // scaleKey identifies one server run for the per-suite sweep cache. The
@@ -50,9 +50,9 @@ func scalePoint(cfg Config, p *osprofile.Profile, clients, nfsd int) *nfsserver.
 // scheme — a clean run reproduces exactly the point the S1/S2 exhibits
 // plot — optionally injecting a fault plan's network faults (lossy
 // clients retransmit and back off; the curves degrade, never crash).
-// The CLI `scale` command is built on it. The suite cache is
-// deliberately not consulted: a plan changes the result without
-// changing the cache key.
+// The CLI's S1/S2 table (`run S1 -format=table`) is built on it. The
+// suite cache is deliberately not consulted: a plan changes the result
+// without changing the cache key.
 func ScaleRun(cfg Config, p *osprofile.Profile, clients, nfsd int, plan *fault.Plan) *nfsserver.Result {
 	inj := fault.New(plan, sim.NewRNG(cfg.Seed).Fork(saltFor("scale", p.String(), clients)))
 	return scaleServer(cfg, p, clients, nfsd, inj.Net).Run()
