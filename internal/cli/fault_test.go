@@ -83,6 +83,9 @@ func TestFaultsErrorPaths(t *testing.T) {
 		{"plan flag is gone", []string{"faults", "T7", "-plan", "plan.json"}, "flag provided but not defined: -plan"},
 		{"faults flag on run", []string{"run", "T2", "-faults", "plan.json"}, "-faults does not apply"},
 		{"unreadable faults flag", []string{"metrics", "T7", "-faults", "nope.json"}, "nope.json"},
+		{"spike beyond an hour", []string{"faults", "F12", "-faults", "spike.json"}, "disk.latency_spike_ms = 1e+300 must be non-negative and at most 3600000"},
+		{"timeout beyond an hour", []string{"-clients", "100", "run", "S1", "-format=table", "-faults", "rto.json"}, "net.rto_ms = 1e+300 must be non-negative and at most 3600000"},
+		{"retries beyond 64", []string{"faults", "F12", "-faults", "retries.json"}, "disk.max_retries = 1e+12 must be non-negative and at most 64"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -91,9 +94,11 @@ func TestFaultsErrorPaths(t *testing.T) {
 			files["inert.json"] = bytes.NewBufferString(`{"name": "inert"}`)
 			files["typo.json"] = bytes.NewBufferString(`{"net": {"udp_loss_probe": 0.1}}`)
 			files["hot.json"] = bytes.NewBufferString(`{"net": {"udp_loss_prob": 1.0}}`)
-			code := a.Execute(tc.args)
-			if code == 0 {
-				t.Fatalf("exit = 0, want nonzero")
+			files["spike.json"] = bytes.NewBufferString(`{"disk":{"latency_spike_prob":0.5,"latency_spike_ms":1e300}}`)
+			files["rto.json"] = bytes.NewBufferString(`{"net":{"udp_loss_prob":0.5,"rto_ms":1e300,"max_backoff_ms":1e300}}`)
+			files["retries.json"] = bytes.NewBufferString(`{"disk":{"transient_error_prob":1,"max_retries":1000000000000}}`)
+			if code := a.Execute(tc.args); code != 2 {
+				t.Fatalf("exit = %d, want 2", code)
 			}
 			msg := errb.String()
 			if !strings.Contains(msg, tc.want) {

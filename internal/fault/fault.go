@@ -37,14 +37,15 @@ type DiskFaults struct {
 	// LatencySpikeProb is the per-access probability of a latency spike
 	// (thermal recalibration, bus contention) of LatencySpikeMs.
 	LatencySpikeProb float64 `json:"latency_spike_prob,omitempty"`
-	// LatencySpikeMs is the spike magnitude in milliseconds (default 30).
+	// LatencySpikeMs is the spike magnitude in milliseconds (default 30,
+	// at most one hour).
 	LatencySpikeMs float64 `json:"latency_spike_ms,omitempty"`
 	// TransientErrorProb is the per-access probability that the command
 	// fails and is retried; each retry costs a full revolution plus the
 	// controller overhead. Retries redraw, so bursts are geometric.
 	TransientErrorProb float64 `json:"transient_error_prob,omitempty"`
 	// MaxRetries bounds consecutive transient-error retries of one access
-	// (default 8).
+	// (default 8, at most 64).
 	MaxRetries int `json:"max_retries,omitempty"`
 	// SlowSectorProb is the per-access probability the target sector was
 	// remapped to the spare area: an extra average seek and a full
@@ -72,15 +73,16 @@ type NetFaults struct {
 	TCPSegLossProb float64 `json:"tcp_seg_loss_prob,omitempty"`
 	// AckDelayUs delays every TCP ack cycle by this many microseconds
 	// (delayed-ACK interaction). A one-packet window pays it per segment;
-	// a 16-packet window amortizes it across the burst.
+	// a 16-packet window amortizes it across the burst. At most one hour.
 	AckDelayUs float64 `json:"ack_delay_us,omitempty"`
 	// RTOMs is the initial retransmit timeout in milliseconds
-	// (default 100).
+	// (default 100, at most one hour).
 	RTOMs float64 `json:"rto_ms,omitempty"`
 	// BackoffFactor multiplies the timeout per consecutive retransmit of
 	// the same request (default 2, classic exponential backoff).
 	BackoffFactor float64 `json:"backoff_factor,omitempty"`
-	// MaxBackoffMs caps the backed-off timeout (default 3000).
+	// MaxBackoffMs caps the backed-off timeout (default 3000, at most one
+	// hour).
 	MaxBackoffMs float64 `json:"max_backoff_ms,omitempty"`
 }
 
@@ -94,6 +96,23 @@ type CacheFaults struct {
 	StealFraction float64 `json:"steal_fraction,omitempty"`
 	// MinCapacityMB floors the shrunken cache (default 1).
 	MinCapacityMB int `json:"min_capacity_mb,omitempty"`
+}
+
+// The bounds on the magnitudes a plan sets: no fault delay is longer
+// than an hour (a longer one says nothing about the modelled systems,
+// and past ~292 years it overflows the simulated clock), and one disk
+// access retries at most maxRetries times.
+const (
+	maxDelayMs = 3_600_000
+	maxRetries = 64
+)
+
+// bounded validates one magnitude field against [0, max].
+func bounded(name string, v, max float64) error {
+	if !(v >= 0 && v <= max) {
+		return fmt.Errorf("fault: %s = %v must be non-negative and at most %.0f", name, v, max)
+	}
+	return nil
 }
 
 // probability validates one probability field.
@@ -120,17 +139,16 @@ func (p *Plan) Validate() error {
 		probability("net.udp_reorder_prob", p.Net.UDPReorderProb, true),
 		probability("net.tcp_seg_loss_prob", p.Net.TCPSegLossProb, false),
 		probability("cache.page_steal_prob", p.Cache.PageStealProb, true),
+		bounded("disk.latency_spike_ms", p.Disk.LatencySpikeMs, maxDelayMs),
+		bounded("disk.max_retries", float64(p.Disk.MaxRetries), maxRetries),
+		bounded("net.ack_delay_us", p.Net.AckDelayUs, maxDelayMs*1000),
+		bounded("net.rto_ms", p.Net.RTOMs, maxDelayMs),
+		bounded("net.max_backoff_ms", p.Net.MaxBackoffMs, maxDelayMs),
 	}
 	for _, err := range checks {
 		if err != nil {
 			return err
 		}
-	}
-	if p.Disk.LatencySpikeMs < 0 || p.Disk.MaxRetries < 0 {
-		return fmt.Errorf("fault: disk spike/retry fields must be non-negative")
-	}
-	if p.Net.AckDelayUs < 0 || p.Net.RTOMs < 0 || p.Net.MaxBackoffMs < 0 {
-		return fmt.Errorf("fault: net delay/timeout fields must be non-negative")
 	}
 	if p.Net.BackoffFactor != 0 && p.Net.BackoffFactor < 1 {
 		return fmt.Errorf("fault: net.backoff_factor = %v must be >= 1", p.Net.BackoffFactor)

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -199,4 +200,61 @@ func TestFoldMetricsOnlyLiveInjectors(t *testing.T) {
 	if s := empty.Snapshot(); len(s.Counters) != 0 {
 		t.Errorf("nil injectors folded %v", s.Counters)
 	}
+}
+
+// Each plan here is accepted by a Validate that checks signs but not
+// magnitudes, and then crashes or hangs a run: a spike of 1e300 ms
+// overflows the simulated clock, a 1e300 ms timeout schedules events in
+// the past, and 10^12 retries never finish. Load refuses each, naming
+// the field and its bound.
+func TestLoadRejectsUnboundedMagnitudes(t *testing.T) {
+	cases := []struct{ plan, want string }{
+		{`{"disk":{"latency_spike_prob":0.5,"latency_spike_ms":1e300}}`,
+			"disk.latency_spike_ms = 1e+300 must be non-negative and at most 3600000"},
+		{`{"net":{"udp_loss_prob":0.5,"rto_ms":1e300,"max_backoff_ms":1e300}}`,
+			"net.rto_ms = 1e+300 must be non-negative and at most 3600000"},
+		{`{"disk":{"transient_error_prob":1,"max_retries":1000000000000}}`,
+			"disk.max_retries = 1e+12 must be non-negative and at most 64"},
+	}
+	for _, tc := range cases {
+		_, err := Load([]byte(tc.plan))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Load(%s) = %v, want an error containing %q", tc.plan, err, tc.want)
+		}
+	}
+}
+
+// FuzzPlanLoad holds Load to its contract on any input: it never panics,
+// an accepted plan survives Marshal then Load unchanged, and the delays
+// its injectors add stay within [0, 1 h]. AccessExtra gets zero drive
+// mechanics, so it returns the plan's own delay alone.
+func FuzzPlanLoad(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := Load(data)
+		if err != nil {
+			return
+		}
+		out, err := p.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := Load(out)
+		if err != nil {
+			t.Fatalf("marshalled plan does not load: %v\n%s", err, out)
+		}
+		if !reflect.DeepEqual(p, q) {
+			t.Fatalf("round trip changed the plan:\n%+v\n%+v", p, q)
+		}
+		inj := New(p, sim.NewRNG(1))
+		check := func(what string, d sim.Duration) {
+			if d < 0 || d > 3600*sim.Second {
+				t.Fatalf("%s = %v, outside [0, 1h]", what, d)
+			}
+		}
+		check("AccessExtra", inj.Disk.AccessExtra(0, 0, 0))
+		for attempt := 0; attempt <= 64; attempt++ {
+			check("RTOWait", inj.Net.RTOWait(attempt))
+		}
+		check("AckDelay", inj.Net.AckDelay())
+	})
 }
