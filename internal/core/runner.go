@@ -49,11 +49,41 @@ func (p *workPool) tryAcquire() bool {
 
 func (p *workPool) release() { p.tokens <- struct{}{} }
 
+// workerPanic carries a panic from the worker goroutines to the caller:
+// recover only sees panics on its own goroutine, so each worker records
+// its panic and the caller re-raises it after the wait. Of several, the
+// lowest index's is kept — the one a serial run raises first.
+type workerPanic struct {
+	mu  sync.Mutex
+	i   int
+	val any
+}
+
+// capture is deferred by a worker whose current index *i may panic.
+func (w *workerPanic) capture(i *int) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.val == nil || *i < w.i {
+		w.i, w.val = *i, r
+	}
+}
+
+// reraise panics with the recorded value, if any.
+func (w *workerPanic) reraise() {
+	if w.val != nil {
+		panic(w.val)
+	}
+}
+
 // forEach runs f(i) for every i in [0, n) and returns when all are
 // done: in index order on the caller's goroutine when pool is nil, else
 // one goroutine per index, each holding a pool token while f runs.
 // Each f(i) writes only its own per-index slots, so the schedule never
-// reaches the results.
+// reaches the results. A panic in f reaches the caller.
 func forEach(pool *workPool, n int, f func(int)) {
 	if pool == nil {
 		for i := 0; i < n; i++ {
@@ -62,16 +92,19 @@ func forEach(pool *workPool, n int, f func(int)) {
 		return
 	}
 	var wg sync.WaitGroup
+	var caught workerPanic
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer caught.capture(&i)
 			pool.acquire()
 			defer pool.release()
 			f(i)
 		}()
 	}
 	wg.Wait()
+	caught.reraise()
 }
 
 // parallelFor executes f(i) for every i in [0, n). When cfg carries a
@@ -82,7 +115,8 @@ func forEach(pool *workPool, n int, f func(int)) {
 // Every iteration must write only to its own per-index output slot and
 // derive any randomness from cfg.Seed via saltFor — under that contract
 // the schedule cannot affect the results, which is what makes parallel
-// output bit-for-bit identical to serial output.
+// output bit-for-bit identical to serial output. A panic in f reaches
+// the caller once every helper has stopped.
 func parallelFor(cfg Config, n int, f func(int)) {
 	pool := cfg.pool
 	if pool == nil || n <= 1 {
@@ -93,9 +127,12 @@ func parallelFor(cfg Config, n int, f func(int)) {
 	}
 	pool.innerJobs.Add(int64(n))
 	var idx atomic.Int64
+	var caught workerPanic
 	work := func() {
+		i := -1
+		defer caught.capture(&i)
 		for {
-			i := int(idx.Add(1)) - 1
+			i = int(idx.Add(1)) - 1
 			if i >= n {
 				return
 			}
@@ -113,6 +150,7 @@ func parallelFor(cfg Config, n int, f func(int)) {
 	}
 	work()
 	wg.Wait()
+	caught.reraise()
 }
 
 // Runner executes experiments on a bounded worker pool. Because every

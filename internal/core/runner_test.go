@@ -8,6 +8,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/memmodel"
 	"repro/internal/memo"
+	"repro/internal/sim"
 )
 
 // assertResultsIdentical compares two result sets bit for bit: every
@@ -154,6 +155,35 @@ func TestParallelForNeverDeadlocksWhenNested(t *testing.T) {
 	})
 	if count.Load() != 64 {
 		t.Fatalf("nested tasks = %d, want 64", count.Load())
+	}
+}
+
+// A panic on a pool goroutine reaches the caller's recover with its
+// value intact, as App.recovered needs to render a deadlock's dump.
+// Index 1 panics and index 0 waits until index 1 has started, so each
+// loop must run index 1 off the caller's goroutine or return.
+func TestWorkerPanicReachesCaller(t *testing.T) {
+	loops := map[string]func(f func(int)){
+		"forEach":     func(f func(int)) { forEach(newWorkPool(2), 2, f) },
+		"parallelFor": func(f func(int)) { parallelFor(Config{pool: newWorkPool(2)}, 2, f) },
+	}
+	for name, loop := range loops {
+		want := &sim.DeadlockError{Blocked: []string{"1 (" + name + ")"}}
+		started := make(chan struct{})
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			loop(func(i int) {
+				if i == 1 {
+					close(started)
+					panic(want)
+				}
+				<-started
+			})
+			return nil
+		}()
+		if got != want {
+			t.Errorf("%s: the caller recovered %v, want the worker's %v", name, got, want)
+		}
 	}
 }
 
