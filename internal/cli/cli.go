@@ -162,26 +162,48 @@ func (a *App) Execute(args []string) int {
 	})
 }
 
+// The caps on the flags that size a model or multiply its work: the
+// server allocates per client and per nfsd slot, -procs spawns that
+// many threads, and -runs and -trials multiply every point.
+const (
+	maxClients = 10_000_000 // ten times the 10^6 that S1/S2 sweep
+	maxNfsd    = 1024
+	maxProcs   = 1024 // F1 sweeps to 512
+	maxRuns    = 1000
+	maxTrials  = 100
+)
+
 // flagRangeError bounds-checks the numeric flags. The flag package
 // already rejects malformed syntax ("-j x"); these catch values that
-// parse but mean nothing ("-j -3", "-tol NaN") before any model runs.
+// parse but mean nothing ("-j -3", "-tol NaN"), or that would exhaust
+// memory or never finish, before any model runs.
 func flagRangeError(o cmdOpts, runs, workers int, window time.Duration) string {
 	badFloat := func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) || v < 0 }
 	switch {
 	case runs <= 0:
 		return fmt.Sprintf("-runs must be positive (got %d)", runs)
+	case runs > maxRuns:
+		return fmt.Sprintf("-runs must be at most %d (got %d)", maxRuns, runs)
 	case workers < 0:
 		return fmt.Sprintf("-j must be >= 0, 0 meaning GOMAXPROCS (got %d)", workers)
 	case o.procs < 0:
 		return fmt.Sprintf("-procs must be >= 0 (got %d)", o.procs)
+	case o.procs > maxProcs:
+		return fmt.Sprintf("-procs must be at most %d (got %d)", maxProcs, o.procs)
 	case o.trials <= 0:
 		return fmt.Sprintf("-trials must be positive (got %d)", o.trials)
+	case o.trials > maxTrials:
+		return fmt.Sprintf("-trials must be at most %d (got %d)", maxTrials, o.trials)
 	case o.top < 0:
 		return fmt.Sprintf("-top must be >= 0 (got %d)", o.top)
 	case o.clients < 0:
 		return fmt.Sprintf("-clients must be >= 0, 0 meaning the command default (got %d)", o.clients)
+	case o.clients > maxClients:
+		return fmt.Sprintf("-clients must be at most %d (got %d)", maxClients, o.clients)
 	case o.nfsd < 0:
 		return fmt.Sprintf("-nfsd must be >= 0, 0 meaning the default 8 (got %d)", o.nfsd)
+	case o.nfsd > maxNfsd:
+		return fmt.Sprintf("-nfsd must be at most %d (got %d)", maxNfsd, o.nfsd)
 	case o.exemplars < 0:
 		return fmt.Sprintf("-exemplars must be >= 0, 0 meaning off (got %d)", o.exemplars)
 	case badFloat(o.eps):

@@ -126,8 +126,13 @@ func TestNumericFlagRangeErrors(t *testing.T) {
 		{"procs negative", []string{"-procs", "-4", "trace"}, "-procs must be >= 0"},
 		{"trials zero", []string{"-trials", "0", "sensitivity"}, "-trials must be positive"},
 		{"top negative", []string{"-top", "-1", "profile", "F12"}, "-top must be >= 0"},
-		{"clients negative", []string{"-clients", "-5", "scale"}, "-clients must be >= 0"},
-		{"nfsd negative", []string{"-nfsd", "-2", "scale"}, "-nfsd must be >= 0"},
+		{"clients negative", []string{"-clients", "-5", "run", "S1", "-format=table"}, "-clients must be >= 0"},
+		{"nfsd negative", []string{"-nfsd", "-2", "run", "S1", "-format=table"}, "-nfsd must be >= 0"},
+		{"clients above cap", []string{"-clients", "10000001", "run", "S1", "-format=table"}, "-clients must be at most 10000000 (got 10000001)"},
+		{"nfsd above cap", []string{"-nfsd", "1025", "run", "S1", "-format=table"}, "-nfsd must be at most 1024 (got 1025)"},
+		{"procs above cap", []string{"-procs", "1025", "metrics", "F1"}, "-procs must be at most 1024 (got 1025)"},
+		{"runs above cap", []string{"-runs", "1001", "run", "all"}, "-runs must be at most 1000 (got 1001)"},
+		{"trials above cap", []string{"-trials", "101", "sensitivity"}, "-trials must be at most 100 (got 101)"},
 		{"eps nan", []string{"-eps", "NaN", "sensitivity"}, "-eps must be a finite non-negative number"},
 		{"tol negative", []string{"-tol", "-0.5", "baseline", "check"}, "-tol must be a finite non-negative number"},
 		{"tol inf", []string{"-tol", "Inf", "baseline", "check"}, "-tol must be a finite non-negative number"},
