@@ -7,8 +7,9 @@
 //	pentiumbench list                 # show all experiments
 //	pentiumbench run all              # run everything, render to stdout
 //	pentiumbench run T2 F1 F12        # run selected exhibits
-//	pentiumbench csv F13              # emit CSV for external plotting
-//	pentiumbench svg all -out figures # write SVG figures
+//	pentiumbench run F13 -format=csv  # emit CSV for external plotting
+//	pentiumbench run all -format=svg -out figures  # write SVG figures
+//	pentiumbench run S1 -format=table # the model table behind S1/S2
 //	pentiumbench check                # evaluate every paper claim
 //	pentiumbench sensitivity          # claims under perturbed calibration
 //	pentiumbench replay mailspool     # time a workload trace per system
@@ -25,15 +26,16 @@
 //	-seed N      master seed (default 1; EXPERIMENTS.md uses 1)
 //	-runs N      repetitions per benchmark (default 20, as in the paper)
 //	-future      additionally benchmark the §13 "future work" systems
-//	-out DIR     svg output directory
+//	-out DIR     run -format=svg output directory
 //	-eps F       sensitivity perturbation (default 0.15)
 //	-trials N    sensitivity replicas (default 5)
-//	-j N         worker pool size for run/csv/svg/experiments/html/trace/
-//	             metrics (default GOMAXPROCS; -j 1 is strictly serial;
-//	             output is bit-identical at every N)
+//	-j N         worker pool size for run/experiments/html/trace/metrics
+//	             (default GOMAXPROCS; -j 1 is strictly serial; output is
+//	             bit-identical at every N)
 //	-procs N     trace: token-ring size (default 3); metrics/trace <ids>:
 //	             F1 probe process count (default 8)
-//	-format F    trace <ids>: chrome (default, Perfetto JSON) or text
+//	-format F    run <ids>: text (default), csv, svg or table;
+//	             trace <ids>: chrome (default, Perfetto JSON) or text
 //	-stats       print runner statistics (jobs, memo hits, wall time,
 //	             slowest experiments) to stderr after running
 //	-cpuprofile F  write a pprof CPU profile of the command to F

@@ -96,7 +96,7 @@ func TestMemoCorruptEntryRecomputes(t *testing.T) {
 	}
 }
 
-// TestMemoRejectedForNonRunnerCommands mirrors the -faults/-plan guards:
+// TestMemoRejectedForNonRunnerCommands mirrors the -faults guard:
 // -memo only applies to the runner family.
 func TestMemoRejectedForNonRunnerCommands(t *testing.T) {
 	a, _, errb, _ := testApp()

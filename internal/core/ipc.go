@@ -27,8 +27,7 @@ var IPCTransports = []string{"pipe", "socket", "shm"}
 // returns the transfer bandwidth in MB/s. A non-nil plan perturbs the
 // socket transport (the only one with a network under it); pipes and
 // shared memory are immune by construction. Exported for the CLI's I1
-// table (`run I1 -format=table`). The transport must be one of
-// IPCTransports.
+// table. The transport must be one of IPCTransports.
 func IPCPoint(cfg Config, p *osprofile.Profile, transport string, msg int, plan *fault.Plan) float64 {
 	plat := bench.PaperPlatform()
 	var d sim.Duration
