@@ -36,27 +36,26 @@ func (a *App) tables(cfg core.Config, o cmdOpts, ids []string) int {
 	if len(ids) == 1 && ids[0] == "all" {
 		ids = tabled
 	}
-	msg := ""
+	refuse := func(format string, args ...any) int {
+		fmt.Fprintf(a.Stderr, "pentiumbench: "+format+"\n", args...)
+		return 2
+	}
 	if cfg.Memo != nil {
-		msg = "-memo does not apply to run -format=table"
+		return refuse("-memo does not apply to run -format=table")
 	}
 	for _, id := range ids {
 		if !slices.Contains(tabled, id) {
-			msg = fmt.Sprintf("%s has no model table (tables: %v)", id, tabled)
+			return refuse("%s has no model table (tables: %v)", id, tabled)
 		}
 	}
 	var picked []modelTable
 	for _, t := range modelTables {
 		if slices.ContainsFunc(t.ids, func(id string) bool { return slices.Contains(ids, id) }) {
 			if o.faults != nil && !t.faults {
-				msg = fmt.Sprintf("-faults does not apply to the %v table (only the S1/S2 and I1 tables take it)", t.ids)
+				return refuse("-faults does not apply to the %v table (only the S1/S2 and I1 tables take it)", t.ids)
 			}
 			picked = append(picked, t)
 		}
-	}
-	if msg != "" {
-		fmt.Fprintln(a.Stderr, "pentiumbench:", msg)
-		return 2
 	}
 	for _, t := range picked {
 		t.print(a, cfg, o)
