@@ -30,8 +30,8 @@
 //	-eps F       sensitivity perturbation (default 0.15)
 //	-trials N    sensitivity replicas (default 5)
 //	-j N         worker pool size for run/experiments/html/trace/metrics
-//	             (default GOMAXPROCS; -j 1 is strictly serial; output is
-//	             bit-identical at every N)
+//	             (default GOMAXPROCS; -j 1 is strictly serial; at most
+//	             1024; output is bit-identical at every N)
 //	-procs N     trace: token-ring size (default 3); metrics/trace <ids>:
 //	             F1 probe process count (default 8)
 //	-format F    run <ids>: text (default), csv, svg or table;

@@ -69,7 +69,7 @@ func (a *App) Execute(args []string) int {
 	fl.Float64Var(&o.eps, "eps", 0.15, "sensitivity: relative perturbation of calibrated constants")
 	fl.IntVar(&o.trials, "trials", 5, "sensitivity: perturbed replicas (at most 100)")
 	profilesFile := fl.String("profiles", "", "JSON file with extra OS personalities to benchmark")
-	workers := fl.Int("j", 0, "parallel runner workers (0 = GOMAXPROCS, 1 = serial)")
+	workers := fl.Int("j", 0, "parallel runner workers (0 = GOMAXPROCS, 1 = serial; at most 1024)")
 	fl.IntVar(&o.procs, "procs", 0, "trace/metrics/profile: process count — ring size for the bare timeline (default 3), F1 probe processes (default 8); at most 1024")
 	fl.StringVar(&o.format, "format", "", "run <ids>: 'text' (default), 'csv', 'svg' (files into -out) or 'table' (the model tables behind S1/S2, L1/L2 and I1). trace <ids>: 'chrome' (default; Perfetto-loadable JSON) or 'text'. profile <ids>: 'top' (default), 'folded' or 'pprof'")
 	fl.IntVar(&o.top, "top", 0, "trace -format=text / profile -format=top: keep only the N heaviest rows per table (0 = all)")
@@ -164,13 +164,15 @@ func (a *App) Execute(args []string) int {
 
 // The caps on the flags that size a model or multiply its work: the
 // server allocates per client and per nfsd slot, -procs spawns that
-// many threads, and -runs and -trials multiply every point.
+// many threads, -runs and -trials multiply every point, and the worker
+// pool holds one token per -j worker.
 const (
 	maxClients = 10_000_000 // ten times the 10^6 that S1/S2 sweep
 	maxNfsd    = 1024
 	maxProcs   = 1024 // F1 sweeps to 512
 	maxRuns    = 1000
 	maxTrials  = 100
+	maxWorkers = 1024
 )
 
 // flagRangeError bounds-checks the numeric flags. The flag package
@@ -186,6 +188,8 @@ func flagRangeError(o cmdOpts, runs, workers int, window time.Duration) string {
 		return fmt.Sprintf("-runs must be at most %d (got %d)", maxRuns, runs)
 	case workers < 0:
 		return fmt.Sprintf("-j must be >= 0, 0 meaning GOMAXPROCS (got %d)", workers)
+	case workers > maxWorkers:
+		return fmt.Sprintf("-j must be at most %d (got %d)", maxWorkers, workers)
 	case o.procs < 0:
 		return fmt.Sprintf("-procs must be >= 0 (got %d)", o.procs)
 	case o.procs > maxProcs:

@@ -133,6 +133,7 @@ func TestNumericFlagRangeErrors(t *testing.T) {
 		{"procs above cap", []string{"-procs", "1025", "metrics", "F1"}, "-procs must be at most 1024 (got 1025)"},
 		{"runs above cap", []string{"-runs", "1001", "run", "all"}, "-runs must be at most 1000 (got 1001)"},
 		{"trials above cap", []string{"-trials", "101", "sensitivity"}, "-trials must be at most 100 (got 101)"},
+		{"j above cap", []string{"-j", "1025", "run", "T2"}, "-j must be at most 1024 (got 1025)"},
 		{"eps nan", []string{"-eps", "NaN", "sensitivity"}, "-eps must be a finite non-negative number"},
 		{"tol negative", []string{"-tol", "-0.5", "baseline", "check"}, "-tol must be a finite non-negative number"},
 		{"tol inf", []string{"-tol", "Inf", "baseline", "check"}, "-tol must be a finite non-negative number"},

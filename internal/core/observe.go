@@ -231,13 +231,13 @@ func probeProfiles(cfg Config) []*osprofile.Profile {
 	return cfg.Profiles
 }
 
-// eachProfile adapts a one-personality probe into one run per profile.
+// eachProfile adapts a one-personality probe into one run per profile,
+// fanned out on cfg's pool and kept in profile order.
 func eachProfile(run func(cfg Config, id string, opts ObserveOpts, p *osprofile.Profile) ObservedRun) func(Config, string, ObserveOpts) []ObservedRun {
 	return func(cfg Config, id string, opts ObserveOpts) []ObservedRun {
-		var runs []ObservedRun
-		for _, p := range probeProfiles(cfg) {
-			runs = append(runs, run(cfg, id, opts, p))
-		}
+		profiles := probeProfiles(cfg)
+		runs := make([]ObservedRun, len(profiles))
+		parallelFor(cfg, len(profiles), func(i int) { runs[i] = run(cfg, id, opts, profiles[i]) })
 		return runs
 	}
 }
@@ -528,16 +528,18 @@ type SuiteObservation struct {
 }
 
 // Observe runs the probes for the given experiment IDs on the worker
-// pool. Each probe runs with its own recorder and registry; the results
-// are merged in input order — task order, never completion order — which
-// is what makes the output independent of the worker count.
+// pool, which each probe borrows to run its personalities too. Each run
+// has its own recorder and registry; the results are merged in input
+// and profile order — task order, never completion order — which is
+// what makes the output independent of the worker count.
 func (r *Runner) Observe(cfg Config, ids []string, opts ObserveOpts) (*SuiteObservation, error) {
 	w := r.workers()
 	obsv := make([]*Observation, len(ids))
 	errs := make([]error, len(ids))
 	timings := make([]ExperimentTiming, len(ids))
 	start := time.Now()
-	forEach(newWorkPool(w), len(ids), func(i int) {
+	cfg.pool = newWorkPool(w)
+	forEach(cfg.pool, len(ids), func(i int) {
 		t0 := time.Now()
 		obsv[i], errs[i] = Observe(cfg, ids[i], opts)
 		timings[i] = ExperimentTiming{ID: ids[i], Wall: time.Since(t0)}
@@ -563,6 +565,9 @@ func (r *Runner) Observe(cfg Config, ids []string, opts ObserveOpts) (*SuiteObse
 	// utilization, kept under "runner." so determinism comparisons can
 	// exclude them.
 	st := &RunStats{Workers: w, Jobs: len(ids), Wall: time.Since(start), Experiments: timings}
+	if cfg.pool != nil {
+		st.InnerJobs = int(cfg.pool.innerJobs.Load())
+	}
 	reg := obs.NewRegistry()
 	st.FoldMetrics(reg, "runner.")
 	// Ring-bound trace truncation, summed across every captured process,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // sumsToTotal checks the acceptance criterion for metrics tables: the
@@ -80,35 +82,67 @@ func chromeBytes(t *testing.T, s *SuiteObservation) []byte {
 	return buf.Bytes()
 }
 
+// faultedPlan exercises every faultable subsystem at once.
+func faultedPlan() *fault.Plan {
+	return &fault.Plan{
+		Disk:  fault.DiskFaults{LatencySpikeProb: 0.05, TransientErrorProb: 0.02},
+		Net:   fault.NetFaults{UDPLossProb: 0.05, TCPSegLossProb: 0.02, AckDelayUs: 200},
+		Cache: fault.CacheFaults{PageStealProb: 0.01},
+	}
+}
+
+// sameObservation requires two suite observations to carry the same
+// metrics (apart from the runner's wall-clock self-metrics), the same
+// Chrome trace bytes and the same folded profile exports.
+func sameObservation(t *testing.T, a, b *SuiteObservation) {
+	t.Helper()
+	ma, mb := a.Metrics.ExcludePrefix("runner."), b.Metrics.ExcludePrefix("runner.")
+	if !ma.Equal(mb) {
+		t.Fatalf("metric snapshots differ:\n%s\nagainst\n%s", ma, mb)
+	}
+	ca := chromeBytes(t, a)
+	if !bytes.Equal(ca, chromeBytes(t, b)) {
+		t.Fatal("chrome trace bytes differ")
+	}
+	if !bytes.HasPrefix(ca, []byte("[")) || len(ca) < 2 {
+		t.Fatalf("chrome export does not look like a JSON array: %.40q", ca)
+	}
+	if !bytes.Equal(profileBytes(t, a), profileBytes(t, b)) {
+		t.Fatal("profile exports differ")
+	}
+}
+
 // TestObserveDeterminismAcrossWorkers is the regression test for the
-// suite's central determinism guarantee: span streams and metric
-// snapshots are bit-identical between -j 1 and -j 8. Runs under -race in
-// `make check` via the race target.
+// suite's central determinism guarantee: span streams, metric snapshots
+// and profiles are bit-identical at every worker count. The whole
+// observable set at -j 8 fans out per id; a single id at -j 3 fans out
+// per personality, as every serve view's request does. Runs under
+// -race in `make check` via the race target.
 func TestObserveDeterminismAcrossWorkers(t *testing.T) {
 	cfg := DefaultConfig()
-	ids := ObservableIDs()
-	s1, err := NewRunner(1).Observe(cfg, ids, ObserveOpts{})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name    string
+		ids     []string
+		opts    ObserveOpts
+		workers int
+	}{
+		{"all", ObservableIDs(), ObserveOpts{}, 8},
+		{"F1", []string{"F1"}, ObserveOpts{}, 3},
+		{"S1 sampled with exemplars", []string{"S1"}, ObserveOpts{Window: 100 * sim.Millisecond, ExemplarK: 4}, 3},
+		{"F12 faulted", []string{"F12"}, ObserveOpts{Faults: faultedPlan()}, 3},
 	}
-	s8, err := NewRunner(8).Observe(cfg, ids, ObserveOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	m1 := s1.Metrics.ExcludePrefix("runner.")
-	m8 := s8.Metrics.ExcludePrefix("runner.")
-	if !m1.Equal(m8) {
-		t.Fatalf("metric snapshots differ between -j 1 and -j 8:\n-j1:\n%s\n-j8:\n%s", m1, m8)
-	}
-
-	b1 := chromeBytes(t, s1)
-	b8 := chromeBytes(t, s8)
-	if !bytes.Equal(b1, b8) {
-		t.Fatal("chrome trace bytes differ between -j 1 and -j 8")
-	}
-	if !bytes.HasPrefix(b1, []byte("[")) || len(b1) < 2 {
-		t.Fatalf("chrome export does not look like a JSON array: %.40q", b1)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			serial, err := NewRunner(1).Observe(cfg, tc.ids, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parallel, err := NewRunner(tc.workers).Observe(cfg, tc.ids, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameObservation(t, serial, parallel)
+		})
 	}
 }
 
@@ -119,11 +153,7 @@ func TestObserveDeterminismAcrossWorkers(t *testing.T) {
 func TestObserveDeterminismAcrossWorkersFaulted(t *testing.T) {
 	cfg := DefaultConfig()
 	ids := FaultableIDs()
-	opts := ObserveOpts{Faults: &fault.Plan{
-		Disk:  fault.DiskFaults{LatencySpikeProb: 0.05, TransientErrorProb: 0.02},
-		Net:   fault.NetFaults{UDPLossProb: 0.05, TCPSegLossProb: 0.02, AckDelayUs: 200},
-		Cache: fault.CacheFaults{PageStealProb: 0.01},
-	}}
+	opts := ObserveOpts{Faults: faultedPlan()}
 	s1, err := NewRunner(1).Observe(cfg, ids, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -132,16 +162,9 @@ func TestObserveDeterminismAcrossWorkersFaulted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1 := s1.Metrics.ExcludePrefix("runner.")
-	m8 := s8.Metrics.ExcludePrefix("runner.")
-	if !m1.Equal(m8) {
-		t.Fatalf("faulted metric snapshots differ between -j 1 and -j 8:\n-j1:\n%s\n-j8:\n%s", m1, m8)
-	}
-	if !bytes.Equal(chromeBytes(t, s1), chromeBytes(t, s8)) {
-		t.Fatal("faulted chrome trace bytes differ between -j 1 and -j 8")
-	}
+	sameObservation(t, s1, s8)
 	// The injectors actually fired and their counters surfaced.
-	if v, ok := m1.Get("fault.net.rpc_retransmits"); !ok || v == 0 {
+	if v, ok := s1.Metrics.Get("fault.net.rpc_retransmits"); !ok || v == 0 {
 		t.Errorf("fault.net.rpc_retransmits = %v, %v", v, ok)
 	}
 }
@@ -172,6 +195,10 @@ func TestSuiteObservationShape(t *testing.T) {
 	}
 	if v, ok := s.Metrics.Get("runner.workers"); !ok || v != 2 {
 		t.Fatalf("runner.workers = %v, %v; want 2, true", v, ok)
+	}
+	// T2's and F12's probes each fan three personalities out on the pool.
+	if v, ok := s.Metrics.Get("runner.inner_jobs"); !ok || v != 6 {
+		t.Fatalf("runner.inner_jobs = %v, %v; want 6, true", v, ok)
 	}
 	// Kernel and fs attribution from the probes must have been merged in.
 	for _, name := range []string{"kernel.phase_us.syscall", "fs.phase_us.vfs"} {
@@ -272,5 +299,25 @@ func TestSuiteProfileMergesRunFolds(t *testing.T) {
 	}
 	if got := s.Profile.TotalNs(); got != want {
 		t.Fatalf("suite profile total %d != sum of run profiles %d", got, want)
+	}
+}
+
+// BenchmarkObserve is the observe layer's package benchmark: one id
+// through Runner.Observe, the way each serve view requests it, on one
+// worker and on two, where the probe's personalities share the pool.
+func BenchmarkObserve(b *testing.B) {
+	cfg := DefaultConfig()
+	for _, id := range []string{"F1", "S1", "F12"} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/j%d", id, workers), func(b *testing.B) {
+				r := NewRunner(workers)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := r.Observe(cfg, []string{id}, ObserveOpts{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

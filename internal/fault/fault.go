@@ -181,14 +181,19 @@ func (n NetFaults) active() bool {
 
 func (c CacheFaults) active() bool { return c.PageStealProb > 0 }
 
-// Load parses and validates a plan from JSON. Unknown fields are errors,
-// so a typo in a plan file cannot silently disable an injector.
+// Load parses and validates a plan from JSON. Unknown fields and
+// anything but whitespace after the plan object are errors, so neither a
+// typo nor a second object in a plan file can silently disable an
+// injector.
 func Load(data []byte) (*Plan, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	p := &Plan{}
 	if err := dec.Decode(p); err != nil {
 		return nil, fmt.Errorf("fault: bad plan: %w", err)
+	}
+	if rest := bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return nil, fmt.Errorf("fault: bad plan: trailing data after the plan object: %.40q", rest)
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err

@@ -50,12 +50,31 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 	if _, err := Load([]byte(`{"net": {"udp_loss_prob": 0.1}`)); err == nil {
 		t.Fatal("truncated JSON must not load")
 	}
-	p, err := Load([]byte(`{"name": "x", "net": {"udp_loss_prob": 0.1}}`))
+	p, err := Load([]byte(`{"name": "x", "net": {"udp_loss_prob": 0.1}}` + "\n\t \r\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !p.Active() || p.Net.UDPLossProb != 0.1 {
 		t.Fatalf("loaded plan %+v", p)
+	}
+}
+
+// A plan file holding more than one JSON value must not load as its
+// first: a second object's faults would be dropped without a word.
+// Load names the trailing data instead.
+func TestLoadRejectsTrailingData(t *testing.T) {
+	cases := []struct{ plan, want string }{
+		{`{"name":"first"} {"net":{"udp_loss_prob":0.05}}`,
+			`trailing data after the plan object: "{\"net\":{\"udp_loss_prob\":0.05}}"`},
+		{`{"name":"first"} trailing garbage`,
+			`trailing data after the plan object: "trailing garbage"`},
+		{`{"name":"first"}}`, `trailing data after the plan object: "}"`},
+	}
+	for _, tc := range cases {
+		_, err := Load([]byte(tc.plan))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Load(%s) = %v, want an error containing %q", tc.plan, err, tc.want)
+		}
 	}
 }
 

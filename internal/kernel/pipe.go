@@ -1,8 +1,6 @@
 package kernel
 
 import (
-	"fmt"
-
 	"repro/internal/sim"
 )
 
@@ -96,9 +94,7 @@ func (pp *Pipe) write(c int, t *Thread, n int) {
 	pp.buffered += chunk
 	pp.BytesTransferred += uint64(chunk)
 	t.left -= chunk
-	if m.rec != nil {
-		m.narrate(c, "pipe-write", t.tid, fmt.Sprintf("%d bytes (buffered %d)", chunk, pp.buffered))
-	}
+	m.narrateFunc(c, "pipe-write", t.tid, pipeDetail, "", int64(chunk), int64(pp.buffered), 0)
 	pp.readers = pp.wake(c, pp.readers)
 	if t.left == 0 {
 		t.inCall = false
@@ -129,9 +125,7 @@ func (pp *Pipe) read(c int, t *Thread, n int) {
 	m.chargeSpan(c, t.track, "copy", PhaseCopy, pp.copyCost(chunk))
 	pp.buffered -= chunk
 	t.left -= chunk
-	if m.rec != nil {
-		m.narrate(c, "pipe-read", t.tid, fmt.Sprintf("%d bytes (buffered %d)", chunk, pp.buffered))
-	}
+	m.narrateFunc(c, "pipe-read", t.tid, pipeDetail, "", int64(chunk), int64(pp.buffered), 0)
 	pp.writers = pp.wake(c, pp.writers)
 	t.inCall = false
 	if t.left == 0 {

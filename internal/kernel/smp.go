@@ -578,10 +578,11 @@ func (m *Machine) dispatch(c int) {
 		m.chargeSpan(c, m.kernelTracks[c], "dispatch", PhaseDispatch, d)
 		m.switches++
 		m.tsSwitch.Inc(m.now[c])
-		if m.rec != nil {
-			m.narrate(c, "dispatch", t.tid, fmt.Sprintf("%s (cost %v, scanned %d, miss %v)",
-				t.name, d, cost.scanned, cost.tableMiss))
+		var miss int64
+		if cost.tableMiss {
+			miss = 1
 		}
+		m.narrateFunc(c, "dispatch", t.tid, dispatchDetail, t.name, int64(d), int64(cost.scanned), miss)
 	}
 	m.lastRun[c] = t.tid
 	m.running[c] = t

@@ -99,12 +99,34 @@ func (m *Machine) chargeSpan(c int, track obs.TrackID, name string, ph Phase, d 
 }
 
 // narrate records one kernel event as an instant on CPU c's kernel
-// track. Call sites whose detail needs formatting guard the call with
-// m.rec != nil, so an unobserved run never formats or boxes anything.
+// track.
 func (m *Machine) narrate(c int, kind string, tid int, detail string) {
 	if m.rec != nil {
 		m.rec.InstantAt(m.now[c], m.kernelTracks[c], kind, tid, detail)
 	}
+}
+
+// narrateFunc records one kernel event whose detail is format(s, x, y,
+// z). The recorder formats it only if the event survives its ring, so
+// an observed run does not format the narration it drops, and an
+// unobserved run formats nothing.
+func (m *Machine) narrateFunc(c int, kind string, tid int, format obs.DetailFunc, s string, x, y, z int64) {
+	if m.rec != nil {
+		m.rec.InstantAtFunc(m.now[c], m.kernelTracks[c], kind, tid, format, s, x, y, z)
+	}
+}
+
+// dispatchDetail formats a dispatch narration: the thread's name, the
+// switch cost, the run-queue entries scanned and whether the pick
+// reloaded a dispatch resource (miss != 0).
+func dispatchDetail(name string, cost, scanned, miss int64) string {
+	return fmt.Sprintf("%s (cost %v, scanned %d, miss %v)", name, sim.Duration(cost), scanned, miss != 0)
+}
+
+// pipeDetail formats a pipe-write or pipe-read narration: the bytes
+// moved and the bytes left buffered.
+func pipeDetail(_ string, chunk, buffered, _ int64) string {
+	return fmt.Sprintf("%d bytes (buffered %d)", chunk, buffered)
 }
 
 // deadlockDump renders the tail of a machine's span buffer: the most

@@ -75,10 +75,39 @@ type Event struct {
 	// Cost carries an attributed cost for the event (virtual nanoseconds
 	// or cycles, by the emitter's convention); 0 when unused.
 	Cost float64
-	// Detail is a human-readable annotation, formatted only while
-	// recording is enabled.
+	// Detail is a human-readable annotation. An instant recorded with
+	// InstantAtFunc gets it formatted when Events or Capture reads the
+	// event back, so only the events a ring still holds are formatted.
 	Detail string
 }
+
+// A DetailFunc formats an instant's detail from the string and the
+// integers recorded with it (see InstantAtFunc).
+type DetailFunc func(s string, a, b, c int64) string
+
+// slot is one buffered event. A deferred instant keeps its DetailFunc
+// and integer values here, and its string value in Event.Detail, until
+// event formats them.
+type slot struct {
+	Event
+	format DetailFunc
+	args   [3]int64
+}
+
+// event returns the buffered event with its detail formatted.
+func (s *slot) event() Event {
+	e := s.Event
+	if s.format != nil {
+		e.Detail = s.format(e.Detail, s.args[0], s.args[1], s.args[2])
+	}
+	return e
+}
+
+// chunkLen is the number of slots a recorder allocates at a time. The
+// buffer grows a chunk at a time and is never copied, so a recorder
+// holds only the chunks it has filled: a short run never pays for its
+// ring's whole limit, and a full ring leaves no outgrown arrays behind.
+const chunkLen = 256
 
 // Recorder collects events for one single-threaded model run. A nil
 // *Recorder is the disabled state: every method no-ops without
@@ -90,7 +119,9 @@ type Recorder struct {
 	// trackIDs indexes tracks by name, so registering a track is O(1)
 	// however many exist (exemplar tracing registers thousands).
 	trackIDs map[string]TrackID
-	events   []Event
+	chunks   []*[chunkLen]slot
+	// n is the number of buffered events, at positions [0, n).
+	n int
 	// limit > 0 bounds the buffer as a ring over the most recent events
 	// (head marks the oldest); 0 keeps everything.
 	limit int
@@ -116,13 +147,13 @@ func NewRing(clock *sim.Clock, limit int) *Recorder {
 	}
 	r := NewRecorder(clock)
 	r.limit = limit
-	r.events = make([]Event, 0, limit)
 	return r
 }
 
 // Enabled reports whether the recorder is live. It is the idiomatic guard
 // for instrumentation whose argument preparation itself costs something
-// (formatting, boxing): `if rec.Enabled() { rec.Instantf(...) }`.
+// (track lookups, boxing): `if rec.Enabled() { rec.BeginAt(...) }`. A
+// formatted detail needs no guard: InstantAtFunc defers the formatting.
 func (r *Recorder) Enabled() bool { return r != nil }
 
 // Track registers (or finds) a named timeline and returns its ID. On a
@@ -158,18 +189,29 @@ func (r *Recorder) now() sim.Time {
 	return r.clock.Now()
 }
 
-// record appends one event, honouring the ring bound.
-func (r *Recorder) record(e Event) {
-	if r.limit > 0 && len(r.events) == r.limit {
+// at returns the slot at buffer position p.
+func (r *Recorder) at(p int) *slot { return &r.chunks[p/chunkLen][p%chunkLen] }
+
+// put writes one event straight into its slot, honouring the ring
+// bound: once the ring is full the oldest slot is overwritten in place.
+func (r *Recorder) put(when sim.Time, track TrackID, kind EventKind, name string, pid int, cost float64, detail string) *slot {
+	p := r.n
+	if r.limit > 0 && r.n == r.limit {
 		r.dropped++
-		r.events[r.head] = e
-		r.head++
-		if r.head == r.limit {
+		p = r.head
+		if r.head++; r.head == r.limit {
 			r.head = 0
 		}
-		return
+	} else {
+		if p == len(r.chunks)*chunkLen {
+			r.chunks = append(r.chunks, new([chunkLen]slot))
+		}
+		r.n++
 	}
-	r.events = append(r.events, e)
+	s := r.at(p)
+	s.When, s.Track, s.Kind, s.Name, s.PID, s.Cost, s.Detail = when, track, kind, name, pid, cost, detail
+	s.format = nil
+	return s
 }
 
 // Begin opens a span on the track at the current virtual time.
@@ -177,7 +219,7 @@ func (r *Recorder) Begin(track TrackID, name string) {
 	if r == nil {
 		return
 	}
-	r.record(Event{When: r.now(), Track: track, Kind: EvBegin, Name: name})
+	r.put(r.now(), track, EvBegin, name, 0, 0, "")
 }
 
 // BeginAt opens a span at an explicit virtual time (for models that
@@ -186,7 +228,7 @@ func (r *Recorder) BeginAt(t sim.Time, track TrackID, name string) {
 	if r == nil {
 		return
 	}
-	r.record(Event{When: t, Track: track, Kind: EvBegin, Name: name})
+	r.put(t, track, EvBegin, name, 0, 0, "")
 }
 
 // End closes the most recent open span on the track, attributing cost to
@@ -195,7 +237,7 @@ func (r *Recorder) End(track TrackID, name string, cost float64) {
 	if r == nil {
 		return
 	}
-	r.record(Event{When: r.now(), Track: track, Kind: EvEnd, Name: name, Cost: cost})
+	r.put(r.now(), track, EvEnd, name, 0, cost, "")
 }
 
 // EndAt closes a span at an explicit virtual time.
@@ -203,7 +245,7 @@ func (r *Recorder) EndAt(t sim.Time, track TrackID, name string, cost float64) {
 	if r == nil {
 		return
 	}
-	r.record(Event{When: t, Track: track, Kind: EvEnd, Name: name, Cost: cost})
+	r.put(t, track, EvEnd, name, 0, cost, "")
 }
 
 // Instant records a point event at the current virtual time.
@@ -211,7 +253,7 @@ func (r *Recorder) Instant(track TrackID, name string, pid int, detail string) {
 	if r == nil {
 		return
 	}
-	r.record(Event{When: r.now(), Track: track, Kind: EvInstant, Name: name, PID: pid, Detail: detail})
+	r.put(r.now(), track, EvInstant, name, pid, 0, detail)
 }
 
 // InstantAt records a point event at an explicit virtual time.
@@ -219,20 +261,20 @@ func (r *Recorder) InstantAt(t sim.Time, track TrackID, name string, pid int, de
 	if r == nil {
 		return
 	}
-	r.record(Event{When: t, Track: track, Kind: EvInstant, Name: name, PID: pid, Detail: detail})
+	r.put(t, track, EvInstant, name, pid, 0, detail)
 }
 
-// Instantf records a point event with a formatted detail. The formatting
-// allocates, so hot paths must guard the call with Enabled().
-func (r *Recorder) Instantf(track TrackID, name string, pid int, format string, args ...any) {
+// InstantAtFunc records a point event at an explicit virtual time whose
+// detail is format(s, a, b, c). The recorder keeps format and the values
+// and calls it when Events or Capture reads the event back, never for an
+// event the ring has overwritten, so a hot path can narrate every event
+// without formatting or allocating while it records.
+func (r *Recorder) InstantAtFunc(t sim.Time, track TrackID, name string, pid int, format DetailFunc, s string, a, b, c int64) {
 	if r == nil {
 		return
 	}
-	detail := format
-	if len(args) > 0 {
-		detail = fmt.Sprintf(format, args...)
-	}
-	r.record(Event{When: r.now(), Track: track, Kind: EvInstant, Name: name, PID: pid, Detail: detail})
+	sl := r.put(t, track, EvInstant, name, pid, 0, s)
+	sl.format, sl.args = format, [3]int64{a, b, c}
 }
 
 // Dropped returns the number of events overwritten by the ring bound
@@ -251,18 +293,25 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.events)
+	return r.n
 }
 
 // Events returns the buffered events in record order (oldest first; for a
-// ring recorder the oldest surviving event leads).
+// ring recorder the oldest surviving event leads), formatting the
+// details InstantAtFunc deferred.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	out := make([]Event, 0, len(r.events))
-	out = append(out, r.events[r.head:]...)
-	out = append(out, r.events[:r.head]...)
+	out := make([]Event, r.n)
+	for i := range out {
+		// head is nonzero only once the ring is full, when n == limit.
+		p := r.head + i
+		if p >= r.n {
+			p -= r.n
+		}
+		out[i] = r.at(p).event()
+	}
 	return out
 }
 
@@ -271,7 +320,7 @@ func (r *Recorder) Reset() {
 	if r == nil {
 		return
 	}
-	r.events = r.events[:0]
+	r.n = 0
 	r.head = 0
 	r.dropped = 0
 }

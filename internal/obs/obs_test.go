@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -52,7 +53,7 @@ func TestNilRecorderNoOps(t *testing.T) {
 	rec.Begin(tr, "x")
 	rec.End(tr, "x", 1)
 	rec.Instant(tr, "y", 1, "d")
-	rec.Instantf(tr, "z", 1, "n=%d", 4)
+	rec.InstantAtFunc(0, tr, "z", 1, nDetail, "", 4, 0, 0)
 	rec.Reset()
 	if rec.Len() != 0 || rec.Events() != nil || rec.Tracks() != nil {
 		t.Fatal("nil recorder must stay empty")
@@ -64,7 +65,7 @@ func TestRingDropsOldest(t *testing.T) {
 	rec := NewRing(&clock, 3)
 	for i := 0; i < 5; i++ {
 		clock.Advance(sim.Microsecond)
-		rec.Instantf(0, "ev", i, "n=%d", i)
+		rec.InstantAtFunc(clock.Now(), 0, "ev", i, nDetail, "", int64(i), 0, 0)
 	}
 	ev := rec.Events()
 	if len(ev) != 3 {
@@ -84,6 +85,56 @@ func TestRingDropsOldest(t *testing.T) {
 	}
 	if p := rec.Capture("p"); p.Dropped != 2 {
 		t.Errorf("Capture Dropped = %d, want 2", p.Dropped)
+	}
+}
+
+// nDetail is a DetailFunc for tests: "n=<a>".
+func nDetail(_ string, a, _, _ int64) string { return fmt.Sprintf("n=%d", a) }
+
+// TestDeferredDetailFormatsOnlySurvivors records more deferred instants
+// than the ring holds: the format function must run once per event the
+// ring still holds when Events reads it back, never for an overwritten
+// one, and each detail must read as the eager fmt.Sprintf of the same
+// values.
+func TestDeferredDetailFormatsOnlySurvivors(t *testing.T) {
+	const limit, n = 5, 12
+	formatted := map[int64]int{}
+	format := func(s string, a, b, c int64) string {
+		formatted[a]++
+		return fmt.Sprintf("%s %d/%d %v", s, a, b, c != 0)
+	}
+	rec := NewRing(nil, limit)
+	for i := int64(0); i < n; i++ {
+		rec.InstantAtFunc(sim.Time(i), 0, "ev", int(i), format, "pid", i, 2*i, i%2)
+	}
+	if len(formatted) != 0 {
+		t.Fatalf("format ran for %d events while recording, want 0", len(formatted))
+	}
+	ev := rec.Events()
+	if len(ev) != limit {
+		t.Fatalf("ring kept %d events, want %d", len(ev), limit)
+	}
+	for _, e := range ev {
+		i := int64(e.PID)
+		if want := fmt.Sprintf("%s %d/%d %v", "pid", i, 2*i, i%2 != 0); e.Detail != want {
+			t.Errorf("event %d detail %q, want %q", i, e.Detail, want)
+		}
+		if formatted[i] != 1 {
+			t.Errorf("event %d formatted %d times, want 1", i, formatted[i])
+		}
+	}
+	for i := int64(0); i < n-limit; i++ {
+		if formatted[i] != 0 {
+			t.Errorf("overwritten event %d formatted %d times, want 0", i, formatted[i])
+		}
+	}
+	if len(formatted) != limit {
+		t.Errorf("format ran for %d distinct events, want %d", len(formatted), limit)
+	}
+	// A slot an eager event overwrites formats as that event.
+	rec.InstantAt(n, 0, "plain", 0, "as is")
+	if ev := rec.Events(); ev[limit-1].Detail != "as is" {
+		t.Errorf("eager detail after a deferred one = %q, want %q", ev[limit-1].Detail, "as is")
 	}
 }
 
@@ -353,9 +404,7 @@ func TestDisabledPathZeroAllocs(t *testing.T) {
 		c.Inc()
 		c.Add(2)
 		d.Observe(3)
-		if rec.Enabled() {
-			rec.Instantf(tr, "fmt", 1, "n=%d", 4)
-		}
+		rec.InstantAtFunc(0, tr, "fmt", 1, nDetail, "", 4, 0, 0)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled path allocates %v per op, want 0", allocs)
@@ -365,8 +414,9 @@ func TestDisabledPathZeroAllocs(t *testing.T) {
 // TestEnabledPathSteadyStateAllocBudget pins the enabled-path budget: a
 // ring recorder at capacity overwrites in place, and live metric handles
 // mutate fields, so a span + instant + counter + distribution update
-// allocates nothing once the ring is warm. Constant-string names are part
-// of the contract — formatting stays behind Enabled().
+// allocates nothing once the ring is warm, and so does a deferred
+// instant, whose detail is formatted only when the events are read back.
+// Constant-string names are part of the contract.
 func TestEnabledPathSteadyStateAllocBudget(t *testing.T) {
 	var clock sim.Clock
 	rec := NewRing(&clock, 1024)
@@ -384,6 +434,7 @@ func TestEnabledPathSteadyStateAllocBudget(t *testing.T) {
 		clock.Advance(1)
 		rec.Begin(tr, "span")
 		rec.Instant(tr, "point", 1, "")
+		rec.InstantAtFunc(clock.Now(), tr, "fmt", 1, nDetail, "", 4, 0, 0)
 		rec.End(tr, "span", 1)
 		c.Inc()
 		c.Add(2)
