@@ -78,3 +78,22 @@ func TestAuditCommandRejectsBadInput(t *testing.T) {
 		t.Fatal("negative -exemplars not rejected by range check")
 	}
 }
+
+// The audit command runs each id's personalities on the -j pool; the
+// verdicts keep profile order, so the bytes are the same at any -j.
+func TestAuditCommandSameAtAnyWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("audits every auditable id twice")
+	}
+	var outs [2]string
+	for i, j := range []string{"1", "3"} {
+		a, out, errb, _ := testApp()
+		if code := a.Execute([]string{"-j", j, "-format", "json", "audit", "all"}); code != 0 {
+			t.Fatalf("-j %s audit all: exit %d: %s", j, code, errb)
+		}
+		outs[i] = out.String()
+	}
+	if outs[0] != outs[1] {
+		t.Fatal("audit all -format=json differs between -j 1 and -j 3")
+	}
+}

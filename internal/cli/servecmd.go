@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/memo"
 	"repro/internal/osprofile"
+	"repro/internal/sim"
 )
 
 // serveSchema versions the persistent serve-response cache: bump it when
@@ -47,6 +48,10 @@ type serveHandler struct {
 	opts     cmdOpts
 	readFile func(string) ([]byte, error)
 	table    *memo.Table[string, serveEntry]
+	// exhibits holds, per shared run of an observable id, the bodies of
+	// every API view that run serves (see exhibit); the response cache's
+	// computes for those ids read it. Its misses count model runs.
+	exhibits *memo.Table[sharedRun, map[string]serveEntry]
 	mux      *http.ServeMux
 	// computes counts cache-miss computations; tests assert the
 	// single-flight property (N concurrent cold requests, one compute).
@@ -64,6 +69,7 @@ func newServeHandler(cfg core.Config, runner *core.Runner, opts cmdOpts,
 		opts:     opts,
 		readFile: readFile,
 		table:    memo.NewTable[string, serveEntry](),
+		exhibits: memo.NewTable[sharedRun, map[string]serveEntry](),
 		mux:      http.NewServeMux(),
 	}
 	h.mux.HandleFunc("/api/experiments", h.handle(h.experiments))
@@ -189,12 +195,15 @@ func fail(code int, format string, args ...any) serveEntry {
 }
 
 // view serves GET /api/<name>/<id>. Only a view offering the API more
-// than one format reads the query; an unknown format is a 400 refused
-// before the cache, and the cache key is the path, plus the format when
-// it is not the default, so "" and the default share one entry. An id
-// outside the view's set is a 404 naming that set.
+// than one format reads the query. An unknown format is a 400 and an id
+// outside the view's set a 404 naming that set, both refused before the
+// cache. The cache key is the path, plus the format when it is not the
+// default, so "" and the default share one entry. An observable id's
+// bodies come from the shared run that serves the view (exhibit); the
+// others are observed per view.
 func (h *serveHandler) view(name string, v *view) http.HandlerFunc {
 	prefix := "/api/" + name + "/"
+	ids, observable := v.ids(), core.ObservableIDs()
 	return h.keyed(func(r *http.Request) (string, func() serveEntry, *serveEntry) {
 		req := ""
 		if len(v.api) > 1 {
@@ -205,26 +214,133 @@ func (h *serveHandler) view(name string, v *view) http.HandlerFunc {
 			e := fail(http.StatusBadRequest, "%v", err)
 			return "", nil, &e
 		}
-		key := r.URL.Path
-		if fname != v.api[0] {
-			key += "?format=" + fname
+		id := strings.TrimPrefix(r.URL.Path, prefix)
+		if !slices.Contains(ids, id) {
+			e := fail(http.StatusNotFound, "%v", v.uncovered(id))
+			return "", nil, &e
+		}
+		key := apiKey(r.URL.Path, v, fname)
+		if !slices.Contains(observable, id) {
+			return key, func() serveEntry { return h.render(name, id, fname) }, nil
 		}
 		return key, func() serveEntry {
-			id := strings.TrimPrefix(r.URL.Path, prefix)
-			if !slices.Contains(v.ids(), id) {
-				return fail(http.StatusNotFound, "%v", v.uncovered(id))
-			}
-			d, err := v.observe(h.cfg, h.runner, []string{id}, v.opts(h.opts))
-			if err != nil {
-				return fail(http.StatusInternalServerError, "%s %s: %v", name, id, err)
-			}
-			var b bytes.Buffer
-			f := v.formats[fname]
-			if err := f.render(&b, d); err != nil {
-				return fail(http.StatusInternalServerError, "%s %s: %v", name, id, err)
-			}
-			return entry(b.Bytes(), f.contentType)
+			return h.exhibit(id, name)[key]
 		}, nil
+	})
+}
+
+// apiKey is the response cache key of a view body: its path, plus the
+// format when it is not the view's API default.
+func apiKey(path string, v *view, fname string) string {
+	if fname != v.api[0] {
+		return path + "?format=" + fname
+	}
+	return path
+}
+
+// render is the per-view path: the id observed for this view alone and
+// rendered in one format.
+func (h *serveHandler) render(name, id, fname string) serveEntry {
+	v := views[name]
+	d, err := v.observeFor(h.cfg, h.runner, []string{id}, h.opts)
+	return body(name, id, fname, d, err)
+}
+
+// body renders d in one format as a response, or reports err as a 500.
+func body(name, id, fname string, d *viewData, err error) serveEntry {
+	f := views[name].formats[fname]
+	var b bytes.Buffer
+	if err == nil {
+		err = f.render(&b, d)
+	}
+	if err != nil {
+		return fail(http.StatusInternalServerError, "%s %s: %v", name, id, err)
+	}
+	return entry(b.Bytes(), f.contentType)
+}
+
+// A sharedRun is one run of an observable id carrying the recorders
+// (sampler width, reservoir size) its views need.
+type sharedRun struct {
+	id        string
+	window    sim.Duration
+	exemplarK int
+}
+
+// runGroup is the views one shared run serves, and the options it runs
+// under.
+type runGroup struct {
+	opts  core.ObserveOpts
+	views []string
+}
+
+// groups splits the API views of an observable id into as few shared
+// runs as core.Covers allows. That is one run, unless -exemplars with a
+// -window other than 100 ms gives the views that sample reservoir
+// windows of another width than the views that do not.
+func (h *serveHandler) groups(id string) []runGroup {
+	var names []string
+	for name, v := range views {
+		if v.api != nil && slices.Contains(v.ids(), id) {
+			names = append(names, name)
+		}
+	}
+	slices.Sort(names)
+	// join widens g's run to record what the named view needs too, or
+	// reports false when one run cannot serve all of g's views and it.
+	join := func(g runGroup, name string) (runGroup, bool) {
+		need := views[name].opts(h.opts)
+		if need.Window > 0 {
+			g.opts.Window = need.Window
+		}
+		if need.ExemplarK > 0 {
+			g.opts.ExemplarK = need.ExemplarK
+		}
+		g.views = append(slices.Clone(g.views), name)
+		for _, n := range g.views {
+			if !core.Covers(id, g.opts, views[n].opts(h.opts)) {
+				return g, false
+			}
+		}
+		return g, true
+	}
+	var groups []runGroup
+next:
+	for _, name := range names {
+		for i := range groups {
+			if g, ok := join(groups[i], name); ok {
+				groups[i] = g
+				continue next
+			}
+		}
+		groups = append(groups, runGroup{views[name].opts(h.opts), []string{name}})
+	}
+	return groups
+}
+
+// exhibit returns the bodies of the shared run that serves the named
+// view of an observable id, keyed as the response cache keys them. The
+// run renders every body of the views it serves at once, each view its
+// projection, and is then dropped: the bodies are much smaller than the
+// run.
+func (h *serveHandler) exhibit(id, view string) map[string]serveEntry {
+	groups := h.groups(id)
+	g := groups[slices.IndexFunc(groups, func(g runGroup) bool { return slices.Contains(g.views, view) })]
+	return h.exhibits.Do(sharedRun{id, g.opts.Window, g.opts.ExemplarK}, func() map[string]serveEntry {
+		bodies := make(map[string]serveEntry)
+		o, st, err := h.runner.ObserveRun(h.cfg, id, g.opts)
+		for _, name := range g.views {
+			v := views[name]
+			var d *viewData
+			derr := err
+			if err == nil {
+				d, derr = v.projectFor(o, st, h.opts)
+			}
+			for _, fname := range v.api {
+				bodies[apiKey("/api/"+name+"/"+id, v, fname)] = body(name, id, fname, d, derr)
+			}
+		}
+		return bodies
 	})
 }
 

@@ -1,12 +1,14 @@
 package cli
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"slices"
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // A view is one way of looking at the probes' observations. Each view is
@@ -19,11 +21,19 @@ type view struct {
 	ids func() []string
 	set string
 	// window attaches the -window sampler to the probes; exemplarK is the
-	// exemplar reservoir size used when -exemplars is 0.
+	// exemplar reservoir size used when -exemplars is 0; defaults, when
+	// set, fills in what the view's observation defaults.
 	window    bool
 	exemplarK int
-	// observe runs the probes for the resolved ids.
+	defaults  func(core.ObserveOpts) core.ObserveOpts
+	// series marks a view that renders the runs' series: it refuses a run
+	// that outgrew the sampler's window budget.
+	series bool
+	// observe runs the view's own observation of the resolved ids (the
+	// CLI's path); project makes the same data from a shared run of one
+	// id that core.Covers the view (serve's path, see exhibit).
 	observe func(cfg core.Config, runner *core.Runner, ids []string, opts core.ObserveOpts) (*viewData, error)
+	project func(run *core.Observation, st *core.RunStats, opts core.ObserveOpts) (*viewData, error)
 	// formats holds the view's renderers by name; cli and api list the
 	// formats each surface offers, default first, and a nil list means
 	// the surface lacks the view. A surface offering one format ignores
@@ -59,7 +69,7 @@ const jsonType = "application/json"
 // views is the observation surface.
 var views = map[string]*view{
 	"trace": {
-		ids: core.ObservableIDs, set: "observable", observe: observeProbes,
+		ids: core.ObservableIDs, set: "observable", observe: observeProbes, project: projectProbes,
 		formats: map[string]format{
 			"chrome": {jsonType, renderChrome},
 			"text":   {"", renderTraceText},
@@ -67,7 +77,7 @@ var views = map[string]*view{
 		cli: []string{"chrome", "text"}, api: []string{"chrome"},
 	},
 	"metrics": {
-		ids: core.ObservableIDs, set: "observable", observe: observeProbes,
+		ids: core.ObservableIDs, set: "observable", observe: observeProbes, project: projectProbes,
 		formats: map[string]format{
 			"table":      {"", renderMetricsTable},
 			"prometheus": {"text/plain; version=0.0.4; charset=utf-8", renderPrometheus},
@@ -75,7 +85,8 @@ var views = map[string]*view{
 		cli: []string{"table"}, api: []string{"prometheus"},
 	},
 	"timeseries": {
-		ids: core.SampledIDs, set: "sampled", window: true, observe: observeProbes,
+		ids: core.SampledIDs, set: "sampled", window: true, series: true,
+		observe: observeProbes, project: projectProbes,
 		formats: map[string]format{
 			"csv":  {"", renderSeriesCSV},
 			"json": {jsonType, renderSeriesJSON},
@@ -84,7 +95,7 @@ var views = map[string]*view{
 		cli: []string{"csv", "json", "svg"}, api: []string{"json"},
 	},
 	"profile": {
-		ids: core.ObservableIDs, set: "observable", observe: observeProbes, toFile: true,
+		ids: core.ObservableIDs, set: "observable", observe: observeProbes, project: projectProfiles, toFile: true,
 		formats: map[string]format{
 			"top":    {"", func(w io.Writer, d *viewData) error { return d.suite.Profile.WriteTop(w, d.top) }},
 			"folded": {"text/plain; charset=utf-8", func(w io.Writer, d *viewData) error { return d.suite.Profile.WriteFolded(w) }},
@@ -93,12 +104,14 @@ var views = map[string]*view{
 		cli: []string{"top", "folded", "pprof"}, api: []string{"folded", "pprof"},
 	},
 	"exemplars": {
-		ids: core.ExemplarIDs, set: "exemplar-traced", window: true, exemplarK: 4, observe: observeProbes,
+		ids: core.ExemplarIDs, set: "exemplar-traced", window: true, exemplarK: 4,
+		observe: observeProbes, project: projectProbes,
 		formats: map[string]format{"json": {jsonType, renderExemplars}},
 		api:     []string{"json"},
 	},
 	"audit": {
-		ids: core.AuditableIDs, set: "auditable", window: true, observe: observeAudits,
+		ids: core.AuditableIDs, set: "auditable", window: true, defaults: core.AuditOpts,
+		observe: observeAudits, project: projectAudits,
 		formats: map[string]format{
 			"text":    {"", renderAuditText},
 			"json":    {"", func(w io.Writer, d *viewData) error { return writeJSON(w, d.audits) }},
@@ -118,7 +131,38 @@ func (v *view) opts(o cmdOpts) core.ObserveOpts {
 	if opts.ExemplarK == 0 {
 		opts.ExemplarK = v.exemplarK
 	}
+	if v.defaults != nil {
+		opts = v.defaults(opts)
+	}
 	return opts
+}
+
+// observeFor runs the view's own observation of ids under the flags.
+func (v *view) observeFor(cfg core.Config, runner *core.Runner, ids []string, o cmdOpts) (*viewData, error) {
+	d, err := v.observe(cfg, runner, ids, v.opts(o))
+	return d, v.refuse(d, err)
+}
+
+// projectFor makes the view's data under the flags from a shared run.
+func (v *view) projectFor(run *core.Observation, st *core.RunStats, o cmdOpts) (*viewData, error) {
+	d, err := v.project(run, st, v.opts(o))
+	return d, v.refuse(d, err)
+}
+
+// refuse passes on err, or refuses data that a series view cannot
+// render: series that outgrew the sampler's window budget, which an
+// audit refuses too. The refusal names -window, the budget and the
+// narrowest width that fits.
+func (v *view) refuse(d *viewData, err error) error {
+	if err == nil && v.series {
+		err = overflow(d.suite)
+	}
+	var be *obs.BudgetError
+	if errors.As(err, &be) {
+		return fmt.Errorf("-window %v needs %d windows for this run, past the sampler's budget of %d; the narrowest -window that fits is %v",
+			be.Width, be.Need, obs.WindowBudget, be.Fit)
+	}
+	return err
 }
 
 // pick resolves a requested format against the formats a surface of
@@ -169,7 +213,7 @@ func (a *App) runView(name string, cfg core.Config, runner *core.Runner, o cmdOp
 	}
 	var d *viewData
 	if err == nil {
-		d, err = v.observe(cfg, runner, ids, v.opts(o))
+		d, err = v.observeFor(cfg, runner, ids, o)
 	}
 	if err != nil {
 		fmt.Fprintln(a.Stderr, "pentiumbench:", err)
@@ -196,6 +240,19 @@ func (a *App) runView(name string, cfg core.Config, runner *core.Runner, o cmdOp
 	return 0
 }
 
+// overflow is the budget error of the first run whose series outgrew
+// the sampler's window budget, or nil.
+func overflow(suite *core.SuiteObservation) error {
+	for _, o := range suite.Observations {
+		for _, run := range o.Runs {
+			if run.Series != nil && run.Series.Overflow != nil {
+				return run.Series.Overflow
+			}
+		}
+	}
+	return nil
+}
+
 // observeProbes runs the probes on the runner's pool.
 func observeProbes(cfg core.Config, runner *core.Runner, ids []string, opts core.ObserveOpts) (*viewData, error) {
 	suite, err := runner.Observe(cfg, ids, opts)
@@ -205,17 +262,37 @@ func observeProbes(cfg core.Config, runner *core.Runner, ids []string, opts core
 	return &viewData{suite: suite, opts: opts}, nil
 }
 
-// observeAudits audits each id in turn.
-func observeAudits(cfg core.Config, _ *core.Runner, ids []string, opts core.ObserveOpts) (*viewData, error) {
-	d := &viewData{opts: opts}
-	for _, id := range ids {
-		ao, err := core.Audit(cfg, id, opts)
-		if err != nil {
-			return nil, err
-		}
-		d.audits = append(d.audits, ao)
+// observeAudits audits the ids on the runner's pool.
+func observeAudits(cfg core.Config, runner *core.Runner, ids []string, opts core.ObserveOpts) (*viewData, error) {
+	audits, err := runner.Audit(cfg, ids, opts)
+	if err != nil {
+		return nil, err
 	}
-	return d, nil
+	return &viewData{audits: audits, opts: opts}, nil
+}
+
+// projectProbes is observeProbes from a shared run: the run as the view
+// sees it, merged as Runner.Observe merges.
+func projectProbes(run *core.Observation, st *core.RunStats, opts core.ObserveOpts) (*viewData, error) {
+	return &viewData{suite: core.Suite([]*core.Observation{run.Project(opts)}, st), opts: opts}, nil
+}
+
+// projectProfiles is projectProbes for a view that reads the profile:
+// the projection is folded first.
+func projectProfiles(run *core.Observation, st *core.RunStats, opts core.ObserveOpts) (*viewData, error) {
+	p := run.Project(opts)
+	p.Fold()
+	return &viewData{suite: core.Suite([]*core.Observation{p}, st), opts: opts}, nil
+}
+
+// projectAudits is observeAudits from a shared run: the verdicts on the
+// run as the view sees it.
+func projectAudits(run *core.Observation, _ *core.RunStats, opts core.ObserveOpts) (*viewData, error) {
+	ao, err := run.Project(opts).Audit()
+	if err != nil {
+		return nil, err
+	}
+	return &viewData{audits: []*core.AuditObservation{ao}, opts: opts}, nil
 }
 
 // writeFile creates path and fills it with write, returning the first

@@ -67,6 +67,9 @@ type ObservedRun struct {
 	// has one (S1/S2) — the source of Prometheus `le` bucket boundaries
 	// and the attachment point for exemplar buckets.
 	LatencyHist *stats.Histogram
+	// evidence is what auditing the run reads besides its series and
+	// exemplars (S1/S2; nil for runs with no audit).
+	evidence *scaleEvidence
 }
 
 // Observation is the observability product of one experiment probe.
@@ -74,6 +77,9 @@ type Observation struct {
 	ID    string
 	Title string
 	Runs  []ObservedRun
+	// opts is what the runs record: the probe's options after Observe's
+	// defaults and restriction.
+	opts ObserveOpts
 }
 
 // ObserveOpts tune the probes. The zero value selects defaults.
@@ -138,7 +144,7 @@ const (
 // from the probes table, so an exhibit's views are declared once, here.
 type probe struct {
 	observe   func(cfg Config, id string, opts ObserveOpts) []ObservedRun
-	audit     func(cfg Config, id string, opts ObserveOpts, p *osprofile.Profile) []*audit.Report
+	audit     func(cfg Config, id string, opts ObserveOpts, p *osprofile.Profile) ([]*audit.Report, error)
 	sampled   bool
 	faultable bool
 	exemplars bool
@@ -338,7 +344,8 @@ func runScale(cfg Config, id string, opts ObserveOpts, p *osprofile.Profile) sca
 }
 
 // observeScale probes one personality of S1/S2: its span tracks, the
-// exact phase ledger as its rows, and its series and exemplars.
+// exact phase ledger as its rows, its series and exemplars, and the
+// evidence its audit reads.
 func observeScale(cfg Config, id string, opts ObserveOpts, p *osprofile.Profile) ObservedRun {
 	r := runScale(cfg, id, opts, p)
 	res := r.res
@@ -384,21 +391,77 @@ func observeScale(cfg Config, id string, opts ObserveOpts, p *osprofile.Profile)
 		Exemplars:     exWins,
 		ExemplarDrops: r.ex.Dropped(),
 		LatencyHist:   &res.Hist,
+		evidence:      r.evidence(),
 	}
 }
 
 // Observe runs the observability probe for one experiment: the same model
-// workload the experiment measures, instrumented with spans and metrics.
-// Every probe is deterministic — virtual time stamps, fixed seeds — so
-// its output is bit-identical across runs and worker counts.
+// workload the experiment measures, instrumented with spans and metrics,
+// with each run's profile folded. Every probe is deterministic — virtual
+// time stamps, fixed seeds — so its output is bit-identical across runs
+// and worker counts.
 func Observe(cfg Config, id string, opts ObserveOpts) (*Observation, error) {
+	o, err := observe(cfg, id, opts)
+	if err != nil {
+		return nil, err
+	}
+	o.Fold()
+	return o, nil
+}
+
+// observe is Observe without the fold.
+func observe(cfg Config, id string, opts ObserveOpts) (*Observation, error) {
 	p := probes[id]
 	if p.observe == nil {
 		return nil, fmt.Errorf("core: no observability probe for %q (have %v)", id, ObservableIDs())
 	}
-	out := &Observation{ID: id, Title: titleOf(id), Runs: p.observe(cfg, id, p.restrict(opts.withDefaults()))}
-	out.foldProfiles()
-	return out, nil
+	opts = p.restrict(opts.withDefaults())
+	return &Observation{ID: id, Title: titleOf(id), Runs: p.observe(cfg, id, opts), opts: opts}, nil
+}
+
+// Covers reports whether a run of id observed under run records
+// everything a view observed under view shows, so that the view is the
+// run's projection (Observation.Project): the view's sampler when it
+// samples, and its exemplar reservoir — the same capacity and window
+// width — when it traces exemplars. Both options count as Observe
+// defaults and restricts them for id; the model inputs (procs, clients,
+// nfsd, faults) are the caller's to keep equal.
+func Covers(id string, run, view ObserveOpts) bool {
+	p := probes[id]
+	run, view = p.restrict(run.withDefaults()), p.restrict(view.withDefaults())
+	if view.Window > 0 && view.Window != run.Window {
+		return false
+	}
+	return view.ExemplarK <= 0 ||
+		view.ExemplarK == run.ExemplarK && exemplarWindow(view) == exemplarWindow(run)
+}
+
+// Project returns the observation as a view observed under opts shows
+// it, for a run that Covers the view: without a window the runs drop
+// their series; without an exemplar reservoir they drop the request
+// tracks, the exemplar windows, the drop count and the series'
+// exemplars. The projected runs are unfolded (Fold folds them) and
+// share their other fields with o.
+func (o *Observation) Project(opts ObserveOpts) *Observation {
+	opts = probes[o.ID].restrict(opts.withDefaults())
+	out := &Observation{ID: o.ID, Title: o.Title, Runs: slices.Clone(o.Runs), opts: opts}
+	for i := range out.Runs {
+		run := &out.Runs[i]
+		run.Profile = nil
+		if opts.Window <= 0 {
+			run.Series = nil
+		}
+		if opts.ExemplarK > 0 {
+			continue
+		}
+		run.Requests, run.Exemplars, run.ExemplarDrops = nil, nil, 0
+		if run.Series != nil && run.Series.Exemplars != nil {
+			series := *run.Series
+			series.Exemplars = nil
+			run.Series = &series
+		}
+	}
+	return out
 }
 
 // restrict clears the options for the views p does not feed, so a run
@@ -436,11 +499,16 @@ func exemplarsFor(cfg Config, opts ObserveOpts, p *osprofile.Profile) *obs.Exemp
 	if opts.ExemplarK <= 0 {
 		return nil
 	}
-	w := opts.Window
-	if w <= 0 {
-		w = 100 * sim.Millisecond
+	return obs.NewExemplars(cfg.Seed^saltFor("exemplar", p.Name, opts.Clients), opts.ExemplarK, exemplarWindow(opts))
+}
+
+// exemplarWindow is the width of the reservoir's windows: the sampler's,
+// or 100 ms when sampling is off.
+func exemplarWindow(opts ObserveOpts) sim.Duration {
+	if opts.Window > 0 {
+		return opts.Window
 	}
-	return obs.NewExemplars(cfg.Seed^saltFor("exemplar", p.Name, opts.Clients), opts.ExemplarK, w)
+	return 100 * sim.Millisecond
 }
 
 // seriesOf snapshots a run's sampler at its end time; nil in, nil out.
@@ -470,10 +538,10 @@ func (r *ObservedRun) processes() []obs.Process {
 	return []obs.Process{r.Process, *r.Requests}
 }
 
-// foldProfiles folds each run's span streams. Called once per probe,
-// after the runs exist; per-run folding keeps the work inside the
-// parallel task.
-func (o *Observation) foldProfiles() {
+// Fold folds each run's span streams into its profile. Runner.Observe
+// folds inside each probe task, so parallel suites fold in parallel
+// too; a projection is folded only for the views that read a profile.
+func (o *Observation) Fold() {
 	for i := range o.Runs {
 		o.Runs[i].Profile = profile.Fold(o.Runs[i].processes()...)
 	}
@@ -520,19 +588,41 @@ type SuiteObservation struct {
 	Observations []*Observation
 	Processes    []obs.Process
 	Metrics      obs.Snapshot
-	// Profile merges every run's folded profile in input order. Its
-	// exports (folded, pprof, top) are byte-identical at every worker
-	// count: per-run folds happen in the probe tasks, the merge walks
-	// runs in input order, and the export order is canonical.
+	// Profile merges every run's folded profile in input order, and is
+	// nil when a run is unfolded (see Observation.Fold). Its exports
+	// (folded, pprof, top) are byte-identical at every worker count:
+	// per-run folds happen in the probe tasks, the merge walks runs in
+	// input order, and the export order is canonical.
 	Profile *profile.Profile
 }
 
 // Observe runs the probes for the given experiment IDs on the worker
-// pool, which each probe borrows to run its personalities too. Each run
-// has its own recorder and registry; the results are merged in input
-// and profile order — task order, never completion order — which is
-// what makes the output independent of the worker count.
+// pool, which each probe borrows to run its personalities too, folds
+// every run's profile, and merges the observations (Suite).
 func (r *Runner) Observe(cfg Config, ids []string, opts ObserveOpts) (*SuiteObservation, error) {
+	obsv, st, err := r.observe(cfg, ids, opts, true)
+	if err != nil {
+		return nil, err
+	}
+	return Suite(obsv, st), nil
+}
+
+// ObserveRun observes one experiment once, to be projected onto several
+// views (Covers, Observation.Project): its runs carry every recorder
+// opts asks for, and their profiles are left for the views that read
+// one to fold. Merge each projection with Suite under the stats
+// returned.
+func (r *Runner) ObserveRun(cfg Config, id string, opts ObserveOpts) (*Observation, *RunStats, error) {
+	obsv, st, err := r.observe(cfg, []string{id}, opts, false)
+	if err != nil {
+		return nil, nil, err
+	}
+	return obsv[0], st, nil
+}
+
+// observe runs the probes for ids on the pool, each id one task, folding
+// each observation inside its task when fold is set.
+func (r *Runner) observe(cfg Config, ids []string, opts ObserveOpts, fold bool) ([]*Observation, *RunStats, error) {
 	w := r.workers()
 	obsv := make([]*Observation, len(ids))
 	errs := make([]error, len(ids))
@@ -541,22 +631,43 @@ func (r *Runner) Observe(cfg Config, ids []string, opts ObserveOpts) (*SuiteObse
 	cfg.pool = newWorkPool(w)
 	forEach(cfg.pool, len(ids), func(i int) {
 		t0 := time.Now()
-		obsv[i], errs[i] = Observe(cfg, ids[i], opts)
+		obsv[i], errs[i] = observe(cfg, ids[i], opts)
+		if fold && errs[i] == nil {
+			obsv[i].Fold()
+		}
 		timings[i] = ExperimentTiming{ID: ids[i], Wall: time.Since(t0)}
 	})
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("observe %s: %w", ids[i], err)
+			return nil, nil, fmt.Errorf("observe %s: %w", ids[i], err)
 		}
 	}
+	st := &RunStats{Workers: w, Jobs: len(ids), Wall: time.Since(start), Experiments: timings}
+	if cfg.pool != nil {
+		st.InnerJobs = int(cfg.pool.innerJobs.Load())
+	}
+	return obsv, st, nil
+}
 
+// Suite merges observations into the SuiteObservation every view
+// renders, in input and profile order — task order, never completion
+// order — which is what makes it independent of the worker count. It is
+// the one assembly path: Runner.Observe merges its observations with it,
+// and a projection of a shared run (ObserveRun) is merged with it too.
+func Suite(obsv []*Observation, st *RunStats) *SuiteObservation {
 	suite := &SuiteObservation{Observations: obsv, Profile: profile.New()}
 	var parts []obs.Snapshot
+	var exDropped int64
 	for _, o := range obsv {
 		for _, run := range o.Runs {
 			parts = append(parts, run.Metrics)
 			suite.Processes = append(suite.Processes, run.processes()...)
-			suite.Profile.Merge(run.Profile)
+			if run.Profile == nil {
+				suite.Profile = nil
+			} else if suite.Profile != nil {
+				suite.Profile.Merge(run.Profile)
+			}
+			exDropped += run.ExemplarDrops
 		}
 	}
 	merged := obs.MergeSnapshots(parts...)
@@ -564,10 +675,6 @@ func (r *Runner) Observe(cfg Config, ids []string, opts ObserveOpts) (*SuiteObse
 	// Runner self-observability: real wall-clock task timings and worker
 	// utilization, kept under "runner." so determinism comparisons can
 	// exclude them.
-	st := &RunStats{Workers: w, Jobs: len(ids), Wall: time.Since(start), Experiments: timings}
-	if cfg.pool != nil {
-		st.InnerJobs = int(cfg.pool.innerJobs.Load())
-	}
 	reg := obs.NewRegistry()
 	st.FoldMetrics(reg, "runner.")
 	// Ring-bound trace truncation, summed across every captured process,
@@ -582,13 +689,7 @@ func (r *Runner) Observe(cfg Config, ids []string, opts ObserveOpts) (*SuiteObse
 	// Exemplar reservoir rejections, summed across runs — the
 	// capture-fidelity counterpart of obs_dropped for exemplar tracing
 	// (deterministic: a pure function of the offered request sets).
-	var exDropped int64
-	for _, o := range obsv {
-		for _, run := range o.Runs {
-			exDropped += run.ExemplarDrops
-		}
-	}
 	reg.Counter("runner.exemplars_dropped").Add(float64(exDropped))
 	suite.Metrics = obs.MergeSnapshots(merged, reg.Snapshot())
-	return suite, nil
+	return suite
 }

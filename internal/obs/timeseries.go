@@ -25,13 +25,41 @@ package obs
 //     charging event falls in, so the per-window deltas of a series sum
 //     exactly to the model's end-of-run total — the windowed form of the
 //     repository's ledger-equals-elapsed bar.
+//
+//   - Bounded. A sampler opens at most WindowBudget windows, whatever the
+//     run's virtual length over the width; a longer run is reported as an
+//     overflow (TimeSeries.Overflow), never paid for in memory.
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
+
+// WindowBudget is the most windows one Sampler opens. It covers every
+// S1/S2 run at the default 100 ms width (at most 20,046 windows, at any
+// client count) and at 1 ms from 1,000 clients up (at most 48,360). A
+// sample past it opens no window: the snapshot keeps the first
+// WindowBudget windows and reports the overflow.
+const WindowBudget = 1 << 16
+
+// BudgetError reports a run that needed more than WindowBudget windows at
+// its sampler's width, so its series hold only the run's beginning.
+type BudgetError struct {
+	// Width is the sampler's window width and Need the windows the run
+	// asked for at it; Fit is the narrowest width (rounded up to a whole
+	// millisecond, or microsecond below one) whose windows fit the budget.
+	Width sim.Duration
+	Need  int
+	Fit   sim.Duration
+}
+
+func (e *BudgetError) Error() string {
+	return fmt.Sprintf("%v windows: the run needs %d, past the sampler's budget of %d; the narrowest window that fits is %v",
+		e.Width, e.Need, WindowBudget, e.Fit)
+}
 
 // Sampler collects fixed-width virtual-time window series for one
 // single-threaded model run. A nil *Sampler is the disabled state: it
@@ -127,6 +155,9 @@ type SeriesCounter struct {
 	width int64
 	vals  []int64
 	total int64
+	// late is the latest time a sample fell past the window budget (0
+	// when none did); the gauge and histogram keep one too.
+	late sim.Time
 }
 
 // Add charges v to the window holding t.
@@ -135,6 +166,10 @@ func (c *SeriesCounter) Add(t sim.Time, v int64) {
 		return
 	}
 	w := windowOf(t, c.width)
+	if w >= WindowBudget {
+		c.late = max(c.late, t)
+		return
+	}
 	for len(c.vals) <= w {
 		c.vals = append(c.vals, 0)
 	}
@@ -145,7 +180,8 @@ func (c *SeriesCounter) Add(t sim.Time, v int64) {
 // Inc charges one to the window holding t.
 func (c *SeriesCounter) Inc(t sim.Time) { c.Add(t, 1) }
 
-// Total returns the sum of every window's delta (0 on nil).
+// Total returns the sum of every window's delta (0 on nil): the charges
+// past the budget are not in it.
 func (c *SeriesCounter) Total() int64 {
 	if c == nil {
 		return 0
@@ -160,6 +196,7 @@ type SeriesGauge struct {
 	last  []int64
 	max   []int64
 	seen  []bool
+	late  sim.Time
 }
 
 // Set records the gauge's value at time t.
@@ -168,6 +205,10 @@ func (g *SeriesGauge) Set(t sim.Time, v int64) {
 		return
 	}
 	w := windowOf(t, g.width)
+	if w >= WindowBudget {
+		g.late = max(g.late, t)
+		return
+	}
 	for len(g.last) <= w {
 		g.last = append(g.last, 0)
 		g.max = append(g.max, 0)
@@ -191,6 +232,7 @@ type SeriesHist struct {
 	cur    stats.Histogram
 	curWin int
 	wins   []HistWindow
+	late   sim.Time
 }
 
 // HistWindow is one flushed histogram window: the window index and the
@@ -212,6 +254,10 @@ func (h *SeriesHist) Observe(t sim.Time, v int64) {
 		return
 	}
 	w := windowOf(t, h.width)
+	if w >= WindowBudget {
+		h.late = max(h.late, t)
+		return
+	}
 	if w < h.curWin {
 		w = h.curWin // non-monotone stray: fold into the open window
 	}
@@ -277,37 +323,45 @@ type TimeSeries struct {
 	// exemplar tracing is enabled (see exemplar.go); the harness attaches
 	// an Exemplars reservoir's Snapshot after the run.
 	Exemplars []ExemplarWindow `json:"exemplars,omitempty"`
+	// Overflow is set when the run needed more than WindowBudget windows:
+	// the series then hold only the first WindowBudget and are incomplete.
+	Overflow *BudgetError `json:"-"`
 }
 
 // Snapshot captures the sampler's series as of end (the run's final
 // virtual time): counters densified to a common window count, gauges
 // carried forward, open histogram windows flushed. A nil sampler yields
 // the zero TimeSeries. Snapshot may be called once per run; histogram
-// scratch state is consumed by the flush.
+// scratch state is consumed by the flush. A run that needed more than
+// WindowBudget windows snapshots the first WindowBudget and sets
+// Overflow.
 func (s *Sampler) Snapshot(end sim.Time) TimeSeries {
 	if s == nil {
 		return TimeSeries{}
 	}
+	last := end // the latest time the run asked a window for
 	n := windowOf(end, s.width) + 1
 	for _, c := range s.counters {
-		if len(c.vals) > n {
-			n = len(c.vals)
-		}
+		n = max(n, len(c.vals))
+		last = max(last, c.late)
 	}
 	for _, g := range s.gauges {
-		if len(g.last) > n {
-			n = len(g.last)
-		}
+		n = max(n, len(g.last))
+		last = max(last, g.late)
 	}
 	for _, h := range s.hists {
 		h.flush()
 		if len(h.wins) > 0 {
-			if last := h.wins[len(h.wins)-1].Window + 1; last > n {
-				n = last
-			}
+			n = max(n, h.wins[len(h.wins)-1].Window+1)
 		}
+		last = max(last, h.late)
 	}
 	ts := TimeSeries{WidthNs: s.width, Windows: n}
+	if need := windowOf(last, s.width) + 1; need > WindowBudget {
+		ts.Windows = WindowBudget
+		ts.Overflow = &BudgetError{Width: s.Width(), Need: need, Fit: fitWidth(last)}
+	}
+	n = ts.Windows
 	for _, c := range s.counters {
 		vals := make([]int64, n)
 		copy(vals, c.vals)
@@ -342,6 +396,18 @@ func (s *Sampler) Snapshot(end sim.Time) TimeSeries {
 	sort.Slice(ts.Gauges, func(i, j int) bool { return ts.Gauges[i].Name < ts.Gauges[j].Name })
 	sort.Slice(ts.Hists, func(i, j int) bool { return ts.Hists[i].Name < ts.Hists[j].Name })
 	return ts
+}
+
+// fitWidth is the narrowest window width that puts last inside the
+// budget's final window, rounded up to a whole millisecond (or, below
+// one, microsecond) so that it reads as a -window value.
+func fitWidth(last sim.Time) sim.Duration {
+	w := sim.Duration(int64(last)/WindowBudget + 1)
+	unit := sim.Millisecond
+	if w < unit {
+		unit = sim.Microsecond
+	}
+	return (w + unit - 1) / unit * unit
 }
 
 // CounterTotal returns the window sum of the named counter series and

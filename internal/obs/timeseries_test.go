@@ -186,3 +186,55 @@ func TestSamplerDisabledZeroAllocs(t *testing.T) {
 		t.Fatalf("nil sampler snapshot = %+v, want zero", ts)
 	}
 }
+
+// A sampler opens at most WindowBudget windows: samples past the budget
+// are refused, the snapshot keeps the first WindowBudget windows, and
+// Overflow names the windows the run needed and a width that fits.
+func TestSamplerWindowBudget(t *testing.T) {
+	s := NewSampler(sim.Microsecond)
+	c, g, h := s.Counter("c"), s.Gauge("g"), s.Hist("h")
+	in := sim.Time(5 * sim.Microsecond)
+	late := sim.Time(3 * WindowBudget * sim.Microsecond)
+	c.Add(in, 2)
+	c.Add(late, 7)
+	g.Set(in, 4)
+	g.Set(late, 9)
+	h.Observe(in, 10)
+	h.Observe(late, 20)
+	ts := s.Snapshot(in)
+	if ts.Windows != WindowBudget || len(ts.Counters[0].Values) != WindowBudget || len(ts.Gauges[0].Max) != WindowBudget {
+		t.Fatalf("snapshot holds %d windows (%d counter values), want the budget %d",
+			ts.Windows, len(ts.Counters[0].Values), WindowBudget)
+	}
+	if got, _ := ts.CounterTotal("c"); got != 2 || c.Total() != 2 {
+		t.Fatalf("counter total %d (handle %d), want the 2 charged inside the budget", got, c.Total())
+	}
+	if g := ts.Gauges[0]; g.Max[WindowBudget-1] != 4 {
+		t.Fatalf("gauge ends at %d, want the in-budget 4", g.Max[WindowBudget-1])
+	}
+	if wins := ts.Hists[0].Windows; len(wins) != 1 || wins[0].N != 1 {
+		t.Fatalf("histogram windows %+v, want the one in-budget observation", wins)
+	}
+	want := &BudgetError{Width: sim.Microsecond, Need: 3*WindowBudget + 1, Fit: 4 * sim.Microsecond}
+	if ts.Overflow == nil || *ts.Overflow != *want {
+		t.Fatalf("overflow %+v, want %+v", ts.Overflow, want)
+	}
+
+	// A run ending past the budget overflows even with every sample in it.
+	s = NewSampler(sim.Millisecond)
+	s.Counter("c").Inc(0)
+	ts = s.Snapshot(sim.Time(2000 * sim.Second))
+	if ts.Overflow == nil || ts.Overflow.Need != 2_000_001 || ts.Overflow.Fit != 31*sim.Millisecond {
+		t.Fatalf("overflow %+v, want 2000001 windows needed and 31ms fitting", ts.Overflow)
+	}
+	if ts.Windows != WindowBudget {
+		t.Fatalf("snapshot holds %d windows, want %d", ts.Windows, WindowBudget)
+	}
+
+	// Inside the budget nothing is reported.
+	s = NewSampler(sim.Millisecond)
+	s.Counter("c").Inc(sim.Time((WindowBudget - 1) * sim.Millisecond))
+	if ts := s.Snapshot(0); ts.Overflow != nil || ts.Windows != WindowBudget {
+		t.Fatalf("a run filling the budget exactly: overflow %+v, %d windows", ts.Overflow, ts.Windows)
+	}
+}
