@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"sync"
 
+	"repro/internal/bench"
 	"repro/internal/memmodel"
 	"repro/internal/memo"
 	"repro/internal/nfsserver"
@@ -62,6 +63,10 @@ type Config struct {
 	// each point directly. The server model is a pure function of the
 	// key, so the cache changes wall-clock time, never values.
 	scale *memo.Table[scaleKey, *nfsserver.Result]
+	// bonnie caches bonnie runs (F9, F10 and F11 share every
+	// (personality, size, seed) run) across one suite run; nil runs each
+	// point directly.
+	bonnie *memo.Table[bonnieKey, bench.BonnieResult]
 }
 
 // DefaultConfig returns the paper's protocol: twenty runs of Linux 1.2.8,

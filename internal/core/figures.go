@@ -12,8 +12,6 @@ import (
 var ctxProcCounts = []int{2, 3, 4, 6, 8, 12, 16, 20, 24, 32, 40, 48, 64, 96, 128, 192, 256, 512}
 
 func init() {
-	plat := bench.PaperPlatform()
-
 	register(&Experiment{
 		ID:    "F1",
 		Title: "Context Switch vs. Active Processes",
@@ -148,7 +146,7 @@ func init() {
 				sizes := bench.BonnieSweepSizes()
 				return perProfile(cfg, 1, func(p *osprofile.Profile, _ int) Series {
 					return curve(cfg, bf.id, p.String(), p.String(), floats(sizes), noiseFor(p, noiseFS), func(i int) float64 {
-						return bf.pick(bench.Bonnie(plat, p, sizes[i], cfg.Seed+uint64(i)))
+						return bf.pick(bonniePoint(cfg, p, sizes[i], cfg.Seed+uint64(i)))
 					})
 				})
 			},
@@ -241,4 +239,25 @@ func crtdelCurve(cfg Config, id string, p *osprofile.Profile) Series {
 	return curve(cfg, id, p.String(), p.String(), floats(sizes), noiseFor(p, noiseFS), func(i int) float64 {
 		return bench.Crtdel(plat, p, sizes[i], cfg.Seed+uint64(i)).Milliseconds()
 	})
+}
+
+// bonnieKey identifies one bonnie run for the per-suite cache. The
+// personality is keyed by identity, as scaleKey's is.
+type bonnieKey struct {
+	profile *osprofile.Profile
+	fileMB  int
+	seed    uint64
+}
+
+// bonniePoint runs (or serves from the suite cache) one bonnie run on the
+// paper platform. Figures 9-11 each plot one field of the same runs, so
+// through the cache a suite runs each (personality, size, seed) once;
+// the run is a pure function of the key, so sharing it cannot change a
+// result.
+func bonniePoint(cfg Config, p *osprofile.Profile, fileMB int, seed uint64) bench.BonnieResult {
+	run := func() bench.BonnieResult { return bench.Bonnie(bench.PaperPlatform(), p, fileMB, seed) }
+	if cfg.bonnie == nil {
+		return run()
+	}
+	return cfg.bonnie.Do(bonnieKey{profile: p, fileMB: fileMB, seed: seed}, run)
 }

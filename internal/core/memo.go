@@ -1,10 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"encoding/json"
-
-	"repro/internal/osprofile"
+	"fmt"
+	"slices"
 )
 
 // memoSchema versions the persistent result-memo key. Bump it whenever
@@ -13,53 +12,43 @@ import (
 // store miss and recompute instead of replaying outdated results.
 const memoSchema = 1
 
-// memoKeyMaterial is the canonical key material for one experiment
-// execution: everything its Result depends on. Profiles embed the
-// complete calibrated personality JSON, so a -profiles file with one
+// memoKeys encodes, once per suite run, the key material its
+// experiments share — the memo schema version, seed, run count and the
+// complete calibrated personality JSON, so that a -profiles file with one
 // tweaked constant (or a -future run) keys differently from the paper
-// set.
-type memoKeyMaterial struct {
-	Schema   int             `json:"schema"`
-	ID       string          `json:"id"`
-	Seed     uint64          `json:"seed"`
-	Runs     int             `json:"runs"`
-	Profiles json.RawMessage `json:"profiles"`
-}
-
-// memoKey builds the canonical key bytes for one experiment under cfg,
-// or nil if the configuration cannot be serialized (which just disables
-// memoization for the run — never an error).
-func memoKey(cfg Config, id string) []byte {
-	var prof bytes.Buffer
-	if err := osprofile.WriteJSON(&prof, cfg.Profiles); err != nil {
-		return nil
-	}
-	key, err := json.Marshal(memoKeyMaterial{
-		Schema:   memoSchema,
-		ID:       id,
-		Seed:     cfg.Seed,
-		Runs:     cfg.Runs,
-		Profiles: prof.Bytes(),
-	})
+// set — and returns the function that builds one experiment's key from
+// it: the compact JSON object
+//
+//	{"schema":…,"id":…,"seed":…,"runs":…,"profiles":[…]}
+//
+// A key's SHA-256 names its store entry, so these bytes are pinned
+// (TestMemoKeyPinned). memoKeys returns nil if the configuration cannot
+// be serialized, which just disables memoization for the run — never an
+// error.
+func memoKeys(cfg Config) func(id string) []byte {
+	prof, err := json.Marshal(cfg.Profiles)
 	if err != nil {
 		return nil
 	}
-	return key
+	tail := fmt.Appendf(nil, `,"seed":%d,"runs":%d,"profiles":%s}`, cfg.Seed, cfg.Runs, prof)
+	return func(id string) []byte {
+		quoted, _ := json.Marshal(id) // a string always encodes
+		return slices.Concat(fmt.Appendf(nil, `{"schema":%d,"id":%s`, memoSchema, quoted), tail)
+	}
 }
 
 // runMemoized executes one experiment, serving its Result from the
-// persistent store when one is attached and the key matches. Results
-// round-trip JSON bit for bit (stats.Sample marshals its raw
-// observations; encoding/json reproduces float64s exactly), so a warm
-// run renders byte-identically to a cold one.
-func runMemoized(cfg Config, e *Experiment) *Result {
-	if cfg.Memo == nil {
+// persistent store cfg.Memo when the key matches. keyOf builds the
+// experiment's key (memoKeys); nil — no store attached, or no key could
+// be built — runs the experiment unmemoized. Results round-trip JSON bit
+// for bit (stats.Sample marshals its raw observations; encoding/json
+// reproduces float64s exactly), so a warm run renders byte-identically
+// to a cold one.
+func runMemoized(cfg Config, e *Experiment, keyOf func(id string) []byte) *Result {
+	if keyOf == nil {
 		return e.Run(cfg)
 	}
-	key := memoKey(cfg, e.ID)
-	if key == nil {
-		return e.Run(cfg)
-	}
+	key := keyOf(e.ID)
 	res := new(Result)
 	if cfg.Memo.Get(key, res) {
 		return res

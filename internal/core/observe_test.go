@@ -208,6 +208,25 @@ func TestSuiteObservationShape(t *testing.T) {
 	}
 }
 
+// TestSuiteSumsExemplarDrops checks runner.exemplars_dropped against the
+// runs Suite merges: with one exemplar kept per window, most candidates
+// are evicted, and the suite counter must be the sum of every run's.
+func TestSuiteSumsExemplarDrops(t *testing.T) {
+	s, err := NewRunner(2).Observe(DefaultConfig(), []string{"S1"}, ObserveOpts{ExemplarK: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want int64
+	for _, o := range s.Observations {
+		for _, run := range o.Runs {
+			want += run.ExemplarDrops
+		}
+	}
+	if got, ok := s.Metrics.Get("runner.exemplars_dropped"); !ok || want <= 0 || got != float64(want) {
+		t.Fatalf("runner.exemplars_dropped = %v, %v; want the runs' positive sum %d", got, ok, want)
+	}
+}
+
 func TestObserveErrorPropagates(t *testing.T) {
 	_, err := NewRunner(4).Observe(DefaultConfig(), []string{"T2", "nope"}, ObserveOpts{})
 	if err == nil || !strings.Contains(err.Error(), "nope") {

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/memmodel"
 	"repro/internal/memo"
 	"repro/internal/nfsserver"
@@ -223,6 +224,7 @@ func (r *Runner) RunAll(cfg Config, exps []*Experiment) ([]*Result, *RunStats) {
 	w := r.workers()
 	cfg.memo = memo.NewTable[memmodel.SweepKey, float64]()
 	cfg.scale = memo.NewTable[scaleKey, *nfsserver.Result]()
+	cfg.bonnie = memo.NewTable[bonnieKey, bench.BonnieResult]()
 	st := &RunStats{
 		Workers:     w,
 		Jobs:        len(exps),
@@ -230,10 +232,14 @@ func (r *Runner) RunAll(cfg Config, exps []*Experiment) ([]*Result, *RunStats) {
 	}
 	results := make([]*Result, len(exps))
 	start := time.Now()
+	var keyOf func(string) []byte
+	if cfg.Memo != nil {
+		keyOf = memoKeys(cfg)
+	}
 	cfg.pool = newWorkPool(w)
 	forEach(cfg.pool, len(exps), func(i int) {
 		t0 := time.Now()
-		results[i] = runMemoized(cfg, exps[i])
+		results[i] = runMemoized(cfg, exps[i], keyOf)
 		st.Experiments[i] = ExperimentTiming{ID: exps[i].ID, Wall: time.Since(t0)}
 	})
 	if cfg.pool != nil {

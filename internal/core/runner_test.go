@@ -227,6 +227,23 @@ func TestMemSweepRefModelBitIdentical(t *testing.T) {
 	}
 }
 
+// TestBonnieRunsShared checks that Figures 9-11, which each plot one
+// field of the same bonnie runs, run each (personality, size, seed) once
+// through the suite cache — 3 personalities × 11 sizes — and plot what
+// they plot without it.
+func TestBonnieRunsShared(t *testing.T) {
+	cfg := DefaultConfig()
+	shared := cfg
+	shared.bonnie = memo.NewTable[bonnieKey, bench.BonnieResult]()
+	for _, id := range []string{"F9", "F10", "F11"} {
+		e, _ := Lookup(id)
+		assertResultsIdentical(t, []*Result{e.Run(cfg)}, []*Result{e.Run(shared)})
+	}
+	if st := shared.bonnie.Stats(); st.Misses != 33 || st.Hits != 66 {
+		t.Fatalf("bonnie cache stats = %+v, want 33 misses and 66 hits", st)
+	}
+}
+
 // TestMemSweepMemoMatchesDirect checks the memoized sweep against the
 // unmemoized one, and the memo's single-flight accounting.
 func TestMemSweepMemoMatchesDirect(t *testing.T) {

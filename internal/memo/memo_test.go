@@ -1,8 +1,10 @@
 package memo
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"sync"
@@ -95,11 +97,13 @@ func entryPath(dir string, key []byte) string {
 }
 
 // TestStoreCorruptionRecomputes is the degradation contract: a
-// truncated, garbage, or key-mismatched entry must read as a miss
-// (counted stale), never as an error or a wrong value — the caller
-// recomputes and the next Put repairs the entry.
+// truncated, garbage, key-mismatched or value-altered entry, or one in
+// the earlier JSON layout, must read as a miss (counted stale), never as
+// an error or a wrong value — the caller recomputes and the next Put
+// rewrites the entry at the same path.
 func TestStoreCorruptionRecomputes(t *testing.T) {
 	key := []byte("the-key")
+	good := testValue{Name: "good", Xs: []float64{1.5, 2.25}}
 	corruptions := []struct {
 		name    string
 		content []byte
@@ -108,6 +112,8 @@ func TestStoreCorruptionRecomputes(t *testing.T) {
 		{"garbage", []byte("not json at all \x00\xff")},
 		{"empty", []byte{}},
 		{"wrong-key-echo", nil}, // filled below from a different key's entry
+		{"flipped-digit", nil},  // filled below: one digit of the value changed
+		{"json-layout", nil},    // filled below: {"key": <base64>, "value": ...}
 	}
 	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {
@@ -116,18 +122,36 @@ func TestStoreCorruptionRecomputes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Put(key, testValue{Name: "good"}); err != nil {
+			if err := s.Put(key, good); err != nil {
 				t.Fatal(err)
 			}
 			path := entryPath(dir, key)
+			full, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
 			content := tc.content
 			switch tc.name {
 			case "truncated":
-				full, err := os.ReadFile(path)
+				content = full[:len(full)/2]
+			case "flipped-digit":
+				// 1.5 becomes 2.5: still a well-formed entry for the
+				// right key, holding a value that was never Put.
+				i := bytes.Index(full, []byte(`"xs":[1.5`))
+				if i < 0 {
+					t.Fatalf("no first sample in entry %q", full)
+				}
+				content = bytes.Clone(full)
+				content[i+len(`"xs":[`)] = '2'
+			case "json-layout":
+				vj, err := json.Marshal(good)
 				if err != nil {
 					t.Fatal(err)
 				}
-				content = full[:len(full)/2]
+				content, err = json.Marshal(map[string]any{"key": key, "value": json.RawMessage(vj)})
+				if err != nil {
+					t.Fatal(err)
+				}
 			case "wrong-key-echo":
 				// A valid entry stored under a different key, copied onto
 				// this key's path — the echo check must reject it.
@@ -150,10 +174,13 @@ func TestStoreCorruptionRecomputes(t *testing.T) {
 			if st := s.Stats(); st.Stale != 1 {
 				t.Fatalf("stats = %+v, want exactly 1 stale", st)
 			}
-			// Recompute-and-repair: a fresh Put over the bad entry serves
-			// hits again.
+			// Recompute-and-repair: a fresh Put rewrites the bad entry in
+			// place, and it serves hits again.
 			if err := s.Put(key, testValue{Name: "repaired"}); err != nil {
 				t.Fatal(err)
+			}
+			if now, err := os.ReadFile(path); err != nil || bytes.Equal(now, content) {
+				t.Fatalf("Put did not rewrite %s (err %v)", path, err)
 			}
 			if !s.Get(key, &out) || out.Name != "repaired" {
 				t.Fatalf("repair failed: hit=%v out=%+v", s.Get(key, &out), out)

@@ -17,14 +17,15 @@ import (
 // re-simulating. The caller owns the key discipline — the key bytes must
 // encode everything the value depends on (schema version, configuration,
 // seeds, fault plans); the store only promises that a returned value was
-// stored under byte-identical key material.
+// stored under byte-identical key material and is the value stored.
 //
-// Every entry file echoes its full key, so a hash collision, a truncated
-// write, or stray garbage in the directory can never surface as a wrong
-// value: any mismatch is counted as stale and reported as a miss, and the
-// caller recomputes. A Store is safe for concurrent use; concurrent Puts
-// of the same key are idempotent (last atomic rename wins, all writes
-// carry the same value).
+// Every entry file echoes its full key and carries the SHA-256 of its
+// value (see entryHead), so a hash collision, a truncated write, a
+// changed byte, an entry in another layout or stray garbage in the
+// directory can never surface as a wrong value: any mismatch is counted
+// as stale and reported as a miss, and the caller recomputes. A Store is
+// safe for concurrent use; concurrent Puts of the same key are
+// idempotent (last atomic rename wins, all writes carry the same value).
 type Store struct {
 	dir    string
 	hits   atomic.Uint64
@@ -33,14 +34,28 @@ type Store struct {
 	puts   atomic.Uint64
 }
 
-// storeEntry is the on-disk layout: the base64 key echo and the value,
-// as one JSON object.
-type storeEntry struct {
-	// Key is the full canonical key material (JSON base64-encodes it),
-	// verified on every read.
-	Key []byte `json:"key"`
-	// Value is the memoized value's JSON.
-	Value json.RawMessage `json:"value"`
+// entryTag opens every entry's header line and names its layout.
+const entryTag = "memo1"
+
+// entryHead is what precedes a value's JSON in its entry under key: a
+// header line — entryTag, the hex SHA-256 of the value bytes and the
+// key's length, space-separated — then the raw key bytes. Get checks the
+// key echo and the value's digest with one comparison of the head, then
+// decodes the value once; nothing is escaped or nested.
+func entryHead(key, value []byte) []byte {
+	return append(fmt.Appendf(nil, "%s %x %d\n", entryTag, sha256.Sum256(value), len(key)), key...)
+}
+
+// entryValue returns the value an entry holds for key, and false unless
+// data is an entry framed for key (see entryHead) whose value matches
+// its digest.
+func entryValue(data, key []byte) ([]byte, bool) {
+	_, rest, ok := bytes.Cut(data, []byte{'\n'})
+	if !ok || len(rest) < len(key) {
+		return nil, false
+	}
+	value := rest[len(key):]
+	return value, bytes.Equal(data[:len(data)-len(value)], entryHead(key, value))
 }
 
 // OpenStore opens (creating if needed) a persistent store rooted at dir.
@@ -57,8 +72,11 @@ func OpenStore(dir string) (*Store, error) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// path maps key material to its entry file: <dir>/<2 hex>/<64 hex>.json,
-// the leading byte fanning entries out across 256 subdirectories.
+// path maps key material to its entry file: <dir>/<2 hex>/<62 hex>.json,
+// the leading byte fanning entries out across 256 subdirectories. The
+// .json name is kept from the JSON entry layout, so the first Put after
+// an upgrade overwrites an entry an older build wrote instead of
+// stranding it beside the new one.
 func (s *Store) path(key []byte) string {
 	sum := sha256.Sum256(key)
 	h := hex.EncodeToString(sum[:])
@@ -67,18 +85,17 @@ func (s *Store) path(key []byte) string {
 
 // Get looks the key up and, on a hit, unmarshals the stored value into
 // value (a pointer). It reports whether the value was filled. An absent
-// entry is a miss; an unreadable, corrupt, or key-mismatched entry is
-// counted stale as well as missed — the caller recomputes either way and
-// the next Put repairs the entry.
+// entry is a miss; an unreadable entry, one in another layout, or one
+// whose key echo, digest or value JSON does not check out is counted
+// stale as well as missed — the caller recomputes either way and the
+// next Put rewrites the entry in place.
 func (s *Store) Get(key []byte, value any) bool {
 	data, err := os.ReadFile(s.path(key))
 	if err != nil {
 		s.misses.Add(1)
 		return false
 	}
-	var e storeEntry
-	if err := json.Unmarshal(data, &e); err != nil || !bytes.Equal(e.Key, key) ||
-		json.Unmarshal(e.Value, value) != nil {
+	if v, ok := entryValue(data, key); !ok || json.Unmarshal(v, value) != nil {
 		s.stale.Add(1)
 		s.misses.Add(1)
 		return false
@@ -97,10 +114,6 @@ func (s *Store) Put(key []byte, value any) error {
 	if err != nil {
 		return fmt.Errorf("memo: marshal value: %w", err)
 	}
-	data, err := json.Marshal(storeEntry{Key: key, Value: vj})
-	if err != nil {
-		return fmt.Errorf("memo: marshal entry: %w", err)
-	}
 	path := s.path(key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("memo: %w", err)
@@ -109,7 +122,13 @@ func (s *Store) Put(key []byte, value any) error {
 	if err != nil {
 		return fmt.Errorf("memo: %w", err)
 	}
-	if _, err := tmp.Write(data); err != nil {
+	// The value is written after its head rather than copied into one
+	// buffer with it.
+	_, err = tmp.Write(entryHead(key, vj))
+	if err == nil {
+		_, err = tmp.Write(vj)
+	}
+	if err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("memo: %w", err)
@@ -132,8 +151,8 @@ type StoreStats struct {
 	Hits uint64
 	// Misses counts keys that had to be computed (including stale ones).
 	Misses uint64
-	// Stale counts entries rejected as corrupt, truncated, or
-	// key-mismatched; each is also a miss.
+	// Stale counts entries rejected as corrupt, truncated, in another
+	// layout, key-mismatched or digest-mismatched; each is also a miss.
 	Stale uint64
 	// Puts counts entries written.
 	Puts uint64

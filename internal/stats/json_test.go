@@ -58,3 +58,25 @@ func TestSampleJSONEmpty(t *testing.T) {
 		t.Fatalf("empty round trip: N=%d Mean=%v", back.N(), back.Mean())
 	}
 }
+
+// BenchmarkSampleUnmarshal decodes one twenty-run sample, the unit every
+// stored Result is made of.
+func BenchmarkSampleUnmarshal(b *testing.B) {
+	var s Sample
+	for i := 0; i < 20; i++ {
+		s.Add(1000 / (1 + float64(i)/7))
+	}
+	data, err := json.Marshal(&s)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var back Sample
+		if err := back.UnmarshalJSON(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
