@@ -1,9 +1,18 @@
 package cli
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"net/http"
+	"os"
+	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 func TestAuditCommandText(t *testing.T) {
@@ -95,5 +104,49 @@ func TestAuditCommandSameAtAnyWorkers(t *testing.T) {
 	}
 	if outs[0] != outs[1] {
 		t.Fatal("audit all -format=json differs between -j 1 and -j 3")
+	}
+}
+
+// L1 is audited through an audit-only probe, and that probe must not
+// make L1 observable: the observable set stays the 17 ids the
+// experiments listing shows, Runner.Observe, faults and baseline record
+// refuse L1 with the observe error, metrics exits 2 and /api/metrics/L1
+// is a 404. None of them may render or record an empty L1.
+func TestAuditOnlyIDsStayOffOtherSurfaces(t *testing.T) {
+	observable := []string{"T2", "T4", "T5", "T6", "T7", "F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F12", "F13", "S1", "S2"}
+	if got := core.ObservableIDs(); !slices.Equal(got, observable) {
+		t.Fatalf("ObservableIDs() = %v, want %v", got, observable)
+	}
+	if !slices.Contains(core.AuditableIDs(), "L1") {
+		t.Fatalf("AuditableIDs() = %v lacks L1", core.AuditableIDs())
+	}
+	refusal := fmt.Sprintf("observe L1: core: no observability probe for \"L1\" (have %v)", observable)
+	if _, err := core.NewRunner(1).Observe(core.DefaultConfig(), []string{"L1"}, core.ObserveOpts{}); err == nil || err.Error() != refusal {
+		t.Errorf("Runner.Observe(L1): error %v, want %q", err, refusal)
+	}
+	plan, err := os.ReadFile("../../examples/lossy-nfs.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-faults", "plan.json", "faults", "L1"},
+		{"baseline", "record", "L1"},
+	} {
+		a, out, errb, files := testApp()
+		files["plan.json"] = bytes.NewBuffer(plan)
+		if code := a.Execute(args); code != 2 || errb.String() != "pentiumbench: "+refusal+"\n" {
+			t.Errorf("%v: exit %d, stderr %q; want 2 and the observe refusal", args, code, errb)
+		}
+		if out.Len() != 0 || len(files) != 1 {
+			t.Errorf("%v: wrote %d stdout bytes and %d files, want none", args, out.Len(), len(files)-1)
+		}
+	}
+	a, out, errb, _ := testApp()
+	if code := a.Execute([]string{"metrics", "L1"}); code != 2 || out.Len() != 0 || !strings.Contains(errb.String(), `"L1" is not observable`) {
+		t.Errorf("metrics L1: exit %d, stdout %q, stderr %q; want 2 and the not-observable refusal", code, out, errb)
+	}
+	h := sharedRunHandler(cmdOpts{window: sim.Duration(100 * time.Millisecond)})
+	if rec := serveRecorder(h, "/api/metrics/L1"); rec.Code != http.StatusNotFound {
+		t.Errorf("/api/metrics/L1: status %d, want 404: %s", rec.Code, rec.Body)
 	}
 }

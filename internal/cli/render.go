@@ -32,9 +32,10 @@ func renderChrome(w io.Writer, d *viewData) error {
 
 // renderTraceText writes the per-run trace summaries: one line per run
 // (and one for its per-request exemplar trace, when traced), then its
-// tracks ranked by cumulative virtual time from the run's folded
-// profile. -top keeps only the heaviest tracks; ring-buffer drops are
-// surfaced so a truncated capture is never mistaken for a complete one.
+// tracks ranked by cumulative virtual time from the run's profile, which
+// it folds itself (the trace view's projection is unfolded). -top keeps
+// only the heaviest tracks; ring-buffer drops are surfaced so a
+// truncated capture is never mistaken for a complete one.
 func renderTraceText(w io.Writer, d *viewData) error {
 	counts := func(label string, p *obs.Process) {
 		spans := 0
@@ -51,6 +52,7 @@ func renderTraceText(w io.Writer, d *viewData) error {
 			fmt.Fprintln(w)
 		}
 		fmt.Fprintf(w, "%s — %s:\n", o.ID, o.Title)
+		o.Fold()
 		for _, run := range o.Runs {
 			counts(run.Label, &run.Process)
 			fmt.Fprintf(w, ", total %.2f %s", run.Total, run.Unit)
@@ -58,12 +60,9 @@ func renderTraceText(w io.Writer, d *viewData) error {
 				fmt.Fprintf(w, "  [%d events ring-dropped]", run.Process.Dropped)
 			}
 			fmt.Fprintln(w)
-			if run.Requests != nil {
-				counts(run.Label+" requests", run.Requests)
+			if reqs := run.Requests(); reqs != nil {
+				counts(run.Label+" requests", reqs)
 				fmt.Fprintln(w)
-			}
-			if run.Profile == nil {
-				continue
 			}
 			tracks := run.Profile.TrackTotals()
 			sort.SliceStable(tracks, func(i, j int) bool {

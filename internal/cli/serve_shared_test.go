@@ -25,15 +25,27 @@ func sharedRunHandler(opts cmdOpts) *serveHandler {
 		func(path string) ([]byte, error) { return nil, fmt.Errorf("no file %s", path) })
 }
 
-// Every API body of an observable id comes from the id's shared run, and
-// must equal the per-view path's rendering: the id observed for that
-// view alone (v.observe) and rendered by the view's renderer. Checked
-// for every view, format and observable id under the default flags, with
-// exemplars at a window other than 100 ms (the views then need two
-// runs), and under a fault plan.
+// perView is a view's body of one id rendered from a run of its own:
+// the id observed for that view alone, under the view's options, and
+// projected as the CLI projects it.
+func perView(h *serveHandler, name, id, fname string) serveEntry {
+	v := views[name]
+	runs, st, err := h.runner.ObserveRuns(h.cfg, []string{id}, v.opts(h.opts))
+	var d *viewData
+	if err == nil {
+		d, err = v.projectFor(runs, st, h.opts)
+	}
+	return body(name, id, fname, d, err)
+}
+
+// Every API body comes from the id's shared run, and must equal the
+// body of a run of its own (perView). Checked for every view, format
+// and id of the view's set — L1's audit included — under the default
+// flags, with exemplars at a window other than 100 ms (the views then
+// need two runs), and under a fault plan.
 func TestServeSharedRunMatchesPerView(t *testing.T) {
 	if testing.Short() {
-		t.Skip("observes every observable id once per view")
+		t.Skip("observes every id once per view")
 	}
 	data, err := os.ReadFile("../../examples/scale-lossy.json")
 	if err != nil {
@@ -64,13 +76,10 @@ func TestServeSharedRunMatchesPerView(t *testing.T) {
 			for _, name := range names {
 				v := views[name]
 				for _, id := range v.ids() {
-					if !slices.Contains(core.ObservableIDs(), id) {
-						continue
-					}
 					for _, fname := range v.api {
 						path := apiKey("/api/"+name+"/"+id, v, fname)
 						got := serveBody(t, h, path)
-						want := h.render(name, id, fname)
+						want := perView(h, name, id, fname)
 						if want.Code != http.StatusOK {
 							t.Fatalf("%s: per-view path answered %d: %s", path, want.Code, want.Body)
 						}
@@ -91,65 +100,79 @@ var s1Views = []string{
 	"/api/profile/S1?format=pprof", "/api/exemplars/S1", "/api/audit/S1",
 }
 
-// checkRuns requires that the S1 views were computed once each and
-// that the S1 model ran the given number of times, counted at the
-// per-exhibit cache.
-func checkRuns(t *testing.T, h *serveHandler, runs uint64) {
+// l1Audit is L1's one API body, requested four times.
+var l1Audit = []string{"/api/audit/L1", "/api/audit/L1", "/api/audit/L1", "/api/audit/L1"}
+
+// checkRuns requires that each distinct body of paths was computed once
+// and that the exhibit's model ran the given number of times, counted
+// at the per-exhibit cache.
+func checkRuns(t *testing.T, h *serveHandler, paths []string, runs uint64) {
 	t.Helper()
-	if got := h.computes.Load(); got != int64(len(s1Views)) {
-		t.Errorf("%d S1 bodies computed %d times", len(s1Views), got)
+	distinct := make(map[string]bool)
+	for _, path := range paths {
+		distinct[path] = true
+	}
+	bodies := len(distinct)
+	if got := h.computes.Load(); got != int64(bodies) {
+		t.Errorf("%d bodies computed %d times", bodies, got)
 	}
 	st := h.exhibits.Stats()
-	if st.Misses != runs || st.Hits != uint64(len(s1Views))-runs {
+	if st.Misses != runs || st.Hits != uint64(bodies)-runs {
 		t.Errorf("per-exhibit cache: %d misses (model runs), %d hits; want %d and %d",
-			st.Misses, st.Hits, runs, uint64(len(s1Views))-runs)
+			st.Misses, st.Hits, runs, uint64(bodies)-runs)
 	}
 }
 
-// getAll requests each path in turn and requires a 200.
-func getAll(t *testing.T, h http.Handler, paths []string) {
+// getAll requests each path, in turn or all at once, and requires a
+// 200.
+func getAll(t *testing.T, h http.Handler, paths []string, concurrent bool) {
 	t.Helper()
-	for _, path := range paths {
-		if rec := serveRecorder(h, path); rec.Code != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body)
+	codes := make([]int, len(paths))
+	var wg sync.WaitGroup
+	for i, path := range paths {
+		if !concurrent {
+			codes[i] = serveRecorder(h, path).Code
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			codes[i] = serveRecorder(h, path).Code
+		}()
+	}
+	wg.Wait()
+	for i, code := range codes {
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d", paths[i], code)
 		}
 	}
 }
 
 // After GETs of all six S1 views, in turn or at once, the S1 model has
 // run exactly once. Exemplars at a window other than 100 ms need a
-// second run, for the views without a window.
+// second run, for the views without a window. L1's audit, its one API
+// view, comes from one shared run too.
 func TestServeOneRunPerExhibit(t *testing.T) {
 	opts := cmdOpts{window: sim.Duration(100 * time.Millisecond)}
-	t.Run("sequential", func(t *testing.T) {
-		h := sharedRunHandler(opts)
-		getAll(t, h, s1Views)
-		checkRuns(t, h, 1)
-	})
-	t.Run("two reservoirs", func(t *testing.T) {
-		h := sharedRunHandler(cmdOpts{window: sim.Duration(50 * time.Millisecond), exemplars: 4})
-		getAll(t, h, s1Views)
-		checkRuns(t, h, 2)
-	})
-	t.Run("concurrent", func(t *testing.T) {
-		h := sharedRunHandler(opts)
-		var wg sync.WaitGroup
-		codes := make([]int, len(s1Views))
-		for i, path := range s1Views {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				codes[i] = serveRecorder(h, path).Code
-			}()
-		}
-		wg.Wait()
-		for i, code := range codes {
-			if code != http.StatusOK {
-				t.Fatalf("%s: status %d", s1Views[i], code)
-			}
-		}
-		checkRuns(t, h, 1)
-	})
+	for _, tc := range []struct {
+		name       string
+		opts       cmdOpts
+		paths      []string
+		concurrent bool
+		runs       uint64
+	}{
+		{"sequential", opts, s1Views, false, 1},
+		{"two reservoirs", cmdOpts{window: sim.Duration(50 * time.Millisecond), exemplars: 4}, s1Views, false, 2},
+		{"concurrent", opts, s1Views, true, 1},
+		{"L1 sequential", opts, l1Audit, false, 1},
+		{"L1 concurrent", opts, l1Audit, true, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := sharedRunHandler(tc.opts)
+			getAll(t, h, tc.paths, tc.concurrent)
+			checkRuns(t, h, tc.paths, tc.runs)
+		})
+	}
 }
 
 func serveRecorder(h http.Handler, path string) *httptest.ResponseRecorder {

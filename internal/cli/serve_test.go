@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -482,6 +484,75 @@ func TestServeMemoKeyedByProfiles(t *testing.T) {
 	future := append(osprofile.Paper(), osprofile.Linux1340(), osprofile.FreeBSD21(), osprofile.Solaris25())
 	if got, want := body(future, true), body(future, false); !bytes.Equal(got, want) {
 		t.Fatalf("-future body from the paper set's store differs from the storeless one:\n%s", got)
+	}
+}
+
+// TestServeMemoKeyPinned pins the seed-1 key of one stored response at
+// the serve command's default flags: a key's SHA-256 names its store
+// entry's file, so a key that moves by one byte strands every entry an
+// older server stored. It may change only together with serveSchema.
+func TestServeMemoKeyPinned(t *testing.T) {
+	dir := t.TempDir()
+	store, err := memo.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.Memo = store
+	h := newServeHandler(cfg, core.NewRunner(1), cmdOpts{window: sim.Duration(100 * time.Millisecond)}, nil)
+	serveBody(t, h, "/api/metrics/T2")
+	var entries []string
+	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			entries = append(entries, strings.TrimPrefix(path, dir))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sum = "f16ebbd2e7b247286d9f4a6bf8ad7baf2db7140690adac1e04a37a8b698ba336"
+	if want := "/" + sum[:2] + "/" + sum[2:] + ".json"; len(entries) != 1 || entries[0] != want {
+		t.Fatalf("store entries after GET /api/metrics/T2: %q, want [%q]", entries, want)
+	}
+}
+
+// serveKeys splices each endpoint into key material encoded once; the
+// bytes must equal the reference encoding, json.Marshal of the map of
+// every key field around the indented personality JSON, for the paper
+// and -future sets, probe flags set and unset, and endpoints json
+// escapes (the baseline diff key carries "&").
+func TestServeKeysMatchMapEncoding(t *testing.T) {
+	future := append(osprofile.Paper(), osprofile.Linux1340(), osprofile.FreeBSD21(), osprofile.Solaris25())
+	for _, profiles := range [][]*osprofile.Profile{osprofile.Paper(), future} {
+		for _, o := range []cmdOpts{
+			{window: sim.Duration(100 * time.Millisecond)},
+			{window: sim.Duration(50 * time.Millisecond), clients: 2000, nfsd: 16, procs: 4, exemplars: 4},
+		} {
+			cfg := core.DefaultConfig()
+			cfg.Seed, cfg.Profiles = 7, profiles
+			keyOf := serveKeys(cfg, o)
+			for _, endpoint := range []string{"/api/metrics/T2", "/api/profile/F12?format=pprof",
+				"/api/baseline/diff?sha256=00ff&tol=0", `/api/trace/<x>"\u2028`} {
+				var prof bytes.Buffer
+				if err := osprofile.WriteJSON(&prof, cfg.Profiles); err != nil {
+					t.Fatal(err)
+				}
+				want, err := json.Marshal(map[string]any{
+					"schema": serveSchema, "seed": cfg.Seed, "runs": cfg.Runs,
+					"window": int64(o.window), "clients": o.clients,
+					"nfsd": o.nfsd, "procs": o.procs,
+					"exemplars": o.exemplars, "endpoint": endpoint,
+					"profiles": json.RawMessage(prof.Bytes()),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := keyOf(endpoint); !bytes.Equal(got, want) {
+					t.Fatalf("%d profiles, %+v, %s: key\n%s\nwant\n%s", len(profiles), o, endpoint, got, want)
+				}
+			}
+		}
 	}
 }
 

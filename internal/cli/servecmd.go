@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/memo"
-	"repro/internal/osprofile"
 	"repro/internal/sim"
 )
 
@@ -47,10 +46,13 @@ type serveHandler struct {
 	runner   *core.Runner
 	opts     cmdOpts
 	readFile func(string) ([]byte, error)
-	table    *memo.Table[string, serveEntry]
-	// exhibits holds, per shared run of an observable id, the bodies of
-	// every API view that run serves (see exhibit); the response cache's
-	// computes for those ids read it. Its misses count model runs.
+	// keyOf builds a response's -memo store key (serveKeys); nil without
+	// a store.
+	keyOf func(endpoint string) []byte
+	table *memo.Table[string, serveEntry]
+	// exhibits holds, per shared run of an id, the bodies of every API
+	// view that run serves (see exhibit); the response cache's computes
+	// read it. Its misses count model runs.
 	exhibits *memo.Table[sharedRun, map[string]serveEntry]
 	mux      *http.ServeMux
 	// computes counts cache-miss computations; tests assert the
@@ -71,6 +73,9 @@ func newServeHandler(cfg core.Config, runner *core.Runner, opts cmdOpts,
 		table:    memo.NewTable[string, serveEntry](),
 		exhibits: memo.NewTable[sharedRun, map[string]serveEntry](),
 		mux:      http.NewServeMux(),
+	}
+	if cfg.Memo != nil {
+		h.keyOf = serveKeys(cfg, opts)
 	}
 	h.mux.HandleFunc("/api/experiments", h.handle(h.experiments))
 	for name, v := range views {
@@ -128,29 +133,41 @@ func (h *serveHandler) keyed(resolve func(*http.Request) (string, func() serveEn
 	}
 }
 
+// serveKeys encodes, once per server, the key material its stored
+// responses share — the serve schema, the seed, the run count, the
+// probe flags and the full personality set, as the result memo keys it
+// — and returns the function that splices one endpoint's cache key into
+// it: the compact JSON object, keys sorted,
+//
+//	{"clients":…,"endpoint":…,"exemplars":…,"nfsd":…,"procs":…,"profiles":[…],"runs":…,"schema":…,"seed":…,"window":…}
+//
+// A key's SHA-256 names its store entry, so these bytes are pinned
+// (TestServeMemoKeyPinned). serveKeys returns nil if the personalities
+// cannot be serialized, which just leaves the responses unstored.
+func serveKeys(cfg core.Config, o cmdOpts) func(endpoint string) []byte {
+	prof, err := json.Marshal(cfg.Profiles)
+	if err != nil {
+		return nil
+	}
+	schema, _ := json.Marshal(serveSchema) // a string always encodes
+	head := fmt.Appendf(nil, `{"clients":%d,"endpoint":`, o.clients)
+	tail := fmt.Appendf(nil, `,"exemplars":%d,"nfsd":%d,"procs":%d,"profiles":%s,"runs":%d,"schema":%s,"seed":%d,"window":%d}`,
+		o.exemplars, o.nfsd, o.procs, prof, cfg.Runs, schema, cfg.Seed, int64(o.window))
+	return func(endpoint string) []byte {
+		quoted, _ := json.Marshal(endpoint)
+		return slices.Concat(head, quoted, tail)
+	}
+}
+
 // stored is the persistent layer: with -memo attached, successful
-// responses are content-addressed on disk under a key carrying the
-// serve schema, the seed, the probe flags, the full personality set
-// (as the result memo keys it) and the endpoint's cache key, so a
+// responses are content-addressed on disk under the endpoint's cache
+// key spliced into the server's key material (serveKeys), so a
 // restarted server is warm from its first request.
 func (h *serveHandler) stored(key string, compute func() serveEntry) serveEntry {
-	if h.cfg.Memo == nil {
+	if h.keyOf == nil {
 		return compute()
 	}
-	var prof bytes.Buffer
-	if err := osprofile.WriteJSON(&prof, h.cfg.Profiles); err != nil {
-		return compute()
-	}
-	mat, err := json.Marshal(map[string]any{
-		"schema": serveSchema, "seed": h.cfg.Seed, "runs": h.cfg.Runs,
-		"window": int64(h.opts.window), "clients": h.opts.clients,
-		"nfsd": h.opts.nfsd, "procs": h.opts.procs,
-		"exemplars": h.opts.exemplars, "endpoint": key,
-		"profiles": json.RawMessage(prof.Bytes()),
-	})
-	if err != nil {
-		return compute()
-	}
+	mat := h.keyOf(key)
 	var e serveEntry
 	if h.cfg.Memo.Get(mat, &e) && e.Code == http.StatusOK {
 		return e
@@ -198,12 +215,11 @@ func fail(code int, format string, args ...any) serveEntry {
 // than one format reads the query. An unknown format is a 400 and an id
 // outside the view's set a 404 naming that set, both refused before the
 // cache. The cache key is the path, plus the format when it is not the
-// default, so "" and the default share one entry. An observable id's
-// bodies come from the shared run that serves the view (exhibit); the
-// others are observed per view.
+// default, so "" and the default share one entry. Every body comes from
+// the shared run that serves the view (exhibit).
 func (h *serveHandler) view(name string, v *view) http.HandlerFunc {
 	prefix := "/api/" + name + "/"
-	ids, observable := v.ids(), core.ObservableIDs()
+	ids := v.ids()
 	return h.keyed(func(r *http.Request) (string, func() serveEntry, *serveEntry) {
 		req := ""
 		if len(v.api) > 1 {
@@ -220,9 +236,6 @@ func (h *serveHandler) view(name string, v *view) http.HandlerFunc {
 			return "", nil, &e
 		}
 		key := apiKey(r.URL.Path, v, fname)
-		if !slices.Contains(observable, id) {
-			return key, func() serveEntry { return h.render(name, id, fname) }, nil
-		}
 		return key, func() serveEntry {
 			return h.exhibit(id, name)[key]
 		}, nil
@@ -238,14 +251,6 @@ func apiKey(path string, v *view, fname string) string {
 	return path
 }
 
-// render is the per-view path: the id observed for this view alone and
-// rendered in one format.
-func (h *serveHandler) render(name, id, fname string) serveEntry {
-	v := views[name]
-	d, err := v.observeFor(h.cfg, h.runner, []string{id}, h.opts)
-	return body(name, id, fname, d, err)
-}
-
 // body renders d in one format as a response, or reports err as a 500.
 func body(name, id, fname string, d *viewData, err error) serveEntry {
 	f := views[name].formats[fname]
@@ -259,8 +264,8 @@ func body(name, id, fname string, d *viewData, err error) serveEntry {
 	return entry(b.Bytes(), f.contentType)
 }
 
-// A sharedRun is one run of an observable id carrying the recorders
-// (sampler width, reservoir size) its views need.
+// A sharedRun is one run of an id carrying the recorders (sampler
+// width, reservoir size) its views need.
 type sharedRun struct {
 	id        string
 	window    sim.Duration
@@ -274,8 +279,8 @@ type runGroup struct {
 	views []string
 }
 
-// groups splits the API views of an observable id into as few shared
-// runs as core.Covers allows. That is one run, unless -exemplars with a
+// groups splits the API views of an id into as few shared runs as
+// core.Covers allows. That is one run, unless -exemplars with a
 // -window other than 100 ms gives the views that sample reservoir
 // windows of another width than the views that do not.
 func (h *serveHandler) groups(id string) []runGroup {
@@ -319,22 +324,21 @@ next:
 }
 
 // exhibit returns the bodies of the shared run that serves the named
-// view of an observable id, keyed as the response cache keys them. The
-// run renders every body of the views it serves at once, each view its
-// projection, and is then dropped: the bodies are much smaller than the
-// run.
+// view of an id, keyed as the response cache keys them. The run renders
+// every body of the views it serves at once, each view its projection,
+// and is then dropped: the bodies are much smaller than the run.
 func (h *serveHandler) exhibit(id, view string) map[string]serveEntry {
 	groups := h.groups(id)
 	g := groups[slices.IndexFunc(groups, func(g runGroup) bool { return slices.Contains(g.views, view) })]
 	return h.exhibits.Do(sharedRun{id, g.opts.Window, g.opts.ExemplarK}, func() map[string]serveEntry {
 		bodies := make(map[string]serveEntry)
-		o, st, err := h.runner.ObserveRun(h.cfg, id, g.opts)
+		runs, st, err := h.runner.ObserveRuns(h.cfg, []string{id}, g.opts)
 		for _, name := range g.views {
 			v := views[name]
 			var d *viewData
 			derr := err
 			if err == nil {
-				d, derr = v.projectFor(o, st, h.opts)
+				d, derr = v.projectFor(runs, st, h.opts)
 			}
 			for _, fname := range v.api {
 				bodies[apiKey("/api/"+name+"/"+id, v, fname)] = body(name, id, fname, d, derr)

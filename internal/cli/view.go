@@ -14,7 +14,8 @@ import (
 // A view is one way of looking at the probes' observations. Each view is
 // registered once, in views, and that entry serves both `pentiumbench
 // <view> <ids|all>` and `GET /api/<view>/<id>`: the same id set, the
-// same ObserveOpts and the same renderers.
+// same ObserveOpts, the same projection of the observed runs and the
+// same renderers.
 type view struct {
 	// ids lists the experiments the view covers; set names that list in
 	// error messages.
@@ -29,11 +30,10 @@ type view struct {
 	// series marks a view that renders the runs' series: it refuses a run
 	// that outgrew the sampler's window budget.
 	series bool
-	// observe runs the view's own observation of the resolved ids (the
-	// CLI's path); project makes the same data from a shared run of one
-	// id that core.Covers the view (serve's path, see exhibit).
-	observe func(cfg core.Config, runner *core.Runner, ids []string, opts core.ObserveOpts) (*viewData, error)
-	project func(run *core.Observation, st *core.RunStats, opts core.ObserveOpts) (*viewData, error)
+	// project makes the view's data from runs that core.Covers it: the
+	// CLI's runs of the resolved ids, observed under the view's options,
+	// or serve's shared run of one id (see exhibit).
+	project func(runs []*core.Observation, st *core.RunStats, opts core.ObserveOpts) (*viewData, error)
 	// formats holds the view's renderers by name; cli and api list the
 	// formats each surface offers, default first, and a nil list means
 	// the surface lacks the view. A surface offering one format ignores
@@ -69,7 +69,7 @@ const jsonType = "application/json"
 // views is the observation surface.
 var views = map[string]*view{
 	"trace": {
-		ids: core.ObservableIDs, set: "observable", observe: observeProbes, project: projectProbes,
+		ids: core.ObservableIDs, set: "observable", project: projectProbes,
 		formats: map[string]format{
 			"chrome": {jsonType, renderChrome},
 			"text":   {"", renderTraceText},
@@ -77,7 +77,7 @@ var views = map[string]*view{
 		cli: []string{"chrome", "text"}, api: []string{"chrome"},
 	},
 	"metrics": {
-		ids: core.ObservableIDs, set: "observable", observe: observeProbes, project: projectProbes,
+		ids: core.ObservableIDs, set: "observable", project: projectProbes,
 		formats: map[string]format{
 			"table":      {"", renderMetricsTable},
 			"prometheus": {"text/plain; version=0.0.4; charset=utf-8", renderPrometheus},
@@ -85,8 +85,7 @@ var views = map[string]*view{
 		cli: []string{"table"}, api: []string{"prometheus"},
 	},
 	"timeseries": {
-		ids: core.SampledIDs, set: "sampled", window: true, series: true,
-		observe: observeProbes, project: projectProbes,
+		ids: core.SampledIDs, set: "sampled", window: true, series: true, project: projectProbes,
 		formats: map[string]format{
 			"csv":  {"", renderSeriesCSV},
 			"json": {jsonType, renderSeriesJSON},
@@ -95,7 +94,7 @@ var views = map[string]*view{
 		cli: []string{"csv", "json", "svg"}, api: []string{"json"},
 	},
 	"profile": {
-		ids: core.ObservableIDs, set: "observable", observe: observeProbes, project: projectProfiles, toFile: true,
+		ids: core.ObservableIDs, set: "observable", project: projectProfiles, toFile: true,
 		formats: map[string]format{
 			"top":    {"", func(w io.Writer, d *viewData) error { return d.suite.Profile.WriteTop(w, d.top) }},
 			"folded": {"text/plain; charset=utf-8", func(w io.Writer, d *viewData) error { return d.suite.Profile.WriteFolded(w) }},
@@ -104,14 +103,12 @@ var views = map[string]*view{
 		cli: []string{"top", "folded", "pprof"}, api: []string{"folded", "pprof"},
 	},
 	"exemplars": {
-		ids: core.ExemplarIDs, set: "exemplar-traced", window: true, exemplarK: 4,
-		observe: observeProbes, project: projectProbes,
+		ids: core.ExemplarIDs, set: "exemplar-traced", window: true, exemplarK: 4, project: projectProbes,
 		formats: map[string]format{"json": {jsonType, renderExemplars}},
 		api:     []string{"json"},
 	},
 	"audit": {
-		ids: core.AuditableIDs, set: "auditable", window: true, defaults: core.AuditOpts,
-		observe: observeAudits, project: projectAudits,
+		ids: core.AuditableIDs, set: "auditable", window: true, defaults: core.AuditOpts, project: projectAudits,
 		formats: map[string]format{
 			"text":    {"", renderAuditText},
 			"json":    {"", func(w io.Writer, d *viewData) error { return writeJSON(w, d.audits) }},
@@ -137,15 +134,10 @@ func (v *view) opts(o cmdOpts) core.ObserveOpts {
 	return opts
 }
 
-// observeFor runs the view's own observation of ids under the flags.
-func (v *view) observeFor(cfg core.Config, runner *core.Runner, ids []string, o cmdOpts) (*viewData, error) {
-	d, err := v.observe(cfg, runner, ids, v.opts(o))
-	return d, v.refuse(d, err)
-}
-
-// projectFor makes the view's data under the flags from a shared run.
-func (v *view) projectFor(run *core.Observation, st *core.RunStats, o cmdOpts) (*viewData, error) {
-	d, err := v.project(run, st, v.opts(o))
+// projectFor makes the view's data under the flags from runs that cover
+// it.
+func (v *view) projectFor(runs []*core.Observation, st *core.RunStats, o cmdOpts) (*viewData, error) {
+	d, err := v.project(runs, st, v.opts(o))
 	return d, v.refuse(d, err)
 }
 
@@ -203,17 +195,23 @@ func (v *view) resolve(name string, ids []string) ([]string, error) {
 }
 
 // runView is `pentiumbench <name> <ids|all>`: resolve the format and the
-// ids, observe, and render to stdout (or -o). Any failed audit makes the
-// exit code 1.
+// ids, observe them once under the view's options, and render the
+// view's projection to stdout (or -o), as serve renders a shared run.
+// Any failed audit makes the exit code 1.
 func (a *App) runView(name string, cfg core.Config, runner *core.Runner, o cmdOpts, ids []string) int {
 	v := views[name]
 	fname, err := pick(name, v.cli, o.format)
 	if err == nil {
 		ids, err = v.resolve(name, ids)
 	}
+	var runs []*core.Observation
+	var st *core.RunStats
+	if err == nil {
+		runs, st, err = runner.ObserveRuns(cfg, ids, v.opts(o))
+	}
 	var d *viewData
 	if err == nil {
-		d, err = v.observeFor(cfg, runner, ids, o)
+		d, err = v.projectFor(runs, st, o)
 	}
 	if err != nil {
 		fmt.Fprintln(a.Stderr, "pentiumbench:", err)
@@ -253,46 +251,42 @@ func overflow(suite *core.SuiteObservation) error {
 	return nil
 }
 
-// observeProbes runs the probes on the runner's pool.
-func observeProbes(cfg core.Config, runner *core.Runner, ids []string, opts core.ObserveOpts) (*viewData, error) {
-	suite, err := runner.Observe(cfg, ids, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &viewData{suite: suite, opts: opts}, nil
-}
-
-// observeAudits audits the ids on the runner's pool.
-func observeAudits(cfg core.Config, runner *core.Runner, ids []string, opts core.ObserveOpts) (*viewData, error) {
-	audits, err := runner.Audit(cfg, ids, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &viewData{audits: audits, opts: opts}, nil
-}
-
-// projectProbes is observeProbes from a shared run: the run as the view
-// sees it, merged as Runner.Observe merges.
-func projectProbes(run *core.Observation, st *core.RunStats, opts core.ObserveOpts) (*viewData, error) {
-	return &viewData{suite: core.Suite([]*core.Observation{run.Project(opts)}, st), opts: opts}, nil
+// projectProbes is the runs as the view sees them, merged as
+// Runner.Observe merges.
+func projectProbes(runs []*core.Observation, st *core.RunStats, opts core.ObserveOpts) (*viewData, error) {
+	return &viewData{suite: core.Suite(project(runs, opts, false), st), opts: opts}, nil
 }
 
 // projectProfiles is projectProbes for a view that reads the profile:
-// the projection is folded first.
-func projectProfiles(run *core.Observation, st *core.RunStats, opts core.ObserveOpts) (*viewData, error) {
-	p := run.Project(opts)
-	p.Fold()
-	return &viewData{suite: core.Suite([]*core.Observation{p}, st), opts: opts}, nil
+// the projections are folded first.
+func projectProfiles(runs []*core.Observation, st *core.RunStats, opts core.ObserveOpts) (*viewData, error) {
+	return &viewData{suite: core.Suite(project(runs, opts, true), st), opts: opts}, nil
 }
 
-// projectAudits is observeAudits from a shared run: the verdicts on the
-// run as the view sees it.
-func projectAudits(run *core.Observation, _ *core.RunStats, opts core.ObserveOpts) (*viewData, error) {
-	ao, err := run.Project(opts).Audit()
-	if err != nil {
-		return nil, err
+// project is each observation as a view observed under opts shows it,
+// folded when fold is set.
+func project(runs []*core.Observation, opts core.ObserveOpts, fold bool) []*core.Observation {
+	out := make([]*core.Observation, len(runs))
+	for i, o := range runs {
+		out[i] = o.Project(opts)
+		if fold {
+			out[i].Fold()
+		}
 	}
-	return &viewData{audits: []*core.AuditObservation{ao}, opts: opts}, nil
+	return out
+}
+
+// projectAudits is the verdicts the runs carry.
+func projectAudits(runs []*core.Observation, _ *core.RunStats, opts core.ObserveOpts) (*viewData, error) {
+	audits := make([]*core.AuditObservation, len(runs))
+	for i, o := range runs {
+		ao, err := o.Audit()
+		if err != nil {
+			return nil, err
+		}
+		audits[i] = ao
+	}
+	return &viewData{audits: audits, opts: opts}, nil
 }
 
 // writeFile creates path and fills it with write, returning the first

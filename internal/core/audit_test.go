@@ -57,11 +57,11 @@ func TestAuditScaleProbesClean(t *testing.T) {
 // events: the request tracks may not push them out of the ring.
 func TestObserveExemplarsAdditive(t *testing.T) {
 	cfg := Config{Seed: 1, Profiles: osprofile.Paper()}
-	plain, err := Observe(cfg, "S1", ObserveOpts{Clients: 1000})
+	plain, err := observe(cfg, "S1", ObserveOpts{Clients: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, err := Observe(cfg, "S1", ObserveOpts{Clients: 1000, ExemplarK: 4})
+	traced, err := observe(cfg, "S1", ObserveOpts{Clients: 1000, ExemplarK: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestObserveExemplarsAdditive(t *testing.T) {
 				pr.Label, len(tr.Process.Tracks), len(tr.Process.Events), tr.Process.Dropped,
 				len(pr.Process.Tracks), len(pr.Process.Events), pr.Process.Dropped)
 		}
-		if len(pr.Exemplars) != 0 || pr.Requests != nil {
+		if len(pr.Exemplars) != 0 || pr.Requests() != nil {
 			t.Fatalf("%s: exemplars or request tracks present with ExemplarK=0", pr.Label)
 		}
 		if len(tr.Exemplars) == 0 {
@@ -89,8 +89,8 @@ func TestObserveExemplarsAdditive(t *testing.T) {
 			}
 		}
 		reqs := 0
-		if tr.Requests != nil {
-			for _, name := range tr.Requests.Tracks {
+		if proc := tr.Requests(); proc != nil {
+			for _, name := range proc.Tracks {
 				if strings.HasPrefix(name, "req ") {
 					reqs++
 				}
@@ -102,5 +102,44 @@ func TestObserveExemplarsAdditive(t *testing.T) {
 		if tr.LatencyHist == nil || tr.LatencyHist.N() == 0 {
 			t.Fatal("latency histogram missing from scale probe")
 		}
+	}
+}
+
+// The request tracks are rendered once per observed run, when first
+// read, and every projection that keeps them shares that rendering; a
+// projection without a reservoir has none.
+func TestRequestTracksRenderedOnce(t *testing.T) {
+	o, err := observe(DefaultConfig(), "S1", ObserveOpts{ExemplarK: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced := ObserveOpts{ExemplarK: 4}
+	a, b := o.Project(traced), o.Project(traced)
+	for i := range o.Runs {
+		first := a.Runs[i].Requests()
+		if first == nil || first != b.Runs[i].Requests() || first != o.Runs[i].Requests() {
+			t.Fatalf("%s: request tracks %p, %p and %p; want one shared rendering",
+				o.Runs[i].Label, first, b.Runs[i].Requests(), o.Runs[i].Requests())
+		}
+		if o.Project(ObserveOpts{}).Runs[i].Requests() != nil {
+			t.Fatalf("%s: request tracks kept by a projection without exemplars", o.Runs[i].Label)
+		}
+	}
+}
+
+// BenchmarkAudit is the audit layer's package benchmark: core.Audit on
+// one worker (no pool), for S1's queueing laws at 1,000 clients and for
+// L1's per-CPU ledgers and lock flow balance.
+func BenchmarkAudit(b *testing.B) {
+	cfg := DefaultConfig()
+	for _, id := range []string{"S1", "L1"} {
+		b.Run(id, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Audit(cfg, id, ObserveOpts{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

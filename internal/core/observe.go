@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/audit"
@@ -11,7 +12,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/fault"
 	"repro/internal/memmodel"
-	"repro/internal/nfsserver"
 	"repro/internal/obs"
 	"repro/internal/osprofile"
 	"repro/internal/profile"
@@ -28,7 +28,8 @@ type PhaseRow struct {
 
 // ObservedRun is one observed model run of an experiment probe: one OS
 // personality (or the hardware curve), its cycle-attribution rows, the
-// captured trace and the full metric snapshot.
+// captured trace, the full metric snapshot and, for an audited run, its
+// audit verdict.
 type ObservedRun struct {
 	// Label identifies the run (an OS personality, or the hardware).
 	Label string
@@ -41,12 +42,9 @@ type ObservedRun struct {
 	Total float64
 	// Process is the captured trace for Chrome export.
 	Process obs.Process
-	// Requests is the per-request exemplar trace (one "req <id>" track
-	// per retained exemplar), present only when ObserveOpts.ExemplarK
-	// enabled exemplar tracing. It is recorded apart from Process and
-	// exported as a Chrome process of its own, so it never pushes model
-	// events out of Process's bounded ring.
-	Requests *obs.Process
+	// requests renders the per-request exemplar trace (see Requests), nil
+	// without exemplar tracing.
+	requests func() *obs.Process
 	// Metrics is the run's full metric snapshot.
 	Metrics obs.Snapshot
 	// Profile is the run's span stream folded into weighted call stacks
@@ -67,9 +65,25 @@ type ObservedRun struct {
 	// has one (S1/S2) — the source of Prometheus `le` bucket boundaries
 	// and the attachment point for exemplar buckets.
 	LatencyHist *stats.Histogram
-	// evidence is what auditing the run reads besides its series and
-	// exemplars (S1/S2; nil for runs with no audit).
-	evidence *scaleEvidence
+	// verdict is the run's audit report, evaluated in the run's own task:
+	// L1's runs always carry one, an S1/S2 run when it records both the
+	// sampler and the exemplar reservoir (Observation.Audit collects
+	// them).
+	verdict *audit.Report
+}
+
+// Requests is the per-request exemplar trace (one "req <id>" track per
+// retained exemplar), present only when ObserveOpts.ExemplarK enabled
+// exemplar tracing. It is recorded apart from Process and exported as a
+// Chrome process of its own, so it never pushes model events out of
+// Process's bounded ring. It is rendered from the exemplars on first
+// read, once per observed run, and shared by the run's projections, so
+// a view that never reads it never pays for it.
+func (r *ObservedRun) Requests() *obs.Process {
+	if r.requests == nil {
+		return nil
+	}
+	return r.requests()
 }
 
 // Observation is the observability product of one experiment probe.
@@ -77,9 +91,6 @@ type Observation struct {
 	ID    string
 	Title string
 	Runs  []ObservedRun
-	// opts is what the runs record: the probe's options after Observe's
-	// defaults and restriction.
-	opts ObserveOpts
 }
 
 // ObserveOpts tune the probes. The zero value selects defaults.
@@ -136,15 +147,17 @@ const (
 )
 
 // A probe declares how one exhibit is observed and which views its runs
-// feed. observe produces the exhibit's observed runs (nil: it is not
-// observable); audit evaluates one personality's invariants (nil: the
-// exhibit is not auditable); sampled, faultable and exemplars say
-// whether its runs carry the sampler, the fault injectors and the
-// exemplar reservoir of ObserveOpts. Every id list below is computed
-// from the probes table, so an exhibit's views are declared once, here.
+// feed. observe produces the exhibit's observed runs; audited says they
+// carry audit verdicts under AuditOpts, and auditOnly that they carry
+// nothing else, so the exhibit is auditable but not observable;
+// sampled, faultable and exemplars say whether its runs carry the
+// sampler, the fault injectors and the exemplar reservoir of
+// ObserveOpts. Every id list below is computed from the probes table,
+// so an exhibit's views are declared once, here.
 type probe struct {
 	observe   func(cfg Config, id string, opts ObserveOpts) []ObservedRun
-	audit     func(cfg Config, id string, opts ObserveOpts, p *osprofile.Profile) ([]*audit.Report, error)
+	audited   bool
+	auditOnly bool
 	sampled   bool
 	faultable bool
 	exemplars bool
@@ -184,9 +197,9 @@ var probes = map[string]probe{
 	"F13": {observe: benchProbe("udp.", "_us", func(s *bench.Scope, _ Config, _ ObserveOpts, p *osprofile.Profile) {
 		s.TTCP(p, ttcpProbePacket)
 	}), faultable: true},
-	"S1": {observe: eachProfile(observeScale), audit: auditScale, sampled: true, faultable: true, exemplars: true},
-	"S2": {observe: eachProfile(observeScale), audit: auditScale, sampled: true, faultable: true, exemplars: true},
-	"L1": {audit: auditLocks},
+	"S1": {observe: eachProfile(observeScale), audited: true, sampled: true, faultable: true, exemplars: true},
+	"S2": {observe: eachProfile(observeScale), audited: true, sampled: true, faultable: true, exemplars: true},
+	"L1": {observe: observeLocks, audited: true, auditOnly: true},
 }
 
 // probeIDs returns the ids whose probe has the property, in
@@ -202,9 +215,13 @@ func probeIDs(has func(probe) bool) []string {
 	return ids
 }
 
-// ObservableIDs returns the experiment IDs Observe has probes for, in
-// presentation order.
-func ObservableIDs() []string { return probeIDs(func(p probe) bool { return p.observe != nil }) }
+// observable reports whether the probe's runs feed the views other than
+// audit.
+func (p probe) observable() bool { return p.observe != nil && !p.auditOnly }
+
+// ObservableIDs returns the experiment IDs Runner.Observe has probes
+// for, in presentation order.
+func ObservableIDs() []string { return probeIDs(probe.observable) }
 
 // SampledIDs returns the observable experiments whose probes carry
 // time-series instrumentation: the kernel scheduler (F1), the benchmark
@@ -226,7 +243,7 @@ func ExemplarIDs() []string { return probeIDs(func(p probe) bool { return p.exem
 // accounting the queueing-law invariants cross-check, and the SMP
 // lock-contention exhibit, whose per-CPU ledgers and lock flow counters
 // carry the DESIGN.md §16 exactness invariants.
-func AuditableIDs() []string { return probeIDs(func(p probe) bool { return p.audit != nil }) }
+func AuditableIDs() []string { return probeIDs(func(p probe) bool { return p.audited }) }
 
 // probeProfiles is the personality set a probe runs: the configured
 // one, or the paper's three when none is configured.
@@ -318,51 +335,25 @@ func observeMem(r memmodel.Routine) func(Config, string, ObserveOpts) []Observed
 	}
 }
 
-// A scaleRun is the one S1/S2 server run that Observe and Audit share:
-// one personality at opts.Clients with the run's fault injectors,
-// sampler, exemplar reservoir and a span ring (one track per nfsd slot)
-// attached. Observe renders it and Audit evaluates it, so the audited
-// run is the observed run.
-type scaleRun struct {
-	srv *nfsserver.Server
-	res *nfsserver.Result
-	inj fault.Injectors
-	rec *obs.Recorder
-	smp *obs.Sampler
-	ex  *obs.Exemplars
-}
-
-func runScale(cfg Config, id string, opts ObserveOpts, p *osprofile.Profile) scaleRun {
-	r := scaleRun{inj: injFor(cfg, opts, id, p), smp: samplerFor(opts), ex: exemplarsFor(cfg, opts, p)}
-	r.srv = scaleServer(cfg, p, opts.Clients, opts.Nfsd, r.inj.Net)
-	r.rec = obs.NewRing(r.srv.Clock(), bench.TraceRingCap)
-	r.srv.SetRecorder(r.rec)
-	r.srv.SetSampler(r.smp)
-	r.srv.SetExemplars(r.ex)
-	r.res = r.srv.Run()
-	return r
-}
-
-// observeScale probes one personality of S1/S2: its span tracks, the
-// exact phase ledger as its rows, its series and exemplars, and the
-// evidence its audit reads.
+// observeScale probes one personality of S1/S2 at opts.Clients, with
+// the run's fault injectors, sampler, exemplar reservoir and a span ring
+// (one track per nfsd slot) attached: its span tracks, the exact phase
+// ledger as its rows, its series and exemplars, and — when it records
+// both the sampler and the reservoir — the queueing-law verdict on
+// itself, so the audited run is the observed run.
 func observeScale(cfg Config, id string, opts ObserveOpts, p *osprofile.Profile) ObservedRun {
-	r := runScale(cfg, id, opts, p)
-	res := r.res
-	exWins := r.ex.Snapshot()
+	inj, smp, ex := injFor(cfg, opts, id, p), samplerFor(opts), exemplarsFor(cfg, opts, p)
+	srv := scaleServer(cfg, p, opts.Clients, opts.Nfsd, inj.Net)
+	rec := obs.NewRing(srv.Clock(), bench.TraceRingCap)
+	srv.SetRecorder(rec)
+	srv.SetSampler(smp)
+	srv.SetExemplars(ex)
+	res := srv.Run()
+	exWins := ex.Snapshot()
 	name := fmt.Sprintf("%s %s", id, p)
-	var requests *obs.Process
-	if r.ex != nil {
-		// Rendered post-run on a recorder of their own: free while the
-		// model runs, and bounded by K per window.
-		xrec := obs.NewRecorder(nil)
-		obs.ExemplarTracks(xrec, exWins)
-		proc := xrec.Capture(name + " requests")
-		requests = &proc
-	}
 	reg := obs.NewRegistry()
 	res.FoldMetrics(reg, "scale.")
-	r.inj.FoldMetrics(reg, "fault.")
+	inj.FoldMetrics(reg, "fault.")
 	led := res.Ledger
 	for _, ph := range []struct {
 		name string
@@ -375,48 +366,98 @@ func observeScale(cfg Config, id string, opts ObserveOpts, p *osprofile.Profile)
 		reg.Counter("scale.phase_us." + ph.name).Add(ph.v.Microseconds())
 	}
 	snap := reg.Snapshot()
-	series := seriesOf(r.smp, res.Elapsed)
-	if series != nil {
-		series.Exemplars = exWins
-	}
-	return ObservedRun{
+	run := ObservedRun{
 		Label:         p.String(),
 		Unit:          "µs",
 		Rows:          rows(snap, "scale.phase_us.", ""),
 		Total:         led.Sum().Microseconds(),
-		Process:       r.rec.Capture(name),
-		Requests:      requests,
+		Process:       rec.Capture(name),
 		Metrics:       snap,
-		Series:        series,
+		Series:        seriesOf(smp, res.Elapsed),
 		Exemplars:     exWins,
-		ExemplarDrops: r.ex.Dropped(),
+		ExemplarDrops: ex.Dropped(),
 		LatencyHist:   &res.Hist,
-		evidence:      r.evidence(),
 	}
+	if ex != nil {
+		// Rendered on a recorder of their own, off the model's path and
+		// bounded by K per window.
+		run.requests = sync.OnceValue(func() *obs.Process {
+			xrec := obs.NewRecorder(nil)
+			obs.ExemplarTracks(xrec, exWins)
+			proc := xrec.Capture(name + " requests")
+			return &proc
+		})
+	}
+	if run.Series == nil || ex == nil {
+		return run
+	}
+	run.Series.Exemplars = exWins
+	// A series that outgrew the sampler's budget misses the run's end,
+	// so every windowed check would fail: Observation.Audit refuses it.
+	if run.Series.Overflow == nil {
+		run.verdict = audit.Evaluate(audit.Input{
+			System:    p.String(),
+			Res:       res,
+			Facts:     srv.Facts(),
+			Series:    run.Series,
+			Exemplars: exWins,
+			ExemplarK: opts.ExemplarK,
+		})
+	}
+	return run
 }
 
-// Observe runs the observability probe for one experiment: the same model
-// workload the experiment measures, instrumented with spans and metrics,
-// with each run's profile folded. Every probe is deterministic — virtual
-// time stamps, fixed seeds — so its output is bit-identical across runs
-// and worker counts.
-func Observe(cfg Config, id string, opts ObserveOpts) (*Observation, error) {
-	o, err := observe(cfg, id, opts)
-	if err != nil {
-		return nil, err
-	}
-	o.Fold()
-	return o, nil
+// observeLocks is L1's audit-only probe: the L2 sweep point (eight CPUs,
+// the L1 critical section) once per personality and lock kind — the
+// construction the exhibits use — each run carrying the verdict of the
+// per-CPU ledger and lock flow-balance invariants. The run is a pure
+// function of its parameters (no RNG), so the audited run is the
+// exhibited run; fault plans have nothing to reach here.
+func observeLocks(cfg Config, _ string, _ ObserveOpts) []ObservedRun {
+	profiles := probeProfiles(cfg)
+	runs := make([]ObservedRun, len(profiles)*len(LockKinds))
+	parallelFor(cfg, len(runs), func(i int) {
+		p, kind := profiles[i/len(LockKinds)], LockKinds[i%len(LockKinds)]
+		r := LockPoint(p, kind, lockSweepNCPU, LockCrit)
+		m, l := r.Machine, r.Lock
+		in := audit.SMPInput{
+			System:  fmt.Sprintf("%s %s", p, kind),
+			NCPU:    m.NCPU(),
+			Threads: len(m.Threads()),
+			Elapsed: m.Elapsed(),
+			Busy:    make([]sim.Duration, m.NCPU()),
+			Idle:    make([]sim.Duration, m.NCPU()),
+			Spin:    make([]sim.Duration, m.NCPU()),
+			Locks: []audit.LockFacts{{
+				Acquires:    l.Acquires,
+				Releases:    l.Releases,
+				Contended:   l.Contended,
+				Uncontended: l.Uncontended,
+				Blocks:      l.Blocks,
+				Wakeups:     l.Wakeups,
+				WaitCount:   l.WaitHist.N(),
+			}},
+		}
+		for c := 0; c < m.NCPU(); c++ {
+			in.Busy[c], in.Idle[c], in.Spin[c] = m.Ledger(c)
+		}
+		runs[i] = ObservedRun{Label: in.System, verdict: audit.EvaluateSMP(in)}
+	})
+	return runs
 }
 
-// observe is Observe without the fold.
+// observe runs id's probe, unfolded: the same model workload the
+// experiment measures, instrumented with spans and metrics, each run's
+// audit verdict evaluated in the run's task. Every probe is
+// deterministic — virtual time stamps, fixed seeds — so its output is
+// bit-identical across runs and worker counts.
 func observe(cfg Config, id string, opts ObserveOpts) (*Observation, error) {
 	p := probes[id]
 	if p.observe == nil {
-		return nil, fmt.Errorf("core: no observability probe for %q (have %v)", id, ObservableIDs())
+		return nil, fmt.Errorf("core: no probe for %q (observable %v, auditable %v)", id, ObservableIDs(), AuditableIDs())
 	}
 	opts = p.restrict(opts.withDefaults())
-	return &Observation{ID: id, Title: titleOf(id), Runs: p.observe(cfg, id, opts), opts: opts}, nil
+	return &Observation{ID: id, Title: titleOf(id), Runs: p.observe(cfg, id, opts)}, nil
 }
 
 // Covers reports whether a run of id observed under run records
@@ -441,10 +482,11 @@ func Covers(id string, run, view ObserveOpts) bool {
 // their series; without an exemplar reservoir they drop the request
 // tracks, the exemplar windows, the drop count and the series'
 // exemplars. The projected runs are unfolded (Fold folds them) and
-// share their other fields with o.
+// share their other fields with o, the verdicts and the request tracks'
+// one rendering included.
 func (o *Observation) Project(opts ObserveOpts) *Observation {
-	opts = probes[o.ID].restrict(opts.withDefaults())
-	out := &Observation{ID: o.ID, Title: o.Title, Runs: slices.Clone(o.Runs), opts: opts}
+	opts = probes[o.ID].restrict(opts)
+	out := &Observation{ID: o.ID, Title: o.Title, Runs: slices.Clone(o.Runs)}
 	for i := range out.Runs {
 		run := &out.Runs[i]
 		run.Profile = nil
@@ -454,7 +496,7 @@ func (o *Observation) Project(opts ObserveOpts) *Observation {
 		if opts.ExemplarK > 0 {
 			continue
 		}
-		run.Requests, run.Exemplars, run.ExemplarDrops = nil, nil, 0
+		run.requests, run.Exemplars, run.ExemplarDrops = nil, nil, 0
 		if run.Series != nil && run.Series.Exemplars != nil {
 			series := *run.Series
 			series.Exemplars = nil
@@ -532,15 +574,15 @@ func injFor(cfg Config, opts ObserveOpts, id string, p *osprofile.Profile) fault
 // processes returns the run's trace processes in export order: the
 // model's capture, then the per-request exemplar trace when present.
 func (r *ObservedRun) processes() []obs.Process {
-	if r.Requests == nil {
+	if r.requests == nil {
 		return []obs.Process{r.Process}
 	}
-	return []obs.Process{r.Process, *r.Requests}
+	return []obs.Process{r.Process, *r.requests()}
 }
 
 // Fold folds each run's span streams into its profile. Runner.Observe
 // folds inside each probe task, so parallel suites fold in parallel
-// too; a projection is folded only for the views that read a profile.
+// too; a projection is folded only by the views that read a profile.
 func (o *Observation) Fold() {
 	for i := range o.Runs {
 		o.Runs[i].Profile = profile.Fold(o.Runs[i].processes()...)
@@ -596,10 +638,15 @@ type SuiteObservation struct {
 	Profile *profile.Profile
 }
 
-// Observe runs the probes for the given experiment IDs on the worker
-// pool, which each probe borrows to run its personalities too, folds
-// every run's profile, and merges the observations (Suite).
+// Observe runs the probes for the given observable experiment IDs on
+// the worker pool, which each probe borrows to run its personalities
+// too, folds every run's profile, and merges the observations (Suite).
 func (r *Runner) Observe(cfg Config, ids []string, opts ObserveOpts) (*SuiteObservation, error) {
+	for _, id := range ids {
+		if !probes[id].observable() {
+			return nil, fmt.Errorf("observe %s: core: no observability probe for %q (have %v)", id, id, ObservableIDs())
+		}
+	}
 	obsv, st, err := r.observe(cfg, ids, opts, true)
 	if err != nil {
 		return nil, err
@@ -607,17 +654,15 @@ func (r *Runner) Observe(cfg Config, ids []string, opts ObserveOpts) (*SuiteObse
 	return Suite(obsv, st), nil
 }
 
-// ObserveRun observes one experiment once, to be projected onto several
-// views (Covers, Observation.Project): its runs carry every recorder
-// opts asks for, and their profiles are left for the views that read
-// one to fold. Merge each projection with Suite under the stats
-// returned.
-func (r *Runner) ObserveRun(cfg Config, id string, opts ObserveOpts) (*Observation, *RunStats, error) {
-	obsv, st, err := r.observe(cfg, []string{id}, opts, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	return obsv[0], st, nil
+// ObserveRuns observes each experiment once, each id one task on the
+// pool, to be projected onto the views it serves (Covers,
+// Observation.Project): its runs carry every recorder opts asks for and
+// their audit verdicts, and their profiles are left for the views that
+// read one to fold. Merge the projections with Suite under the stats
+// returned; Observation.Audit collects the verdicts. Auditable ids
+// that are not observable (L1) are observed too.
+func (r *Runner) ObserveRuns(cfg Config, ids []string, opts ObserveOpts) ([]*Observation, *RunStats, error) {
+	return r.observe(cfg, ids, opts, false)
 }
 
 // observe runs the probes for ids on the pool, each id one task, folding
@@ -653,7 +698,7 @@ func (r *Runner) observe(cfg Config, ids []string, opts ObserveOpts, fold bool) 
 // renders, in input and profile order — task order, never completion
 // order — which is what makes it independent of the worker count. It is
 // the one assembly path: Runner.Observe merges its observations with it,
-// and a projection of a shared run (ObserveRun) is merged with it too.
+// and the views merge their projections of ObserveRuns' runs with it.
 func Suite(obsv []*Observation, st *RunStats) *SuiteObservation {
 	suite := &SuiteObservation{Observations: obsv, Profile: profile.New()}
 	var parts []obs.Snapshot

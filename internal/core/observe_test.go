@@ -32,7 +32,7 @@ func TestObserveProbesAttribution(t *testing.T) {
 	for _, id := range ObservableIDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			o, err := Observe(cfg, id, ObserveOpts{})
+			o, err := observe(cfg, id, ObserveOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,16 +53,16 @@ func TestObserveProbesAttribution(t *testing.T) {
 }
 
 func TestObserveUnknownID(t *testing.T) {
-	if _, err := Observe(DefaultConfig(), "F99", ObserveOpts{}); err == nil {
+	if _, err := observe(DefaultConfig(), "F99", ObserveOpts{}); err == nil {
 		t.Fatal("expected error for unknown probe id")
 	}
-	if _, err := Observe(DefaultConfig(), "", ObserveOpts{}); err == nil {
+	if _, err := observe(DefaultConfig(), "", ObserveOpts{}); err == nil {
 		t.Fatal("expected error for empty probe id")
 	}
 }
 
 func TestObserveTitleFromRegistry(t *testing.T) {
-	o, err := Observe(DefaultConfig(), "F12", ObserveOpts{})
+	o, err := observe(DefaultConfig(), "F12", ObserveOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

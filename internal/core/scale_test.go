@@ -106,7 +106,7 @@ func TestScaleCacheKeysByPersonality(t *testing.T) {
 // (the ledger identity surfacing through the observation layer).
 func TestScaleObservationLedgerRowsSumToTotal(t *testing.T) {
 	cfg := DefaultConfig()
-	o, err := Observe(cfg, "S1", ObserveOpts{})
+	o, err := observe(cfg, "S1", ObserveOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
