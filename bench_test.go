@@ -130,7 +130,7 @@ func benchScalePoint(b *testing.B, clients int) {
 	var res *nfsserver.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res = nfsserver.Run(cfg)
+		res = nfsserver.New(cfg).Run()
 	}
 	b.StopTimer()
 	b.ReportMetric(res.Throughput(), "modelled_opsps")

@@ -31,7 +31,10 @@ func meanWait(p *osprofile.Profile, kind kernel.LockKind, crit sim.Duration) flo
 		Crit:  crit,
 		Iters: 200,
 	})
-	return r.WaitHist.Mean()
+	if r.WaitHist.N() == 0 {
+		return 0
+	}
+	return float64(r.WaitHist.Sum()) / float64(r.WaitHist.N())
 }
 
 // persistentCrossover returns the smallest crit at which sleeping's mean

@@ -61,9 +61,6 @@ type MABResult struct {
 	Total sim.Duration
 }
 
-// PhaseNames are the five MAB phases in order.
-var PhaseNames = [5]string{"directory creation", "file copy", "directory stats", "file read", "compile"}
-
 // MAB runs the benchmark on a local file system (Table 3).
 func MAB(plat Platform, p *osprofile.Profile, cfg MABConfig, seed uint64) MABResult {
 	clock := &sim.Clock{}
@@ -98,8 +95,7 @@ func (w *mabRun) objPath(i int) string {
 	return fmt.Sprintf("/mab/dst/d%d/f%d.o", i%w.cfg.Dirs, i)
 }
 
-func (w *mabRun) mustMkdir(path string)     { must(w.v.Mkdir(path)) }
-func (w *mabRun) mustUnlinkIgnore(s string) { _ = w.v.Unlink(s) }
+func (w *mabRun) mustMkdir(path string) { must(w.v.Mkdir(path)) }
 
 func must(err error) {
 	if err != nil {

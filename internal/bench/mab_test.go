@@ -69,12 +69,6 @@ func TestMABOverNFSSlowerThanLocal(t *testing.T) {
 	}
 }
 
-func TestPhaseNames(t *testing.T) {
-	if len(PhaseNames) != 5 || PhaseNames[4] != "compile" {
-		t.Fatalf("PhaseNames = %v", PhaseNames)
-	}
-}
-
 func TestNFSServerKindPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

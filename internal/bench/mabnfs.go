@@ -69,7 +69,7 @@ func MABNFS(p *osprofile.Profile, kind NFSServerKind, cfg MABConfig, seed uint64
 }
 
 // mabPhaseKeys are metric-name slugs for MABResult.Phase, index-aligned
-// with PhaseNames.
+// with its phases.
 var mabPhaseKeys = [5]string{"mkdir", "copy", "stat", "read", "compile"}
 
 // MABNFS is MABNFS observed by s: the network injector rides the

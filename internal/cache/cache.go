@@ -1025,27 +1025,3 @@ func (h *Hierarchy) Prefetch(addr uint64) float64 {
 	h.fill(addr)
 	return h.cycles - start
 }
-
-// Contains reports at which level the line holding addr currently resides:
-// 1, 2, or 0 when it is only in memory. Exposed for tests and diagnostics.
-func (h *Hierarchy) Contains(addr uint64) int {
-	// Peek without disturbing LRU: scan directly.
-	if h.peek(h.l1, addr) {
-		return 1
-	}
-	if h.peek(h.l2, addr) {
-		return 2
-	}
-	return 0
-}
-
-func (h *Hierarchy) peek(lv *level, addr uint64) bool {
-	key := lv.genBase + lv.lineAddr(addr) + 1
-	set := lv.set(key - 1)
-	for i := range set {
-		if set[i].key == key {
-			return true
-		}
-	}
-	return false
-}

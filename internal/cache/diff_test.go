@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/obs"
@@ -253,7 +254,7 @@ func TestDifferentialMetricSnapshots(t *testing.T) {
 	fast.Stats().FoldStats(fr, "cache.")
 	ref.Stats().FoldStats(rr, "cache.")
 	fs, rs := fr.Snapshot(), rr.Snapshot()
-	if !fs.Equal(rs) {
+	if !reflect.DeepEqual(fs, rs) {
 		t.Fatalf("metric snapshots diverge\nfast:\n%srref:\n%s", fs, rs)
 	}
 	if v, ok := fs.Get("cache.l1_misses"); !ok || v == 0 {

@@ -26,11 +26,6 @@ type CycleBreakdown struct {
 	Overhead float64
 }
 
-// Total sums the buckets.
-func (b CycleBreakdown) Total() float64 {
-	return b.L1 + b.L2 + b.Mem + b.WriteBack + b.Overhead
-}
-
 // AttachBreakdown starts attributing every charged cycle into b (nil
 // detaches). While attached, the run-length entry points take the
 // per-access decomposition instead of the batched fast path: the

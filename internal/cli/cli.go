@@ -66,7 +66,7 @@ func (a *App) Execute(args []string) int {
 	runs := fl.Int("runs", 20, "benchmark repetitions (paper: 20)")
 	future := fl.Bool("future", false, "include the §13 future-work systems")
 	fl.StringVar(&o.outDir, "out", "figures", "run/timeseries -format=svg: output directory")
-	fl.Float64Var(&o.eps, "eps", 0.15, "sensitivity: relative perturbation of calibrated constants")
+	fl.Float64Var(&o.eps, "eps", 0.15, "sensitivity: relative perturbation of calibrated constants (below 1)")
 	fl.IntVar(&o.trials, "trials", 5, "sensitivity: perturbed replicas (at most 100)")
 	profilesFile := fl.String("profiles", "", "JSON file with extra OS personalities to benchmark")
 	workers := fl.Int("j", 0, "parallel runner workers (0 = GOMAXPROCS, 1 = serial; at most 1024)")
@@ -212,6 +212,8 @@ func flagRangeError(o cmdOpts, runs, workers int, window time.Duration) string {
 		return fmt.Sprintf("-exemplars must be >= 0, 0 meaning off (got %d)", o.exemplars)
 	case badFloat(o.eps):
 		return fmt.Sprintf("-eps must be a finite non-negative number (got %v)", o.eps)
+	case o.eps >= 1:
+		return fmt.Sprintf("-eps must be below 1, so every perturbation factor 1±eps stays positive (got %v)", o.eps)
 	case badFloat(o.tol):
 		return fmt.Sprintf("-tol must be a finite non-negative number (got %v)", o.tol)
 	case window <= 0:

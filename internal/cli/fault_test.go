@@ -135,6 +135,8 @@ func TestNumericFlagRangeErrors(t *testing.T) {
 		{"trials above cap", []string{"-trials", "101", "sensitivity"}, "-trials must be at most 100 (got 101)"},
 		{"j above cap", []string{"-j", "1025", "run", "T2"}, "-j must be at most 1024 (got 1025)"},
 		{"eps nan", []string{"-eps", "NaN", "sensitivity"}, "-eps must be a finite non-negative number"},
+		{"eps at bound", []string{"-eps", "1", "sensitivity"}, "-eps must be below 1, so every perturbation factor 1±eps stays positive (got 1)"},
+		{"eps above bound", []string{"-eps", "3", "-trials", "1", "sensitivity"}, "-eps must be below 1"},
 		{"tol negative", []string{"-tol", "-0.5", "baseline", "check"}, "-tol must be a finite non-negative number"},
 		{"tol inf", []string{"-tol", "Inf", "baseline", "check"}, "-tol must be a finite non-negative number"},
 		{"j malformed", []string{"-j", "many", "run", "T2"}, "invalid value"},

@@ -25,27 +25,50 @@ func sharedRunHandler(opts cmdOpts) *serveHandler {
 		func(path string) ([]byte, error) { return nil, fmt.Errorf("no file %s", path) })
 }
 
-// perView is a view's body of one id rendered from a run of its own:
-// the id observed for that view alone, under the view's options, and
-// projected as the CLI projects it.
-func perView(h *serveHandler, name, id, fname string) serveEntry {
+// ownRun is one id observed alone under one set of options.
+type ownRun struct {
+	id   string
+	opts core.ObserveOpts
+}
+
+// ownRuns observes each (id, options) once; an observation is a pure
+// function of the two, so every view asking for the same pair shares it.
+type ownRuns struct {
+	h    *serveHandler
+	seen map[ownRun]observed
+}
+
+type observed struct {
+	runs []*core.Observation
+	st   *core.RunStats
+	err  error
+}
+
+// perView is a view's data for one id from a run of its own: the id
+// observed under the view's options alone, and projected as the CLI
+// projects it.
+func (o *ownRuns) perView(name, id string) (*viewData, error) {
 	v := views[name]
-	runs, st, err := h.runner.ObserveRuns(h.cfg, []string{id}, v.opts(h.opts))
-	var d *viewData
-	if err == nil {
-		d, err = v.projectFor(runs, st, h.opts)
+	k := ownRun{id, v.opts(o.h.opts)}
+	r, ok := o.seen[k]
+	if !ok {
+		r.runs, r.st, r.err = o.h.runner.ObserveRuns(o.h.cfg, []string{id}, k.opts)
+		o.seen[k] = r
 	}
-	return body(name, id, fname, d, err)
+	if r.err != nil {
+		return nil, r.err
+	}
+	return v.projectFor(r.runs, r.st, o.h.opts)
 }
 
 // Every API body comes from the id's shared run, and must equal the
-// body of a run of its own (perView). Checked for every view, format
-// and id of the view's set — L1's audit included — under the default
-// flags, with exemplars at a window other than 100 ms (the views then
-// need two runs), and under a fault plan.
+// body of a run of its own (perView), in every format. Checked for every
+// view and id of the view's set — L1's audit included — under the
+// default flags, with exemplars at a window other than 100 ms (the views
+// then need two runs), and under a fault plan.
 func TestServeSharedRunMatchesPerView(t *testing.T) {
 	if testing.Short() {
-		t.Skip("observes every id once per view")
+		t.Skip("observes every id once per view options")
 	}
 	data, err := os.ReadFile("../../examples/scale-lossy.json")
 	if err != nil {
@@ -66,6 +89,7 @@ func TestServeSharedRunMatchesPerView(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			h := sharedRunHandler(tc.opts)
+			own := &ownRuns{h: h, seen: make(map[ownRun]observed)}
 			var names []string
 			for name, v := range views {
 				if v.api != nil {
@@ -79,7 +103,8 @@ func TestServeSharedRunMatchesPerView(t *testing.T) {
 					for _, fname := range v.api {
 						path := apiKey("/api/"+name+"/"+id, v, fname)
 						got := serveBody(t, h, path)
-						want := perView(h, name, id, fname)
+						d, err := own.perView(name, id)
+						want := body(name, id, fname, d, err)
 						if want.Code != http.StatusOK {
 							t.Fatalf("%s: per-view path answered %d: %s", path, want.Code, want.Body)
 						}

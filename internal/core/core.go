@@ -6,7 +6,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 	"strconv"
 	"sync"
@@ -87,9 +86,6 @@ type Series struct {
 	// for tables).
 	Samples []*stats.Sample
 }
-
-// MeanAt returns the sample mean at index i.
-func (s *Series) MeanAt(i int) float64 { return s.Samples[i].Mean() }
 
 // Result is one executed experiment.
 type Result struct {
@@ -263,34 +259,6 @@ func Lookup(id string) (*Experiment, bool) {
 	})
 	e, ok := lookupIndex[id]
 	return e, ok
-}
-
-// IDs returns all experiment IDs in order.
-func IDs() []string {
-	out := make([]string, len(registry))
-	for i, e := range registry {
-		out[i] = e.ID
-	}
-	return out
-}
-
-// ValidateRegistry checks registry invariants (unique IDs, runnable
-// entries). Exposed for tests.
-func ValidateRegistry() error {
-	seen := map[string]bool{}
-	for _, e := range registry {
-		if seen[e.ID] {
-			return fmt.Errorf("core: duplicate experiment id %q", e.ID)
-		}
-		seen[e.ID] = true
-		if e.Series == nil {
-			return fmt.Errorf("core: experiment %q has no Series", e.ID)
-		}
-		if e.ID == "" || e.Title == "" || e.Paper == "" {
-			return fmt.Errorf("core: experiment %q missing metadata", e.ID)
-		}
-	}
-	return nil
 }
 
 // noiseSample replicates a deterministic model mean into a run sample

@@ -1,11 +1,28 @@
 package core
 
 import (
+	"encoding/json"
 	"testing"
 
 	"repro/internal/osprofile"
 	"repro/internal/stats"
 )
+
+// runValues returns a sample's observations in run order, read back
+// through the JSON encoding the memo store keeps, which round-trips every
+// float exactly.
+func runValues(t *testing.T, s *stats.Sample) []float64 {
+	t.Helper()
+	data, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v []float64
+	if err := json.Unmarshal(data, &v); err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
 
 // smallConfig keeps suite-level tests quick: 5 runs, default systems.
 func smallConfig() Config {
@@ -14,9 +31,21 @@ func smallConfig() Config {
 	return cfg
 }
 
+// TestRegistryValid checks the registry's invariants: unique IDs and
+// runnable entries with their metadata.
 func TestRegistryValid(t *testing.T) {
-	if err := ValidateRegistry(); err != nil {
-		t.Fatal(err)
+	seen := map[string]bool{}
+	for _, e := range registry {
+		if seen[e.ID] {
+			t.Errorf("duplicate experiment id %q", e.ID)
+		}
+		seen[e.ID] = true
+		if e.Series == nil {
+			t.Errorf("experiment %q has no Series", e.ID)
+		}
+		if e.ID == "" || e.Title == "" || e.Paper == "" {
+			t.Errorf("experiment %q missing metadata", e.ID)
+		}
 	}
 }
 
@@ -183,7 +212,7 @@ func TestDeterministicResults(t *testing.T) {
 	a := e.Run(cfg)
 	b := e.Run(cfg)
 	for i := range a.Series {
-		av, bv := a.Series[i].Samples[0].Values(), b.Series[i].Samples[0].Values()
+		av, bv := runValues(t, a.Series[i].Samples[0]), runValues(t, b.Series[i].Samples[0])
 		for j := range av {
 			if av[j] != bv[j] {
 				t.Fatalf("run not reproducible: %v vs %v", av[j], bv[j])
@@ -195,7 +224,7 @@ func TestDeterministicResults(t *testing.T) {
 	cfg2 := cfg
 	cfg2.Seed = 99
 	c := e.Run(cfg2)
-	if c.Series[0].Samples[0].Values()[0] == a.Series[0].Samples[0].Values()[0] {
+	if runValues(t, c.Series[0].Samples[0])[0] == runValues(t, a.Series[0].Samples[0])[0] {
 		t.Fatal("different seeds should give different noise draws")
 	}
 }
@@ -295,19 +324,6 @@ func TestNoiseForCoversAllAreas(t *testing.T) {
 		if noiseFor(p, a) <= 0 {
 			t.Errorf("noise area %d has non-positive level", a)
 		}
-	}
-}
-
-func TestIDsAndMeanAt(t *testing.T) {
-	ids := IDs()
-	if len(ids) != len(All()) {
-		t.Fatalf("IDs() returned %d, want %d", len(ids), len(All()))
-	}
-	e, _ := Lookup("T2")
-	res := e.Run(smallConfig())
-	s := res.Series[0]
-	if s.MeanAt(0) != s.Samples[0].Mean() {
-		t.Fatal("MeanAt disagrees with Samples")
 	}
 }
 

@@ -2,9 +2,7 @@ package core
 
 import (
 	"repro/internal/bench"
-	"repro/internal/fs"
 	"repro/internal/osprofile"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -60,27 +58,11 @@ func init() {
 }
 
 // crtdelDiskOps counts synchronous metadata disk writes per crtdel
-// iteration for one personality.
+// iteration for one personality, from the fs counters of a scoped
+// bench.Crtdel run at 1 KB.
 func crtdelDiskOps(plat bench.Platform, p *osprofile.Profile, seed uint64) float64 {
-	clock := &sim.Clock{}
-	fsys := fs.MustNew(clock, plat.Disk(sim.NewRNG(seed)), p)
-	const iters = 20
-	for i := 0; i < iters; i++ {
-		f, err := fsys.Create("/t")
-		if err != nil {
-			panic(err)
-		}
-		f.Write(1024)
-		f.Close()
-		g, err := fsys.Open("/t")
-		if err != nil {
-			panic(err)
-		}
-		g.Read(1024)
-		g.Close()
-		if err := fsys.Unlink("/t"); err != nil {
-			panic(err)
-		}
-	}
-	return float64(fsys.Stats().SyncMetaWrites) / iters
+	var s bench.Scope
+	s.Crtdel(plat, p, 1<<10, seed)
+	writes, _ := s.Metrics.Get("fs.sync_meta_writes")
+	return writes / bench.CrtdelIterations
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -97,7 +98,7 @@ func faultedPlan() *fault.Plan {
 func sameObservation(t *testing.T, a, b *SuiteObservation) {
 	t.Helper()
 	ma, mb := a.Metrics.ExcludePrefix("runner."), b.Metrics.ExcludePrefix("runner.")
-	if !ma.Equal(mb) {
+	if !reflect.DeepEqual(ma, mb) {
 		t.Fatalf("metric snapshots differ:\n%s\nagainst\n%s", ma, mb)
 	}
 	ca := chromeBytes(t, a)

@@ -37,7 +37,7 @@ func assertResultsIdentical(t *testing.T, want, got []*Result) {
 				}
 			}
 			for i := range ws.Samples {
-				wv, gv := ws.Samples[i].Values(), gs.Samples[i].Values()
+				wv, gv := runValues(t, ws.Samples[i]), runValues(t, gs.Samples[i])
 				if len(wv) != len(gv) {
 					t.Fatalf("%s/%s point %d: %d vs %d runs", w.ID, ws.Label, i, len(wv), len(gv))
 				}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"reflect"
 	"testing"
 
 	"repro/internal/fault"
@@ -36,7 +37,7 @@ func TestScaleDeterminismTenThousandClients(t *testing.T) {
 			}
 			m1 := s1.Metrics.ExcludePrefix("runner.")
 			m8 := s8.Metrics.ExcludePrefix("runner.")
-			if !m1.Equal(m8) {
+			if !reflect.DeepEqual(m1, m8) {
 				t.Fatalf("scale metrics differ between -j 1 and -j 8:\n-j1:\n%s\n-j8:\n%s", m1, m8)
 			}
 			if !bytes.Equal(chromeBytes(t, s1), chromeBytes(t, s8)) {

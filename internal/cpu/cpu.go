@@ -2,10 +2,8 @@
 // Pentium P54C at 100 MHz, as described in §2.2 of the paper.
 //
 // The model is deliberately coarse: it converts cycle counts produced by the
-// cache and memory models into virtual time, and it provides a calibrated
-// instructions-per-cycle figure for charging synthetic compute work (the
-// compile phase of the Modified Andrew Benchmark, for example). It does not
-// simulate the pipeline; the paper's results depend on the memory hierarchy
+// cache and memory models into virtual time. It does not simulate the
+// pipeline; the paper's results depend on the memory hierarchy
 // and the operating systems, not on instruction scheduling details.
 package cpu
 
@@ -15,7 +13,7 @@ import (
 	"repro/internal/sim"
 )
 
-// CPU describes a processor clock and its sustained superscalar throughput.
+// CPU describes a processor clock and its issue width.
 type CPU struct {
 	// Name identifies the processor model.
 	Name string
@@ -24,41 +22,21 @@ type CPU struct {
 	// IssueWidth is the maximum instructions issued per cycle. The P54C is
 	// a dual-issue design (U and V pipes).
 	IssueWidth int
-	// SustainedIPC is the average instructions per cycle achieved on
-	// integer-heavy compiler-style code, used to convert instruction counts
-	// into time. Real Pentium code rarely sustained full dual issue; 1.1 is
-	// a representative figure for gcc-generated code.
-	SustainedIPC float64
 }
 
 // PentiumP54C100 returns the paper's processor: a 100 MHz Pentium P54C.
 func PentiumP54C100() CPU {
 	return CPU{
-		Name:         "Intel Pentium P54C",
-		MHz:          100,
-		IssueWidth:   2,
-		SustainedIPC: 1.1,
+		Name:       "Intel Pentium P54C",
+		MHz:        100,
+		IssueWidth: 2,
 	}
-}
-
-// CycleTime returns the duration of a single clock cycle.
-func (c CPU) CycleTime() sim.Duration {
-	return c.Cycles(1)
 }
 
 // Cycles converts a (possibly fractional) cycle count to virtual time.
 // One cycle at f MHz lasts 1000/f nanoseconds.
 func (c CPU) Cycles(n float64) sim.Duration {
 	return sim.Duration(n * 1000 / c.MHz)
-}
-
-// Instructions converts an instruction count into virtual time using the
-// sustained IPC.
-func (c CPU) Instructions(n float64) sim.Duration {
-	if c.SustainedIPC <= 0 {
-		panic("cpu: SustainedIPC must be positive")
-	}
-	return c.Cycles(n / c.SustainedIPC)
 }
 
 // String describes the CPU.

@@ -20,13 +20,6 @@ func TestPentiumDescription(t *testing.T) {
 	}
 }
 
-func TestCycleTime(t *testing.T) {
-	p := PentiumP54C100()
-	if got := p.CycleTime(); got != 10*sim.Nanosecond {
-		t.Errorf("CycleTime() = %v, want 10ns at 100 MHz", got)
-	}
-}
-
 func TestCycles(t *testing.T) {
 	p := PentiumP54C100()
 	if got := p.Cycles(100); got != sim.Microsecond {
@@ -35,23 +28,4 @@ func TestCycles(t *testing.T) {
 	if got := p.Cycles(0.5); got != 5*sim.Nanosecond {
 		t.Errorf("Cycles(0.5) = %v, want 5ns", got)
 	}
-}
-
-func TestInstructions(t *testing.T) {
-	p := PentiumP54C100()
-	// 1.1M instructions at IPC 1.1 = 1M cycles = 10ms (within float
-	// truncation of a nanosecond).
-	got := p.Instructions(1.1e6)
-	if d := got - 10*sim.Millisecond; d < -1 || d > 1 {
-		t.Errorf("Instructions(1.1e6) = %v, want ~10ms", got)
-	}
-}
-
-func TestInstructionsPanicsOnZeroIPC(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Instructions with zero IPC did not panic")
-		}
-	}()
-	CPU{MHz: 100}.Instructions(1)
 }

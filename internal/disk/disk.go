@@ -177,9 +177,6 @@ func (d *Disk) Geometry() Geometry { return d.geom }
 // Stats returns a copy of the traffic counters.
 func (d *Disk) Stats() Stats { return d.stats }
 
-// ResetStats zeroes the counters.
-func (d *Disk) ResetStats() { d.stats = Stats{} }
-
 // Blocks returns the number of addressable blocks.
 func (d *Disk) Blocks() int64 { return d.totalBlocks }
 
@@ -279,13 +276,4 @@ func (d *Disk) StreamTransferTime(nbytes int) sim.Duration {
 		d.tsBusy.Add(now, int64(xfer))
 	}
 	return xfer
-}
-
-// AvgRandomAccess estimates the expected cost of a random single-block
-// access: average seek, half a rotation, one block transfer, and the
-// controller overhead. The paper measured ~14 ms for this on its disks.
-func (d *Disk) AvgRandomAccess(nbytes int) sim.Duration {
-	return d.geom.AvgSeek + d.rotation()/2 +
-		sim.Duration(float64(nbytes)/(d.geom.TransferMBs*1e6)*float64(sim.Second)) +
-		d.geom.ControllerOverhead
 }

@@ -201,11 +201,6 @@ func Load(data []byte) (*Plan, error) {
 	return p, nil
 }
 
-// Marshal renders the plan as indented JSON.
-func (p *Plan) Marshal() ([]byte, error) {
-	return json.MarshalIndent(p, "", "  ")
-}
-
 // Injectors bundles one run's per-subsystem injectors. Inactive
 // subsystems get nil members, which the models treat as "no faults".
 type Injectors struct {
@@ -233,9 +228,6 @@ func New(plan *Plan, rng *sim.RNG) Injectors {
 	}
 	return inj
 }
-
-// Active reports whether any injector is live.
-func (i Injectors) Active() bool { return i.Disk != nil || i.Net != nil || i.Cache != nil }
 
 // FoldMetrics adds every live injector's counters to a registry under the
 // given prefix ("fault." conventionally). Callers fold only on faulted

@@ -118,7 +118,7 @@ func TestNilInjectorsAreInert(t *testing.T) {
 		t.Error("nil CacheInjector stole pages")
 	}
 	inj := New(nil, nil)
-	if inj.Active() {
+	if inj != (Injectors{}) {
 		t.Error("New(nil) built live injectors")
 	}
 	inj = New(&Plan{}, sim.NewRNG(1))

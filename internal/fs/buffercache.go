@@ -95,18 +95,6 @@ func (c *BufferCache) SetCapacity(bytes int64) (writeBack []int64) {
 	return writeBack
 }
 
-// Bytes returns the bytes currently cached.
-func (c *BufferCache) Bytes() int64 { return c.bytes }
-
-// DirtyBytes returns the bytes of dirty data currently cached.
-func (c *BufferCache) DirtyBytes() int64 { return c.dirty }
-
-// Resident reports whether blk is cached, without disturbing LRU order.
-func (c *BufferCache) Resident(blk int64) bool {
-	_, ok := c.entries[blk]
-	return ok
-}
-
 func (c *BufferCache) unlink(e *bufEntry) {
 	if e.prev != nil {
 		e.prev.next = e.next
@@ -315,13 +303,4 @@ func (c *BufferCache) drop(e *bufEntry) {
 	e.blk = 0
 	e.next = c.freeEnt
 	c.freeEnt = e
-}
-
-// Clear empties the cache (fresh file system).
-func (c *BufferCache) Clear() {
-	c.entries = make(map[int64]*bufEntry)
-	c.head, c.tail = nil, nil
-	c.dhead, c.dtail = nil, nil
-	c.freeEnt = nil
-	c.bytes, c.dirty = 0, 0
 }

@@ -148,16 +148,6 @@ func TestCacheInvalidate(t *testing.T) {
 	c.Invalidate(2) // absent: no-op
 }
 
-func TestCacheClear(t *testing.T) {
-	c := newCache(4, 4)
-	c.Insert(1, true)
-	c.Insert(2, false)
-	c.Clear()
-	if c.Bytes() != 0 || c.DirtyBytes() != 0 || c.Resident(1) {
-		t.Fatal("Clear left state")
-	}
-}
-
 func TestCacheInsertResidentPanics(t *testing.T) {
 	c := newCache(4, 4)
 	c.Insert(1, false)

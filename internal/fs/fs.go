@@ -51,7 +51,6 @@ type inode struct {
 type File struct {
 	fs     *FileSystem
 	node   *inode
-	path   string
 	offset int64
 	closed bool
 }
@@ -179,14 +178,8 @@ func (f *FileSystem) SetCacheBudget(bytes int64) {
 	f.Remake()
 }
 
-// OS returns the personality this file system instance models.
-func (f *FileSystem) OS() *osprofile.Profile { return f.os }
-
 // Stats returns a copy of the activity counters.
 func (f *FileSystem) Stats() Stats { return f.stats }
-
-// Cache exposes the buffer cache for inspection.
-func (f *FileSystem) Cache() *BufferCache { return f.cache }
 
 // Disk exposes the underlying disk (for metric folds and inspection).
 func (f *FileSystem) Disk() *disk.Disk { return f.d }
@@ -359,14 +352,14 @@ func (f *FileSystem) Create(path string) (*File, error) {
 		existing.size = 0
 		f.stats.Creates++
 		f.metaUpdate(f.os.FS.SyncWritesPerCreate, parent, false)
-		return &File{fs: f, node: existing, path: path}, nil
+		return &File{fs: f, node: existing}, nil
 	}
 	n := &inode{ino: f.newIno()}
 	parent.kids[name] = n
 	f.stats.Creates++
 	f.metaUpdate(f.os.FS.SyncWritesPerCreate, parent, false)
 	f.attrCache[path] = true
-	return &File{fs: f, node: n, path: path}, nil
+	return &File{fs: f, node: n}, nil
 }
 
 // Open opens an existing file for reading and writing.
@@ -380,7 +373,7 @@ func (f *FileSystem) Open(path string) (*File, error) {
 		return nil, fmt.Errorf("fs: open %q: is a directory", path)
 	}
 	f.stats.Opens++
-	return &File{fs: f, node: n, path: path}, nil
+	return &File{fs: f, node: n}, nil
 }
 
 // Unlink removes a file, invalidating its cached blocks.
@@ -517,9 +510,6 @@ func (fl *File) Close() {
 // Size returns the file's current size.
 func (fl *File) Size() int64 { return fl.node.size }
 
-// Path returns the path the file was opened with.
-func (fl *File) Path() string { return fl.path }
-
 // SeekTo sets the file offset (lseek with SEEK_SET). The name avoids the
 // io.Seeker signature, which this simulated descriptor deliberately does
 // not implement.
@@ -527,9 +517,6 @@ func (fl *File) SeekTo(offset int64) {
 	fl.fs.charge(PhaseVFS, fl.fs.os.Kernel.Syscall)
 	fl.offset = offset
 }
-
-// Offset returns the current file offset.
-func (fl *File) Offset() int64 { return fl.offset }
 
 // Write writes n bytes at the current offset, extending the file as
 // needed, and advances the offset.
@@ -715,10 +702,4 @@ func (f *FileSystem) SyncAll() {
 	for _, blk := range f.cache.FlushAll() {
 		f.flushBlock(blk)
 	}
-}
-
-// Exists reports whether a path resolves.
-func (f *FileSystem) Exists(path string) bool {
-	_, err := f.lookup(path)
-	return err == nil
 }

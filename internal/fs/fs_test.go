@@ -156,7 +156,7 @@ func TestSyncMetadataHitsDisk(t *testing.T) {
 		g.Close()
 		r.fs.Unlink("/f")
 	})
-	fsc := r.fs.OS().FS
+	fsc := r.fs.os.FS
 	want := uint64(fsc.SyncWritesPerCreate + fsc.SyncWritesPerUnlink)
 	if got := r.fs.Stats().SyncMetaWrites; got != want {
 		t.Fatalf("FFS sync writes = %d, want %d", got, want)
@@ -257,7 +257,7 @@ func TestDirtyThrottleFlushes(t *testing.T) {
 	if w := r.fs.Stats().DataDiskWrites; w == 0 {
 		t.Fatal("writing past the dirty limit must flush to disk")
 	}
-	if d := r.fs.Cache().DirtyBytes(); d > int64(r.fs.OS().FS.DirtyLimitMB)<<20 {
+	if d := r.fs.cache.DirtyBytes(); d > int64(r.fs.os.FS.DirtyLimitMB)<<20 {
 		t.Fatalf("dirty bytes %d exceed the limit after throttling", d)
 	}
 }
@@ -317,12 +317,12 @@ func TestSeekToAndOffset(t *testing.T) {
 	f, _ := r.fs.Create("/f")
 	f.Write(100000)
 	f.SeekTo(5000)
-	if f.Offset() != 5000 {
-		t.Fatalf("Offset = %d, want 5000", f.Offset())
+	if f.offset != 5000 {
+		t.Fatalf("Offset = %d, want 5000", f.offset)
 	}
 	got := f.Read(1000)
-	if got != 1000 || f.Offset() != 6000 {
-		t.Fatalf("Read after seek: n=%d offset=%d", got, f.Offset())
+	if got != 1000 || f.offset != 6000 {
+		t.Fatalf("Read after seek: n=%d offset=%d", got, f.offset)
 	}
 	f.Close()
 }
@@ -365,7 +365,7 @@ func TestRemakeResetsEverything(t *testing.T) {
 	if r.fs.Stats().Creates != 0 {
 		t.Fatal("Remake left old stats")
 	}
-	if r.fs.Cache().Bytes() != 0 {
+	if r.fs.cache.Bytes() != 0 {
 		t.Fatal("Remake left cached blocks")
 	}
 }
@@ -375,11 +375,11 @@ func TestSyncAllCleansCache(t *testing.T) {
 	f, _ := r.fs.Create("/f")
 	f.Write(1 << 20)
 	f.Close()
-	if r.fs.Cache().DirtyBytes() == 0 {
+	if r.fs.cache.DirtyBytes() == 0 {
 		t.Fatal("expected dirty data before sync")
 	}
 	r.fs.SyncAll()
-	if r.fs.Cache().DirtyBytes() != 0 {
+	if r.fs.cache.DirtyBytes() != 0 {
 		t.Fatal("SyncAll left dirty data")
 	}
 }
@@ -389,9 +389,9 @@ func TestUnlinkInvalidatesCachedBlocks(t *testing.T) {
 	f, _ := r.fs.Create("/f")
 	f.Write(1 << 20)
 	f.Close()
-	before := r.fs.Cache().Bytes()
+	before := r.fs.cache.Bytes()
 	r.fs.Unlink("/f")
-	if after := r.fs.Cache().Bytes(); after >= before {
+	if after := r.fs.cache.Bytes(); after >= before {
 		t.Fatalf("unlink did not shrink cache: %d -> %d", before, after)
 	}
 }
@@ -478,7 +478,7 @@ func TestRenameSyncMetadataCost(t *testing.T) {
 	fb.fs.Create("/f")
 	before = fb.fs.Stats().SyncMetaWrites
 	fb.fs.Rename("/f", "/g")
-	fsc := fb.fs.OS().FS
+	fsc := fb.fs.os.FS
 	want := before + uint64(fsc.SyncWritesPerCreate+fsc.SyncWritesPerUnlink)
 	if got := fb.fs.Stats().SyncMetaWrites; got != want {
 		t.Errorf("FFS rename sync writes = %d, want %d", got, want)

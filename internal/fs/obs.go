@@ -67,9 +67,6 @@ func (f *FileSystem) Observe(rec *obs.Recorder) {
 	}
 }
 
-// Recorder returns the attached recorder (nil when detached).
-func (f *FileSystem) Recorder() *obs.Recorder { return f.rec }
-
 // PhaseTime returns the virtual time charged to one phase since Remake.
 func (f *FileSystem) PhaseTime(ph Phase) sim.Duration { return f.phases[ph] }
 

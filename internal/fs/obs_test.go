@@ -99,8 +99,8 @@ func TestFSObserveSpans(t *testing.T) {
 	if r.clock.Now() != plain.clock.Now() {
 		t.Fatalf("observing changed timing: %v vs %v", r.clock.Now(), plain.clock.Now())
 	}
-	if r.fs.Recorder() != rec {
-		t.Fatal("Recorder() did not return the attached recorder")
+	if r.fs.rec != rec {
+		t.Fatal("Observe did not attach the recorder")
 	}
 
 	begins := make(map[string]int)
@@ -139,14 +139,14 @@ func TestFSObserveSpans(t *testing.T) {
 	}
 
 	// Detaching stops emission.
-	n := rec.Len()
+	n := len(rec.Events())
 	r.fs.Observe(nil)
 	fl, err := r.fs.Create("/quiet")
 	if err != nil {
 		t.Fatal(err)
 	}
 	fl.Close()
-	if rec.Len() != n {
+	if len(rec.Events()) != n {
 		t.Fatal("detached file system still recorded events")
 	}
 }

@@ -46,12 +46,12 @@ func TestGetpidChargesSyscall(t *testing.T) {
 	m := newLinux()
 	th := m.SpawnThread("getpid", []Op{{Kind: OpSyscall}}, 1000)
 	elapsed := m.Run()
-	if th.TID() == 0 {
+	if th.tid == 0 {
 		t.Fatal("thread has TID 0")
 	}
 	// The single initial dispatch is the only other charge; the goodness
 	// scan examined the one live task.
-	k := &m.OS().Kernel
+	k := &m.os.Kernel
 	if want := k.CtxBase + k.CtxPerTask; th.FirstRun.Sub(0) != want {
 		t.Fatalf("first run at %v, want the one dispatch %v", th.FirstRun.Sub(0), want)
 	}
@@ -79,7 +79,7 @@ func TestPIDsAreUnique(t *testing.T) {
 	m := newLinux()
 	a := m.SpawnThread("a", []Op{think}, 1)
 	b := m.SpawnThread("b", []Op{think}, 1)
-	if a.TID() == b.TID() {
+	if a.tid == b.tid {
 		t.Fatal("duplicate PIDs")
 	}
 	if a.name != "a" || b.name != "b" {
@@ -110,15 +110,15 @@ func TestPipeBlocksWriterAtCapacity(t *testing.T) {
 	rec := obs.NewRecorder(nil)
 	m.Observe(rec)
 	pipe := m.NewPipe()
-	cap := pipe.Capacity()
+	cap := pipe.capacity
 	// The first write fits exactly; the second must block until the
 	// reader drains.
 	writer := m.SpawnThread("writer", []Op{write(pipe, cap), write(pipe, 1)}, 1)
 	reader := m.SpawnThread("reader", []Op{read(pipe, cap+1)}, 1)
 	m.Run()
 	ev := instants(rec)
-	block := firstInstant(ev, "block", writer.TID())
-	if block < 0 || block > firstInstant(ev, "dispatch", reader.TID()) {
+	block := firstInstant(ev, "block", writer.tid)
+	if block < 0 || block > firstInstant(ev, "dispatch", reader.tid) {
 		t.Fatalf("writer did not block at capacity before the reader ran: %v", ev)
 	}
 	if pipe.BytesTransferred != uint64(cap+1) || reader.Retired < writer.Retired {
@@ -136,10 +136,10 @@ func TestPipeReadBlocksUntilData(t *testing.T) {
 	writer := m.SpawnThread("writer", []Op{write(pipe, 42)}, 1)
 	m.Run()
 	ev := instants(rec)
-	if block := firstInstant(ev, "block", reader.TID()); block < 0 || block > firstInstant(ev, "pipe-write", writer.TID()) {
+	if block := firstInstant(ev, "block", reader.tid); block < 0 || block > firstInstant(ev, "pipe-write", writer.tid) {
 		t.Fatalf("reader did not block on the empty pipe before the write: %v", ev)
 	}
-	if i := firstInstant(ev, "pipe-read", reader.TID()); i < 0 || ev[i].Detail != "42 bytes (buffered 0)" {
+	if i := firstInstant(ev, "pipe-read", reader.tid); i < 0 || ev[i].Detail != "42 bytes (buffered 0)" {
 		t.Fatalf("read did not take the 42 available bytes: %v", ev)
 	}
 }
@@ -244,7 +244,7 @@ func TestSchedulerPickOrderFIFO(t *testing.T) {
 		for i := 1; i < len(threads); i++ {
 			if threads[i].FirstRun <= threads[i-1].FirstRun {
 				t.Fatalf("%v: thread %d ran at %v, not after thread %d at %v",
-					m.OS(), i, threads[i].FirstRun, i-1, threads[i-1].FirstRun)
+					m.os, i, threads[i].FirstRun, i-1, threads[i-1].FirstRun)
 			}
 		}
 	}
@@ -397,7 +397,7 @@ func TestForkExecCosts(t *testing.T) {
 	m := newSolaris()
 	m.SpawnThread("parent", []Op{{Kind: OpFork}, {Kind: OpExec}}, 1)
 	elapsed := m.Run()
-	k := m.OS().Kernel
+	k := m.os.Kernel
 	want := k.Fork + k.Exec
 	if elapsed < want || m.PhaseTime(PhaseProcess) != want {
 		t.Fatalf("fork+exec advanced %v (process phase %v), want at least %v", elapsed, m.PhaseTime(PhaseProcess), want)
@@ -489,7 +489,7 @@ func ringAllocs(laps int) float64 {
 // nothing: no recorder, and no per-event formatting — a pipe ring
 // allocates the same at 1,000 and 10,000 laps.
 func TestTraceOffByDefault(t *testing.T) {
-	if newLinux().Recorder() != nil {
+	if newLinux().rec != nil {
 		t.Fatal("a fresh machine has a recorder attached")
 	}
 	if a, b := ringAllocs(1_000), ringAllocs(10_000); a != b {
@@ -526,7 +526,7 @@ func TestTraceLimitBounds(t *testing.T) {
 		m.SpawnThread("w", nil, 1)
 	}
 	m.Run()
-	if got := rec.Len(); got > 5 {
+	if got := len(rec.Events()); got > 5 {
 		t.Fatalf("trace kept %d events, limit 5", got)
 	}
 }
@@ -581,11 +581,11 @@ func TestPhaseSumsEqualElapsed(t *testing.T) {
 		}
 		if sum != elapsed {
 			t.Errorf("%s: phase sum %v != elapsed %v (breakdown %v)",
-				m.OS().Name, sum, elapsed, m.PhaseBreakdown())
+				m.os.Name, sum, elapsed, m.PhaseBreakdown())
 		}
 		for ph := Phase(0); ph < NumPhases; ph++ {
 			if m.PhaseTime(ph) == 0 {
-				t.Errorf("%s: expected every phase nonzero: %v", m.OS().Name, m.PhaseBreakdown())
+				t.Errorf("%s: expected every phase nonzero: %v", m.os.Name, m.PhaseBreakdown())
 			}
 		}
 	}
@@ -596,7 +596,7 @@ func TestObserveRecordsSpans(t *testing.T) {
 	rec := obs.NewRecorder(nil)
 	m.Observe(rec)
 	pipe := m.NewPipe()
-	total := pipe.Capacity() * 2 // overfill so the writer blocks and gets woken
+	total := pipe.capacity * 2 // overfill so the writer blocks and gets woken
 	m.SpawnThread("w", []Op{write(pipe, total)}, 1)
 	m.SpawnThread("r", []Op{read(pipe, total)}, 1)
 	m.Run()

@@ -74,16 +74,8 @@ type Lock struct {
 
 // NewLock creates a lock of the given kind on the machine.
 func (m *Machine) NewLock(kind LockKind) *Lock {
-	l := &Lock{m: m, kind: kind, owner: -1}
-	m.locks = append(m.locks, l)
-	return l
+	return &Lock{m: m, kind: kind, owner: -1}
 }
-
-// Kind returns the lock's contention strategy.
-func (l *Lock) Kind() LockKind { return l.kind }
-
-// Locks returns the machine's locks in creation order.
-func (m *Machine) Locks() []*Lock { return m.locks }
 
 // acquire executes t's OpLock on CPU c. On success t.pc advances; a
 // failed spin poll leaves pc in place (the op retries at the thread's

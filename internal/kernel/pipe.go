@@ -30,9 +30,6 @@ func (m *Machine) NewPipe() *Pipe {
 	return &Pipe{m: m, capacity: m.os.Kernel.PipeCapacity}
 }
 
-// Capacity returns the kernel buffer size in bytes.
-func (pp *Pipe) Capacity() int { return pp.capacity }
-
 // Buffered returns the bytes currently in the kernel buffer.
 func (pp *Pipe) Buffered() int { return pp.buffered }
 

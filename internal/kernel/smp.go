@@ -197,9 +197,6 @@ type Thread struct {
 	FirstRun, Retired sim.Time
 }
 
-// TID returns the thread identifier (1-based, like PIDs).
-func (t *Thread) TID() int { return t.tid }
-
 // runQueue is a FIFO of ready threads that reuses its backing array:
 // pops advance a head index, the slice rewinds whenever it drains, and
 // a push into a full array first copies the live tail down — so a
@@ -265,8 +262,6 @@ type Machine struct {
 	// to the CPUs' total busy time (the elapsed time at NCPU=1).
 	phases [NumPhases]sim.Duration
 
-	locks []*Lock
-
 	elapsed  sim.Duration
 	finished bool
 
@@ -328,18 +323,11 @@ func MustMachine(os *osprofile.Profile, ncpu int) *Machine {
 	return m
 }
 
-// OS returns the machine's personality; NCPU its CPU count.
-func (m *Machine) OS() *osprofile.Profile { return m.os }
-
 // NCPU returns the number of virtual CPUs.
 func (m *Machine) NCPU() int { return m.ncpu }
 
-// Switches returns the context switches performed; Steals the dispatches
-// served by stealing from another CPU's queue.
+// Switches returns the context switches performed.
 func (m *Machine) Switches() uint64 { return m.switches }
-
-// Steals returns the number of cross-CPU queue steals.
-func (m *Machine) Steals() uint64 { return m.steals }
 
 // Elapsed returns the machine's total virtual run time (valid after Run).
 func (m *Machine) Elapsed() sim.Duration { return m.elapsed }

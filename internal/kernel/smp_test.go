@@ -100,9 +100,9 @@ func TestSMPContentionHappens(t *testing.T) {
 func TestSMPDeterministic(t *testing.T) {
 	m1, l1 := runContention(osprofile.Solaris24(), SpinLock, 8, 8, 100)
 	m2, l2 := runContention(osprofile.Solaris24(), SpinLock, 8, 8, 100)
-	if m1.Elapsed() != m2.Elapsed() || m1.Switches() != m2.Switches() || m1.Steals() != m2.Steals() {
+	if m1.Elapsed() != m2.Elapsed() || m1.Switches() != m2.Switches() || m1.steals != m2.steals {
 		t.Fatalf("identical runs diverged: elapsed %v/%v switches %d/%d steals %d/%d",
-			m1.Elapsed(), m2.Elapsed(), m1.Switches(), m2.Switches(), m1.Steals(), m2.Steals())
+			m1.Elapsed(), m2.Elapsed(), m1.Switches(), m2.Switches(), m1.steals, m2.steals)
 	}
 	if l1.Contended != l2.Contended || l1.WaitHist.Sum() != l2.WaitHist.Sum() {
 		t.Fatalf("identical runs diverged: contended %d/%d wait sums %d/%d",
@@ -125,7 +125,7 @@ func TestSMPWorkStealing(t *testing.T) {
 	m.SpawnThread("short", []Op{{Kind: OpThink, D: 1 * sim.Microsecond}}, 1)
 	m.SpawnThread("long-b", []Op{{Kind: OpThink, D: 100 * sim.Microsecond}}, 1)
 	m.Run()
-	if m.Steals() == 0 {
+	if m.steals == 0 {
 		t.Fatal("idle CPU never stole from the loaded CPU's queue")
 	}
 	// A global-queue personality on the same workload steals nothing.
@@ -134,8 +134,8 @@ func TestSMPWorkStealing(t *testing.T) {
 	g.SpawnThread("short", []Op{{Kind: OpThink, D: 1 * sim.Microsecond}}, 1)
 	g.SpawnThread("long-b", []Op{{Kind: OpThink, D: 100 * sim.Microsecond}}, 1)
 	g.Run()
-	if g.Steals() != 0 {
-		t.Fatalf("global-queue machine reported %d steals", g.Steals())
+	if g.steals != 0 {
+		t.Fatalf("global-queue machine reported %d steals", g.steals)
 	}
 }
 

@@ -39,9 +39,6 @@ func (m *Machine) Observe(rec *obs.Recorder) {
 	}
 }
 
-// Recorder returns the attached obs recorder (nil when detached).
-func (m *Machine) Recorder() *obs.Recorder { return m.rec }
-
 // SetSampler attaches a virtual-time time-series sampler: per window it
 // records context switches (kernel.switches) and samples the count of
 // runnable-or-running threads (kernel.runnable) at every ready/dispatch

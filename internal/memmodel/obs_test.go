@@ -18,7 +18,8 @@ func TestObservedBandwidthMatchesBandwidth(t *testing.T) {
 			if plain != obs.MBs {
 				t.Errorf("%v/%d: observed %v != plain %v", r, size, obs.MBs, plain)
 			}
-			total := obs.Breakdown.Total()
+			b := obs.Breakdown
+			total := b.L1 + b.L2 + b.Mem + b.WriteBack + b.Overhead
 			diff := total - obs.SimCycles
 			if diff < 0 {
 				diff = -diff

@@ -69,9 +69,6 @@ func OpenStore(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // path maps key material to its entry file: <dir>/<2 hex>/<62 hex>.json,
 // the leading byte fanning entries out across 256 subdirectories. The
 // .json name is kept from the JSON entry layout, so the first Put after

@@ -56,17 +56,11 @@ func MustUDP(p *osprofile.Profile) *UDP {
 // EMSGSIZE past it).
 func (u *UDP) MaxDatagram() int { return u.os.Net.UDPMaxDatagram }
 
-// PacketTime returns the CPU time one datagram of the given payload size
-// consumes end to end: sender syscall and packetisation, the copies down
-// and up (the per-KB constant already aggregates the path's copy count —
-// Linux's includes its two unnecessary extra copies), and receiver
-// delivery.
-func (u *UDP) PacketTime(size int) sim.Duration {
-	return u.PacketBreakdown(size).Total()
-}
-
-// UDPBreakdown attributes one datagram's CPU time to its components. The
-// parts sum exactly to PacketTime (integer durations, same charges).
+// UDPBreakdown attributes the CPU time one datagram of a given payload
+// size consumes end to end to its components: sender syscall and
+// packetisation, the copies down and up (the per-KB constant already
+// aggregates the path's copy count — Linux's includes its two unnecessary
+// extra copies), and receiver delivery.
 type UDPBreakdown struct {
 	// PerPacket is the fixed protocol processing per datagram.
 	PerPacket sim.Duration
@@ -76,10 +70,10 @@ type UDPBreakdown struct {
 	Syscall sim.Duration
 }
 
-// Total returns the summed packet time.
+// Total returns the summed packet time (integer durations, so exact).
 func (b UDPBreakdown) Total() sim.Duration { return b.PerPacket + b.Copy + b.Syscall }
 
-// PacketBreakdown returns the per-component decomposition of PacketTime.
+// PacketBreakdown returns the decomposition of one datagram's CPU time.
 func (u *UDP) PacketBreakdown(size int) UDPBreakdown {
 	if size <= 0 {
 		panic("netstack: datagram size must be positive")
@@ -210,10 +204,11 @@ func (t *TCP) segTime(payload int) sim.Duration {
 	return n.TCPPerPacket + sim.Duration(int64(n.TCPCopyPerKB)*int64(payload)/1024)
 }
 
-// TCPStats decomposes a Transfer: the event counts of the sliding-window
-// walk and the time each activity consumed. SegTime + AckTime +
-// SwitchTime + FaultTime equals the elapsed transfer time exactly —
-// every duration the walk accrues is tagged with one of the four.
+// TCPStats decomposes a TransferObserved walk: the event counts of the
+// sliding-window walk and the time each activity consumed. SegTime +
+// AckTime + SwitchTime + FaultTime equals the elapsed transfer time
+// exactly — every duration the walk accrues is tagged with one of the
+// four.
 type TCPStats struct {
 	// Segments is the number of MSS-or-smaller segments sent.
 	Segments uint64
@@ -251,19 +246,13 @@ func (s TCPStats) FoldMetrics(reg *obs.Registry, prefix string) {
 	}
 }
 
-// Transfer simulates moving totalBytes through the connection and returns
-// the elapsed time. The simulation walks the sliding window: the sender
-// emits segments while it has window credit; when the window closes, the
-// scheduler switches to the receiver, which drains the in-flight segments,
-// acknowledges (AckCost), and control returns to the sender (a second
-// switch).
-func (t *TCP) Transfer(totalBytes int) sim.Duration {
-	elapsed, _ := t.TransferObserved(totalBytes, nil)
-	return elapsed
-}
-
-// TransferObserved is Transfer with the walk decomposed into TCPStats
-// and, when rec is non-nil, traced: send bursts become spans on a
+// TransferObserved simulates moving totalBytes through the connection and
+// returns the elapsed time. The simulation walks the sliding window: the
+// sender emits segments while it has window credit; when the window
+// closes, the scheduler switches to the receiver, which drains the
+// in-flight segments, acknowledges (AckCost), and control returns to the
+// sender (a second switch). The walk is decomposed into TCPStats and,
+// when rec is non-nil, traced: send bursts become spans on a
 // "tcp sender" track (cost = segments in the burst) and drain-and-ack
 // cycles spans on a "tcp receiver" track (cost = segments drained), both
 // stamped with elapsed transfer time as the virtual timeline. Observing

@@ -124,22 +124,6 @@ type Stats struct {
 	Retransmits uint64
 }
 
-// Add folds another mount's counters into s, field by field. A scale-out
-// run aggregates thousands of mounts sharing one fault-plan RNG fork;
-// summing per-mount Stats this way reproduces the shared injector's
-// totals exactly (each drop is attributed to exactly one mount).
-func (s *Stats) Add(o Stats) {
-	s.RPCs += o.RPCs
-	s.ReadRPCs += o.ReadRPCs
-	s.WriteRPCs += o.WriteRPCs
-	s.LookupRPCs += o.LookupRPCs
-	s.MetaRPCs += o.MetaRPCs
-	s.BytesToWire += o.BytesToWire
-	s.BytesFromWire += o.BytesFromWire
-	s.CacheReads += o.CacheReads
-	s.Retransmits += o.Retransmits
-}
-
 // NewMount mounts the server on a client. The clock is the client
 // machine's clock; all client-visible latency is charged to it.
 func NewMount(clock *sim.Clock, client *osprofile.Profile, server *Server, link *netstack.Link, opts MountOptions) (*Mount, error) {

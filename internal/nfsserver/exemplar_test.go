@@ -80,7 +80,7 @@ func TestExemplarPhaseSumsExact(t *testing.T) {
 func TestExemplarsDoNotPerturbRun(t *testing.T) {
 	cfg := Config{Profile: osprofile.Linux128(), Clients: 500, Seed: 23,
 		TargetOps: 2000, Faults: lossyInjector(0.02, 23)}
-	plain := Run(cfg)
+	plain := New(cfg).Run()
 	cfg.Faults = lossyInjector(0.02, 23)
 	s := New(cfg)
 	s.SetExemplars(obs.NewExemplars(cfg.Seed, 4, 100*sim.Millisecond))

@@ -71,7 +71,7 @@ func TestSamplerReconcilesWithResult(t *testing.T) {
 func TestSamplerDoesNotPerturbRun(t *testing.T) {
 	cfg := Config{Profile: osprofile.Linux128(), Clients: 500, Seed: 23,
 		TargetOps: 2000, Faults: lossyInjector(0.02, 23)}
-	plain := Run(cfg)
+	plain := New(cfg).Run()
 	cfg.Faults = lossyInjector(0.02, 23)
 	s := New(cfg)
 	s.SetSampler(obs.NewSampler(sim.Millisecond))

@@ -920,8 +920,3 @@ func (s *Server) Facts() Facts {
 		AuditEndNs: end,
 	}
 }
-
-// Run builds and runs a server in one call.
-func Run(cfg Config) *Result {
-	return New(cfg).Run()
-}

@@ -30,8 +30,8 @@ func resultJSON(t *testing.T, r *Result) string {
 func TestRunDeterministic(t *testing.T) {
 	for _, clients := range []int{10, 1000} {
 		cfg := Config{Profile: osprofile.FreeBSD205(), Clients: clients, Seed: 42, TargetOps: 2000}
-		a := resultJSON(t, Run(cfg))
-		b := resultJSON(t, Run(cfg))
+		a := resultJSON(t, New(cfg).Run())
+		b := resultJSON(t, New(cfg).Run())
 		if a != b {
 			t.Fatalf("%d clients: two identical runs differ:\n%s\n%s", clients, a, b)
 		}
@@ -53,7 +53,7 @@ func TestLedgerSumsToLatency(t *testing.T) {
 			if tc.loss > 0 {
 				cfg.Faults = lossyInjector(tc.loss, 7)
 			}
-			r := Run(cfg)
+			r := New(cfg).Run()
 			if r.Completed == 0 {
 				t.Fatalf("%s/%d: no completions", p.Name, tc.clients)
 			}
@@ -102,10 +102,10 @@ func TestLossyDegradesGracefully(t *testing.T) {
 	// of the load can legitimately *improve* the tail.)
 	base := Config{Profile: osprofile.Linux128(), Clients: 300, Seed: 3,
 		TargetOps: 3000, AttemptBudget: 30000}
-	clean := Run(base)
+	clean := New(base).Run()
 	lossy := base
 	lossy.Faults = lossyInjector(0.05, 3)
-	got := Run(lossy)
+	got := New(lossy).Run()
 	if got.Completed == 0 {
 		t.Fatal("lossy run served nothing")
 	}
@@ -127,9 +127,9 @@ func TestLossyDegradesGracefully(t *testing.T) {
 func TestSyncWritePolicySeparatesPersonalities(t *testing.T) {
 	cfg := Config{Clients: 200, Seed: 5, TargetOps: 2000}
 	cfg.Profile = osprofile.Linux128()
-	linux := Run(cfg)
+	linux := New(cfg).Run()
 	cfg.Profile = osprofile.Solaris24()
-	solaris := Run(cfg)
+	solaris := New(cfg).Run()
 	if linux.Ledger.DiskTime != 0 {
 		t.Fatalf("async Linux server paid %v of disk time at an in-cache load", linux.Ledger.DiskTime)
 	}
@@ -142,8 +142,8 @@ func TestSyncWritePolicySeparatesPersonalities(t *testing.T) {
 }
 
 func TestQueueOverloadDropsAndSheds(t *testing.T) {
-	r := Run(Config{Profile: osprofile.Solaris24(), Clients: 1000000, Seed: 9,
-		TargetOps: 20000, AttemptBudget: 50000})
+	r := New(Config{Profile: osprofile.Solaris24(), Clients: 1000000, Seed: 9,
+		TargetOps: 20000, AttemptBudget: 50000}).Run()
 	if r.QueueDrops == 0 {
 		t.Fatal("a million clients never overflowed a 1024-deep queue")
 	}
@@ -229,7 +229,7 @@ func TestEventQueueBounded(t *testing.T) {
 }
 
 func TestResultJSONCarriesHistogram(t *testing.T) {
-	r := Run(Config{Profile: osprofile.Linux128(), Clients: 100, Seed: 1, TargetOps: 500})
+	r := New(Config{Profile: osprofile.Linux128(), Clients: 100, Seed: 1, TargetOps: 500}).Run()
 	b, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)

@@ -38,9 +38,6 @@ type Item struct {
 	Detail string
 }
 
-// Systems are the column headings for Item.PerOS.
-var Systems = [3]string{"Linux 1.2.8", "FreeBSD 2.0.5R", "Solaris 2.4"}
-
 // Installation returns the §11 installation experiences ("Linux being the
 // easiest and Solaris being the most difficult").
 func Installation() []Item {

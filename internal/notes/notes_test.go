@@ -47,7 +47,7 @@ func TestPaperEaseOrdering(t *testing.T) {
 
 func TestConclusionCoversAllSystems(t *testing.T) {
 	c := Conclusion()
-	for _, k := range append(Systems[:], "overall") {
+	for _, k := range []string{"Linux 1.2.8", "FreeBSD 2.0.5R", "Solaris 2.4", "overall"} {
 		if c[k] == "" {
 			t.Errorf("missing conclusion for %s", k)
 		}

@@ -35,32 +35,17 @@ func ExampleRegistry() {
 	reg := obs.NewRegistry()
 	misses := reg.Counter("cache.l1_misses")
 	misses.Add(40)
-	misses.Inc()
+	misses.Add(1)
 
 	var off *obs.Registry // disabled: nil registry
 	offMisses := off.Counter("cache.l1_misses")
-	offMisses.Inc() // no-op, no allocation
+	offMisses.Add(1) // no-op, no allocation
 
-	fmt.Println(misses.Value(), offMisses.Value())
+	v, _ := reg.Snapshot().Get("cache.l1_misses")
+	_, ok := off.Snapshot().Get("cache.l1_misses")
+	fmt.Println(v, ok)
 	// Output:
-	// 41 0
-}
-
-// ExampleSnapshot_Diff shows measuring what one phase of work added by
-// diffing snapshots taken before and after.
-func ExampleSnapshot_Diff() {
-	reg := obs.NewRegistry()
-	seeks := reg.Counter("disk.seeks")
-	seeks.Add(100)
-
-	before := reg.Snapshot()
-	seeks.Add(17) // ... the phase under measurement runs ...
-	delta := reg.Snapshot().Diff(before)
-
-	v, _ := delta.Get("disk.seeks")
-	fmt.Println(v)
-	// Output:
-	// 17
+	// 41 false
 }
 
 // ExampleWriteChrome shows exporting a trace as Chrome trace-event JSON,

@@ -90,7 +90,6 @@ type Exemplars struct {
 	k       int
 	width   int64
 	wins    []exWindow
-	offered int64
 	dropped int64
 }
 
@@ -111,14 +110,6 @@ func NewExemplars(seed uint64, k int, width sim.Duration) *Exemplars {
 		panic("obs: exemplar window width must be positive")
 	}
 	return &Exemplars{seed: seed, k: k, width: int64(width)}
-}
-
-// Width returns the reservoir's window width (0 on nil).
-func (x *Exemplars) Width() sim.Duration {
-	if x == nil {
-		return 0
-	}
-	return sim.Duration(x.width)
 }
 
 // splitmix64 is the standard splitmix64 finalizer: a high-quality
@@ -152,7 +143,6 @@ func (x *Exemplars) Offer(e Exemplar) {
 	if x == nil {
 		return
 	}
-	x.offered++
 	e.LatencyNs = e.EndNs - e.IssueNs
 	e.Bucket = stats.BucketIndex(e.LatencyNs)
 	e.Window = windowOf(sim.Time(e.EndNs), x.width)
@@ -192,14 +182,6 @@ func (x *Exemplars) window(n int) *exWindow {
 	}
 	x.wins = append(x.wins, exWindow{window: n})
 	return &x.wins[len(x.wins)-1]
-}
-
-// Offered returns how many requests were presented (0 on nil).
-func (x *Exemplars) Offered() int64 {
-	if x == nil {
-		return 0
-	}
-	return x.offered
 }
 
 // Dropped returns how many offers the K-per-window bound rejected or

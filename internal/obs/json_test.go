@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -25,7 +26,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("unmarshal: %v\n%s", err, data)
 	}
-	if !snap.Equal(back) {
+	if !reflect.DeepEqual(snap, back) {
 		t.Fatalf("round trip not bit-identical:\nin:  %s\nout: %s", snap, back)
 	}
 	// Marshal → Unmarshal → Marshal is byte-stable.
@@ -85,7 +86,7 @@ func TestSnapshotJSONExtremeFloats(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if !snap.Equal(back) {
+	if !reflect.DeepEqual(snap, back) {
 		t.Fatalf("extreme floats did not round-trip:\n%s\n%s", snap, back)
 	}
 }

@@ -248,14 +248,6 @@ func (r *Recorder) EndAt(t sim.Time, track TrackID, name string, cost float64) {
 	r.put(t, track, EvEnd, name, 0, cost, "")
 }
 
-// Instant records a point event at the current virtual time.
-func (r *Recorder) Instant(track TrackID, name string, pid int, detail string) {
-	if r == nil {
-		return
-	}
-	r.put(r.now(), track, EvInstant, name, pid, 0, detail)
-}
-
 // InstantAt records a point event at an explicit virtual time.
 func (r *Recorder) InstantAt(t sim.Time, track TrackID, name string, pid int, detail string) {
 	if r == nil {
@@ -278,22 +270,14 @@ func (r *Recorder) InstantAtFunc(t sim.Time, track TrackID, name string, pid int
 }
 
 // Dropped returns the number of events overwritten by the ring bound
-// since the recorder was created (or last Reset). A nonzero count means
-// the captured stream is the tail of a longer run — profiles and trace
-// summaries built from it are truncated, not complete.
+// since the recorder was created. A nonzero count means the captured
+// stream is the tail of a longer run — profiles and trace summaries
+// built from it are truncated, not complete.
 func (r *Recorder) Dropped() int {
 	if r == nil {
 		return 0
 	}
 	return r.dropped
-}
-
-// Len returns the number of buffered events.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	return r.n
 }
 
 // Events returns the buffered events in record order (oldest first; for a
@@ -313,16 +297,6 @@ func (r *Recorder) Events() []Event {
 		out[i] = r.at(p).event()
 	}
 	return out
-}
-
-// Reset drops all buffered events, keeping tracks registered.
-func (r *Recorder) Reset() {
-	if r == nil {
-		return
-	}
-	r.n = 0
-	r.head = 0
-	r.dropped = 0
 }
 
 // Process couples one model run's trace with a display name, for export:

@@ -10,16 +10,7 @@ import (
 // a nil Registry, or an unattached subsystem) ignores every update with no
 // allocation, so models keep counter handles unconditionally.
 type Counter struct {
-	name string
-	v    float64
-}
-
-// Name returns the counter's registered name.
-func (c *Counter) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
+	v float64
 }
 
 // Add grows the counter by v.
@@ -30,32 +21,12 @@ func (c *Counter) Add(v float64) {
 	c.v += v
 }
 
-// Inc grows the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current value (0 on nil).
-func (c *Counter) Value() float64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
 // Distribution summarises a stream of observations: count, sum, min and
 // max. Like Counter, a nil *Distribution ignores updates.
 type Distribution struct {
-	name     string
 	count    uint64
 	sum      float64
 	min, max float64
-}
-
-// Name returns the distribution's registered name.
-func (d *Distribution) Name() string {
-	if d == nil {
-		return ""
-	}
-	return d.name
 }
 
 // Observe records one value.
@@ -71,22 +42,6 @@ func (d *Distribution) Observe(v float64) {
 	}
 	d.count++
 	d.sum += v
-}
-
-// Count returns the number of observations.
-func (d *Distribution) Count() uint64 {
-	if d == nil {
-		return 0
-	}
-	return d.count
-}
-
-// Mean returns the mean of the observations (0 when empty).
-func (d *Distribution) Mean() float64 {
-	if d == nil || d.count == 0 {
-		return 0
-	}
-	return d.sum / float64(d.count)
 }
 
 // Registry holds the named counters and distributions of one model run.
@@ -115,7 +70,7 @@ func (g *Registry) Counter(name string) *Counter {
 	if c, ok := g.counters[name]; ok {
 		return c
 	}
-	c := &Counter{name: name}
+	c := &Counter{}
 	g.counters[name] = c
 	return c
 }
@@ -128,7 +83,7 @@ func (g *Registry) Distribution(name string) *Distribution {
 	if d, ok := g.dists[name]; ok {
 		return d
 	}
-	d := &Distribution{name: name}
+	d := &Distribution{}
 	g.dists[name] = d
 	return d
 }
@@ -182,25 +137,6 @@ func (s Snapshot) Get(name string) (float64, bool) {
 	return 0, false
 }
 
-// Diff returns this snapshot with prev's counter values subtracted and
-// distributions kept as-is, for reporting what one phase of work added.
-// Counters present only in prev appear with their negated value.
-func (s Snapshot) Diff(prev Snapshot) Snapshot {
-	vals := make(map[string]float64, len(s.Counters))
-	for _, c := range s.Counters {
-		vals[c.Name] = c.Value
-	}
-	for _, c := range prev.Counters {
-		vals[c.Name] -= c.Value
-	}
-	out := Snapshot{Dists: append([]DistValue(nil), s.Dists...)}
-	for name, v := range vals {
-		out.Counters = append(out.Counters, CounterValue{Name: name, Value: v})
-	}
-	sort.Slice(out.Counters, func(i, j int) bool { return out.Counters[i].Name < out.Counters[j].Name })
-	return out
-}
-
 // ExcludePrefix returns the snapshot without metrics whose name starts
 // with the prefix. The determinism tests use it to drop the harness's
 // wall-clock self-observability ("runner.") before comparing.
@@ -217,25 +153,6 @@ func (s Snapshot) ExcludePrefix(prefix string) Snapshot {
 		}
 	}
 	return out
-}
-
-// Equal reports whether two snapshots are bit-identical (names, counts
-// and float values).
-func (s Snapshot) Equal(o Snapshot) bool {
-	if len(s.Counters) != len(o.Counters) || len(s.Dists) != len(o.Dists) {
-		return false
-	}
-	for i, c := range s.Counters {
-		if c != o.Counters[i] {
-			return false
-		}
-	}
-	for i, d := range s.Dists {
-		if d != o.Dists[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the snapshot one metric per line, for debugging and

@@ -154,7 +154,6 @@ type SeriesCounter struct {
 	name  string
 	width int64
 	vals  []int64
-	total int64
 	// late is the latest time a sample fell past the window budget (0
 	// when none did); the gauge and histogram keep one too.
 	late sim.Time
@@ -174,20 +173,10 @@ func (c *SeriesCounter) Add(t sim.Time, v int64) {
 		c.vals = append(c.vals, 0)
 	}
 	c.vals[w] += v
-	c.total += v
 }
 
 // Inc charges one to the window holding t.
 func (c *SeriesCounter) Inc(t sim.Time) { c.Add(t, 1) }
-
-// Total returns the sum of every window's delta (0 on nil): the charges
-// past the budget are not in it.
-func (c *SeriesCounter) Total() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.total
-}
 
 // SeriesGauge is one windowed gauge. A nil handle ignores updates.
 type SeriesGauge struct {

@@ -1,9 +1,6 @@
 package profile
 
-import (
-	"io"
-	"strings"
-)
+import "io"
 
 // WritePprof emits the profile as uncompressed pprof protobuf
 // (github.com/google/pprof/proto/profile.proto), the format
@@ -141,12 +138,4 @@ func appendBytesField(b []byte, field int, payload []byte) []byte {
 	b = appendUvarint(b, uint64(field)<<3|2)
 	b = appendUvarint(b, uint64(len(payload)))
 	return append(b, payload...)
-}
-
-// FoldedString is a convenience for tests and debugging: the folded
-// output as one string.
-func (p *Profile) FoldedString() string {
-	var b strings.Builder
-	_ = p.WriteFolded(&b)
-	return b.String()
 }

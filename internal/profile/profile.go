@@ -261,15 +261,6 @@ func (p *Profile) sorted() []*Sample {
 	return out
 }
 
-// Samples returns the folded samples in canonical order.
-func (p *Profile) Samples() []Sample {
-	out := make([]Sample, 0, len(p.samples))
-	for _, s := range p.sorted() {
-		out = append(out, *s)
-	}
-	return out
-}
-
 // TrackTotals returns the per-track totals sorted by process then track.
 func (p *Profile) TrackTotals() []TrackTotal {
 	out := make([]TrackTotal, 0, len(p.totals))
@@ -294,12 +285,3 @@ func (p *Profile) TotalNs() int64 {
 	}
 	return sum
 }
-
-// Truncated reports folding anomalies: orphan End events plus spans
-// force-closed at stream end. Zero means every span folded cleanly.
-func (p *Profile) Truncated() int64 { return p.truncated }
-
-// DroppedEvents reports the total ring-dropped event count of the folded
-// processes. Nonzero means the profile covers the tail of each run, not
-// the whole run.
-func (p *Profile) DroppedEvents() int64 { return p.dropped }

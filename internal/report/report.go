@@ -86,7 +86,8 @@ func writeNotes(w io.Writer, r *core.Result) {
 var plotGlyphs = []byte{'*', 'o', '+', 'x', '#', '@', '%', '&'}
 
 // plot draws all series on one canvas. X may be log-scaled per the
-// result; Y is linear from zero.
+// result; Y is linear from zero, so a mean that is negative or not finite
+// has no row: it is left off the canvas and counted under it.
 func plot(w io.Writer, r *core.Result, width, height int) {
 	if len(r.Series) == 0 || len(r.Series[0].X) == 0 {
 		fmt.Fprintln(w, "  (no points)")
@@ -99,7 +100,9 @@ func plot(w io.Writer, r *core.Result, width, height int) {
 			fx := scaleX(x, r.LogX)
 			xmin = math.Min(xmin, fx)
 			xmax = math.Max(xmax, fx)
-			ymax = math.Max(ymax, s.Samples[i].Mean())
+			if m := s.Samples[i].Mean(); plottable(m) {
+				ymax = math.Max(ymax, m)
+			}
 		}
 	}
 	if xmax == xmin {
@@ -113,11 +116,17 @@ func plot(w io.Writer, r *core.Result, width, height int) {
 	for i := range canvas {
 		canvas[i] = []byte(strings.Repeat(" ", width))
 	}
+	unplotted := 0
 	for si, s := range r.Series {
 		glyph := plotGlyphs[si%len(plotGlyphs)]
 		for i, x := range s.X {
+			m := s.Samples[i].Mean()
+			if !plottable(m) {
+				unplotted++
+				continue
+			}
 			cx := int(float64(width-1) * (scaleX(x, r.LogX) - xmin) / (xmax - xmin))
-			cy := int(float64(height-1) * s.Samples[i].Mean() / ymax)
+			cy := int(float64(height-1) * m / ymax)
 			row := height - 1 - cy
 			if row < 0 {
 				row = 0
@@ -133,6 +142,9 @@ func plot(w io.Writer, r *core.Result, width, height int) {
 		fmt.Fprintf(w, "  |%s\n", string(row))
 	}
 	fmt.Fprintf(w, "  +%s\n", strings.Repeat("-", width))
+	if unplotted > 0 {
+		fmt.Fprintf(w, "   (%d points not plotted: mean negative or not finite)\n", unplotted)
+	}
 	scale := "linear"
 	if r.LogX {
 		scale = "log"
@@ -142,6 +154,10 @@ func plot(w io.Writer, r *core.Result, width, height int) {
 		fmt.Fprintf(w, "   %c = %s\n", plotGlyphs[si%len(plotGlyphs)], s.Label)
 	}
 }
+
+// plottable reports whether a mean has a row on a canvas that runs from
+// zero up to a finite top.
+func plottable(mean float64) bool { return mean >= 0 && !math.IsInf(mean, 1) }
 
 func xLabelLeft(r *core.Result) string {
 	lo, hi := math.Inf(1), math.Inf(-1)

@@ -43,15 +43,6 @@ func TestClockAdvanceToBackwardsPanics(t *testing.T) {
 	c.AdvanceTo(5)
 }
 
-func TestClockReset(t *testing.T) {
-	var c Clock
-	c.Advance(Second)
-	c.Reset()
-	if c.Now() != 0 {
-		t.Fatalf("after Reset Now() = %v, want 0", c.Now())
-	}
-}
-
 func TestDurationConversions(t *testing.T) {
 	d := 1500 * Microsecond
 	if got := d.Milliseconds(); got != 1.5 {

@@ -90,6 +90,3 @@ func (c *Clock) AdvanceTo(t Time) {
 	}
 	c.now = t
 }
-
-// Reset returns the clock to T+0.
-func (c *Clock) Reset() { c.now = 0 }

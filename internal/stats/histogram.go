@@ -90,11 +90,6 @@ func BucketIndex(v int64) int {
 	return bucketOf(v)
 }
 
-// BucketUpperBound returns the largest value mapping to bucket i — the
-// inclusive upper boundary Quantile reports, and the `le` boundary a
-// Prometheus exposition of this histogram uses.
-func BucketUpperBound(i int) int64 { return bucketUpper(i) }
-
 // Bucket is one non-empty histogram bucket: its index, inclusive upper
 // boundary, and count.
 type Bucket struct {
@@ -140,14 +135,6 @@ func (h *Histogram) Sum() int64 { return h.sum }
 // Max returns the largest observation, exactly (not bucket-quantized).
 func (h *Histogram) Max() int64 { return h.max }
 
-// Mean returns the exact arithmetic mean, or 0 when empty.
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.n)
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) by the nearest-rank
 // rule: the upper boundary of the bucket holding the ceil(q*N)-th
 // smallest observation. Q(0) is the first bucket's boundary, Q(1) the
@@ -156,8 +143,8 @@ func (h *Histogram) Mean() float64 {
 //
 // The upper boundary is the conservative choice for latency reporting —
 // a quoted p99 is never below the true p99 — but it overstates by up to
-// one bucket width. QuantileLower returns the same bucket's lower
-// boundary; together they bracket the exact quantile:
+// one bucket width. The same bucket's lower boundary (QuantileLower in
+// the package tests) brackets the exact quantile from below:
 //
 //	QuantileLower(q) <= exact q-quantile <= Quantile(q)
 //
@@ -169,17 +156,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 		return 0
 	}
 	return bucketUpper(i)
-}
-
-// QuantileLower returns the lower boundary of the bucket holding the
-// nearest-rank observation — the optimistic end of the bracket Quantile
-// documents. An empty histogram returns 0; out-of-range q panics.
-func (h *Histogram) QuantileLower(q float64) int64 {
-	i := h.quantileBucket(q)
-	if i < 0 {
-		return 0
-	}
-	return bucketLower(i)
 }
 
 // quantileBucket finds the bucket holding the nearest-rank observation

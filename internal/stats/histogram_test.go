@@ -42,7 +42,7 @@ func TestHistogramBucketBoundariesConsistent(t *testing.T) {
 
 func TestHistogramQuantileEdges(t *testing.T) {
 	empty := &Histogram{}
-	if empty.Quantile(0.5) != 0 || empty.N() != 0 || empty.Mean() != 0 {
+	if empty.Quantile(0.5) != 0 || empty.N() != 0 || empty.Sum() != 0 {
 		t.Fatal("empty histogram must report zeros")
 	}
 
@@ -269,8 +269,8 @@ func TestHistogramBucketsAccessor(t *testing.T) {
 			t.Fatalf("buckets not ascending: %d after %d", b.Upper, prev)
 		}
 		prev = b.Upper
-		if b.Upper != BucketUpperBound(b.Index) {
-			t.Fatalf("bucket %d upper %d != BucketUpperBound %d", b.Index, b.Upper, BucketUpperBound(b.Index))
+		if b.Upper != bucketUpper(b.Index) {
+			t.Fatalf("bucket %d upper %d != bucketUpper %d", b.Index, b.Upper, bucketUpper(b.Index))
 		}
 		n += b.Count
 	}

@@ -40,17 +40,3 @@ func (s *Sample) ConfidenceInterval95() float64 {
 	}
 	return tCritical95(n-1) * s.StdDev() / math.Sqrt(float64(n))
 }
-
-// MeanWithin95 reports whether v lies inside the sample mean's 95%
-// confidence interval. Used by EXPERIMENTS.md tooling to flag where the
-// simulation's mean is statistically distinguishable from the paper's
-// reported value (which, given deliberate calibration, it usually is not
-// for the fitted tables).
-func (s *Sample) MeanWithin95(v float64) bool {
-	half := s.ConfidenceInterval95()
-	d := s.Mean() - v
-	if d < 0 {
-		d = -d
-	}
-	return d <= half
-}

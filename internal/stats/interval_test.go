@@ -34,10 +34,10 @@ func TestConfidenceIntervalKnownValues(t *testing.T) {
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("CI = %v, want %v", got, want)
 	}
-	if !s.MeanWithin95(2.6) {
+	if !meanWithin95(&s, 2.6) {
 		t.Error("2.6 should be inside the interval")
 	}
-	if s.MeanWithin95(5.0) {
+	if meanWithin95(&s, 5.0) {
 		t.Error("5.0 should be outside the interval")
 	}
 }
@@ -51,7 +51,7 @@ func TestConfidenceIntervalDegenerate(t *testing.T) {
 	if s.ConfidenceInterval95() != 0 {
 		t.Error("single observation should have zero CI")
 	}
-	if !s.MeanWithin95(5) {
+	if !meanWithin95(&s, 5) {
 		t.Error("the mean itself is always within")
 	}
 }
@@ -81,7 +81,7 @@ func TestConfidenceCoverage(t *testing.T) {
 		for j := 0; j < 20; j++ {
 			s.Add(50 * rng.Noise(0.10))
 		}
-		if s.MeanWithin95(50) {
+		if meanWithin95(&s, 50) {
 			covered++
 		}
 	}
@@ -89,4 +89,10 @@ func TestConfidenceCoverage(t *testing.T) {
 	if frac < 0.92 || frac > 0.98 {
 		t.Errorf("95%% CI covered the truth %.1f%% of the time", 100*frac)
 	}
+}
+
+// meanWithin95 reports whether v lies inside s's 95% confidence
+// interval around the mean.
+func meanWithin95(s *Sample, v float64) bool {
+	return math.Abs(s.Mean()-v) <= s.ConfidenceInterval95()
 }

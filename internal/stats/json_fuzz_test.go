@@ -44,7 +44,7 @@ func FuzzSampleJSON(f *testing.F) {
 		if err := back.UnmarshalJSON(m); err != nil {
 			t.Fatalf("re-decode of %s (from %q): %v", m, data, err)
 		}
-		sameBits(t, m, back.Values(), s.values)
+		sameBits(t, m, back.values, s.values)
 	})
 }
 

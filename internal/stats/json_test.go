@@ -30,7 +30,7 @@ func TestSampleJSONRoundTripExact(t *testing.T) {
 	if back.N() != s.N() {
 		t.Fatalf("N = %d, want %d", back.N(), s.N())
 	}
-	for i, v := range back.Values() {
+	for i, v := range back.values {
 		if math.Float64bits(v) != math.Float64bits(vals[i]) {
 			t.Errorf("value %d = %x, want %x", i, math.Float64bits(v), math.Float64bits(vals[i]))
 		}

@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Sample accumulates observations from repeated benchmark runs.
@@ -20,13 +19,6 @@ func (s *Sample) Add(v float64) { s.values = append(s.values, v) }
 
 // N returns the number of observations.
 func (s *Sample) N() int { return len(s.values) }
-
-// Values returns a copy of the observations in insertion order.
-func (s *Sample) Values() []float64 {
-	out := make([]float64, len(s.values))
-	copy(out, s.values)
-	return out
-}
 
 // Mean returns the arithmetic mean, or 0 for an empty sample.
 func (s *Sample) Mean() float64 {
@@ -65,48 +57,6 @@ func (s *Sample) RelStdDev() float64 {
 		return 0
 	}
 	return s.StdDev() / math.Abs(m)
-}
-
-// Min returns the smallest observation, or 0 for an empty sample.
-func (s *Sample) Min() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	min := s.values[0]
-	for _, v := range s.values[1:] {
-		if v < min {
-			min = v
-		}
-	}
-	return min
-}
-
-// Max returns the largest observation, or 0 for an empty sample.
-func (s *Sample) Max() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	max := s.values[0]
-	for _, v := range s.values[1:] {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
-
-// Median returns the median observation, or 0 for an empty sample.
-func (s *Sample) Median() float64 {
-	n := len(s.values)
-	if n == 0 {
-		return 0
-	}
-	sorted := s.Values()
-	sort.Float64s(sorted)
-	if n%2 == 1 {
-		return sorted[n/2]
-	}
-	return (sorted[n/2-1] + sorted[n/2]) / 2
 }
 
 // String summarises the sample for debugging.

@@ -14,10 +14,7 @@ func Example() {
 	fmt.Printf("idle: cache budget %d MB\n", pool.CacheBudget()>>20)
 	pool.Claim("simulation job", 10<<20)
 	fmt.Printf("busy: cache budget %d MB\n", pool.CacheBudget()>>20)
-	pool.Release("simulation job")
-	fmt.Printf("idle again: %d MB\n", pool.CacheBudget()>>20)
 	// Output:
 	// idle: cache budget 21 MB
 	// busy: cache budget 11 MB
-	// idle again: 21 MB
 }

@@ -10,10 +10,7 @@
 // resident process memory grows.
 package vm
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // PageSize is the x86 page size in bytes.
 const PageSize = 4096
@@ -53,9 +50,6 @@ func PaperMachine(kernelMB int) *Pool {
 	return p
 }
 
-// TotalBytes returns the pool size in bytes.
-func (p *Pool) TotalBytes() int64 { return p.totalPages * PageSize }
-
 // Claim assigns pages to a named consumer (kernel text/data, a process
 // resident set). Claiming more than is available panics: the real
 // machines would page, and no benchmark in this repository models
@@ -69,11 +63,6 @@ func (p *Pool) Claim(name string, bytes int64) {
 		panic(fmt.Sprintf("vm: %s wants %d pages, only %d available", name, pages, p.availablePages()))
 	}
 	p.consumers[name] += pages
-}
-
-// Release returns a consumer's pages to the pool.
-func (p *Pool) Release(name string) {
-	delete(p.consumers, name)
 }
 
 func (p *Pool) claimedPages() int64 {
@@ -96,20 +85,4 @@ func (p *Pool) CacheBudget() int64 {
 		a = 0
 	}
 	return a * PageSize
-}
-
-// Consumers returns the named claims in bytes, sorted by name.
-func (p *Pool) Consumers() []Consumer {
-	out := make([]Consumer, 0, len(p.consumers))
-	for name, pages := range p.consumers {
-		out = append(out, Consumer{Name: name, Bytes: pages * PageSize})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Consumer is one named memory claim.
-type Consumer struct {
-	Name  string
-	Bytes int64
 }
