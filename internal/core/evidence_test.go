@@ -1,6 +1,13 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/bench"
+	"repro/internal/fs"
+	"repro/internal/osprofile"
+	"repro/internal/sim"
+)
 
 func TestX1PhaseBreakdown(t *testing.T) {
 	e, _ := Lookup("X1")
@@ -46,6 +53,50 @@ func TestX2DiskOps(t *testing.T) {
 		if s.Samples[0].StdDev() != 0 {
 			t.Errorf("%s: operation count has variance", s.Label)
 		}
+	}
+}
+
+// crtdelLoopDiskOps is the reference count for X2: a plain
+// create/write/read/unlink loop of 1 KB files on a fresh file system,
+// counting its synchronous metadata writes per iteration.
+func crtdelLoopDiskOps(plat bench.Platform, p *osprofile.Profile, seed uint64) float64 {
+	clock := &sim.Clock{}
+	fsys := fs.MustNew(clock, plat.Disk(sim.NewRNG(seed)), p)
+	const iters = 20
+	for i := 0; i < iters; i++ {
+		f, err := fsys.Create("/t")
+		if err != nil {
+			panic(err)
+		}
+		f.Write(1024)
+		f.Close()
+		g, err := fsys.Open("/t")
+		if err != nil {
+			panic(err)
+		}
+		g.Read(1024)
+		g.Close()
+		if err := fsys.Unlink("/t"); err != nil {
+			panic(err)
+		}
+	}
+	return float64(fsys.Stats().SyncMetaWrites) / iters
+}
+
+// X2 reads its count from the fs counters of a scoped bench.Crtdel run,
+// whose disk is forked from the seed and whose loop runs longer; the
+// count per iteration must still be the plain loop's, for every
+// personality at every seed.
+func TestCrtdelDiskOpsMatchesLoop(t *testing.T) {
+	plat := bench.PaperPlatform()
+	for _, p := range osprofile.All() {
+		t.Run(p.String(), func(t *testing.T) {
+			for _, seed := range []uint64{1, 2, 7, 5111} {
+				if got, want := crtdelDiskOps(plat, p, seed), crtdelLoopDiskOps(plat, p, seed); got != want {
+					t.Errorf("seed %d: crtdelDiskOps = %v, plain loop = %v", seed, got, want)
+				}
+			}
+		})
 	}
 }
 
