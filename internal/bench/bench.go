@@ -142,11 +142,17 @@ func Getpid(plat Platform, p *osprofile.Profile) sim.Duration {
 // Getpid is Getpid observed by s. The initial dispatch is not part of
 // the loop.
 func (s *Scope) Getpid(plat Platform, p *osprofile.Profile) sim.Duration {
-	m := s.machine(p)
-	t := m.SpawnThread("getpid-loop", []kernel.Op{{Kind: kernel.OpSyscall}}, GetpidIterations)
-	d := (m.Run() - t.FirstRun.Sub(0)) / GetpidIterations
+	m := s.getpid(p)
+	d := (m.Run() - m.Threads()[0].FirstRun.Sub(0)) / GetpidIterations
 	s.captureMachine(m, p)
 	return d
+}
+
+// getpid builds the getpid loop on a machine of s's.
+func (s *Scope) getpid(p *osprofile.Profile) *kernel.Machine {
+	m := s.machine(p)
+	m.SpawnThread("getpid-loop", []kernel.Op{{Kind: kernel.OpSyscall}}, GetpidIterations)
+	return m
 }
 
 // CtxSwitches is the per-run switch count of the ctx benchmark
@@ -177,6 +183,15 @@ func Ctx(plat Platform, p *osprofile.Profile, nproc int, order CtxOrder) sim.Dur
 // starts when process 0 first runs and injects the token, after every
 // process has been spawned.
 func (s *Scope) Ctx(plat Platform, p *osprofile.Profile, nproc int, order CtxOrder) sim.Duration {
+	m, switches := s.ctx(p, nproc, order)
+	d := (m.Run() - m.Threads()[0].FirstRun.Sub(0)) / sim.Duration(switches)
+	s.captureMachine(m, p)
+	return d
+}
+
+// ctx builds the ring or chain on a machine of s's, process 0 first, and
+// returns it with the number of token passes.
+func (s *Scope) ctx(p *osprofile.Profile, nproc int, order CtxOrder) (*kernel.Machine, int) {
 	if nproc < 2 {
 		panic("bench: ctx needs at least two processes")
 	}
@@ -190,19 +205,13 @@ func (s *Scope) Ctx(plat Platform, p *osprofile.Profile, nproc int, order CtxOrd
 	if hops < 4*nproc {
 		hops = 4 * nproc
 	}
-	var first *kernel.Thread
-	var switches int
 	switch order {
 	case CtxRing:
-		first, switches = ctxRing(m, nproc, hops)
+		return m, ctxRing(m, nproc, hops)
 	case CtxLIFO:
-		first, switches = ctxLIFO(m, nproc, hops)
-	default:
-		panic("bench: unknown ctx order")
+		return m, ctxLIFO(m, nproc, hops)
 	}
-	d := (m.Run() - first.FirstRun.Sub(0)) / sim.Duration(switches)
-	s.captureMachine(m, p)
-	return d
+	panic("bench: unknown ctx order")
 }
 
 // pipeOp is a one-byte token transfer on p.
@@ -212,9 +221,9 @@ func pipeOp(kind kernel.OpKind, p *kernel.Pipe) kernel.Op {
 
 // ctxRing builds the ring: process i reads from pipe i and writes to
 // pipe (i+1) mod n; process 0 injects the token and absorbs it after the
-// last lap. The token makes hops/n laps. It returns process 0 and the
-// number of token passes.
-func ctxRing(m *kernel.Machine, nproc, hops int) (*kernel.Thread, int) {
+// last lap. The token makes hops/n laps. It returns the number of token
+// passes.
+func ctxRing(m *kernel.Machine, nproc, hops int) int {
 	pipes := make([]*kernel.Pipe, nproc)
 	for i := range pipes {
 		pipes[i] = m.NewPipe()
@@ -223,23 +232,21 @@ func ctxRing(m *kernel.Machine, nproc, hops int) (*kernel.Thread, int) {
 	if laps < 1 {
 		laps = 1
 	}
-	var first *kernel.Thread
 	for i := 0; i < nproc; i++ {
 		read := pipeOp(kernel.OpRead, pipes[i])
 		write := pipeOp(kernel.OpWrite, pipes[(i+1)%nproc])
 		if i == 0 {
-			first = m.SpawnThread("ring", []kernel.Op{write, read}, laps)
+			m.SpawnThread("ring", []kernel.Op{write, read}, laps)
 			continue
 		}
 		m.SpawnThread("ring", []kernel.Op{read, write}, laps)
 	}
-	return first, laps * nproc
+	return laps * nproc
 }
 
 // ctxLIFO builds the chain: the token travels 0→1→…→n-1 and back. One
-// round trip is 2(n-1) hops. It returns process 0 and the number of
-// token passes.
-func ctxLIFO(m *kernel.Machine, nproc, hops int) (*kernel.Thread, int) {
+// round trip is 2(n-1) hops. It returns the number of token passes.
+func ctxLIFO(m *kernel.Machine, nproc, hops int) int {
 	// up[i] carries the token from i to i+1; down[i] from i+1 to i.
 	up := make([]*kernel.Pipe, nproc-1)
 	down := make([]*kernel.Pipe, nproc-1)
@@ -251,7 +258,6 @@ func ctxLIFO(m *kernel.Machine, nproc, hops int) (*kernel.Thread, int) {
 	if trips < 1 {
 		trips = 1
 	}
-	var first *kernel.Thread
 	for i := 0; i < nproc; i++ {
 		var ops []kernel.Op
 		switch {
@@ -265,10 +271,7 @@ func ctxLIFO(m *kernel.Machine, nproc, hops int) (*kernel.Thread, int) {
 				pipeOp(kernel.OpRead, down[i]), pipeOp(kernel.OpWrite, down[i-1]),
 			}
 		}
-		t := m.SpawnThread("chain", ops, trips)
-		if i == 0 {
-			first = t
-		}
+		m.SpawnThread("chain", ops, trips)
 	}
-	return first, trips * 2 * (nproc - 1)
+	return trips * 2 * (nproc - 1)
 }

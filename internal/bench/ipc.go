@@ -26,15 +26,20 @@ const IPCTotalBytes = 1 << 20
 // pipe in msg-byte messages (writer and reader are separate processes on
 // a fresh uniprocessor machine).
 func IPCPipe(plat Platform, p *osprofile.Profile, msg, total int) sim.Duration {
+	return (*Scope)(nil).ipcPipe(p, msg, total).Run()
+}
+
+// ipcPipe builds the transfer on a machine of s's.
+func (s *Scope) ipcPipe(p *osprofile.Profile, msg, total int) *kernel.Machine {
 	if msg <= 0 || total < msg {
 		panic("bench: IPC needs a positive message size no larger than the total")
 	}
-	m := kernel.MustMachine(p, 1)
+	m := s.machine(p)
 	pipe := m.NewPipe()
 	count := total / msg
 	m.SpawnThread("ipc-writer", []kernel.Op{{Kind: kernel.OpWrite, P: pipe, N: msg}}, count)
 	m.SpawnThread("ipc-reader", []kernel.Op{{Kind: kernel.OpRead, P: pipe, N: msg}}, count)
-	return m.Run()
+	return m
 }
 
 // IPCSocket returns the elapsed virtual time to move total bytes over a

@@ -23,13 +23,19 @@ func BwPipe(plat Platform, p *osprofile.Profile) float64 {
 // BwPipe is BwPipe observed by s. The transfer is timed from the
 // writer's first run to the end.
 func (s *Scope) BwPipe(plat Platform, p *osprofile.Profile) float64 {
-	m := s.machine(p)
-	pipe := m.NewPipe()
-	writer := m.SpawnThread("bw_pipe-writer", []kernel.Op{{Kind: kernel.OpWrite, P: pipe, N: BwPipeChunk}}, BwPipeTotal/BwPipeChunk)
-	m.SpawnThread("bw_pipe-reader", []kernel.Op{{Kind: kernel.OpRead, P: pipe, N: BwPipeTotal}}, 1)
-	elapsed := m.Run() - writer.FirstRun.Sub(0)
+	m := s.bwPipe(p)
+	elapsed := m.Run() - m.Threads()[0].FirstRun.Sub(0)
 	s.captureMachine(m, p)
 	return netstack.BandwidthMbps(BwPipeTotal, elapsed)
+}
+
+// bwPipe builds the transfer on a machine of s's, writer first.
+func (s *Scope) bwPipe(p *osprofile.Profile) *kernel.Machine {
+	m := s.machine(p)
+	pipe := m.NewPipe()
+	m.SpawnThread("bw_pipe-writer", []kernel.Op{{Kind: kernel.OpWrite, P: pipe, N: BwPipeChunk}}, BwPipeTotal/BwPipeChunk)
+	m.SpawnThread("bw_pipe-reader", []kernel.Op{{Kind: kernel.OpRead, P: pipe, N: BwPipeTotal}}, 1)
+	return m
 }
 
 // TTCPTotal is the UDP benchmark's per-iteration transfer (§9.2:

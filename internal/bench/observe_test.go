@@ -3,46 +3,8 @@ package bench
 import (
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/osprofile"
-	"repro/internal/sim"
 )
-
-// TestObservedVariantsBitIdentical is the observability layer's central
-// promise at the benchmark level: attaching a scope never changes a
-// measurement. Every Scope method must return exactly its plain entry
-// point's value, with a live sampler where the model samples.
-func TestObservedVariantsBitIdentical(t *testing.T) {
-	plat := PaperPlatform()
-	sampled := func() *Scope { return &Scope{Sampler: obs.NewSampler(100 * sim.Millisecond)} }
-	for _, p := range osprofile.Paper() {
-		t.Run(p.String(), func(t *testing.T) {
-			if d := new(Scope).Getpid(plat, p); d != Getpid(plat, p) {
-				t.Error("Scope.Getpid diverges from Getpid")
-			}
-			if d := sampled().Ctx(plat, p, 8, CtxRing); d != Ctx(plat, p, 8, CtxRing) {
-				t.Error("Scope.Ctx diverges from Ctx")
-			}
-			if v := new(Scope).BwPipe(plat, p); v != BwPipe(plat, p) {
-				t.Error("Scope.BwPipe diverges from BwPipe")
-			}
-			if d := sampled().Crtdel(plat, p, 64<<10, 1); d != Crtdel(plat, p, 64<<10, 1) {
-				t.Error("Scope.Crtdel diverges from Crtdel")
-			}
-			if v := new(Scope).BwTCP(p, 0); v != BwTCP(p, 0) {
-				t.Error("Scope.BwTCP diverges from BwTCP")
-			}
-			if v := new(Scope).TTCP(p, 1024); v != TTCP(p, 1024) {
-				t.Error("Scope.TTCP diverges from TTCP")
-			}
-			for _, kind := range []NFSServerKind{ServerLinux, ServerSunOS} {
-				if r := new(Scope).MABNFS(p, kind, DefaultMAB(), 1); r != MABNFS(p, kind, DefaultMAB(), 1) {
-					t.Errorf("Scope.MABNFS diverges from MABNFS (server %d)", kind)
-				}
-			}
-		})
-	}
-}
 
 // TestObservationsCarryData sanity-checks the observability products:
 // non-empty metric snapshots, positive totals, and (for clocked models)

@@ -147,21 +147,10 @@ func TestPipeReadBlocksUntilData(t *testing.T) {
 func TestTokenRingPasses(t *testing.T) {
 	// A miniature ctx ring: 4 processes, 100 laps.
 	m := newFreeBSD()
-	const nproc, laps = 4, 100
-	pipes := make([]*Pipe, nproc)
-	for i := range pipes {
-		pipes[i] = m.NewPipe()
-	}
-	var threads []*Thread
-	for i := 0; i < nproc; i++ {
-		ops := []Op{read(pipes[i], 1), write(pipes[(i+1)%nproc], 1)}
-		if i == 0 {
-			ops = []Op{write(pipes[1], 1), read(pipes[0], 1)} // collect the final token
-		}
-		threads = append(threads, m.SpawnThread("ring", ops, laps))
-	}
+	const laps = 100
+	ringOn(m, 4, laps)
 	m.Run()
-	for i, th := range threads {
+	for i, th := range m.Threads() {
 		if th.Iters != laps {
 			t.Fatalf("process %d passed token %d times, want %d", i, th.Iters, laps)
 		}
@@ -473,39 +462,50 @@ func TestTraceRecordsTimeline(t *testing.T) {
 	}
 }
 
-// ringAllocs counts the allocations of one unobserved nproc-process
-// token-ring run of the given laps.
-func ringAllocs(laps int) float64 {
-	return testing.AllocsPerRun(3, func() {
-		m := newLinux()
-		p0, p1 := m.NewPipe(), m.NewPipe()
-		m.SpawnThread("ring", []Op{write(p1, 1), read(p0, 1)}, laps)
-		m.SpawnThread("ring", []Op{read(p1, 1), write(p0, 1)}, laps)
-		m.Run()
-	})
+// streamMachine runs bw_pipe's shape unobserved: chunks 64-byte writes
+// against one long read, whose countdown never lets the state repeat,
+// so every write, read, block, wake and dispatch is stepped.
+func streamMachine(chunks int) *Machine {
+	m := newLinux()
+	p := m.NewPipe()
+	m.SpawnThread("writer", []Op{write(p, 64)}, chunks)
+	m.SpawnThread("reader", []Op{read(p, 64*chunks)}, 1)
+	m.Run()
+	return m
+}
+
+// streamAllocs counts the allocations of one streamMachine run.
+func streamAllocs(chunks int) float64 {
+	return testing.AllocsPerRun(3, func() { streamMachine(chunks) })
 }
 
 // TestTraceOffByDefault holds that an unobserved machine narrates
-// nothing: no recorder, and no per-event formatting — a pipe ring
-// allocates the same at 1,000 and 10,000 laps.
+// nothing: no recorder, and no per-event formatting — a stepped pipe
+// stream allocates the same at 1,000 and 10,000 chunks.
 func TestTraceOffByDefault(t *testing.T) {
 	if newLinux().rec != nil {
 		t.Fatal("a fresh machine has a recorder attached")
 	}
-	if a, b := ringAllocs(1_000), ringAllocs(10_000); a != b {
-		t.Fatalf("unobserved ring allocates %v objects at 1,000 laps and %v at 10,000", a, b)
+	if a, b := streamAllocs(1_000), streamAllocs(10_000); a != b {
+		t.Fatalf("unobserved stream allocates %v objects at 1,000 chunks and %v at 10,000", a, b)
 	}
 }
 
 // TestRunQueueReusesBackingArray holds that dispatching never grows the
 // run queue: a two-thread yield ring allocates the same number of
-// objects at 1,000 and at 10,000 laps.
+// objects at 1,000 and at 10,000 laps. The first thread runs its laps
+// as one iteration, so the run has no iteration boundary to
+// fast-forward from and steps every yield.
 func TestRunQueueReusesBackingArray(t *testing.T) {
 	for _, p := range osprofile.Paper() {
 		allocs := func(laps int) float64 {
 			return testing.AllocsPerRun(3, func() {
 				m := MustMachine(p, 1)
-				m.SpawnThread("yielder", []Op{{Kind: OpYield}}, laps)
+				yields := make([]Op, laps)
+				for i := range yields {
+					yields[i] = Op{Kind: OpYield}
+				}
+				m.SpawnThread("yielder", yields, 1)
 				m.SpawnThread("yielder", []Op{{Kind: OpYield}}, laps)
 				m.Run()
 			})

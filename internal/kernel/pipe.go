@@ -27,7 +27,9 @@ type Pipe struct {
 
 // NewPipe creates a pipe with the personality's kernel buffer capacity.
 func (m *Machine) NewPipe() *Pipe {
-	return &Pipe{m: m, capacity: m.os.Kernel.PipeCapacity}
+	pp := &Pipe{m: m, capacity: m.os.Kernel.PipeCapacity}
+	m.pipes = append(m.pipes, pp)
+	return pp
 }
 
 // Buffered returns the bytes currently in the kernel buffer.

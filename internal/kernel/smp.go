@@ -239,6 +239,8 @@ type Machine struct {
 	threads []*Thread
 	nextTID int
 	live    int
+	// pipes are the machine's pipes in creation order.
+	pipes []*Pipe
 
 	// Per-CPU state, indexed by CPU.
 	now     []sim.Time
@@ -264,6 +266,9 @@ type Machine struct {
 
 	elapsed  sim.Duration
 	finished bool
+	// cycle is the run's periodic fast-forward (fastforward.go), nil when
+	// the run is stepped.
+	cycle *cycle
 
 	// obs integration (see Observe): kernelTracks[c] carries CPU c's
 	// dispatch and wakeup spans and its narration instants.
@@ -621,6 +626,9 @@ func (m *Machine) exec(c int, t *Thread) {
 			return
 		}
 		t.pc = 0
+		if m.cycle != nil && t == m.threads[0] {
+			m.boundary()
+		}
 	}
 	op := t.ops[t.pc]
 	k := &m.os.Kernel
@@ -670,6 +678,7 @@ func (m *Machine) Run() sim.Duration {
 	if m.finished {
 		panic("kernel: machine already run")
 	}
+	m.cycle = m.armCycle()
 	for {
 		c := m.nextCPU()
 		if c < 0 {

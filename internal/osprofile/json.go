@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
+
+	"repro/internal/sim"
 )
 
 // JSON serialization lets users define operating-system personalities in
@@ -102,21 +105,50 @@ func LoadJSON(r io.Reader) ([]*Profile, error) {
 	return profiles, nil
 }
 
+// Magnitude bounds on the Kernel section, as fault.Validate bounds a
+// fault plan. A cost past maxKernelCost overflows virtual time in the
+// longer benchmarks; every pipe step moves at most a buffer, so a tiny
+// capacity multiplies bw_pipe's steps; and the dispatch table is
+// allocated up front and scanned on every dispatch.
+const (
+	maxKernelCost   = sim.Second
+	minPipeCapacity = 512
+	maxPipeCapacity = 1 << 20
+	maxCtxTableSize = 4096
+)
+
+// validateKernel bounds every Kernel duration to [0, maxKernelCost] and
+// the pipe buffer and dispatch table sizes, naming the field and its
+// bound.
+func validateKernel(k *KernelCosts) error {
+	v := reflect.ValueOf(k).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if d, ok := v.Field(i).Interface().(sim.Duration); ok && (d < 0 || d > maxKernelCost) {
+			return fmt.Errorf("Kernel.%s = %v must be non-negative and at most %v", v.Type().Field(i).Name, d, maxKernelCost)
+		}
+	}
+	if k.PipeCapacity < minPipeCapacity || k.PipeCapacity > maxPipeCapacity {
+		return fmt.Errorf("Kernel.PipeCapacity = %d must be in [%d, %d] bytes", k.PipeCapacity, minPipeCapacity, maxPipeCapacity)
+	}
+	if k.CtxTableSize < 0 || k.CtxTableSize > maxCtxTableSize {
+		return fmt.Errorf("Kernel.CtxTableSize = %d must be in [0, %d]", k.CtxTableSize, maxCtxTableSize)
+	}
+	return nil
+}
+
 // Validate checks a personality for the invariants the models rely on.
 func (p *Profile) Validate() error {
-	switch {
-	case p.Name == "" || p.Version == "":
+	if p.Name == "" || p.Version == "" {
 		return fmt.Errorf("missing name or version")
+	}
+	if err := validateKernel(&p.Kernel); err != nil {
+		return err
+	}
+	switch {
 	case p.Kernel.Syscall <= 0:
 		return fmt.Errorf("syscall cost must be positive")
-	case p.Kernel.PipeCapacity <= 0:
-		return fmt.Errorf("pipe capacity must be positive")
 	case p.Kernel.Scheduler == SchedScanAll && p.Kernel.CtxPerTask <= 0:
 		return fmt.Errorf("scan-all scheduler needs a per-task cost")
-	case p.Kernel.Scheduler == SchedPreemptiveMT && p.Kernel.CtxTableSize < 0:
-		return fmt.Errorf("negative dispatch table size")
-	case p.Kernel.StealCost < 0:
-		return fmt.Errorf("negative steal cost")
 	// Lock costs are non-negative rather than required-positive so that
 	// profile JSONs written before the SMP model existed stay loadable
 	// (the kernel clamps zero spin quanta to a positive floor).

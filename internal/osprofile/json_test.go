@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 func TestJSONRoundTrip(t *testing.T) {
@@ -119,4 +121,50 @@ func LoadJSONOne(src string) (*Profile, error) {
 		return nil, err
 	}
 	return ps[0], nil
+}
+
+// TestValidateBoundsKernel feeds the Kernel section probes that used to
+// load — a Syscall of 2,000,000 h overflowed F12's virtual time, a
+// one-byte pipe took bw_pipe 400 times as many steps — and values just
+// past each bound: each must be refused naming the field and its bound,
+// while every built-in profile, the -future set included, still loads.
+func TestValidateBoundsKernel(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		set        func(k *KernelCosts)
+	}{
+		{"syscall 2000000h", "Kernel.Syscall = 2000000h0m0s must be non-negative and at most 1s", func(k *KernelCosts) { k.Syscall = 2_000_000 * 3600 * sim.Second }},
+		{"pipe capacity 1", "Kernel.PipeCapacity = 1 must be in [512, 1048576] bytes", func(k *KernelCosts) { k.PipeCapacity = 1 }},
+		{"pipe capacity 2 MiB", "Kernel.PipeCapacity = 2097152 must be in [512, 1048576] bytes", func(k *KernelCosts) { k.PipeCapacity = 2 << 20 }},
+		{"table 4097", "Kernel.CtxTableSize = 4097 must be in [0, 4096]", func(k *KernelCosts) { k.CtxTableSize = 4097 }},
+		{"negative table", "Kernel.CtxTableSize = -1 must be in [0, 4096]", func(k *KernelCosts) { k.CtxTableSize = -1 }},
+		{"exec past 1s", "Kernel.Exec = 1.000000001s must be non-negative and at most 1s", func(k *KernelCosts) { k.Exec = sim.Second + 1 }},
+		{"negative ctx base", "Kernel.CtxBase = -1ns must be non-negative and at most 1s", func(k *KernelCosts) { k.CtxBase = -1 }},
+		{"negative steal cost", "Kernel.StealCost = -1ns must be non-negative and at most 1s", func(k *KernelCosts) { k.StealCost = -1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := Linux128()
+			tc.set(&p.Kernel)
+			var buf bytes.Buffer
+			if err := WriteJSON(&buf, []*Profile{p}); err != nil {
+				t.Fatal(err)
+			}
+			_, err := LoadJSON(&buf)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("LoadJSON: %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+	for _, p := range All() {
+		if err := p.Validate(); err != nil {
+			t.Errorf("%s: %v", p, err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, All()); err != nil {
+		t.Fatal(err)
+	}
+	if ps, err := LoadJSON(&buf); err != nil || len(ps) != len(All()) {
+		t.Fatalf("the built-in profiles do not load back: %d profiles, %v", len(ps), err)
+	}
 }

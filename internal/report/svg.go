@@ -40,18 +40,27 @@ func SVG(w io.Writer, r *core.Result) {
 		return
 	}
 
-	// Domain.
+	// Domain. Y is linear from zero, so a mean that is negative or not
+	// finite is left out of it, as report.plot leaves it off its canvas.
 	xmin, xmax := math.Inf(1), math.Inf(-1)
 	ymax := 0.0
+	unplotted := 0
 	for _, s := range r.Series {
 		for i, x := range s.X {
 			fx := scaleX(x, r.LogX)
 			xmin, xmax = math.Min(xmin, fx), math.Max(xmax, fx)
-			ymax = math.Max(ymax, s.Samples[i].Mean())
+			if m := s.Samples[i].Mean(); plottable(m) {
+				ymax = math.Max(ymax, m)
+			} else {
+				unplotted++
+			}
 		}
 	}
 	if xmax == xmin {
 		xmax++
+	}
+	if ymax == 0 {
+		ymax = 1
 	}
 	ymax *= 1.05
 
@@ -113,19 +122,24 @@ func SVG(w io.Writer, r *core.Result) {
 	}
 	fmt.Fprintf(w, `<text x="%d" y="%d" font-family="sans-serif" font-size="%d" text-anchor="middle">%s</text>`+"\n",
 		left+plotW/2, height-18, fontSize, xmlEscape(r.XLabel))
+	svgUnplotted(w, unplotted, left, height-4, fontSize-1)
 
 	// Series.
 	for si, s := range r.Series {
 		color := svgColors[si%len(svgColors)]
 		var pts []string
 		for i, x := range s.X {
-			pts = append(pts, fmt.Sprintf("%.1f,%.1f", px(x), py(s.Samples[i].Mean())))
+			if m := s.Samples[i].Mean(); plottable(m) {
+				pts = append(pts, fmt.Sprintf("%.1f,%.1f", px(x), py(m)))
+			}
 		}
 		fmt.Fprintf(w, `<polyline points="%s" fill="none" stroke="%s" stroke-width="1.8"/>`+"\n",
 			strings.Join(pts, " "), color)
 		for i, x := range s.X {
-			fmt.Fprintf(w, `<circle cx="%.1f" cy="%.1f" r="2.5" fill="%s"/>`+"\n",
-				px(x), py(s.Samples[i].Mean()), color)
+			if m := s.Samples[i].Mean(); plottable(m) {
+				fmt.Fprintf(w, `<circle cx="%.1f" cy="%.1f" r="2.5" fill="%s"/>`+"\n",
+					px(x), py(m), color)
+			}
 		}
 		// Legend entry.
 		ly := top + 16*si
@@ -137,11 +151,18 @@ func SVG(w io.Writer, r *core.Result) {
 	fmt.Fprintln(w, `</svg>`)
 }
 
-// svgBars renders a table result as horizontal bars.
+// svgBars renders a table result as horizontal bars. A row whose mean
+// is negative or not finite has no bar; it keeps its label and is
+// counted under the chart.
 func svgBars(w io.Writer, r *core.Result, left, top, plotW, plotH, fontSize int) {
 	max := 0.0
+	unplotted := 0
 	for _, s := range r.Series {
-		max = math.Max(max, s.Samples[0].Mean())
+		if m := s.Samples[0].Mean(); plottable(m) {
+			max = math.Max(max, m)
+		} else {
+			unplotted++
+		}
 	}
 	if max == 0 {
 		max = 1
@@ -150,14 +171,25 @@ func svgBars(w io.Writer, r *core.Result, left, top, plotW, plotH, fontSize int)
 	barH := plotH / (n*2 + 1)
 	for i, s := range r.Series {
 		v := s.Samples[0].Mean()
-		bw := float64(plotW) * v / (max * 1.1)
 		y := top + barH*(2*i+1)
-		fmt.Fprintf(w, `<rect x="%d" y="%d" width="%.1f" height="%d" fill="%s"/>`+"\n",
-			left, y, bw, barH, svgColors[i%len(svgColors)])
-		fmt.Fprintf(w, `<text x="%.1f" y="%d" font-family="sans-serif" font-size="%d">%.2f %s</text>`+"\n",
-			float64(left)+bw+5, y+barH/2+4, fontSize, v, xmlEscape(r.YUnit))
+		if plottable(v) {
+			bw := float64(plotW) * v / (max * 1.1)
+			fmt.Fprintf(w, `<rect x="%d" y="%d" width="%.1f" height="%d" fill="%s"/>`+"\n",
+				left, y, bw, barH, svgColors[i%len(svgColors)])
+			fmt.Fprintf(w, `<text x="%.1f" y="%d" font-family="sans-serif" font-size="%d">%.2f %s</text>`+"\n",
+				float64(left)+bw+5, y+barH/2+4, fontSize, v, xmlEscape(r.YUnit))
+		}
 		fmt.Fprintf(w, `<text x="%d" y="%d" font-family="sans-serif" font-size="%d" text-anchor="end">%s</text>`+"\n",
 			left-5, y+barH/2+4, fontSize, xmlEscape(s.Label))
+	}
+	svgUnplotted(w, unplotted, left, top+plotH+20, fontSize-1)
+}
+
+// svgUnplotted notes, at (x, y), the n points a chart left out.
+func svgUnplotted(w io.Writer, n, x, y, fontSize int) {
+	if n > 0 {
+		fmt.Fprintf(w, `<text x="%d" y="%d" font-family="sans-serif" font-size="%d">(%d points not plotted: mean negative or not finite)</text>`+"\n",
+			x, y, fontSize, n)
 	}
 }
 
