@@ -57,21 +57,19 @@ type File struct {
 	Experiments map[string]Experiment `json:"experiments"`
 }
 
-// FromSuite captures a suite observation as a baseline.
+// FromSuite captures a suite observation as a baseline, folding each
+// observation (core.Observation.Fold) for its runs' profile weights.
 func FromSuite(ids []string, seed uint64, s *core.SuiteObservation) *File {
 	f := &File{Schema: Schema, IDs: append([]string(nil), ids...), Seed: seed,
 		Experiments: make(map[string]Experiment, len(s.Observations))}
 	for _, o := range s.Observations {
+		o.Fold()
 		exp := Experiment{Title: o.Title, Runs: make(map[string]Run, len(o.Runs))}
 		for _, run := range o.Runs {
-			var profNs int64
-			if run.Profile != nil {
-				profNs = run.Profile.TotalNs()
-			}
 			exp.Runs[run.Label] = Run{
 				Unit:      run.Unit,
 				Total:     run.Total,
-				ProfileNs: profNs,
+				ProfileNs: run.Profile.TotalNs(),
 				Metrics:   run.Metrics,
 			}
 		}
@@ -112,14 +110,13 @@ func Load(data []byte) (*File, error) {
 }
 
 // MetricCount returns the number of recorded comparison points: per
-// run, the total and profile weight, every counter, and four points
-// (count, sum, min, max) per distribution — matching Result.Compared
-// on a structurally identical capture.
+// run, the total and profile weight and every counter — matching
+// Result.Compared on a structurally identical capture.
 func (f *File) MetricCount() int {
 	n := 0
 	for _, exp := range f.Experiments {
 		for _, run := range exp.Runs {
-			n += 2 + len(run.Metrics.Counters) + 4*len(run.Metrics.Dists)
+			n += 2 + len(run.Metrics.Counters)
 		}
 	}
 	return n

@@ -156,7 +156,8 @@ func Compare(base, cur *File, tol float64) *Result {
 	return res
 }
 
-// compareSnapshots diffs two metric snapshots under the run path.
+// compareSnapshots diffs two metric snapshots' counters under the run
+// path.
 func compareSnapshots(res *Result, path string, base, cur obs.Snapshot, tol float64) {
 	curC := make(map[string]float64, len(cur.Counters))
 	for _, c := range cur.Counters {
@@ -173,28 +174,6 @@ func compareSnapshots(res *Result, path string, base, cur obs.Snapshot, tol floa
 	}
 	for _, name := range sortedKeys(curC) {
 		res.added(path+" / "+name, curC[name])
-	}
-
-	curD := make(map[string]obs.DistValue, len(cur.Dists))
-	for _, d := range cur.Dists {
-		curD[d.Name] = d
-	}
-	for _, d := range base.Dists {
-		cd, ok := curD[d.Name]
-		if !ok {
-			res.missing(path+" / "+d.Name, float64(d.Count))
-			continue
-		}
-		delete(curD, d.Name)
-		// Four comparison points per distribution: count is an integer
-		// ledger, the moments follow the scalar rule.
-		res.compare(path+" / "+d.Name+".count", float64(d.Count), float64(cd.Count), tol)
-		res.compare(path+" / "+d.Name+".sum", d.Sum, cd.Sum, tol)
-		res.compare(path+" / "+d.Name+".min", d.Min, cd.Min, tol)
-		res.compare(path+" / "+d.Name+".max", d.Max, cd.Max, tol)
-	}
-	for _, name := range sortedKeys(curD) {
-		res.added(path+" / "+name, float64(curD[name].Count))
 	}
 }
 

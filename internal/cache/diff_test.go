@@ -255,7 +255,7 @@ func TestDifferentialMetricSnapshots(t *testing.T) {
 	ref.Stats().FoldStats(rr, "cache.")
 	fs, rs := fr.Snapshot(), rr.Snapshot()
 	if !reflect.DeepEqual(fs, rs) {
-		t.Fatalf("metric snapshots diverge\nfast:\n%srref:\n%s", fs, rs)
+		t.Fatalf("metric snapshots diverge\nfast: %v\nref:  %v", fs, rs)
 	}
 	if v, ok := fs.Get("cache.l1_misses"); !ok || v == 0 {
 		t.Fatalf("expected nonzero cache.l1_misses, got %v %v", v, ok)

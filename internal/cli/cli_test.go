@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // testApp returns an app with captured output and an in-memory
@@ -596,6 +598,74 @@ func TestTraceProcsFlag(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "-procs") {
 		t.Fatalf("error should mention -procs: %s", errb.String())
+	}
+}
+
+// footerCount runs a metrics command and returns the number its footer
+// line starting with prefix reports.
+func footerCount(t *testing.T, prefix string, args ...string) int64 {
+	t.Helper()
+	a, out, errb, _ := testApp()
+	if code := a.Execute(args); code != 0 {
+		t.Fatalf("%v: exit %d: %s", args, code, errb.String())
+	}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, prefix); ok {
+			n, err := strconv.ParseInt(strings.Fields(rest)[0], 10, 64)
+			if err != nil {
+				t.Fatalf("%v: footer line %q: %v", args, line, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("%v: no footer line starting %q:\n%s", args, prefix, out)
+	return 0
+}
+
+// observeRuns observes ids as the CLI views do, on two workers.
+func observeRuns(t *testing.T, ids []string, opts core.ObserveOpts) []*core.Observation {
+	t.Helper()
+	obsv, err := core.NewRunner(2).ObserveRuns(core.DefaultConfig(), ids, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return obsv
+}
+
+// TestSuiteSumsExemplarDrops checks the metrics footer's eviction count
+// against the runs it renders: with one exemplar kept per window, most
+// candidates are evicted, and the footer must give the sum of every
+// run's evictions.
+func TestSuiteSumsExemplarDrops(t *testing.T) {
+	var want int64
+	for _, o := range observeRuns(t, []string{"S1"}, core.ObserveOpts{ExemplarK: 1}) {
+		for _, run := range o.Runs {
+			want += run.ExemplarDrops
+		}
+	}
+	got := footerCount(t, "exemplars: ", "-exemplars", "1", "metrics", "S1")
+	if want <= 0 || got != want {
+		t.Fatalf("footer evictions = %d; want the runs' positive sum %d", got, want)
+	}
+}
+
+// TestMetricsFooterSumsTraceDrops checks the footer's trace-drop count
+// against the runs it renders: F1's rings wrap in every personality, and
+// the footer must give the sum of every run's ring drops.
+func TestMetricsFooterSumsTraceDrops(t *testing.T) {
+	var want int64
+	var runs int
+	for _, o := range observeRuns(t, []string{"F1", "F12"}, core.ObserveOpts{}) {
+		for _, run := range o.Runs {
+			want += int64(run.Process.Dropped)
+			if run.Process.Dropped > 0 {
+				runs++
+			}
+		}
+	}
+	got := footerCount(t, "recorder: ", "metrics", "F1", "F12")
+	if runs < 2 || got != want {
+		t.Fatalf("footer drops = %d; want %d, summed over %d runs that drop (at least 2)", got, want, runs)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/baseline"
 )
 
 func TestProfileTopFormat(t *testing.T) {
@@ -134,6 +136,33 @@ func TestBaselineRecordThenCheckPasses(t *testing.T) {
 	}
 	if !strings.Contains(b.Stdout.(*bytes.Buffer).String(), "match") {
 		t.Fatalf("clean check should report the match: %s", b.Stdout.(*bytes.Buffer).String())
+	}
+}
+
+// TestBaselineRecordWritesProfileNs holds the baseline capture to the
+// profiles it records: the runs come unfolded, and the capture folds
+// them, so every run of a probe that records spans gets a nonzero
+// profile_ns.
+func TestBaselineRecordWritesProfileNs(t *testing.T) {
+	a, _, errb, files := testApp()
+	ids := []string{"T2", "T4", "F1", "F12"}
+	if code := a.Execute(append([]string{"baseline", "record", "-baseline", "b.json"}, ids...)); code != 0 {
+		t.Fatalf("record exit = %d: %s", code, errb.String())
+	}
+	f, err := baseline.Load(files["b.json"].Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		runs := f.Experiments[id].Runs
+		if len(runs) != 3 {
+			t.Fatalf("%s: %d runs recorded, want 3", id, len(runs))
+		}
+		for label, run := range runs {
+			if run.ProfileNs <= 0 {
+				t.Errorf("%s / %s: profile_ns = %d, want the fold's positive weight", id, label, run.ProfileNs)
+			}
+		}
 	}
 }
 

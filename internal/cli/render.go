@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/report"
 )
@@ -27,7 +28,7 @@ func writeJSON(w io.Writer, v any) error {
 // renderChrome writes the probes' span streams as Chrome trace-event
 // JSON, for Perfetto or chrome://tracing.
 func renderChrome(w io.Writer, d *viewData) error {
-	return obs.WriteChrome(w, d.suite.Processes)
+	return obs.WriteChrome(w, core.Processes(d.obsv))
 }
 
 // renderTraceText writes the per-run trace summaries: one line per run
@@ -47,7 +48,7 @@ func renderTraceText(w io.Writer, d *viewData) error {
 		fmt.Fprintf(w, "  %-24s %d tracks, %d events (%d spans)",
 			label, len(p.Tracks), len(p.Events), spans)
 	}
-	for oi, o := range d.suite.Observations {
+	for oi, o := range d.obsv {
 		if oi > 0 {
 			fmt.Fprintln(w)
 		}
@@ -95,7 +96,8 @@ func renderTraceText(w io.Writer, d *viewData) error {
 // the modelled time of each run went, one column per phase. The columns
 // sum to the total, by construction of the phase ledgers.
 func renderMetricsTable(w io.Writer, d *viewData) error {
-	for oi, o := range d.suite.Observations {
+	var dropped, evicted int64
+	for oi, o := range d.obsv {
 		if oi > 0 {
 			fmt.Fprintln(w)
 		}
@@ -120,6 +122,8 @@ func renderMetricsTable(w io.Writer, d *viewData) error {
 				fmt.Fprintf(w, " %11.2f", vals[h.Name])
 			}
 			fmt.Fprintf(w, " %13.2f\n", run.Total)
+			dropped += int64(run.Process.Dropped)
+			evicted += run.ExemplarDrops
 		}
 		if counters := faultCounters(o); len(counters) > 0 {
 			fmt.Fprintln(w, "  injected faults (summed across systems):")
@@ -128,52 +132,42 @@ func renderMetricsTable(w io.Writer, d *viewData) error {
 			}
 		}
 	}
-	// Capture-fidelity footer: a non-zero trace-drop count means the
-	// span recorder's ring wrapped and the tables above were built from
-	// an incomplete trace; the exemplar line reports reservoir evictions
-	// (expected whenever more than K requests land in a window).
-	if n, ok := d.suite.Metrics.Get("runner.obs_dropped"); ok {
-		fmt.Fprintf(w, "\nrecorder: %.0f trace events dropped", n)
-		if n == 0 {
-			fmt.Fprint(w, " (capture complete)")
-		}
-		fmt.Fprintln(w)
+	// Capture-fidelity footer, summed over the runs above: a non-zero
+	// trace-drop count means a span recorder's ring wrapped and the tables
+	// were built from an incomplete trace (the per-request exemplar
+	// tracks are recorded unbounded, so only the model captures drop);
+	// the exemplar line reports reservoir evictions (expected whenever
+	// more than K requests land in a window).
+	fmt.Fprintf(w, "\nrecorder: %d trace events dropped", dropped)
+	if dropped == 0 {
+		fmt.Fprint(w, " (capture complete)")
 	}
-	if n, ok := d.suite.Metrics.Get("runner.exemplars_dropped"); ok {
-		fmt.Fprintf(w, "exemplars: %.0f candidates evicted from the reservoirs", n)
-		if n == 0 {
-			fmt.Fprint(w, " (every candidate kept)")
-		}
-		fmt.Fprintln(w)
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "exemplars: %d candidates evicted from the reservoirs", evicted)
+	if evicted == 0 {
+		fmt.Fprint(w, " (every candidate kept)")
 	}
+	fmt.Fprintln(w)
 	return nil
 }
 
-// renderPrometheus writes the probes' metric snapshots in the Prometheus
-// text exposition format, runner self-metrics excluded (they carry wall
-// clock and would roll the content hash on every compute), then the NFS
-// scale probes' full latency histogram as a real Prometheus histogram
-// family: cumulative le buckets on the stats.Histogram boundaries, a
-// +Inf bucket, _sum and _count, with the HELP/TYPE header once before
-// the first sample.
+// renderPrometheus writes the probes' per-run metric counters in the
+// Prometheus text exposition format, then the NFS scale probes' full
+// latency histogram as a real Prometheus histogram family: cumulative le
+// buckets on the stats.Histogram boundaries, a +Inf bucket, _sum and
+// _count, with the HELP/TYPE header once before the first sample.
 func renderPrometheus(w io.Writer, d *viewData) error {
-	for _, o := range d.suite.Observations {
+	for _, o := range d.obsv {
 		for _, run := range o.Runs {
-			snap := run.Metrics.ExcludePrefix("runner.")
-			for _, c := range snap.Counters {
+			for _, c := range run.Metrics.Counters {
 				fmt.Fprintf(w, "%s{experiment=%q,system=%q} %v\n",
 					promName(c.Name), o.ID, run.Label, c.Value)
-			}
-			for _, dist := range snap.Dists {
-				n := promName(dist.Name)
-				fmt.Fprintf(w, "%s_count{experiment=%q,system=%q} %d\n", n, o.ID, run.Label, dist.Count)
-				fmt.Fprintf(w, "%s_sum{experiment=%q,system=%q} %v\n", n, o.ID, run.Label, dist.Sum)
 			}
 		}
 	}
 	const family = "pentiumbench_nfs_latency_ns"
 	wroteHead := false
-	for _, o := range d.suite.Observations {
+	for _, o := range d.obsv {
 		for _, run := range o.Runs {
 			hist := run.LatencyHist
 			if hist == nil || hist.N() == 0 {
@@ -219,7 +213,7 @@ func promName(name string) string {
 // system, series, window), t_ns the window's virtual start time.
 func renderSeriesCSV(w io.Writer, d *viewData) error {
 	fmt.Fprintln(w, "experiment,system,series,t_ns,value")
-	for _, o := range d.suite.Observations {
+	for _, o := range d.obsv {
 		for _, run := range o.Runs {
 			if run.Series == nil {
 				continue
@@ -244,7 +238,7 @@ func renderSeriesJSON(w io.Writer, d *viewData) error {
 		Series     *obs.TimeSeries `json:"series"`
 	}
 	out := []runSeries{}
-	for _, o := range d.suite.Observations {
+	for _, o := range d.obsv {
 		for _, run := range o.Runs {
 			if run.Series != nil {
 				out = append(out, runSeries{o.ID, run.Label, run.Series})
@@ -260,7 +254,7 @@ func renderTimelines(w io.Writer, d *viewData) error {
 	if err := d.app.MkdirAll(d.outDir, 0o755); err != nil {
 		return err
 	}
-	for _, o := range d.suite.Observations {
+	for _, o := range d.obsv {
 		var runs []report.TimelineRun
 		for _, run := range o.Runs {
 			if run.Series == nil {
@@ -324,7 +318,7 @@ func renderExemplars(w io.Writer, d *viewData) error {
 		Windows    []obs.ExemplarWindow `json:"windows"`
 	}
 	out := []runExemplars{}
-	for _, o := range d.suite.Observations {
+	for _, o := range d.obsv {
 		for _, run := range o.Runs {
 			if run.LatencyHist == nil {
 				continue

@@ -40,7 +40,6 @@ type ownRuns struct {
 
 type observed struct {
 	runs []*core.Observation
-	st   *core.RunStats
 	err  error
 }
 
@@ -52,13 +51,13 @@ func (o *ownRuns) perView(name, id string) (*viewData, error) {
 	k := ownRun{id, v.opts(o.h.opts)}
 	r, ok := o.seen[k]
 	if !ok {
-		r.runs, r.st, r.err = o.h.runner.ObserveRuns(o.h.cfg, []string{id}, k.opts)
+		r.runs, r.err = o.h.runner.ObserveRuns(o.h.cfg, []string{id}, k.opts)
 		o.seen[k] = r
 	}
 	if r.err != nil {
 		return nil, r.err
 	}
-	return v.projectFor(r.runs, r.st, o.h.opts)
+	return v.projectFor(r.runs, o.h.opts)
 }
 
 // Every API body comes from the id's shared run, and must equal the

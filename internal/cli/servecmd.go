@@ -332,13 +332,13 @@ func (h *serveHandler) exhibit(id, view string) map[string]serveEntry {
 	g := groups[slices.IndexFunc(groups, func(g runGroup) bool { return slices.Contains(g.views, view) })]
 	return h.exhibits.Do(sharedRun{id, g.opts.Window, g.opts.ExemplarK}, func() map[string]serveEntry {
 		bodies := make(map[string]serveEntry)
-		runs, st, err := h.runner.ObserveRuns(h.cfg, []string{id}, g.opts)
+		runs, err := h.runner.ObserveRuns(h.cfg, []string{id}, g.opts)
 		for _, name := range g.views {
 			v := views[name]
 			var d *viewData
 			derr := err
 			if err == nil {
-				d, derr = v.projectFor(runs, st, h.opts)
+				d, derr = v.projectFor(runs, h.opts)
 			}
 			for _, fname := range v.api {
 				bodies[apiKey("/api/"+name+"/"+id, v, fname)] = body(name, id, fname, d, derr)

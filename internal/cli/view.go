@@ -33,7 +33,7 @@ type view struct {
 	// project makes the view's data from runs that core.Covers it: the
 	// CLI's runs of the resolved ids, observed under the view's options,
 	// or serve's shared run of one id (see exhibit).
-	project func(runs []*core.Observation, st *core.RunStats, opts core.ObserveOpts) (*viewData, error)
+	project func(runs []*core.Observation, opts core.ObserveOpts) (*viewData, error)
 	// formats holds the view's renderers by name; cli and api list the
 	// formats each surface offers, default first, and a nil list means
 	// the surface lacks the view. A surface offering one format ignores
@@ -51,10 +51,11 @@ type format struct {
 	render      func(w io.Writer, d *viewData) error
 }
 
-// viewData is what a renderer reads: the observation and the flags that
-// shape its rendering.
+// viewData is what a renderer reads: the projected observations (or the
+// verdicts they carry) and the flags that shape its rendering. Each
+// renderer takes only what it prints from them.
 type viewData struct {
-	suite  *core.SuiteObservation
+	obsv   []*core.Observation
 	audits []*core.AuditObservation
 	opts   core.ObserveOpts
 	// top is -top; outDir is -out and app creates its files, for the
@@ -96,9 +97,9 @@ var views = map[string]*view{
 	"profile": {
 		ids: core.ObservableIDs, set: "observable", project: projectProfiles, toFile: true,
 		formats: map[string]format{
-			"top":    {"", func(w io.Writer, d *viewData) error { return d.suite.Profile.WriteTop(w, d.top) }},
-			"folded": {"text/plain; charset=utf-8", func(w io.Writer, d *viewData) error { return d.suite.Profile.WriteFolded(w) }},
-			"pprof":  {"application/octet-stream", func(w io.Writer, d *viewData) error { return d.suite.Profile.WritePprof(w) }},
+			"top":    {"", func(w io.Writer, d *viewData) error { return core.MergeProfiles(d.obsv).WriteTop(w, d.top) }},
+			"folded": {"text/plain; charset=utf-8", func(w io.Writer, d *viewData) error { return core.MergeProfiles(d.obsv).WriteFolded(w) }},
+			"pprof":  {"application/octet-stream", func(w io.Writer, d *viewData) error { return core.MergeProfiles(d.obsv).WritePprof(w) }},
 		},
 		cli: []string{"top", "folded", "pprof"}, api: []string{"folded", "pprof"},
 	},
@@ -136,8 +137,8 @@ func (v *view) opts(o cmdOpts) core.ObserveOpts {
 
 // projectFor makes the view's data under the flags from runs that cover
 // it.
-func (v *view) projectFor(runs []*core.Observation, st *core.RunStats, o cmdOpts) (*viewData, error) {
-	d, err := v.project(runs, st, v.opts(o))
+func (v *view) projectFor(runs []*core.Observation, o cmdOpts) (*viewData, error) {
+	d, err := v.project(runs, v.opts(o))
 	return d, v.refuse(d, err)
 }
 
@@ -147,7 +148,7 @@ func (v *view) projectFor(runs []*core.Observation, st *core.RunStats, o cmdOpts
 // narrowest width that fits.
 func (v *view) refuse(d *viewData, err error) error {
 	if err == nil && v.series {
-		err = overflow(d.suite)
+		err = overflow(d.obsv)
 	}
 	var be *obs.BudgetError
 	if errors.As(err, &be) {
@@ -205,13 +206,12 @@ func (a *App) runView(name string, cfg core.Config, runner *core.Runner, o cmdOp
 		ids, err = v.resolve(name, ids)
 	}
 	var runs []*core.Observation
-	var st *core.RunStats
 	if err == nil {
-		runs, st, err = runner.ObserveRuns(cfg, ids, v.opts(o))
+		runs, err = runner.ObserveRuns(cfg, ids, v.opts(o))
 	}
 	var d *viewData
 	if err == nil {
-		d, err = v.projectFor(runs, st, o)
+		d, err = v.projectFor(runs, o)
 	}
 	if err != nil {
 		fmt.Fprintln(a.Stderr, "pentiumbench:", err)
@@ -240,8 +240,8 @@ func (a *App) runView(name string, cfg core.Config, runner *core.Runner, o cmdOp
 
 // overflow is the budget error of the first run whose series outgrew
 // the sampler's window budget, or nil.
-func overflow(suite *core.SuiteObservation) error {
-	for _, o := range suite.Observations {
+func overflow(obsv []*core.Observation) error {
+	for _, o := range obsv {
 		for _, run := range o.Runs {
 			if run.Series != nil && run.Series.Overflow != nil {
 				return run.Series.Overflow
@@ -251,16 +251,15 @@ func overflow(suite *core.SuiteObservation) error {
 	return nil
 }
 
-// projectProbes is the runs as the view sees them, merged as
-// Runner.Observe merges.
-func projectProbes(runs []*core.Observation, st *core.RunStats, opts core.ObserveOpts) (*viewData, error) {
-	return &viewData{suite: core.Suite(project(runs, opts, false), st), opts: opts}, nil
+// projectProbes is the runs as the view sees them.
+func projectProbes(runs []*core.Observation, opts core.ObserveOpts) (*viewData, error) {
+	return &viewData{obsv: project(runs, opts, false), opts: opts}, nil
 }
 
 // projectProfiles is projectProbes for a view that reads the profile:
 // the projections are folded first.
-func projectProfiles(runs []*core.Observation, st *core.RunStats, opts core.ObserveOpts) (*viewData, error) {
-	return &viewData{suite: core.Suite(project(runs, opts, true), st), opts: opts}, nil
+func projectProfiles(runs []*core.Observation, opts core.ObserveOpts) (*viewData, error) {
+	return &viewData{obsv: project(runs, opts, true), opts: opts}, nil
 }
 
 // project is each observation as a view observed under opts shows it,
@@ -277,7 +276,7 @@ func project(runs []*core.Observation, opts core.ObserveOpts, fold bool) []*core
 }
 
 // projectAudits is the verdicts the runs carry.
-func projectAudits(runs []*core.Observation, _ *core.RunStats, opts core.ObserveOpts) (*viewData, error) {
+func projectAudits(runs []*core.Observation, opts core.ObserveOpts) (*viewData, error) {
 	audits := make([]*core.AuditObservation, len(runs))
 	for i, o := range runs {
 		ao, err := o.Audit()

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/audit"
 	"repro/internal/bench"
@@ -48,8 +47,8 @@ type ObservedRun struct {
 	// Metrics is the run's full metric snapshot.
 	Metrics obs.Snapshot
 	// Profile is the run's span stream folded into weighted call stacks
-	// (virtual nanoseconds; DESIGN.md §10). Folding happens inside the
-	// probe task, so parallel suites profile in parallel too.
+	// (virtual nanoseconds; DESIGN.md §10), nil until Observation.Fold
+	// folds it: only the views that read a profile pay for the fold.
 	Profile *profile.Profile
 	// Series is the run's virtual-time time-series snapshot, present
 	// only when ObserveOpts.Window enabled sampling and the probe has
@@ -580,161 +579,89 @@ func (r *ObservedRun) processes() []obs.Process {
 	return []obs.Process{r.Process, *r.requests()}
 }
 
-// Fold folds each run's span streams into its profile. Runner.Observe
-// folds inside each probe task, so parallel suites fold in parallel
-// too; a projection is folded only by the views that read a profile.
+// Fold folds each run's span streams into its profile. The runs come
+// unfolded, so only the views and captures that read a profile fold.
 func (o *Observation) Fold() {
 	for i := range o.Runs {
 		o.Runs[i].Profile = profile.Fold(o.Runs[i].processes()...)
 	}
 }
 
-// FoldMetrics adds the run's statistics — pool shape, job counts, memo
-// effectiveness, wall-clock times and worker utilization — to a registry
-// under the given prefix. These are the runner's self-observability
-// gauges; they carry real wall-clock time and therefore vary run to run,
-// which is why determinism checks strip the prefix.
-func (st *RunStats) FoldMetrics(reg *obs.Registry, prefix string) {
-	reg.Counter(prefix + "workers").Add(float64(st.Workers))
-	reg.Counter(prefix + "jobs").Add(float64(st.Jobs))
-	reg.Counter(prefix + "inner_jobs").Add(float64(st.InnerJobs))
-	reg.Counter(prefix + "memo_hits").Add(float64(st.MemoHits))
-	reg.Counter(prefix + "memo_misses").Add(float64(st.MemoMisses))
-	if st.Store != nil {
-		// Persistent result-memo effectiveness, present only when a store
-		// was attached (-memo), so storeless snapshots are unchanged.
-		reg.Counter(prefix + "memo_store_hits").Add(float64(st.Store.Hits))
-		reg.Counter(prefix + "memo_store_misses").Add(float64(st.Store.Misses))
-		reg.Counter(prefix + "memo_store_stale").Add(float64(st.Store.Stale))
-	}
-	reg.Counter(prefix + "wall_us").Add(float64(st.Wall.Microseconds()))
-	d := reg.Distribution(prefix + "experiment_wall_us")
-	var busy time.Duration
-	for _, e := range st.Experiments {
-		d.Observe(float64(e.Wall.Microseconds()))
-		busy += e.Wall
-	}
-	if st.Wall > 0 && st.Workers > 0 {
-		util := float64(busy) / (float64(st.Wall) * float64(st.Workers))
-		reg.Counter(prefix + "worker_utilization_pct").Add(100 * util)
-	}
-}
-
 // SuiteObservation is the product of Runner.Observe: per-experiment
-// observations, all trace processes in deterministic order, one
-// merged metric snapshot, and the merged virtual-time profile.
-// Everything except the "runner." self-metrics (real wall-clock,
-// inherently nondeterministic) is bit-identical at every worker count;
-// strip them with Metrics.ExcludePrefix("runner.") when comparing.
+// observations and all their trace processes in deterministic order,
+// bit-identical at every worker count. The runs are unfolded; fold an
+// observation (Observation.Fold) to read its runs' profiles.
 type SuiteObservation struct {
 	Observations []*Observation
 	Processes    []obs.Process
-	Metrics      obs.Snapshot
-	// Profile merges every run's folded profile in input order, and is
-	// nil when a run is unfolded (see Observation.Fold). Its exports
-	// (folded, pprof, top) are byte-identical at every worker count:
-	// per-run folds happen in the probe tasks, the merge walks runs in
-	// input order, and the export order is canonical.
-	Profile *profile.Profile
 }
 
 // Observe runs the probes for the given observable experiment IDs on
-// the worker pool, which each probe borrows to run its personalities
-// too, folds every run's profile, and merges the observations (Suite).
+// the worker pool (ObserveRuns) and collects their trace processes
+// (Processes). It refuses ids that are not observable.
 func (r *Runner) Observe(cfg Config, ids []string, opts ObserveOpts) (*SuiteObservation, error) {
 	for _, id := range ids {
 		if !probes[id].observable() {
 			return nil, fmt.Errorf("observe %s: core: no observability probe for %q (have %v)", id, id, ObservableIDs())
 		}
 	}
-	obsv, st, err := r.observe(cfg, ids, opts, true)
+	obsv, err := r.ObserveRuns(cfg, ids, opts)
 	if err != nil {
 		return nil, err
 	}
-	return Suite(obsv, st), nil
+	return &SuiteObservation{Observations: obsv, Processes: Processes(obsv)}, nil
 }
 
 // ObserveRuns observes each experiment once, each id one task on the
-// pool, to be projected onto the views it serves (Covers,
-// Observation.Project): its runs carry every recorder opts asks for and
-// their audit verdicts, and their profiles are left for the views that
-// read one to fold. Merge the projections with Suite under the stats
-// returned; Observation.Audit collects the verdicts. Auditable ids
-// that are not observable (L1) are observed too.
-func (r *Runner) ObserveRuns(cfg Config, ids []string, opts ObserveOpts) ([]*Observation, *RunStats, error) {
-	return r.observe(cfg, ids, opts, false)
-}
-
-// observe runs the probes for ids on the pool, each id one task, folding
-// each observation inside its task when fold is set.
-func (r *Runner) observe(cfg Config, ids []string, opts ObserveOpts, fold bool) ([]*Observation, *RunStats, error) {
-	w := r.workers()
+// pool, which each probe borrows to run its personalities too. The
+// observations come in input order, to be projected onto the views they
+// serve (Covers, Observation.Project): their runs carry every recorder
+// opts asks for and their audit verdicts, and their profiles are left
+// for the views that read one to fold. Observation.Audit collects the
+// verdicts. Auditable ids that are not observable (L1) are observed too.
+func (r *Runner) ObserveRuns(cfg Config, ids []string, opts ObserveOpts) ([]*Observation, error) {
 	obsv := make([]*Observation, len(ids))
 	errs := make([]error, len(ids))
-	timings := make([]ExperimentTiming, len(ids))
-	start := time.Now()
-	cfg.pool = newWorkPool(w)
+	cfg.pool = newWorkPool(r.workers())
 	forEach(cfg.pool, len(ids), func(i int) {
-		t0 := time.Now()
 		obsv[i], errs[i] = observe(cfg, ids[i], opts)
-		if fold && errs[i] == nil {
-			obsv[i].Fold()
-		}
-		timings[i] = ExperimentTiming{ID: ids[i], Wall: time.Since(t0)}
 	})
 	for i, err := range errs {
 		if err != nil {
-			return nil, nil, fmt.Errorf("observe %s: %w", ids[i], err)
+			return nil, fmt.Errorf("observe %s: %w", ids[i], err)
 		}
 	}
-	st := &RunStats{Workers: w, Jobs: len(ids), Wall: time.Since(start), Experiments: timings}
-	if cfg.pool != nil {
-		st.InnerJobs = int(cfg.pool.innerJobs.Load())
-	}
-	return obsv, st, nil
+	return obsv, nil
 }
 
-// Suite merges observations into the SuiteObservation every view
-// renders, in input and profile order — task order, never completion
-// order — which is what makes it independent of the worker count. It is
-// the one assembly path: Runner.Observe merges its observations with it,
-// and the views merge their projections of ObserveRuns' runs with it.
-func Suite(obsv []*Observation, st *RunStats) *SuiteObservation {
-	suite := &SuiteObservation{Observations: obsv, Profile: profile.New()}
-	var parts []obs.Snapshot
-	var exDropped int64
+// Processes returns the observations' trace processes in export order:
+// input order, then profile order within an id — task order, never
+// completion order, which is what makes a trace independent of the
+// worker count. Each run gives its model capture, then its per-request
+// exemplar trace when it has one.
+func Processes(obsv []*Observation) []obs.Process {
+	var out []obs.Process
 	for _, o := range obsv {
-		for _, run := range o.Runs {
-			parts = append(parts, run.Metrics)
-			suite.Processes = append(suite.Processes, run.processes()...)
-			if run.Profile == nil {
-				suite.Profile = nil
-			} else if suite.Profile != nil {
-				suite.Profile.Merge(run.Profile)
-			}
-			exDropped += run.ExemplarDrops
+		for i := range o.Runs {
+			out = append(out, o.Runs[i].processes()...)
 		}
 	}
-	merged := obs.MergeSnapshots(parts...)
+	return out
+}
 
-	// Runner self-observability: real wall-clock task timings and worker
-	// utilization, kept under "runner." so determinism comparisons can
-	// exclude them.
-	reg := obs.NewRegistry()
-	st.FoldMetrics(reg, "runner.")
-	// Ring-bound trace truncation, summed across every captured process,
-	// so dropped events are visible outside `trace -format=text`. Under
-	// "runner." like the other self-metrics: the value is deterministic,
-	// but it describes the capture, not the models.
-	dropped := 0
-	for _, pr := range suite.Processes {
-		dropped += pr.Dropped
+// MergeProfiles merges the runs' folded profiles in Processes' order, or
+// returns nil when a run is unfolded (see Observation.Fold). Its exports
+// (folded, pprof, top) are byte-identical at every worker count: the
+// merge order is fixed and the export order canonical.
+func MergeProfiles(obsv []*Observation) *profile.Profile {
+	merged := profile.New()
+	for _, o := range obsv {
+		for _, run := range o.Runs {
+			if run.Profile == nil {
+				return nil
+			}
+			merged.Merge(run.Profile)
+		}
 	}
-	reg.Counter("runner.obs_dropped").Add(float64(dropped))
-	// Exemplar reservoir rejections, summed across runs — the
-	// capture-fidelity counterpart of obs_dropped for exemplar tracing
-	// (deterministic: a pure function of the offered request sets).
-	reg.Counter("runner.exemplars_dropped").Add(float64(exDropped))
-	suite.Metrics = obs.MergeSnapshots(merged, reg.Snapshot())
-	return suite
+	return merged
 }

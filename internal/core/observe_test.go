@@ -7,10 +7,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/profile"
 	"repro/internal/sim"
 )
 
@@ -92,15 +92,45 @@ func faultedPlan() *fault.Plan {
 	}
 }
 
+// sameMetrics requires two suite observations to hold the same runs,
+// run by run, with equal metric snapshots.
+func sameMetrics(t *testing.T, a, b *SuiteObservation) {
+	t.Helper()
+	if len(a.Observations) != len(b.Observations) {
+		t.Fatalf("%d observations against %d", len(a.Observations), len(b.Observations))
+	}
+	for i, oa := range a.Observations {
+		ob := b.Observations[i]
+		if oa.ID != ob.ID || len(oa.Runs) != len(ob.Runs) {
+			t.Fatalf("observation %d: %s with %d runs against %s with %d", i, oa.ID, len(oa.Runs), ob.ID, len(ob.Runs))
+		}
+		for j, ra := range oa.Runs {
+			if rb := ob.Runs[j]; ra.Label != rb.Label || !reflect.DeepEqual(ra.Metrics, rb.Metrics) {
+				t.Fatalf("%s run %d: metric snapshots differ:\n%s %v\nagainst\n%s %v",
+					oa.ID, j, ra.Label, ra.Metrics, rb.Label, rb.Metrics)
+			}
+		}
+	}
+}
+
+// counterSum sums a named counter over a suite's runs.
+func counterSum(s *SuiteObservation, name string) float64 {
+	var sum float64
+	for _, o := range s.Observations {
+		for _, run := range o.Runs {
+			v, _ := run.Metrics.Get(name)
+			sum += v
+		}
+	}
+	return sum
+}
+
 // sameObservation requires two suite observations to carry the same
-// metrics (apart from the runner's wall-clock self-metrics), the same
-// Chrome trace bytes and the same folded profile exports.
+// metrics, run by run, the same Chrome trace bytes and the same folded
+// profile exports.
 func sameObservation(t *testing.T, a, b *SuiteObservation) {
 	t.Helper()
-	ma, mb := a.Metrics.ExcludePrefix("runner."), b.Metrics.ExcludePrefix("runner.")
-	if !reflect.DeepEqual(ma, mb) {
-		t.Fatalf("metric snapshots differ:\n%s\nagainst\n%s", ma, mb)
-	}
+	sameMetrics(t, a, b)
 	ca := chromeBytes(t, a)
 	if !bytes.Equal(ca, chromeBytes(t, b)) {
 		t.Fatal("chrome trace bytes differ")
@@ -165,8 +195,8 @@ func TestObserveDeterminismAcrossWorkersFaulted(t *testing.T) {
 	}
 	sameObservation(t, s1, s8)
 	// The injectors actually fired and their counters surfaced.
-	if v, ok := s1.Metrics.Get("fault.net.rpc_retransmits"); !ok || v == 0 {
-		t.Errorf("fault.net.rpc_retransmits = %v, %v", v, ok)
+	if v := counterSum(s1, "fault.net.rpc_retransmits"); v == 0 {
+		t.Errorf("fault.net.rpc_retransmits sums to %v over the runs", v)
 	}
 }
 
@@ -191,40 +221,25 @@ func TestSuiteObservationShape(t *testing.T) {
 		t.Fatalf("observation order not input order: %s, %s",
 			s.Observations[0].ID, s.Observations[1].ID)
 	}
-	if _, ok := s.Metrics.Get("runner.jobs"); !ok {
-		t.Fatal("suite metrics missing runner.jobs self-metric")
-	}
-	if v, ok := s.Metrics.Get("runner.workers"); !ok || v != 2 {
-		t.Fatalf("runner.workers = %v, %v; want 2, true", v, ok)
-	}
-	// T2's and F12's probes each fan three personalities out on the pool.
-	if v, ok := s.Metrics.Get("runner.inner_jobs"); !ok || v != 6 {
-		t.Fatalf("runner.inner_jobs = %v, %v; want 6, true", v, ok)
-	}
-	// Kernel and fs attribution from the probes must have been merged in.
-	for _, name := range []string{"kernel.phase_us.syscall", "fs.phase_us.vfs"} {
-		if _, ok := s.Metrics.Get(name); !ok {
-			t.Errorf("suite metrics missing %s", name)
+	// Kernel and fs attribution: every run carries its probe's snapshot.
+	for i, name := range []string{"kernel.phase_us.syscall", "fs.phase_us.vfs"} {
+		for _, run := range s.Observations[i].Runs {
+			if _, ok := run.Metrics.Get(name); !ok {
+				t.Errorf("%s %s: metrics missing %s", ids[i], run.Label, name)
+			}
 		}
 	}
-}
-
-// TestSuiteSumsExemplarDrops checks runner.exemplars_dropped against the
-// runs Suite merges: with one exemplar kept per window, most candidates
-// are evicted, and the suite counter must be the sum of every run's.
-func TestSuiteSumsExemplarDrops(t *testing.T) {
-	s, err := NewRunner(2).Observe(DefaultConfig(), []string{"S1"}, ObserveOpts{ExemplarK: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want int64
-	for _, o := range s.Observations {
-		for _, run := range o.Runs {
-			want += run.ExemplarDrops
+	// T2's and F12's probes each fan three personalities out on the pool
+	// that Runner.Observe lends them.
+	cfg := DefaultConfig()
+	cfg.pool = newWorkPool(2)
+	for _, id := range ids {
+		if _, err := observe(cfg, id, ObserveOpts{}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if got, ok := s.Metrics.Get("runner.exemplars_dropped"); !ok || want <= 0 || got != float64(want) {
-		t.Fatalf("runner.exemplars_dropped = %v, %v; want the runs' positive sum %d", got, ok, want)
+	if got := cfg.pool.innerJobs.Load(); got != 6 {
+		t.Fatalf("the probes scheduled %d inner jobs, want 6", got)
 	}
 }
 
@@ -235,50 +250,58 @@ func TestObserveErrorPropagates(t *testing.T) {
 	}
 }
 
-func TestRunStatsFoldMetrics(t *testing.T) {
-	st := &RunStats{
-		Workers:    4,
-		Jobs:       3,
-		InnerJobs:  7,
-		MemoHits:   10,
-		MemoMisses: 5,
-		Wall:       2 * time.Millisecond,
-		Experiments: []ExperimentTiming{
-			{ID: "a", Wall: time.Millisecond},
-			{ID: "b", Wall: time.Millisecond},
-			{ID: "c", Wall: 2 * time.Millisecond},
-		},
+// TestProcessesExportOrder pins the trace's process order: ids in input
+// order, each id's runs in profile order, each run's model capture
+// followed by its per-request exemplar trace when it has one.
+func TestProcessesExportOrder(t *testing.T) {
+	obsv, err := NewRunner(2).ObserveRuns(DefaultConfig(), []string{"T2", "S1"}, ObserveOpts{ExemplarK: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	st.FoldMetrics(reg, "runner.")
-	snap := reg.Snapshot()
-	for name, want := range map[string]float64{
-		"runner.workers":     4,
-		"runner.jobs":        3,
-		"runner.inner_jobs":  7,
-		"runner.memo_hits":   10,
-		"runner.memo_misses": 5,
-		"runner.wall_us":     2000,
-		// busy 4ms over 4 workers × 2ms wall = 50%.
-		"runner.worker_utilization_pct": 50,
-	} {
-		if v, ok := snap.Get(name); !ok || math.Abs(v-want) > 1e-9 {
-			t.Errorf("%s = %v, %v; want %v", name, v, ok, want)
+	var want []string
+	for _, o := range obsv {
+		for _, run := range o.Runs {
+			want = append(want, run.Process.Name)
+			if reqs := run.Requests(); reqs != nil {
+				want = append(want, reqs.Name)
+			}
 		}
 	}
+	var got []string
+	for _, p := range Processes(obsv) {
+		got = append(got, p.Name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("processes %q, want %q", got, want)
+	}
+	// T2 has three runs and no reservoir; S1's three runs each add their
+	// request trace after the capture.
+	if len(got) != 9 || !strings.HasSuffix(got[4], " requests") || strings.HasSuffix(got[3], " requests") {
+		t.Fatalf("processes %q: want T2's three captures, then each S1 capture followed by its requests", got)
+	}
+}
+
+// foldedProfile folds a suite's observations and merges their runs'
+// profiles, as the profile view does.
+func foldedProfile(s *SuiteObservation) *profile.Profile {
+	for _, o := range s.Observations {
+		o.Fold()
+	}
+	return MergeProfiles(s.Observations)
 }
 
 // profileBytes renders every profile export of a suite, concatenated.
 func profileBytes(t *testing.T, s *SuiteObservation) []byte {
 	t.Helper()
+	prof := foldedProfile(s)
 	var b bytes.Buffer
-	if err := s.Profile.WriteFolded(&b); err != nil {
+	if err := prof.WriteFolded(&b); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Profile.WriteTop(&b, 0); err != nil {
+	if err := prof.WriteTop(&b, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Profile.WritePprof(&b); err != nil {
+	if err := prof.WritePprof(&b); err != nil {
 		t.Fatal(err)
 	}
 	return b.Bytes()
@@ -295,7 +318,7 @@ func TestSuiteProfileDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1.Profile.TotalNs() == 0 {
+	if foldedProfile(s1).TotalNs() == 0 {
 		t.Fatal("suite profile is empty")
 	}
 	if !bytes.Equal(profileBytes(t, s1), profileBytes(t, s8)) {
@@ -303,11 +326,21 @@ func TestSuiteProfileDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestSuiteProfileMergesRunFolds checks MergeProfiles: nil while a run
+// is unfolded, then the sum of the runs' folds, stack by stack.
 func TestSuiteProfileMergesRunFolds(t *testing.T) {
 	s, err := NewRunner(2).Observe(DefaultConfig(), []string{"T2", "F12"}, ObserveOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if MergeProfiles(s.Observations) != nil {
+		t.Fatal("merged the profiles of unfolded runs")
+	}
+	s.Observations[0].Fold()
+	if MergeProfiles(s.Observations) != nil {
+		t.Fatal("merged the profiles while F12's runs are unfolded")
+	}
+	s.Observations[1].Fold()
 	var want int64
 	for _, o := range s.Observations {
 		for _, run := range o.Runs {
@@ -317,8 +350,20 @@ func TestSuiteProfileMergesRunFolds(t *testing.T) {
 			want += run.Profile.TotalNs()
 		}
 	}
-	if got := s.Profile.TotalNs(); got != want {
+	merged := MergeProfiles(s.Observations)
+	if got := merged.TotalNs(); got != want || want == 0 {
 		t.Fatalf("suite profile total %d != sum of run profiles %d", got, want)
+	}
+	// Merging the runs' folds is folding all their processes at once.
+	var got, all bytes.Buffer
+	if err := merged.WriteFolded(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := profile.Fold(s.Processes...).WriteFolded(&all); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), all.Bytes()) {
+		t.Fatal("merged run folds differ from one fold of every process")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
-	"reflect"
 	"testing"
 
 	"repro/internal/fault"
@@ -35,23 +34,19 @@ func TestScaleDeterminismTenThousandClients(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m1 := s1.Metrics.ExcludePrefix("runner.")
-			m8 := s8.Metrics.ExcludePrefix("runner.")
-			if !reflect.DeepEqual(m1, m8) {
-				t.Fatalf("scale metrics differ between -j 1 and -j 8:\n-j1:\n%s\n-j8:\n%s", m1, m8)
-			}
+			sameMetrics(t, s1, s8)
 			if !bytes.Equal(chromeBytes(t, s1), chromeBytes(t, s8)) {
 				t.Fatal("scale trace bytes differ between -j 1 and -j 8")
 			}
-			if v, ok := m1.Get("scale.completed"); !ok || v == 0 {
-				t.Fatalf("scale.completed = %v, %v", v, ok)
+			if v := counterSum(s1, "scale.completed"); v == 0 {
+				t.Fatalf("scale.completed sums to %v over the runs", v)
 			}
 			if tc.opts.Faults != nil {
-				if v, ok := m1.Get("fault.net.rpc_retransmits"); !ok || v == 0 {
-					t.Fatalf("fault.net.rpc_retransmits = %v, %v: lossy probe saw no loss", v, ok)
+				if v := counterSum(s1, "fault.net.rpc_retransmits"); v == 0 {
+					t.Fatalf("fault.net.rpc_retransmits sums to %v: lossy probe saw no loss", v)
 				}
-				if v, ok := m1.Get("scale.retransmits"); !ok || v == 0 {
-					t.Fatalf("scale.retransmits = %v, %v", v, ok)
+				if v := counterSum(s1, "scale.retransmits"); v == 0 {
+					t.Fatalf("scale.retransmits sums to %v over the runs", v)
 				}
 			}
 		})

@@ -8,26 +8,19 @@ import (
 
 // The JSON form of a Snapshot is the persistence format of the baseline
 // harness (BENCH_baseline.json) and a convenient interchange format on
-// its own. It is an object of two name-keyed objects:
+// its own. It is an object holding one name-keyed object:
 //
-//	{"counters":{"fs.phase_us.vfs":7078.5,...},
-//	 "dists":{"disk.seek_us":{"count":3,"sum":11,"min":1,"max":8},...}}
+//	{"counters":{"fs.phase_us.vfs":7078.5,...}}
 //
 // Keys are emitted in sorted order (the snapshot's own invariant), and
 // float64 values round-trip exactly: encoding/json renders the shortest
 // representation that re-parses to the same bits, so
 // Marshal → Unmarshal → Marshal is byte-stable and Equal-preserving.
-
-// jsonDist is the wire form of one distribution.
-type jsonDist struct {
-	Count uint64  `json:"count"`
-	Sum   float64 `json:"sum"`
-	Min   float64 `json:"min"`
-	Max   float64 `json:"max"`
-}
+// Files written when snapshots also held distributions carry an empty
+// "dists" object beside the counters; decoding ignores it.
 
 // MarshalJSON renders the snapshot with sorted keys. A zero snapshot
-// marshals as {"counters":{},"dists":{}}.
+// marshals as {"counters":{}}.
 func (s Snapshot) MarshalJSON() ([]byte, error) {
 	buf := []byte(`{"counters":{`)
 	for i, c := range s.Counters {
@@ -42,27 +35,13 @@ func (s Snapshot) MarshalJSON() ([]byte, error) {
 		}
 		buf = append(buf, v...)
 	}
-	buf = append(buf, `},"dists":{`...)
-	for i, d := range s.Dists {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = appendQuoteJSON(buf, d.Name)
-		buf = append(buf, ':')
-		v, err := json.Marshal(jsonDist{Count: d.Count, Sum: d.Sum, Min: d.Min, Max: d.Max})
-		if err != nil {
-			return nil, fmt.Errorf("obs: dist %s: %w", d.Name, err)
-		}
-		buf = append(buf, v...)
-	}
 	return append(buf, `}}`...), nil
 }
 
 // UnmarshalJSON parses the MarshalJSON form back into a sorted snapshot.
 func (s *Snapshot) UnmarshalJSON(data []byte) error {
 	var wire struct {
-		Counters map[string]float64  `json:"counters"`
-		Dists    map[string]jsonDist `json:"dists"`
+		Counters map[string]float64 `json:"counters"`
 	}
 	if err := json.Unmarshal(data, &wire); err != nil {
 		return err
@@ -71,11 +50,7 @@ func (s *Snapshot) UnmarshalJSON(data []byte) error {
 	for name, v := range wire.Counters {
 		out.Counters = append(out.Counters, CounterValue{Name: name, Value: v})
 	}
-	for name, d := range wire.Dists {
-		out.Dists = append(out.Dists, DistValue{Name: name, Count: d.Count, Sum: d.Sum, Min: d.Min, Max: d.Max})
-	}
 	sort.Slice(out.Counters, func(i, j int) bool { return out.Counters[i].Name < out.Counters[j].Name })
-	sort.Slice(out.Dists, func(i, j int) bool { return out.Dists[i].Name < out.Dists[j].Name })
 	*s = out
 	return nil
 }

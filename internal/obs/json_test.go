@@ -14,8 +14,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	reg.Counter("a.first").Add(3)
 	reg.Counter("m.tiny").Add(1.0 / 3.0) // non-terminating binary fraction
 	reg.Counter("m.big").Add(123456789012345)
-	reg.Distribution("lat.us").Observe(0.125)
-	reg.Distribution("lat.us").Observe(8)
 	snap := reg.Snapshot()
 
 	data, err := json.Marshal(snap)
@@ -27,7 +25,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 		t.Fatalf("unmarshal: %v\n%s", err, data)
 	}
 	if !reflect.DeepEqual(snap, back) {
-		t.Fatalf("round trip not bit-identical:\nin:  %s\nout: %s", snap, back)
+		t.Fatalf("round trip not bit-identical:\nin:  %v\nout: %v", snap, back)
 	}
 	// Marshal → Unmarshal → Marshal is byte-stable.
 	again, err := json.Marshal(back)
@@ -61,14 +59,14 @@ func TestSnapshotJSONEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(data) != `{"counters":{},"dists":{}}` {
+	if string(data) != `{"counters":{}}` {
 		t.Fatalf("empty snapshot = %s", data)
 	}
 	var back Snapshot
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Counters) != 0 || len(back.Dists) != 0 {
+	if len(back.Counters) != 0 {
 		t.Fatalf("empty round trip = %+v", back)
 	}
 }
@@ -87,7 +85,7 @@ func TestSnapshotJSONExtremeFloats(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(snap, back) {
-		t.Fatalf("extreme floats did not round-trip:\n%s\n%s", snap, back)
+		t.Fatalf("extreme floats did not round-trip:\n%v\n%v", snap, back)
 	}
 }
 
@@ -95,5 +93,32 @@ func TestSnapshotJSONBadInput(t *testing.T) {
 	var s Snapshot
 	if err := json.Unmarshal([]byte(`{"counters":[1,2]}`), &s); err == nil {
 		t.Fatal("expected error for malformed counters")
+	}
+}
+
+// TestSnapshotJSONIgnoresDists holds the files written when snapshots
+// also held distributions loadable: their "dists" member, empty as every
+// committed baseline has it or not, is ignored, and the snapshot
+// re-marshals as its counters alone.
+func TestSnapshotJSONIgnoresDists(t *testing.T) {
+	for _, in := range []string{
+		`{"counters":{"b":2,"a":1},"dists":{}}`,
+		`{"dists":{"lat.us":{"count":2,"sum":8.125,"min":0.125,"max":8}},"counters":{"a":1,"b":2}}`,
+	} {
+		var s Snapshot
+		if err := json.Unmarshal([]byte(in), &s); err != nil {
+			t.Fatalf("%s: %v", in, err)
+		}
+		want := Snapshot{Counters: []CounterValue{{"a", 1}, {"b", 2}}}
+		if !reflect.DeepEqual(s, want) {
+			t.Fatalf("%s decoded as %+v, want %+v", in, s, want)
+		}
+		out, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(out) != `{"counters":{"a":1,"b":2}}` {
+			t.Fatalf("%s re-marshals as %s", in, out)
+		}
 	}
 }

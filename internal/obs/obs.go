@@ -1,26 +1,22 @@
 // Package obs is the deterministic observability substrate shared by every
 // model in this repository: hierarchical spans stamped with virtual sim
-// time, named counters and distributions, and exporters (a Chrome
-// trace-event JSON file loadable in Perfetto, and the per-phase
-// cycle-attribution tables behind `pentiumbench metrics`).
+// time, named counters, and exporters (a Chrome trace-event JSON file
+// loadable in Perfetto, and the per-phase cycle-attribution tables behind
+// `pentiumbench metrics`).
 //
 // Two properties govern the design (DESIGN.md §9):
 //
 //   - Zero cost when off. The disabled state is a nil *Recorder (and a nil
-//     *Counter / *Distribution handle); every method is a nil-receiver
-//     no-op that performs no allocation, so instrumented hot paths cost
-//     one predictable branch. TestDisabledPathZeroAllocs holds this with
-//     testing.AllocsPerRun.
+//     *Counter handle); every method is a nil-receiver no-op that performs
+//     no allocation, so instrumented hot paths cost one predictable branch.
+//     TestDisabledPathZeroAllocs holds this with testing.AllocsPerRun.
 //
 //   - Determinism. Events are stamped with virtual time from the model's
 //     sim.Clock (or an explicit time for clockless models), never the wall
 //     clock, and parallel harness runs keep one Recorder and one Registry
-//     per task, merged in deterministic task order afterwards — so traces
-//     and metric snapshots are bit-identical at every worker count. The
-//     only exception is the harness's own self-observability (runner task
-//     timings, worker utilization), which measures real wall time and is
-//     kept under the "runner." name prefix, excluded from determinism
-//     comparisons by ExcludePrefix.
+//     per run, collected in deterministic task order afterwards — so traces
+//     and metric snapshots are bit-identical at every worker count. No
+//     snapshot holds a wall-clock value.
 package obs
 
 import (

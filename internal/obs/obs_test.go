@@ -186,19 +186,19 @@ func TestRegistryCountersAndDists(t *testing.T) {
 	}
 	c.Add(1)
 	c.Add(2)
-	d := reg.Distribution("disk.seek_us")
-	d.Observe(4)
-	d.Observe(10)
-	d.Observe(1)
+	reg.Counter("disk.seeks").Add(4)
 	snap := reg.Snapshot()
 	if v, ok := snap.Get("cache.l1_misses"); !ok || v != 3 {
 		t.Fatalf("Get = %v %v", v, ok)
 	}
+	if v, ok := snap.Get("disk.seeks"); !ok || v != 4 {
+		t.Fatalf("Get(disk.seeks) = %v %v", v, ok)
+	}
 	if _, ok := snap.Get("missing"); ok {
 		t.Fatal("Get(missing) should report absent")
 	}
-	if len(snap.Dists) != 1 || snap.Dists[0].Count != 3 || snap.Dists[0].Sum != 15 || snap.Dists[0].Min != 1 || snap.Dists[0].Max != 10 {
-		t.Fatalf("dists = %+v", snap.Dists)
+	if len(snap.Counters) != 2 {
+		t.Fatalf("counters = %+v", snap.Counters)
 	}
 }
 
@@ -207,12 +207,8 @@ func TestNilRegistryHandles(t *testing.T) {
 	if c := reg.Counter("x"); c != nil {
 		t.Fatal("nil registry must hand out a nil counter")
 	}
-	if d := reg.Distribution("y"); d != nil {
-		t.Fatal("nil registry must hand out a nil distribution")
-	}
 	reg.Counter("x").Add(5)
-	reg.Distribution("y").Observe(1)
-	if snap := reg.Snapshot(); len(snap.Counters) != 0 || len(snap.Dists) != 0 {
+	if snap := reg.Snapshot(); len(snap.Counters) != 0 {
 		t.Fatal("nil registry snapshot must be empty")
 	}
 }
@@ -233,51 +229,6 @@ func TestSnapshotSortedAndEqual(t *testing.T) {
 	reg.Counter("a.first").Add(1)
 	if reflect.DeepEqual(snap, reg.Snapshot()) {
 		t.Fatal("a changed registry must not snapshot as the old one")
-	}
-}
-
-func TestSnapshotExcludePrefix(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("runner.wall_ms").Add(123)
-	reg.Counter("cache.l1_hits").Add(9)
-	reg.Distribution("runner.task_ms").Observe(5)
-	reg.Distribution("disk.seeks").Observe(1)
-	snap := reg.Snapshot().ExcludePrefix("runner.")
-	if len(snap.Counters) != 1 || snap.Counters[0].Name != "cache.l1_hits" {
-		t.Fatalf("counters = %+v", snap.Counters)
-	}
-	if len(snap.Dists) != 1 || snap.Dists[0].Name != "disk.seeks" {
-		t.Fatalf("dists = %+v", snap.Dists)
-	}
-}
-
-func TestMergeSnapshots(t *testing.T) {
-	a := NewRegistry()
-	a.Counter("hits").Add(3)
-	a.Distribution("lat").Observe(2)
-	a.Distribution("lat").Observe(8)
-	b := NewRegistry()
-	b.Counter("hits").Add(4)
-	b.Counter("misses").Add(1)
-	b.Distribution("lat").Observe(1)
-	merged := MergeSnapshots(a.Snapshot(), b.Snapshot())
-	if v, _ := merged.Get("hits"); v != 7 {
-		t.Errorf("merged hits = %v, want 7", v)
-	}
-	if v, _ := merged.Get("misses"); v != 1 {
-		t.Errorf("merged misses = %v, want 1", v)
-	}
-	if len(merged.Dists) != 1 {
-		t.Fatalf("merged dists = %+v", merged.Dists)
-	}
-	d := merged.Dists[0]
-	if d.Count != 3 || d.Sum != 11 || d.Min != 1 || d.Max != 8 {
-		t.Errorf("merged lat = %+v", d)
-	}
-	// merge must be independent of grouping but ordered parts give same bytes
-	again := MergeSnapshots(a.Snapshot(), b.Snapshot())
-	if !reflect.DeepEqual(merged, again) {
-		t.Fatal("merge not deterministic")
 	}
 }
 
@@ -351,14 +302,12 @@ func TestDisabledPathZeroAllocs(t *testing.T) {
 	var rec *Recorder
 	var reg *Registry
 	c := reg.Counter("hot.counter")
-	d := reg.Distribution("hot.dist")
 	tr := rec.Track("hot")
 	allocs := testing.AllocsPerRun(1000, func() {
 		rec.Begin(tr, "span")
 		rec.InstantAt(0, tr, "point", 1, "")
 		rec.End(tr, "span", 1)
 		c.Add(2)
-		d.Observe(3)
 		rec.InstantAtFunc(0, tr, "fmt", 1, nDetail, "", 4, 0, 0)
 	})
 	if allocs != 0 {
@@ -368,8 +317,7 @@ func TestDisabledPathZeroAllocs(t *testing.T) {
 
 // TestEnabledPathSteadyStateAllocBudget pins the enabled-path budget: a
 // ring recorder at capacity overwrites in place, and live metric handles
-// mutate fields, so a span + instant + counter + distribution update
-// allocates nothing once the ring is warm, and so does a deferred
+// mutate fields, so a span + instant + counter update allocates nothing once the ring is warm, and so does a deferred
 // instant, whose detail is formatted only when the events are read back.
 // Constant-string names are part of the contract.
 func TestEnabledPathSteadyStateAllocBudget(t *testing.T) {
@@ -378,7 +326,6 @@ func TestEnabledPathSteadyStateAllocBudget(t *testing.T) {
 	tr := rec.Track("hot")
 	reg := NewRegistry()
 	c := reg.Counter("hot.counter")
-	d := reg.Distribution("hot.dist")
 	// Fill the ring past its bound so steady state is overwrite-at-head,
 	// not append-with-growth.
 	for i := 0; i < 2048; i++ {
@@ -392,7 +339,6 @@ func TestEnabledPathSteadyStateAllocBudget(t *testing.T) {
 		rec.InstantAtFunc(clock.Now(), tr, "fmt", 1, nDetail, "", 4, 0, 0)
 		rec.End(tr, "span", 1)
 		c.Add(2)
-		d.Observe(3)
 	})
 	if allocs != 0 {
 		t.Fatalf("enabled steady-state path allocates %v per op, want 0", allocs)

@@ -105,71 +105,88 @@ func LoadJSON(r io.Reader) ([]*Profile, error) {
 	return profiles, nil
 }
 
-// Magnitude bounds on the Kernel section, as fault.Validate bounds a
-// fault plan. A cost past maxKernelCost overflows virtual time in the
-// longer benchmarks; every pipe step moves at most a buffer, so a tiny
-// capacity multiplies bw_pipe's steps; and the dispatch table is
-// allocated up front and scanned on every dispatch.
+// Magnitude bounds on the Kernel, Lock, FS, Net and NFS sections, as
+// fault.Validate bounds a fault plan. A cost past maxCost overflows
+// virtual time in the longer benchmarks. The attribute cache's lifetime
+// is a timeout rather than a cost: real NFS clients hold attributes for
+// at most a minute by default (acregmax, acdirmax). Every pipe step moves
+// at most a buffer, so a tiny capacity multiplies bw_pipe's steps; the
+// dispatch table is allocated up front and scanned on every dispatch;
+// each synchronous write is a disk access per operation; the caches live
+// in the modelled machine's 32 MB; and the protocol sizes stay within
+// what IPv4 carries: an MSS from the 536-byte default to a loopback
+// segment, a UDP payload from the 548 bytes every host must accept to
+// the 65,507-byte maximum, and NFS transfers from 512 bytes to 64 KiB.
 const (
-	maxKernelCost   = sim.Second
-	minPipeCapacity = 512
-	maxPipeCapacity = 1 << 20
-	maxCtxTableSize = 4096
+	maxCost         = sim.Second
+	maxAttrCacheTTL = 60 * sim.Second
+	memoryMB        = 32
 )
 
-// validateKernel bounds every Kernel duration to [0, maxKernelCost] and
-// the pipe buffer and dispatch table sizes, naming the field and its
-// bound.
-func validateKernel(k *KernelCosts) error {
-	v := reflect.ValueOf(k).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		if d, ok := v.Field(i).Interface().(sim.Duration); ok && (d < 0 || d > maxKernelCost) {
-			return fmt.Errorf("Kernel.%s = %v must be non-negative and at most %v", v.Type().Field(i).Name, d, maxKernelCost)
-		}
-	}
-	if k.PipeCapacity < minPipeCapacity || k.PipeCapacity > maxPipeCapacity {
-		return fmt.Errorf("Kernel.PipeCapacity = %d must be in [%d, %d] bytes", k.PipeCapacity, minPipeCapacity, maxPipeCapacity)
-	}
-	if k.CtxTableSize < 0 || k.CtxTableSize > maxCtxTableSize {
-		return fmt.Errorf("Kernel.CtxTableSize = %d must be in [0, %d]", k.CtxTableSize, maxCtxTableSize)
-	}
-	return nil
-}
-
-// Validate checks a personality for the invariants the models rely on.
+// Validate checks a personality for the invariants the models rely on
+// and bounds every cost, count and size, each error naming the field and
+// its bound.
 func (p *Profile) Validate() error {
 	if p.Name == "" || p.Version == "" {
 		return fmt.Errorf("missing name or version")
 	}
-	if err := validateKernel(&p.Kernel); err != nil {
-		return err
+	// Every duration, found by reflection so a new one is covered.
+	for _, sec := range []struct {
+		name string
+		v    any
+	}{{"Kernel", &p.Kernel}, {"Lock", &p.Lock}, {"FS", &p.FS}, {"Net", &p.Net}, {"NFS", &p.NFS}} {
+		v := reflect.ValueOf(sec.v).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			d, ok := v.Field(i).Interface().(sim.Duration)
+			if !ok {
+				continue
+			}
+			name, limit := sec.name+"."+v.Type().Field(i).Name, maxCost
+			if name == "NFS.AttrCacheTTL" {
+				limit = maxAttrCacheTTL
+			}
+			if d < 0 || d > limit {
+				return fmt.Errorf("%s = %v must be non-negative and at most %v", name, d, limit)
+			}
+		}
+	}
+	for _, b := range []struct {
+		name      string
+		v, lo, hi int
+		unit      string
+	}{
+		{"Kernel.PipeCapacity", p.Kernel.PipeCapacity, 512, 1 << 20, " bytes"},
+		{"Kernel.CtxTableSize", p.Kernel.CtxTableSize, 0, 4096, ""},
+		{"FS.SyncWritesPerCreate", p.FS.SyncWritesPerCreate, 0, 64, ""},
+		{"FS.SyncWritesPerUnlink", p.FS.SyncWritesPerUnlink, 0, 64, ""},
+		{"FS.SyncWritesPerMkdir", p.FS.SyncWritesPerMkdir, 0, 64, ""},
+		{"FS.MetaSeekSpread", p.FS.MetaSeekSpread, 0, 4096, " cylinders"},
+		{"FS.MetaWriteBytes", p.FS.MetaWriteBytes, 0, 64 << 10, " bytes"},
+		{"FS.BufferCacheMB", p.FS.BufferCacheMB, 1, memoryMB, " MB"},
+		{"FS.DirtyLimitMB", p.FS.DirtyLimitMB, 0, memoryMB, " MB"},
+		{"Net.TCPWindowPackets", p.Net.TCPWindowPackets, 1, 64, " packets"},
+		{"Net.MSS", p.Net.MSS, 536, 65495, " bytes"},
+		{"Net.UDPMaxDatagram", p.Net.UDPMaxDatagram, 548, 65507, " bytes"},
+		{"NFS.TransferSize", p.NFS.TransferSize, 512, 64 << 10, " bytes"},
+		{"NFS.ForeignTransferSize", p.NFS.ForeignTransferSize, 512, 64 << 10, " bytes"},
+		{"NFS.ClientCacheMB", p.NFS.ClientCacheMB, 0, memoryMB, " MB"},
+		{"NFS.ServerSyncMetaPerWrite", p.NFS.ServerSyncMetaPerWrite, 0, 64, ""},
+	} {
+		if b.v < b.lo || b.v > b.hi {
+			return fmt.Errorf("%s = %d must be in [%d, %d]%s", b.name, b.v, b.lo, b.hi, b.unit)
+		}
 	}
 	switch {
 	case p.Kernel.Syscall <= 0:
 		return fmt.Errorf("syscall cost must be positive")
 	case p.Kernel.Scheduler == SchedScanAll && p.Kernel.CtxPerTask <= 0:
 		return fmt.Errorf("scan-all scheduler needs a per-task cost")
-	// Lock costs are non-negative rather than required-positive so that
-	// profile JSONs written before the SMP model existed stay loadable
-	// (the kernel clamps zero spin quanta to a positive floor).
-	case p.Lock.SpinAcquire < 0 || p.Lock.SpinCheck < 0 || p.Lock.SpinBackoffMax < 0 ||
-		p.Lock.SleepAcquire < 0 || p.Lock.SleepBlock < 0 || p.Lock.SleepWake < 0 ||
-		p.Lock.RCURead < 0 || p.Lock.RCUSync < 0:
-		return fmt.Errorf("negative lock cost")
 	case p.FS.ReadPerKB <= 0 || p.FS.WritePerKB <= 0:
 		return fmt.Errorf("file data copy costs must be positive")
 	case p.FS.SeqReadEff <= 0 || p.FS.SeqReadEff > 1 || p.FS.SeqWriteEff <= 0 || p.FS.SeqWriteEff > 1:
 		return fmt.Errorf("sequential efficiencies must be in (0,1]")
-	case p.FS.BufferCacheMB <= 0:
-		return fmt.Errorf("buffer cache must be positive")
 	case p.FS.MetaPolicy == MetaSync && p.FS.MetaWriteBytes <= 0:
 		return fmt.Errorf("synchronous metadata needs a write size")
-	case p.Net.MSS <= 0 || p.Net.TCPWindowPackets <= 0:
-		return fmt.Errorf("TCP needs a positive MSS and window")
-	case p.Net.UDPMaxDatagram <= 0:
-		return fmt.Errorf("UDP needs a max datagram size")
-	case p.NFS.TransferSize <= 0 || p.NFS.ForeignTransferSize <= 0:
-		return fmt.Errorf("NFS transfer sizes must be positive")
 	}
 	return nil
 }

@@ -123,6 +123,66 @@ func LoadJSONOne(src string) (*Profile, error) {
 	return ps[0], nil
 }
 
+// TestValidateBoundsSections feeds the Lock, FS, Net and NFS sections
+// the probes that used to load — an NFS.ServerPerRPC of 2,000,000 h
+// scheduled an S1 event in the past, an FS.ReadPerKB of 2,000,000 h
+// drove F12's clock backwards — and values just past each bound: each
+// must be refused naming the field and its bound.
+func TestValidateBoundsSections(t *testing.T) {
+	const huge = 2_000_000 * 3600 * sim.Second
+	for _, tc := range []struct {
+		name, want string
+		set        func(p *Profile)
+	}{
+		{"server per rpc 2000000h", "NFS.ServerPerRPC = 2000000h0m0s must be non-negative and at most 1s", func(p *Profile) { p.NFS.ServerPerRPC = huge }},
+		{"read per kb 2000000h", "FS.ReadPerKB = 2000000h0m0s must be non-negative and at most 1s", func(p *Profile) { p.FS.ReadPerKB = huge }},
+		{"alloc past 1s", "FS.AllocPerCall = 1.000000001s must be non-negative and at most 1s", func(p *Profile) { p.FS.AllocPerCall = sim.Second + 1 }},
+		{"negative ack", "Net.AckCost = -1ns must be non-negative and at most 1s", func(p *Profile) { p.Net.AckCost = -1 }},
+		{"negative spin", "Lock.SpinAcquire = -1ns must be non-negative and at most 1s", func(p *Profile) { p.Lock.SpinAcquire = -1 }},
+		{"rcu sync past 1s", "Lock.RCUSync = 1.000000001s must be non-negative and at most 1s", func(p *Profile) { p.Lock.RCUSync = sim.Second + 1 }},
+		{"attr ttl past a minute", "NFS.AttrCacheTTL = 1m0.000000001s must be non-negative and at most 1m0s", func(p *Profile) { p.NFS.AttrCacheTTL = 60*sim.Second + 1 }},
+		{"negative attr ttl", "NFS.AttrCacheTTL = -1ns must be non-negative and at most 1m0s", func(p *Profile) { p.NFS.AttrCacheTTL = -1 }},
+		{"sync writes 65", "FS.SyncWritesPerUnlink = 65 must be in [0, 64]", func(p *Profile) { p.FS.SyncWritesPerUnlink = 65 }},
+		{"seek spread 4097", "FS.MetaSeekSpread = 4097 must be in [0, 4096] cylinders", func(p *Profile) { p.FS.MetaSeekSpread = 4097 }},
+		{"meta write 64 KiB + 1", "FS.MetaWriteBytes = 65537 must be in [0, 65536] bytes", func(p *Profile) { p.FS.MetaWriteBytes = 64<<10 + 1 }},
+		{"buffer cache 0", "FS.BufferCacheMB = 0 must be in [1, 32] MB", func(p *Profile) { p.FS.BufferCacheMB = 0 }},
+		{"buffer cache 33", "FS.BufferCacheMB = 33 must be in [1, 32] MB", func(p *Profile) { p.FS.BufferCacheMB = 33 }},
+		{"dirty limit 33", "FS.DirtyLimitMB = 33 must be in [0, 32] MB", func(p *Profile) { p.FS.DirtyLimitMB = 33 }},
+		{"window 0", "Net.TCPWindowPackets = 0 must be in [1, 64] packets", func(p *Profile) { p.Net.TCPWindowPackets = 0 }},
+		{"window 65", "Net.TCPWindowPackets = 65 must be in [1, 64] packets", func(p *Profile) { p.Net.TCPWindowPackets = 65 }},
+		{"mss 1", "Net.MSS = 1 must be in [536, 65495] bytes", func(p *Profile) { p.Net.MSS = 1 }},
+		{"datagram 1", "Net.UDPMaxDatagram = 1 must be in [548, 65507] bytes", func(p *Profile) { p.Net.UDPMaxDatagram = 1 }},
+		{"datagram 65508", "Net.UDPMaxDatagram = 65508 must be in [548, 65507] bytes", func(p *Profile) { p.Net.UDPMaxDatagram = 65508 }},
+		{"transfer 511", "NFS.TransferSize = 511 must be in [512, 65536] bytes", func(p *Profile) { p.NFS.TransferSize = 511 }},
+		{"foreign transfer 1 MiB", "NFS.ForeignTransferSize = 1048576 must be in [512, 65536] bytes", func(p *Profile) { p.NFS.ForeignTransferSize = 1 << 20 }},
+		{"client cache 33", "NFS.ClientCacheMB = 33 must be in [0, 32] MB", func(p *Profile) { p.NFS.ClientCacheMB = 33 }},
+		{"server sync meta 65", "NFS.ServerSyncMetaPerWrite = 65 must be in [0, 64]", func(p *Profile) { p.NFS.ServerSyncMetaPerWrite = 65 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := Linux128()
+			p.Name = "Probe"
+			tc.set(p)
+			var buf bytes.Buffer
+			if err := WriteJSON(&buf, []*Profile{p}); err != nil {
+				t.Fatal(err)
+			}
+			_, err := LoadJSON(&buf)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("LoadJSON: %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+	// The bounds themselves are accepted.
+	p := Linux128()
+	p.NFS.AttrCacheTTL, p.FS.AllocPerCall = 60*sim.Second, sim.Second
+	p.FS.BufferCacheMB, p.NFS.ClientCacheMB, p.FS.SyncWritesPerCreate = 32, 32, 64
+	p.Net.MSS, p.Net.UDPMaxDatagram, p.Net.TCPWindowPackets = 536, 548, 64
+	p.NFS.TransferSize, p.NFS.ForeignTransferSize = 512, 64<<10
+	if err := p.Validate(); err != nil {
+		t.Fatalf("a profile at the bounds: %v", err)
+	}
+}
+
 // TestValidateBoundsKernel feeds the Kernel section probes that used to
 // load — a Syscall of 2,000,000 h overflowed F12's virtual time, a
 // one-byte pipe took bw_pipe 400 times as many steps — and values just

@@ -25,6 +25,21 @@ func TestPerturbScalesDurations(t *testing.T) {
 	}
 }
 
+// TestPerturbedProfilesValidate keeps the personality bounds wide enough
+// for sensitivity's replicas: every built-in profile, the -future set
+// included, perturbed at eps 0.99 (the widest -eps accepts) still
+// validates, as a -profiles file holding it would load.
+func TestPerturbedProfilesValidate(t *testing.T) {
+	rng := sim.NewRNG(7)
+	for _, base := range osprofile.All() {
+		for i := 0; i < 50; i++ {
+			if err := Perturb(base, rng, 0.99).Validate(); err != nil {
+				t.Fatalf("%s, draw %d: %v", base, i, err)
+			}
+		}
+	}
+}
+
 func TestPerturbPreservesStructure(t *testing.T) {
 	base := osprofile.Linux128()
 	p := Perturb(base, sim.NewRNG(2), 0.2)

@@ -33,8 +33,20 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/disk"
 	"repro/internal/fs"
 )
+
+// maxOps bounds the operations a trace expands to, counting each once
+// per iteration of its enclosing repeats: 1 to 3 s of host time on the
+// three paper systems.
+const maxOps = 1_000_000
+
+// diskBytes is the capacity of the modelled HP 3725 that traces replay
+// on. It bounds each create or append size and the bytes a trace writes
+// in all: the fs model keeps every block it is given and has no ENOSPC,
+// so a trace that wrote more would hold more than the disk.
+var diskBytes = int64(disk.HP3725().CapacityMB) << 20
 
 // OpKind enumerates trace operations.
 type OpKind int
@@ -72,10 +84,17 @@ type Trace struct {
 	Ops []Op
 }
 
-// Parse reads a trace from text.
+// Parse reads a trace from text. It refuses a trace past a bound, naming
+// the line that crosses it: a repeat must hold an operation, and the
+// expansion must stay within maxOps operations and diskBytes written.
 func Parse(name, text string) (*Trace, error) {
 	t := &Trace{Name: name}
-	depth := 0
+	// mult holds, per open repeat, the product of the counts enclosing
+	// its body (saturated past maxOps), and opened the expanded op count
+	// when it opened, to refuse an empty body.
+	mult := []int64{1}
+	var opened []int64
+	var ops, written int64
 	for lineNo, raw := range strings.Split(text, "\n") {
 		line := strings.TrimSpace(raw)
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -122,26 +141,48 @@ func Parse(name, text string) (*Trace, error) {
 				return nil, fmt.Errorf("%s:%d: bad repeat count %q", name, op.Line, fields[1])
 			}
 			op.Kind, op.Count = opRepeat, n
-			depth++
+			m := mult[len(mult)-1]
+			if m > maxOps/int64(n) {
+				m = maxOps + 1
+			} else {
+				m *= int64(n)
+			}
+			mult, opened = append(mult, m), append(opened, ops)
 		case "end":
-			if depth == 0 {
+			if len(opened) == 0 {
 				return nil, fmt.Errorf("%s:%d: end without repeat", name, op.Line)
 			}
+			if opened[len(opened)-1] == ops {
+				return nil, fmt.Errorf("%s:%d: repeat block holds no operation", name, op.Line)
+			}
 			op.Kind = opEnd
-			depth--
+			mult, opened = mult[:len(mult)-1], opened[:len(opened)-1]
 		default:
 			return nil, fmt.Errorf("%s:%d: unknown operation %q", name, op.Line, fields[0])
 		}
+		if op.Kind < opRepeat {
+			// m ≤ maxOps once the op count passes, so m × Bytes cannot
+			// overflow: Bytes ≤ diskBytes < 2^31.
+			m := mult[len(mult)-1]
+			if ops += m; ops > maxOps {
+				return nil, fmt.Errorf("%s:%d: the trace expands past %d operations", name, op.Line, maxOps)
+			}
+			if written += m * op.Bytes; written > diskBytes {
+				return nil, fmt.Errorf("%s:%d: the trace writes more than the disk's %d MB in all", name, op.Line, diskBytes>>20)
+			}
+		}
 		t.Ops = append(t.Ops, op)
 	}
-	if depth != 0 {
-		return nil, fmt.Errorf("%s: %d unclosed repeat block(s)", name, depth)
+	if len(opened) != 0 {
+		return nil, fmt.Errorf("%s: %d unclosed repeat block(s)", name, len(opened))
 	}
 	return t, nil
 }
 
-func parseSize(s string) (int64, error) {
-	mult := int64(1)
+// parseSize reads a size in bytes, K or M, refusing one past the disk's
+// capacity (an overflowing one included).
+func parseSize(size string) (int64, error) {
+	mult, s := int64(1), size
 	switch {
 	case strings.HasSuffix(s, "K"), strings.HasSuffix(s, "k"):
 		mult, s = 1<<10, s[:len(s)-1]
@@ -151,6 +192,9 @@ func parseSize(s string) (int64, error) {
 	n, err := strconv.ParseInt(s, 10, 64)
 	if err != nil || n < 0 {
 		return 0, fmt.Errorf("bad size %q", s)
+	}
+	if n > diskBytes/mult {
+		return 0, fmt.Errorf("size %s is past the disk's %d MB", size, diskBytes>>20)
 	}
 	return n * mult, nil
 }

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -199,6 +201,59 @@ func TestReplayOverNFSMount(t *testing.T) {
 	}
 	if clock.Now() == 0 {
 		t.Fatal("NFS replay cost no time")
+	}
+}
+
+// TestParseBounds refuses each trace past a bound, naming the line that
+// crosses it and the bound, and accepts the traces at the bounds.
+func TestParseBounds(t *testing.T) {
+	for _, tc := range []struct{ src, err string }{
+		// 2^43 MB wraps to -2^63 bytes when the range is checked first.
+		{"create /f 8796093022208M", "t:1: size 8796093022208M is past the disk's 2000 MB"},
+		{"create /f 2001M", "t:1: size 2001M is past the disk's 2000 MB"},
+		{"append /f 2048001K", "t:1: size 2048001K is past the disk's 2000 MB"},
+		{"create /f 2097152001", "t:1: size 2097152001 is past the disk's 2000 MB"},
+		{"mkdir /d\nrepeat 1000000\n  repeat 1000000\n    stat /d\n  end\nend\n", "t:4: the trace expands past 1000000 operations"},
+		{"repeat 1000001\n  stat /\nend", "t:2: the trace expands past 1000000 operations"},
+		{"stat /\nrepeat 1000000\n  stat /\nend", "t:3: the trace expands past 1000000 operations"},
+		{"mkdir /d\nrepeat 100000\n  create /d/f%i 64M\nend\n", "t:3: the trace writes more than the disk's 2000 MB in all"},
+		{"create /a 1000M\ncreate /b 1000M\nappend /a 1", "t:3: the trace writes more than the disk's 2000 MB in all"},
+		{"repeat 1000000\n  repeat 1000000\n  end\nend", "t:3: repeat block holds no operation"},
+		{"repeat 2\nend", "t:2: repeat block holds no operation"},
+	} {
+		_, err := Parse("t", tc.src)
+		if err == nil || err.Error() != tc.err {
+			t.Errorf("Parse(%q) = %v, want %q", tc.src, err, tc.err)
+		}
+	}
+	for _, src := range []string{
+		"create /f 2000M",
+		"create /f 2048000K\nstat /f",
+		"repeat 1000000\n  stat /\nend",
+		"repeat 1000\n  repeat 1000\n    stat /\n  end\nend",
+		"repeat 1000\n  create /f%i 2097152\nend",
+		"repeat 2\n  repeat 3\n    stat /\n  end\nend",
+	} {
+		if _, err := Parse("t", src); err != nil {
+			t.Errorf("Parse(%q): %v", src, err)
+		}
+	}
+}
+
+// TestExampleTracesParse keeps the shipped traces within the bounds.
+func TestExampleTracesParse(t *testing.T) {
+	paths, err := filepath.Glob("../../examples/traces/*.trace")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no example traces: %v", err)
+	}
+	for _, path := range paths {
+		text, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Parse(path, string(text)); err != nil {
+			t.Error(err)
+		}
 	}
 }
 
