@@ -81,8 +81,8 @@ func (a *App) Execute(args []string) int {
 	faultsFile := fl.String("faults", "", "the fault plan JSON to inject (see examples/lossy-nfs.json): faults compares the probes clean and under it; trace/metrics/profile/timeseries/audit inject it into the probes, run -format=table into the S1/S2 and I1 tables")
 	fl.BoolVar(&o.showStats, "stats", false, "print runner statistics to stderr after run/experiments/html")
 	memoDir := fl.String("memo", "", "persistent result-memo directory for run/experiments/html/serve (a cold run fills it; an unchanged re-run is served from it)")
-	window := fl.Duration("window", 100*time.Millisecond, "timeseries/serve/audit: virtual-time sampler window width")
-	fl.IntVar(&o.exemplars, "exemplars", 0, "trace/timeseries/serve/audit: exemplar reservoir size K per latency window on the S1/S2 probes (0 = off; audit defaults to 4)")
+	window := fl.Duration("window", 100*time.Millisecond, "timeseries/serve/audit, and any view under -exemplars: the width of every virtual-time window a view records, the sampler's and the exemplar reservoir's alike")
+	fl.IntVar(&o.exemplars, "exemplars", 0, "trace/metrics/profile/timeseries/serve/audit: exemplar reservoir size K per -window latency window on the S1/S2 probes (0 = off; audit and /api/exemplars default to 4)")
 	fl.StringVar(&o.addr, "addr", "127.0.0.1:8080", "serve: listen address (use :0 for a random port)")
 	cpuProfile := fl.String("cpuprofile", "", "write a pprof CPU profile of the whole command to this file")
 	memProfile := fl.String("memprofile", "", "write a pprof heap profile (post-GC, at exit) to this file")

@@ -63,8 +63,8 @@ func (o *ownRuns) perView(name, id string) (*viewData, error) {
 // Every API body comes from the id's shared run, and must equal the
 // body of a run of its own (perView), in every format. Checked for every
 // view and id of the view's set — L1's audit included — under the
-// default flags, with exemplars at a window other than 100 ms (the views
-// then need two runs), and under a fault plan.
+// default flags, with exemplars at a window other than 100 ms (every
+// view's reservoir then keeps 50 ms windows), and under a fault plan.
 func TestServeSharedRunMatchesPerView(t *testing.T) {
 	if testing.Short() {
 		t.Skip("observes every id once per view options")
@@ -173,9 +173,8 @@ func getAll(t *testing.T, h http.Handler, paths []string, concurrent bool) {
 }
 
 // After GETs of all six S1 views, in turn or at once, the S1 model has
-// run exactly once. Exemplars at a window other than 100 ms need a
-// second run, for the views without a window. L1's audit, its one API
-// view, comes from one shared run too.
+// run exactly once, also with exemplars at a window other than 100 ms.
+// L1's audit, its one API view, comes from one shared run too.
 func TestServeOneRunPerExhibit(t *testing.T) {
 	opts := cmdOpts{window: sim.Duration(100 * time.Millisecond)}
 	for _, tc := range []struct {
@@ -186,7 +185,7 @@ func TestServeOneRunPerExhibit(t *testing.T) {
 		runs       uint64
 	}{
 		{"sequential", opts, s1Views, false, 1},
-		{"two reservoirs", cmdOpts{window: sim.Duration(50 * time.Millisecond), exemplars: 4}, s1Views, false, 2},
+		{"exemplars at 50ms", cmdOpts{window: sim.Duration(50 * time.Millisecond), exemplars: 4}, s1Views, false, 1},
 		{"concurrent", opts, s1Views, true, 1},
 		{"L1 sequential", opts, l1Audit, false, 1},
 		{"L1 concurrent", opts, l1Audit, true, 1},

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/memo"
-	"repro/internal/sim"
 )
 
 // serveSchema versions the persistent serve-response cache: bump it when
@@ -50,10 +49,10 @@ type serveHandler struct {
 	// a store.
 	keyOf func(endpoint string) []byte
 	table *memo.Table[string, serveEntry]
-	// exhibits holds, per shared run of an id, the bodies of every API
-	// view that run serves (see exhibit); the response cache's computes
+	// exhibits holds, per id, the bodies of every API view of it, all
+	// rendered from one run (see exhibit); the response cache's computes
 	// read it. Its misses count model runs.
-	exhibits *memo.Table[sharedRun, map[string]serveEntry]
+	exhibits *memo.Table[string, map[string]serveEntry]
 	mux      *http.ServeMux
 	// computes counts cache-miss computations; tests assert the
 	// single-flight property (N concurrent cold requests, one compute).
@@ -71,7 +70,7 @@ func newServeHandler(cfg core.Config, runner *core.Runner, opts cmdOpts,
 		opts:     opts,
 		readFile: readFile,
 		table:    memo.NewTable[string, serveEntry](),
-		exhibits: memo.NewTable[sharedRun, map[string]serveEntry](),
+		exhibits: memo.NewTable[string, map[string]serveEntry](),
 		mux:      http.NewServeMux(),
 	}
 	if cfg.Memo != nil {
@@ -216,7 +215,7 @@ func fail(code int, format string, args ...any) serveEntry {
 // outside the view's set a 404 naming that set, both refused before the
 // cache. The cache key is the path, plus the format when it is not the
 // default, so "" and the default share one entry. Every body comes from
-// the shared run that serves the view (exhibit).
+// the id's one run (exhibit).
 func (h *serveHandler) view(name string, v *view) http.HandlerFunc {
 	prefix := "/api/" + name + "/"
 	ids := v.ids()
@@ -237,7 +236,7 @@ func (h *serveHandler) view(name string, v *view) http.HandlerFunc {
 		}
 		key := apiKey(r.URL.Path, v, fname)
 		return key, func() serveEntry {
-			return h.exhibit(id, name)[key]
+			return h.exhibit(id)[key]
 		}, nil
 	})
 }
@@ -264,77 +263,23 @@ func body(name, id, fname string, d *viewData, err error) serveEntry {
 	return entry(b.Bytes(), f.contentType)
 }
 
-// A sharedRun is one run of an id carrying the recorders (sampler
-// width, reservoir size) its views need.
-type sharedRun struct {
-	id        string
-	window    sim.Duration
-	exemplarK int
-}
-
-// runGroup is the views one shared run serves, and the options it runs
-// under.
-type runGroup struct {
-	opts  core.ObserveOpts
-	views []string
-}
-
-// groups splits the API views of an id into as few shared runs as
-// core.Covers allows. That is one run, unless -exemplars with a
-// -window other than 100 ms gives the views that sample reservoir
-// windows of another width than the views that do not.
-func (h *serveHandler) groups(id string) []runGroup {
-	var names []string
-	for name, v := range views {
-		if v.api != nil && slices.Contains(v.ids(), id) {
-			names = append(names, name)
-		}
-	}
-	slices.Sort(names)
-	// join widens g's run to record what the named view needs too, or
-	// reports false when one run cannot serve all of g's views and it.
-	join := func(g runGroup, name string) (runGroup, bool) {
-		need := views[name].opts(h.opts)
-		if need.Window > 0 {
-			g.opts.Window = need.Window
-		}
-		if need.ExemplarK > 0 {
-			g.opts.ExemplarK = need.ExemplarK
-		}
-		g.views = append(slices.Clone(g.views), name)
-		for _, n := range g.views {
-			if !core.Covers(id, g.opts, views[n].opts(h.opts)) {
-				return g, false
-			}
-		}
-		return g, true
-	}
-	var groups []runGroup
-next:
-	for _, name := range names {
-		for i := range groups {
-			if g, ok := join(groups[i], name); ok {
-				groups[i] = g
-				continue next
-			}
-		}
-		groups = append(groups, runGroup{views[name].opts(h.opts), []string{name}})
-	}
-	return groups
-}
-
-// exhibit returns the bodies of the shared run that serves the named
-// view of an id, keyed as the response cache keys them. The run renders
-// every body of the views it serves at once, each view its projection,
-// and is then dropped: the bodies are much smaller than the run.
-func (h *serveHandler) exhibit(id, view string) map[string]serveEntry {
-	groups := h.groups(id)
-	g := groups[slices.IndexFunc(groups, func(g runGroup) bool { return slices.Contains(g.views, view) })]
-	return h.exhibits.Do(sharedRun{id, g.opts.Window, g.opts.ExemplarK}, func() map[string]serveEntry {
+// exhibit returns the bodies of every API view of an id, keyed as the
+// response cache keys them, all rendered from one run of the id. The run
+// records what a view that renders series and keeps exemplars records,
+// trimmed by the id's probe to what its model offers: every sampled id
+// has the timeseries view and every exemplar-traced id the exemplars
+// view, so these are the widest options of the id's API views. Each view
+// renders its projection of the run, which is then dropped: the bodies
+// are much smaller than the run.
+func (h *serveHandler) exhibit(id string) map[string]serveEntry {
+	return h.exhibits.Do(id, func() map[string]serveEntry {
 		bodies := make(map[string]serveEntry)
-		runs, err := h.runner.ObserveRuns(h.cfg, []string{id}, g.opts)
-		for _, name := range g.views {
-			v := views[name]
+		widest := (&view{series: true, exemplars: true}).opts(h.opts)
+		runs, err := h.runner.ObserveRuns(h.cfg, []string{id}, widest)
+		for name, v := range views {
+			if v.api == nil || !slices.Contains(v.ids(), id) {
+				continue
+			}
 			var d *viewData
 			derr := err
 			if err == nil {

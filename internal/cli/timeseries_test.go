@@ -2,7 +2,9 @@ package cli
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -159,5 +161,71 @@ func TestTimeseriesIdenticalAcrossWorkersWithFaults(t *testing.T) {
 	}
 	if !strings.Contains(serial, "fault.rpc_drops") {
 		t.Fatalf("lossy plan should surface fault.rpc_drops:\n%.300s", serial)
+	}
+}
+
+// Under -exemplars with a -window other than 100 ms, the trace's request
+// tracks are the exemplars the series carry, system by system: every
+// view's reservoir keeps -window-wide windows.
+func TestTraceRequestsAreTheSeriesExemplars(t *testing.T) {
+	flags := []string{"-exemplars", "4", "-window", "50ms"}
+	var events []struct {
+		Ph   string `json:"ph"`
+		Pid  int    `json:"pid"`
+		Name string `json:"name"`
+		Args struct {
+			Name string `json:"name"`
+		} `json:"args"`
+	}
+	trace := timeseriesOut(t, append(flags, "trace", "S1"))
+	if err := json.Unmarshal([]byte(trace), &events); err != nil {
+		t.Fatalf("trace is not JSON: %v", err)
+	}
+	process := map[int]string{}
+	tracks := map[string][]string{}
+	for _, e := range events {
+		switch {
+		case e.Ph != "M":
+		case e.Name == "process_name":
+			process[e.Pid] = e.Args.Name
+		case e.Name == "thread_name" && strings.HasPrefix(e.Args.Name, "req "):
+			system, ok := strings.CutSuffix(strings.TrimPrefix(process[e.Pid], "S1 "), " requests")
+			if !ok {
+				t.Fatalf("track %q lies in process %q", e.Args.Name, process[e.Pid])
+			}
+			tracks[system] = append(tracks[system], strings.TrimPrefix(e.Args.Name, "req "))
+		}
+	}
+
+	var runs []struct {
+		System string `json:"system"`
+		Series struct {
+			Exemplars []struct {
+				Exemplars []struct {
+					ID json.Number `json:"id"`
+				} `json:"exemplars"`
+			} `json:"exemplars"`
+		} `json:"series"`
+	}
+	series := timeseriesOut(t, append(flags, "timeseries", "S1", "-format=json"))
+	if err := json.Unmarshal([]byte(series), &runs); err != nil {
+		t.Fatalf("timeseries is not JSON: %v", err)
+	}
+	if len(runs) != len(tracks) {
+		t.Fatalf("%d sampled runs, request tracks for %d systems", len(runs), len(tracks))
+	}
+	for _, r := range runs {
+		var ids []string
+		for _, w := range r.Series.Exemplars {
+			for _, e := range w.Exemplars {
+				ids = append(ids, e.ID.String())
+			}
+		}
+		got := tracks[r.System]
+		slices.Sort(ids)
+		slices.Sort(got)
+		if len(ids) == 0 || !slices.Equal(got, ids) {
+			t.Errorf("%s: %d request tracks, %d exemplars in the series", r.System, len(got), len(ids))
+		}
 	}
 }

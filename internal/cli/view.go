@@ -21,18 +21,13 @@ type view struct {
 	// error messages.
 	ids func() []string
 	set string
-	// window attaches the -window sampler to the probes; exemplarK is the
-	// exemplar reservoir size used when -exemplars is 0; defaults, when
-	// set, fills in what the view's observation defaults.
-	window    bool
-	exemplarK int
-	defaults  func(core.ObserveOpts) core.ObserveOpts
 	// series marks a view that renders the runs' series: it refuses a run
-	// that outgrew the sampler's window budget.
-	series bool
-	// project makes the view's data from runs that core.Covers it: the
-	// CLI's runs of the resolved ids, observed under the view's options,
-	// or serve's shared run of one id (see exhibit).
+	// that outgrew the sampler's window budget. exemplars marks a view
+	// that keeps exemplars when -exemplars is 0 (see opts).
+	series, exemplars bool
+	// project makes the view's data from runs that record everything it
+	// shows: the CLI's runs of the resolved ids, observed under the view's
+	// options, or serve's one run of an id (see exhibit).
 	project func(runs []*core.Observation, opts core.ObserveOpts) (*viewData, error)
 	// formats holds the view's renderers by name; cli and api list the
 	// formats each surface offers, default first, and a nil list means
@@ -86,7 +81,7 @@ var views = map[string]*view{
 		cli: []string{"table"}, api: []string{"prometheus"},
 	},
 	"timeseries": {
-		ids: core.SampledIDs, set: "sampled", window: true, series: true, project: projectProbes,
+		ids: core.SampledIDs, set: "sampled", series: true, project: projectProbes,
 		formats: map[string]format{
 			"csv":  {"", renderSeriesCSV},
 			"json": {jsonType, renderSeriesJSON},
@@ -104,12 +99,12 @@ var views = map[string]*view{
 		cli: []string{"top", "folded", "pprof"}, api: []string{"folded", "pprof"},
 	},
 	"exemplars": {
-		ids: core.ExemplarIDs, set: "exemplar-traced", window: true, exemplarK: 4, project: projectProbes,
+		ids: core.ExemplarIDs, set: "exemplar-traced", exemplars: true, project: projectProbes,
 		formats: map[string]format{"json": {jsonType, renderExemplars}},
 		api:     []string{"json"},
 	},
 	"audit": {
-		ids: core.AuditableIDs, set: "auditable", window: true, defaults: core.AuditOpts, project: projectAudits,
+		ids: core.AuditableIDs, set: "auditable", exemplars: true, project: projectAudits,
 		formats: map[string]format{
 			"text":    {"", renderAuditText},
 			"json":    {"", func(w io.Writer, d *viewData) error { return writeJSON(w, d.audits) }},
@@ -119,24 +114,25 @@ var views = map[string]*view{
 	},
 }
 
-// opts is the ObserveOpts the view runs with under the given flags.
+// opts is the ObserveOpts the view runs with under the given flags: the
+// reservoir keeps -exemplars exemplars per window, or
+// core.DefaultExemplarK in a view that keeps them anyway, and the view
+// records the -window sampler when it renders series or keeps
+// exemplars, so every window a view records is -window wide.
 func (v *view) opts(o cmdOpts) core.ObserveOpts {
 	opts := core.ObserveOpts{Procs: o.procs, Clients: o.clients, Nfsd: o.nfsd,
 		Faults: o.faults, ExemplarK: o.exemplars}
-	if v.window {
+	if v.exemplars && opts.ExemplarK == 0 {
+		opts.ExemplarK = core.DefaultExemplarK
+	}
+	if v.series || opts.ExemplarK > 0 {
 		opts.Window = o.window
-	}
-	if opts.ExemplarK == 0 {
-		opts.ExemplarK = v.exemplarK
-	}
-	if v.defaults != nil {
-		opts = v.defaults(opts)
 	}
 	return opts
 }
 
-// projectFor makes the view's data under the flags from runs that cover
-// it.
+// projectFor makes the view's data under the flags from runs that record
+// everything it shows.
 func (v *view) projectFor(runs []*core.Observation, o cmdOpts) (*viewData, error) {
 	d, err := v.project(runs, v.opts(o))
 	return d, v.refuse(d, err)

@@ -25,38 +25,32 @@ func (a *AuditObservation) OK() bool {
 	return true
 }
 
-// Audit observes one experiment under AuditOpts(opts) and collects its
-// runs' verdicts (Observation.Audit): the queueing laws for the scale
-// probes (DESIGN.md §15), the per-CPU ledgers and lock flow balance for
-// L1 (§16). The runs go through cfg's pool, serially without one.
+// Audit observes one experiment and collects its runs' verdicts
+// (Observation.Audit): the queueing laws for the scale probes (DESIGN.md
+// §15), the per-CPU ledgers and lock flow balance for L1 (§16). Unless
+// opts sets them, the runs record a 100 ms window and DefaultExemplarK
+// exemplars: an audit without windows or exemplars would skip most of
+// its checks. The runs go through cfg's pool, serially without one.
 func Audit(cfg Config, id string, opts ObserveOpts) (*AuditObservation, error) {
 	if !probes[id].audited {
 		return nil, fmt.Errorf("core: no audit for %q (have %v)", id, AuditableIDs())
 	}
-	o, err := observe(cfg, id, AuditOpts(opts))
+	if opts.Window <= 0 {
+		opts.Window = 100 * sim.Millisecond
+	}
+	if opts.ExemplarK <= 0 {
+		opts.ExemplarK = DefaultExemplarK
+	}
+	o, err := observe(cfg, id, opts)
 	if err != nil {
 		return nil, err
 	}
 	return o.Audit()
 }
 
-// AuditOpts is opts with the defaults an audit runs under: Observe's,
-// then a 100 ms window and an exemplar reservoir of 4 when unset — an
-// audit without windows or exemplars would skip most of its checks.
-func AuditOpts(opts ObserveOpts) ObserveOpts {
-	opts = opts.withDefaults()
-	if opts.Window <= 0 {
-		opts.Window = 100 * sim.Millisecond
-	}
-	if opts.ExemplarK <= 0 {
-		opts.ExemplarK = 4
-	}
-	return opts
-}
-
 // Audit collects the verdicts the observation's runs carry, each
 // evaluated in its run's task, so the audited run is the observed run;
-// observe or project it under AuditOpts for the verdicts Audit gives. A
+// observe it under Audit's options for the verdicts Audit gives. A
 // series that outgrew the sampler's window budget is refused, and so is
 // a run that carries no verdict.
 func (o *Observation) Audit() (*AuditObservation, error) {

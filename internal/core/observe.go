@@ -125,6 +125,11 @@ type ObserveOpts struct {
 	ExemplarK int
 }
 
+// DefaultExemplarK is the exemplar reservoir size of an audit, and of a
+// view that keeps exemplars, when none is asked for: an audit without
+// exemplars would skip its per-request checks.
+const DefaultExemplarK = 4
+
 func (o ObserveOpts) withDefaults() ObserveOpts {
 	if o.Procs <= 0 {
 		o.Procs = 8
@@ -147,8 +152,8 @@ const (
 
 // A probe declares how one exhibit is observed and which views its runs
 // feed. observe produces the exhibit's observed runs; audited says they
-// carry audit verdicts under AuditOpts, and auditOnly that they carry
-// nothing else, so the exhibit is auditable but not observable;
+// carry audit verdicts under Audit's options, and auditOnly that they
+// carry nothing else, so the exhibit is auditable but not observable;
 // sampled, faultable and exemplars say whether its runs carry the
 // sampler, the fault injectors and the exemplar reservoir of
 // ObserveOpts. Every id list below is computed from the probes table,
@@ -459,30 +464,13 @@ func observe(cfg Config, id string, opts ObserveOpts) (*Observation, error) {
 	return &Observation{ID: id, Title: titleOf(id), Runs: p.observe(cfg, id, opts)}, nil
 }
 
-// Covers reports whether a run of id observed under run records
-// everything a view observed under view shows, so that the view is the
-// run's projection (Observation.Project): the view's sampler when it
-// samples, and its exemplar reservoir — the same capacity and window
-// width — when it traces exemplars. Both options count as Observe
-// defaults and restricts them for id; the model inputs (procs, clients,
-// nfsd, faults) are the caller's to keep equal.
-func Covers(id string, run, view ObserveOpts) bool {
-	p := probes[id]
-	run, view = p.restrict(run.withDefaults()), p.restrict(view.withDefaults())
-	if view.Window > 0 && view.Window != run.Window {
-		return false
-	}
-	return view.ExemplarK <= 0 ||
-		view.ExemplarK == run.ExemplarK && exemplarWindow(view) == exemplarWindow(run)
-}
-
 // Project returns the observation as a view observed under opts shows
-// it, for a run that Covers the view: without a window the runs drop
-// their series; without an exemplar reservoir they drop the request
-// tracks, the exemplar windows, the drop count and the series'
-// exemplars. The projected runs are unfolded (Fold folds them) and
-// share their other fields with o, the verdicts and the request tracks'
-// one rendering included.
+// it, for a run that records everything the view does, under the same
+// window width: without a window the runs drop their series; without an
+// exemplar reservoir they drop the request tracks, the exemplar windows,
+// the drop count and the series' exemplars. The projected runs are
+// unfolded (Fold folds them) and share their other fields with o, the
+// verdicts and the request tracks' one rendering included.
 func (o *Observation) Project(opts ObserveOpts) *Observation {
 	opts = probes[o.ID].restrict(opts)
 	out := &Observation{ID: o.ID, Title: o.Title, Runs: slices.Clone(o.Runs)}
@@ -540,16 +528,11 @@ func exemplarsFor(cfg Config, opts ObserveOpts, p *osprofile.Profile) *obs.Exemp
 	if opts.ExemplarK <= 0 {
 		return nil
 	}
-	return obs.NewExemplars(cfg.Seed^saltFor("exemplar", p.Name, opts.Clients), opts.ExemplarK, exemplarWindow(opts))
-}
-
-// exemplarWindow is the width of the reservoir's windows: the sampler's,
-// or 100 ms when sampling is off.
-func exemplarWindow(opts ObserveOpts) sim.Duration {
-	if opts.Window > 0 {
-		return opts.Window
+	width := opts.Window
+	if width <= 0 {
+		width = 100 * sim.Millisecond
 	}
-	return 100 * sim.Millisecond
+	return obs.NewExemplars(cfg.Seed^saltFor("exemplar", p.Name, opts.Clients), opts.ExemplarK, width)
 }
 
 // seriesOf snapshots a run's sampler at its end time; nil in, nil out.
@@ -615,7 +598,7 @@ func (r *Runner) Observe(cfg Config, ids []string, opts ObserveOpts) (*SuiteObse
 // ObserveRuns observes each experiment once, each id one task on the
 // pool, which each probe borrows to run its personalities too. The
 // observations come in input order, to be projected onto the views they
-// serve (Covers, Observation.Project): their runs carry every recorder
+// serve (Observation.Project): their runs carry every recorder
 // opts asks for and their audit verdicts, and their profiles are left
 // for the views that read one to fold. Observation.Audit collects the
 // verdicts. Auditable ids that are not observable (L1) are observed too.

@@ -162,8 +162,8 @@ func TestBandwidthStopsMeasuringAtSteadyState(t *testing.T) {
 	m := model()
 	size := 1 << 10 // L1-resident: passes = 8192, steady after pass 2
 	m.Bandwidth(CustomRead, size)
-	perPass := float64(size/ChunkSize) * (m.ChunkLoop + float64(wordsPerChunk)) // lower bound on one pass
-	maxPlausible := 10 * perPass * 8                                            // « 8192 passes' worth
+	perPass := float64(size/ChunkSize) * (chunkLoop + float64(wordsPerChunk)) // lower bound on one pass
+	maxPlausible := 10 * perPass * 8                                          // « 8192 passes' worth
 	if c := m.hier.Cycles(); c > maxPlausible {
 		t.Errorf("hierarchy simulated %v cycles; steady-state cutoff did not engage (limit %v)", c, maxPlausible)
 	}

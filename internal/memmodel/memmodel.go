@@ -24,6 +24,16 @@ const ChunkSize = 16
 
 const wordsPerChunk = ChunkSize / cache.WordSize
 
+// The loop overheads in cycles: chunkLoop is charged per 16-byte
+// main-loop iteration of the custom routines, libcChunkLoop per 16 bytes
+// of the (slightly lower, unrolled) libc routines, and tailLoop per byte
+// of the tail loop.
+const (
+	chunkLoop     = 1.33
+	libcChunkLoop = 1.0
+	tailLoop      = 0.7
+)
+
 // Routine identifies one of the §6 memory routines.
 type Routine int
 
@@ -65,14 +75,6 @@ type Model struct {
 	cpu  cpu.CPU
 	hier *cache.Hierarchy
 
-	// ChunkLoop is the loop overhead in cycles charged per 16-byte
-	// main-loop iteration of the custom routines.
-	ChunkLoop float64
-	// LibcChunkLoop is the (slightly lower, unrolled) loop overhead per 16
-	// bytes of the libc routines.
-	LibcChunkLoop float64
-	// TailLoop is the per-byte loop overhead of the tail loop.
-	TailLoop float64
 	// PrefetchDistance is how many lines ahead the prefetching routines
 	// touch. The paper's routines prefetched as the write took place;
 	// distance 1 models that. The A2 ablation sweeps this.
@@ -109,9 +111,6 @@ func newModelOn(c cpu.CPU, h *cache.Hierarchy) *Model {
 	return &Model{
 		cpu:              c,
 		hier:             h,
-		ChunkLoop:        1.33,
-		LibcChunkLoop:    1.0,
-		TailLoop:         0.7,
 		PrefetchDistance: DefaultPrefetchDistance,
 		line:             cfg.LineSize,
 		prefetchIssue:    cfg.Timing.PrefetchIssue,
@@ -167,7 +166,7 @@ func (m *Model) stream(size int, lookahead bool, body func(from, to int)) {
 // while resolving only one tag lookup per cache line.
 func (m *Model) readPass(base uint64, size int) {
 	m.stream(size, false, func(from, to int) {
-		m.hier.ReadRun(base+uint64(from*ChunkSize), (to-from)*wordsPerChunk, wordsPerChunk, m.ChunkLoop)
+		m.hier.ReadRun(base+uint64(from*ChunkSize), (to-from)*wordsPerChunk, wordsPerChunk, chunkLoop)
 	})
 	m.tailRead(base, size)
 }
@@ -190,7 +189,7 @@ func (m *Model) writePass(base uint64, size int, loop float64, prefetch bool) {
 		for i := from; i < to; {
 			addr := base + uint64(i*ChunkSize)
 			if addr&lineMask == 0 {
-				m.prefetchAhead(addr, size, base)
+				m.prefetchAhead(addr, size, base, loop)
 			}
 			// Run until the next prefetch point (the next line-aligned chunk).
 			g := 1
@@ -237,8 +236,8 @@ func (m *Model) copyPass(size int, loop float64, prefetch bool) {
 					// The prefetching copy touches the destination line so
 					// the stores hit; the source line is loaded by the reads
 					// anyway, but touching it early hides its fill too.
-					m.prefetchAhead(dst, size, m.dstBase)
-					m.prefetchAhead(src, size, m.srcBase)
+					m.prefetchAhead(dst, size, m.dstBase, loop)
+					m.prefetchAhead(src, size, m.srcBase, loop)
 				}
 				// Run until the next prefetch point (the next line-aligned chunk).
 				g := 1
@@ -256,15 +255,16 @@ func (m *Model) copyPass(size int, loop float64, prefetch bool) {
 	if tail > 0 {
 		off := uint64(size - tail)
 		m.hier.ReadBytes(m.srcBase+off, tail)
-		m.chargeLoop(float64(tail) * m.TailLoop)
+		m.chargeLoop(float64(tail) * tailLoop)
 		m.hier.WriteBytes(m.dstBase+off, tail)
 	}
 }
 
 // prefetchAhead issues a touch PrefetchDistance lines ahead of addr (capped
-// at the end of the buffer) and credits the overlap the lead allows. It
-// also touches the current line if the distance is zero.
-func (m *Model) prefetchAhead(addr uint64, size int, base uint64) {
+// at the end of the buffer) and credits the overlap the lead allows, the
+// routine's main loop charging loop cycles per chunk. It also touches the
+// current line if the distance is zero.
+func (m *Model) prefetchAhead(addr uint64, size int, base uint64, loop float64) {
 	line := uint64(m.line)
 	target := addr + uint64(m.PrefetchDistance)*line
 	if target >= base+uint64(size) {
@@ -274,7 +274,7 @@ func (m *Model) prefetchAhead(addr uint64, size int, base uint64) {
 	if m.PrefetchDistance > 0 && fillCost > 0 {
 		// Each line of lead overlaps the fill with the processing of one
 		// line (two chunks of loop + word work).
-		perLine := 2 * (m.ChunkLoop + float64(wordsPerChunk))
+		perLine := 2 * (loop + float64(wordsPerChunk))
 		hidden := float64(m.PrefetchDistance) * perLine
 		if hidden > fillCost {
 			hidden = fillCost
@@ -288,7 +288,7 @@ func (m *Model) prefetchAhead(addr uint64, size int, base uint64) {
 func (m *Model) tailRead(base uint64, size int) {
 	tail := size % ChunkSize
 	if tail > 0 {
-		m.chargeLoop(float64(tail) * m.TailLoop)
+		m.chargeLoop(float64(tail) * tailLoop)
 		m.hier.ReadBytes(base+uint64(size-tail), tail)
 	}
 }
@@ -296,7 +296,7 @@ func (m *Model) tailRead(base uint64, size int) {
 func (m *Model) tailWrite(base uint64, size int) {
 	tail := size % ChunkSize
 	if tail > 0 {
-		m.chargeLoop(float64(tail) * m.TailLoop)
+		m.chargeLoop(float64(tail) * tailLoop)
 		m.hier.WriteBytes(base+uint64(size-tail), tail)
 	}
 }
@@ -314,17 +314,17 @@ func (m *Model) pass(r Routine, size int) float64 {
 	case CustomRead:
 		m.readPass(m.srcBase, size)
 	case Memset:
-		m.writePass(m.srcBase, size, m.LibcChunkLoop, false)
+		m.writePass(m.srcBase, size, libcChunkLoop, false)
 	case NaiveWrite:
-		m.writePass(m.srcBase, size, m.ChunkLoop, false)
+		m.writePass(m.srcBase, size, chunkLoop, false)
 	case PrefetchWrite:
-		m.writePass(m.srcBase, size, m.ChunkLoop, true)
+		m.writePass(m.srcBase, size, chunkLoop, true)
 	case LibcMemcpy:
-		m.copyPass(size, m.LibcChunkLoop, false)
+		m.copyPass(size, libcChunkLoop, false)
 	case NaiveCopy:
-		m.copyPass(size, m.ChunkLoop, false)
+		m.copyPass(size, chunkLoop, false)
 	case PrefetchCopy:
-		m.copyPass(size, m.ChunkLoop, true)
+		m.copyPass(size, chunkLoop, true)
 	default:
 		panic(fmt.Sprintf("memmodel: unknown routine %d", int(r)))
 	}

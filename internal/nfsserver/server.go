@@ -94,6 +94,9 @@ const (
 	// buffer cache's hit rate is its capacity over the population's
 	// total working set.
 	workingSetKB = 64
+	// ratePerClient is each client's open-loop request rate in
+	// operations per virtual second.
+	ratePerClient = 1
 )
 
 // Config parameterises one server run.
@@ -109,9 +112,6 @@ type Config struct {
 	// QueueCap bounds the RPC ingress queue (default 1024); an arrival
 	// finding it full is dropped and retried by the client.
 	QueueCap int
-	// RatePerClient is each client's open-loop request rate in
-	// operations per virtual second (default 1).
-	RatePerClient float64
 	// TargetOps stops the run after this many completed operations
 	// (default 20000): enough for a stable p999 without letting lightly
 	// loaded points run forever.
@@ -136,9 +136,6 @@ func (c *Config) defaults() {
 	}
 	if c.QueueCap == 0 {
 		c.QueueCap = 1024
-	}
-	if c.RatePerClient == 0 {
-		c.RatePerClient = 1
 	}
 	if c.TargetOps == 0 {
 		c.TargetOps = 20000
@@ -441,7 +438,7 @@ func New(cfg Config) *Server {
 		s.ringFns[t] = func() { s.ringPop(tier) }
 	}
 	s.arrivalFn = func() { s.arrive() }
-	s.interarrivalScaleNs = 1e9 / (cfg.RatePerClient * float64(cfg.Clients))
+	s.interarrivalScaleNs = 1e9 / (ratePerClient * float64(cfg.Clients))
 
 	s.res.Clients = cfg.Clients
 	s.res.Nfsd = cfg.Nfsd

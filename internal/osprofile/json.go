@@ -105,9 +105,10 @@ func LoadJSON(r io.Reader) ([]*Profile, error) {
 	return profiles, nil
 }
 
-// Magnitude bounds on the Kernel, Lock, FS, Net and NFS sections, as
-// fault.Validate bounds a fault plan. A cost past maxCost overflows
-// virtual time in the longer benchmarks. The attribute cache's lifetime
+// Magnitude bounds on the Kernel, Lock, FS, Net, NFS and Noise sections,
+// as fault.Validate bounds a fault plan. A cost past maxCost overflows
+// virtual time in the longer benchmarks, and a noise level is a relative
+// standard deviation: past 1 a run's noise outweighs its mean. The attribute cache's lifetime
 // is a timeout rather than a cost: real NFS clients hold attributes for
 // at most a minute by default (acregmax, acdirmax). Every pipe step moves
 // at most a buffer, so a tiny capacity multiplies bw_pipe's steps; the
@@ -149,6 +150,22 @@ func (p *Profile) Validate() error {
 				return fmt.Errorf("%s = %v must be non-negative and at most %v", name, d, limit)
 			}
 		}
+	}
+	// Every noise level, found the same way, and TCP's.
+	level := func(name string, v float64) error {
+		if v >= 0 && v <= 1 { // NaN fails both
+			return nil
+		}
+		return fmt.Errorf("%s = %v must be in [0, 1]", name, v)
+	}
+	noise := reflect.ValueOf(p.Noise)
+	for i := 0; i < noise.NumField(); i++ {
+		if err := level("Noise."+noise.Type().Field(i).Name, noise.Field(i).Float()); err != nil {
+			return err
+		}
+	}
+	if err := level("Net.TCPNoise", p.Net.TCPNoise); err != nil {
+		return err
 	}
 	for _, b := range []struct {
 		name      string

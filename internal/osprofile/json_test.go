@@ -2,6 +2,7 @@ package osprofile
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -157,6 +158,9 @@ func TestValidateBoundsSections(t *testing.T) {
 		{"foreign transfer 1 MiB", "NFS.ForeignTransferSize = 1048576 must be in [512, 65536] bytes", func(p *Profile) { p.NFS.ForeignTransferSize = 1 << 20 }},
 		{"client cache 33", "NFS.ClientCacheMB = 33 must be in [0, 32] MB", func(p *Profile) { p.NFS.ClientCacheMB = 33 }},
 		{"server sync meta 65", "NFS.ServerSyncMetaPerWrite = 65 must be in [0, 64]", func(p *Profile) { p.NFS.ServerSyncMetaPerWrite = 65 }},
+		{"syscall noise 1e300", "Noise.Syscall = 1e+300 must be in [0, 1]", func(p *Profile) { p.Noise.Syscall = 1e300 }},
+		{"negative fs noise", "Noise.FS = -5 must be in [0, 1]", func(p *Profile) { p.Noise.FS = -5 }},
+		{"tcp noise past 1", "Net.TCPNoise = 1.5 must be in [0, 1]", func(p *Profile) { p.Net.TCPNoise = 1.5 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := Linux128()
@@ -172,12 +176,19 @@ func TestValidateBoundsSections(t *testing.T) {
 			}
 		})
 	}
-	// The bounds themselves are accepted.
+	// JSON carries no NaN, so a NaN level is checked in place.
 	p := Linux128()
+	p.Noise.MAB = math.NaN()
+	if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "Noise.MAB = NaN must be in [0, 1]") {
+		t.Fatalf("a NaN noise level: %v", err)
+	}
+	// The bounds themselves are accepted.
+	p = Linux128()
 	p.NFS.AttrCacheTTL, p.FS.AllocPerCall = 60*sim.Second, sim.Second
 	p.FS.BufferCacheMB, p.NFS.ClientCacheMB, p.FS.SyncWritesPerCreate = 32, 32, 64
 	p.Net.MSS, p.Net.UDPMaxDatagram, p.Net.TCPWindowPackets = 536, 548, 64
 	p.NFS.TransferSize, p.NFS.ForeignTransferSize = 512, 64<<10
+	p.Noise.Syscall, p.Noise.FS, p.Net.TCPNoise = 1, 0, 1
 	if err := p.Validate(); err != nil {
 		t.Fatalf("a profile at the bounds: %v", err)
 	}

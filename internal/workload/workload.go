@@ -48,6 +48,11 @@ const maxOps = 1_000_000
 // so a trace that wrote more would hold more than the disk.
 var diskBytes = int64(disk.HP3725().CapacityMB) << 20
 
+// readBudget bounds the bytes a replay reads, ten disks' worth: each read
+// reads its whole file, so a trace within Parse's bounds could still
+// read one 2,000 MB file a million times, for about 30 hours.
+var readBudget = 10 * diskBytes
+
 // OpKind enumerates trace operations.
 type OpKind int
 
@@ -213,8 +218,10 @@ type Syncer interface{ SyncAll() }
 
 // Replay executes the trace against a file system. Missing files on
 // read/stat/unlink count as errors but do not stop the replay (traces are
-// workloads, not tests). It returns the operation statistics; the caller
-// times the run with the clock it gave the VFS.
+// workloads, not tests), and so does a read that would take the bytes
+// read past readBudget, which is refused unread. It returns the
+// operation statistics; the caller times the run with the clock it gave
+// the VFS.
 func Replay(v fs.VFS, t *Trace) Stats {
 	var st Stats
 	replayRange(v, t.Ops, 0, len(t.Ops), 0, &st)
@@ -268,6 +275,11 @@ func replayRange(v fs.VFS, ops []Op, from, to, idx int, st *Stats) {
 		case OpRead:
 			h, err := v.Open(path)
 			if err != nil {
+				st.Errors++
+				continue
+			}
+			if st.BytesRead+h.Size() > readBudget {
+				h.Close()
 				st.Errors++
 				continue
 			}

@@ -131,6 +131,21 @@ func TestReplayToleratesErrors(t *testing.T) {
 	}
 }
 
+// A read past the replay's read budget fails unread, as a read of a
+// missing file does: ten reads of a 2,000 MB file reach the budget, and
+// the other 90 count as errors.
+func TestReplayReadBudget(t *testing.T) {
+	_, v := newVFS(osprofile.Linux128())
+	tr, err := Parse("t", "create /f 2000M\nrepeat 100\n  read /f\nend\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := Replay(v, tr)
+	if st.Ops != 101 || st.BytesRead != 10*2000<<20 || st.Errors != 90 {
+		t.Fatalf("%d ops, %d bytes read, %d errors; want 101, %d and 90", st.Ops, st.BytesRead, st.Errors, 10*2000<<20)
+	}
+}
+
 func TestSyncOp(t *testing.T) {
 	clock, v := newVFS(osprofile.Linux128())
 	tr, _ := Parse("t", "create /f 2M\n")
