@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"bytes"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -93,6 +94,60 @@ func TestMemoCorruptEntryRecomputes(t *testing.T) {
 	}
 	if !strings.Contains(warmErr.String(), "memo store: 2 hits, 1 misses (1 stale), 1 entries written") {
 		t.Errorf("stats did not report the stale recompute:\n%s", warmErr.String())
+	}
+}
+
+// TestMemoOlderEntryRewritten: an entry an older build wrote, in the
+// memo1 layout with a JSON value (testdata holds T2's at -runs 3), reads
+// as one stale miss, is rewritten in place in the current layout, and
+// hits on the next run; every run prints the storeless bytes.
+func TestMemoOlderEntryRewritten(t *testing.T) {
+	args := []string{"-runs", "3", "run", "T2", "-stats"}
+	old, err := os.ReadFile("testdata/memo1-T2-runs3.entry")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(old, []byte("memo1 ")) {
+		t.Fatalf("fixture is not a memo1 entry: %.40q", old)
+	}
+	dir := t.TempDir()
+	run := func(withStore bool) (string, string) {
+		a, out, errb, _ := testApp()
+		argv := args
+		if withStore {
+			argv = append([]string{"-memo", dir}, args...)
+		}
+		if code := a.Execute(argv); code != 0 {
+			t.Fatalf("exit = %d: %s", code, errb.String())
+		}
+		return out.String(), errb.String()
+	}
+	plain, _ := run(false)
+	run(true)
+	var entries []string
+	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			entries = append(entries, path)
+		}
+		return err
+	})
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("store entries %q (err %v), want one", entries, err)
+	}
+	if err := os.WriteFile(entries[0], old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"memo store: 0 hits, 1 misses (1 stale), 1 entries written", "memo store: 1 hits, 0 misses"} {
+		out, stats := run(true)
+		if out != plain {
+			t.Fatalf("run with the store differs from the storeless run:\n%s", out)
+		}
+		if !strings.Contains(stats, want) {
+			t.Fatalf("stats do not report %q:\n%s", want, stats)
+		}
+		if now, err := os.ReadFile(entries[0]); err != nil || !bytes.HasPrefix(now, []byte("memo2 ")) {
+			t.Fatalf("entry not rewritten in place as memo2 (err %v): %.40q", err, now)
+		}
 	}
 }
 

@@ -517,6 +517,45 @@ func TestServeMemoKeyPinned(t *testing.T) {
 	}
 }
 
+// TestServeMemoReplaysColdEndpoints: a second handler on a store the
+// first one filled answers the twelve cold endpoints of the repository
+// benchmark with the first's bodies and ETags, byte for byte, from the
+// store alone: its per-exhibit cache runs nothing.
+func TestServeMemoReplaysColdEndpoints(t *testing.T) {
+	dir := t.TempDir()
+	handler := func() *serveHandler {
+		store, err := memo.OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := core.DefaultConfig()
+		cfg.Memo = store
+		return newServeHandler(cfg, core.NewRunner(2), cmdOpts{window: sim.Duration(100 * time.Millisecond)},
+			func(path string) ([]byte, error) { return nil, fmt.Errorf("no file %s", path) })
+	}
+	first := handler()
+	want := make(map[string]*httptest.ResponseRecorder, len(coldPaths))
+	for _, p := range coldPaths {
+		want[p] = serveRecorder(first, "/api/"+p)
+	}
+	second := handler()
+	for _, p := range coldPaths {
+		got := serveRecorder(second, "/api/"+p)
+		if got.Code != http.StatusOK || want[p].Code != http.StatusOK {
+			t.Fatalf("%s: status %d then %d, want 200", p, want[p].Code, got.Code)
+		}
+		if !bytes.Equal(got.Body.Bytes(), want[p].Body.Bytes()) || got.Header().Get("ETag") != want[p].Header().Get("ETag") {
+			t.Fatalf("%s: stored body or ETag differs from the computed one", p)
+		}
+	}
+	if st := second.exhibits.Stats(); st.Misses != 0 {
+		t.Errorf("per-exhibit cache stats %+v on a filled store, want no miss", st)
+	}
+	if st := second.cfg.Memo.Stats(); st.Hits != uint64(len(coldPaths)) || st.Misses != 0 {
+		t.Errorf("store stats %+v, want %d hits and no miss", st, len(coldPaths))
+	}
+}
+
 // serveKeys splices each endpoint into key material encoded once; the
 // bytes must equal the reference encoding, json.Marshal of the map of
 // every key field around the indented personality JSON, for the paper

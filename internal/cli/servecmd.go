@@ -3,6 +3,7 @@ package cli
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -28,12 +29,25 @@ const serveSchema = "pentiumbench-serve/2"
 // the unit the memo table (in-process single-flight) and the memo store
 // (persistent, -memo) both hold.
 type serveEntry struct {
-	Body []byte `json:"body"`
-	Type string `json:"type"`
-	ETag string `json:"etag"`
+	Body []byte
+	Type string
+	ETag string
 	// Code is the HTTP status; error responses cache in-process (they
 	// are deterministic) but are never persisted.
-	Code int `json:"code"`
+	Code int
+}
+
+// MarshalBinary encodes e for the memo store, the body raw.
+func (e serveEntry) MarshalBinary() ([]byte, error) {
+	b := memo.AppendString(memo.AppendString(memo.AppendString(nil, e.Body), e.Type), e.ETag)
+	return binary.AppendVarint(b, int64(e.Code)), nil
+}
+
+// UnmarshalBinary decodes what MarshalBinary wrote.
+func (e *serveEntry) UnmarshalBinary(data []byte) error {
+	d := memo.NewDecoder(data)
+	*e = serveEntry{Body: []byte(d.Str()), Type: d.Str(), ETag: d.Str(), Code: int(d.Varint())}
+	return d.Finish()
 }
 
 // serveHandler is the pentiumbench observability server: every endpoint

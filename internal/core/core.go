@@ -45,7 +45,7 @@ type Config struct {
 	// memo schema version, experiment ID, seed, run count and the full
 	// personality set — matches a stored entry, and stores fresh results
 	// for the next run. Serving from the store cannot change output:
-	// results round-trip JSON bit for bit.
+	// results round-trip the store bit for bit.
 	Memo *memo.Store
 
 	// pool is the worker pool of the Runner executing this configuration.

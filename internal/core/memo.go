@@ -1,9 +1,13 @@
 package core
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"slices"
+
+	"repro/internal/memo"
+	"repro/internal/stats"
 )
 
 // memoSchema versions the persistent result-memo key. Bump it whenever
@@ -40,10 +44,9 @@ func memoKeys(cfg Config) func(id string) []byte {
 // runMemoized executes one experiment, serving its Result from the
 // persistent store cfg.Memo when the key matches. keyOf builds the
 // experiment's key (memoKeys); nil — no store attached, or no key could
-// be built — runs the experiment unmemoized. Results round-trip JSON bit
-// for bit (stats.Sample marshals its raw observations; encoding/json
-// reproduces float64s exactly), so a warm run renders byte-identically
-// to a cold one.
+// be built — runs the experiment unmemoized. Results round-trip the
+// store bit for bit (MarshalBinary), so a warm run renders
+// byte-identically to a cold one.
 func runMemoized(cfg Config, e *Experiment, keyOf func(id string) []byte) *Result {
 	if keyOf == nil {
 		return e.Run(cfg)
@@ -58,4 +61,35 @@ func runMemoized(cfg Config, e *Experiment, keyOf func(id string) []byte) *Resul
 	// next run's warm start, never this run's result.
 	_ = cfg.Memo.Put(key, out)
 	return out
+}
+
+// MarshalBinary encodes r for the memo store, field by field in order.
+func (r *Result) MarshalBinary() ([]byte, error) {
+	b := memo.AppendString(memo.AppendString(nil, r.ID), r.Title)
+	b = memo.AppendString(memo.AppendString(binary.AppendVarint(b, int64(r.Kind)), r.YUnit), r.XLabel)
+	b = binary.AppendVarint(memo.AppendBool(b, r.LogX), int64(r.Direction))
+	b = memo.AppendList(b, r.Series, func(b []byte, s Series) []byte {
+		return stats.AppendSamples(memo.AppendList(memo.AppendString(b, s.Label), s.X, memo.AppendFloat64), s.Samples)
+	})
+	b = memo.AppendList(b, r.Expected, func(b []byte, e Expectation) []byte {
+		return memo.AppendFloat64(memo.AppendFloat64(memo.AppendString(b, e.Label), e.Mean), e.StdDevPct)
+	})
+	return memo.AppendList(b, r.Notes, memo.AppendString), nil
+}
+
+// UnmarshalBinary decodes what MarshalBinary wrote, an empty slice as
+// nil, and refuses malformed data and trailing bytes.
+func (r *Result) UnmarshalBinary(data []byte) error {
+	d := memo.NewDecoder(data)
+	// The reads run in the order they are written: left to right.
+	*r = Result{ID: d.Str(), Title: d.Str(), Kind: Kind(d.Varint()), YUnit: d.Str(), XLabel: d.Str(),
+		LogX: d.Bool(), Direction: stats.Direction(d.Varint()),
+		Series: memo.List(d, 3, func() Series { // a label, X's count and the samples' count
+			return Series{Label: d.Str(), X: memo.List(d, 8, d.Float64), Samples: stats.DecodeSamples(d)}
+		}),
+		Expected: memo.List(d, 17, func() Expectation { // a label and two floats
+			return Expectation{Label: d.Str(), Mean: d.Float64(), StdDevPct: d.Float64()}
+		}),
+		Notes: memo.List(d, 1, d.Str)}
+	return d.Finish()
 }

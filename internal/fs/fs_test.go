@@ -484,3 +484,31 @@ func TestRenameSyncMetadataCost(t *testing.T) {
 		t.Errorf("FFS rename sync writes = %d, want %d", got, want)
 	}
 }
+
+// BenchmarkCrtdelOp is the fs layer's unit of Figure 12: one crtdel
+// cycle of a 1 KB file (create, write, close, open, read, close, unlink)
+// on a file system that has run the cycle before, per paper personality.
+func BenchmarkCrtdelOp(b *testing.B) {
+	for _, p := range osprofile.Paper() {
+		b.Run(p.Name, func(b *testing.B) {
+			fsys := MustNew(&sim.Clock{}, disk.MustNew(disk.HP3725(), sim.NewRNG(1)), p)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f, err := fsys.Create("/crtdel.tmp")
+				if err != nil {
+					b.Fatal(err)
+				}
+				f.Write(1 << 10)
+				f.Close()
+				if f, err = fsys.Open("/crtdel.tmp"); err != nil {
+					b.Fatal(err)
+				}
+				f.Read(1 << 10)
+				f.Close()
+				if err := fsys.Unlink("/crtdel.tmp"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

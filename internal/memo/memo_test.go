@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -59,8 +60,18 @@ func TestTableConcurrentComputesOnce(t *testing.T) {
 }
 
 type testValue struct {
-	Name string    `json:"name"`
-	Xs   []float64 `json:"xs"`
+	Name string
+	Xs   []float64
+}
+
+func (v testValue) MarshalBinary() ([]byte, error) {
+	return AppendList(AppendString(nil, v.Name), v.Xs, AppendFloat64), nil
+}
+
+func (v *testValue) UnmarshalBinary(data []byte) error {
+	d := NewDecoder(data)
+	*v = testValue{Name: d.Str(), Xs: List(d, 8, d.Float64)}
+	return d.Finish()
 }
 
 func TestStoreRoundTrip(t *testing.T) {
@@ -89,6 +100,36 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecoderRefusesMalformed: each way a value can be malformed stops
+// the Decoder, which then reports it from Finish, and a well-formed
+// value followed by a byte is refused too.
+func TestDecoderRefusesMalformed(t *testing.T) {
+	valid, _ := testValue{Name: "getpid", Xs: []float64{1.5}}.MarshalBinary()
+	for name, data := range map[string][]byte{
+		"empty":              nil,
+		"varint cut short":   {0x80},
+		"varint overflowing": bytes.Repeat([]byte{0xff}, 11),
+		"varint too long":    {0x80, 0x00},
+		"length past end":    {7, 'g', 'e', 't'},
+		"count past end":     append(AppendString(nil, "getpid"), 2, 0, 0, 0, 0, 0, 0, 0, 0),
+		"float cut short":    append(AppendString(nil, "getpid"), 1, 0, 0, 0),
+		"trailing byte":      append(bytes.Clone(valid), 0),
+	} {
+		var v testValue
+		if err := v.UnmarshalBinary(data); err == nil {
+			t.Errorf("%s: %x decoded as %+v", name, data, v)
+		}
+	}
+	for _, b := range []byte{2, 0xff} {
+		if d := NewDecoder([]byte{b}); d.Bool() || d.Finish() == nil {
+			t.Errorf("bool byte %d accepted", b)
+		}
+	}
+	if err := new(testValue).UnmarshalBinary(valid); err != nil {
+		t.Fatalf("valid value refused: %v", err)
+	}
+}
+
 // entryPath mirrors Store.path for white-box corruption tests.
 func entryPath(dir string, key []byte) string {
 	sum := sha256.Sum256(key)
@@ -98,8 +139,8 @@ func entryPath(dir string, key []byte) string {
 
 // TestStoreCorruptionRecomputes is the degradation contract: a
 // truncated, garbage, key-mismatched or value-altered entry, or one in
-// the earlier JSON layout, must read as a miss (counted stale), never as
-// an error or a wrong value — the caller recomputes and the next Put
+// an earlier layout, must read as a miss (counted stale), never as an
+// error or a wrong value — the caller recomputes and the next Put
 // rewrites the entry at the same path.
 func TestStoreCorruptionRecomputes(t *testing.T) {
 	key := []byte("the-key")
@@ -111,9 +152,10 @@ func TestStoreCorruptionRecomputes(t *testing.T) {
 		{"truncated", nil}, // filled below from a valid entry's prefix
 		{"garbage", []byte("not json at all \x00\xff")},
 		{"empty", []byte{}},
-		{"wrong-key-echo", nil}, // filled below from a different key's entry
-		{"flipped-digit", nil},  // filled below: one digit of the value changed
-		{"json-layout", nil},    // filled below: {"key": <base64>, "value": ...}
+		{"wrong-key-echo", nil},     // filled below from a different key's entry
+		{"flipped-value-byte", nil}, // filled below: one bit of the value changed
+		{"memo1-layout", nil},       // filled below: the JSON value layout
+		{"json-layout", nil},        // filled below: {"key": <base64>, "value": ...}
 	}
 	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {
@@ -134,20 +176,16 @@ func TestStoreCorruptionRecomputes(t *testing.T) {
 			switch tc.name {
 			case "truncated":
 				content = full[:len(full)/2]
-			case "flipped-digit":
-				// 1.5 becomes 2.5: still a well-formed entry for the
-				// right key, holding a value that was never Put.
-				i := bytes.Index(full, []byte(`"xs":[1.5`))
-				if i < 0 {
-					t.Fatalf("no first sample in entry %q", full)
-				}
+			case "flipped-value-byte":
+				// 1.5 becomes -1.5: the entry still decodes, for the
+				// right key, to a value that was never Put.
 				content = bytes.Clone(full)
-				content[i+len(`"xs":[`)] = '2'
+				content[len(content)-9] ^= 0x80 // the sign bit, in 1.5's last byte (little-endian)
+			case "memo1-layout":
+				vj := []byte(`{"Name":"good","Xs":[1.5,2.25]}`)
+				content = fmt.Appendf(nil, "memo1 %x %d\n%s%s", sha256.Sum256(vj), len(key), key, vj)
 			case "json-layout":
-				vj, err := json.Marshal(good)
-				if err != nil {
-					t.Fatal(err)
-				}
+				vj := []byte(`{"Name":"good","Xs":[1.5,2.25]}`)
 				content, err = json.Marshal(map[string]any{"key": key, "value": json.RawMessage(vj)})
 				if err != nil {
 					t.Fatal(err)
@@ -194,18 +232,18 @@ func TestStoreDistinctKeysDistinctEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put([]byte("a"), 1); err != nil {
+	if err := s.Put([]byte("a"), testValue{Name: "1"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put([]byte("b"), 2); err != nil {
+	if err := s.Put([]byte("b"), testValue{Name: "2"}); err != nil {
 		t.Fatal(err)
 	}
-	var v int
-	if !s.Get([]byte("a"), &v) || v != 1 {
-		t.Fatalf("a = %d, want 1", v)
+	var v testValue
+	if !s.Get([]byte("a"), &v) || v.Name != "1" {
+		t.Fatalf("a = %+v, want 1", v)
 	}
-	if !s.Get([]byte("b"), &v) || v != 2 {
-		t.Fatalf("b = %d, want 2", v)
+	if !s.Get([]byte("b"), &v) || v.Name != "2" {
+		t.Fatalf("b = %+v, want 2", v)
 	}
 }
 

@@ -3,8 +3,8 @@ package memo
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -35,9 +35,9 @@ type Store struct {
 }
 
 // entryTag opens every entry's header line and names its layout.
-const entryTag = "memo1"
+const entryTag = "memo2"
 
-// entryHead is what precedes a value's JSON in its entry under key: a
+// entryHead is what precedes a value's bytes in its entry under key: a
 // header line — entryTag, the hex SHA-256 of the value bytes and the
 // key's length, space-separated — then the raw key bytes. Get checks the
 // key echo and the value's digest with one comparison of the head, then
@@ -71,7 +71,7 @@ func OpenStore(dir string) (*Store, error) {
 
 // path maps key material to its entry file: <dir>/<2 hex>/<62 hex>.json,
 // the leading byte fanning entries out across 256 subdirectories. The
-// .json name is kept from the JSON entry layout, so the first Put after
+// .json name is kept from the JSON value layout, so the first Put after
 // an upgrade overwrites an entry an older build wrote instead of
 // stranding it beside the new one.
 func (s *Store) path(key []byte) string {
@@ -81,18 +81,18 @@ func (s *Store) path(key []byte) string {
 }
 
 // Get looks the key up and, on a hit, unmarshals the stored value into
-// value (a pointer). It reports whether the value was filled. An absent
-// entry is a miss; an unreadable entry, one in another layout, or one
-// whose key echo, digest or value JSON does not check out is counted
-// stale as well as missed — the caller recomputes either way and the
+// value. It reports whether the value was filled. An absent entry is a
+// miss; an unreadable entry, one in another layout, or one whose key
+// echo, digest or value bytes do not check out is counted stale as well
+// as missed — the caller recomputes either way, ignoring value, and the
 // next Put rewrites the entry in place.
-func (s *Store) Get(key []byte, value any) bool {
+func (s *Store) Get(key []byte, value encoding.BinaryUnmarshaler) bool {
 	data, err := os.ReadFile(s.path(key))
 	if err != nil {
 		s.misses.Add(1)
 		return false
 	}
-	if v, ok := entryValue(data, key); !ok || json.Unmarshal(v, value) != nil {
+	if v, ok := entryValue(data, key); !ok || value.UnmarshalBinary(v) != nil {
 		s.stale.Add(1)
 		s.misses.Add(1)
 		return false
@@ -106,8 +106,8 @@ func (s *Store) Get(key []byte, value any) bool {
 // reader never observes a half-written entry and a crash leaves at worst
 // a stray temp file (ignored by Get, cleaned by the next Put's rename
 // pattern being per-process unique).
-func (s *Store) Put(key []byte, value any) error {
-	vj, err := json.Marshal(value)
+func (s *Store) Put(key []byte, value encoding.BinaryMarshaler) error {
+	vb, err := value.MarshalBinary()
 	if err != nil {
 		return fmt.Errorf("memo: marshal value: %w", err)
 	}
@@ -121,9 +121,9 @@ func (s *Store) Put(key []byte, value any) error {
 	}
 	// The value is written after its head rather than copied into one
 	// buffer with it.
-	_, err = tmp.Write(entryHead(key, vj))
+	_, err = tmp.Write(entryHead(key, vb))
 	if err == nil {
-		_, err = tmp.Write(vj)
+		_, err = tmp.Write(vb)
 	}
 	if err != nil {
 		tmp.Close()

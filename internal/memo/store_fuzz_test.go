@@ -1,8 +1,8 @@
 package memo
 
 import (
-	"encoding/json"
 	"os"
+	"reflect"
 	"testing"
 )
 
@@ -10,15 +10,12 @@ import (
 // Get must then either count one stale miss or return exactly the value
 // that was Put — never panic, and never return another value. The seed
 // corpus in testdata/fuzz holds the entry Put writes, a truncation of
-// it, the entry with one digit of its value changed, and the entry in
-// the earlier {"key": <base64>, "value": ...} JSON layout.
+// it, the entry with one byte of its value changed, and the entry as the
+// memo1 layout (JSON values) and the earlier {"key": <base64>, "value":
+// ...} layout wrote it.
 func FuzzStoreEntry(f *testing.F) {
 	key := []byte(`{"id":"F2","seed":1}`)
 	put := testValue{Name: "getpid", Xs: []float64{1.5, 2.25, 0.1}}
-	want, err := json.Marshal(put)
-	if err != nil {
-		f.Fatal(err)
-	}
 	s, err := OpenStore(f.TempDir())
 	if err != nil {
 		f.Fatal(err)
@@ -41,8 +38,8 @@ func FuzzStoreEntry(f *testing.F) {
 			}
 			return
 		}
-		if gj, err := json.Marshal(got); err != nil || string(gj) != string(want) {
-			t.Fatalf("Get on %q returned %s (err %v), want %s", data, gj, err, want)
+		if !reflect.DeepEqual(got, put) {
+			t.Fatalf("Get on %q returned %+v, want %+v", data, got, put)
 		}
 	})
 }

@@ -191,3 +191,21 @@ func TestUDPCompositionProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkTCPBurst is the netstack layer's unit of bw_tcp: one
+// unfaulted send burst of a full window of MSS segments, then the
+// receiver's drain and cumulative ack, per paper personality.
+func BenchmarkTCPBurst(b *testing.B) {
+	for _, p := range osprofile.Paper() {
+		b.Run(p.Name, func(b *testing.B) {
+			c := MustTCP(p)
+			bytes := c.Window() * p.Net.MSS
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if d, _ := c.TransferObserved(bytes, nil); d <= 0 {
+					b.Fatalf("burst of %d bytes took %v", bytes, d)
+				}
+			}
+		})
+	}
+}

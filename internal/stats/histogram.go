@@ -3,6 +3,7 @@ package stats
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -191,19 +192,29 @@ func (h *Histogram) quantileBucket(q float64) int {
 
 // Merge adds every bucket of o into h — exact integer addition, so
 // merging per-shard histograms in any order yields the same result as
-// observing the union directly.
-func (h *Histogram) Merge(o *Histogram) {
+// observing the union directly. When the merged n would wrap, or a
+// bucket count or the sum would pass math.MaxInt64, the most the JSON
+// form carries, Merge returns an error and leaves h unchanged.
+func (h *Histogram) Merge(o *Histogram) error {
 	if o == nil {
-		return
+		return nil
+	}
+	sum := h.sum + o.sum
+	if h.n+o.n < h.n || (sum < h.sum) != (o.sum < 0) {
+		return fmt.Errorf("stats: histogram merge overflows its count or sum")
+	}
+	for i, c := range o.counts {
+		if t := h.counts[i] + c; t < c || t > math.MaxInt64 {
+			return fmt.Errorf("stats: histogram merge overflows bucket %d", i)
+		}
 	}
 	for i, c := range o.counts {
 		h.counts[i] += c
 	}
 	h.n += o.n
-	h.sum += o.sum
-	if o.max > h.max {
-		h.max = o.max
-	}
+	h.sum = sum
+	h.max = max(h.max, o.max)
+	return nil
 }
 
 // histogramJSON is the wire form: sparse [bucket, count] pairs in

@@ -54,7 +54,9 @@ func TestHistogramMergeEmptyIsByteIdenticalNoOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := mk()
-	h.Merge(&Histogram{})
+	if err := h.Merge(&Histogram{}); err != nil {
+		t.Fatal(err)
+	}
 	got, err := h.MarshalJSON()
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +64,9 @@ func TestHistogramMergeEmptyIsByteIdenticalNoOp(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("Merge(empty) changed the histogram:\n got %s\nwant %s", got, want)
 	}
-	h.Merge(nil)
+	if err := h.Merge(nil); err != nil {
+		t.Fatal(err)
+	}
 	got, err = h.MarshalJSON()
 	if err != nil {
 		t.Fatal(err)
@@ -73,12 +77,34 @@ func TestHistogramMergeEmptyIsByteIdenticalNoOp(t *testing.T) {
 	// And the symmetric case: merging into an empty histogram equals the
 	// source.
 	e := &Histogram{}
-	e.Merge(mk())
+	if err := e.Merge(mk()); err != nil {
+		t.Fatal(err)
+	}
 	got, err = e.MarshalJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("empty.Merge(h) != h:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestHistogramMergeRefusesOverflow: two valid histograms of one
+// observation of 2^62 each would merge to a sum of 2^63, which wraps to
+// -2^63 and which the merged histogram's own JSON could not carry. Merge
+// refuses them and leaves the histogram as it was.
+func TestHistogramMergeRefusesOverflow(t *testing.T) {
+	var h, o Histogram
+	h.Observe(1 << 62)
+	o.Observe(1 << 62)
+	before := h
+	if err := h.Merge(&o); err == nil || h != before {
+		t.Fatalf("Merge = %v, sum %d: want an error and the histogram unchanged", err, h.Sum())
+	}
+	o = Histogram{}
+	o.counts[0] = 1 << 63 // a count past what the JSON form carries
+	o.n = 1 << 63
+	if err := h.Merge(&o); err == nil || h != before {
+		t.Fatalf("Merge of a count of 2^63 = %v: want an error and the histogram unchanged", err)
 	}
 }

@@ -48,3 +48,53 @@ func FuzzHistogramJSON(f *testing.F) {
 		}
 	})
 }
+
+// FuzzHistogramMerge decodes two histograms from the fuzzed bytes,
+// skipping the input when either is refused, and merges them both ways.
+// The merges must agree; a merge Merge refuses must leave its histogram
+// unchanged; an accepted one must add n and every bucket, and its JSON
+// must decode back to it. The seed corpus in testdata/fuzz holds two
+// histograms of one observation of 2^62 each, whose sum would wrap.
+func FuzzHistogramMerge(f *testing.F) {
+	var a, b Histogram
+	for v := int64(0); v < 1<<40; v = v*5 + 3 {
+		a.Observe(v)
+		b.Observe(v / 3)
+	}
+	ja, _ := json.Marshal(&a)
+	jb, _ := json.Marshal(&b)
+	f.Add(ja, jb)
+	f.Fuzz(func(t *testing.T, da, db []byte) {
+		var a, b Histogram
+		if json.Unmarshal(da, &a) != nil || json.Unmarshal(db, &b) != nil {
+			return
+		}
+		ab, ba := a, b
+		errAB, errBA := ab.Merge(&b), ba.Merge(&a)
+		if (errAB == nil) != (errBA == nil) || ab != ba && errAB == nil {
+			t.Fatalf("a⊕b (err %v) differs from b⊕a (err %v) for %s and %s", errAB, errBA, da, db)
+		}
+		if errAB != nil {
+			if ab != a || ba != b {
+				t.Fatalf("refused merge (%v) changed its histogram for %s and %s", errAB, da, db)
+			}
+			return
+		}
+		if ab.N() != a.N()+b.N() {
+			t.Fatalf("merged n %d, want %d + %d", ab.N(), a.N(), b.N())
+		}
+		for i := range ab.counts {
+			if ab.counts[i] != a.counts[i]+b.counts[i] {
+				t.Fatalf("merged bucket %d holds %d, want %d + %d", i, ab.counts[i], a.counts[i], b.counts[i])
+			}
+		}
+		m, err := json.Marshal(&ab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Histogram
+		if err := json.Unmarshal(m, &back); err != nil || back != ab {
+			t.Fatalf("merge of %s and %s does not round-trip its JSON %s: %v", da, db, m, err)
+		}
+	})
+}

@@ -105,11 +105,12 @@ func TestHistogramMergeOrderInvariance(t *testing.T) {
 	a := build([]int{9, 7, 5, 3, 1})
 	b := build([]int{0, 2, 4, 6, 8})
 	ab := &Histogram{}
-	ab.Merge(a)
-	ab.Merge(b)
 	ba := &Histogram{}
-	ba.Merge(b)
-	ba.Merge(a)
+	for _, err := range []error{ab.Merge(a), ab.Merge(b), ba.Merge(b), ba.Merge(a)} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	for _, m := range []*Histogram{ab, ba} {
 		if *m != *direct {
@@ -285,5 +286,38 @@ func TestHistogramBucketsAccessor(t *testing.T) {
 		if got := bucketOf(v); got != i {
 			t.Fatalf("BucketIndex(%d) = %d, want %d", v, i, got)
 		}
+	}
+}
+
+// observeValues spans the exact octave and the log octaves up to 2^40 ns.
+var observeValues = func() []int64 {
+	var vs []int64
+	for v := int64(0); v < 1<<40; v = v*3 + 1 {
+		vs = append(vs, v)
+	}
+	return vs
+}()
+
+// TestHistogramObserveZeroAllocs: Observe updates fixed arrays in place,
+// so it allocates nothing, which is what lets the million-client sweep
+// keep a histogram per operation.
+func TestHistogramObserveZeroAllocs(t *testing.T) {
+	var h Histogram
+	if a := testing.AllocsPerRun(1000, func() {
+		for _, v := range observeValues {
+			h.Observe(v)
+		}
+	}); a != 0 {
+		t.Fatalf("Observe: %v allocs per pass, want 0", a)
+	}
+}
+
+// BenchmarkHistogramObserve is the histogram layer's write: one
+// observation, the values cycling through every octave up to 2^40.
+func BenchmarkHistogramObserve(b *testing.B) {
+	var h Histogram
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h.Observe(observeValues[i%len(observeValues)])
 	}
 }
