@@ -130,7 +130,11 @@ func benchScalePoint(b *testing.B, clients int) {
 	var res *nfsserver.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res = nfsserver.New(cfg).Run()
+		// Released as core releases each point's server, so the next
+		// point reuses its arrays.
+		srv := nfsserver.New(cfg)
+		res = srv.Run()
+		srv.Release()
 	}
 	b.StopTimer()
 	b.ReportMetric(res.Throughput(), "modelled_opsps")

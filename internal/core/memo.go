@@ -63,9 +63,10 @@ func runMemoized(cfg Config, e *Experiment, keyOf func(id string) []byte) *Resul
 	return out
 }
 
-// MarshalBinary encodes r for the memo store, field by field in order.
+// MarshalBinary encodes r for the memo store, field by field in order,
+// into one buffer sized by binarySize.
 func (r *Result) MarshalBinary() ([]byte, error) {
-	b := memo.AppendString(memo.AppendString(nil, r.ID), r.Title)
+	b := memo.AppendString(memo.AppendString(make([]byte, 0, r.binarySize()), r.ID), r.Title)
 	b = memo.AppendString(memo.AppendString(binary.AppendVarint(b, int64(r.Kind)), r.YUnit), r.XLabel)
 	b = binary.AppendVarint(memo.AppendBool(b, r.LogX), int64(r.Direction))
 	b = memo.AppendList(b, r.Series, func(b []byte, s Series) []byte {
@@ -75,6 +76,28 @@ func (r *Result) MarshalBinary() ([]byte, error) {
 		return memo.AppendFloat64(memo.AppendFloat64(memo.AppendString(b, e.Label), e.Mean), e.StdDevPct)
 	})
 	return memo.AppendList(b, r.Notes, memo.AppendString), nil
+}
+
+// binarySize bounds the bytes MarshalBinary writes: every integer, length
+// and count at its longest varint, every string and float in full.
+func (r *Result) binarySize() int {
+	const v = binary.MaxVarintLen64
+	n := 10*v + len(r.ID) + len(r.Title) + len(r.YUnit) + len(r.XLabel)
+	for _, s := range r.Series {
+		n += 3*v + len(s.Label) + 8*len(s.X)
+		for _, smp := range s.Samples {
+			if n++; smp != nil {
+				n += v + 8*smp.N()
+			}
+		}
+	}
+	for _, e := range r.Expected {
+		n += v + len(e.Label) + 16
+	}
+	for _, note := range r.Notes {
+		n += v + len(note)
+	}
+	return n
 }
 
 // UnmarshalBinary decodes what MarshalBinary wrote, an empty slice as

@@ -348,6 +348,7 @@ func observeMem(r memmodel.Routine) func(Config, string, ObserveOpts) []Observed
 func observeScale(cfg Config, id string, opts ObserveOpts, p *osprofile.Profile) ObservedRun {
 	inj, smp, ex := injFor(cfg, opts, id, p), samplerFor(opts), exemplarsFor(cfg, opts, p)
 	srv := scaleServer(cfg, p, opts.Clients, opts.Nfsd, inj.Net)
+	defer srv.Release() // after Facts, the last read (see scaleServer)
 	rec := obs.NewRing(srv.Clock(), bench.TraceRingCap)
 	srv.SetRecorder(rec)
 	srv.SetSampler(smp)

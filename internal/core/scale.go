@@ -38,7 +38,9 @@ type scaleKey struct {
 func scalePoint(cfg Config, p *osprofile.Profile, clients, nfsd int) *nfsserver.Result {
 	key := scaleKey{profile: p, clients: clients, nfsd: nfsd, seed: cfg.Seed}
 	run := func() *nfsserver.Result {
-		return scaleServer(cfg, p, clients, nfsd, nil).Run()
+		srv := scaleServer(cfg, p, clients, nfsd, nil)
+		defer srv.Release()
+		return srv.Run()
 	}
 	if cfg.scale == nil {
 		return run()
@@ -55,14 +57,17 @@ func scalePoint(cfg Config, p *osprofile.Profile, clients, nfsd int) *nfsserver.
 // without changing the cache key.
 func ScaleRun(cfg Config, p *osprofile.Profile, clients, nfsd int, plan *fault.Plan) *nfsserver.Result {
 	inj := fault.New(plan, sim.NewRNG(cfg.Seed).Fork(saltFor("scale", p.String(), clients)))
-	return scaleServer(cfg, p, clients, nfsd, inj.Net).Run()
+	srv := scaleServer(cfg, p, clients, nfsd, inj.Net)
+	defer srv.Release()
+	return srv.Run()
 }
 
 // scaleServer builds the S1/S2 server model for one personality and
 // population. It is the one place a scale point's configuration and
 // seed are chosen, so the exhibited, swept, observed and audited runs
 // of a point are the same run; net, when non-nil, injects network
-// faults.
+// faults. Callers release it after their last read, as SweepPoint its
+// cache hierarchy, so a sweep's points reuse one set of arrays.
 func scaleServer(cfg Config, p *osprofile.Profile, clients, nfsd int, net *fault.NetInjector) *nfsserver.Server {
 	return nfsserver.New(nfsserver.Config{
 		Profile: p,

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync/atomic"
 )
 
@@ -43,7 +44,11 @@ const entryTag = "memo2"
 // key echo and the value's digest with one comparison of the head, then
 // decodes the value once; nothing is escaped or nested.
 func entryHead(key, value []byte) []byte {
-	return append(fmt.Appendf(nil, "%s %x %d\n", entryTag, sha256.Sum256(value), len(key)), key...)
+	sum := sha256.Sum256(value)
+	b := make([]byte, 0, len(entryTag)+2*len(sum)+23+len(key)) // 23: two spaces, a newline, 20 digits
+	b = hex.AppendEncode(append(b, entryTag+" "...), sum[:])
+	b = strconv.AppendInt(append(b, ' '), int64(len(key)), 10)
+	return append(append(b, '\n'), key...)
 }
 
 // entryValue returns the value an entry holds for key, and false unless

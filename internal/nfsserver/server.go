@@ -50,6 +50,7 @@ package nfsserver
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/disk"
 	"repro/internal/fault"
@@ -243,23 +244,9 @@ type ring struct {
 	head, n int
 }
 
-// Server is one run's state. Build with New, optionally attach a
-// recorder, then Run once.
-type Server struct {
-	cfg Config
-	evq sim.Queue
-	arr *sim.RNG // arrival stream: gaps, client picks, op classes
-	svc *sim.RNG // service stream: buffer-cache hit draws
-
-	// Precomputed per-class costs.
-	wireHdr    int64             // header transmit time (first frame of any request)
-	wireRem    [numClasses]int64 // remaining wire time: request payload + reply
-	cpuOf      [numClasses]int64 // nfsd CPU service time
-	diskAccess int64             // one disk access (seek + rotate + transfer + controller)
-	writeDisk  int64             // disk accesses per write (0 on async servers)
-	hitP       float64           // buffer-cache hit probability for reads
-	rtoOf      [retryTiers]int64 // lossless-wire backoff schedule
-
+// arrays is the storage sized by a server's population or capacity.
+// New takes it from arrayPool and Release hands it to the next server.
+type arrays struct {
 	// Per-client state: 12 bytes each, nothing else scales with the
 	// population.
 	clIssued, clDone, clRetrans []uint32
@@ -278,6 +265,37 @@ type Server struct {
 	rqDiskWait []int64
 	rqDiskTime []int64
 	freeList   []int32
+}
+
+var arrayPool = sync.Pool{New: func() any { return new(arrays) }}
+
+// zeroed returns what make([]T, n) would, in buf's storage if it fits.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	clear(buf[:n])
+	return buf[:n]
+}
+
+// Server is one run's state. Build with New, optionally attach a
+// recorder, then Run once.
+type Server struct {
+	cfg Config
+	evq sim.Queue
+	arr *sim.RNG // arrival stream: gaps, client picks, op classes
+	svc *sim.RNG // service stream: buffer-cache hit draws
+
+	// Precomputed per-class costs.
+	wireHdr    int64             // header transmit time (first frame of any request)
+	wireRem    [numClasses]int64 // remaining wire time: request payload + reply
+	cpuOf      [numClasses]int64 // nfsd CPU service time
+	diskAccess int64             // one disk access (seek + rotate + transfer + controller)
+	writeDisk  int64             // disk accesses per write (0 on async servers)
+	hitP       float64           // buffer-cache hit probability for reads
+	rtoOf      [retryTiers]int64 // lossless-wire backoff schedule
+
+	arrays
 
 	// Ingress queue: a circular buffer of request indices.
 	q           []int32
@@ -302,6 +320,7 @@ type Server struct {
 	batClient           [batchSize]int32
 	batClass            [batchSize]uint8
 	batPos, batLen      int
+	batArrived          int // draws of the batch that have arrived
 	interarrivalScaleNs float64
 
 	diskFreeAt int64
@@ -402,23 +421,24 @@ func New(cfg Config) *Server {
 		s.rtoOf[t] = ms * int64(sim.Millisecond)
 	}
 
-	s.clIssued = make([]uint32, cfg.Clients)
-	s.clDone = make([]uint32, cfg.Clients)
-	s.clRetrans = make([]uint32, cfg.Clients)
+	s.arrays = *arrayPool.Get().(*arrays)
+	s.clIssued = zeroed(s.clIssued, cfg.Clients)
+	s.clDone = zeroed(s.clDone, cfg.Clients)
+	s.clRetrans = zeroed(s.clRetrans, cfg.Clients)
 
 	poolCap := cfg.QueueCap + cfg.Nfsd + retryTiers*retryRingCap + 1
-	s.rqID = make([]uint64, poolCap)
-	s.rqClient = make([]int32, poolCap)
-	s.rqClass = make([]uint8, poolCap)
-	s.rqSends = make([]uint8, poolCap)
-	s.rqIssue = make([]int64, poolCap)
-	s.rqRTO = make([]int64, poolCap)
-	s.rqDrop = make([]int64, poolCap)
-	s.rqEnq = make([]int64, poolCap)
-	s.rqStart = make([]int64, poolCap)
-	s.rqDiskWait = make([]int64, poolCap)
-	s.rqDiskTime = make([]int64, poolCap)
-	s.freeList = make([]int32, poolCap)
+	s.rqID = zeroed(s.rqID, poolCap)
+	s.rqClient = zeroed(s.rqClient, poolCap)
+	s.rqClass = zeroed(s.rqClass, poolCap)
+	s.rqSends = zeroed(s.rqSends, poolCap)
+	s.rqIssue = zeroed(s.rqIssue, poolCap)
+	s.rqRTO = zeroed(s.rqRTO, poolCap)
+	s.rqDrop = zeroed(s.rqDrop, poolCap)
+	s.rqEnq = zeroed(s.rqEnq, poolCap)
+	s.rqStart = zeroed(s.rqStart, poolCap)
+	s.rqDiskWait = zeroed(s.rqDiskWait, poolCap)
+	s.rqDiskTime = zeroed(s.rqDiskTime, poolCap)
+	s.freeList = zeroed(s.freeList, poolCap)
 	for i := range s.freeList {
 		s.freeList[i] = int32(poolCap - 1 - i)
 	}
@@ -443,6 +463,15 @@ func New(cfg Config) *Server {
 	s.res.Clients = cfg.Clients
 	s.res.Nfsd = cfg.Nfsd
 	return s
+}
+
+// Release hands the server's per-client counters and request pool to
+// the next New. Call it after the last read: Run's Result stays valid,
+// but a later Run or Facts panics rather than read another server's.
+func (s *Server) Release() {
+	a := s.arrays
+	s.arrays = arrays{}
+	arrayPool.Put(&a)
 }
 
 // Clock exposes the model's virtual clock, for attaching an
@@ -504,6 +533,7 @@ func (s *Server) Run() *Result {
 			break
 		}
 	}
+	s.creditIssued()
 	if s.endAt == 0 {
 		s.endAt = int64(s.evq.Now())
 	}
@@ -512,9 +542,20 @@ func (s *Server) Run() *Result {
 	return &s.res
 }
 
-// refillBatch draws the next batchSize arrivals' gaps, clients, and
-// classes in one tight RNG loop.
+// creditIssued adds the batch's arrived draws to their clients' issue
+// counts. One loop over the batch lets a large population's cache misses
+// overlap, where a count per arrival stalls on each.
+func (s *Server) creditIssued() {
+	for _, c := range s.batClient[:s.batArrived] {
+		s.clIssued[c]++
+	}
+	s.batArrived = 0
+}
+
+// refillBatch credits the spent batch's issues, then draws the next
+// batchSize arrivals' gaps, clients, and classes in one tight RNG loop.
 func (s *Server) refillBatch() {
+	s.creditIssued()
 	for i := 0; i < batchSize; i++ {
 		u := 1 - s.arr.Float64() // (0,1]: no log(0)
 		s.batGap[i] = int64(-math.Log(u) * s.interarrivalScaleNs)
@@ -554,7 +595,7 @@ func (s *Server) scheduleNextArrival() {
 func (s *Server) arrive() {
 	n := len(s.freeList)
 	if n == 0 {
-		panic("nfsserver: request pool exhausted") // capacity bug, not load
+		panic("nfsserver: request pool exhausted or released") // a bug, not load
 	}
 	r := s.freeList[n-1]
 	s.freeList = s.freeList[:n-1]
@@ -565,7 +606,7 @@ func (s *Server) arrive() {
 	s.rqRTO[r] = 0
 	s.res.Arrivals++
 	s.rqID[r] = s.res.Arrivals
-	s.clIssued[s.pendClient]++
+	s.batArrived++
 	s.tsArrivals.Inc(s.evq.Now())
 	s.tsFlight.Inc(s.evq.Now())
 	s.ingress(r)
@@ -837,7 +878,7 @@ func (s *Server) complete(slot int32) {
 // ClientBalance reports per-client conservation sums for tests: total
 // issued, completed, and retransmitted across the population.
 func (s *Server) ClientBalance() (issued, done, retrans uint64) {
-	for i := range s.clIssued {
+	for i := range s.cfg.Clients { // a released server's slices are empty
 		issued += uint64(s.clIssued[i])
 		done += uint64(s.clDone[i])
 		retrans += uint64(s.clRetrans[i])

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -68,28 +69,64 @@ func TestLedgerSumsToLatency(t *testing.T) {
 	}
 }
 
+// The per-client counters sum to the Result's counts. Issues are
+// credited a batch of draws at a time, so the rows end runs on either
+// side of a batch edge (64 draws), with a drawn arrival still pending,
+// at the attempt budget, at 10^6 clients and under wire loss.
 func TestPerClientCountersBalance(t *testing.T) {
-	inj := lossyInjector(0.05, 11)
-	s := New(Config{Profile: osprofile.Solaris24(), Clients: 5000, Seed: 11,
-		TargetOps: 3000, AttemptBudget: 30000, Faults: inj})
-	r := s.Run()
-	issued, done, retrans := s.ClientBalance()
-	if issued != r.Arrivals {
-		t.Fatalf("per-client issued %d != arrivals %d", issued, r.Arrivals)
-	}
-	if done != r.Completed {
-		t.Fatalf("per-client completed %d != completions %d", done, r.Completed)
-	}
-	if retrans != r.Retransmits {
-		t.Fatalf("per-client retransmits %d != aggregate %d", retrans, r.Retransmits)
-	}
-	// The injector's own ledger agrees: every wire loss was attributed
-	// to exactly one client.
-	if retrans != inj.RPCRetransmits {
-		t.Fatalf("per-client retransmits %d != injector's %d", retrans, inj.RPCRetransmits)
-	}
-	if retrans == 0 {
-		t.Fatal("5% loss over 30000 attempts produced no retransmits")
+	light := Config{Profile: osprofile.Linux128(), Clients: 10, Seed: 11}
+	budget := func(n int) Config { c := light; c.AttemptBudget = n; return c }
+	pending := light
+	pending.Clients, pending.TargetOps = 1000, 100
+	for _, tc := range []struct {
+		name     string
+		cfg      Config
+		loss     float64
+		arrivals uint64 // the run's arrivals, when the row pins them
+	}{
+		{"1 arrival", budget(1), 0, 1},
+		{"63 arrivals", budget(63), 0, 63},
+		{"64 arrivals", budget(64), 0, 64},
+		{"65 arrivals", budget(65), 0, 65},
+		{"target with an arrival pending", pending, 0, 0},
+		{"attempt budget", Config{Profile: osprofile.Solaris24(), Clients: 100000, Seed: 11,
+			TargetOps: 20000, AttemptBudget: 5000}, 0, 0},
+		{"10^6 clients", Config{Profile: osprofile.FreeBSD205(), Clients: 1000000, Seed: 11}, 0, 0},
+		{"lossy", Config{Profile: osprofile.Solaris24(), Clients: 5000, Seed: 11,
+			TargetOps: 3000, AttemptBudget: 30000}, 0.05, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			if tc.loss > 0 {
+				cfg.Faults = lossyInjector(tc.loss, 11)
+			}
+			s := New(cfg)
+			r := s.Run()
+			f := s.Facts()
+			if tc.arrivals != 0 && r.Arrivals != tc.arrivals {
+				t.Fatalf("run ended at %d arrivals, want %d", r.Arrivals, tc.arrivals)
+			}
+			if f.ClIssued != r.Arrivals {
+				t.Fatalf("per-client issued %d != arrivals %d", f.ClIssued, r.Arrivals)
+			}
+			if f.ClDone != r.Completed {
+				t.Fatalf("per-client completed %d != completions %d", f.ClDone, r.Completed)
+			}
+			if f.ClRetrans != r.Retransmits {
+				t.Fatalf("per-client retransmits %d != aggregate %d", f.ClRetrans, r.Retransmits)
+			}
+			if cfg.Faults == nil {
+				return
+			}
+			// The injector's own ledger agrees: every wire loss was
+			// attributed to exactly one client.
+			if f.ClRetrans != cfg.Faults.RPCRetransmits {
+				t.Fatalf("per-client retransmits %d != injector's %d", f.ClRetrans, cfg.Faults.RPCRetransmits)
+			}
+			if f.ClRetrans == 0 {
+				t.Fatal("5% loss over 30000 attempts produced no retransmits")
+			}
+		})
 	}
 }
 
@@ -240,5 +277,96 @@ func TestResultJSONCarriesHistogram(t *testing.T) {
 	}
 	if back.Hist != r.Hist || back.Completed != r.Completed || back.Ledger != r.Ledger {
 		t.Fatal("Result did not survive a JSON round trip")
+	}
+}
+
+// freshRun runs cfg on arrays no earlier server has used: it empties
+// the pool first, until the pool makes a new set, and does not release
+// the server.
+func freshRun(cfg Config) (Result, Facts) {
+	for arrayPool.Get().(*arrays).freeList != nil {
+	}
+	s := New(cfg)
+	return *s.Run(), s.Facts()
+}
+
+// A server on released arrays is observably a fresh one: each run of a
+// chain that hands its arrays to the next — 10^6 clients, then 10, then
+// 10^6 again — equals the same run on arrays no server used, and so do
+// chains run concurrently, as the runner runs points at -j 8.
+func TestReleasedArraysRunAsFresh(t *testing.T) {
+	big := Config{Profile: osprofile.Solaris24(), Clients: 1000000, Seed: 5, AttemptBudget: 40000}
+	small := Config{Profile: osprofile.Linux128(), Clients: 10, Seed: 5, TargetOps: 2000}
+	mid := Config{Profile: osprofile.FreeBSD205(), Clients: 1000, Seed: 5, TargetOps: 3000,
+		QueueCap: 64, Nfsd: 4}
+	lossy := Config{Profile: osprofile.Solaris24(), Clients: 5000, Seed: 5,
+		TargetOps: 3000, AttemptBudget: 30000}
+	cfgs := []Config{big, small, mid, lossy}
+	type run struct {
+		res   Result
+		facts Facts
+	}
+	fresh := make([]run, len(cfgs))
+	for i, cfg := range cfgs {
+		if i == 3 {
+			cfg.Faults = lossyInjector(0.05, 5)
+		}
+		fresh[i].res, fresh[i].facts = freshRun(cfg)
+	}
+	// chain runs the configurations in order, each server released to
+	// the next, and reports the first run that differs from its fresh
+	// twin.
+	chain := func(order ...int) error {
+		for _, i := range order {
+			cfg := cfgs[i]
+			if i == 3 {
+				cfg.Faults = lossyInjector(0.05, 5)
+			}
+			s := New(cfg)
+			got := run{*s.Run(), s.Facts()}
+			s.Release()
+			if !reflect.DeepEqual(got.res, fresh[i].res) {
+				return fmt.Errorf("config %d: Result differs from a fresh run's:\n%+v\n%+v", i, got.res, fresh[i].res)
+			}
+			if got.facts != fresh[i].facts {
+				return fmt.Errorf("config %d: Facts differ from a fresh run's:\n%+v\n%+v", i, got.facts, fresh[i].facts)
+			}
+		}
+		return nil
+	}
+	if err := chain(0, 1, 0, 2, 1, 3, 0); err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 8)
+	for w := 0; w < cap(errs); w++ {
+		go func() { errs <- chain(1+w%3, w%2, 3-w%3, 1) }()
+	}
+	for w := 0; w < cap(errs); w++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// A released server's arrays belong to the next server, so reading the
+// released one panics instead of returning that server's counts.
+func TestUseAfterReleasePanics(t *testing.T) {
+	for name, use := range map[string]func(*Server){
+		"Run":   func(s *Server) { s.Run() },
+		"Facts": func(s *Server) { s.Facts() },
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := New(Config{Profile: osprofile.Linux128(), Clients: 10, Seed: 1, TargetOps: 100})
+			if name == "Facts" {
+				s.Run()
+			}
+			s.Release()
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s after Release did not panic", name)
+				}
+			}()
+			use(s)
+		})
 	}
 }

@@ -15,11 +15,16 @@ import "fmt"
 // more than one arrival, one timer per nfsd slot and one per retry tier —
 // schedules and fires without allocating.
 //
+// The firing event stays at the root while its callback runs: the first
+// event the callback schedules replaces it with one sift-down, not a pop
+// and a push, and a callback that schedules none has it popped.
+//
 // The zero value is ready to use.
 type Queue struct {
-	clock Clock
-	seq   uint64
-	heap  []event
+	clock  Clock
+	seq    uint64
+	heap   []event
+	firing bool // heap[0] is the running callback's event, no longer pending
 }
 
 // event is one pending callback; seq is its schedule ordinal, the
@@ -42,8 +47,14 @@ func (q *Queue) Now() Time { return q.clock.Now() }
 // time directly.
 func (q *Queue) Clock() *Clock { return &q.clock }
 
-// Len returns the number of events waiting to fire.
-func (q *Queue) Len() int { return len(q.heap) }
+// Len returns the number of events waiting to fire; inside a callback,
+// the firing event is not one of them.
+func (q *Queue) Len() int {
+	if q.firing {
+		return len(q.heap) - 1
+	}
+	return len(q.heap)
+}
 
 // Schedule enqueues fn to run after delay d. A negative delay panics.
 func (q *Queue) Schedule(d Duration, fn func()) {
@@ -60,6 +71,11 @@ func (q *Queue) ScheduleAt(t Time, fn func()) {
 	}
 	e := event{when: t, seq: q.seq, fire: fn}
 	q.seq++
+	if q.firing {
+		q.firing = false
+		siftDown(q.heap, e)
+		return
+	}
 	h := append(q.heap, e)
 	i := len(h) - 1
 	for i > 0 {
@@ -74,37 +90,53 @@ func (q *Queue) ScheduleAt(t Time, fn func()) {
 	q.heap = h
 }
 
+// siftDown puts e at the root of h, a heap below its root, and sinks it.
+func siftDown(h []event, e event) {
+	n, i := len(h), 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&e) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = e
+}
+
+// dropFiring removes the firing event if no schedule has replaced it.
+func (q *Queue) dropFiring() {
+	if !q.firing {
+		return
+	}
+	q.firing = false
+	n := len(q.heap) - 1
+	last := q.heap[n]
+	q.heap[n] = event{} // release the callback for the collector
+	q.heap = q.heap[:n]
+	if n > 0 {
+		siftDown(q.heap, last)
+	}
+}
+
 // Step fires the earliest pending event, advancing the clock to its
-// time. It reports whether an event was fired.
+// time. It reports whether an event was fired. Called from a callback,
+// it first drops that callback's own event.
 func (q *Queue) Step() bool {
-	h := q.heap
-	n := len(h) - 1
-	if n < 0 {
+	q.dropFiring()
+	if len(q.heap) == 0 {
 		return false
 	}
-	top, last := h[0], h[n]
-	h[n] = event{} // release the callback for the collector
-	h = h[:n]
-	if n > 0 {
-		i := 0
-		for {
-			c := 2*i + 1
-			if c >= n {
-				break
-			}
-			if r := c + 1; r < n && h[r].before(&h[c]) {
-				c = r
-			}
-			if !h[c].before(&last) {
-				break
-			}
-			h[i] = h[c]
-			i = c
-		}
-		h[i] = last
-	}
-	q.heap = h
+	top := &q.heap[0]
 	q.clock.AdvanceTo(top.when)
+	q.firing = true
 	top.fire()
+	q.dropFiring()
 	return true
 }

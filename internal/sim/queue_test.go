@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -98,6 +99,69 @@ func TestQueueEventSchedulesEvent(t *testing.T) {
 				t.Fatalf("fired = %v, want [10 10 15]", fired)
 			}
 		})
+	}
+}
+
+// The production Queue keeps a firing event at its heap's root until its
+// callback schedules: the first event scheduled replaces it, and a
+// callback that schedules none pops it. Each row's callback, run by the
+// event at 10 with events at 20 and 30 pending, must leave the same
+// firing log on both engines.
+func TestQueueCallbackSchedules(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cb   func(q queue, fire func(string) func())
+		want string
+	}{
+		{"none", func(queue, func(string) func()) {}, "a@10 b@20 c@30"},
+		{"one", func(q queue, fire func(string) func()) { q.Schedule(15, fire("d")) },
+			"a@10 b@20 d@25 c@30"},
+		{"two", func(q queue, fire func(string) func()) {
+			q.Schedule(15, fire("d"))
+			q.Schedule(5, fire("e"))
+		}, "a@10 e@15 b@20 d@25 c@30"},
+		{"soonest", func(q queue, fire func(string) func()) { q.Schedule(0, fire("d")) },
+			"a@10 d@10 b@20 c@30"},
+		{"tie", func(q queue, fire func(string) func()) { q.ScheduleAt(20, fire("d")) },
+			"a@10 b@20 d@20 c@30"},
+		{"len", func(q queue, fire func(string) func()) {
+			before := q.Len()
+			q.Schedule(15, fire("d"))
+			fire(fmt.Sprintf("len%d→%d", before, q.Len()))()
+		}, "a@10 len2→3@10 b@20 d@25 c@30"},
+		{"step", func(q queue, fire func(string) func()) {
+			q.Step()
+			fire("back")()
+		}, "a@10 b@20 back@20 c@30"},
+		{"step then schedule", func(q queue, fire func(string) func()) {
+			q.Step()
+			q.Schedule(1, fire("d"))
+		}, "a@10 b@20 d@21 c@30"},
+		{"schedule then step", func(q queue, fire func(string) func()) {
+			q.Schedule(0, fire("d"))
+			q.Step()
+			fire(fmt.Sprintf("len%d", q.Len()))()
+		}, "a@10 d@10 len2@10 b@20 c@30"},
+	} {
+		for _, eng := range engines {
+			t.Run(tc.name+"/"+eng.name, func(t *testing.T) {
+				q := eng.mk()
+				var log []string
+				fire := func(name string) func() {
+					return func() { log = append(log, fmt.Sprintf("%s@%d", name, q.Now())) }
+				}
+				q.ScheduleAt(20, fire("b"))
+				q.ScheduleAt(10, func() { fire("a")(); tc.cb(q, fire) })
+				q.ScheduleAt(30, fire("c"))
+				drain(q)
+				if got := strings.Join(log, " "); got != tc.want {
+					t.Fatalf("fired %q, want %q", got, tc.want)
+				}
+				if q.Len() != 0 {
+					t.Fatalf("Len() = %d after draining", q.Len())
+				}
+			})
+		}
 	}
 }
 
@@ -200,10 +264,12 @@ func mustPanic(t *testing.T, what string, fn func()) {
 	fn()
 }
 
-// firedRec is one observed firing for the differential log.
+// firedRec is one observed firing for the differential log, with the
+// pending count its callback read.
 type firedRec struct {
-	id   int
-	when Time
+	id      int
+	when    Time
+	pending int
 }
 
 // diffDriver runs an identical randomized workload against one engine.
@@ -255,7 +321,8 @@ func (d *diffDriver) delay() Duration {
 }
 
 // schedule enqueues one event, through Schedule or ScheduleAt at random;
-// a quarter of events schedule another when they fire.
+// a quarter of events schedule another when they fire, and an eighth
+// schedule one at the current tick, the soonest an event can fire.
 func (d *diffDriver) schedule(depth int) {
 	d.scheduleAfter(d.delay(), depth)
 }
@@ -264,8 +331,12 @@ func (d *diffDriver) scheduleAfter(delay Duration, depth int) {
 	id := d.next
 	d.next++
 	nested := depth < 3 && d.rng.Intn(4) == 0
+	soonest := depth < 3 && d.rng.Intn(8) == 0
 	fn := func() {
-		d.log = append(d.log, firedRec{id: id, when: d.q.Now()})
+		d.log = append(d.log, firedRec{id: id, when: d.q.Now(), pending: d.q.Len()})
+		if soonest {
+			d.scheduleAfter(0, depth+1)
+		}
 		if nested {
 			d.schedule(depth + 1)
 		}
@@ -303,8 +374,8 @@ func (d *diffDriver) run(ops int) {
 // TestEngineDifferential certifies the production Queue against the
 // reference Engine: identical randomized schedule/step workloads must
 // produce identical (event, time) firing sequences, identical pending
-// counts after every operation, identical final clocks, and drain
-// completely.
+// counts inside every callback and after every operation, identical
+// final clocks, and drain completely.
 func TestEngineDifferential(t *testing.T) {
 	seeds := 40
 	ops := 400
@@ -369,9 +440,12 @@ func (l *lcg) next() uint64 {
 	return uint64(*l)
 }
 
-// BenchmarkQueueRearm is the nfsserver shape: 15 timers (one arrival,
-// eight nfsd slots, six retry-ring heads), each re-arming itself when it
-// fires, so the queue holds exactly 15 events throughout. One op is one
+// BenchmarkQueueRearm holds 15 timers, as many as nfsserver can (one
+// arrival, eight nfsd slots, six retry-ring heads), each re-arming
+// itself when it fires, so the queue holds exactly 15 events
+// throughout. The re-arm delays are uniform, so a re-armed timer is
+// rarely the next to fire and seldom skips the in-place root's
+// sift-down, as nfsserver's arrivals under overload do. One op is one
 // fired event.
 func BenchmarkQueueRearm(b *testing.B) {
 	var q Queue

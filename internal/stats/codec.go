@@ -2,6 +2,8 @@ package stats
 
 import (
 	"encoding/json"
+	"slices"
+	"sync"
 
 	"repro/internal/memo"
 )
@@ -26,12 +28,39 @@ func AppendSamples(b []byte, ss []*Sample) []byte {
 	})
 }
 
+// seriesScratch holds a series' observations while DecodeSamples reads
+// them, before their count is known.
+var seriesScratch = sync.Pool{New: func() any { return new([]float64) }}
+
 // DecodeSamples reads what AppendSamples wrote; no samples read as nil.
+// The samples share one []Sample and their observations one []float64,
+// read once into a reused scratch slice and then copied to an array of
+// their exact count. Each sample's observations are capacity-capped, so
+// an Add copies them out instead of overwriting the next sample's.
 func DecodeSamples(d *memo.Decoder) []*Sample {
-	return memo.List(d, 1, func() *Sample {
+	peek := *d // reads the sample count, checked against the bytes left
+	samples := make([]Sample, len(memo.List(&peek, 1, func() struct{} { return struct{}{} })))
+	scratch := seriesScratch.Get().(*[]float64)
+	obs, next := (*scratch)[:0], samples
+	ss := memo.List(d, 1, func() *Sample {
 		if !d.Bool() {
 			return nil
 		}
-		return &Sample{values: memo.List(d, 8, d.Float64)}
+		s, start := &next[0], len(obs)
+		next = next[1:]
+		memo.List(d, 8, func() struct{} { obs = append(obs, d.Float64()); return struct{}{} })
+		s.values = obs[start:] // for its length: obs may move as it grows
+		return s
 	})
+	values := slices.Clone(obs)
+	for i := range samples[:len(samples)-len(next)] {
+		k := len(samples[i].values)
+		samples[i].values = nil
+		if k > 0 {
+			samples[i].values, values = values[:k:k], values[k:]
+		}
+	}
+	*scratch = obs
+	seriesScratch.Put(scratch)
+	return ss
 }

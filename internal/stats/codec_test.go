@@ -3,6 +3,7 @@ package stats
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/memo"
@@ -69,5 +70,33 @@ func TestSampleBinaryEmpty(t *testing.T) {
 	}
 	if back := roundTrip(t, nil); back != nil {
 		t.Fatalf("no samples decoded as %v, want nil", back)
+	}
+}
+
+// A series' decoded samples share one backing array, each capped at its
+// own observations: an Add to one sample must leave the next intact,
+// and the decode must deep-equal the samples encoded, nil and empty
+// ones included.
+func TestDecodedSamplesDoNotShareObservations(t *testing.T) {
+	mk := func(vs ...float64) *Sample {
+		s := new(Sample)
+		for _, v := range vs {
+			s.Add(v)
+		}
+		return s
+	}
+	in := []*Sample{mk(1, 2), nil, mk(3), mk(), mk(4, 5, 6)}
+	back := roundTrip(t, in)
+	if !reflect.DeepEqual(back, in) {
+		t.Fatalf("decoded %v, want %v", back, in)
+	}
+	for i, s := range back {
+		if s != nil {
+			s.Add(float64(-i))
+		}
+	}
+	want := []*Sample{mk(1, 2, 0), nil, mk(3, -2), mk(-3), mk(4, 5, 6, -4)}
+	if !reflect.DeepEqual(back, want) {
+		t.Fatalf("after an Add to each sample: %v, want %v", back, want)
 	}
 }
