@@ -18,8 +18,8 @@ func main() {
 	c := cpu.PentiumP54C100()
 	fmt.Printf("CPU: %s\n", c)
 	cfg := cache.PentiumConfig()
-	fmt.Printf("L1: %d KB %d-way   L2: %d KB %d-way   line %d B   write-allocate: %v\n\n",
-		cfg.L1Size>>10, cfg.L1Assoc, cfg.L2Size>>10, cfg.L2Assoc, cfg.LineSize, cfg.WriteAllocate)
+	fmt.Printf("L1: %d KB 2-way   L2: %d KB 2-way   line %d B   write-allocate: %v\n\n",
+		cfg.L1Size>>10, cfg.L2Size>>10, cfg.LineSize, cfg.WriteAllocate)
 
 	sizes := []int{2 << 10, 8 << 10, 32 << 10, 256 << 10, 1 << 20, 8 << 20}
 

@@ -4,15 +4,19 @@
 // write-allocate cache: a write that misses does not bring the line into the
 // cache, so it travels to the next level of the hierarchy as an individual
 // bus transaction. Reads, by contrast, allocate lines normally. This package
-// implements exactly that mechanism with set-associative, write-back,
-// LRU-replacement L1 and L2 caches in an inclusive hierarchy, and charges a
-// calibrated cycle cost for every access. The memory-routine models in
-// package memmodel run on top of it, and the paper's Figures 2 through 8 —
-// the 8 KB and 256 KB plateaus, the flat sub-50 MB/s memset curve, and the
-// dramatic effect of software prefetching — all emerge from this model.
+// implements exactly that mechanism with two-way set-associative,
+// write-back, LRU-replacement L1 and L2 caches in an inclusive hierarchy,
+// and charges a calibrated cycle cost for every access. The memory-routine
+// models in package memmodel run on top of it, and the paper's Figures 2
+// through 8 — the 8 KB and 256 KB plateaus, the flat sub-50 MB/s memset
+// curve, and the dramatic effect of software prefetching — all emerge from
+// this model.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // WordSize is the access granularity of the memory routines, in bytes.
 const WordSize = 4
@@ -70,16 +74,17 @@ func PentiumTiming() Timing {
 	}
 }
 
-// Config describes a two-level hierarchy.
+// Config describes a two-level hierarchy. Both levels are two-way
+// set-associative: the P54C's L1 is, and the paper's 256 KB L2 is modelled
+// two-way to avoid pathological conflict artefacts that the real
+// benchmarks' allocator layout avoided.
 type Config struct {
 	// LineSize is the cache line size in bytes (32 on the P54C).
 	LineSize int
-	// L1Size and L1Assoc describe the L1 data cache (8 KB, 2-way).
-	L1Size, L1Assoc int
-	// L2Size and L2Assoc describe the L2 cache (256 KB on the paper's
-	// board; modelled 2-way to avoid pathological conflict artefacts that
-	// the real benchmarks' allocator layout avoided).
-	L2Size, L2Assoc int
+	// L1Size is the L1 data cache's size in bytes (8 KB).
+	L1Size int
+	// L2Size is the L2 cache's size in bytes (256 KB on the paper's board).
+	L2Size int
 	// WriteAllocate selects the write-miss policy. False on the P54C; the
 	// write-allocate ablation (DESIGN.md A1) sets it true.
 	WriteAllocate bool
@@ -87,15 +92,13 @@ type Config struct {
 	Timing Timing
 }
 
-// PentiumConfig returns the paper platform's hierarchy: 8 KB 2-way L1,
-// 256 KB L2, 32-byte lines, no write-allocate.
+// PentiumConfig returns the paper platform's hierarchy: 8 KB L1, 256 KB
+// L2, 32-byte lines, no write-allocate.
 func PentiumConfig() Config {
 	return Config{
 		LineSize:      32,
 		L1Size:        8 << 10,
-		L1Assoc:       2,
 		L2Size:        256 << 10,
-		L2Assoc:       2,
 		WriteAllocate: false,
 		Timing:        PentiumTiming(),
 	}
@@ -121,11 +124,11 @@ type Stats struct {
 
 // line is one cache way. key holds the level's current generation base
 // plus the line address plus one; any smaller value (zero, or a key
-// stamped under an earlier generation) marks the way invalid, so a scan
+// stamped under an earlier generation) marks the way invalid, so a probe
 // tests presence, tag and generation with one comparison.
 //
 // use packs the LRU timestamp (shifted left one) with the dirty flag in
-// the low bit, keeping a way at 16 bytes — the victim scans stream these
+// the low bit, keeping a way at 16 bytes — the probes stream these
 // arrays through the host's own caches, so size is speed. Timestamps are
 // unique within a level, so comparing packed values orders ways exactly
 // as comparing raw timestamps would, dirty bits notwithstanding.
@@ -140,65 +143,44 @@ func (l *line) markDirty() { l.use |= 1 }
 // isDirty reads the dirty flag.
 func (l *line) isDirty() bool { return l.use&1 != 0 }
 
-// level is one set-associative, write-back cache array. The ways are
-// stored in one flat backing array — set s occupies
-// lines[s*assoc : (s+1)*assoc] — so a lookup costs a single bounds-checked
-// slice and construction a single allocation (the sweeps build a fresh
-// hierarchy per point, so construction cost is hot too). Two-way sets (the
-// paper's machine, both levels) additionally take unrolled scan paths,
-// selected by twoWay; the general loops remain for every other geometry.
+// level is one two-way set-associative, write-back cache array, the
+// paper's machine at both levels. A set is a [2]line, so one bounds
+// check on the set index covers both ways, and construction is a single
+// allocation (the sweeps build a fresh hierarchy per point, so
+// construction cost is hot too).
 type level struct {
-	lines    []line
-	assoc    int
-	twoWay   bool
+	sets     [][2]line
 	setShift uint
 	setMask  uint64
-	lineSize int
 	tick     uint64
 	// genBase is the current generation shifted into the bits above any
 	// 32-bit line address. Stored keys are genBase + lineAddr + 1, so
 	// bumping genBase by 1<<32 invalidates every line in O(1) — no key
 	// from an earlier generation can equal a current-generation key, and
-	// the victim scans treat key <= genBase as a free way. Because the
+	// victim choice treats key <= genBase as a free way. Because the
 	// added bits sit entirely above setMask, set indexing is unchanged.
 	genBase uint64
 }
 
-func newLevel(size, assoc, lineSize int) (*level, error) {
-	if size <= 0 || assoc <= 0 || lineSize <= 0 {
-		return nil, fmt.Errorf("cache: sizes and associativity must be positive (size %d, assoc %d, line %d)",
-			size, assoc, lineSize)
+func newLevel(size, lineSize int) (*level, error) {
+	if size <= 0 || lineSize <= 0 {
+		return nil, fmt.Errorf("cache: sizes must be positive (size %d, line %d)", size, lineSize)
 	}
 	if lineSize&(lineSize-1) != 0 {
 		return nil, fmt.Errorf("cache: line size %d must be a power of two", lineSize)
 	}
-	if size%(assoc*lineSize) != 0 {
-		return nil, fmt.Errorf("cache: size %d not divisible by assoc*line (%d*%d)", size, assoc, lineSize)
+	if size%(2*lineSize) != 0 {
+		return nil, fmt.Errorf("cache: size %d not divisible into two ways of %d-byte lines", size, lineSize)
 	}
-	nsets := size / (assoc * lineSize)
+	nsets := size / (2 * lineSize)
 	if nsets&(nsets-1) != 0 {
 		return nil, fmt.Errorf("cache: set count %d must be a power of two", nsets)
 	}
-	shift := uint(0)
-	for l := lineSize; l > 1; l >>= 1 {
-		shift++
-	}
 	return &level{
-		lines:    make([]line, nsets*assoc),
-		assoc:    assoc,
-		twoWay:   assoc == 2,
-		setShift: shift,
+		sets:     make([][2]line, nsets),
+		setShift: uint(bits.TrailingZeros(uint(lineSize))),
 		setMask:  uint64(nsets - 1),
-		lineSize: lineSize,
 	}, nil
-}
-
-func (lv *level) lineAddr(addr uint64) uint64 { return addr >> lv.setShift }
-
-// set returns the ways of the set holding line address la.
-func (lv *level) set(la uint64) []line {
-	s := int(la&lv.setMask) * lv.assoc
-	return lv.lines[s : s+lv.assoc]
 }
 
 // touch replays the LRU bump a per-access hit on l would perform.
@@ -207,157 +189,56 @@ func (lv *level) touch(l *line) {
 	l.use = lv.tick<<1 | l.use&1
 }
 
-// lookup finds the line containing addr. It returns the way or nil.
+// lookup finds the line containing addr and bumps its LRU stamp. It
+// returns the way or nil. The bump is touch written out, which keeps
+// lookup within the compiler's inlining budget.
 func (lv *level) lookup(addr uint64) *line {
-	key := lv.genBase + lv.lineAddr(addr) + 1
-	if lv.twoWay {
-		i := int((key-1)&lv.setMask) * 2
-		// One bounds check covers both ways: the two-element reslice makes
-		// s[0] and s[1] statically in range.
-		s := lv.lines[i : i+2]
-		w := &s[0]
+	la := addr >> lv.setShift
+	key := lv.genBase + la + 1
+	s := &lv.sets[la&lv.setMask]
+	w := &s[0]
+	if w.key != key {
+		w = &s[1]
 		if w.key != key {
-			w = &s[1]
-			if w.key != key {
-				return nil
-			}
-		}
-		lv.tick++
-		w.use = lv.tick<<1 | w.use&1
-		return w
-	}
-	set := lv.set(key - 1)
-	for i := range set {
-		if set[i].key == key {
-			lv.tick++
-			set[i].use = lv.tick<<1 | set[i].use&1
-			return &set[i]
+			return nil
 		}
 	}
-	return nil
+	lv.tick++
+	w.use = lv.tick<<1 | w.use&1
+	return w
 }
 
-// insert places the line containing addr into the cache, returning the
-// new line and the victim line's (tag, dirty) if a valid line was evicted.
+// insert places the line containing addr, which must not be resident,
+// into its set: in the first free way, otherwise in the least recently
+// used (ties to way 0). It returns the new line and the victim line's
+// (tag, dirty) if a valid line was evicted.
 func (lv *level) insert(addr uint64) (l *line, victimTag uint64, victimDirty, evicted bool) {
-	la := lv.lineAddr(addr)
+	la := addr >> lv.setShift
 	if la >= 1<<32 {
 		panic("cache: line address exceeds 32 bits")
 	}
 	gb := lv.genBase
-	var victim *line
-	if lv.twoWay {
-		// Unrolled victim choice, same policy as the loop below: the first
-		// free way wins, otherwise the least recently used (ties to way 0).
-		i := int(la&lv.setMask) * 2
-		s := lv.lines[i : i+2]
-		victim = &s[0]
-		if victim.key > gb {
-			if w1 := &s[1]; w1.key <= gb || w1.use < victim.use {
-				victim = w1
-			}
-		}
-	} else {
-		set := lv.set(la)
-		victim = &set[0]
-		for i := range set {
-			if set[i].key <= gb {
-				victim = &set[i]
-				break
-			}
-			if set[i].use < victim.use {
-				victim = &set[i]
-			}
-		}
+	s := &lv.sets[la&lv.setMask]
+	l = &s[0]
+	if l.key > gb && (s[1].key <= gb || s[1].use < l.use) {
+		l = &s[1]
 	}
-	// victim.key-gb-1 underflows for an invalid way; evicted=false guards it.
-	victimTag, victimDirty, evicted = victim.key-gb-1, victim.isDirty(), victim.key > gb
+	// l.key-gb-1 underflows for an invalid way; evicted=false guards it.
+	victimTag, victimDirty, evicted = l.key-gb-1, l.isDirty(), l.key > gb
 	lv.tick++
-	*victim = line{key: gb + la + 1, use: lv.tick << 1}
-	return victim, victimTag, victimDirty, evicted
-}
-
-// lookupOrInsert resolves addr's line in one set scan: on a hit it bumps
-// the LRU state and returns it, exactly as lookup; on a miss it inserts,
-// exactly as insert. Scanning once instead of lookup-then-insert is what
-// fill wants — the victim choice is identical because the first free way
-// wins and, failing that, the least recent use among the ways scanned
-// before it, just as insert's early-exit scan selects.
-func (lv *level) lookupOrInsert(addr uint64) (l *line, hit bool, victimTag uint64, victimDirty, evicted bool) {
-	gb := lv.genBase
-	la := lv.lineAddr(addr)
-	if la >= 1<<32 {
-		panic("cache: line address exceeds 32 bits")
-	}
-	key := gb + la + 1
-	var victim *line
-	if lv.twoWay {
-		i := int((key-1)&lv.setMask) * 2
-		s := lv.lines[i : i+2]
-		w0, w1 := &s[0], &s[1]
-		if w0.key == key {
-			lv.tick++
-			w0.use = lv.tick<<1 | w0.use&1
-			return w0, true, 0, false, false
-		}
-		if w1.key == key {
-			lv.tick++
-			w1.use = lv.tick<<1 | w1.use&1
-			return w1, true, 0, false, false
-		}
-		victim = w0
-		if w0.key > gb && (w1.key <= gb || w1.use < w0.use) {
-			victim = w1
-		}
-	} else {
-		set := lv.set(key - 1)
-		victim = &set[0]
-		free := false
-		for i := range set {
-			if set[i].key == key {
-				lv.tick++
-				set[i].use = lv.tick<<1 | set[i].use&1
-				return &set[i], true, 0, false, false
-			}
-			if !free {
-				if set[i].key <= gb {
-					victim = &set[i]
-					free = true
-				} else if set[i].use < victim.use {
-					victim = &set[i]
-				}
-			}
-		}
-	}
-	victimTag, victimDirty, evicted = victim.key-gb-1, victim.isDirty(), victim.key > gb
-	lv.tick++
-	*victim = line{key: key, use: lv.tick << 1}
-	return victim, false, victimTag, victimDirty, evicted
+	*l = line{key: gb + la + 1, use: lv.tick << 1}
+	return l, victimTag, victimDirty, evicted
 }
 
 // invalidate drops the line containing the given line address, reporting
 // whether it was present and dirty.
 func (lv *level) invalidate(lineAddr uint64) (wasDirty, wasPresent bool) {
 	key := lv.genBase + lineAddr + 1
-	if lv.twoWay {
-		i := int(lineAddr&lv.setMask) * 2
-		s := lv.lines[i : i+2]
-		w := &s[0]
-		if w.key != key {
-			w = &s[1]
-			if w.key != key {
-				return false, false
-			}
-		}
-		wasDirty = w.isDirty()
-		*w = line{}
-		return wasDirty, true
-	}
-	set := lv.set(lineAddr)
-	for i := range set {
-		if set[i].key == key {
-			wasDirty = set[i].isDirty()
-			set[i] = line{}
+	s := &lv.sets[lineAddr&lv.setMask]
+	for i := range s {
+		if w := &s[i]; w.key == key {
+			wasDirty = w.isDirty()
+			*w = line{}
 			return wasDirty, true
 		}
 	}
@@ -365,9 +246,10 @@ func (lv *level) invalidate(lineAddr uint64) (wasDirty, wasPresent bool) {
 }
 
 // flush invalidates every line in O(1) by advancing the generation: all
-// stored keys fall at or below the new genBase, which every scan treats
-// as a free way, indistinguishable from a zeroed array. Line addresses
-// fit in 32 bits (insert enforces it), so generations never collide.
+// stored keys fall at or below the new genBase, which victim choice
+// treats as a free way, indistinguishable from a zeroed array. Line
+// addresses fit in 32 bits (insert enforces it), so generations never
+// collide.
 func (lv *level) flush() {
 	lv.genBase += 1 << 32
 }
@@ -404,11 +286,11 @@ func New(cfg Config) (*Hierarchy, error) {
 	if cfg.L1Size >= cfg.L2Size {
 		return nil, fmt.Errorf("cache: L1 (%d) must be smaller than L2 (%d)", cfg.L1Size, cfg.L2Size)
 	}
-	l1, err := newLevel(cfg.L1Size, cfg.L1Assoc, cfg.LineSize)
+	l1, err := newLevel(cfg.L1Size, cfg.LineSize)
 	if err != nil {
 		return nil, fmt.Errorf("L1: %w", err)
 	}
-	l2, err := newLevel(cfg.L2Size, cfg.L2Assoc, cfg.LineSize)
+	l2, err := newLevel(cfg.L2Size, cfg.LineSize)
 	if err != nil {
 		return nil, fmt.Errorf("L2: %w", err)
 	}
@@ -477,7 +359,7 @@ func (h *Hierarchy) Flush() {
 // in L1.
 func (h *Hierarchy) fill(addr uint64) *line {
 	t := &h.cfg.Timing
-	if _, hit, vt, vd, ev := h.l2.lookupOrInsert(addr); hit {
+	if h.l2.lookup(addr) != nil {
 		h.stats.L2Hits++
 		h.cycles += t.L1FillFromL2
 		h.stats.LinesFilledFromL2++
@@ -486,6 +368,7 @@ func (h *Hierarchy) fill(addr uint64) *line {
 		}
 	} else {
 		// Allocated in L2 (inclusive hierarchy).
+		_, vt, vd, ev := h.l2.insert(addr)
 		h.stats.L2Misses++
 		h.cycles += t.L1FillFromL2 + t.FillFromMem
 		h.stats.LinesFilledFromMem++
@@ -860,7 +743,7 @@ func (h *Hierarchy) WriteRun(addr uint64, words, chunkWords int, chunkLoop float
 // of the source and destination lines and silently change a future
 // victim choice. CopyRun therefore keeps a pointer to each stream's
 // current line and replays every collapsed access's LRU bump directly on
-// it — the set scan is what the fast path saves, not the tick. Any fill
+// it — the set probe is what the fast path saves, not the tick. Any fill
 // can evict the other stream's cached line (directly, or via an
 // inclusion invalidation), so it drops that stream's pointer and forces
 // a real lookup on its next access.

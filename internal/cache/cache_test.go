@@ -137,8 +137,8 @@ func TestFlush(t *testing.T) {
 func TestLRUWithinSet(t *testing.T) {
 	cfg := PentiumConfig()
 	h := MustNew(cfg)
-	// Three lines mapping to the same L1 set (stride = L1 size / assoc).
-	stride := uint64(cfg.L1Size / cfg.L1Assoc)
+	// Three lines mapping to the same two-way L1 set (stride = L1 size / 2).
+	stride := uint64(cfg.L1Size / 2)
 	a, b, c := uint64(0), stride, 2*stride
 	h.ReadWords(a, 1)
 	h.ReadWords(b, 1)
@@ -203,6 +203,55 @@ func TestMemWriteCountersDistinguishWordsFromBytes(t *testing.T) {
 	}
 }
 
+// An L2 eviction takes its victim out of L1 too, from either way, and a
+// dirty L1 copy makes the eviction a write-back (inclusion). Lines b,
+// b+128 KB and b+256 KB share an L1 set and an L2 set; a line 4 KB below
+// b shares only the L1 set, and reading it first puts b in L1's way 1.
+// Re-reading or writing b makes it L1's more recent line of the set while
+// it stays L2's less recent, so b is L2's victim but not L1's.
+func TestL2EvictionLeavesL1(t *testing.T) {
+	const b, l2Period = 0x10000, 128 << 10
+	for _, c := range []struct {
+		name        string
+		way1, dirty bool
+	}{
+		{"way 0, clean", false, false},
+		{"way 0, dirty", false, true},
+		{"way 1, clean", true, false},
+		{"way 1, dirty", true, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			h := pentium()
+			if c.way1 {
+				h.ReadWords(b-4<<10, 1)
+			}
+			h.ReadWords(b, 1)
+			h.ReadWords(b+l2Period, 1)
+			if c.dirty {
+				h.WriteWords(b, 1)
+			} else {
+				h.ReadWords(b, 1)
+			}
+			h.ReadWords(b+2*l2Period, 1)
+			if lvl := h.Contains(b); lvl != 0 {
+				t.Errorf("L2's victim is at level %d, want evicted from both", lvl)
+			}
+			for _, a := range []uint64{b + l2Period, b + 2*l2Period} {
+				if lvl := h.Contains(a); lvl != 1 {
+					t.Errorf("Contains(%#x) = %d, want 1", a, lvl)
+				}
+			}
+			want := uint64(0)
+			if c.dirty {
+				want = 1
+			}
+			if got := h.Stats().L2WriteBacks; got != want {
+				t.Errorf("L2WriteBacks = %d, want %d", got, want)
+			}
+		})
+	}
+}
+
 func TestWriteHitInL2Only(t *testing.T) {
 	h := pentium()
 	cfg := h.Config()
@@ -237,12 +286,13 @@ func TestAddCyclesNegativePanics(t *testing.T) {
 
 func TestNewRejectsBadGeometry(t *testing.T) {
 	cases := []Config{
-		{LineSize: 32, L1Size: 8 << 10, L1Assoc: 2, L2Size: 4 << 10, L2Assoc: 2}, // L1 >= L2
-		{LineSize: 32, L1Size: 0, L1Assoc: 2, L2Size: 256 << 10, L2Assoc: 2},
-		{LineSize: 32, L1Size: 8<<10 + 32, L1Assoc: 2, L2Size: 256 << 10, L2Assoc: 2},
+		{LineSize: 32, L1Size: 8 << 10, L2Size: 4 << 10}, // L1 >= L2
+		{LineSize: 32, L1Size: 0, L2Size: 256 << 10},
+		{LineSize: 32, L1Size: 8<<10 + 32, L2Size: 256 << 10},
+		{LineSize: 32, L1Size: 3 * 64, L2Size: 256 << 10}, // three sets
 		// Power-of-two set counts (4 and 64) but a 48-byte line, which the
 		// shift-based line addressing cannot represent.
-		{LineSize: 48, L1Size: 384, L1Assoc: 2, L2Size: 6144, L2Assoc: 2, Timing: PentiumTiming()},
+		{LineSize: 48, L1Size: 384, L2Size: 6144, Timing: PentiumTiming()},
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {

@@ -27,8 +27,9 @@ func mustRef(cfg Config) *Hierarchy {
 }
 
 // diffGeometries returns the cache geometries the trace replay sweeps:
-// the paper's machine plus small, skewed and direct-mapped shapes that
-// stress set conflicts, line-boundary handling and inclusion victims.
+// the paper's machine plus small shapes with 16-, 32- and 64-byte lines
+// and L1:L2 ratios from 1:8 to 1:16 that stress set conflicts,
+// line-boundary handling and inclusion victims.
 func diffGeometries() []Config {
 	tiny := Timing{
 		WordHit: 1, WordWriteHit: 0.85, ByteOp: 2.5, L2WordAccess: 2,
@@ -37,9 +38,9 @@ func diffGeometries() []Config {
 	}
 	return []Config{
 		PentiumConfig(),
-		{LineSize: 16, L1Size: 1 << 10, L1Assoc: 1, L2Size: 8 << 10, L2Assoc: 2, Timing: tiny},
-		{LineSize: 32, L1Size: 2 << 10, L1Assoc: 4, L2Size: 16 << 10, L2Assoc: 1, Timing: tiny},
-		{LineSize: 64, L1Size: 4 << 10, L1Assoc: 2, L2Size: 64 << 10, L2Assoc: 4, Timing: tiny},
+		{LineSize: 16, L1Size: 1 << 10, L2Size: 8 << 10, Timing: tiny},
+		{LineSize: 32, L1Size: 2 << 10, L2Size: 16 << 10, Timing: tiny},
+		{LineSize: 64, L1Size: 4 << 10, L2Size: 64 << 10, Timing: tiny},
 	}
 }
 

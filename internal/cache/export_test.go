@@ -6,7 +6,7 @@ func (b CycleBreakdown) Total() float64 {
 }
 
 // Contains reports at which level the line holding addr currently resides:
-// 1, 2, or 0 when it is only in memory. It scans the sets directly, so
+// 1, 2, or 0 when it is only in memory. It reads the sets directly, so
 // the LRU order is undisturbed.
 func (h *Hierarchy) Contains(addr uint64) int {
 	if h.peek(h.l1, addr) {
@@ -19,12 +19,7 @@ func (h *Hierarchy) Contains(addr uint64) int {
 }
 
 func (h *Hierarchy) peek(lv *level, addr uint64) bool {
-	key := lv.genBase + lv.lineAddr(addr) + 1
-	set := lv.set(key - 1)
-	for i := range set {
-		if set[i].key == key {
-			return true
-		}
-	}
-	return false
+	la := addr >> lv.setShift
+	s, key := lv.sets[la&lv.setMask], lv.genBase+la+1
+	return s[0].key == key || s[1].key == key
 }

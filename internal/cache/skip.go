@@ -13,18 +13,18 @@ import "math"
 // periodSnap is the state a period began in. It lives in the Hierarchy,
 // so a pooled hierarchy reuses its buffers.
 type periodSnap struct {
-	l1, l2       []line
+	l1, l2       [][2]line
 	tick1, tick2 uint64
 	cycles       float64
 	stats        Stats
 	marked       bool
 }
 
-// Period returns the fast-forward period in bytes: the larger level's set
-// count times the line size. Set counts are powers of two, so the larger
-// is a multiple of the smaller.
+// Period returns the fast-forward period in bytes: L2's set count times
+// the line size. L1 is the smaller of two two-way levels over one line
+// size, so L2's set count is a power-of-two multiple of L1's.
 func (h *Hierarchy) Period() int {
-	return int(max(h.l1.setMask, h.l2.setMask)+1) * h.cfg.LineSize
+	return int(h.l2.setMask+1) * h.cfg.LineSize
 }
 
 // Mark snapshots the hierarchy at the start of a period. An attributed
@@ -33,8 +33,8 @@ func (h *Hierarchy) Period() int {
 func (h *Hierarchy) Mark() {
 	s := &h.snap
 	if s.marked = h.attr == nil; s.marked {
-		s.l1 = append(s.l1[:0], h.l1.lines...)
-		s.l2 = append(s.l2[:0], h.l2.lines...)
+		s.l1 = append(s.l1[:0], h.l1.sets...)
+		s.l2 = append(s.l2[:0], h.l2.sets...)
 		s.tick1, s.tick2 = h.l1.tick, h.l2.tick
 		s.cycles, s.stats = h.cycles, h.stats
 	}
@@ -56,57 +56,27 @@ func (h *Hierarchy) Repeats() bool {
 	return h.l1.repeats(h.snap.l1, p) && h.l2.repeats(h.snap.l2, p)
 }
 
-func (lv *level) repeats(snap []line, p uint64) bool {
-	gb, a := lv.genBase, lv.assoc
-	for s := 0; s < len(lv.lines); s += a {
-		if lv.twoWay {
-			// Unrolled sameSet: order both pairs by recency and compare.
-			c0, c1 := byRecency(lv.lines[s], lv.lines[s+1], gb)
-			o0, o1 := byRecency(snap[s], snap[s+1], gb)
-			if !movedUp(c0, o0, gb, p) || !movedUp(c1, o1, gb, p) {
-				return false
-			}
-		} else if !sameSet(lv.lines[s:s+a], snap[s:s+a], gb, p) {
+// repeats compares each set with its snapshot, both pairs of ways ordered
+// by recency.
+func (lv *level) repeats(snap [][2]line, p uint64) bool {
+	gb := lv.genBase
+	for i := range lv.sets {
+		c0, c1 := byRecency(lv.sets[i], gb)
+		o0, o1 := byRecency(snap[i], gb)
+		if !movedUp(c0, o0, gb, p) || !movedUp(c1, o1, gb, p) {
 			return false
 		}
 	}
 	return true
 }
 
-// sameSet walks the valid ways of set cur and set old from least to most
-// recently used, in step, and reports whether each of cur's is old's
-// moved up p line addresses with the same dirty bit.
-func sameSet(cur, old []line, gb, p uint64) bool {
-	for c, o := (line{}), (line{}); ; {
-		c, o = nextUsed(cur, c.use, gb), nextUsed(old, o.use, gb)
-		if !movedUp(c, o, gb, p) {
-			return false
-		}
-		if c.key <= gb {
-			return true
-		}
+// byRecency orders a set's two ways valid before free, and the less
+// recently used of two valid ways first.
+func byRecency(s [2]line, gb uint64) (line, line) {
+	if s[0].key <= gb || s[1].key > gb && s[1].use < s[0].use {
+		return s[1], s[0]
 	}
-}
-
-// nextUsed returns the least recently used valid way used after the
-// stamp after, or a free line when there is none.
-func nextUsed(set []line, after, gb uint64) line {
-	var n line
-	for _, w := range set {
-		if w.key > gb && w.use > after && (n.key <= gb || w.use < n.use) {
-			n = w
-		}
-	}
-	return n
-}
-
-// byRecency orders two ways valid before free, and the less recently used
-// of two valid ways first.
-func byRecency(a, b line, gb uint64) (line, line) {
-	if a.key <= gb || b.key > gb && b.use < a.use {
-		return b, a
-	}
-	return a, b
+	return s[0], s[1]
 }
 
 // movedUp reports whether way c holds o's line moved up p line addresses
@@ -148,10 +118,12 @@ func (h *Hierarchy) Skip(n int) int {
 // advance moves every valid line up lines line addresses and its stamp,
 // and the tick, up ticks.
 func (lv *level) advance(lines, ticks uint64) {
-	for i := range lv.lines {
-		if w := &lv.lines[i]; w.key > lv.genBase {
-			w.key += lines
-			w.use += ticks << 1
+	for i := range lv.sets {
+		for j := range lv.sets[i] {
+			if w := &lv.sets[i][j]; w.key > lv.genBase {
+				w.key += lines
+				w.use += ticks << 1
+			}
 		}
 	}
 	lv.tick += ticks

@@ -95,14 +95,14 @@ func TestExactRepeatsEdges(t *testing.T) {
 }
 
 // skipGeometries are the shapes the skip trace runs on: the paper's
-// machine, 64-byte lines over a 4-way 512 KB L2, and a direct-mapped L1
-// with more sets than its 8-way L2, where the L1 sets the period.
+// machine, 64-byte lines over a 512 KB L2, and a 16 KB L1 over a 64 KB
+// L2, whose period is a quarter of the paper's.
 func skipGeometries() []Config {
 	tm := PentiumTiming()
 	return []Config{
 		PentiumConfig(),
-		{LineSize: 64, L1Size: 8 << 10, L1Assoc: 2, L2Size: 512 << 10, L2Assoc: 4, Timing: tm},
-		{LineSize: 32, L1Size: 16 << 10, L1Assoc: 1, L2Size: 64 << 10, L2Assoc: 8, Timing: tm},
+		{LineSize: 64, L1Size: 8 << 10, L2Size: 512 << 10, Timing: tm},
+		{LineSize: 32, L1Size: 16 << 10, L2Size: 64 << 10, Timing: tm},
 	}
 }
 
@@ -187,6 +187,44 @@ func TestAttributedHierarchyNeverSkips(t *testing.T) {
 	h := mustRef(PentiumConfig())
 	if n := periodTrace(h, 1, 12, true); n != 0 {
 		t.Fatalf("attributed hierarchy skipped %d periods", n)
+	}
+}
+
+// repeats matches each set with its snapshot by recency, not by way: a
+// set whose lines sit in the other ways, each moved up one period with
+// its dirty bit and in the same recency order, repeats; a changed order,
+// dirty bit, line or valid count does not.
+func TestRepeatsComparesByRecency(t *testing.T) {
+	const p = 4 // line addresses per period
+	// way builds a valid way for line address la (keys are la+1 in the
+	// first generation) stamped at tick, dirty or not.
+	way := func(la, tick uint64, dirty bool) line {
+		l := line{key: la + 1, use: tick << 1}
+		if dirty {
+			l.markDirty()
+		}
+		return l
+	}
+	free := line{}
+	cases := []struct {
+		name      string
+		snap, cur [2]line
+		want      bool
+	}{
+		{"same ways", [2]line{way(1, 1, false), way(2, 2, true)}, [2]line{way(1+p, 3, false), way(2+p, 4, true)}, true},
+		{"ways swapped", [2]line{way(1, 1, false), way(2, 2, true)}, [2]line{way(2+p, 4, true), way(1+p, 3, false)}, true},
+		{"free way swapped", [2]line{free, way(1, 1, false)}, [2]line{way(1+p, 2, false), free}, true},
+		{"both free", [2]line{free, free}, [2]line{free, free}, true},
+		{"order reversed", [2]line{way(1, 1, false), way(2, 2, false)}, [2]line{way(1+p, 4, false), way(2+p, 3, false)}, false},
+		{"dirty bit changed", [2]line{way(1, 1, false), free}, [2]line{way(1+p, 2, true), free}, false},
+		{"not moved up", [2]line{way(1, 1, false), free}, [2]line{way(1, 2, false), free}, false},
+		{"one more line", [2]line{way(1, 1, false), free}, [2]line{way(1+p, 2, false), way(5+p, 3, false)}, false},
+	}
+	for _, c := range cases {
+		lv := &level{sets: [][2]line{c.cur}}
+		if got := lv.repeats([][2]line{c.snap}, p); got != c.want {
+			t.Errorf("%s: repeats = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 

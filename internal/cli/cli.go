@@ -70,7 +70,7 @@ func (a *App) Execute(args []string) int {
 	fl.IntVar(&o.trials, "trials", 5, "sensitivity: perturbed replicas (at most 100)")
 	profilesFile := fl.String("profiles", "", "JSON file with extra OS personalities to benchmark")
 	workers := fl.Int("j", 0, "parallel runner workers (0 = GOMAXPROCS, 1 = serial; at most 1024)")
-	fl.IntVar(&o.procs, "procs", 0, "trace/metrics/profile: process count — ring size for the bare timeline (default 3), F1 probe processes (default 8); at most 1024")
+	fl.IntVar(&o.procs, "procs", 0, "trace/metrics/profile/timeseries/serve/audit/faults: process count — ring size for the bare timeline (default 3), F1 probe processes (default 8); 0 for the default, else 2 to 1024, since every ring needs two")
 	fl.StringVar(&o.format, "format", "", "run <ids>: 'text' (default), 'csv', 'svg' (files into -out) or 'table' (the model tables behind S1/S2, L1/L2 and I1). trace <ids>: 'chrome' (default; Perfetto-loadable JSON) or 'text'. profile <ids>: 'top' (default), 'folded' or 'pprof'")
 	fl.IntVar(&o.top, "top", 0, "trace -format=text / profile -format=top: keep only the N heaviest rows per table (0 = all)")
 	fl.StringVar(&o.out, "o", "", "profile: write output to this file instead of stdout")
@@ -192,6 +192,8 @@ func flagRangeError(o cmdOpts, runs, workers int, window time.Duration) string {
 		return fmt.Sprintf("-j must be at most %d (got %d)", maxWorkers, workers)
 	case o.procs < 0:
 		return fmt.Sprintf("-procs must be >= 0 (got %d)", o.procs)
+	case o.procs == 1:
+		return "-procs must be 0 (the command default) or at least 2: every process ring needs two (got 1)"
 	case o.procs > maxProcs:
 		return fmt.Sprintf("-procs must be at most %d (got %d)", maxProcs, o.procs)
 	case o.trials <= 0:
@@ -737,10 +739,6 @@ func (a *App) latency(cfg core.Config) {
 func (a *App) traceTimeline(cfg core.Config, procs int) int {
 	if procs == 0 {
 		procs = 3
-	}
-	if procs < 2 {
-		fmt.Fprintln(a.Stderr, "pentiumbench: trace needs -procs >= 2")
-		return 2
 	}
 	for _, p := range cfg.Profiles {
 		fmt.Fprintf(a.Stdout, "%s — one %d-process token-ring lap:\n", p, procs)

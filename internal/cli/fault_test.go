@@ -124,6 +124,7 @@ func TestNumericFlagRangeErrors(t *testing.T) {
 		{"runs negative", []string{"-runs", "-3", "run", "T2"}, "-runs must be positive"},
 		{"j negative", []string{"-j", "-1", "run", "T2"}, "-j must be >= 0"},
 		{"procs negative", []string{"-procs", "-4", "trace"}, "-procs must be >= 0"},
+		{"procs one", []string{"-procs", "1", "metrics", "F1"}, "-procs must be 0 (the command default) or at least 2"},
 		{"trials zero", []string{"-trials", "0", "sensitivity"}, "-trials must be positive"},
 		{"top negative", []string{"-top", "-1", "profile", "F12"}, "-top must be >= 0"},
 		{"clients negative", []string{"-clients", "-5", "run", "S1", "-format=table"}, "-clients must be >= 0"},

@@ -179,3 +179,42 @@ func TestAccessBoundsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// An unsampled, unfaulted Access allocates nothing: its sampler handles
+// and fault injector are nil, and the disk sits under every fs op.
+func TestAccessZeroAllocs(t *testing.T) {
+	d := hp()
+	i := int64(0)
+	if a := testing.AllocsPerRun(1000, func() {
+		d.Access(i*7919%d.Blocks(), BlockSize, i&1 == 0)
+		i++
+	}); a != 0 {
+		t.Fatalf("Access: %v allocs per op, want 0", a)
+	}
+}
+
+// BenchmarkAccess is the disk layer's unit: one 8 KB transfer per op on
+// the HP 3725, reading and writing in turn, over sequential blocks (the
+// drive streams, one seek per 4,096 ops) or random ones (a seek and a
+// rotational delay each).
+func BenchmarkAccess(b *testing.B) {
+	const n = 4096
+	seq, random := make([]int64, n), make([]int64, n)
+	rng, blocks := sim.NewRNG(2), hp().Blocks()
+	for i := range seq {
+		seq[i] = int64(i)
+		random[i] = rng.Int63n(blocks)
+	}
+	for _, c := range []struct {
+		name   string
+		blocks []int64
+	}{{"sequential", seq}, {"random", random}} {
+		b.Run(c.name, func(b *testing.B) {
+			d := hp()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				d.Access(c.blocks[i%n], BlockSize, i&1 == 0)
+			}
+		})
+	}
+}

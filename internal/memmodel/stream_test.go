@@ -56,7 +56,7 @@ func TestStreamSkipsMatchReference(t *testing.T) {
 // for stream to check: the pass runs straight through and matches the
 // reference.
 func TestStreamPeriodShorterThanChunk(t *testing.T) {
-	cfg := cache.Config{LineSize: 4, L1Size: 4, L1Assoc: 1, L2Size: 8, L2Assoc: 1, Timing: cache.PentiumTiming()}
+	cfg := cache.Config{LineSize: 4, L1Size: 8, L2Size: 16, Timing: cache.PentiumTiming()}
 	c := cpu.PentiumP54C100()
 	for r := CustomRead; r <= PrefetchCopy; r++ {
 		fast, ref := NewModel(c, cfg), refModel(c, cfg)

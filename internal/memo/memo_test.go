@@ -5,9 +5,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -56,6 +59,91 @@ func TestTableConcurrentComputesOnce(t *testing.T) {
 	st := tab.Stats()
 	if st.Misses != 1 || st.Hits != 31 {
 		t.Fatalf("stats = %+v, want 31 hits 1 miss", st)
+	}
+}
+
+// doRecover runs tab.Do and returns its value, or the panic value it
+// raised.
+func doRecover(tab *Table[string, int], key string, compute func() int) (v int, panicked any) {
+	defer func() { panicked = recover() }()
+	return tab.Do(key, compute), nil
+}
+
+// A compute that panics leaves nothing behind: its caller gets the panic,
+// the next Do for the key computes afresh, and the failed compute counts
+// as neither a hit nor a miss.
+func TestTablePanickedComputeIsForgotten(t *testing.T) {
+	tab := NewTable[string, int]()
+	boom := errors.New("boom")
+	if _, p := doRecover(tab, "k", func() int { panic(boom) }); p != boom {
+		t.Fatalf("first Do panicked with %v, want %v", p, boom)
+	}
+	if st := tab.Stats(); st != (TableStats{}) {
+		t.Fatalf("stats after a panicked compute = %+v, want none", st)
+	}
+	computes := 0
+	for i := 0; i < 2; i++ {
+		v, p := doRecover(tab, "k", func() int { computes++; return 42 })
+		if p != nil || v != 42 {
+			t.Fatalf("Do %d after the panic = %d, panic %v; want 42", i, v, p)
+		}
+	}
+	if computes != 1 {
+		t.Fatalf("computed %d times after the panic, want once", computes)
+	}
+	if st := tab.Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Fatalf("stats = %+v, want 1 hit 1 miss", st)
+	}
+}
+
+// parkedInDo reports whether some goroutine is blocked on a lock or a
+// wait inside Table.Do, as a request for a key another request is
+// computing is.
+func parkedInDo() bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		state, _, _ := strings.Cut(g, "\n")
+		if strings.Contains(g, "memo.(*Table[") &&
+			(strings.Contains(state, "[semacquire") || strings.Contains(state, "[sync.")) {
+			return true
+		}
+	}
+	return false
+}
+
+// A request blocked on a compute that panics panics with the same value
+// instead of returning a zero value, and neither counts.
+func TestTableWaiterOfPanickedComputePanics(t *testing.T) {
+	tab := NewTable[string, int]()
+	boom := errors.New("boom")
+	started, release := make(chan struct{}), make(chan struct{})
+	owner, waiter := make(chan any), make(chan any)
+	go func() {
+		_, p := doRecover(tab, "k", func() int {
+			close(started)
+			<-release
+			panic(boom)
+		})
+		owner <- p
+	}()
+	<-started
+	go func() {
+		_, p := doRecover(tab, "k", func() int { t.Error("the waiter computed the key"); return 7 })
+		waiter <- p
+	}()
+	for !parkedInDo() {
+		runtime.Gosched()
+	}
+	close(release)
+	if p := <-owner; p != boom {
+		t.Fatalf("owner panicked with %v, want %v", p, boom)
+	}
+	if p := <-waiter; p != boom {
+		t.Fatalf("waiter got panic %v, want %v", p, boom)
+	}
+	if st := tab.Stats(); st != (TableStats{}) {
+		t.Fatalf("stats = %+v, want none", st)
 	}
 }
 

@@ -11,12 +11,15 @@ import (
 	"sync/atomic"
 )
 
-// entry is one memoized value. The Once gives single-flight semantics:
-// concurrent requests for the same key compute it exactly once and
-// everyone else waits for the value.
+// entry is one memoized value. Its first request computes it while the
+// rest wait on wg, which gives single-flight semantics: concurrent
+// requests for the same key compute it once.
 type entry[V any] struct {
-	once sync.Once
-	v    V
+	wg sync.WaitGroup
+	v  V
+	ok bool // the compute returned v
+	// panicked is the compute's panic value when it did not return.
+	panicked any
 }
 
 // Table memoizes a pure function of a comparable key across one suite
@@ -37,33 +40,54 @@ func NewTable[K comparable, V any]() *Table[K, V] {
 
 // Do returns the memoized value for key, invoking compute on first
 // request and serving the stored value afterwards. Concurrent first
-// requests compute once; the rest block until the value is ready.
+// requests compute once; the rest block until the value is ready. A
+// compute that panics stores nothing: its panic reaches its caller and
+// every request that waited on it, and the next Do for key computes
+// afresh.
 func (t *Table[K, V]) Do(key K, compute func() V) V {
 	t.mu.Lock()
-	e, ok := t.entries[key]
-	if !ok {
-		e = &entry[V]{}
+	e, found := t.entries[key]
+	if !found {
+		e = new(entry[V])
+		e.wg.Add(1)
 		t.entries[key] = e
 	}
 	t.mu.Unlock()
-	computed := false
-	e.once.Do(func() {
-		e.v = compute()
-		computed = true
-	})
-	if computed {
-		t.misses.Add(1)
-	} else {
+	if found {
+		e.wg.Wait()
+		if !e.ok {
+			panic(e.panicked)
+		}
 		t.hits.Add(1)
+		return e.v
 	}
+	defer t.settle(key, e)
+	e.v, e.ok = compute(), true
+	t.misses.Add(1)
 	return e.v
+}
+
+// settle releases e's waiters once its compute has ended. A compute that
+// did not return leaves no entry behind, and its panic goes on to the
+// caller once the waiters have it.
+func (t *Table[K, V]) settle(key K, e *entry[V]) {
+	if !e.ok {
+		t.mu.Lock()
+		delete(t.entries, key)
+		t.mu.Unlock()
+		if e.panicked = recover(); e.panicked != nil {
+			defer panic(e.panicked)
+		}
+	}
+	e.wg.Done()
 }
 
 // TableStats reports memo effectiveness.
 type TableStats struct {
 	// Hits counts requests served without computing.
 	Hits uint64
-	// Misses counts values computed (equals the number of unique keys).
+	// Misses counts values computed (equals the number of unique keys,
+	// as a compute that panics counts as neither).
 	Misses uint64
 }
 

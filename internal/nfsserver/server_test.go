@@ -280,11 +280,11 @@ func TestResultJSONCarriesHistogram(t *testing.T) {
 	}
 }
 
-// freshRun runs cfg on arrays no earlier server has used: it empties
-// the pool first, until the pool makes a new set, and does not release
-// the server.
+// freshRun runs cfg on arrays no earlier server has used: it takes the
+// spare and pooled sets first, until takeArrays makes a new set, and
+// does not release the server.
 func freshRun(cfg Config) (Result, Facts) {
-	for arrayPool.Get().(*arrays).freeList != nil {
+	for takeArrays().freeList != nil {
 	}
 	s := New(cfg)
 	return *s.Run(), s.Facts()
@@ -345,6 +345,28 @@ func TestReleasedArraysRunAsFresh(t *testing.T) {
 		if err := <-errs; err != nil {
 			t.Error(err)
 		}
+	}
+}
+
+// A serial sweep's next server takes the set the last one released,
+// whichever goroutine builds it and however many collections come
+// between, so what a sweep allocates does not hang on scheduling.
+func TestReleasedArraysReachNextServer(t *testing.T) {
+	cfg := Config{Profile: osprofile.Linux128(), Clients: 10, Seed: 1, TargetOps: 100}
+	s := New(cfg)
+	s.Run()
+	want := &s.clIssued[0]
+	s.Release()
+	runtime.GC()
+	runtime.GC()
+	got := make(chan *uint32)
+	go func() {
+		next := New(cfg)
+		got <- &next.clIssued[0]
+		next.Release()
+	}()
+	if <-got != want {
+		t.Fatal("the next server on another goroutine did not reuse the released set")
 	}
 }
 

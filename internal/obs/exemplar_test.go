@@ -190,3 +190,22 @@ func TestExemplarTracksRendersSpans(t *testing.T) {
 	// Nil recorder is inert.
 	ExemplarTracks(nil, wins)
 }
+
+// BenchmarkExemplarsOffer is the exemplar reservoir's write: one finished
+// request offered per op at advancing virtual time, 64 to each window of
+// a K=4 reservoir, so most offers take the eviction scan (enabled), or
+// to a nil reservoir (disabled).
+func BenchmarkExemplarsOffer(b *testing.B) {
+	for _, enabled := range []bool{false, true} {
+		b.Run(benchState(enabled), func(b *testing.B) {
+			var x *Exemplars
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i%benchLap == 0 && enabled {
+					x = NewExemplars(1, 4, benchWidth)
+				}
+				x.Offer(mkEx(uint64(i+1), int64(benchTime(i)), 1000, int64(i&63)*10_000, 50_000))
+			}
+		})
+	}
+}

@@ -234,3 +234,55 @@ func TestSamplerWindowBudget(t *testing.T) {
 		t.Fatalf("a run filling the budget exactly: overflow %+v, %d windows", ts.Overflow, ts.Windows)
 	}
 }
+
+// The layer benchmarks' virtual-time schedule: 64 ops to each 100 ms
+// window, the default -window, and a fresh sampler or reservoir every
+// benchLap ops (1,024 windows), so an enabled run stays inside
+// WindowBudget and its memory stays bounded at any b.N.
+const (
+	benchWidth     = 100 * sim.Millisecond
+	benchPerWindow = 64
+	benchLap       = 1024 * benchPerWindow
+)
+
+// benchTime is op i's virtual time on the benchmark schedule.
+func benchTime(i int) sim.Time {
+	return sim.Time(int64(i%benchLap) * int64(benchWidth) / benchPerWindow)
+}
+
+// benchState names a layer benchmark's enabled or disabled variant.
+func benchState(enabled bool) string {
+	if enabled {
+		return "enabled"
+	}
+	return "disabled"
+}
+
+// BenchmarkSampler is the time-series layer's write: one counter, one
+// gauge and one histogram observation per op at advancing virtual time,
+// through a sampler's handles (enabled) or a nil sampler's (disabled).
+func BenchmarkSampler(b *testing.B) {
+	for _, enabled := range []bool{false, true} {
+		b.Run(benchState(enabled), func(b *testing.B) {
+			var (
+				c *SeriesCounter
+				g *SeriesGauge
+				h *SeriesHist
+			)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i%benchLap == 0 {
+					var s *Sampler
+					if enabled {
+						s = NewSampler(benchWidth)
+					}
+					c, g, h = s.Counter("ops"), s.Gauge("queue"), s.Hist("latency")
+				}
+				t := benchTime(i)
+				c.Inc(t)
+				g.Set(t, int64(i&63))
+				h.Observe(t, int64(i&1023+1)*1000)
+			}
+		})
+	}
+}
